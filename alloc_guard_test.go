@@ -5,11 +5,14 @@ package repro
 // small budget with a tracer attached. These pin the tentpole property of
 // the hot-path refactor — every per-cycle structure (request lists,
 // freeing masks, grant table, candidate buffers) lives in Sim-owned
-// scratch arenas reset by epoch counters, never reallocated.
+// scratch arenas reset by epoch counters, never reallocated. A last guard
+// bounds the static decider (core.Analyze), whose cycle classification
+// uses the same epoch-stamped scratch idiom.
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/obsv/telemetry"
 	"repro/internal/routing"
@@ -194,4 +197,28 @@ func TestStepTracedAllocBounded(t *testing.T) {
 	if tr.events == 0 {
 		t.Fatal("tracer saw no events; the guard measured an idle path")
 	}
+}
+
+// TestAnalyzeAllocBounded bounds the static decider's allocations on one
+// fixed cyclic algorithm (nine CDG cycles, 302 configurations, none
+// screened by a corollary). Cycle decomposition builds Members only for
+// the tilings it keeps and classification runs on channel-indexed scratch,
+// so the count sits near 3,950; the earlier per-tiling dedupe keys and
+// per-configuration maps put it at 26,000, and either one alone exceeds
+// the budget, which is the measured count plus about 10%.
+func TestAnalyzeAllocBounded(t *testing.T) {
+	alg := routing.RandomMinimal(topology.NewMesh([]int{3, 3}, 1).Network, 3)
+	rep := core.Analyze(alg, core.Options{})
+	if rep.Acyclic || rep.Screen != "" || len(rep.Cycles) == 0 || len(rep.Cycles[0].Configs) == 0 {
+		t.Fatalf("test bug: input must reach cycle decomposition (acyclic=%v screen=%q cycles=%d)",
+			rep.Acyclic, rep.Screen, len(rep.Cycles))
+	}
+	n := testing.AllocsPerRun(5, func() {
+		core.Analyze(alg, core.Options{})
+	})
+	const budget = 4350
+	if n > budget {
+		t.Fatalf("Analyze allocates %v allocs/op; budget %d", n, budget)
+	}
+	t.Logf("Analyze: %v allocs/op (budget %d)", n, budget)
 }

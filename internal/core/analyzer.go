@@ -116,8 +116,13 @@ type Report struct {
 type Options struct {
 	// MaxCycles caps cycle enumeration (0 = DefaultMaxCycles).
 	MaxCycles int
-	// MaxConfigs caps configuration tilings per cycle (0 =
-	// DefaultMaxConfigs).
+	// MaxConfigs caps configuration enumeration per cycle (0 =
+	// DefaultMaxConfigs). Each tiling of a cycle is enumerated once per
+	// boundary it has and kept only from its smallest boundary; the cap
+	// counts the configurations kept from earlier start positions plus
+	// every tiling enumerated from the current one, repeats included. A
+	// truncated cycle can therefore report fewer than MaxConfigs
+	// configurations.
 	MaxConfigs int
 	// Search, when non-nil, cross-checks every classified configuration
 	// with the exhaustive state-space model checker: the configuration is
@@ -131,7 +136,8 @@ type Options struct {
 	Search *mcheck.SearchOptions
 }
 
-// Default analysis bounds.
+// Default analysis bounds. DefaultMaxConfigs counts enumerated tilings,
+// repeated rotations included, as Options.MaxConfigs describes.
 const (
 	DefaultMaxCycles  = 64
 	DefaultMaxConfigs = 256
@@ -223,9 +229,11 @@ func analyzeCycle(alg routing.Algorithm, cyc cdg.Cycle, opts Options) CycleRepor
 		cr.Verdict = ConfigUnreachable
 		return cr
 	}
+	cl := newClassifier(alg.Network(), cyc)
+	cr.Configs = make([]ConfigReport, 0, len(configs))
 	anyReachable, anyUnknown := false, truncated
 	for _, cfg := range configs {
-		rep := classifyConfiguration(alg, cyc, cfg)
+		rep := cl.classifyConfiguration(cfg)
 		if opts.Search != nil {
 			res := mcheck.Search(ConfigScenario(alg, cfg), *opts.Search)
 			rep.SearchResult = &res
@@ -249,49 +257,62 @@ func analyzeCycle(alg routing.Algorithm, cyc cdg.Cycle, opts Options) CycleRepor
 	return cr
 }
 
+// classifier is the channel-indexed scratch one cycle's configurations are
+// classified with, reused from configuration to configuration.
+type classifier struct {
+	inCycle []bool
+	// seen[c] is the stamp of the last member whose approach used c; every
+	// member of every configuration gets a fresh, larger stamp.
+	seen  []uint32
+	stamp uint32
+}
+
+func newClassifier(net *topology.Network, cyc cdg.Cycle) *classifier {
+	cl := &classifier{inCycle: make([]bool, net.NumChannels()), seen: make([]uint32, net.NumChannels())}
+	for _, c := range cyc {
+		cl.inCycle[c] = true
+	}
+	return cl
+}
+
 // classifyConfiguration maps a configuration onto the Section 5 timing
 // model when its geometry allows, and classifies it.
-func classifyConfiguration(alg routing.Algorithm, cyc cdg.Cycle, cfg Configuration) ConfigReport {
+func (cl *classifier) classifyConfiguration(cfg Configuration) ConfigReport {
 	rep := ConfigReport{Config: cfg}
 
 	// Geometry checks: approaches must avoid the cycle's channels, and
 	// pairwise share at most one common channel, which must be the first
-	// channel of every approach that uses it.
-	inCycle := make(map[topology.ChannelID]bool, len(cyc))
-	for _, c := range cyc {
-		inCycle[c] = true
-	}
-	use := make(map[topology.ChannelID]int)
+	// channel of every approach that uses it. A channel is shared when a
+	// member finds it stamped by an earlier member of this configuration.
+	base := cl.stamp
+	var shared topology.ChannelID = topology.None
+	multiple := false
 	for _, m := range cfg.Members {
-		seen := make(map[topology.ChannelID]bool)
+		cl.stamp++
 		for _, c := range m.Approach {
-			if inCycle[c] {
+			if cl.inCycle[c] {
 				rep.Verdict = ConfigUnknown
 				rep.Reason = fmt.Sprintf("member approach uses cycle channel %d; outside supported geometry", c)
 				return rep
 			}
-			if seen[c] {
+			if cl.seen[c] == cl.stamp {
 				rep.Verdict = ConfigUnknown
 				rep.Reason = "member approach repeats a channel"
 				return rep
 			}
-			seen[c] = true
-			use[c]++
+			if cl.seen[c] > base {
+				multiple = multiple || (shared != topology.None && shared != c)
+				shared = c
+			}
+			cl.seen[c] = cl.stamp
 		}
 	}
-	var shared topology.ChannelID = topology.None
-	for c, n := range use {
-		if n < 2 {
-			continue
-		}
-		if shared != topology.None && shared != c {
-			rep.Verdict = ConfigUnknown
-			rep.Reason = "multiple shared approach channels; outside supported geometry"
-			return rep
-		}
-		shared = c
+	if multiple {
+		rep.Verdict = ConfigUnknown
+		rep.Reason = "multiple shared approach channels; outside supported geometry"
+		return rep
 	}
-	ucfg := unreachable.Config{}
+	ucfg := unreachable.Config{Entrants: make([]unreachable.Entrant, 0, len(cfg.Members))}
 	for _, m := range cfg.Members {
 		e := unreachable.Entrant{D: len(m.Approach), C: len(m.Arc)}
 		if shared != topology.None {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -165,14 +168,78 @@ func TestAnalyzeMatchesSearchOnThreeSharerFamily(t *testing.T) {
 	}
 }
 
+// TestDecomposeRingCycle decomposes the unidirectional 4-ring's single
+// cycle under shortest routing and checks every tiling against Definition
+// 6. Approaches are empty and a k-hop message can hold any arc shorter than
+// k, so arcs have length 1 (the 2- and 3-hop message from the arc's node)
+// or 2 (the 3-hop message only): four 1-arcs give 2^4 tilings, one 2-arc
+// and two 1-arcs 4·2^2, two 2-arcs 2 — 34 in all, each exactly once.
 func TestDecomposeRingCycle(t *testing.T) {
-	// Unidirectional 4-ring, shortest routing: the 4-channel cycle tiles
-	// into configurations of two-hop messages.
-	net := topology.NewRing(4, false)
-	alg := routing.ShortestBFS(net)
-	rep := Analyze(alg, Options{})
-	if rep.Screen == "" {
-		t.Skip("screened algorithms do not decompose")
+	alg := routing.ShortestBFS(topology.NewRing(4, false))
+	cycles, _ := cdg.New(alg).Cycles(0)
+	if len(cycles) != 1 || len(cycles[0]) != 4 {
+		t.Fatalf("cycles = %v; want one 4-channel cycle", cycles)
+	}
+	cyc := cycles[0]
+	configs, truncated := decomposeCycle(alg, cyc, 0)
+	if truncated {
+		t.Fatal("unexpected truncation")
+	}
+	if len(configs) != 34 {
+		t.Fatalf("tilings = %d; want 34", len(configs))
+	}
+	type arc struct {
+		src, dst topology.NodeID
+		start    topology.ChannelID
+		length   int
+	}
+	tilings := map[string]bool{}
+	for ci, cfg := range configs {
+		// The arcs tile the cycle in ring order.
+		var tiled []topology.ChannelID
+		for _, m := range cfg.Members {
+			tiled = append(tiled, m.Arc...)
+		}
+		start := -1
+		for i, c := range cyc {
+			if c == tiled[0] {
+				start = i
+			}
+		}
+		if len(tiled) != len(cyc) || start < 0 {
+			t.Fatalf("config %d: arcs %v do not tile cycle %v", ci, tiled, cyc)
+		}
+		for i, c := range tiled {
+			if c != cyc[(start+i)%len(cyc)] {
+				t.Fatalf("config %d: arcs %v are not cycle %v in ring order", ci, tiled, cyc)
+			}
+		}
+		// The (src, dst) pairs are distinct, and each member's path is
+		// Approach ++ Arc followed by the next member's first arc channel.
+		pairs := map[[2]topology.NodeID]bool{}
+		var key []arc
+		for i, m := range cfg.Members {
+			p := [2]topology.NodeID{m.Src, m.Dst}
+			if pairs[p] {
+				t.Fatalf("config %d: pair %v repeats", ci, p)
+			}
+			pairs[p] = true
+			next := cfg.Members[(i+1)%len(cfg.Members)].Arc[0]
+			want := append(append(append([]topology.ChannelID(nil), m.Approach...), m.Arc...), next)
+			path := alg.Path(m.Src, m.Dst)
+			if len(path) < len(want) || !slices.Equal(path[:len(want)], want) {
+				t.Fatalf("config %d member %d: path %v does not start with approach %v, arc %v, then %d",
+					ci, i, path, m.Approach, m.Arc, next)
+			}
+			key = append(key, arc{m.Src, m.Dst, m.Arc[0], len(m.Arc)})
+		}
+		// No tiling is reported twice, in any rotation.
+		sort.Slice(key, func(i, j int) bool { return key[i].start < key[j].start })
+		if k := fmt.Sprint(key); tilings[k] {
+			t.Fatalf("config %d repeats tiling %s", ci, k)
+		} else {
+			tilings[k] = true
+		}
 	}
 }
 

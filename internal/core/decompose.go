@@ -24,10 +24,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/cdg"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -35,7 +31,8 @@ import (
 
 // Member is one message of a candidate deadlock configuration: the message
 // from Src to Dst holds the cycle channels Arc and is blocked at the next
-// member's first arc channel.
+// member's first arc channel. Arc and Approach share storage with other
+// members and must not be modified.
 type Member struct {
 	Src, Dst topology.NodeID
 	// Arc is the run of consecutive cycle channels this member holds, in
@@ -54,13 +51,21 @@ type Configuration struct {
 // decomposeCycle enumerates the ways the cycle can be produced by actual
 // messages: tilings of the cycle channels into consecutive arcs, each arc
 // realized by a (src, dst) pair whose routing path traverses the arc and
-// is then blocked at the next arc's first channel. At most maxConfigs
-// tilings are returned (0 = unlimited); the bool reports truncation.
+// is then blocked at the next arc's first channel.
+//
+// Tilings are enumerated per start position first = 0..L-1: every tiling
+// with a boundary at first, arcs in ring order from there. A tiling with k
+// boundaries is so enumerated k times and kept only from its smallest
+// boundary, i.e. when none of its arcs wraps past the end of the cycle to
+// start below first. Enumeration stops once the configurations kept from
+// earlier start positions plus every tiling enumerated from the current
+// one, repeats included, number maxConfigs (0 = unlimited); the bool
+// reports that truncation.
 func decomposeCycle(alg routing.Algorithm, cyc cdg.Cycle, maxConfigs int) ([]Configuration, bool) {
 	net := alg.Network()
 	L := len(cyc)
 
-	// arcRealizers[p][l] lists the (src,dst) pairs realizing the arc of
+	// realizers[p*L+l-1] lists the (src,dst) pairs realizing the arc of
 	// length l starting at cycle position p: the pair's path contains
 	// cyc[p..p+l-1] followed by cyc[(p+l)%L], and the arc is entered from
 	// outside the cycle (the channel before cyc[p] in the path, if any,
@@ -69,14 +74,17 @@ func decomposeCycle(alg routing.Algorithm, cyc cdg.Cycle, maxConfigs int) ([]Con
 	type realizer struct {
 		src, dst topology.NodeID
 		approach []topology.ChannelID
+		// dup marks a later run of the pair's path realizing the same arc;
+		// tilings through it repeat those through the earlier run.
+		dup bool
 	}
-	realizers := make([][][]realizer, L)
-	for p := range realizers {
-		realizers[p] = make([][]realizer, L) // lengths 1..L-1 at index l-1
-	}
+	realizers := make([][]realizer, L*L)
 
 	// Index: for every pair's path, find occurrences of cycle channels.
-	pos := make(map[topology.ChannelID]int, L) // channel -> cycle position
+	pos := make([]int, net.NumChannels()) // channel -> cycle position, or -1
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, c := range cyc {
 		pos[c] = i
 	}
@@ -88,129 +96,99 @@ func decomposeCycle(alg routing.Algorithm, cyc cdg.Cycle, maxConfigs int) ([]Con
 			}
 			src, dst := topology.NodeID(s), topology.NodeID(d)
 			path := alg.Path(src, dst)
-			if path == nil {
-				continue
-			}
 			// Scan maximal runs of cycle channels consistent with cyclic
 			// order.
 			for i := 0; i < len(path); i++ {
-				p, ok := pos[path[i]]
-				if !ok {
+				p := pos[path[i]]
+				if p < 0 {
 					continue
 				}
 				// Is this the start of a run (previous path channel is not
 				// the cycle predecessor)?
 				if i > 0 {
-					if pp, ok2 := pos[path[i-1]]; ok2 && (pp+1)%L == p {
+					if pp := pos[path[i-1]]; pp >= 0 && (pp+1)%L == p {
 						continue // interior of a longer run
 					}
 				}
 				// Extend the run.
 				l := 1
-				for i+l < len(path) {
-					np, ok2 := pos[path[i+l]]
-					if !ok2 || np != (p+l)%L {
-						break
-					}
+				for i+l < len(path) && pos[path[i+l]] == (p+l)%L {
 					l++
 				}
 				// A member holding arc length a (1 <= a < l <= L) blocked
 				// at cyc[(p+a)%L] requires the path to continue with that
 				// channel, i.e. a < l. Every prefix length a of the run
-				// with a < l is a realizable arc.
-				for a := 1; a < l && a < L; a++ {
+				// with a < l is a realizable arc, all sharing one approach.
+				if l > 1 {
 					approach := append([]topology.ChannelID(nil), path[:i]...)
-					realizers[p][a-1] = append(realizers[p][a-1], realizer{src: src, dst: dst, approach: approach})
+					for a := 1; a < l && a < L; a++ {
+						rs := realizers[p*L+a-1]
+						dup := len(rs) > 0 && rs[len(rs)-1].src == src && rs[len(rs)-1].dst == dst
+						realizers[p*L+a-1] = append(rs, realizer{src: src, dst: dst, approach: approach, dup: dup})
+					}
 				}
 				i += l - 1
 			}
 		}
 	}
 
-	// Tile the cycle: choose a first-arc start position only once (fix
-	// rotations by requiring every tiling to include an arc starting at
-	// position 0 boundary... instead: canonicalize by always cutting at
-	// position 0: tilings are sequences of arcs whose boundaries include
-	// 0? A tiling's boundaries are arbitrary; rotating the start does not
-	// change the set of boundaries, so enumerate boundary sets that
-	// include each possible first boundary b0 < L, then dedupe by the
-	// boundary set. Simpler: enumerate tilings whose first boundary is
-	// the smallest boundary in the set.
-	var configs []Configuration
-	truncated := false
-	var build func(start, covered, first int, members []Member)
-	build = func(start, covered, first int, members []Member) {
-		if truncated {
-			return
-		}
+	// Tile the cycle by depth-first search over (arc, realizer) picks,
+	// building Members only for kept tilings. Arcs are capped subslices of
+	// one doubled copy of the cycle.
+	ring := append(append(make([]topology.ChannelID, 0, 2*L), cyc...), cyc...)
+	type pick struct {
+		start, length int
+		r             *realizer
+	}
+	var (
+		configs   []Configuration
+		picks     []pick
+		first     int
+		count     int
+		truncated bool
+	)
+	var build func(start, covered int, repeat bool)
+	build = func(start, covered int, repeat bool) {
 		if covered == L {
-			cfgMembers := append([]Member(nil), members...)
-			configs = append(configs, Configuration{Members: cfgMembers})
-			if maxConfigs > 0 && len(configs) >= maxConfigs {
-				truncated = true
+			if !repeat {
+				members := make([]Member, len(picks))
+				for j, pk := range picks {
+					end := pk.start + pk.length
+					members[j] = Member{Src: pk.r.src, Dst: pk.r.dst, Arc: ring[pk.start:end:end], Approach: pk.r.approach}
+				}
+				configs = append(configs, Configuration{Members: members})
 			}
+			count++
+			truncated = maxConfigs > 0 && count >= maxConfigs
 			return
 		}
-		for a := 1; a <= L-covered; a++ {
-			if a == L {
-				break // a single member cannot block itself
-			}
-			for _, r := range realizers[start][a-1] {
+		// a < L: a single member cannot block itself.
+		for a := 1; a <= L-covered && a < L; a++ {
+			next := (start + a) % L
+			rs := realizers[start*L+a-1]
+		candidates:
+			for k := range rs {
+				r := &rs[k]
 				// Distinct (src,dst) pairs per member.
-				dup := false
-				for _, m := range members {
-					if m.Src == r.src && m.Dst == r.dst {
-						dup = true
-						break
+				for _, pk := range picks {
+					if pk.r.src == r.src && pk.r.dst == r.dst {
+						continue candidates
 					}
 				}
-				if dup {
-					continue
-				}
-				arc := make([]topology.ChannelID, a)
-				for j := 0; j < a; j++ {
-					arc[j] = cyc[(start+j)%L]
-				}
-				members = append(members, Member{Src: r.src, Dst: r.dst, Arc: arc, Approach: r.approach})
-				build((start+a)%L, covered+a, first, members)
-				members = members[:len(members)-1]
+				picks = append(picks, pick{start: start, length: a, r: r})
+				// The next arc starts below first only after wrapping: the
+				// tiling has a smaller boundary and was kept from there.
+				build(next, covered+a, repeat || r.dup || next < first)
+				picks = picks[:len(picks)-1]
 				if truncated {
 					return
 				}
 			}
 		}
 	}
-	// Fix rotation: only start tilings at the smallest position that is a
-	// boundary. Enumerate all start positions but require no arc to cross
-	// position `first` other than ending exactly there — achieved by
-	// starting at `first` and wrapping; dedupe afterwards on boundary+pair
-	// sets.
-	seen := make(map[string]bool)
-	for first := 0; first < L && !truncated; first++ {
-		var members []Member
-		before := len(configs)
-		build(first, 0, first, members)
-		// Dedupe rotations.
-		kept := configs[:before]
-		for _, cfgc := range configs[before:] {
-			key := configKey(cfgc)
-			if !seen[key] {
-				seen[key] = true
-				kept = append(kept, cfgc)
-			}
-		}
-		configs = kept
+	for ; first < L && !truncated; first++ {
+		count = len(configs)
+		build(first, 0, false)
 	}
 	return configs, truncated
-}
-
-// configKey canonicalizes a configuration for deduplication: the sorted
-// set of (src, dst, first arc channel, arc length) member descriptors.
-func configKey(c Configuration) string {
-	keys := make([]string, len(c.Members))
-	for i, m := range c.Members {
-		keys[i] = fmt.Sprintf("%d,%d,%d,%d", m.Src, m.Dst, m.Arc[0], len(m.Arc))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
 }
