@@ -307,9 +307,8 @@ func main() {
 	add(livenessEntry("E8_LivenessSearch", papernets.Figure1().Scenario,
 		mcheck.SearchOptions{}, mcheck.VerdictNoDeadlock))
 	// E10: the out-of-core path — the E1 search through the spill backend
-	// under a deliberately tiny resident budget, so every level runs the
-	// compressed-frontier batch pipeline and the visited set cycles through
-	// sorted runs on disk. The verdict and state count must match E1
+	// under a deliberately tiny resident budget, so the visited set cycles
+	// through sorted runs on disk. The verdict and state count must match E1
 	// exactly (the backend-parity contract); the ns/op delta against E1 is
 	// the price of bounded memory.
 	add(searchEntry("E10_SearchOutOfCore", papernets.Figure1().Scenario,

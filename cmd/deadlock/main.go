@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cli"
@@ -49,7 +50,11 @@ func main() {
 	visF := cli.RegisterVisitedFlags()
 	flag.Parse()
 	red := cli.Reduction(*redF)
-	visited := visF.Config()
+	visited, err := visF.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *livens && *paper == "" {
 		log.Fatal("deadlock: -liveness needs -paper (a concrete scenario for the liveness engine to search)")
 	}
@@ -143,9 +148,6 @@ func main() {
 			res.StatesPerSec, res.PeakVisited, res.Workers, res.Elapsed.Round(time.Millisecond))
 		v := res.Visited
 		switch v.Backend {
-		case "bitstate":
-			fmt.Printf("            visited %s: %s resident, bloom FP rate %.4f (%d/%d probes rechecked exactly)\n",
-				v.Backend, cli.FormatBytes(v.Bytes), v.BloomFPRate, v.BloomHits, v.BloomProbes)
 		case "spill":
 			fmt.Printf("            visited %s: %s resident, %s in %d run(s) on disk (%d compactions)\n",
 				v.Backend, cli.FormatBytes(v.Bytes), cli.FormatBytes(v.SpillBytes), v.SpillRuns, v.Compactions)

@@ -297,7 +297,6 @@ func SearchRun(name string, net *topology.Network, res mcheck.SearchResult) mani
 	run.VisitedBytes = res.Visited.Bytes
 	run.SpillBytes = res.Visited.SpillBytes
 	run.SpillRuns = res.Visited.SpillRuns
-	run.BloomFPRate = res.Visited.BloomFPRate
 	return run
 }
 
@@ -353,7 +352,6 @@ func (o *Observer) SearchProgress(name string) func(mcheck.ProgressInfo) {
 				VisitedEntries: p.VisitedEntries,
 				VisitedBytes:   p.VisitedBytes,
 				SpillBytes:     p.SpillBytes,
-				BloomFPRate:    p.BloomFPRate,
 			})
 		}
 	}

@@ -3,7 +3,6 @@ package cli
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -12,65 +11,52 @@ import (
 
 // VisitedFlags holds the visited-set backend flags shared by every
 // command that runs an exhaustive search: -visited, -visited-mem,
-// -bitstate-bits, -spill-dir. Register them with RegisterVisitedFlags
-// before flag.Parse, then resolve with Config.
+// -spill-dir. Register them with RegisterVisitedFlags before flag.Parse,
+// then resolve with Config.
 type VisitedFlags struct {
 	Backend   *string
 	MemBudget *string
-	BloomBits *string
 	SpillDir  *string
 }
 
 // RegisterVisitedFlags registers the visited-set backend flags on the
 // default flag set.
 func RegisterVisitedFlags() *VisitedFlags {
+	return registerVisitedFlags(flag.CommandLine)
+}
+
+func registerVisitedFlags(fs *flag.FlagSet) *VisitedFlags {
 	return &VisitedFlags{
-		Backend: flag.String("visited", "mem",
-			"visited-set backend: mem (in-memory reference), bitstate (Bloom-prefiltered, exact), spill (disk-backed, memory-bounded); verdicts and witnesses are identical across backends"),
-		MemBudget: flag.String("visited-mem", "",
+		Backend: fs.String("visited", "mem",
+			"visited-set backend: mem (in-memory reference), spill (disk-backed, memory-bounded); verdicts and witnesses are identical across backends"),
+		MemBudget: fs.String("visited-mem", "",
 			"spill backend resident-memory budget, e.g. 64M or 2Gi (binary suffixes K/M/G/T; default 256M)"),
-		BloomBits: flag.String("bitstate-bits", "",
-			"bitstate Bloom filter size in bits, e.g. 64M (rounded up to a power of two; default 64M)"),
-		SpillDir: flag.String("spill-dir", "",
+		SpillDir: fs.String("spill-dir", "",
 			"parent directory for spill run files (default: the system temp directory)"),
 	}
 }
 
-// Config resolves the parsed flags into a search VisitedConfig, exiting
-// with a usage error on an unknown backend or a malformed size.
-func (f *VisitedFlags) Config() mcheck.VisitedConfig {
+// Config resolves the parsed flags into a search VisitedConfig. The error
+// names the offending flag; commands report it as a usage error (exit 2).
+func (f *VisitedFlags) Config() (mcheck.VisitedConfig, error) {
 	var cfg mcheck.VisitedConfig
 	switch *f.Backend {
 	case "", "mem":
 		cfg.Backend = mcheck.VisitedMem
-	case "bitstate":
-		cfg.Backend = mcheck.VisitedBitstate
 	case "spill":
 		cfg.Backend = mcheck.VisitedSpill
 	default:
-		fmt.Fprintf(os.Stderr, "cli: -visited=%s: unknown backend (want mem, bitstate, spill)\n", *f.Backend)
-		os.Exit(2)
-	}
-	fail := func(flagName string, err error) {
-		fmt.Fprintf(os.Stderr, "cli: -%s: %v\n", flagName, err)
-		os.Exit(2)
+		return cfg, fmt.Errorf("cli: -visited=%s: unknown backend (want mem, spill)", *f.Backend)
 	}
 	if *f.MemBudget != "" {
 		n, err := ParseByteSize(*f.MemBudget)
 		if err != nil {
-			fail("visited-mem", err)
+			return cfg, fmt.Errorf("cli: -visited-mem: %w", err)
 		}
 		cfg.MemBudget = n
 	}
-	if *f.BloomBits != "" {
-		n, err := ParseByteSize(*f.BloomBits)
-		if err != nil {
-			fail("bitstate-bits", err)
-		}
-		cfg.BloomBits = n
-	}
 	cfg.SpillDir = *f.SpillDir
-	return cfg
+	return cfg, nil
 }
 
 // FormatBytes renders a byte count with a binary suffix, one decimal.

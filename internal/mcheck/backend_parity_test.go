@@ -8,31 +8,16 @@ import (
 	"repro/internal/waitfor"
 )
 
-// backendParityConfigs are the visited-set configurations that must be
-// observationally identical to the default in-memory backend. Sizes are
-// deliberately hostile: the Bloom filter is at its minimum (dense enough
-// to produce real false positives on thousand-state searches, so the
-// exact-recheck path runs for real) and the spill budget is one byte (so
-// every shard spills constantly and most probes hit disk runs).
-func backendParityConfigs() []struct {
-	name string
-	cfg  VisitedConfig
-} {
-	return []struct {
-		name string
-		cfg  VisitedConfig
-	}{
-		{"mem-batched", VisitedConfig{Backend: VisitedMem, CompressFrontier: true}},
-		{"bitstate", VisitedConfig{Backend: VisitedBitstate, BloomBits: 1 << 16}},
-		{"spill", VisitedConfig{Backend: VisitedSpill, MemBudget: 1}},
-	}
-}
+// spillParityConfig is the spill configuration that must be
+// observationally identical to the default in-memory backend. The budget
+// is deliberately hostile: one byte, so every shard spills constantly and
+// most probes hit disk runs.
+var spillParityConfig = VisitedConfig{Backend: VisitedSpill, MemBudget: 1}
 
 // TestVisitedBackendParity is the exactness contract of the pluggable
-// visited layer: for every scenario, every backend — bitstate prefilter,
-// disk-spilling shards, compressed frontier batching — and every worker
-// count, the verdict, state count, retained-encoding count and (for
-// deadlocks) the full witness must be byte-identical to the in-memory
+// visited layer: for every scenario and every worker count, the spill
+// backend's verdict, state count, retained-encoding count and (for
+// deadlocks) full witness must be byte-identical to the in-memory
 // reference. CI runs the gen3 subtest under -race as the parity smoke.
 func TestVisitedBackendParity(t *testing.T) {
 	for _, tc := range parityCases() {
@@ -43,34 +28,32 @@ func TestVisitedBackendParity(t *testing.T) {
 			refOpts := tc.opts
 			refOpts.Parallelism = 1
 			ref := Search(tc.sc, refOpts)
-			for _, bc := range backendParityConfigs() {
-				for _, workers := range []int{1, 3} {
-					opts := tc.opts
-					opts.Parallelism = workers
-					opts.Visited = bc.cfg
-					res := Search(tc.sc, opts)
-					if res.Verdict != ref.Verdict {
-						t.Fatalf("%s workers=%d: verdict %v != reference %v", bc.name, workers, res.Verdict, ref.Verdict)
+			for _, workers := range []int{1, 3} {
+				opts := tc.opts
+				opts.Parallelism = workers
+				opts.Visited = spillParityConfig
+				res := Search(tc.sc, opts)
+				if res.Verdict != ref.Verdict {
+					t.Fatalf("spill workers=%d: verdict %v != reference %v", workers, res.Verdict, ref.Verdict)
+				}
+				if res.States != ref.States {
+					t.Fatalf("spill workers=%d: states %d != reference %d", workers, res.States, ref.States)
+				}
+				if res.PeakVisited != ref.PeakVisited {
+					t.Fatalf("spill workers=%d: peak visited %d != reference %d",
+						workers, res.PeakVisited, ref.PeakVisited)
+				}
+				if ref.Verdict == VerdictDeadlock {
+					if !reflect.DeepEqual(res.Trace, ref.Trace) {
+						t.Fatalf("spill workers=%d: witness trace differs from reference", workers)
 					}
-					if res.States != ref.States {
-						t.Fatalf("%s workers=%d: states %d != reference %d", bc.name, workers, res.States, ref.States)
+					if !reflect.DeepEqual(res.Deadlock.Cycle, ref.Deadlock.Cycle) {
+						t.Fatalf("spill workers=%d: deadlock cycle %v != reference %v",
+							workers, res.Deadlock.Cycle, ref.Deadlock.Cycle)
 					}
-					if res.PeakVisited != ref.PeakVisited {
-						t.Fatalf("%s workers=%d: peak visited %d != reference %d",
-							bc.name, workers, res.PeakVisited, ref.PeakVisited)
-					}
-					if ref.Verdict == VerdictDeadlock {
-						if !reflect.DeepEqual(res.Trace, ref.Trace) {
-							t.Fatalf("%s workers=%d: witness trace differs from reference", bc.name, workers)
-						}
-						if !reflect.DeepEqual(res.Deadlock.Cycle, ref.Deadlock.Cycle) {
-							t.Fatalf("%s workers=%d: deadlock cycle %v != reference %v",
-								bc.name, workers, res.Deadlock.Cycle, ref.Deadlock.Cycle)
-						}
-						s := Replay(tc.sc, res.Trace)
-						if err := waitfor.Verify(s, res.Deadlock); err != nil {
-							t.Fatalf("%s workers=%d: replayed witness invalid: %v", bc.name, workers, err)
-						}
+					s := Replay(tc.sc, res.Trace)
+					if err := waitfor.Verify(s, res.Deadlock); err != nil {
+						t.Fatalf("spill workers=%d: replayed witness invalid: %v", workers, err)
 					}
 				}
 			}
@@ -89,17 +72,6 @@ func TestVisitedBackendReported(t *testing.T) {
 	}
 	if mem.Visited.Entries != mem.PeakVisited || mem.Visited.Bytes <= 0 || mem.Visited.PeakShardEntries <= 0 {
 		t.Fatalf("mem accounting implausible: %+v", mem.Visited)
-	}
-
-	bit := Search(sc, SearchOptions{Visited: VisitedConfig{Backend: VisitedBitstate, BloomBits: 1 << 16}})
-	if bit.Visited.Backend != "bitstate" {
-		t.Fatalf("bitstate backend reported as %q", bit.Visited.Backend)
-	}
-	if bit.Visited.BloomProbes <= 0 {
-		t.Fatalf("bitstate ran with zero filter probes: %+v", bit.Visited)
-	}
-	if bit.Visited.BloomFalsePositives > bit.Visited.BloomHits || bit.Visited.BloomHits > bit.Visited.BloomProbes {
-		t.Fatalf("bloom counters inconsistent: %+v", bit.Visited)
 	}
 
 	// ring4's 56 states leave every shard under the minimum spill batch;
@@ -125,14 +97,11 @@ func TestVisitedBackendReported(t *testing.T) {
 // TestLivenessBackendParity: the DFS liveness engine shares the visited
 // layer; its verdicts must not depend on the backend either.
 func TestLivenessBackendParity(t *testing.T) {
-	for _, bc := range backendParityConfigs() {
-		sc := ringScenario(2)
-		ref := SearchLiveness(sc, SearchOptions{})
-		opts := SearchOptions{Visited: bc.cfg}
-		res := SearchLiveness(sc, opts)
-		if res.Verdict != ref.Verdict || res.States != ref.States || res.PeakVisited != ref.PeakVisited {
-			t.Fatalf("%s: liveness %v/%d/%d != reference %v/%d/%d", bc.name,
-				res.Verdict, res.States, res.PeakVisited, ref.Verdict, ref.States, ref.PeakVisited)
-		}
+	sc := ringScenario(2)
+	ref := SearchLiveness(sc, SearchOptions{})
+	res := SearchLiveness(sc, SearchOptions{Visited: spillParityConfig})
+	if res.Verdict != ref.Verdict || res.States != ref.States || res.PeakVisited != ref.PeakVisited {
+		t.Fatalf("spill: liveness %v/%d/%d != reference %v/%d/%d",
+			res.Verdict, res.States, res.PeakVisited, ref.Verdict, ref.States, ref.PeakVisited)
 	}
 }

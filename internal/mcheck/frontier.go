@@ -5,20 +5,23 @@ import (
 	"fmt"
 )
 
-// Compressed frontier batching: instead of carrying a BFS level as a
-// slice of live simulators (each a full heap object), the batched engine
-// path carries it as one contiguous byte buffer of delta-encoded state
-// encodings, decoded back into a worker-local simulator at expansion
-// time. Neighbouring frontier entries are siblings or cousins in the
-// state graph and share long encoding prefixes, so varint prefix
-// compression against the previous entry shrinks a level far below the
-// sum of its encodings — and the frontier stops being the memory ceiling
-// that defeats an out-of-core visited set.
+// Compressed frontier batching: Search carries each BFS level not as live
+// simulators (each a full heap object) but as one contiguous byte buffer
+// of delta-encoded state encodings, decoded back into a worker-local
+// simulator at expansion time. Neighbouring frontier entries are siblings
+// or cousins in the state graph and share long encoding prefixes, so
+// varint prefix compression against the previous entry shrinks a level
+// far below the sum of its encodings — and the frontier stops being the
+// memory ceiling that defeats an out-of-core visited set.
+//
+// An entry is the state's own encoding (EncodeTo), never its canonical
+// symmetry representative, so it decodes to exactly the state the search
+// reached; the visited set keys on the canonical form separately.
 //
 // Entries are stored in INSERTION order, never sorted: the merge iterates
-// a batch exactly as it iterated the simulator slice, so acceptance
-// order, provenance and witnesses stay byte-identical to the unbatched
-// engine. (Only spill run files sort; a frontier must not.)
+// a batch in the order a sequential FIFO queue would dequeue the level,
+// so acceptance order, provenance and witnesses do not depend on the
+// worker count. (Only spill run files sort; a frontier must not.)
 //
 // Entry format, uvarints throughout:
 //
@@ -30,10 +33,7 @@ import (
 //
 // Restart points double as the parallel work-division grain: workers
 // claim whole blocks and decode them sequentially, so no entry is ever
-// decoded twice and no offsets but the restarts need indexing. The batch
-// layout is also the planned coordinator/worker wire format for
-// distributed search — a block is self-contained, so a coordinator can
-// ship blocks to remote expanders verbatim.
+// decoded twice and no offsets but the restarts need indexing.
 
 // batchRestart is the prefix-compression restart interval and the
 // parallel claim grain.

@@ -58,10 +58,9 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 	}
 	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, maskAll: true}
 
+	// The DFS carries its stack as live simulators, not frontier batches;
+	// the visited backend (including spill) is shared with Search.
 	root := newHeldSim(sc)
-	// The DFS carries its stack as live simulators, so frontier batching
-	// does not apply; the visited backend (including spill) still does.
-	opts.Visited.CompressFrontier = false
 	eng := newEngine(opts, cfg, nil, root, 1)
 	defer eng.visited.close()
 	w := eng.workers[0]

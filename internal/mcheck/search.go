@@ -122,9 +122,8 @@ type SearchOptions struct {
 	// time changes.
 	Parallelism int
 	// Visited configures the visited-set backend: the in-memory reference
-	// (default), the Bloom-prefiltered bitstate mode, or the disk-spilling
-	// out-of-core mode, plus compressed frontier batching. Every backend
-	// is exact; verdicts, state counts and witnesses do not depend on it.
+	// (default) or the disk-spilling out-of-core mode. Both are exact;
+	// verdicts, state counts and witnesses do not depend on the choice.
 	Visited VisitedConfig
 	// Reduction selects verdict-preserving state-space reductions
 	// (partial-order and/or symmetry). The zero value explores the full
@@ -165,10 +164,9 @@ type ProgressInfo struct {
 	StatesPerSec float64
 
 	// Visited-set memory accounting, from the live backend.
-	VisitedEntries int     // distinct encodings recorded
-	VisitedBytes   int64   // resident bytes (heap; excludes spilled runs)
-	SpillBytes     int64   // bytes in on-disk run files (spill backend)
-	BloomFPRate    float64 // measured false-positive rate (bitstate backend)
+	VisitedEntries int   // distinct encodings recorded
+	VisitedBytes   int64 // resident bytes (heap; excludes spilled runs)
+	SpillBytes     int64 // bytes in on-disk run files (spill backend)
 }
 
 // DefaultMaxStates bounds state exploration when SearchOptions.MaxStates
@@ -202,7 +200,7 @@ type SearchResult struct {
 	PeakVisited int
 	// Visited is the visited-set backend's final accounting snapshot:
 	// which backend ran, resident bytes, per-shard high-water mark, and
-	// the Bloom/spill counters where applicable.
+	// the spill counters where applicable.
 	Visited VisitedStats
 	// Workers is the worker count the search actually ran with.
 	Workers int
@@ -239,17 +237,14 @@ type provNode struct {
 	dec    int32 // decision ordinal within the parent's enumeration
 }
 
-// frontierEntry is one state of the current BFS level.
-type frontierEntry struct {
-	s      *sim.Sim
-	budget int
-	node   int32 // provenance arena index
-}
-
 // succState is a successor produced during parallel expansion, waiting for
-// the deterministic merge to accept or discard it.
+// the deterministic merge to accept or discard it. key is the visited-set
+// key (the canonical encoding under symmetry reduction); enc is the
+// successor's own encoding, which the next level's batch carries so the
+// entry decodes to the real successor rather than its orbit
+// representative. Without symmetry the two alias one slice.
 type succState struct {
-	s      *sim.Sim
+	key    []byte
 	enc    []byte
 	hash   uint64
 	budget int
@@ -271,8 +266,7 @@ type engine struct {
 	cfg     enumConfig        // enumeration variant; shared with rebuildTrace
 	perms   []sim.Permutation // scenario symmetries; empty = plain encoding
 	visited visitedStore
-	batched bool      // frontiers travel as encoded batches, not live sims
-	pool    sync.Pool // recycled *sim.Sim successors
+	pool    sync.Pool // recycled *sim.Sim successors (liveness DFS stack)
 	workers []*searchWorker
 
 	shardBuf []int        // reused shard-size buffer for the metrics path
@@ -283,9 +277,9 @@ type engine struct {
 type searchWorker struct {
 	eng      *engine
 	enum     *decisionEnum
-	probe    *sim.Sim // deadlock-check scratch
-	curSim   *sim.Sim // batch-entry decode scratch (batched mode only)
-	encBuf   []byte
+	cur      *sim.Sim // decoded frontier entry being expanded
+	scratch  *sim.Sim // deadlock probe and successor under construction
+	keyBuf   []byte
 	canonBuf []byte // canonical-encoding scratch (symmetry reduction)
 
 	stats      enumStats // pre-clone pruning counters, summed at finish
@@ -298,17 +292,14 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 		cfg:     cfg,
 		perms:   perms,
 		visited: newVisitedStore(opts.Visited),
-		batched: opts.Visited.CompressFrontier,
 	}
 	eng.workers = make([]*searchWorker, workers)
 	for i := range eng.workers {
 		eng.workers[i] = &searchWorker{
-			eng:   eng,
-			enum:  newDecisionEnum(root),
-			probe: root.Clone(),
-		}
-		if eng.batched {
-			eng.workers[i].curSim = root.Clone()
+			eng:     eng,
+			enum:    newDecisionEnum(root),
+			cur:     root.Clone(),
+			scratch: root.Clone(),
 		}
 	}
 	return eng
@@ -321,7 +312,6 @@ func (eng *engine) fillVisited(p *ProgressInfo) {
 	p.VisitedEntries = eng.vstats.Entries
 	p.VisitedBytes = eng.vstats.Bytes
 	p.SpillBytes = eng.vstats.SpillBytes
-	p.BloomFPRate = eng.vstats.BloomFPRate
 }
 
 // getSim returns a pooled simulator holding a deep copy of src.
@@ -336,25 +326,29 @@ func (eng *engine) getSim(src *sim.Sim) *sim.Sim {
 
 func (eng *engine) putSim(s *sim.Sim) { eng.pool.Put(s) }
 
-// expand computes one frontier entry's fate. It runs concurrently with
-// other expands but touches only worker-local scratch, the sim pool, and
-// lock-shared visited reads, so it is safe and — because the visited set
-// is frozen during expansion (insertions happen only in the merge) — its
-// result is independent of scheduling.
-func (w *searchWorker) expand(cur *frontierEntry) expandResult {
+// expand computes the fate of one frontier state s with the given stall
+// budget. It runs concurrently with other expands but touches only
+// worker-local scratch and lock-shared visited reads, so it is safe and —
+// because the visited set is frozen during expansion (insertions happen
+// only in the merge) — its result is independent of scheduling. Each
+// successor is built in the worker's scratch simulator and kept only as
+// its encoding.
+func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 	var r expandResult
-	if cur.s.AllDelivered() {
+	if s.AllDelivered() {
 		r.delivered = true
 		return r
 	}
-	if w.deadlocked(cur.s) {
+	if w.deadlocked(s) {
 		r.deadlocked = true
 		return r
 	}
+	perms := w.eng.perms
+	next := w.scratch
 	dec := int32(-1)
-	w.enum.forEach(cur.s, cur.budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
+	w.enum.forEach(s, budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
 		dec++
-		next := w.eng.getSim(cur.s)
+		next.CopyFrom(s)
 		apply(next, *d)
 		next.StepWithPicks(d.Picks)
 		// Post-step backstop for partial-order reduction: an activation
@@ -368,85 +362,67 @@ func (w *searchWorker) expand(cur *frontierEntry) expandResult {
 			for _, id := range d.Activate {
 				if !next.InNetwork(id) && !next.Delivered(id) {
 					w.postPruned++
-					w.eng.putSim(next)
 					return true
 				}
 			}
 		}
-		newBudget := cur.budget - len(d.Freeze)
-		w.encBuf = w.encBuf[:0]
-		if len(w.eng.perms) > 0 {
-			next.CanonicalEncodeTo(w.eng.perms, &w.encBuf, &w.canonBuf)
-		} else {
-			next.EncodeTo(&w.encBuf)
-		}
-		h := w.eng.visited.hash(w.encBuf)
+		newBudget := budget - len(d.Freeze)
+		w.keyBuf = w.keyBuf[:0]
+		next.CanonicalEncodeTo(perms, &w.keyBuf, &w.canonBuf) // EncodeTo without perms
+		h := w.eng.visited.hash(w.keyBuf)
 		// Pre-filter against states accepted in previous levels. Visited
 		// only grows at merge time, so a rejection here is final: budgets
 		// recorded there can only increase, never making a rejected
 		// (encoding, budget) pair novel again.
-		if !w.eng.visited.novel(h, w.encBuf, newBudget) {
-			w.eng.putSim(next)
+		if !w.eng.visited.novel(h, w.keyBuf, newBudget) {
 			return true
 		}
-		enc := append([]byte(nil), w.encBuf...)
-		if w.eng.batched {
-			// Batched mode keeps only the encoding: the merge re-encodes
-			// accepted successors into the next level's batch, so the live
-			// simulator can be recycled immediately.
-			w.eng.putSim(next)
-			next = nil
+		su := succState{key: append([]byte(nil), w.keyBuf...), hash: h, budget: newBudget, dec: dec}
+		su.enc = su.key
+		if len(perms) > 0 {
+			su.enc = make([]byte, 0, len(su.key))
+			next.EncodeTo(&su.enc)
 		}
-		r.succs = append(r.succs, succState{s: next, enc: enc, hash: h, budget: newBudget, dec: dec})
+		r.succs = append(r.succs, su)
 		return true
 	})
 	return r
 }
 
-// expandBatch is expandLevel for an encoded frontier: workers claim
-// restart blocks, decode each entry into their scratch simulator and
-// expand it in place. Results land at the entry's batch index, so the
-// merge consumes them in exactly the order an unbatched frontier slice
-// would have.
+// expandBatch fans an encoded frontier out across the workers: each claims
+// restart blocks, decodes every entry into its scratch simulator and
+// expands it in place. Results land at the entry's batch index, so the
+// merge consumes them in batch order whatever the claim order was. With
+// one worker or a one-block level it stays on the calling goroutine.
 func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
-	nw := len(eng.workers)
-	if nw > batch.blocks() {
-		nw = batch.blocks()
-	}
-	if nw <= 1 {
-		w := eng.workers[0]
+	var cursor atomic.Int64
+	run := func(w *searchWorker) {
 		var it batchIter
-		it.seekAll(batch)
-		for it.next() {
-			if err := w.curSim.DecodeFrom(it.cur); err != nil {
-				panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
+		for {
+			bi := int(cursor.Add(1)) - 1
+			if bi >= batch.blocks() {
+				return
 			}
-			cur := frontierEntry{s: w.curSim, budget: it.budget, node: it.node}
-			results[it.idx-1] = w.expand(&cur)
+			it.seekBlock(batch, bi)
+			for it.next() {
+				if err := w.cur.DecodeFrom(it.cur); err != nil {
+					panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
+				}
+				results[it.idx-1] = w.expand(w.cur, it.budget)
+			}
 		}
+	}
+	nw := min(len(eng.workers), batch.blocks())
+	if nw <= 1 {
+		run(eng.workers[0])
 		return
 	}
-	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for _, w := range eng.workers[:nw] {
 		wg.Add(1)
 		go func(w *searchWorker) {
 			defer wg.Done()
-			var it batchIter
-			for {
-				bi := int(cursor.Add(1)) - 1
-				if bi >= batch.blocks() {
-					return
-				}
-				it.seekBlock(batch, bi)
-				for it.next() {
-					if err := w.curSim.DecodeFrom(it.cur); err != nil {
-						panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
-					}
-					cur := frontierEntry{s: w.curSim, budget: it.budget, node: it.node}
-					results[it.idx-1] = w.expand(&cur)
-				}
-			}
+			run(w)
 		}(w)
 	}
 	wg.Wait()
@@ -468,41 +444,8 @@ func (w *searchWorker) deadlocked(s *sim.Sim) bool {
 	if !inNetwork {
 		return false
 	}
-	w.probe.CopyFrom(s)
-	return !w.probe.Step().Moved
-}
-
-// expandLevel fans the frontier out across the workers and fills results
-// (same indexing as frontier). With one worker or a one-entry level it
-// stays on the calling goroutine.
-func (eng *engine) expandLevel(frontier []frontierEntry, results []expandResult) {
-	nw := len(eng.workers)
-	if nw > len(frontier) {
-		nw = len(frontier)
-	}
-	if nw <= 1 {
-		w := eng.workers[0]
-		for i := range frontier {
-			results[i] = w.expand(&frontier[i])
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for _, w := range eng.workers[:nw] {
-		wg.Add(1)
-		go func(w *searchWorker) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(frontier) {
-					return
-				}
-				results[i] = w.expand(&frontier[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	w.scratch.CopyFrom(s)
+	return !w.scratch.Step().Moved
 }
 
 // requireSearchableArbiter rejects arbiters that may carry hidden
@@ -540,28 +483,19 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		}
 	}
 	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR()}
-	// Frontier batching round-trips states through their encoding; under
-	// symmetry reduction the encoding is the canonical representative,
-	// which decodes to a permuted state and would change the traversal.
-	// The visited backends themselves are unaffected.
-	if len(perms) > 0 {
-		opts.Visited.CompressFrontier = false
-	}
 
 	root := newHeldSim(sc)
 	eng := newEngine(opts, cfg, perms, root, workers)
 	defer eng.visited.close()
 
-	var rootEnc, rootScratch []byte
-	if len(perms) > 0 {
-		root.CanonicalEncodeTo(perms, &rootEnc, &rootScratch)
-	} else {
-		root.EncodeTo(&rootEnc)
-	}
-	eng.visited.insert(eng.visited.hash(rootEnc), rootEnc, opts.StallBudget)
+	// The root, like every successor, is keyed by its canonical encoding
+	// and carried in the frontier by its own.
+	var rootKey, rootEnc, rootScratch []byte
+	root.CanonicalEncodeTo(perms, &rootKey, &rootScratch)
+	root.EncodeTo(&rootEnc)
+	eng.visited.insert(eng.visited.hash(rootKey), rootKey, opts.StallBudget)
 
 	nodes := []provNode{{parent: -1, dec: -1}}
-	frontier := []frontierEntry{{s: root, budget: opts.StallBudget, node: 0}}
 	states := 1
 	level := 0
 
@@ -594,7 +528,7 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		r.Workers = workers
 		r.Reduction = opts.Reduction
 		r.SymmetryGroup = 1 + len(perms)
-		// Worker pruning counters sum deterministically: expandLevel is a
+		// Worker pruning counters sum deterministically: expandBatch is a
 		// barrier, so every level that influenced the result was expanded
 		// in full before its merge (including the final, early-returning
 		// one), and the per-worker split of a level never changes totals.
@@ -622,13 +556,9 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			for _, n := range eng.shardBuf {
 				shardLoad.Observe(float64(n))
 			}
-			// Backend-specific gauges only exist when that backend ran,
-			// keeping default-backend metric snapshots identical to the
-			// historical ones.
-			if r.Visited.BloomProbes > 0 {
-				opts.Metrics.Gauge("mcheck_bloom_probes").Set(r.Visited.BloomProbes)
-				opts.Metrics.Gauge("mcheck_bloom_false_positives").Set(r.Visited.BloomFalsePositives)
-			}
+			// Spill gauges only exist when that backend ran, keeping
+			// default-backend metric snapshots identical to the historical
+			// ones.
 			if opts.Visited.Backend == VisitedSpill {
 				opts.Metrics.Gauge("mcheck_visited_spill_bytes").Set(r.Visited.SpillBytes)
 				opts.Metrics.Gauge("mcheck_visited_spill_runs").Set(int64(r.Visited.SpillRuns))
@@ -645,7 +575,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		p.VisitedEntries = r.Visited.Entries
 		p.VisitedBytes = r.Visited.Bytes
 		p.SpillBytes = r.Visited.SpillBytes
-		p.BloomFPRate = r.Visited.BloomFPRate
 		emitProgress(p)
 		r.Warnings = warnings
 		return r
@@ -654,10 +583,9 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	progressEvery := opts.ProgressEvery // normalized: always positive
 	lastProgress := start
 
-	// levelTelemetry is the per-level reporting shared by both frontier
-	// representations. The trace event is emitted here — before the
-	// level's merge, from this single goroutine — so the traced sequence
-	// is the same for every Parallelism value.
+	// levelTelemetry is the per-level reporting. The trace event is
+	// emitted here — before the level's merge, from this single goroutine
+	// — so the traced sequence is the same for every Parallelism value.
 	levelTelemetry := func(frontierSize int) {
 		if opts.Tracer != nil {
 			ev := obsv.Ev(obsv.KindSearchLevel, level)
@@ -686,114 +614,66 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		}
 	}
 
-	if eng.batched {
-		// Batched path: the frontier is a delta-encoded byte batch; the
-		// merge decodes it sequentially (same order as the slice loop
-		// below) and re-encodes accepted successors into the next batch.
-		// Verdicts, counts and witnesses are byte-identical to the
-		// unbatched path — the backend-parity tests pin this.
-		var builders [2]batchBuilder
-		cur := 0
-		builders[cur].add(rootEnc, opts.StallBudget, 0)
-		eng.putSim(root) // the batch carries no live sims; recycle the root
-		var results []expandResult
-		var it batchIter
-		for {
-			batch := &builders[cur].batch
-			if batch.count == 0 {
-				return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
-			}
-			levelTelemetry(batch.count)
-			if cap(results) < batch.count {
-				results = make([]expandResult, batch.count)
-			}
-			results = results[:batch.count]
-			eng.expandBatch(batch, results)
-			nxt := 1 - cur
-			builders[nxt].reset()
-			it.seekAll(batch)
-			for it.next() {
-				res := &results[it.idx-1]
-				if res.delivered {
-					continue
-				}
-				if res.deadlocked {
-					// The batch entry decodes to the deadlocked state, but
-					// its wall clock and fault anchors are relative; replay
-					// the witness trace instead so waitfor sees the state
-					// exactly as the unbatched engine would.
-					trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
-					return finish(SearchResult{
-						Verdict:  VerdictDeadlock,
-						States:   states,
-						Trace:    trace,
-						Deadlock: waitfor.Find(Replay(sc, trace)),
-					})
-				}
-				for _, su := range res.succs {
-					if !eng.visited.insert(su.hash, su.enc, su.budget) {
-						continue
-					}
-					states++
-					if states > maxStates {
-						return finish(SearchResult{Verdict: VerdictExhausted, States: states})
-					}
-					nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
-					builders[nxt].add(su.enc, su.budget, int32(len(nodes)-1))
-				}
-			}
-			cur = nxt
-			level++
+	// The frontier is a delta-encoded batch (frontier.go). Workers decode
+	// and expand it in parallel; the merge then walks it sequentially,
+	// which is exactly the order a FIFO queue would dequeue the level, so
+	// every visited insertion, state count and early return is the same
+	// for any worker count. Accepted successors go into the next batch.
+	var builders [2]batchBuilder
+	cur := 0
+	builders[cur].add(rootEnc, opts.StallBudget, 0)
+	var results []expandResult
+	var it batchIter
+	for {
+		batch := &builders[cur].batch
+		if batch.count == 0 {
+			return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
 		}
-	}
-
-	for len(frontier) > 0 {
-		levelTelemetry(len(frontier))
-
-		results := make([]expandResult, len(frontier))
-		eng.expandLevel(frontier, results)
-
-		// Deterministic merge: process entries in frontier order, which is
-		// exactly the order a sequential FIFO queue would dequeue them, so
-		// every visited insertion, state count and early return matches
-		// the single-threaded engine bit for bit.
-		var next []frontierEntry
-		for i := range frontier {
-			cur := &frontier[i]
-			res := &results[i]
+		levelTelemetry(batch.count)
+		if cap(results) < batch.count {
+			results = make([]expandResult, batch.count)
+		}
+		results = results[:batch.count]
+		eng.expandBatch(batch, results)
+		nxt := 1 - cur
+		builders[nxt].reset()
+		it.seekAll(batch)
+		for it.next() {
+			res := &results[it.idx-1]
 			if res.delivered {
-				eng.putSim(cur.s)
 				continue
 			}
 			if res.deadlocked {
-				d := waitfor.Find(cur.s)
+				// The batch entry decodes to the deadlocked state, but its
+				// wall clock and fault anchors are relative; replay the
+				// witness trace instead so waitfor sees the state exactly
+				// as the search reached it.
+				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
 				return finish(SearchResult{
 					Verdict:  VerdictDeadlock,
 					States:   states,
-					Trace:    rebuildTrace(sc, nodes, cur.node, opts, cfg),
-					Deadlock: d,
+					Trace:    trace,
+					Deadlock: waitfor.Find(Replay(sc, trace)),
 				})
 			}
 			for _, su := range res.succs {
 				// Re-check against states merged earlier this level; the
 				// workers' pre-filter only saw previous levels.
-				if !eng.visited.insert(su.hash, su.enc, su.budget) {
-					eng.putSim(su.s)
+				if !eng.visited.insert(su.hash, su.key, su.budget) {
 					continue
 				}
 				states++
 				if states > maxStates {
 					return finish(SearchResult{Verdict: VerdictExhausted, States: states})
 				}
-				nodes = append(nodes, provNode{parent: cur.node, dec: su.dec})
-				next = append(next, frontierEntry{s: su.s, budget: su.budget, node: int32(len(nodes) - 1)})
+				nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
+				builders[nxt].add(su.enc, su.budget, int32(len(nodes)-1))
 			}
-			eng.putSim(cur.s)
 		}
-		frontier = next
+		clear(results) // release the level's successor buffers
+		cur = nxt
 		level++
 	}
-	return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
 }
 
 // newHeldSim instantiates the scenario with every message held at its
