@@ -5,11 +5,13 @@ package repro
 // small budget with a tracer attached. These pin the tentpole property of
 // the hot-path refactor — every per-cycle structure (request lists,
 // freeing masks, grant table, candidate buffers) lives in Sim-owned
-// scratch arenas reset by epoch counters, never reallocated. A last guard
-// bounds the static decider (core.Analyze), whose cycle classification
-// uses the same epoch-stamped scratch idiom.
+// scratch arenas reset by epoch counters, never reallocated. A load-cell
+// guard bounds what one open-loop traffic run costs end to end, and a
+// last guard bounds the static decider (core.Analyze), whose cycle
+// classification uses the same epoch-stamped scratch idiom.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // crossTrafficSim builds a 16x16 mesh under DOR with eight long
@@ -221,4 +224,47 @@ func TestAnalyzeAllocBounded(t *testing.T) {
 		t.Fatalf("Analyze allocates %v allocs/op; budget %d", n, budget)
 	}
 	t.Logf("Analyze: %v allocs/op (budget %d)", n, budget)
+}
+
+// TestLoadCellAllocBounded bounds one open-loop load cell shaped like the
+// benchmark's: an 8x8 DOR mesh at 0.02 messages per node per cycle, with
+// an adaptive-stride telemetry collector and a per-source SLO bank. Its
+// memory must follow the traffic: latency sketches sized to the latencies
+// seen (all below 256 cycles here), message storage carved from the
+// simulator's slabs, and routes built without per-hop slices. The cell
+// measures about 2,890 allocations and 4.28 MB, and the budgets are those
+// plus about 10%. Sketches allocated at their full 2¹⁶-entry layout cost
+// 17 MiB here, and per-message or per-hop allocations blow the count
+// budget: that code measured 45,385 allocations and 22.8 MB.
+func TestLoadCellAllocBounded(t *testing.T) {
+	g := topology.NewMesh([]int{8, 8}, 1)
+	alg := routing.DimensionOrder(g)
+	n, channels := g.NumNodes(), g.NumChannels()
+	cell := func() traffic.LoadResult {
+		col := telemetry.NewCollector(channels, telemetry.Config{Stride: 64, Adaptive: true, WindowBytes: 256 << 10})
+		ld := traffic.Load{
+			Alg: alg, Pattern: traffic.Uniform(n), Arrivals: traffic.Bernoulli(0.02),
+			Length: 8, Warmup: 500, Measure: 2000, Drain: 20000, Seed: 7,
+			Config: sim.Config{BufferDepth: 1}, Telemetry: col, Bank: telemetry.NewBank(n),
+		}
+		res, err := ld.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cell() // first-use runtime and package state stays out of the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := cell()
+	runtime.ReadMemStats(&after)
+	if res.Deadlocked || res.Delivered != res.Generated || res.LatencySamples == 0 {
+		t.Fatalf("test bug: the cell must drain cleanly with samples (%+v)", res)
+	}
+	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	const mallocBudget, byteBudget = 3200, 4_700_000
+	t.Logf("load cell: %d allocs, %d bytes (budgets %d, %d)", mallocs, bytes, mallocBudget, byteBudget)
+	if mallocs > mallocBudget || bytes > byteBudget {
+		t.Fatalf("load cell allocates %d times, %d bytes; budgets %d, %d", mallocs, bytes, mallocBudget, byteBudget)
+	}
 }

@@ -44,10 +44,10 @@ type Algorithm struct {
 func FullyAdaptiveMinimal(g *topology.Grid) Algorithm {
 	route := func(at topology.NodeID, _ topology.ChannelID, dst topology.NodeID) []topology.ChannelID {
 		var out []topology.ChannelID
-		ca, cd := g.Coords(at), g.Coords(dst)
 		for d := range g.Dims {
+			a, b := g.Coord(at, d), g.Coord(dst, d)
 			for dir := 0; dir < 2; dir++ {
-				if !reduces(g, ca[d], cd[d], d, dir) {
+				if !reduces(g, a, b, d, dir) {
 					continue
 				}
 				for vc := 0; vc < g.VCs; vc++ {
@@ -96,8 +96,9 @@ func WestFirst(g *topology.Grid) Algorithm {
 		panic("adaptive: WestFirst requires a 2-D mesh")
 	}
 	route := func(at topology.NodeID, _ topology.ChannelID, dst topology.NodeID) []topology.ChannelID {
-		ca, cd := g.Coords(at), g.Coords(dst)
-		if ca[1] > cd[1] {
+		a0, b0 := g.Coord(at, 0), g.Coord(dst, 0)
+		a1, b1 := g.Coord(at, 1), g.Coord(dst, 1)
+		if a1 > b1 {
 			// West hops first, alone.
 			if cid, ok := g.Link(at, 1, 1, 0); ok {
 				return []topology.ChannelID{cid}
@@ -105,16 +106,16 @@ func WestFirst(g *topology.Grid) Algorithm {
 			return nil
 		}
 		var out []topology.ChannelID
-		if ca[1] < cd[1] {
+		if a1 < b1 {
 			if cid, ok := g.Link(at, 1, 0, 0); ok {
 				out = append(out, cid)
 			}
 		}
-		if ca[0] < cd[0] {
+		if a0 < b0 {
 			if cid, ok := g.Link(at, 0, 0, 0); ok {
 				out = append(out, cid)
 			}
-		} else if ca[0] > cd[0] {
+		} else if a0 > b0 {
 			if cid, ok := g.Link(at, 0, 1, 0); ok {
 				out = append(out, cid)
 			}
@@ -140,13 +141,13 @@ func DuatoMesh(g *topology.Grid) Algorithm {
 	}
 	route := func(at topology.NodeID, _ topology.ChannelID, dst topology.NodeID) []topology.ChannelID {
 		var out []topology.ChannelID
-		ca, cd := g.Coords(at), g.Coords(dst)
 		// Adaptive candidates: every minimal direction on VC >= 1.
 		for d := range g.Dims {
+			a, b := g.Coord(at, d), g.Coord(dst, d)
 			dir := -1
-			if ca[d] < cd[d] {
+			if a < b {
 				dir = 0
-			} else if ca[d] > cd[d] {
+			} else if a > b {
 				dir = 1
 			}
 			if dir < 0 {
@@ -160,11 +161,12 @@ func DuatoMesh(g *topology.Grid) Algorithm {
 		}
 		// Escape candidate: the dimension-order hop on VC 0.
 		for d := range g.Dims {
-			if ca[d] == cd[d] {
+			a, b := g.Coord(at, d), g.Coord(dst, d)
+			if a == b {
 				continue
 			}
 			dir := 0
-			if ca[d] > cd[d] {
+			if a > b {
 				dir = 1
 			}
 			if cid, ok := g.Link(at, d, dir, 0); ok {

@@ -12,8 +12,9 @@ import (
 // raw sample list. Values at or above the linear range fall into
 // log-linear buckets — sketchSubBuckets per power of two — with a
 // worst-case relative error of 1/sketchSubBuckets, which keeps the
-// sketch fixed-size no matter how pathological the tail gets.
+// sketch bounded no matter how pathological the tail gets.
 const (
+	sketchLinearMin  = 256     // first allocation of the exact buckets
 	sketchLinearMax  = 1 << 16 // exact buckets for values 0..65535
 	sketchSubBits    = 6
 	sketchSubBuckets = 1 << sketchSubBits // log-linear buckets per octave
@@ -21,32 +22,41 @@ const (
 	sketchLogBuckets = (sketchMaxExp - 16 + 1) * sketchSubBuckets
 )
 
-// Sketch is a fixed-size streaming histogram of non-negative integer
+// Sketch is a bounded streaming histogram of non-negative integer
 // samples (latencies in cycles). Unlike the grow-forever sample slices it
-// replaces, its memory is constant — ~260 KiB regardless of how many
-// billions of samples it absorbs — so 10⁸-cycle load runs no longer
-// accumulate per-delivery state. It is mergeable (Merge adds another
-// sketch's buckets) and byte-deterministic: the bucket layout is pure
-// integer arithmetic, AppendJSON emits fixed-key-order output, and two
-// sketches fed the same sample sequence are identical byte for byte.
+// replaces, its memory follows the largest sample, not the sample count:
+// the exact buckets double from 256 entries until they cover the largest
+// value below 2¹⁶ seen, and the log-linear tail is allocated on the first
+// value at or above 2¹⁶, so a sketch is capped at about 268 KiB however
+// many billions of samples it absorbs, and one whose latencies stay under
+// 256 cycles holds 1 KiB. It is mergeable (Merge adds another sketch's
+// buckets) and byte-deterministic: the bucket layout is pure integer
+// arithmetic, AppendJSON emits fixed-key-order output, and two sketches
+// fed the same samples render identically however their buckets grew.
 //
 // The zero value is NOT ready to use; call NewSketch.
 type Sketch struct {
-	linear []uint32 // exact counts for values < sketchLinearMax
-	logs   []uint32 // log-linear counts for the tail
+	linear []uint32 // exact counts for values < len(linear) <= sketchLinearMax
+	logs   []uint32 // log-linear counts for the tail; nil until one arrives
 	count  int64
 	sum    int64
 	max    int
 	min    int
 }
 
-// NewSketch returns an empty sketch.
-func NewSketch() *Sketch {
-	return &Sketch{
-		linear: make([]uint32, sketchLinearMax),
-		logs:   make([]uint32, sketchLogBuckets),
-		min:    -1,
+// NewSketch returns an empty sketch. It allocates no buckets.
+func NewSketch() *Sketch { return &Sketch{min: -1} }
+
+// growLinear widens the exact buckets, doubling from sketchLinearMin, until
+// they cover value v < sketchLinearMax.
+func (s *Sketch) growLinear(v int) {
+	n := max(len(s.linear), sketchLinearMin)
+	for n <= v {
+		n *= 2
 	}
+	grown := make([]uint32, n)
+	copy(grown, s.linear)
+	s.linear = grown
 }
 
 // logIndex maps a value >= sketchLinearMax to its log-linear bucket.
@@ -84,8 +94,14 @@ func (s *Sketch) AddN(v int, n int64) {
 		v = 0
 	}
 	if v < sketchLinearMax {
+		if v >= len(s.linear) {
+			s.growLinear(v)
+		}
 		s.linear[v] += uint32(n)
 	} else {
+		if s.logs == nil {
+			s.logs = make([]uint32, sketchLogBuckets)
+		}
 		s.logs[logIndex(v)] += uint32(n)
 	}
 	s.count += n
@@ -98,16 +114,22 @@ func (s *Sketch) AddN(v int, n int64) {
 	}
 }
 
-// Merge adds every bucket of o into s. Both sketches share the fixed
-// layout, so merging is exact.
+// Merge adds every bucket of o into s, first growing s to o's range. Both
+// sketches share one bucket layout, so merging is exact.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.count == 0 {
 		return
+	}
+	if len(o.linear) > len(s.linear) {
+		s.growLinear(len(o.linear) - 1)
 	}
 	for i, c := range o.linear {
 		if c != 0 {
 			s.linear[i] += c
 		}
+	}
+	if o.logs != nil && s.logs == nil {
+		s.logs = make([]uint32, sketchLogBuckets)
 	}
 	for i, c := range o.logs {
 		if c != 0 {
@@ -124,7 +146,8 @@ func (s *Sketch) Merge(o *Sketch) {
 	}
 }
 
-// Reset empties the sketch without releasing its buckets.
+// Reset empties the sketch without releasing its buckets: it keeps the
+// range it has grown to.
 func (s *Sketch) Reset() {
 	clear(s.linear)
 	clear(s.logs)

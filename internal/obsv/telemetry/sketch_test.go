@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -294,5 +295,274 @@ func TestSketchMergeQuantileMonotonic(t *testing.T) {
 		if q < min(a.Quantile(1), b.Quantile(1)) || q > max(a.Max(), b.Max()) {
 			t.Fatalf("p%d = %d outside the merged inputs' range", p, q)
 		}
+	}
+}
+
+// denseSketch is the fixed layout Sketch had before its buckets became
+// range-sized: every exact and log-linear bucket allocated up front. It is
+// the reference the range-sized sketch must match sample for sample.
+type denseSketch struct {
+	linear   [sketchLinearMax]uint32
+	logs     [sketchLogBuckets]uint32
+	count    int64
+	sum      int64
+	max, min int
+}
+
+func newDense() *denseSketch { return &denseSketch{min: -1} }
+
+func (d *denseSketch) AddN(v int, n int64) {
+	if n <= 0 {
+		return
+	}
+	if v < 0 {
+		v = 0
+	}
+	if v < sketchLinearMax {
+		d.linear[v] += uint32(n)
+	} else {
+		d.logs[logIndex(v)] += uint32(n)
+	}
+	d.count += n
+	d.sum += int64(v) * n
+	if v > d.max {
+		d.max = v
+	}
+	if d.min < 0 || v < d.min {
+		d.min = v
+	}
+}
+
+func (d *denseSketch) Merge(o *denseSketch) {
+	if o.count == 0 {
+		return
+	}
+	for i, c := range o.linear {
+		d.linear[i] += c
+	}
+	for i, c := range o.logs {
+		d.logs[i] += c
+	}
+	d.count += o.count
+	d.sum += o.sum
+	if o.max > d.max {
+		d.max = o.max
+	}
+	if d.min < 0 || (o.min >= 0 && o.min < d.min) {
+		d.min = o.min
+	}
+}
+
+func (d *denseSketch) Min() int { return max(d.min, 0) }
+
+// quantiles returns every integer percentile 0..100 by the nearest-rank
+// rule in one walk over the buckets (ranks grow with p).
+func (d *denseSketch) quantiles() (q [101]int) {
+	if d.count == 0 {
+		return q
+	}
+	p := 0
+	var seen int64
+	settle := func(v int) {
+		for ; p <= 100 && seen >= min(max((int64(p)*d.count+99)/100, 1), d.count); p++ {
+			q[p] = v
+		}
+	}
+	for v, c := range d.linear {
+		seen += int64(c)
+		if c != 0 {
+			settle(v)
+		}
+	}
+	for i, c := range d.logs {
+		seen += int64(c)
+		if c == 0 {
+			continue
+		}
+		if seen == d.count {
+			settle(d.max) // the last occupied bucket reports the exact max
+		} else {
+			settle(logUpper(i))
+		}
+	}
+	return q
+}
+
+func (d *denseSketch) AppendJSON(b []byte) []byte {
+	q := d.quantiles()
+	b = fmt.Appendf(b, `{"count":%d,"sum":%d,"min":%d,"max":%d,"p50":%d,"p95":%d,"p99":%d,"buckets":[`,
+		d.count, d.sum, d.Min(), d.max, q[50], q[95], q[99])
+	sep := ""
+	for v, c := range d.linear {
+		if c != 0 {
+			b = fmt.Appendf(b, "%s[%d,%d]", sep, v, c)
+			sep = ","
+		}
+	}
+	for i, c := range d.logs {
+		if c != 0 {
+			b = fmt.Appendf(b, "%s[%d,%d]", sep, logUpper(i), c)
+			sep = ","
+		}
+	}
+	return append(b, `]}`...)
+}
+
+// sketchPair feeds one sample stream to a range-sized sketch and to the
+// dense reference.
+type sketchPair struct {
+	s *Sketch
+	d *denseSketch
+}
+
+func newSketchPair() sketchPair { return sketchPair{NewSketch(), newDense()} }
+
+func (p sketchPair) addN(v int, n int64) {
+	p.s.AddN(v, n)
+	p.d.AddN(v, n)
+}
+
+func (p sketchPair) merge(o sketchPair) {
+	p.s.Merge(o.s)
+	p.d.Merge(o.d)
+}
+
+func (p sketchPair) check(t *testing.T, what string) {
+	t.Helper()
+	s, d := p.s, p.d
+	if s.Count() != d.count || s.Sum() != d.sum || s.Min() != d.Min() || s.Max() != d.max {
+		t.Fatalf("%s: count/sum/min/max %d/%d/%d/%d, reference %d/%d/%d/%d",
+			what, s.Count(), s.Sum(), s.Min(), s.Max(), d.count, d.sum, d.Min(), d.max)
+	}
+	for q, want := range d.quantiles() {
+		if got := s.Quantile(q); got != want {
+			t.Fatalf("%s: p%d = %d, reference %d", what, q, got, want)
+		}
+	}
+	if got, want := s.AppendJSON(nil), d.AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%s: JSON differs from the reference:\n%s\n%s", what, got, want)
+	}
+}
+
+// sketchRegimes draw samples from the ranges the sketch treats
+// differently: inside the first allocation, across the doubling linear
+// range, straddling the 2¹⁶ exact/log-linear boundary, and in the tail.
+var sketchRegimes = []struct {
+	name string
+	draw func(*rand.Rand) int
+}{
+	{"small", func(r *rand.Rand) int { return r.Intn(sketchLinearMin) }},
+	{"linear", func(r *rand.Rand) int { return r.Intn(sketchLinearMax) }},
+	{"boundary", func(r *rand.Rand) int { return sketchLinearMax - 2 + r.Intn(4) }},
+	{"tail", func(r *rand.Rand) int { return sketchLinearMax + r.Intn(1<<40) }},
+	{"mixed", func(r *rand.Rand) int {
+		switch r.Intn(4) {
+		case 0:
+			return r.Intn(64) - 8 // including negatives, which clamp to 0
+		case 1:
+			return r.Intn(1 << (8 + r.Intn(9)))
+		case 2:
+			return sketchLinearMax - 1 + r.Intn(2)
+		}
+		return sketchLinearMax + r.Intn(1<<(1+r.Intn(46)))
+	}},
+}
+
+// feedPair adds n samples of one regime, some of them weighted.
+func feedPair(p sketchPair, rng *rand.Rand, draw func(*rand.Rand) int, n int) {
+	for i := 0; i < n; i++ {
+		w := int64(1)
+		if rng.Intn(8) == 0 {
+			w = int64(rng.Intn(5)) // zero weights are no-ops on both sides
+		}
+		p.addN(draw(rng), w)
+	}
+}
+
+// TestSketchMatchesDenseReference: the range-sized sketch must agree with
+// the dense fixed layout on every observable — Count, Sum, Min, Max, every
+// integer quantile and the JSON bytes — over seeded streams in every
+// regime and over merges in both directions between sketches whose ranges
+// differ, including empty and tail-only sketches and a Reset in between.
+func TestSketchMatchesDenseReference(t *testing.T) {
+	trials := 3
+	if testing.Short() {
+		trials = 1
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < trials; trial++ {
+		for _, ra := range sketchRegimes {
+			for _, rb := range sketchRegimes {
+				a, b := newSketchPair(), newSketchPair()
+				feedPair(a, rng, ra.draw, rng.Intn(300))
+				feedPair(b, rng, rb.draw, rng.Intn(300))
+				what := fmt.Sprintf("trial %d %s+%s", trial, ra.name, rb.name)
+				a.check(t, what+" a")
+				b.check(t, what+" b")
+
+				// Merge in both directions, each into a fresh copy so the
+				// other direction still sees the unmerged operand.
+				ab, ba := newSketchPair(), newSketchPair()
+				ab.merge(a)
+				ab.merge(b)
+				ba.merge(b)
+				ba.merge(a)
+				ab.check(t, what+" a<-b")
+				ba.check(t, what+" b<-a")
+				a.merge(newSketchPair())
+				a.check(t, what+" a<-empty")
+
+				// A Reset sketch keeps its range and must behave as new.
+				b.s.Reset()
+				b.d = newDense()
+				b.check(t, what+" reset")
+				feedPair(b, rng, ra.draw, rng.Intn(50))
+				b.merge(a)
+				b.check(t, what+" reset then refill")
+			}
+		}
+	}
+	// The exact/log-linear boundary values on their own.
+	p := newSketchPair()
+	for _, v := range []int{sketchLinearMax - 1, sketchLinearMax, sketchLinearMax - 1, sketchLinearMax + 1} {
+		p.addN(v, 1)
+		p.check(t, fmt.Sprintf("boundary %d", v))
+	}
+}
+
+// TestSketchSizedToRange: a sketch's buckets follow the largest sample it
+// has seen, not the fixed 2¹⁶-entry layout: ten thousand latencies below
+// 1,000 cycles fit in 4 KiB, the tail is allocated only once a sample
+// reaches it, and Merge grows the receiver to the other sketch's range.
+func TestSketchSizedToRange(t *testing.T) {
+	bucketBytes := func(s *Sketch) int { return 4 * (cap(s.linear) + cap(s.logs)) }
+	if n := bucketBytes(NewSketch()); n != 0 {
+		t.Fatalf("NewSketch holds %d bytes of buckets, want 0", n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	s := NewSketch()
+	for i := 0; i < 10_000; i++ {
+		s.Add(rng.Intn(1000))
+	}
+	if n := bucketBytes(s); n > 4<<10 {
+		t.Fatalf("10⁴ samples below 1,000 hold %d bytes of buckets, want <= 4 KiB", n)
+	}
+	if s.logs != nil {
+		t.Fatal("tail buckets allocated with no sample at or above 2¹⁶")
+	}
+	o := NewSketch()
+	o.Add(40_000)
+	s.Merge(o)
+	if len(s.linear) != 1<<16 || s.logs != nil {
+		t.Fatalf("after merging a sample at 40,000: %d exact buckets (want 65,536), tail allocated %v",
+			len(s.linear), s.logs != nil)
+	}
+	s.Add(sketchLinearMax)
+	if len(s.logs) != sketchLogBuckets || len(s.linear) != sketchLinearMax {
+		t.Fatalf("after a tail sample: %d exact and %d tail buckets", len(s.linear), len(s.logs))
+	}
+	s.Reset()
+	if len(s.linear) != sketchLinearMax || len(s.logs) != sketchLogBuckets {
+		t.Fatal("Reset released buckets; it must keep the range")
 	}
 }

@@ -54,9 +54,11 @@ func ParseSLO(s string) ([]SLOObjective, error) {
 }
 
 // Bank holds one latency sketch per source plus the aggregate. Source
-// sketches are allocated lazily on first observation (a sketch costs
-// ~270 KiB, so idle sources stay free); the aggregate always exists.
-// Banks merge source-wise, the same way sketches do.
+// sketches are allocated lazily on first observation, so idle sources
+// stay free; the aggregate always exists. A sketch's buckets follow the
+// largest latency it has seen (1 KiB below 256 cycles, about 268 KiB at
+// most), so a bank's memory follows the traffic it observes. Banks merge
+// source-wise, the same way sketches do.
 type Bank struct {
 	agg *Sketch
 	src []*Sketch

@@ -17,13 +17,13 @@ func DimensionOrder(g *topology.Grid) Algorithm {
 	}
 	return FromFunc(g.Network, fmt.Sprintf("dor.%s", g.Name()),
 		func(at topology.NodeID, _ topology.ChannelID, dst topology.NodeID) topology.ChannelID {
-			ca, cd := g.Coords(at), g.Coords(dst)
 			for d := range g.Dims {
-				if ca[d] == cd[d] {
+				a, b := g.Coord(at, d), g.Coord(dst, d)
+				if a == b {
 					continue
 				}
 				dir := 0
-				if ca[d] > cd[d] {
+				if a > b {
 					dir = 1
 				}
 				cid, ok := g.Link(at, d, dir, 0)
@@ -47,10 +47,9 @@ func NegativeFirst(g *topology.Grid) Algorithm {
 	}
 	return FromFunc(g.Network, fmt.Sprintf("negfirst.%s", g.Name()),
 		func(at topology.NodeID, _ topology.ChannelID, dst topology.NodeID) topology.ChannelID {
-			ca, cd := g.Coords(at), g.Coords(dst)
 			// Negative hops first.
 			for d := range g.Dims {
-				if ca[d] > cd[d] {
+				if g.Coord(at, d) > g.Coord(dst, d) {
 					cid, ok := g.Link(at, d, 1, 0)
 					if !ok {
 						return topology.None
@@ -59,7 +58,7 @@ func NegativeFirst(g *topology.Grid) Algorithm {
 				}
 			}
 			for d := range g.Dims {
-				if ca[d] < cd[d] {
+				if g.Coord(at, d) < g.Coord(dst, d) {
 					cid, ok := g.Link(at, d, 0, 0)
 					if !ok {
 						return topology.None
@@ -112,13 +111,13 @@ func DallySeitzTorus(g *topology.Grid) Algorithm {
 	}
 	return FromFunc(g.Network, fmt.Sprintf("dallyseitz.%s", g.Name()),
 		func(at topology.NodeID, _ topology.ChannelID, dst topology.NodeID) topology.ChannelID {
-			ca, cd := g.Coords(at), g.Coords(dst)
 			for d := range g.Dims {
-				if ca[d] == cd[d] {
+				a, b := g.Coord(at, d), g.Coord(dst, d)
+				if a == b {
 					continue
 				}
 				k := g.Dims[d]
-				fwd := cd[d] - ca[d]
+				fwd := b - a
 				if fwd < 0 {
 					fwd += k
 				}
@@ -130,7 +129,7 @@ func DallySeitzTorus(g *topology.Grid) Algorithm {
 				// the dateline? The + dateline is the wrap edge k-1 -> 0;
 				// the - dateline is the wrap edge 0 -> k-1.
 				crosses := false
-				pos := ca[d]
+				pos := a
 				for s := 0; s < steps; s++ {
 					if dir == 0 && pos == k-1 {
 						crosses = true

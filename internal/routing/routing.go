@@ -154,7 +154,10 @@ func (f *funcAlgorithm) Path(src, dst topology.NodeID) []topology.ChannelID {
 		return nil
 	}
 	limit := maxHopsFactor * (f.net.NumChannels() + 1)
-	var path []topology.ChannelID
+	// Walk into a stack buffer and return one exact-size copy, so a path
+	// costs one allocation instead of one per doubling of its length.
+	var buf [32]topology.ChannelID
+	path := buf[:0]
 	at := src
 	in := topology.None
 	for at != dst {
@@ -173,7 +176,7 @@ func (f *funcAlgorithm) Path(src, dst topology.NodeID) []topology.ChannelID {
 		at = c.Dst
 		in = next
 	}
-	return path
+	return append([]topology.ChannelID(nil), path...)
 }
 
 // Materialize copies every pair's path of alg into a Table, which makes

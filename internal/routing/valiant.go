@@ -68,14 +68,14 @@ func dorPath(g *topology.Grid, src, dst topology.NodeID, vc int) []topology.Chan
 	var path []topology.ChannelID
 	at := src
 	for at != dst {
-		ca, cd := g.Coords(at), g.Coords(dst)
 		advanced := false
 		for d := range g.Dims {
-			if ca[d] == cd[d] {
+			a, b := g.Coord(at, d), g.Coord(dst, d)
+			if a == b {
 				continue
 			}
 			dir := 0
-			if ca[d] > cd[d] {
+			if a > b {
 				dir = 1
 			}
 			cid, ok := g.Link(at, d, dir, vc)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -179,5 +180,70 @@ func TestBuiltinArbitersAreStateless(t *testing.T) {
 		if _, ok := a.(StatelessArbiter); !ok {
 			t.Fatalf("%T does not declare StatelessArbiter", a)
 		}
+	}
+}
+
+// TestCarvedSlotsStayIsolated: Add cuts each message's path and queue
+// from shared slab chunks as capacity-limited slices. Growing one
+// message's storage — a Reset slot refilled with a longer path, an
+// adaptive route extended hop by hop, CopyFrom of a longer path — must
+// move that message to new storage, never write into its neighbour's.
+func TestCarvedSlotsStayIsolated(t *testing.T) {
+	net := line(8)
+	seg := func(a, b int) []topology.ChannelID {
+		var p []topology.ChannelID
+		for c := a; c < b; c++ {
+			p = append(p, topology.ChannelID(c))
+		}
+		return p
+	}
+	check := func(what string, s *Sim, want ...[]topology.ChannelID) {
+		t.Helper()
+		for id, w := range want {
+			m := &s.msgs[id]
+			if !slices.Equal(m.path, w) || len(m.queued) != len(w) {
+				t.Fatalf("%s: message %d path %v with %d queue slots, want %v", what, id, m.path, len(m.queued), w)
+			}
+		}
+	}
+	carved := func() *Sim {
+		s := New(net, Config{})
+		s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: seg(0, 2)})
+		s.MustAdd(MessageSpec{Src: 2, Dst: 4, Length: 2, Path: seg(2, 4)})
+		s.MustAdd(MessageSpec{Src: 4, Dst: 5, Length: 1, Path: seg(4, 5)})
+		return s
+	}
+
+	// Reset: slot 0 turns adaptive and grows past its two carved entries,
+	// slot 2 is refilled with a longer path than it was carved for.
+	s := carved()
+	s.Reset()
+	s.MustAdd(MessageSpec{Src: 0, Dst: 6, Length: 2,
+		Route: func(at topology.NodeID, _ topology.ChannelID, _ topology.NodeID) []topology.ChannelID {
+			return []topology.ChannelID{topology.ChannelID(at)}
+		}})
+	s.MustAdd(MessageSpec{Src: 2, Dst: 4, Length: 2, Path: seg(2, 4)})
+	s.MustAdd(MessageSpec{Src: 5, Dst: 7, Length: 3, Path: seg(5, 7)})
+	if out := s.Run(1000); out.Result != ResultDelivered {
+		t.Fatalf("Reset run: %v", out.Result)
+	}
+	check("Reset", s, seg(0, 6), seg(2, 4), seg(5, 7))
+
+	// CopyFrom a state whose first message has the longer path.
+	src := New(net, Config{})
+	src.MustAdd(MessageSpec{Src: 0, Dst: 7, Length: 3, Path: seg(0, 7)})
+	src.MustAdd(MessageSpec{Src: 2, Dst: 4, Length: 2, Path: seg(2, 4)})
+	src.MustAdd(MessageSpec{Src: 4, Dst: 5, Length: 1, Path: seg(4, 5)})
+	for i := 0; i < 3; i++ {
+		src.Step()
+	}
+	dst := carved()
+	dst.CopyFrom(src)
+	check("CopyFrom", dst, seg(0, 7), seg(2, 4), seg(4, 5))
+	var want, got []byte
+	src.EncodeTo(&want)
+	dst.EncodeTo(&got)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("CopyFrom state differs from source:\n  src %x\n  dst %x", want, got)
 	}
 }

@@ -234,6 +234,15 @@ type Sim struct {
 	// Add/SetMessagePath, replacing a per-call map.
 	pathSeenEpoch uint64
 	pathSeenStamp []uint64
+	// pathSlab/queuedSlab are the unused tails of the chunks Add carves
+	// new messages' path and queued slices from, so a message costs no
+	// allocation of its own; slabChunk is the size of the latest chunk.
+	// Carved slices are capacity-limited, so an append past a message's
+	// length (an adaptive hop) reallocates instead of writing into a
+	// neighbour's slots. Like the arenas, the slabs are never copied.
+	pathSlab   []topology.ChannelID
+	queuedSlab []int
+	slabChunk  int
 
 	// tracer receives trace events while attached; nil (the default) is
 	// the disabled state, guarded by one branch per emission site. Clone
@@ -353,6 +362,9 @@ func (s *Sim) Add(spec MessageSpec) (int, error) {
 	}
 	m := &s.msgs[id]
 	queued, path := m.queued[:0], m.path[:0]
+	if n := len(spec.Path); cap(path) < n || cap(queued) < n {
+		path, queued = s.carve(n)
+	}
 	*m = message{
 		spec:        spec,
 		id:          id,
@@ -369,6 +381,21 @@ func (s *Sim) Add(spec MessageSpec) (int, error) {
 	s.active = append(s.active, int32(id))
 	s.liveCount++
 	return id, nil
+}
+
+// carve cuts empty path and queued slices of capacity n from the slabs,
+// starting new chunks of max(64, n, twice the last chunk) when the current
+// ones run short, so a simulator fed a few messages stays small and one
+// fed a long open-loop run allocates O(log messages) times.
+func (s *Sim) carve(n int) ([]topology.ChannelID, []int) {
+	if len(s.pathSlab) < n {
+		s.slabChunk = max(64, n, 2*s.slabChunk)
+		s.pathSlab = make([]topology.ChannelID, s.slabChunk)
+		s.queuedSlab = make([]int, s.slabChunk)
+	}
+	path, queued := s.pathSlab[:0:n], s.queuedSlab[:0:n]
+	s.pathSlab, s.queuedSlab = s.pathSlab[n:], s.queuedSlab[n:]
+	return path, queued
 }
 
 // pathDuplicate reports the first channel a path visits twice, using the

@@ -156,6 +156,16 @@ func (g *Grid) Coords(id NodeID) []int {
 	return coords
 }
 
+// Coord returns coordinate d of node id: Coords(id)[d] without building
+// the slice, for per-hop routing steps.
+func (g *Grid) Coord(id NodeID, d int) int {
+	n := int(id)
+	for e := len(g.Dims) - 1; e > d; e-- {
+		n /= g.Dims[e]
+	}
+	return n % g.Dims[d]
+}
+
 // Link returns the channel leaving node in dimension dim, direction dir
 // (0 = increasing coordinate, 1 = decreasing), virtual channel vc, or
 // (None, false) when no such link exists (mesh boundary).

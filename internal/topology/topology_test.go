@@ -223,6 +223,27 @@ func TestMeshCoordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGridCoordMatchesCoords: the allocation-free per-dimension accessor
+// agrees with the full decoding on every node and dimension of 1-, 2- and
+// 3-D meshes and a torus.
+func TestGridCoordMatchesCoords(t *testing.T) {
+	for _, g := range []*Grid{
+		NewMesh([]int{5}, 1),
+		NewMesh([]int{4, 3}, 1),
+		NewMesh([]int{3, 4, 2}, 2),
+		NewTorus([]int{4, 5}, 2),
+	} {
+		for n := 0; n < g.NumNodes(); n++ {
+			c := g.Coords(NodeID(n))
+			for d := range g.Dims {
+				if got := g.Coord(NodeID(n), d); got != c[d] {
+					t.Fatalf("%s: Coord(%d, %d) = %d, Coords = %v", g.Name(), n, d, got, c)
+				}
+			}
+		}
+	}
+}
+
 func TestTorusWrapLinks(t *testing.T) {
 	g := NewTorus([]int{4}, 2)
 	if g.NumNodes() != 4 {
