@@ -6,9 +6,10 @@ package repro
 // the hot-path refactor — every per-cycle structure (request lists,
 // freeing masks, grant table, candidate buffers) lives in Sim-owned
 // scratch arenas reset by epoch counters, never reallocated. A load-cell
-// guard bounds what one open-loop traffic run costs end to end, and a
-// last guard bounds the static decider (core.Analyze), whose cycle
-// classification uses the same epoch-stamped scratch idiom.
+// guard bounds what one open-loop traffic run costs end to end, another
+// bounds the static decider (core.Analyze), whose cycle classification
+// uses the same epoch-stamped scratch idiom, and a last one bounds the
+// wait-for queries of the searches.
 
 import (
 	"runtime"
@@ -17,10 +18,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/obsv/telemetry"
+	"repro/internal/papernets"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
+	"repro/internal/waitfor"
 )
 
 // crossTrafficSim builds a 16x16 mesh under DOR with eight long
@@ -266,5 +269,37 @@ func TestLoadCellAllocBounded(t *testing.T) {
 	t.Logf("load cell: %d allocs, %d bytes (budgets %d, %d)", mallocs, bytes, mallocBudget, byteBudget)
 	if mallocs > mallocBudget || bytes > byteBudget {
 		t.Fatalf("load cell allocates %d times, %d bytes; budgets %d, %d", mallocs, bytes, mallocBudget, byteBudget)
+	}
+}
+
+// TestFindLocalAllocBounded bounds the wait-for queries the liveness
+// search runs on every successor (FindLocal) and the witness search runs
+// once per deadlock (Find), on Figure 1 after four steps, where messages
+// wait but no cycle closes. Each query builds one slice-indexed graph and
+// chases it on a preallocated stack: three allocations. The map-based
+// graph with Tarjan SCCs cost 9 (FindLocal) and 8 (Find). The budget is
+// the measured count; 10% headroom is less than one allocation.
+func TestFindLocalAllocBounded(t *testing.T) {
+	s := papernets.Figure1().Scenario.NewSim()
+	for i := 0; i < 4; i++ {
+		s.Step()
+	}
+	blocked := false
+	for id := 0; id < s.NumMessages(); id++ {
+		if _, _, ok := s.WaitsFor(id); ok {
+			blocked = true
+		}
+	}
+	if !blocked || waitfor.Find(s) != nil {
+		t.Fatal("test bug: the state must have a waiting message and no wait-for cycle")
+	}
+	const budget = 3
+	for name, query := range map[string]func(){
+		"FindLocal": func() { waitfor.FindLocal(s) },
+		"Find":      func() { waitfor.Find(s) },
+	} {
+		if n := testing.AllocsPerRun(100, query); n > budget {
+			t.Errorf("%s allocates %v allocs/op; budget %d", name, n, budget)
+		}
 	}
 }

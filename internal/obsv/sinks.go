@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"repro/internal/topology"
@@ -75,12 +74,6 @@ func (s *JSONLSink) Event(e Event) {
 // Close flushes buffered output.
 func (s *JSONLSink) Close() error { return s.w.Flush() }
 
-// dotEdge is one wait-for edge as tracked by the DOT sink.
-type dotEdge struct {
-	ch    topology.ChannelID
-	owner int
-}
-
 // DOTSink renders the evolving wait-for graph as a sequence of Graphviz
 // digraphs, one snapshot per cycle in which the graph changed (the same
 // conventions as cdgtool's CDG output: red bold marks cycle members). The
@@ -90,21 +83,16 @@ type dotEdge struct {
 type DOTSink struct {
 	w     *bufio.Writer
 	name  string
-	edges map[int]dotEdge
-	seen  map[int]bool // every message that ever appeared
-	last  int          // cycle of the pending snapshot
+	graph WaitGraph
+	buf   []byte
+	last  int // cycle of the pending snapshot
 	dirty bool
 	note  string // extra snapshot annotation (e.g. "deadlock")
 }
 
 // NewDOT returns a DOT sink writing snapshots named after name.
 func NewDOT(w io.Writer, name string) *DOTSink {
-	return &DOTSink{
-		w:     bufio.NewWriter(w),
-		name:  name,
-		edges: make(map[int]dotEdge),
-		seen:  make(map[int]bool),
-	}
+	return &DOTSink{w: bufio.NewWriter(w), name: name}
 }
 
 // Event implements Tracer.
@@ -113,14 +101,9 @@ func (s *DOTSink) Event(e Event) {
 		s.flush()
 	}
 	s.last = e.Cycle
+	s.graph.Apply(e)
 	switch e.Kind {
-	case KindWaitEdgeAdd:
-		s.edges[e.Msg] = dotEdge{ch: e.Ch, owner: e.Owner}
-		s.seen[e.Msg] = true
-		s.seen[e.Owner] = true
-		s.dirty = true
-	case KindWaitEdgeDel:
-		delete(s.edges, e.Msg)
+	case KindWaitEdgeAdd, KindWaitEdgeDel:
 		s.dirty = true
 	case KindDeadlock:
 		s.note = "deadlock"
@@ -131,70 +114,15 @@ func (s *DOTSink) Event(e Event) {
 	}
 }
 
-// cycleMembers returns the messages on a closed wait-for cycle. The
-// wait-for relation is functional (one outgoing edge per blocked message),
-// so a pointer chase from every node suffices.
-func (s *DOTSink) cycleMembers() map[int]bool {
-	members := make(map[int]bool)
-	for start := range s.edges {
-		slow, ok := start, true
-		visited := make(map[int]bool)
-		for ok && !visited[slow] {
-			visited[slow] = true
-			var e dotEdge
-			e, ok = s.edges[slow]
-			if ok {
-				slow = e.owner
-			}
-		}
-		if ok && visited[slow] {
-			// slow is on a cycle: walk it once to collect members.
-			for c := slow; ; {
-				members[c] = true
-				c = s.edges[c].owner
-				if c == slow {
-					break
-				}
-			}
-		}
-	}
-	return members
-}
-
 // flush writes the pending snapshot as one digraph.
 func (s *DOTSink) flush() {
-	title := fmt.Sprintf("%s wait-for @%d", s.name, s.last)
+	title := s.name + " wait-for @" + strconv.Itoa(s.last)
 	if s.note != "" {
 		title += " [" + s.note + "]"
 		s.note = ""
 	}
-	fmt.Fprintf(s.w, "digraph %q {\n", title)
-	s.w.WriteString("  rankdir=LR;\n")
-	inCycle := s.cycleMembers()
-	ids := make([]int, 0, len(s.seen))
-	for id := range s.seen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		attrs := ""
-		if inCycle[id] {
-			attrs = " color=red style=bold"
-		}
-		fmt.Fprintf(s.w, "  m%d [label=\"m%d\"%s];\n", id, id, attrs)
-	}
-	for _, id := range ids {
-		e, ok := s.edges[id]
-		if !ok {
-			continue
-		}
-		attrs := ""
-		if inCycle[id] && inCycle[e.owner] {
-			attrs = " color=red style=bold"
-		}
-		fmt.Fprintf(s.w, "  m%d -> m%d [label=\"c%d\"%s];\n", id, e.owner, e.ch, attrs)
-	}
-	s.w.WriteString("}\n")
+	s.buf = s.graph.AppendDOT(s.buf[:0], title)
+	s.w.Write(s.buf)
 	s.dirty = false
 }
 

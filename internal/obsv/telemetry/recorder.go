@@ -37,7 +37,7 @@ type FlightRecorder struct {
 	events []obsv.Event // ring: events[i%cap] holds event i
 	seen   int          // events observed
 
-	graph     WaitGraph
+	graph     obsv.WaitGraph
 	lastCycle int
 	verdict   string // most recent deadlock/livelock/starvation/outcome note
 	slo       []byte // optional SLO report JSON, one bundle line when set
@@ -65,7 +65,6 @@ func NewFlightRecorder(net *topology.Network, cap int, c *Collector) *FlightReco
 		net:       net,
 		collector: c,
 		events:    make([]obsv.Event, cap),
-		graph:     *NewWaitGraph(net.NumChannels()),
 	}
 }
 
@@ -85,15 +84,8 @@ func (r *FlightRecorder) Event(e obsv.Event) {
 	if e.Cycle > r.lastCycle {
 		r.lastCycle = e.Cycle
 	}
+	r.graph.Apply(e)
 	switch e.Kind {
-	case obsv.KindAcquire:
-		r.graph.Acquire(e.Ch, e.Msg)
-	case obsv.KindRelease:
-		r.graph.Release(e.Ch)
-	case obsv.KindWaitEdgeAdd:
-		r.graph.AddEdge(e.Msg, e.Ch, e.Owner)
-	case obsv.KindWaitEdgeDel:
-		r.graph.DelEdge(e.Msg)
 	case obsv.KindDeadlock:
 		r.verdict = "deadlock"
 	case obsv.KindLocalDeadlock:
@@ -117,7 +109,7 @@ func (r *FlightRecorder) Retained() int { return min(r.seen, len(r.events)) }
 func (r *FlightRecorder) Verdict() string { return r.verdict }
 
 // Graph returns the recorder's live wait-for graph.
-func (r *FlightRecorder) Graph() *WaitGraph { return &r.graph }
+func (r *FlightRecorder) Graph() *obsv.WaitGraph { return &r.graph }
 
 // CycleChannels returns the channel set of closed wait-for cycles.
 func (r *FlightRecorder) CycleChannels() []topology.ChannelID {
@@ -157,7 +149,7 @@ func (r *FlightRecorder) Dump(dir, reason string) error {
 	if err := os.WriteFile(filepath.Join(dir, "flight.jsonl"), r.renderJSONL(reason), 0o644); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
-	dot := r.graph.RenderDOT(fmt.Sprintf("flight wait-for @%d [%s]", r.lastCycle, reason))
+	dot := r.graph.AppendDOT(nil, fmt.Sprintf("flight wait-for @%d [%s]", r.lastCycle, reason))
 	if err := os.WriteFile(filepath.Join(dir, "waitfor.dot"), dot, 0o644); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
@@ -243,7 +235,7 @@ func (r *FlightRecorder) renderJSONL(reason string) []byte {
 	b = append(b, `]}`...)
 	b = append(b, '\n')
 
-	b = r.graph.AppendJSON(b)
+	b = appendWaitGraph(b, &r.graph)
 	b = append(b, '\n')
 
 	if r.slo != nil {
@@ -264,58 +256,53 @@ func (r *FlightRecorder) renderJSONL(reason string) []byte {
 	return b
 }
 
-// AppendJSON appends the graph's full state as one deterministic JSON
+// appendWaitGraph appends g's full state as one deterministic JSON
 // object — the bundle line that lets replay rebuild the wait-for graph
 // without the event stream.
-func (g *WaitGraph) AppendJSON(b []byte) []byte {
+func appendWaitGraph(b []byte, g *obsv.WaitGraph) []byte {
 	b = append(b, `{"waitgraph":true,"seen":[`...)
-	first := true
-	for id, seen := range g.WaitSeen {
-		if !seen {
-			continue
+	for id := 0; id < g.Len(); id++ {
+		if g.Seen(id) {
+			b = comma(b)
+			b = strconv.AppendInt(b, int64(id), 10)
 		}
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = strconv.AppendInt(b, int64(id), 10)
 	}
 	b = append(b, `],"edges":[`...)
-	first = true
-	for id := range g.WaitCh {
-		if g.WaitCh[id] == topology.None {
-			continue
+	for id := 0; id < g.Len(); id++ {
+		if ch, owner, ok := g.WaitsFor(id); ok {
+			b = comma(b)
+			b = appendInts(b, id, int(ch), owner)
 		}
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, '[')
-		b = strconv.AppendInt(b, int64(id), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(g.WaitCh[id]), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(g.WaitOwner[id]), 10)
-		b = append(b, ']')
 	}
 	b = append(b, `],"held":[`...)
-	first = true
-	for ch, holder := range g.HeldBy {
-		if holder < 0 {
-			continue
+	for ch := 0; ch < g.NumChannels(); ch++ {
+		if holder := g.Holder(topology.ChannelID(ch)); holder >= 0 {
+			b = comma(b)
+			b = appendInts(b, ch, holder)
 		}
-		if !first {
+	}
+	return append(b, `]}`...)
+}
+
+// comma appends the separator before every JSON list element but the
+// first, which follows the list's opening bracket.
+func comma(b []byte) []byte {
+	if b[len(b)-1] != '[' {
+		b = append(b, ',')
+	}
+	return b
+}
+
+// appendInts appends vs as a JSON array.
+func appendInts(b []byte, vs ...int) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
 			b = append(b, ',')
 		}
-		first = false
-		b = append(b, '[')
-		b = strconv.AppendInt(b, int64(ch), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(holder), 10)
-		b = append(b, ']')
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	b = append(b, `]}`...)
-	return b
+	return append(b, ']')
 }
 
 // AppendJSON appends the window accounting as one deterministic JSON

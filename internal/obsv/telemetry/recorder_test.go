@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,21 +60,20 @@ func TestRecorderCycleDetection(t *testing.T) {
 	waitAdd(r, 12, 4, 3, 0)
 	r.Event(obsv.Event{Kind: obsv.KindWaitEdgeDel, Cycle: 13, Msg: 4})
 
-	members := r.Graph().CycleMembers()
-	for _, m := range []int{0, 1, 2} {
-		if !members[m] {
-			t.Fatalf("m%d missing from cycle: %v", m, members)
-		}
-	}
-	if members[3] || members[4] {
-		t.Fatalf("non-cycle messages reported: %v", members)
+	var cycles [][]int
+	r.Graph().Cycles(func(c []int) bool {
+		cycles = append(cycles, append([]int(nil), c...))
+		return true
+	})
+	if fmt.Sprint(cycles) != "[[0 1 2]]" {
+		t.Fatalf("cycles = %v, want the one cycle [0 1 2]", cycles)
 	}
 	chs := r.CycleChannels()
 	if len(chs) != 3 || chs[0] != 0 || chs[1] != 1 || chs[2] != 2 {
 		t.Fatalf("CycleChannels = %v, want [0 1 2]", chs)
 	}
 
-	dot := string(r.Graph().RenderDOT("flight wait-for @13 [deadlock]"))
+	dot := string(r.Graph().AppendDOT(nil, "flight wait-for @13 [deadlock]"))
 	if !strings.Contains(dot, `m0 -> m1 [label="c1" color=red style=bold]`) {
 		t.Fatalf("cycle edge not red:\n%s", dot)
 	}

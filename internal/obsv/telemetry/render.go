@@ -1,8 +1,8 @@
-// Shared post-mortem renderers: the wait-for graph model and the
-// congestion heatmap, used both by the live FlightRecorder at dump time
-// and by `telemetry replay` when re-rendering a bundle offline. Keeping
-// one implementation is what makes the replayed artifacts byte-identical
-// to the originals.
+// The shared congestion heatmap renderer, used both by the live
+// FlightRecorder at dump time and by `telemetry replay` when re-rendering
+// a bundle offline. Keeping one implementation (and one wait-for graph,
+// obsv.WaitGraph) is what makes the replayed artifacts byte-identical to
+// the originals.
 package telemetry
 
 import (
@@ -12,158 +12,6 @@ import (
 
 	"repro/internal/topology"
 )
-
-// WaitGraph is the incrementally-maintained wait-for state: one outgoing
-// edge per blocked message (the relation is functional, Definition 6's
-// "waits for") plus the channel→holder map. The FlightRecorder feeds it
-// from live events; replay reconstructs it from the bundle's waitgraph
-// line.
-type WaitGraph struct {
-	WaitCh    []topology.ChannelID // msg -> waited-for channel, None when not waiting
-	WaitOwner []int                // msg -> holder of that channel
-	WaitSeen  []bool               // msg ever appeared in the wait graph
-	HeldBy    []int                // channel -> holding message, -1 when free
-}
-
-// NewWaitGraph returns an empty graph over the given channel count.
-func NewWaitGraph(channels int) *WaitGraph {
-	heldBy := make([]int, channels)
-	for i := range heldBy {
-		heldBy[i] = -1
-	}
-	return &WaitGraph{HeldBy: heldBy}
-}
-
-func (g *WaitGraph) ensure(id int) {
-	for len(g.WaitCh) <= id {
-		g.WaitCh = append(g.WaitCh, topology.None)
-		g.WaitOwner = append(g.WaitOwner, -1)
-		g.WaitSeen = append(g.WaitSeen, false)
-	}
-}
-
-// Acquire records msg holding ch.
-func (g *WaitGraph) Acquire(ch topology.ChannelID, msg int) {
-	if int(ch) < len(g.HeldBy) {
-		g.HeldBy[ch] = msg
-	}
-}
-
-// Release records ch becoming free.
-func (g *WaitGraph) Release(ch topology.ChannelID) {
-	if int(ch) < len(g.HeldBy) {
-		g.HeldBy[ch] = -1
-	}
-}
-
-// AddEdge records msg waiting on ch held by owner.
-func (g *WaitGraph) AddEdge(msg int, ch topology.ChannelID, owner int) {
-	g.ensure(max(msg, owner))
-	g.WaitCh[msg] = ch
-	g.WaitOwner[msg] = owner
-	g.WaitSeen[msg] = true
-	g.WaitSeen[owner] = true
-}
-
-// DelEdge clears msg's outgoing wait edge.
-func (g *WaitGraph) DelEdge(msg int) {
-	g.ensure(msg)
-	g.WaitCh[msg] = topology.None
-}
-
-// CycleMembers returns the messages on closed wait-for cycles. The
-// relation is functional, so a pointer chase from every waiting node
-// suffices — same algorithm as obsv.DOTSink.
-func (g *WaitGraph) CycleMembers() map[int]bool {
-	members := map[int]bool{}
-	for start := range g.WaitCh {
-		if g.WaitCh[start] == topology.None {
-			continue
-		}
-		visited := map[int]bool{}
-		at, ok := start, true
-		for ok && !visited[at] {
-			visited[at] = true
-			if at >= len(g.WaitCh) || g.WaitCh[at] == topology.None {
-				ok = false
-			} else {
-				at = g.WaitOwner[at]
-			}
-		}
-		if ok && visited[at] {
-			for c := at; ; {
-				members[c] = true
-				c = g.WaitOwner[c]
-				if c == at {
-					break
-				}
-			}
-		}
-	}
-	return members
-}
-
-// CycleChannels returns the channel set of closed wait-for cycles — the
-// deadlocked resource cycle in channel terms: every channel a cycle
-// member waits for, plus every channel a cycle member holds (its arc).
-// Definition 6's cycle is over messages; the corresponding channel cycle
-// is exactly this held-plus-waited set.
-func (g *WaitGraph) CycleChannels() []topology.ChannelID {
-	members := g.CycleMembers()
-	set := map[topology.ChannelID]bool{}
-	for m := range members {
-		if g.WaitCh[m] != topology.None {
-			set[g.WaitCh[m]] = true
-		}
-	}
-	for ch, holder := range g.HeldBy {
-		if holder >= 0 && members[holder] {
-			set[topology.ChannelID(ch)] = true
-		}
-	}
-	chs := make([]topology.ChannelID, 0, len(set))
-	for ch := range set {
-		chs = append(chs, ch)
-	}
-	sort.Slice(chs, func(i, j int) bool { return chs[i] < chs[j] })
-	return chs
-}
-
-// RenderDOT renders the graph as a Graphviz digraph with the given
-// title, closed cycles red — the same conventions as obsv.DOTSink, so
-// the artifact diffs cleanly against a full DOT trace's last snapshot.
-func (g *WaitGraph) RenderDOT(title string) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", title)
-	b.WriteString("  rankdir=LR;\n")
-	inCycle := g.CycleMembers()
-	var ids []int
-	for id, seen := range g.WaitSeen {
-		if seen {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		attrs := ""
-		if inCycle[id] {
-			attrs = " color=red style=bold"
-		}
-		fmt.Fprintf(&b, "  m%d [label=\"m%d\"%s];\n", id, id, attrs)
-	}
-	for _, id := range ids {
-		if g.WaitCh[id] == topology.None {
-			continue
-		}
-		attrs := ""
-		if inCycle[id] && inCycle[g.WaitOwner[id]] {
-			attrs = " color=red style=bold"
-		}
-		fmt.Fprintf(&b, "  m%d -> m%d [label=\"c%d\"%s];\n", id, g.WaitOwner[id], g.WaitCh[id], attrs)
-	}
-	b.WriteString("}\n")
-	return []byte(b.String())
-}
 
 // xmlEscaper escapes free text (dump reasons, SLO specs) embedded in
 // SVG text nodes; specs like "p99<=100" would otherwise break XML

@@ -8,12 +8,14 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
+	"repro/internal/obsv"
 	"repro/internal/topology"
 )
 
@@ -30,7 +32,7 @@ type Bundle struct {
 	Window         *WindowStats
 
 	Channels [][2]int // channel -> (src, dst) endpoint nodes
-	Graph    *WaitGraph
+	Graph    *obsv.WaitGraph
 	SLO      *SLOReport
 	Frames   []*Frame
 
@@ -67,14 +69,61 @@ type bundleGraph struct {
 	Held  [][2]int `json:"held"`
 }
 
+// maxBundleMessage is the largest message ID a bundle's waitgraph line
+// may name. The graph is dense in message ID, so the cap bounds the
+// memory an untrusted bundle can ask for (16 bytes per ID, 256 MiB at the
+// cap); it is far above any message count a run reaches.
+const maxBundleMessage = 1 << 24
+
+// graph validates the waitgraph line against the bundle's channel count
+// and builds the graph it describes.
+func (v bundleGraph) graph(channels int) (*obsv.WaitGraph, error) {
+	msg := func(id int) error {
+		if id < 0 || id > maxBundleMessage {
+			return fmt.Errorf("message id %d outside [0, %d]", id, maxBundleMessage)
+		}
+		return nil
+	}
+	ch := func(id int) error {
+		if id < 0 || id >= channels {
+			return fmt.Errorf("channel id %d outside the %d channels", id, channels)
+		}
+		return nil
+	}
+	g := &obsv.WaitGraph{}
+	for _, e := range v.Edges {
+		if err := cmp.Or(msg(e[0]), ch(e[1]), msg(e[2])); err != nil {
+			return nil, err
+		}
+		g.Wait(e[0], topology.ChannelID(e[1]), e[2])
+	}
+	for _, id := range v.Seen {
+		if err := msg(id); err != nil {
+			return nil, err
+		}
+		g.MarkSeen(id)
+	}
+	for _, h := range v.Held {
+		if err := cmp.Or(ch(h[0]), msg(h[1])); err != nil {
+			return nil, err
+		}
+		g.Acquire(topology.ChannelID(h[0]), h[1])
+	}
+	return g, nil
+}
+
 // ParseBundle reads a flight.jsonl stream. Format 1 bundles (no channel
-// or waitgraph lines) are rejected: they predate replayability.
+// or waitgraph lines) are rejected: they predate replayability. A
+// waitgraph line naming a negative message ID, a message ID above 1<<24,
+// or a channel outside the bundle's channels line is an error that names
+// the line, as is a channels line that is repeated or follows the
+// waitgraph or a frame line.
 func ParseBundle(r io.Reader) (*Bundle, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 64<<20)
 	b := &Bundle{}
-	first := true
-	for sc.Scan() {
+	first, sawChannels := true, false
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -99,6 +148,12 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 			b.Window = h.Window
 			first = false
 		case bytes.HasPrefix(line, []byte(`{"channels":`)):
+			// Frames and the graph are sized and checked against the
+			// channel count, so it must be known before either.
+			if sawChannels || b.Graph != nil || len(b.Frames) > 0 {
+				return nil, fmt.Errorf("telemetry: channel line %d: repeated, or after the waitgraph or a frame line", lineNo)
+			}
+			sawChannels = true
 			var v struct {
 				Channels [][2]int `json:"channels"`
 			}
@@ -111,16 +166,9 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 			if err := json.Unmarshal(line, &v); err != nil {
 				return nil, fmt.Errorf("telemetry: waitgraph line: %w", err)
 			}
-			g := NewWaitGraph(len(b.Channels))
-			for _, e := range v.Edges {
-				g.AddEdge(e[0], topology.ChannelID(e[1]), e[2])
-			}
-			for _, id := range v.Seen {
-				g.ensure(id)
-				g.WaitSeen[id] = true
-			}
-			for _, h := range v.Held {
-				g.Acquire(topology.ChannelID(h[0]), h[1])
+			g, err := v.graph(len(b.Channels))
+			if err != nil {
+				return nil, fmt.Errorf("telemetry: waitgraph line %d: %w", lineNo, err)
 			}
 			b.Graph = g
 		case bytes.HasPrefix(line, []byte(`{"slo":`)):
@@ -163,7 +211,7 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 		return nil, fmt.Errorf("telemetry: empty bundle")
 	}
 	if b.Graph == nil {
-		b.Graph = NewWaitGraph(len(b.Channels))
+		b.Graph = &obsv.WaitGraph{}
 	}
 	return b, nil
 }
@@ -189,7 +237,7 @@ func (b *Bundle) ends(ch int) (int, int) {
 // RenderDOT re-renders the bundle's wait-for graph, byte-identical to
 // the recorder's original waitfor.dot.
 func (b *Bundle) RenderDOT() []byte {
-	return b.Graph.RenderDOT(fmt.Sprintf("flight wait-for @%d [%s]", b.Cycle, b.Reason))
+	return b.Graph.AppendDOT(nil, fmt.Sprintf("flight wait-for @%d [%s]", b.Cycle, b.Reason))
 }
 
 // RenderHeatmap renders the congestion heatmap over the bundle's

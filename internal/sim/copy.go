@@ -18,8 +18,7 @@ func (s *Sim) Reset() {
 	s.waitingSince = s.waitingSince[:0]
 	s.lastMoved = false
 	s.lastThawed = false
-	s.waitCh = s.waitCh[:0]
-	s.waitOwner = s.waitOwner[:0]
+	s.waits.Reset(0)
 	s.active = s.active[:0]
 	s.liveCount = 0
 	s.droppedCount = 0

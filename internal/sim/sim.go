@@ -253,11 +253,10 @@ type Sim struct {
 	// step. Like the tracer it is per-instance working memory: never
 	// propagated by Clone/CopyFrom, never touched by Reset.
 	telemetry *telemetry.Collector
-	// waitCh/waitOwner remember the last wait-for edge reported per
-	// message, so Step can emit block/unblock and wait-edge add/del
-	// transitions. Maintained only while a tracer is attached.
-	waitCh    []topology.ChannelID
-	waitOwner []int
+	// waits remembers the last wait-for edge reported per message, so
+	// Step can emit block/unblock and wait-edge add/del transitions.
+	// Maintained only while a tracer is attached.
+	waits obsv.WaitGraph
 }
 
 // freeing reports whether channel c was predicted to release this cycle
@@ -428,8 +427,7 @@ func (s *Sim) MustAdd(spec MessageSpec) int {
 // copied by Clone or CopyFrom.
 func (s *Sim) SetTracer(t obsv.Tracer) {
 	s.tracer = t
-	s.waitCh = s.waitCh[:0]
-	s.waitOwner = s.waitOwner[:0]
+	s.waits.Reset(len(s.msgs))
 }
 
 // Tracer returns the attached tracer, nil when tracing is disabled.
@@ -1106,36 +1104,31 @@ func (s *Sim) release(c topology.ChannelID) {
 // movement and releases — and only while a tracer is attached, so an
 // untraced Step never reaches it.
 func (s *Sim) traceWaits() {
-	for len(s.waitCh) < len(s.msgs) {
-		s.waitCh = append(s.waitCh, topology.None)
-		s.waitOwner = append(s.waitOwner, -1)
-	}
 	for id := range s.msgs {
 		ch, owner, ok := s.WaitsFor(id)
-		had := s.waitCh[id] != topology.None
+		lastCh, lastOwner, had := s.waits.WaitsFor(id)
 		if !ok {
 			if had {
 				ev := obsv.Ev(obsv.KindWaitEdgeDel, s.now)
 				ev.Msg = id
-				ev.Ch = s.waitCh[id]
-				ev.Owner = s.waitOwner[id]
+				ev.Ch = lastCh
+				ev.Owner = lastOwner
 				s.tracer.Event(ev)
 				ev.Kind = obsv.KindUnblock
 				s.tracer.Event(ev)
-				s.waitCh[id] = topology.None
-				s.waitOwner[id] = -1
+				s.waits.Unwait(id)
 			}
 			continue
 		}
-		if had && s.waitCh[id] == ch && s.waitOwner[id] == owner {
+		if had && lastCh == ch && lastOwner == owner {
 			continue
 		}
 		if had {
 			// Retargeted while still blocked: swap the edge, no unblock.
 			ev := obsv.Ev(obsv.KindWaitEdgeDel, s.now)
 			ev.Msg = id
-			ev.Ch = s.waitCh[id]
-			ev.Owner = s.waitOwner[id]
+			ev.Ch = lastCh
+			ev.Owner = lastOwner
 			s.tracer.Event(ev)
 		} else {
 			ev := obsv.Ev(obsv.KindBlock, s.now)
@@ -1149,8 +1142,7 @@ func (s *Sim) traceWaits() {
 		ev.Ch = ch
 		ev.Owner = owner
 		s.tracer.Event(ev)
-		s.waitCh[id] = ch
-		s.waitOwner[id] = owner
+		s.waits.Wait(id, ch, owner)
 	}
 }
 

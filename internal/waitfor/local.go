@@ -2,7 +2,6 @@ package waitfor
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -14,78 +13,6 @@ import (
 // can never release what the next member waits for; the channels that
 // cycle pins down are dead forever, while traffic routed away from them
 // still flows.
-
-// SCCs returns the nontrivial strongly connected components of the
-// wait-for graph, computed with Tarjan's algorithm. The graph restricted
-// to blocked messages is functional (one out-edge each), so every
-// nontrivial component is a simple cycle; a message never waits on a
-// channel it owns itself, so there are no self-loops and singleton
-// components are trivial. Members are returned ascending and components
-// are ordered by their smallest member, making the enumeration
-// deterministic.
-func SCCs(g *Graph) [][]int {
-	ids := make([]int, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		ids = append(ids, e.From)
-	}
-	sort.Ints(ids)
-
-	index := make(map[int]int, len(ids))
-	low := make(map[int]int, len(ids))
-	onStack := make(map[int]bool, len(ids))
-	var stack []int
-	next := 0
-	var comps [][]int
-
-	var strong func(v int)
-	strong = func(v int) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		// The single successor, when the target is itself a blocked node;
-		// an unblocked owner is a sink and cannot be on any cycle.
-		if e, ok := g.WaitsOn(v); ok {
-			if _, blocked := g.next[e.To]; blocked {
-				w := e.To
-				if _, seen := index[w]; !seen {
-					strong(w)
-					if low[w] < low[v] {
-						low[v] = low[w]
-					}
-				} else if onStack[w] {
-					if index[w] < low[v] {
-						low[v] = index[w]
-					}
-				}
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 {
-				sort.Ints(comp)
-				comps = append(comps, comp)
-			}
-		}
-	}
-	for _, id := range ids {
-		if _, seen := index[id]; !seen {
-			strong(id)
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
-}
 
 // LocalDeadlock is a local-deadlock witness: a Definition 6 cycle that is
 // provably permanent — every member is an in-network oblivious message, so
@@ -121,44 +48,45 @@ func (ld *LocalDeadlock) String() string {
 // the contention, and a fault-induced stall never forms an edge at all:
 // WaitsFor reports ownership blocking only, so a down-but-free channel
 // breaks the chain and transient outages cannot masquerade as local
-// deadlocks.
+// deadlocks. Of several certain cycles it returns the one with the
+// smallest member, starting at that member.
 func FindLocal(s *sim.Sim) *LocalDeadlock {
 	g := Build(s)
-	for _, comp := range SCCs(g) {
-		if ld := makeLocal(s, g, comp); ld != nil {
-			return ld
+	first := -1
+	g.Cycles(func(cycle []int) bool {
+		low := cycle[0]
+		for _, id := range cycle {
+			if !s.InNetwork(id) || s.IsAdaptive(id) {
+				return true
+			}
+			low = min(low, id)
 		}
+		if first < 0 || low < first {
+			first = low
+		}
+		return true
+	})
+	if first < 0 {
+		return nil
 	}
-	return nil
-}
-
-// makeLocal assembles and certainty-checks one SCC: members are walked in
-// cycle order from the smallest, and the component qualifies only when
-// every member holds a channel and routes obliviously.
-func makeLocal(s *sim.Sim, g *Graph, comp []int) *LocalDeadlock {
-	member := make(map[int]bool, len(comp))
-	for _, id := range comp {
-		if !s.Message(id).InNetwork || s.IsAdaptive(id) {
-			return nil
-		}
+	cycle := []int{first}
+	for _, id, _ := g.WaitsFor(first); id != first; _, id, _ = g.WaitsFor(id) {
+		cycle = append(cycle, id)
+	}
+	ld := &LocalDeadlock{Deadlock: *newDeadlock(g, cycle)}
+	member := make([]bool, s.NumMessages())
+	for _, id := range cycle {
 		member[id] = true
 	}
-	ld := &LocalDeadlock{}
-	for id := comp[0]; len(ld.Cycle) < len(comp); {
-		e, ok := g.WaitsOn(id)
-		if !ok || !member[e.To] {
-			return nil // not a closed cycle over the component
-		}
-		ld.Cycle = append(ld.Cycle, id)
-		ld.Channels = append(ld.Channels, e.Channel)
-		id = e.To
+	// blocked reports whether a cycle member owns c: no flit will ever
+	// traverse it again.
+	blocked := func(c topology.ChannelID) bool {
+		owner := s.Owner(c)
+		return owner >= 0 && member[owner]
 	}
-	blocked := make(map[topology.ChannelID]bool)
 	for c := 0; c < s.Network().NumChannels(); c++ {
-		ch := topology.ChannelID(c)
-		if member[s.Owner(ch)] {
-			blocked[ch] = true
-			ld.Blocked = append(ld.Blocked, ch)
+		if blocked(topology.ChannelID(c)) {
+			ld.Blocked = append(ld.Blocked, topology.ChannelID(c))
 		}
 	}
 	for id := 0; id < s.NumMessages(); id++ {
@@ -183,7 +111,7 @@ func makeLocal(s *sim.Sim, g *Graph, comp []int) *LocalDeadlock {
 		}
 		live := true
 		for _, c := range mv.Path[h+1:] {
-			if blocked[c] {
+			if blocked(c) {
 				live = false
 				break
 			}

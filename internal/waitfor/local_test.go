@@ -40,21 +40,46 @@ func twoRingsSim(t *testing.T) *sim.Sim {
 	return s
 }
 
-func TestSCCsTwoDisjointCycles(t *testing.T) {
+// cycles collects every cycle Build(s).Cycles enumerates, in order.
+func cycles(s *sim.Sim) [][]int {
+	var out [][]int
+	Build(s).Cycles(func(c []int) bool {
+		out = append(out, append([]int(nil), c...))
+		return true
+	})
+	return out
+}
+
+func TestCyclesTwoDisjointCycles(t *testing.T) {
 	s := twoRingsSim(t)
-	comps := SCCs(Build(s))
-	if len(comps) != 2 {
-		t.Fatalf("components = %v; want two disjoint cycles", comps)
+	if got := fmt.Sprint(cycles(s)); got != "[[0 1 2 3] [4 5 6 7]]" {
+		t.Fatalf("cycles = %v; want the two disjoint rings in chase order", got)
 	}
-	if got := fmt.Sprint(comps[0]); got != "[0 1 2 3]" {
-		t.Fatalf("first component = %v", got)
-	}
-	if got := fmt.Sprint(comps[1]); got != "[4 5 6 7]" {
-		t.Fatalf("second component = %v", got)
+	n := 0
+	Build(s).Cycles(func([]int) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("visit returned false but the enumeration went on (%d cycles)", n)
 	}
 }
 
-// TestSCCsWithDownChannels: SCC enumeration on a degraded network. Failing
+// TestFindAndFindLocalOrderCycles: Find takes the first cycle the chase
+// from ascending message IDs closes, starting where the chase entered it;
+// FindLocal takes the cycle with the smallest member, starting there.
+// Message 0 chains into ring B, so the two pick different rings.
+func TestFindAndFindLocalOrderCycles(t *testing.T) {
+	s := twoRingsChain(nil)
+	if out := s.Run(100); out.Result != sim.ResultDeadlock {
+		t.Fatalf("setup: result = %v", out.Result)
+	}
+	if d := Find(s); d == nil || fmt.Sprint(d.Cycle) != "[6 7 8 5]" {
+		t.Fatalf("Find = %v; want ring B entered at m6", d)
+	}
+	if ld := FindLocal(s); ld == nil || fmt.Sprint(ld.Cycle) != "[1 2 3 4]" {
+		t.Fatalf("FindLocal = %v; want ring A from m1", ld)
+	}
+}
+
+// TestCyclesWithDownChannels: cycle enumeration on a degraded network. Failing
 // ring B's channel 4 before any traffic moves keeps message 4 out of the
 // network, so ring B degrades to an acyclic chain ending at message 7 —
 // which waits on the down-but-free channel 4 and therefore has no wait
@@ -62,7 +87,7 @@ func TestSCCsTwoDisjointCycles(t *testing.T) {
 // Once an ownership cycle HAS formed, failing one of its channels changes
 // nothing: the members block each other, not the link — which is exactly
 // why all-oblivious cycles are permanent under faults.
-func TestSCCsWithDownChannels(t *testing.T) {
+func TestCyclesWithDownChannels(t *testing.T) {
 	net := topology.New("tworings")
 	net.AddNodes(8)
 	var chans [8]topology.ChannelID
@@ -87,15 +112,14 @@ func TestSCCsWithDownChannels(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Step()
 	}
-	g := Build(s)
-	comps := SCCs(g)
-	if len(comps) != 1 || fmt.Sprint(comps[0]) != "[0 1 2 3]" {
-		t.Fatalf("components = %v; want only ring A's cycle", comps)
+	if got := fmt.Sprint(cycles(s)); got != "[[0 1 2 3]]" {
+		t.Fatalf("cycles = %v; want only ring A's cycle", got)
 	}
-	if _, ok := g.WaitsOn(7); ok {
+	g := Build(s)
+	if _, _, ok := g.WaitsFor(7); ok {
 		t.Fatal("message 7 waits on a down-but-free channel; that is not ownership blocking")
 	}
-	if _, ok := g.WaitsOn(5); !ok {
+	if _, _, ok := g.WaitsFor(5); !ok {
 		t.Fatal("message 5 should still chain behind message 6")
 	}
 	if ld := FindLocal(s); ld == nil || fmt.Sprint(ld.Cycle) != "[0 1 2 3]" {
@@ -114,8 +138,8 @@ func TestTransientFaultNeverLocalDeadlock(t *testing.T) {
 		Path: []topology.ChannelID{0, 1}})
 	s.SetChannelDown(1, 6) // transient: repaired at cycle 6
 	for i := 0; i < 20; i++ {
-		if g := Build(s); len(g.Edges) != 0 {
-			t.Fatalf("cycle %d: fault-only blocking produced wait edges %v", i, g.Edges)
+		if edges := buildEdges(s); edges != "" {
+			t.Fatalf("cycle %d: fault-only blocking produced wait edges %v", i, edges)
 		}
 		if ld := FindLocal(s); ld != nil {
 			t.Fatalf("cycle %d: transient outage reported as local deadlock %v", i, ld)

@@ -1,5 +1,5 @@
-// Package waitfor builds message wait-for graphs over simulator states and
-// extracts Definition 6 deadlock configurations.
+// Package waitfor builds the message wait-for graph (obsv.WaitGraph) of a
+// simulator state and extracts Definition 6 deadlock configurations.
 //
 // In a wormhole network each blocked message waits for exactly one channel
 // — the next channel on its path — so the wait-for relation restricted to
@@ -14,51 +14,24 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/obsv"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-// Edge records that message From is blocked waiting for Channel, which is
-// currently owned by message To.
-type Edge struct {
-	From, To int
-	Channel  topology.ChannelID
-}
-
-// Graph is the wait-for graph of one simulator state.
-type Graph struct {
-	// Edges holds one entry per blocked message, indexed by message ID
-	// order. Messages that are not blocked have no entry.
-	Edges []Edge
-	// next maps a blocked message to its single outgoing edge index, -1
-	// otherwise.
-	next map[int]int
-}
 
 // Build captures the wait-for graph of the simulator's current state.
 // Messages blocked at injection (holding no channel yet) are included as
 // graph edges — they wait like any other message — but are never members
 // of a Definition 6 cycle, because a cycle member must hold a channel.
-func Build(s *sim.Sim) *Graph {
-	g := &Graph{next: make(map[int]int)}
+func Build(s *sim.Sim) *obsv.WaitGraph {
+	g := &obsv.WaitGraph{}
+	g.Reset(s.NumMessages())
 	for id := 0; id < s.NumMessages(); id++ {
-		ch, owner, ok := s.WaitsFor(id)
-		if !ok {
-			continue
+		if ch, owner, ok := s.WaitsFor(id); ok {
+			g.Wait(id, ch, owner)
 		}
-		g.next[id] = len(g.Edges)
-		g.Edges = append(g.Edges, Edge{From: id, To: owner, Channel: ch})
 	}
 	return g
-}
-
-// WaitsOn returns the edge leaving message id, if it is blocked.
-func (g *Graph) WaitsOn(id int) (Edge, bool) {
-	i, ok := g.next[id]
-	if !ok {
-		return Edge{}, false
-	}
-	return g.Edges[i], true
 }
 
 // Deadlock is a Definition 6 deadlock configuration: a cycle of messages
@@ -89,74 +62,32 @@ func (d *Deadlock) String() string {
 // state. It returns nil when none exists. The cycle it returns consists
 // only of messages that have acquired at least one channel (in-network);
 // injection-blocked messages may chain into a cycle but cannot belong to
-// one, since the channel they would "hold" does not exist.
+// one, since the channel they would "hold" does not exist. Of several
+// cycles it returns the first the graph's chase from ascending message
+// IDs closes, starting where the chase entered it.
 func Find(s *sim.Sim) *Deadlock {
 	g := Build(s)
-	const (
-		unvisited = 0
-		inStack   = 1
-		done      = 2
-	)
-	state := make(map[int]int)
-	for id := 0; id < s.NumMessages(); id++ {
-		if _, blocked := g.next[id]; !blocked || state[id] != unvisited {
-			continue
-		}
-		// Chase the functional graph from id.
-		var stack []int
-		cur := id
-		for {
-			if st := state[cur]; st == done {
-				for _, v := range stack {
-					state[v] = done
-				}
-				break
-			} else if st == inStack {
-				// Found a cycle: extract it from the stack.
-				start := -1
-				for i, v := range stack {
-					if v == cur {
-						start = i
-						break
-					}
-				}
-				cycle := stack[start:]
-				if d := makeDeadlock(s, g, cycle); d != nil {
-					return d
-				}
-				for _, v := range stack {
-					state[v] = done
-				}
-				break
+	var d *Deadlock
+	g.Cycles(func(cycle []int) bool {
+		for _, id := range cycle {
+			if !s.InNetwork(id) {
+				return true
 			}
-			state[cur] = inStack
-			stack = append(stack, cur)
-			e, blocked := g.WaitsOn(cur)
-			if !blocked {
-				for _, v := range stack {
-					state[v] = done
-				}
-				break
-			}
-			cur = e.To
 		}
-	}
-	return nil
+		d = newDeadlock(g, cycle)
+		return false
+	})
+	return d
 }
 
-// makeDeadlock validates that every cycle member holds at least one channel
-// (Definition 6 requires members to have acquired a channel) and assembles
-// the report. A cycle containing an injection-blocked message is not a
-// Definition 6 configuration.
-func makeDeadlock(s *sim.Sim, g *Graph, cycle []int) *Deadlock {
-	d := &Deadlock{}
-	for _, id := range cycle {
-		if !s.Message(id).InNetwork {
-			return nil
-		}
-		e, _ := g.WaitsOn(id)
-		d.Cycle = append(d.Cycle, id)
-		d.Channels = append(d.Channels, e.Channel)
+// newDeadlock copies a cycle of g and the channels its members wait for.
+func newDeadlock(g *obsv.WaitGraph, cycle []int) *Deadlock {
+	d := &Deadlock{
+		Cycle:    append([]int(nil), cycle...),
+		Channels: make([]topology.ChannelID, len(cycle)),
+	}
+	for i, id := range cycle {
+		d.Channels[i], _, _ = g.WaitsFor(id)
 	}
 	return d
 }

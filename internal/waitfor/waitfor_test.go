@@ -52,9 +52,8 @@ func TestNoDeadlockInFreeFlow(t *testing.T) {
 	if d := Find(s); d != nil {
 		t.Fatalf("unexpected deadlock: %v", d)
 	}
-	g := Build(s)
-	if len(g.Edges) != 0 {
-		t.Fatalf("edges = %v; want none", g.Edges)
+	if edges := buildEdges(s); edges != "" {
+		t.Fatalf("edges = %v; want none", edges)
 	}
 }
 
@@ -72,8 +71,7 @@ func TestInjectionBlockedMessageNotInCycle(t *testing.T) {
 	if out.Result != sim.ResultDeadlock {
 		t.Fatalf("result = %v", out.Result)
 	}
-	g := Build(s)
-	if _, ok := g.WaitsOn(4); !ok {
+	if _, _, ok := Build(s).WaitsFor(4); !ok {
 		t.Fatal("injection-blocked message should wait in the graph")
 	}
 	d := Find(s)
@@ -193,8 +191,7 @@ func TestBuildGraphWaitsOnAbsent(t *testing.T) {
 	net := topology.NewRing(4, false)
 	s := sim.New(net, sim.Config{})
 	s.MustAdd(sim.MessageSpec{Src: 0, Dst: 1, Length: 1, Path: []topology.ChannelID{0}})
-	g := Build(s)
-	if _, ok := g.WaitsOn(0); ok {
+	if _, _, ok := Build(s).WaitsFor(0); ok {
 		t.Fatal("unblocked message should have no wait edge")
 	}
 }
