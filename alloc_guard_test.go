@@ -8,14 +8,18 @@ package repro
 // scratch arenas reset by epoch counters, never reallocated. A load-cell
 // guard bounds what one open-loop traffic run costs end to end, another
 // bounds the static decider (core.Analyze), whose cycle classification
-// uses the same epoch-stamped scratch idiom, and a last one bounds the
-// wait-for queries of the searches.
+// uses the same epoch-stamped scratch idiom, and another bounds the
+// wait-for queries of the searches. TestRowBudgets pins the state count
+// and the allocations of every row of the benchmark registry, and
+// TestReductionGuard_Gen4 pins the reduction's headline ratio.
 
 import (
 	"runtime"
 	"testing"
 
+	"repro/internal/benchrows"
 	"repro/internal/core"
+	"repro/internal/mcheck"
 	"repro/internal/obsv"
 	"repro/internal/obsv/telemetry"
 	"repro/internal/papernets"
@@ -301,5 +305,125 @@ func TestFindLocalAllocBounded(t *testing.T) {
 		if n := testing.AllocsPerRun(100, query); n > budget {
 			t.Errorf("%s allocates %v allocs/op; budget %d", name, n, budget)
 		}
+	}
+}
+
+// rowAllocs is the measured allocation count of one op of every
+// registry row at GOMAXPROCS=1, the highest of four measurements.
+// TestRowBudgets allows 5% over it, and nothing over 0. Across
+// measurements the search rows vary by at most 70 allocations (E10's
+// spill runs), well inside 5%.
+var rowAllocs = map[string]int64{
+	"E1_Figure1_Search":              18236,
+	"E2_PropertyChecks":              15573,
+	"E3_Figure1_Skew1":               47248,
+	"E4_Figure2_Search":              694,
+	"E5_Figure3_SearchAll":           47179,
+	"E6_Gen2_Stall2":                 95409,
+	"E7_SimThroughput":               0,
+	"E7_SimThroughput_Telemetry":     0,
+	"E8_LivenessSearch":              33585,
+	"E10_SearchOutOfCore":            20761,
+	"E11_TelemetryLongHorizon":       0,
+	"EncodeTo":                       0,
+	"Loadtest_Saturation":            974,
+	"Gen4_Stall4":                    228868,
+	"E1_Figure1_Search_Reduced":      6755,
+	"E3_Figure1_Skew1_Reduced":       12346,
+	"E5_Figure3_SearchAll_Reduced":   37625,
+	"E6_Gen2_Stall2_Reduced":         21293,
+	"Gen4_Stall4_Reduced":            51015,
+	"Gen5_Stall5_Reduced":            73502,
+	"E1_Figure1_CDG":                 1147,
+	"E1_Figure1_Analyze":             2130,
+	"E1_Figure1_SearchTraced":        18236,
+	"E3_RandomMinimalAnalyze":        72508,
+	"E5_Figure3_Classify":            288,
+	"E6_GenK/k=1":                    65480,
+	"E6_GenK/k=2":                    158994,
+	"E6_GenK/k=3":                    280743,
+	"E7_MeshWorkload":                603,
+	"Ablation_BufferDepth/depth=2":   20493,
+	"Ablation_BufferDepth/depth=4":   22817,
+	"Ablation_MessageLength/extra=2": 17720,
+	"Ablation_MessageLength/extra=4": 18981,
+	"Ablation_Arbitration/fifo":      46,
+	"Ablation_Arbitration/priority":  45,
+	"TracedSimRun/traced":            54,
+	"Ablation_SearchStrategy/sweep":  62376,
+}
+
+// TestRowBudgets runs one op of every registry row at GOMAXPROCS=1. The
+// op checks each search's verdict and exact state count; the test holds
+// the op's allocations to rowAllocs plus 5%. A zero-allocation row (the
+// steady-state simulator, the telemetry planes, the encoder) must stay at
+// exactly 0, and every emission site in sim and mcheck sits behind a nil
+// check, so a traceless search that allocates more means work was hoisted
+// out of a guard. Under -race only the state counts are checked. The
+// test takes seconds, so it skips in -short mode.
+func TestRowBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the registry's full searches in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rows := benchrows.Rows()
+	inRegistry := map[string]bool{}
+	for _, row := range rows {
+		inRegistry[row.Name] = true
+		if _, ok := rowAllocs[row.Name]; !ok {
+			t.Errorf("row %s has no allocation budget", row.Name)
+		}
+	}
+	for name := range rowAllocs {
+		if !inRegistry[name] {
+			t.Errorf("budget %s names no registry row", name)
+		}
+	}
+	for _, row := range rows {
+		t.Run(row.Name, func(t *testing.T) {
+			var opErr error
+			n := int64(testing.AllocsPerRun(1, func() {
+				if err := row.Op(); err != nil {
+					opErr = err
+				}
+			}))
+			if opErr != nil {
+				t.Fatal(opErr)
+			}
+			if raceEnabled {
+				return
+			}
+			measured := rowAllocs[row.Name]
+			if limit := measured + measured/20; n > limit {
+				t.Errorf("%d allocs/op; measured %d, limit %d", n, measured, limit)
+			}
+		})
+	}
+}
+
+// TestReductionGuard_Gen4 pins the reduction's headline claim: on Gen(4)
+// at its minimal deadlocking stall budget, partial-order plus symmetry
+// reduction explores exactly the registry's state count, at least 3x
+// below the unreduced count the registry pins for the same search. It
+// runs in short mode; the reduced search is the cheap one.
+func TestReductionGuard_Gen4(t *testing.T) {
+	rows := map[string]benchrows.Row{}
+	for _, row := range benchrows.Rows() {
+		rows[row.Name] = row
+	}
+	red, unred := rows["Gen4_Stall4_Reduced"], rows["Gen4_Stall4"]
+	if len(red.Searches) != 1 || len(unred.Searches) != 1 {
+		t.Fatal("registry lacks the Gen4_Stall4 rows")
+	}
+	s := red.Searches[0]
+	res, err := s.Run(s.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reduction != mcheck.RedAll {
+		t.Fatalf("reduction = %v, want %v (gating cleared it?)", res.Reduction, mcheck.RedAll)
+	}
+	if unredStates := unred.Searches[0].States; unredStates < 3*res.States {
+		t.Errorf("reduction ratio %d/%d below the 3x floor", unredStates, res.States)
 	}
 }

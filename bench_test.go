@@ -1,399 +1,20 @@
 package repro
 
-// One benchmark per experiment of DESIGN.md's index (E1-E7), plus the
-// ablation benches for the design choices the paper calls out. Each bench
-// regenerates the measurement recorded in EXPERIMENTS.md; absolute times
-// are machine-dependent, but the verdicts inside are asserted so a bench
-// run doubles as a reproduction run.
+// BenchmarkRows times every row of the benchmark registry
+// (internal/benchrows): the experiments of DESIGN.md's index, the
+// ablations and the microbenchmarks. Each row checks its own verdict and
+// state count, so a bench run doubles as a reproduction run.
+//
+//	go test -run '^$' -bench 'Rows/E1_' .
 
 import (
-	"fmt"
-	"io"
 	"testing"
 
-	"repro/internal/cdg"
-	"repro/internal/core"
-	"repro/internal/mcheck"
-	"repro/internal/obsv"
-	"repro/internal/papernets"
-	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/traffic"
-	"repro/internal/unreachable"
+	"repro/internal/benchrows"
 )
 
-// BenchmarkE1_Figure1_CDG builds the Cyclic Dependency algorithm's channel
-// dependency graph and enumerates its (single, 14-channel) cycle.
-func BenchmarkE1_Figure1_CDG(b *testing.B) {
-	pn := papernets.Figure1()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := cdg.New(pn.Alg)
-		cycles, _ := g.Cycles(0)
-		if len(cycles) != 1 || len(cycles[0]) != 14 {
-			b.Fatalf("cycles = %d", len(cycles))
-		}
+func BenchmarkRows(b *testing.B) {
+	for _, row := range benchrows.Rows() {
+		b.Run(row.Name, row.Bench)
 	}
-}
-
-// skipInShort guards the exhaustive-search benchmarks: a single iteration
-// of the heaviest ones runs for seconds, which busts the CI time budget.
-// `go test -bench=. -short` still compiles and smoke-runs the cheap ones.
-func skipInShort(b *testing.B) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("skipping exhaustive-search benchmark in -short mode")
-	}
-}
-
-// BenchmarkE1_Figure1_Search is Theorem 1: the exhaustive state-space
-// search over every injection timing and arbitration outcome.
-func BenchmarkE1_Figure1_Search(b *testing.B) {
-	skipInShort(b)
-	pn := papernets.Figure1()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{})
-		if res.Verdict != mcheck.VerdictNoDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-	}
-}
-
-// BenchmarkE1_Figure1_Analyze is the static Section 5 analysis that proves
-// Theorem 1 without search.
-func BenchmarkE1_Figure1_Analyze(b *testing.B) {
-	pn := papernets.Figure1()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := core.Analyze(pn.Alg, core.Options{})
-		if rep.Verdict != core.DeadlockFree {
-			b.Fatalf("verdict = %v", rep.Verdict)
-		}
-	}
-}
-
-// BenchmarkE2_PropertyChecks runs the Definition 7-9 property checkers on
-// the classic algorithm suite.
-func BenchmarkE2_PropertyChecks(b *testing.B) {
-	algs := []routing.Algorithm{
-		routing.DimensionOrder(topology.NewMesh([]int{4, 4}, 1)),
-		routing.NegativeFirst(topology.NewMesh([]int{4, 4}, 1)),
-		routing.ECube(topology.NewHypercube(4)),
-		routing.DallySeitzTorus(topology.NewTorus([]int{4, 4}, 2)),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, alg := range algs {
-			props := routing.CheckAll(alg)
-			if !props.SuffixClosed {
-				b.Fatalf("%s not suffix-closed", alg.Name())
-			}
-		}
-	}
-}
-
-// BenchmarkE3_RandomMinimalAnalyze analyzes random minimal oblivious
-// algorithms (Theorem 3: none of their cycles may classify unreachable).
-func BenchmarkE3_RandomMinimalAnalyze(b *testing.B) {
-	skipInShort(b)
-	net := topology.NewMesh([]int{3, 3}, 1).Network
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alg := routing.RandomMinimal(net, int64(i))
-		rep := core.Analyze(alg, core.Options{})
-		if !rep.Acyclic && rep.Verdict == core.DeadlockFree {
-			b.Fatal("minimal routing classified an unreachable cycle")
-		}
-	}
-}
-
-// BenchmarkE4_Figure2_Search is Theorem 4: the two-sharer deadlock search.
-func BenchmarkE4_Figure2_Search(b *testing.B) {
-	pn := papernets.Figure2()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{})
-		if res.Verdict != mcheck.VerdictDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-	}
-}
-
-// BenchmarkE5_Figure3_Classify evaluates Theorem 5's conditions and the
-// timing classifier on all six Figure 3 instances.
-func BenchmarkE5_Figure3_Classify(b *testing.B) {
-	nets := make([]*papernets.Net, 0, 6)
-	for l := byte('a'); l <= 'f'; l++ {
-		nets = append(nets, papernets.Figure3(l))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		free := 0
-		for _, pn := range nets {
-			cfg := pn.Configuration()
-			if v, _ := unreachable.Classify(cfg); v == unreachable.FalseResourceCycle {
-				if t5 := unreachable.Theorem5(cfg); !t5.Applicable || t5.Unreachable {
-					free++
-				}
-			}
-		}
-		if free != 2 {
-			b.Fatalf("unreachable figures = %d; want 2 (a and b)", free)
-		}
-	}
-}
-
-// BenchmarkE5_Figure3_SearchAll model-checks all six Figure 3 instances.
-func BenchmarkE5_Figure3_SearchAll(b *testing.B) {
-	skipInShort(b)
-	scenarios := make([]sim.Scenario, 0, 6)
-	for l := byte('a'); l <= 'f'; l++ {
-		scenarios = append(scenarios, papernets.Figure3(l).Scenario)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sc := range scenarios {
-			mcheck.Search(sc, mcheck.SearchOptions{})
-		}
-	}
-}
-
-// BenchmarkE6_GenK measures the cost of deciding Gen(k)'s minimal stall
-// tolerance (search at budgets k-1 and k) for k = 1..3.
-func BenchmarkE6_GenK(b *testing.B) {
-	skipInShort(b)
-	for k := 1; k <= 3; k++ {
-		pn := papernets.GenK(k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				below := mcheck.Search(pn.Scenario, mcheck.SearchOptions{StallBudget: k - 1, FreezeInTransitOnly: true})
-				at := mcheck.Search(pn.Scenario, mcheck.SearchOptions{StallBudget: k, FreezeInTransitOnly: true})
-				if below.Verdict != mcheck.VerdictNoDeadlock || at.Verdict != mcheck.VerdictDeadlock {
-					b.Fatalf("k=%d: %v/%v", k, below.Verdict, at.Verdict)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE7_MeshWorkload simulates the Section 1 context experiment: DOR
-// on an 8x8 mesh under uniform load.
-func BenchmarkE7_MeshWorkload(b *testing.B) {
-	g := topology.NewMesh([]int{8, 8}, 1)
-	alg := routing.DimensionOrder(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := traffic.Workload{
-			Alg: alg, Pattern: traffic.Uniform(64),
-			Rate: 0.02, Length: 8, Duration: 200, Seed: int64(i),
-		}
-		_, out, err := w.Run(sim.Config{}, 1_000_000)
-		if err != nil || out.Result != sim.ResultDelivered {
-			b.Fatalf("outcome = %v (%v)", out.Result, err)
-		}
-	}
-}
-
-// BenchmarkE7_SimulatorThroughput measures raw simulator speed: a single
-// long message across a 16x16 mesh (flit-moves per second follow from the
-// reported ns/op).
-func BenchmarkE7_SimulatorThroughput(b *testing.B) {
-	g := topology.NewMesh([]int{16, 16}, 1)
-	alg := routing.DimensionOrder(g)
-	src := g.NodeAt([]int{0, 0})
-	dst := g.NodeAt([]int{15, 15})
-	path := alg.Path(src, dst)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := sim.New(g.Network, sim.Config{})
-		s.MustAdd(sim.MessageSpec{Src: src, Dst: dst, Length: 64, Path: path})
-		if out := s.Run(10_000); out.Result != sim.ResultDelivered {
-			b.Fatal(out.Result)
-		}
-	}
-}
-
-// BenchmarkAblation_BufferDepth: the paper's "one-flit buffers are the
-// hardest case" claim — Theorem 1 search cost and verdict at depths 1, 2
-// and 4.
-func BenchmarkAblation_BufferDepth(b *testing.B) {
-	skipInShort(b)
-	pn := papernets.Figure1()
-	for _, depth := range []int{1, 2, 4} {
-		sc := pn.Scenario.WithBufferDepth(depth)
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if res := mcheck.Search(sc, mcheck.SearchOptions{}); res.Verdict != mcheck.VerdictNoDeadlock {
-					b.Fatalf("verdict = %v", res.Verdict)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_MessageLength: minimal vs extended message lengths.
-func BenchmarkAblation_MessageLength(b *testing.B) {
-	skipInShort(b)
-	pn := papernets.Figure1()
-	for _, extra := range []int{0, 2, 4} {
-		lens := make([]int, len(pn.Scenario.Msgs))
-		for i, m := range pn.Scenario.Msgs {
-			lens[i] = m.Length + extra
-		}
-		sc := pn.Scenario.WithLengths(lens)
-		b.Run(fmt.Sprintf("extra=%d", extra), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if res := mcheck.Search(sc, mcheck.SearchOptions{}); res.Verdict != mcheck.VerdictNoDeadlock {
-					b.Fatalf("verdict = %v", res.Verdict)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_Arbitration: concrete simulation of the Figure 1
-// message set under FIFO vs adversarial priority arbitration (both
-// deliver; Theorem 1 needs no arbiter assumptions).
-func BenchmarkAblation_Arbitration(b *testing.B) {
-	pn := papernets.Figure1()
-	arbiters := map[string]sim.Arbiter{
-		"fifo":     sim.FIFOArbiter{},
-		"priority": sim.PriorityArbiter{Order: []int{1, 3, 0, 2}},
-	}
-	for name, arb := range arbiters {
-		sc := pn.Scenario
-		sc.Cfg.Arbiter = arb
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if out := sc.NewSim().Run(10_000); out.Result != sim.ResultDelivered {
-					b.Fatalf("outcome = %v", out.Result)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE1_Figure1_SearchParallel is the Theorem 1 search with the
-// worker pool left at its default (GOMAXPROCS) rather than pinned to one:
-// the wall-time side of the determinism contract the parity suite asserts.
-func BenchmarkE1_Figure1_SearchParallel(b *testing.B) {
-	skipInShort(b)
-	pn := papernets.Figure1()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{Parallelism: 0})
-		if res.Verdict != mcheck.VerdictNoDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-	}
-}
-
-// BenchmarkEncodeTo measures the binary state encoder on a mid-flight
-// Figure 1 state. The companion test TestEncodeToZeroAllocs (internal/sim)
-// asserts the zero-allocation property; the bench records the cost.
-func BenchmarkEncodeTo(b *testing.B) {
-	pn := papernets.Figure1()
-	s := pn.Scenario.NewSim()
-	for i := 0; i < 4; i++ {
-		s.Step()
-	}
-	buf := make([]byte, 0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		s.EncodeTo(&buf)
-	}
-	if len(buf) == 0 {
-		b.Fatal("no encoding produced")
-	}
-}
-
-// BenchmarkSearchAllocs reports the allocation profile of a full
-// exhaustive search (Figure 2: small enough to run per-iteration, large
-// enough that per-state costs dominate). allocs/op here is the number the
-// pooling/streaming work in internal/mcheck exists to keep down.
-func BenchmarkSearchAllocs(b *testing.B) {
-	pn := papernets.Figure2()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{})
-		if res.Verdict != mcheck.VerdictDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-	}
-}
-
-// BenchmarkE1_Figure1_SearchTraced is the Theorem 1 search with a live
-// JSONL trace sink attached — the enabled-path counterpart of
-// TestDisabledTracerFastPath_E1. The delta against
-// BenchmarkE1_Figure1_Search is the all-in cost of tracing a search.
-func BenchmarkE1_Figure1_SearchTraced(b *testing.B) {
-	skipInShort(b)
-	pn := papernets.Figure1()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := obsv.NewJSONL(io.Discard)
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{Tracer: s})
-		if res.Verdict != mcheck.VerdictNoDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTracedSimRun measures a fully traced concrete simulation of
-// the Figure 1 scenario (every flit advance, acquire/release and
-// wait-edge transition emitted) against the same run untraced.
-func BenchmarkTracedSimRun(b *testing.B) {
-	pn := papernets.Figure1()
-	for _, traced := range []bool{false, true} {
-		name := "untraced"
-		if traced {
-			name = "traced"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := pn.Scenario.NewSim()
-				if traced {
-					s.SetTracer(obsv.NewJSONL(io.Discard))
-				}
-				if out := s.Run(10_000); out.Result != sim.ResultDelivered {
-					b.Fatal(out.Result)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_SearchStrategy: state-space search vs bounded schedule
-// sweep on Figure 1 — same verdict, different cost profile.
-func BenchmarkAblation_SearchStrategy(b *testing.B) {
-	skipInShort(b)
-	pn := papernets.Figure1()
-	b.Run("statespace", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{}); res.Verdict != mcheck.VerdictNoDeadlock {
-				b.Fatal(res.Verdict)
-			}
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res := mcheck.Sweep(pn.Scenario, mcheck.SweepOptions{
-				Window:   6,
-				Arbiters: mcheck.AllPriorityArbiters(4),
-			})
-			if res.Deadlocks != 0 {
-				b.Fatal("sweep found a deadlock")
-			}
-		}
-	})
 }

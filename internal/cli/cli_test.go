@@ -17,6 +17,28 @@ func TestParseDims(t *testing.T) {
 	}
 }
 
+// FuzzParseDims: every input either fails to parse or yields a
+// non-empty list of dimensions of at least 2; nothing panics.
+func FuzzParseDims(f *testing.F) {
+	for _, seed := range []string{"4x4", "8", "3x3", "8x8", "", "x", "1x4", "axb", "4x-2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		dims, err := ParseDims(s)
+		if err != nil {
+			return
+		}
+		if len(dims) == 0 {
+			t.Fatalf("ParseDims(%q) accepted no dimensions", s)
+		}
+		for _, d := range dims {
+			if d < 2 {
+				t.Fatalf("ParseDims(%q) accepted dimension %d", s, d)
+			}
+		}
+	})
+}
+
 func TestBuildCombos(t *testing.T) {
 	good := []struct {
 		topo, alg, dims string

@@ -58,3 +58,16 @@ func TestVisitedFlagHelpListsBackends(t *testing.T) {
 		t.Fatalf("-visited help = %q; want exactly the mem and spill backends", usage)
 	}
 }
+
+// FuzzParseByteSize: every input either fails to parse or yields a
+// non-negative size; nothing panics.
+func FuzzParseByteSize(f *testing.F) {
+	for _, seed := range []string{"64M", "64K", "lots", "1048576", "2Gi", "64MiB", "-1", "9999999999T"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if n, err := ParseByteSize(s); err == nil && n < 0 {
+			t.Fatalf("ParseByteSize(%q) = %d", s, n)
+		}
+	})
+}

@@ -137,6 +137,54 @@ func TestAnalyzeFigure3MatchesModelChecker(t *testing.T) {
 	}
 }
 
+// Options.Search cross-checks each configuration with the model checker on
+// its single-instance scenario. Soundness: every configuration the
+// analyzer calls unreachable has a no-deadlock search result. The pinned
+// outcomes show that the converse does not hold: (c), (d) and (e) are
+// reachable only with skew or interposed copies, which the single-instance
+// scenario does not have, so their searches find no deadlock.
+func TestAnalyzeSearchCrossCheck(t *testing.T) {
+	type outcome struct {
+		config ConfigVerdict
+		search mcheck.Verdict
+	}
+	unreachableFree := outcome{ConfigUnreachable, mcheck.VerdictNoDeadlock}
+	reachableFree := outcome{ConfigReachable, mcheck.VerdictNoDeadlock}
+	reachableDeadlock := outcome{ConfigReachable, mcheck.VerdictDeadlock}
+	cases := []struct {
+		pn   *papernets.Net
+		want outcome
+	}{
+		{papernets.Figure1(), unreachableFree},
+		{papernets.Figure2(), reachableDeadlock},
+		{papernets.Figure3('a'), unreachableFree},
+		{papernets.Figure3('b'), unreachableFree},
+		{papernets.Figure3('c'), reachableFree},
+		{papernets.Figure3('d'), reachableFree},
+		{papernets.Figure3('e'), reachableFree},
+		{papernets.Figure3('f'), reachableDeadlock},
+	}
+	for _, tc := range cases {
+		rep := Analyze(tc.pn.Alg, Options{Search: &mcheck.SearchOptions{}})
+		var got []outcome
+		for _, cyc := range rep.Cycles {
+			for _, cr := range cyc.Configs {
+				if cr.SearchResult == nil {
+					t.Fatalf("%s: configuration without a search result", tc.pn.Scenario.Name)
+				}
+				o := outcome{cr.Verdict, cr.SearchResult.Verdict}
+				if o.config == ConfigUnreachable && o.search != mcheck.VerdictNoDeadlock {
+					t.Errorf("%s: unreachable configuration, but the search finds %v", tc.pn.Scenario.Name, o.search)
+				}
+				got = append(got, o)
+			}
+		}
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: outcomes %v; want [%v]", tc.pn.Scenario.Name, got, tc.want)
+		}
+	}
+}
+
 // Cross-validation: across the three-sharer family, the static analyzer
 // and the exhaustive model checker (with interposed copies) agree.
 func TestAnalyzeMatchesSearchOnThreeSharerFamily(t *testing.T) {

@@ -4,8 +4,8 @@
 // reduction ratios, throughput), and what it cost (wall and CPU time,
 // peak RSS, optional CPU/heap profiles). A checker run that cannot be
 // inspected, attributed and compared is half a result — the manifest is
-// the attribution half, and cmd/benchdiff consumes directories of
-// manifests as a perf time series.
+// the attribution half. LoadDir reads a directory of manifests back as a
+// series.
 //
 // Determinism: the JSON is emitted with a fixed field order (Go struct
 // marshaling) and no map-ordered content, so two manifests of the same

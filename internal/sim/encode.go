@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/topology"
 )
@@ -115,6 +116,11 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		v, n := binary.Uvarint(enc[pos:])
 		if n <= 0 {
 			return 0, fmt.Errorf("sim: DecodeFrom: truncated varint at offset %d", pos)
+		}
+		if v > math.MaxInt32 {
+			// No count, channel ID or flit index comes near this; a larger
+			// value would turn negative as an int and pass the range checks.
+			return 0, fmt.Errorf("sim: DecodeFrom: varint %d at offset %d out of range", v, pos)
 		}
 		pos += n
 		return int(v), nil
