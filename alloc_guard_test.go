@@ -211,11 +211,14 @@ func TestStepTracedAllocBounded(t *testing.T) {
 
 // TestAnalyzeAllocBounded bounds the static decider's allocations on one
 // fixed cyclic algorithm (nine CDG cycles, 302 configurations, none
-// screened by a corollary). Cycle decomposition builds Members only for
-// the tilings it keeps and classification runs on channel-indexed scratch,
-// so the count sits near 3,950; the earlier per-tiling dedupe keys and
-// per-configuration maps put it at 26,000, and either one alone exceeds
-// the budget, which is the measured count plus about 10%.
+// screened by a corollary). Paths are fetched once per Analyze, kept
+// configurations are carved from slabs, the timing systems are solved in
+// stack scratch and a witness is one allocation, so the count sits near
+// 1,070. Per-configuration Member slices and per-order permutation,
+// constraint and time slices put it at 3,950, the earlier per-tiling
+// dedupe keys and per-configuration maps at 26,000. The budget
+// is the measured count plus about 10%. AllocsPerRun runs at
+// GOMAXPROCS=1, so this is the serial path.
 func TestAnalyzeAllocBounded(t *testing.T) {
 	alg := routing.RandomMinimal(topology.NewMesh([]int{3, 3}, 1).Network, 3)
 	rep := core.Analyze(alg, core.Options{})
@@ -226,7 +229,7 @@ func TestAnalyzeAllocBounded(t *testing.T) {
 	n := testing.AllocsPerRun(5, func() {
 		core.Analyze(alg, core.Options{})
 	})
-	const budget = 4350
+	const budget = 1180
 	if n > budget {
 		t.Fatalf("Analyze allocates %v allocs/op; budget %d", n, budget)
 	}
@@ -282,7 +285,9 @@ func TestLoadCellAllocBounded(t *testing.T) {
 // wait but no cycle closes. Each query builds one slice-indexed graph and
 // chases it on a preallocated stack: three allocations. The map-based
 // graph with Tarjan SCCs cost 9 (FindLocal) and 8 (Find). The budget is
-// the measured count; 10% headroom is less than one allocation.
+// the measured count; 10% headroom is less than one allocation. Under
+// -race, which disables sync.Pool, the queries cost one more, so only the
+// state is checked; CI runs the budget in its no-race step.
 func TestFindLocalAllocBounded(t *testing.T) {
 	s := papernets.Figure1().Scenario.NewSim()
 	for i := 0; i < 4; i++ {
@@ -296,6 +301,9 @@ func TestFindLocalAllocBounded(t *testing.T) {
 	}
 	if !blocked || waitfor.Find(s) != nil {
 		t.Fatal("test bug: the state must have a waiting message and no wait-for cycle")
+	}
+	if raceEnabled {
+		return
 	}
 	const budget = 3
 	for name, query := range map[string]func(){
@@ -335,10 +343,10 @@ var rowAllocs = map[string]int64{
 	"Gen4_Stall4_Reduced":            51015,
 	"Gen5_Stall5_Reduced":            73502,
 	"E1_Figure1_CDG":                 1147,
-	"E1_Figure1_Analyze":             2130,
+	"E1_Figure1_Analyze":             1973,
 	"E1_Figure1_SearchTraced":        18236,
-	"E3_RandomMinimalAnalyze":        72508,
-	"E5_Figure3_Classify":            288,
+	"E3_RandomMinimalAnalyze":        10884,
+	"E5_Figure3_Classify":            42,
 	"E6_GenK/k=1":                    65480,
 	"E6_GenK/k=2":                    158994,
 	"E6_GenK/k=3":                    280743,

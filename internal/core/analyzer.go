@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cdg"
 	"repro/internal/mcheck"
@@ -192,11 +195,17 @@ func Analyze(alg routing.Algorithm, opts Options) *Report {
 		return rep
 	}
 
+	rep.Cycles = analyzeCycles(newPathIndex(alg), cycles, opts.MaxConfigs)
 	anyReachable := false
 	anyUnknown := truncated
-	for _, cyc := range cycles {
-		cr := analyzeCycle(alg, cyc, opts)
-		rep.Cycles = append(rep.Cycles, cr)
+	for i := range rep.Cycles {
+		cr := &rep.Cycles[i]
+		if opts.Search != nil {
+			for j := range cr.Configs {
+				res := mcheck.Search(ConfigScenario(alg, cr.Configs[j].Config), *opts.Search)
+				cr.Configs[j].SearchResult = &res
+			}
+		}
 		switch cr.Verdict {
 		case ConfigReachable:
 			anyReachable = true
@@ -218,10 +227,57 @@ func Analyze(alg routing.Algorithm, opts Options) *Report {
 	return rep
 }
 
+// analyzeCycles analyzes every cycle on min(GOMAXPROCS, cycles) workers,
+// each claiming the next unclaimed cycle and writing its report at the
+// cycle's index, so the reports come out in cycle order at any
+// parallelism. With one worker it stays on the calling goroutine. A panic
+// in a worker is re-raised on the caller.
+func analyzeCycles(idx *pathIndex, cycles []cdg.Cycle, maxConfigs int) []CycleReport {
+	reports := make([]CycleReport, len(cycles))
+	var cursor atomic.Int64
+	run := func() {
+		w := newCycleWorker(idx)
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(cycles) {
+				return
+			}
+			reports[i] = w.analyzeCycle(cycles[i], maxConfigs)
+		}
+	}
+	nw := min(runtime.GOMAXPROCS(0), len(cycles))
+	if nw <= 1 {
+		run()
+		return reports
+	}
+	var (
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[any]
+	)
+	for range nw {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &r)
+					cursor.Store(int64(len(cycles)))
+				}
+			}()
+			run()
+		}()
+	}
+	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
+	return reports
+}
+
 // analyzeCycle decomposes one cycle and classifies its configurations.
-func analyzeCycle(alg routing.Algorithm, cyc cdg.Cycle, opts Options) CycleReport {
+func (w *cycleWorker) analyzeCycle(cyc cdg.Cycle, maxConfigs int) CycleReport {
 	cr := CycleReport{Cycle: cyc}
-	configs, truncated := decomposeCycle(alg, cyc, opts.MaxConfigs)
+	configs, truncated := w.decompose(cyc, maxConfigs)
 	cr.Truncated = truncated
 	if len(configs) == 0 {
 		// No message set can produce this cycle at all: the dependencies
@@ -229,16 +285,11 @@ func analyzeCycle(alg routing.Algorithm, cyc cdg.Cycle, opts Options) CycleRepor
 		cr.Verdict = ConfigUnreachable
 		return cr
 	}
-	cl := newClassifier(alg.Network(), cyc)
-	cr.Configs = make([]ConfigReport, 0, len(configs))
+	cr.Configs = make([]ConfigReport, len(configs))
 	anyReachable, anyUnknown := false, truncated
-	for _, cfg := range configs {
-		rep := cl.classifyConfiguration(cfg)
-		if opts.Search != nil {
-			res := mcheck.Search(ConfigScenario(alg, cfg), *opts.Search)
-			rep.SearchResult = &res
-		}
-		cr.Configs = append(cr.Configs, rep)
+	for i, cfg := range configs {
+		rep := &cr.Configs[i]
+		w.classify(cfg, rep)
 		switch rep.Verdict {
 		case ConfigReachable:
 			anyReachable = true
@@ -257,62 +308,47 @@ func analyzeCycle(alg routing.Algorithm, cyc cdg.Cycle, opts Options) CycleRepor
 	return cr
 }
 
-// classifier is the channel-indexed scratch one cycle's configurations are
-// classified with, reused from configuration to configuration.
-type classifier struct {
-	inCycle []bool
-	// seen[c] is the stamp of the last member whose approach used c; every
-	// member of every configuration gets a fresh, larger stamp.
-	seen  []uint32
-	stamp uint32
-}
-
-func newClassifier(net *topology.Network, cyc cdg.Cycle) *classifier {
-	cl := &classifier{inCycle: make([]bool, net.NumChannels()), seen: make([]uint32, net.NumChannels())}
-	for _, c := range cyc {
-		cl.inCycle[c] = true
-	}
-	return cl
-}
-
-// classifyConfiguration maps a configuration onto the Section 5 timing
-// model when its geometry allows, and classifies it.
-func (cl *classifier) classifyConfiguration(cfg Configuration) ConfigReport {
-	rep := ConfigReport{Config: cfg}
+// classify maps a configuration onto the Section 5 timing model when its
+// geometry allows, and classifies it into rep.
+func (w *cycleWorker) classify(cfg Configuration, rep *ConfigReport) {
+	rep.Config = cfg
 
 	// Geometry checks: approaches must avoid the cycle's channels, and
 	// pairwise share at most one common channel, which must be the first
 	// channel of every approach that uses it. A channel is shared when a
 	// member finds it stamped by an earlier member of this configuration.
-	base := cl.stamp
+	base := w.stamp
 	var shared topology.ChannelID = topology.None
 	multiple := false
 	for _, m := range cfg.Members {
-		cl.stamp++
+		w.stamp++
 		for _, c := range m.Approach {
-			if cl.inCycle[c] {
+			if w.pos[c] >= 0 {
+				if w.onCycle[c] == "" {
+					w.onCycle[c] = fmt.Sprintf("member approach uses cycle channel %d; outside supported geometry", c)
+				}
 				rep.Verdict = ConfigUnknown
-				rep.Reason = fmt.Sprintf("member approach uses cycle channel %d; outside supported geometry", c)
-				return rep
+				rep.Reason = w.onCycle[c]
+				return
 			}
-			if cl.seen[c] == cl.stamp {
+			if w.seen[c] == w.stamp {
 				rep.Verdict = ConfigUnknown
 				rep.Reason = "member approach repeats a channel"
-				return rep
+				return
 			}
-			if cl.seen[c] > base {
+			if w.seen[c] > base {
 				multiple = multiple || (shared != topology.None && shared != c)
 				shared = c
 			}
-			cl.seen[c] = cl.stamp
+			w.seen[c] = w.stamp
 		}
 	}
 	if multiple {
 		rep.Verdict = ConfigUnknown
 		rep.Reason = "multiple shared approach channels; outside supported geometry"
-		return rep
+		return
 	}
-	ucfg := unreachable.Config{Entrants: make([]unreachable.Entrant, 0, len(cfg.Members))}
+	w.entrants = w.entrants[:0]
 	for _, m := range cfg.Members {
 		e := unreachable.Entrant{D: len(m.Approach), C: len(m.Arc)}
 		if shared != topology.None {
@@ -321,19 +357,19 @@ func (cl *classifier) classifyConfiguration(cfg Configuration) ConfigReport {
 					if i != 0 {
 						rep.Verdict = ConfigUnknown
 						rep.Reason = "shared channel is not the first approach channel; outside supported geometry"
-						return rep
+						return
 					}
 					e.Shared = true
 				}
 			}
 		}
-		ucfg.Entrants = append(ucfg.Entrants, e)
+		w.entrants = append(w.entrants, e)
 	}
 
 	// TheoremN generalizes the paper's Theorem 5 to any member count: the
 	// single-instance timing system plus the interposed-copy blockability
 	// screen.
-	tn := unreachable.TheoremN(ucfg)
+	tn := unreachable.TheoremN(unreachable.Config{Entrants: w.entrants})
 	switch {
 	case tn.SingleInstance == unreachable.DeadlockReachable:
 		rep.Verdict = ConfigReachable
@@ -346,5 +382,4 @@ func (cl *classifier) classifyConfiguration(cfg Configuration) ConfigReport {
 		rep.Verdict = ConfigUnreachable
 		rep.Reason = "timing system infeasible for every shared-channel ordering, and no member is blockable outside the cycle (false resource cycle)"
 	}
-	return rep
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"runtime"
 	"testing"
 
 	"repro/internal/cdg"
@@ -28,6 +29,11 @@ func goldenAlgorithms() []routing.Algorithm {
 		algs = append(algs, routing.RandomMinimal(net, seed))
 	}
 	return algs
+}
+
+// decomposeCycle decomposes one cycle of alg on a fresh worker.
+func decomposeCycle(alg routing.Algorithm, cyc cdg.Cycle, maxConfigs int) ([]Configuration, bool) {
+	return newCycleWorker(newPathIndex(alg)).decompose(cyc, maxConfigs)
 }
 
 // hashDecomposition feeds one cycle's decomposition into h: every
@@ -126,5 +132,91 @@ func TestDecompositionGolden(t *testing.T) {
 		if got != want[maxConfigs] {
 			t.Errorf("cap %d: decomposition digest %s, want %s", maxConfigs, got, want[maxConfigs])
 		}
+	}
+}
+
+// hashReport feeds every field of an Analyze report into h: the header
+// (name, properties, CDG size, acyclicity and numbering, screen, cycle
+// truncation), each cycle with its verdict and truncation flag, each
+// configuration's members, verdict, reason and witness schedule, and the
+// overall verdict and reason.
+func hashReport(h hash.Hash, rep *Report) {
+	var buf []byte
+	put := func(v int) { buf = binary.LittleEndian.AppendUint32(buf, uint32(v)) }
+	str := func(s string) { put(len(s)); buf = append(buf, s...) }
+	flag := func(b bool) {
+		if b {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	ints := func(vs []int) {
+		put(len(vs))
+		for _, v := range vs {
+			put(v)
+		}
+	}
+	chans := func(cs []topology.ChannelID) {
+		put(len(cs))
+		for _, c := range cs {
+			put(int(c))
+		}
+	}
+	str(rep.Algorithm)
+	str(rep.Properties.String())
+	put(rep.CDGEdges)
+	flag(rep.Acyclic)
+	ints(rep.Numbering)
+	str(rep.Screen)
+	flag(rep.CyclesTruncated)
+	put(len(rep.Cycles))
+	for _, cr := range rep.Cycles {
+		chans(cr.Cycle)
+		put(int(cr.Verdict))
+		flag(cr.Truncated)
+		put(len(cr.Configs))
+		for _, c := range cr.Configs {
+			put(len(c.Config.Members))
+			for _, m := range c.Config.Members {
+				put(int(m.Src))
+				put(int(m.Dst))
+				chans(m.Arc)
+				chans(m.Approach)
+			}
+			put(int(c.Verdict))
+			str(c.Reason)
+			flag(c.Witness != nil)
+			if c.Witness != nil {
+				ints(c.Witness.SharedOrder)
+				ints(c.Witness.Times)
+			}
+		}
+	}
+	put(int(rep.Verdict))
+	str(rep.Reason)
+	h.Write(buf)
+}
+
+// TestAnalyzeReportGolden pins every field of Analyze's report on the
+// golden inputs, at one and at four GOMAXPROCS: cycles are analyzed in
+// parallel, and the report must not depend on how many run at once. It
+// runs in -short mode so the race detector sees the parallel path.
+func TestAnalyzeReportGolden(t *testing.T) {
+	const want = "f578c19c608aa3ae"
+	algs := goldenAlgorithms()
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			h := sha256.New()
+			for _, alg := range algs {
+				hashReport(h, Analyze(alg, Options{}))
+			}
+			got := hex.EncodeToString(h.Sum(nil))[:16]
+			t.Logf("GOMAXPROCS %d: report digest %s", procs, got)
+			if got != want {
+				t.Errorf("GOMAXPROCS %d: report digest %s, want %s", procs, got, want)
+			}
+		}()
 	}
 }

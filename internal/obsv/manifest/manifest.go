@@ -4,8 +4,7 @@
 // reduction ratios, throughput), and what it cost (wall and CPU time,
 // peak RSS, optional CPU/heap profiles). A checker run that cannot be
 // inspected, attributed and compared is half a result — the manifest is
-// the attribution half. LoadDir reads a directory of manifests back as a
-// series.
+// the attribution half.
 //
 // Determinism: the JSON is emitted with a fixed field order (Go struct
 // marshaling) and no map-ordered content, so two manifests of the same
@@ -24,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -204,32 +202,6 @@ func Load(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("manifest: %s: %w", path, err)
 	}
 	return &m, nil
-}
-
-// LoadDir reads every *.json manifest in a directory, sorted by file
-// name, skipping files that do not parse as manifests (a mixed artifact
-// directory is fine).
-func LoadDir(dir string) ([]*Manifest, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("manifest: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var out []*Manifest
-	for _, n := range names {
-		m, err := Load(filepath.Join(dir, n))
-		if err != nil || m.Command == "" {
-			continue // not a manifest; skip
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // ReductionRatio computes the pruned fraction of the successor-candidate

@@ -83,36 +83,6 @@ func TestWriteOmitsEmptyRunFields(t *testing.T) {
 	}
 }
 
-func TestLoadDirSkipsNonManifests(t *testing.T) {
-	dir := t.TempDir()
-	for i, name := range []string{"b.json", "a.json"} {
-		b := NewBuilder(filepath.Join(dir, name), "repro", nil)
-		b.AddRun(Run{Name: "E1", States: 100 * (i + 1)})
-		if err := b.Write(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Distractors: a non-manifest JSON and a non-JSON file.
-	if err := os.WriteFile(filepath.Join(dir, "bench.json"), []byte(`{"rows":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ms, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 {
-		t.Fatalf("loaded %d manifests, want 2", len(ms))
-	}
-	// Sorted by file name: a.json (written second, states 200) first.
-	if ms[0].Runs[0].States != 200 || ms[1].Runs[0].States != 100 {
-		t.Errorf("order = %d, %d", ms[0].Runs[0].States, ms[1].Runs[0].States)
-	}
-}
-
 func TestTopologyHash(t *testing.T) {
 	ring := func(n int) *topology.Network {
 		net := topology.New("ring")

@@ -45,7 +45,10 @@
 // families.
 package unreachable
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Entrant is one message of a cyclic configuration, in ring order.
 type Entrant struct {
@@ -99,53 +102,108 @@ type Witness struct {
 }
 
 // Classify decides reachability of the configuration by checking the
-// difference-constraint system over every ordering of the sharers. It
-// returns a witness for reachable deadlocks.
+// difference-constraint system over every ordering of the sharers, in the
+// order forEachOrder visits them, and returns a witness for the first
+// feasible one.
 func Classify(cfg Config) (Verdict, *Witness) {
 	n := len(cfg.Entrants)
 	if n < 2 {
 		panic("unreachable: configuration needs at least two entrants")
 	}
-	var sharers []int
+	// Systems of up to 16 entrants solve in stack scratch: a ring edge and
+	// a distance per entrant, and up to 7 sequencing edges.
+	var (
+		sharerBuf [8]int
+		edgeBuf   [24]edge
+		distBuf   [16]int
+	)
+	sharers := sharerBuf[:0]
 	for i, e := range cfg.Entrants {
 		if e.Shared {
 			sharers = append(sharers, i)
 		}
 	}
-	for _, order := range permutations(sharers) {
-		if times, ok := feasible(cfg, order); ok {
-			return DeadlockReachable, &Witness{SharedOrder: order, Times: times}
-		}
+	sys := system{cfg: cfg, edges: edgeBuf[:0], dist: distBuf[:]}
+	if m := n + max(len(sharers)-1, 0); m > len(edgeBuf) {
+		sys.edges = make([]edge, 0, m)
 	}
-	return FalseResourceCycle, nil
+	if n > len(distBuf) {
+		sys.dist = make([]int, n)
+	}
+	sys.dist = sys.dist[:n]
+	// Ring blocking: for pair (m, b = next(m)): x_b - x_m <= d_m + c_m - d_b.
+	for m := 0; m < n; m++ {
+		b := (m + 1) % n
+		em, eb := cfg.Entrants[m], cfg.Entrants[b]
+		sys.edges = append(sys.edges, edge{u: m, v: b, w: em.D + em.C - eb.D})
+	}
+	if !forEachOrder(sharers, func() bool { return sys.feasible(sharers) }) {
+		return FalseResourceCycle, nil
+	}
+	// The witness carries its order and times in one allocation when
+	// they fit.
+	k := len(sharers)
+	var (
+		w   *Witness
+		buf []int
+	)
+	if k+n <= len(witnessBuf{}.buf) {
+		wb := new(witnessBuf)
+		w, buf = &wb.Witness, wb.buf[:k+n]
+	} else {
+		w, buf = new(Witness), make([]int, k+n)
+	}
+	w.Times = buf[k:]
+	if k > 0 {
+		w.SharedOrder = buf[:k:k]
+		copy(w.SharedOrder, sharers)
+	}
+	minDist := slices.Min(sys.dist)
+	for i, d := range sys.dist {
+		w.Times[i] = d - minDist
+	}
+	return DeadlockReachable, w
+}
+
+// witnessBuf is a Witness with room for the order and times of up to
+// eight entrants, all of them sharers.
+type witnessBuf struct {
+	Witness
+	buf [16]int
+}
+
+// edge is the difference constraint x_v - x_u <= w.
+type edge struct {
+	u, v, w int
+}
+
+// system is one configuration's constraint graph: its ring-blocking
+// edges, with capacity for the sequencing edges of one sharer order after
+// them, and the Bellman–Ford distances.
+type system struct {
+	cfg   Config
+	edges []edge
+	dist  []int
 }
 
 // feasible solves the difference-constraint system for one shared-channel
 // ordering. Constraints of the form x_v - x_u <= w become edges u -> v of
 // weight w; the system is feasible iff the graph has no negative cycle,
-// and shortest-path distances from a virtual source give a concrete
-// solution (shifted to start at zero).
-func feasible(cfg Config, order []int) ([]int, bool) {
-	n := len(cfg.Entrants)
-	type edge struct {
-		u, v, w int
-	}
-	var edges []edge
-	// Ring blocking: for pair (m, b = next(m)): x_b - x_m <= d_m + c_m - d_b.
-	for m := 0; m < n; m++ {
-		b := (m + 1) % n
-		em, eb := cfg.Entrants[m], cfg.Entrants[b]
-		edges = append(edges, edge{u: m, v: b, w: em.D + em.C - eb.D})
-	}
+// and then the shortest-path distances from a virtual source, left in
+// dist, are a concrete solution up to a shift.
+func (s *system) feasible(order []int) bool {
+	n := len(s.cfg.Entrants)
+	edges := s.edges
 	// Shared-channel sequencing: x_t - x_s >= c_s, i.e. x_s - x_t <= -c_s.
 	for j := 0; j+1 < len(order); j++ {
-		s, t := order[j], order[j+1]
-		edges = append(edges, edge{u: t, v: s, w: -cfg.Entrants[s].C})
+		a, b := order[j], order[j+1]
+		edges = append(edges, edge{u: b, v: a, w: -s.cfg.Entrants[a].C})
 	}
 	// Bellman–Ford with an implicit virtual source (all distances start at
 	// 0). A pass that still relaxes after n-1 full passes proves a
 	// negative cycle, i.e. infeasibility.
-	dist := make([]int, n)
+	dist := s.dist
+	clear(dist)
 	for iter := 0; iter < n; iter++ {
 		changed := false
 		for _, e := range edges {
@@ -158,46 +216,35 @@ func feasible(cfg Config, order []int) ([]int, bool) {
 			break
 		}
 		if iter == n-1 {
-			return nil, false // still relaxing after n passes: negative cycle
+			return false // still relaxing after n passes: negative cycle
 		}
 	}
-	// Shift times to be non-negative.
-	min := dist[0]
-	for _, d := range dist {
-		if d < min {
-			min = d
-		}
-	}
-	times := make([]int, n)
-	for i, d := range dist {
-		times[i] = d - min
-	}
-	return times, true
+	return true
 }
 
-// permutations enumerates all orderings of ids; the empty and singleton
-// cases yield a single ordering.
-func permutations(ids []int) [][]int {
+// forEachOrder permutes ids in place through every ordering, by swaps —
+// the identity first, then the rest of the orders that keep ids[0] in
+// front, and so on — and calls visit at each; the empty and singleton
+// cases yield one ordering. It stops at the first ordering visit accepts
+// and returns true, leaving ids in that order; otherwise ids ends as it
+// began. visit reads the order from ids, so ids stays off the heap.
+func forEachOrder(ids []int, visit func() bool) bool {
 	if len(ids) > 8 {
 		panic(fmt.Sprintf("unreachable: refusing to permute %d sharers", len(ids)))
 	}
-	if len(ids) == 0 {
-		return [][]int{nil}
+	return permute(ids, 0, visit)
+}
+
+func permute(work []int, k int, visit func() bool) bool {
+	if k == len(work) {
+		return visit()
 	}
-	var out [][]int
-	var rec func(k int)
-	work := append([]int(nil), ids...)
-	rec = func(k int) {
-		if k == len(work) {
-			out = append(out, append([]int(nil), work...))
-			return
+	for i := k; i < len(work); i++ {
+		work[k], work[i] = work[i], work[k]
+		if permute(work, k+1, visit) {
+			return true
 		}
-		for i := k; i < len(work); i++ {
-			work[k], work[i] = work[i], work[k]
-			rec(k + 1)
-			work[k], work[i] = work[i], work[k]
-		}
+		work[k], work[i] = work[i], work[k]
 	}
-	rec(0)
-	return out
+	return false
 }

@@ -1,6 +1,8 @@
 package unreachable
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -201,11 +203,28 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
+// TestPermutations pins forEachOrder's visiting order, which decides the
+// witness Classify reports: the recursive swap order, stopping at the
+// first accepted ordering with ids left in it.
 func TestPermutations(t *testing.T) {
-	if got := len(permutations([]int{1, 2, 3})); got != 6 {
-		t.Fatalf("3! = %d", got)
+	orders := func(ids []int, accept int) ([][]int, bool) {
+		var got [][]int
+		ok := forEachOrder(ids, func() bool {
+			got = append(got, slices.Clone(ids))
+			return len(got) == accept
+		})
+		return got, ok
 	}
-	if got := permutations(nil); len(got) != 1 || got[0] != nil {
+	ids := []int{1, 2, 3}
+	got, ok := orders(ids, 0)
+	want := [][]int{{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 2, 1}, {3, 1, 2}}
+	if ok || !reflect.DeepEqual(got, want) || !slices.Equal(ids, []int{1, 2, 3}) {
+		t.Fatalf("orders of [1 2 3] = %v (accepted %v, ids left %v); want %v", got, ok, ids, want)
+	}
+	if got, ok := orders(ids, 4); !ok || len(got) != 4 || !slices.Equal(ids, want[3]) {
+		t.Fatalf("stopping at the fourth order visited %d, left ids %v", len(got), ids)
+	}
+	if got, _ := orders(nil, 0); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("empty permutations = %v", got)
 	}
 	defer func() {
@@ -213,7 +232,7 @@ func TestPermutations(t *testing.T) {
 			t.Fatal("expected panic for > 8 sharers")
 		}
 	}()
-	permutations(make([]int, 9))
+	forEachOrder(make([]int, 9), func() bool { return false })
 }
 
 func TestConditionDetailMentionsNumbers(t *testing.T) {
