@@ -5,6 +5,9 @@ package obsv_test
 // campaign runner.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"repro/internal/mcheck"
 	"repro/internal/obsv"
 	"repro/internal/papernets"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -225,5 +229,48 @@ func TestFreezeExpiryWarning(t *testing.T) {
 	}
 	if rec.Count(obsv.KindThaw) != 1 {
 		t.Errorf("thaw events = %d, want 1", rec.Count(obsv.KindThaw))
+	}
+}
+
+// TestMetricsExpositionGolden pins both metrics exporters byte for byte:
+// the Figure 1 run (delivers) and the Figure 2 run (deadlocks) are
+// folded through a MetricsSink, and the Prometheus text and JSON
+// snapshots must equal the files under testdata/.
+func TestMetricsExpositionGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  *papernets.Net
+		want sim.Result
+	}{
+		{"figure1", papernets.Figure1(), sim.ResultDelivered},
+		{"figure2", papernets.Figure2(), sim.ResultDeadlock},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			s := tc.net.Scenario.NewSim()
+			s.SetTracer(obsv.NewMetricsSink(reg))
+			if out := s.Run(10_000); out.Result != tc.want {
+				t.Fatalf("result = %s, want %s", out.Result, tc.want)
+			}
+			var prom, js bytes.Buffer
+			if err := reg.WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			for file, got := range map[string][]byte{
+				tc.name + "_metrics.prom": prom.Bytes(),
+				tc.name + "_metrics.json": js.Bytes(),
+			} {
+				want, err := os.ReadFile(filepath.Join("testdata", file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s differs:\n%s\n--- want ---\n%s", file, got, want)
+				}
+			}
+		})
 	}
 }
