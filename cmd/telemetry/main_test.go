@@ -18,7 +18,7 @@ func dumpFixture(t *testing.T, dir string) {
 	t.Helper()
 	g := topology.NewMesh([]int{2, 2}, 1)
 	c := telemetry.NewCollector(g.Network.NumChannels(), telemetry.Config{
-		Stride: 2, FrameEvery: 2, Ring: 4, Adaptive: true, MaxStride: 8, WindowBytes: 4 << 10,
+		Stride: 2, FrameEvery: 2, Adaptive: true, MaxStride: 8, WindowBytes: 4 << 10,
 	})
 	r := telemetry.NewFlightRecorder(g.Network, 8, c)
 	var flits int64

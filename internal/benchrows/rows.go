@@ -256,7 +256,7 @@ func telemetryLongHorizon() func() error {
 		hotSet   = 8
 	)
 	col := telemetry.NewCollector(channels, telemetry.Config{
-		Stride: 4, FrameEvery: perFrame, Ring: 8,
+		Stride: 4, FrameEvery: perFrame,
 		Adaptive: true, MaxStride: 32, WindowBytes: 8 << 10,
 	})
 	cycle, flits, i := 0, int64(0), 0

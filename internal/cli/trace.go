@@ -54,7 +54,7 @@ func RegisterObsvFlags() *ObsvFlags {
 		TelemetryMax: flag.Int("telemetry-max-stride", 0,
 			"cap for the adaptive telemetry stride (0 = 16x the base stride)"),
 		TelemetryWindow: flag.String("telemetry-window", "",
-			"retain a delta-compressed long-horizon frame window under this byte budget (e.g. 256K, 4M); flight bundles then carry the whole window instead of the 64-frame ring"),
+			"byte budget of the delta-compressed telemetry frame window that flight bundles carry (e.g. 256K, 4M; default: the raw size of 64 frames)"),
 		FlightRecorder: flag.String("flight-recorder", "",
 			"write a flight-recorder dump (telemetry frames, recent events, wait-for DOT, congestion heatmap) into this directory when the run deadlocks, fails liveness, or saturates"),
 	}
@@ -454,7 +454,7 @@ func (o *Observer) DumpFlight(rec *telemetry.FlightRecorder, sub, reason string)
 // manifest summary block, with latency quantiles from lat when non-nil.
 // Nil in, nil out, so callers can assign it to manifest.Run.Telemetry
 // unconditionally.
-func TelemetrySummary(col *telemetry.Collector, lat *telemetry.Sketch) *telemetry.Summary {
+func TelemetrySummary(col *telemetry.Collector, lat *obsv.Sketch) *telemetry.Summary {
 	if col == nil {
 		return nil
 	}

@@ -269,8 +269,7 @@ type engine struct {
 	pool    sync.Pool // recycled *sim.Sim successors (liveness DFS stack)
 	workers []*searchWorker
 
-	shardBuf []int        // reused shard-size buffer for the metrics path
-	vstats   VisitedStats // reused stats snapshot for the progress path
+	vstats VisitedStats // reused stats snapshot for the progress path
 }
 
 // searchWorker is the per-goroutine scratch state for frontier expansion.
@@ -551,11 +550,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			opts.Metrics.Gauge("mcheck_peak_visited").Set(int64(r.PeakVisited))
 			opts.Metrics.Gauge("mcheck_workers").Set(int64(r.Workers))
 			opts.Metrics.Gauge("mcheck_visited_bytes").Set(r.Visited.Bytes)
-			shardLoad := opts.Metrics.Histogram("mcheck_visited_shard_entries", nil)
-			eng.shardBuf = eng.visited.shardSizes(eng.shardBuf)
-			for _, n := range eng.shardBuf {
-				shardLoad.Observe(float64(n))
-			}
 			// Spill gauges only exist when that backend ran, keeping
 			// default-backend metric snapshots identical to the historical
 			// ones.

@@ -327,17 +327,6 @@ func (v *spillVisited) size() int {
 	return n
 }
 
-func (v *spillVisited) shardSizes(buf []int) []int {
-	buf = sizeBuf(buf)
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		buf[i] = sh.distinct
-		sh.mu.RUnlock()
-	}
-	return buf
-}
-
 func (v *spillVisited) stats(st *VisitedStats) {
 	*st = VisitedStats{Backend: "spill", Compactions: v.compactions}
 	for i := range v.shards {

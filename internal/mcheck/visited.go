@@ -27,9 +27,9 @@ const visitedEntryOverhead = 48
 // factors.
 //
 // Concurrency contract (inherited from the engine): novel may be called
-// from many workers concurrently, but insert, stats, shardSizes, size and
-// close only ever run on the single merge goroutine, strictly between
-// expansion phases.
+// from many workers concurrently, but insert, stats, size and close only
+// ever run on the single merge goroutine, strictly between expansion
+// phases.
 type visitedStore interface {
 	// hash digests an encoding. Digests are only meaningful within one
 	// search (the seed is per-store), which is all the visited set needs.
@@ -44,10 +44,6 @@ type visitedStore interface {
 	insert(h uint64, enc []byte, budget int) bool
 	// size returns the number of distinct state encodings recorded.
 	size() int
-	// shardSizes fills buf (growing it if needed) with the distinct-entry
-	// count of every shard, in shard order, and returns it. The caller
-	// owns buf across calls, so the hot progress path never allocates.
-	shardSizes(buf []int) []int
 	// stats fills st with the store's accounting snapshot.
 	stats(st *VisitedStats)
 	// close releases backend resources (spill files). The store is
@@ -172,20 +168,6 @@ func (v *visitedSet) insert(h uint64, enc []byte, budget int) bool {
 	return true
 }
 
-// shardSizes reports the entry count of every shard into the caller's
-// buffer. The metrics layer exports it as a load histogram: a healthy
-// maphash spread keeps the shards within a small factor of each other.
-func (v *visitedSet) shardSizes(buf []int) []int {
-	buf = sizeBuf(buf)
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		buf[i] = len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return buf
-}
-
 func (v *visitedSet) size() int {
 	n := 0
 	for i := range v.shards {
@@ -213,15 +195,6 @@ func (v *visitedSet) stats(st *VisitedStats) {
 }
 
 func (v *visitedSet) close() {}
-
-// sizeBuf resizes a shard-size buffer to exactly visitedShards slots,
-// reusing its backing array when capacity allows.
-func sizeBuf(buf []int) []int {
-	if cap(buf) < visitedShards {
-		return make([]int, visitedShards)
-	}
-	return buf[:visitedShards]
-}
 
 // newVisitedStore builds the backend a normalized VisitedConfig selects.
 func newVisitedStore(cfg VisitedConfig) visitedStore {

@@ -3,7 +3,6 @@ package obsv
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +16,8 @@ import (
 // with a Prometheus text-format exporter and a deterministic JSON snapshot
 // exporter. Series are created on first use and are safe for concurrent
 // update; exports are sorted by name so two snapshots of identical state
-// are byte-identical.
+// are byte-identical. A histogram is a Sketch of integer samples, updated
+// under the registry lock and exported on the fixed promLadder.
 //
 // Series names may carry labels in canonical Prometheus form, e.g.
 // `sim_channel_occupancy_cycles{channel="3"}` (see Label); the exporter
@@ -26,7 +26,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	histograms map[string]*Sketch
 	help       map[string]string // per-registry HELP overrides, by base name
 }
 
@@ -35,7 +35,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		histograms: make(map[string]*Sketch),
 		help:       make(map[string]string),
 	}
 }
@@ -89,43 +89,6 @@ func (g *Gauge) Max(n int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a cumulative-bucket histogram over float64 observations.
-type Histogram struct {
-	mu      sync.Mutex
-	bounds  []float64 // ascending upper bounds; +Inf implicit
-	buckets []int64   // len(bounds)+1, last is the +Inf bucket
-	sum     float64
-	count   int64
-}
-
-// DefaultBuckets is the power-of-two bucket ladder used when a histogram
-// is created without explicit bounds: suitable for cycle counts and sizes.
-var DefaultBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i]++
-	h.sum += v
-	h.count++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Counter returns the named counter, creating it if needed. Counter base
 // names must carry the Prometheus `_total` suffix; violating that (or
 // reusing a series name already registered with another type) is a
@@ -159,25 +122,36 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds (nil means DefaultBuckets) if needed. Bounds are fixed at
-// creation; later calls ignore the argument.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Observe records one integer sample (a cycle count or a size) into the
+// named histogram, creating it if needed.
+func (r *Registry) Observe(name string, v int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
 		r.checkUnregistered(name, "histogram")
-		if bounds == nil {
-			bounds = DefaultBuckets
-		}
-		h = &Histogram{
-			bounds:  append([]float64(nil), bounds...),
-			buckets: make([]int64, len(bounds)+1),
-		}
+		h = NewSketch()
 		r.histograms[name] = h
 	}
-	return h
+	h.Add(v)
+}
+
+// promLadder is the cumulative bucket ladder every histogram exports.
+// Its bounds lie in the Sketch's exact range, so each count is exact.
+var promLadder = [...]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
+
+// ladderCounts returns, for each promLadder bound, the number of samples
+// at or below it, summed from the sketch's exact buckets.
+func ladderCounts(h *Sketch) (cum [len(promLadder)]int64) {
+	var n int64
+	v := 0
+	for i, le := range promLadder {
+		for ; v <= le && v < len(h.linear); v++ {
+			n += int64(h.linear[v])
+		}
+		cum[i] = n
+	}
+	return cum
 }
 
 // checkUnregistered panics if the series name is already registered under a
@@ -204,14 +178,6 @@ func baseName(series string) string {
 	return series
 }
 
-// fmtFloat renders a float the way the Prometheus text format expects.
-func fmtFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // builtinHelp documents every metric family the repository's producers
 // emit, keyed by base name. Families not listed here (and not covered by
 // SetHelp) get a generated placeholder, so the exposition always lints.
@@ -223,7 +189,6 @@ var builtinHelp = map[string]string{
 	"sim_message_latency_cycles":          "Injection-to-delivery latency per delivered message, in cycles.",
 	"sim_channel_acquires_total":          "Channel acquisitions by message headers.",
 	"sim_channel_occupancy_cycles":        "Cycles a channel was held between acquire and release.",
-	"sim_channel_held_cycles_total":       "Cycles each labeled channel was held (per-channel mode).",
 	"sim_blocks_total":                    "Transitions of a message into the blocked state.",
 	"sim_cycles_blocked_total":            "Total message-cycles spent blocked on a held channel.",
 	"sim_blocked_duration_cycles":         "Duration of individual blocked episodes, in cycles.",
@@ -240,7 +205,6 @@ var builtinHelp = map[string]string{
 	"mcheck_states":                       "Distinct states accepted by the search so far.",
 	"mcheck_peak_visited":                 "Entries retained by the visited set at search end.",
 	"mcheck_workers":                      "Worker goroutines the search ran with.",
-	"mcheck_visited_shard_entries":        "Visited-set entries per shard at search end.",
 	"mcheck_visited_bytes":                "Resident bytes of the visited-set backend (excludes spilled runs).",
 	"mcheck_visited_spill_bytes":          "Bytes in the spill backend's on-disk run files at search end.",
 	"mcheck_visited_spill_runs":           "Live run files of the spill backend at search end.",
@@ -322,17 +286,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(w, "%s %d\n", n, r.gauges[n].Value())
 			case "histogram":
 				h := r.histograms[n]
-				h.mu.Lock()
-				cum := int64(0)
-				for i, bound := range h.bounds {
-					cum += h.buckets[i]
-					fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, fmtFloat(bound), cum)
+				for i, cum := range ladderCounts(h) {
+					fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, promLadder[i], cum)
 				}
-				cum += h.buckets[len(h.bounds)]
-				fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, cum)
-				fmt.Fprintf(w, "%s_sum %s\n", n, fmtFloat(h.sum))
-				fmt.Fprintf(w, "%s_count %d\n", n, h.count)
-				h.mu.Unlock()
+				fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count())
+				fmt.Fprintf(w, "%s_sum %d\n", n, h.Sum())
+				fmt.Fprintf(w, "%s_count %d\n", n, h.Count())
 			}
 		}
 	}
@@ -360,22 +319,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			b.WriteByte(',')
 		}
 		h := r.histograms[n]
-		h.mu.Lock()
-		fmt.Fprintf(&b, "\n    %s: {\"count\": %d, \"sum\": %s, \"buckets\": {", strconv.Quote(n), h.count, fmtFloat(h.sum))
-		cum := int64(0)
-		for j, bound := range h.bounds {
-			cum += h.buckets[j]
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%q: %d", fmtFloat(bound), cum)
+		fmt.Fprintf(&b, "\n    %s: {\"count\": %d, \"sum\": %d, \"buckets\": {", strconv.Quote(n), h.Count(), h.Sum())
+		for j, cum := range ladderCounts(h) {
+			fmt.Fprintf(&b, "\"%d\": %d, ", promLadder[j], cum)
 		}
-		if len(h.bounds) > 0 {
-			b.WriteString(", ")
-		}
-		cum += h.buckets[len(h.bounds)]
-		fmt.Fprintf(&b, "\"+Inf\": %d}}", cum)
-		h.mu.Unlock()
+		fmt.Fprintf(&b, "\"+Inf\": %d}}", h.Count())
 	}
 	if len(names) > 0 {
 		b.WriteString("\n  ")
@@ -413,10 +361,6 @@ func writeScalarSection(b *strings.Builder, names []string, value func(string) s
 // trace sink) and export the registry at the end of the run.
 type MetricsSink struct {
 	R *Registry
-	// PerChannel adds per-channel labeled occupancy counters on top of the
-	// aggregate histogram (one series per channel — enable only for small
-	// networks).
-	PerChannel bool
 
 	acquiredAt map[topology.ChannelID]int
 	blockedAt  map[int]int
@@ -442,18 +386,14 @@ func (m *MetricsSink) Event(e Event) {
 		m.R.Counter("sim_flits_delivered_total").Inc()
 	case KindDeliver:
 		m.R.Counter("sim_messages_delivered_total").Inc()
-		m.R.Histogram("sim_message_latency_cycles", nil).Observe(float64(e.N))
+		m.R.Observe("sim_message_latency_cycles", e.N)
 	case KindAcquire:
 		m.R.Counter("sim_channel_acquires_total").Inc()
 		m.acquiredAt[e.Ch] = e.Cycle
 	case KindRelease:
 		if at, ok := m.acquiredAt[e.Ch]; ok {
 			delete(m.acquiredAt, e.Ch)
-			held := float64(e.Cycle - at + 1)
-			m.R.Histogram("sim_channel_occupancy_cycles", nil).Observe(held)
-			if m.PerChannel {
-				m.R.Counter(Label("sim_channel_held_cycles_total", "channel", int(e.Ch))).Add(int64(held))
-			}
+			m.R.Observe("sim_channel_occupancy_cycles", e.Cycle-at+1)
 		}
 	case KindBlock:
 		m.R.Counter("sim_blocks_total").Inc()
@@ -461,9 +401,9 @@ func (m *MetricsSink) Event(e Event) {
 	case KindUnblock:
 		if at, ok := m.blockedAt[e.Msg]; ok {
 			delete(m.blockedAt, e.Msg)
-			blocked := float64(e.Cycle - at)
+			blocked := e.Cycle - at
 			m.R.Counter("sim_cycles_blocked_total").Add(int64(blocked))
-			m.R.Histogram("sim_blocked_duration_cycles", nil).Observe(blocked)
+			m.R.Observe("sim_blocked_duration_cycles", blocked)
 		}
 	case KindThaw:
 		m.R.Counter("sim_freeze_expiries_total").Inc()

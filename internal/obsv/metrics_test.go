@@ -31,12 +31,11 @@ func TestRegistryBasics(t *testing.T) {
 		t.Errorf("gauge after Max = %d, want 11", g.Value())
 	}
 
-	h := r.Histogram("lat", []float64{1, 10})
-	for _, v := range []float64{0.5, 1, 5, 100} {
-		h.Observe(v)
+	for _, v := range []int{0, 1, 5, 100} {
+		r.Observe("lat", v)
 	}
-	if h.Count() != 4 || h.Sum() != 106.5 {
-		t.Errorf("histogram count=%d sum=%v", h.Count(), h.Sum())
+	if h := r.histograms["lat"]; h.Count() != 4 || h.Sum() != 106 {
+		t.Errorf("histogram count=%d sum=%d", h.Count(), h.Sum())
 	}
 }
 
@@ -58,10 +57,11 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter(Label("a_by_kind_total", "kind", "fail")).Inc()
 	r.Counter(Label("a_by_kind_total", "kind", "stall")).Add(3)
 	r.Gauge("level").Set(9)
-	h := r.Histogram("lat", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
+	// 20000 lies past the ladder's last bound (and in the sketch's exact
+	// range); only +Inf counts it.
+	for _, v := range []int{0, 5, 50, 20000} {
+		r.Observe("lat", v)
+	}
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -77,10 +77,21 @@ b_total 2
 # HELP lat lat (histogram).
 # TYPE lat histogram
 lat_bucket{le="1"} 1
-lat_bucket{le="10"} 2
-lat_bucket{le="+Inf"} 3
-lat_sum 55.5
-lat_count 3
+lat_bucket{le="2"} 1
+lat_bucket{le="4"} 1
+lat_bucket{le="8"} 2
+lat_bucket{le="16"} 2
+lat_bucket{le="32"} 2
+lat_bucket{le="64"} 3
+lat_bucket{le="128"} 3
+lat_bucket{le="256"} 3
+lat_bucket{le="512"} 3
+lat_bucket{le="1024"} 3
+lat_bucket{le="4096"} 3
+lat_bucket{le="16384"} 3
+lat_bucket{le="+Inf"} 4
+lat_sum 20055
+lat_count 4
 # HELP level level (gauge).
 # TYPE level gauge
 level 9
@@ -140,7 +151,6 @@ sim_messages_injected_total 4
 	// reappears after another family started.
 	full := NewRegistry()
 	sink := NewMetricsSink(full)
-	sink.PerChannel = true
 	for _, e := range []Event{
 		{Kind: KindInject, Msg: 0}, {Kind: KindFlit, Msg: 0, Ch: 1},
 		{Kind: KindAcquire, Msg: 0, Ch: 1}, {Kind: KindRelease, Msg: 0, Ch: 1, Cycle: 3},
@@ -219,7 +229,7 @@ func TestRegistryRejectsLintViolations(t *testing.T) {
 	expectPanic("histogram over existing gauge", func() {
 		r := NewRegistry()
 		r.Gauge("lat")
-		r.Histogram("lat", nil)
+		r.Observe("lat", 1)
 	})
 }
 
@@ -228,7 +238,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	r.Counter("z_total").Inc()
 	r.Counter("a_total").Add(2)
 	r.Gauge("g").Set(-4)
-	r.Histogram("h", []float64{2}).Observe(1)
+	r.Observe("h", 1)
 
 	var first, second strings.Builder
 	if err := r.WriteJSON(&first); err != nil {
@@ -249,7 +259,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
     "g": -4
   },
   "histograms": {
-    "h": {"count": 1, "sum": 1, "buckets": {"2": 1, "+Inf": 1}}
+    "h": {"count": 1, "sum": 1, "buckets": {"1": 1, "2": 1, "4": 1, "8": 1, "16": 1, "32": 1, "64": 1, "128": 1, "256": 1, "512": 1, "1024": 1, "4096": 1, "16384": 1, "+Inf": 1}}
   }
 }
 `
@@ -301,14 +311,14 @@ func TestMetricsSinkFoldsEvents(t *testing.T) {
 	if got := r.Counter("sim_cycles_blocked_total").Value(); got != 3 {
 		t.Errorf("cycles blocked = %d, want 3 (cycle 1 to 4)", got)
 	}
-	if got := r.Histogram("sim_channel_occupancy_cycles", nil).Count(); got != 1 {
+	if got := r.histograms["sim_channel_occupancy_cycles"].Count(); got != 1 {
 		t.Errorf("occupancy observations = %d", got)
 	}
-	if got := r.Histogram("sim_channel_occupancy_cycles", nil).Sum(); got != 6 {
-		t.Errorf("occupancy sum = %v, want 6 (held cycles 0-5 inclusive)", got)
+	if got := r.histograms["sim_channel_occupancy_cycles"].Sum(); got != 6 {
+		t.Errorf("occupancy sum = %d, want 6 (held cycles 0-5 inclusive)", got)
 	}
-	if got := r.Histogram("sim_message_latency_cycles", nil).Sum(); got != 7 {
-		t.Errorf("latency sum = %v, want 7", got)
+	if got := r.histograms["sim_message_latency_cycles"].Sum(); got != 7 {
+		t.Errorf("latency sum = %d, want 7", got)
 	}
 	if got := r.Counter(Label("fault_injected_by_kind_total", "kind", "fail")).Value(); got != 1 {
 		t.Errorf("fault by kind = %d", got)

@@ -1,7 +1,8 @@
 // Package obsv is the observability layer of the repository: typed trace
-// events, pluggable trace sinks, and a metrics registry, shared by the
-// simulator (internal/sim), the search engines (internal/mcheck) and the
-// fault campaign runner (internal/fault).
+// events, pluggable trace sinks, a metrics registry, and the Sketch that
+// holds every latency distribution, shared by the simulator
+// (internal/sim), the search engines (internal/mcheck) and the fault
+// campaign runner (internal/fault).
 //
 // The design goal is zero overhead when disabled: every producer keeps a
 // Tracer field that is nil by default and guards each emission with a

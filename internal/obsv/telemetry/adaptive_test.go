@@ -30,7 +30,7 @@ func runAdaptive(c *Collector, n int, drive func(cycle int) (busy, blocked []int
 }
 
 func TestAdaptiveStrideBacksOffWhenQuiet(t *testing.T) {
-	c := NewCollector(64, Config{Stride: 8, FrameEvery: 4, Ring: 8, Adaptive: true})
+	c := NewCollector(64, Config{Stride: 8, FrameEvery: 4, Adaptive: true})
 	if c.CurrentStride() != 8 {
 		t.Fatalf("initial stride %d, want base 8", c.CurrentStride())
 	}
@@ -43,7 +43,7 @@ func TestAdaptiveStrideBacksOffWhenQuiet(t *testing.T) {
 }
 
 func TestAdaptiveStrideTightensWhenHot(t *testing.T) {
-	c := NewCollector(8, Config{Stride: 4, FrameEvery: 4, Ring: 8, Adaptive: true, MaxStride: 32})
+	c := NewCollector(8, Config{Stride: 4, FrameEvery: 4, Adaptive: true, MaxStride: 32})
 	// Quiet phase: back off to the cap.
 	runAdaptive(c, 4000, func(int) ([]int, []int, int) { return nil, nil, 0 })
 	if c.CurrentStride() != 32 {
@@ -78,7 +78,7 @@ func TestAdaptiveStrideTightensWhenHot(t *testing.T) {
 }
 
 func TestAdaptiveStrideNeverBelowBaseOrAboveCap(t *testing.T) {
-	c := NewCollector(4, Config{Stride: 8, FrameEvery: 2, Ring: 4, Adaptive: true, MaxStride: 16})
+	c := NewCollector(4, Config{Stride: 8, FrameEvery: 2, Adaptive: true, MaxStride: 16})
 	seen := map[int]bool{}
 	for now, flits := 0, int64(0); now < 5000; now++ {
 		if !c.Due(now) {
@@ -103,27 +103,29 @@ func TestAdaptiveStrideNeverBelowBaseOrAboveCap(t *testing.T) {
 }
 
 func TestAdaptiveFrameRecordsStride(t *testing.T) {
-	c := NewCollector(16, Config{Stride: 2, FrameEvery: 2, Ring: 16, Adaptive: true, MaxStride: 8})
+	c := NewCollector(16, Config{Stride: 2, FrameEvery: 2, Adaptive: true, MaxStride: 8})
 	runAdaptive(c, 600, func(int) ([]int, []int, int) { return nil, nil, 0 })
 	c.Flush()
-	frames := c.Frames()
-	if len(frames) == 0 {
-		t.Fatal("no frames")
-	}
-	widened := false
-	for _, f := range frames {
+	frames, widened := 0, false
+	var buf []byte
+	c.Window().Frames(func(f *Frame) {
 		if f.Stride < 2 || f.Stride > 8 {
 			t.Fatalf("frame %d stride %d outside [2,8]", f.Index, f.Stride)
 		}
 		if f.Stride > 2 {
 			widened = true
 		}
+		if frames == 0 {
+			buf = f.AppendJSON(buf)
+		}
+		frames++
+	})
+	if frames == 0 {
+		t.Fatal("no frames")
 	}
 	if !widened {
 		t.Fatal("stride trajectory never widened over a quiet run")
 	}
-	var buf []byte
-	buf = frames[0].AppendJSON(buf)
 	if !bytes.Contains(buf, []byte(`"stride":`)) {
 		t.Fatalf("frame JSON missing stride field: %s", buf)
 	}
@@ -133,7 +135,7 @@ func TestAdaptiveFrameRecordsStride(t *testing.T) {
 // requires byte-identical frame JSON, including the stride trajectory.
 func TestAdaptiveStreamDeterminism(t *testing.T) {
 	run := func() []byte {
-		c := NewCollector(32, Config{Stride: 4, FrameEvery: 4, Ring: 64, Adaptive: true})
+		c := NewCollector(32, Config{Stride: 4, FrameEvery: 4, Adaptive: true})
 		var out []byte
 		c.OnFrame = func(f *Frame) { out = f.AppendJSON(out); out = append(out, '\n') }
 		runAdaptive(c, 3000, func(now int) ([]int, []int, int) {

@@ -1,5 +1,5 @@
 // The flight recorder: a fixed-capacity ring of recent obsv events plus
-// the collector's frame ring, dumped as a post-mortem bundle only when
+// the collector's frame window, dumped as a post-mortem bundle only when
 // something goes wrong (deadlock, livelock, starvation, saturation). The
 // analogy is deliberate — it records continuously at bounded cost and is
 // read only after the crash.
@@ -161,40 +161,16 @@ func (r *FlightRecorder) Dump(dir, reason string) error {
 	return nil
 }
 
-// frameSource returns the frames the bundle will carry: the long-horizon
-// window when one is attached (its whole retained history), otherwise
-// the collector's frame ring.
-func (r *FlightRecorder) frameSource() (count int, emit func(func(*Frame))) {
-	c := r.collector
-	if c == nil {
-		return 0, func(func(*Frame)) {}
-	}
-	if w := c.Window(); w != nil {
-		return w.Stats().Frames, w.Frames
-	}
-	ring := c.Frames()
-	return len(ring), func(visit func(*Frame)) {
-		for _, f := range ring {
-			visit(f)
-		}
-	}
-}
-
 // renderJSONL builds flight.jsonl: one header object, one channel-
 // endpoint line, one wait-graph line, then the retained telemetry frames
 // oldest-first and the retained events oldest-first. Every line is
 // deterministic for a deterministic run.
 func (r *FlightRecorder) renderJSONL(reason string) []byte {
 	var b []byte
-	frames, emit := r.frameSource()
-	spanStart := 0
-	gotStart := false
-	emit(func(f *Frame) {
-		if !gotStart {
-			spanStart = f.Start
-			gotStart = true
-		}
-	})
+	var win WindowStats
+	if r.collector != nil {
+		win = r.collector.Window().Stats()
+	}
 	b = append(b, `{"flight_recorder":true,"format":`...)
 	b = strconv.AppendInt(b, BundleFormat, 10)
 	b = append(b, `,"reason":`...)
@@ -202,7 +178,7 @@ func (r *FlightRecorder) renderJSONL(reason string) []byte {
 	b = append(b, `,"cycle":`...)
 	b = strconv.AppendInt(b, int64(r.lastCycle), 10)
 	b = append(b, `,"span_start":`...)
-	b = strconv.AppendInt(b, int64(spanStart), 10)
+	b = strconv.AppendInt(b, int64(win.SpanStart), 10)
 	b = append(b, `,"span_end":`...)
 	b = strconv.AppendInt(b, int64(r.spanEnd()), 10)
 	b = append(b, `,"events_seen":`...)
@@ -210,12 +186,10 @@ func (r *FlightRecorder) renderJSONL(reason string) []byte {
 	b = append(b, `,"events_retained":`...)
 	b = strconv.AppendInt(b, int64(r.Retained()), 10)
 	b = append(b, `,"frames_retained":`...)
-	b = strconv.AppendInt(b, int64(frames), 10)
+	b = strconv.AppendInt(b, int64(win.Frames), 10)
 	if r.collector != nil {
-		if w := r.collector.Window(); w != nil {
-			b = append(b, `,"window":`...)
-			b = w.Stats().AppendJSON(b)
-		}
+		b = append(b, `,"window":`...)
+		b = win.AppendJSON(b)
 	}
 	b = append(b, '}', '\n')
 
@@ -244,10 +218,12 @@ func (r *FlightRecorder) renderJSONL(reason string) []byte {
 		b = append(b, '}', '\n')
 	}
 
-	emit(func(f *Frame) {
-		b = f.AppendJSON(b)
-		b = append(b, '\n')
-	})
+	if r.collector != nil {
+		r.collector.Window().Frames(func(f *Frame) {
+			b = f.AppendJSON(b)
+			b = append(b, '\n')
+		})
+	}
 	first := r.seen - r.Retained()
 	for i := first; i < r.seen; i++ {
 		b = r.events[i%len(r.events)].AppendJSON(b)

@@ -106,7 +106,7 @@ func TestRecorderVerdict(t *testing.T) {
 func TestRecorderDumpBundle(t *testing.T) {
 	build := func() *FlightRecorder {
 		g := topology.NewMesh([]int{2, 2}, 1)
-		c := NewCollector(g.Network.NumChannels(), Config{Stride: 2, FrameEvery: 2, Ring: 4})
+		c := NewCollector(g.Network.NumChannels(), Config{Stride: 2, FrameEvery: 2})
 		fillSample(c, 0, []int{0, 1}, []int{2}, 3, 2)
 		fillSample(c, 2, []int{0}, []int{2}, 6, 2)
 		fillSample(c, 4, []int{0}, nil, 9, 1) // left partial: Dump must flush it
@@ -178,7 +178,7 @@ func TestRecorderDumpBundle(t *testing.T) {
 // cycle.
 func TestRecorderPartialFrameSpan(t *testing.T) {
 	g := topology.NewMesh([]int{2, 2}, 1)
-	c := NewCollector(g.Network.NumChannels(), Config{Stride: 10, FrameEvery: 8, Ring: 4})
+	c := NewCollector(g.Network.NumChannels(), Config{Stride: 10, FrameEvery: 8})
 	r := NewFlightRecorder(g.Network, 8, c)
 	// One early event at cycle 3, then telemetry keeps sampling far past
 	// it: 5 samples at cycles 0..40 — frame 0 never closes on its own
@@ -217,7 +217,7 @@ func TestRecorderPartialFrameSpan(t *testing.T) {
 // the green-to-red ramp.
 func TestRecorderHeatmapGolden(t *testing.T) {
 	g := topology.NewMesh([]int{2, 2}, 1)
-	c := NewCollector(g.Network.NumChannels(), Config{Stride: 2, FrameEvery: 2, Ring: 4})
+	c := NewCollector(g.Network.NumChannels(), Config{Stride: 2, FrameEvery: 2})
 	fillSample(c, 0, []int{0, 1}, []int{2}, 3, 2)
 	fillSample(c, 2, []int{0}, []int{2}, 6, 2)
 	fillSample(c, 4, []int{0, 3}, nil, 9, 1)

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/obsv"
 )
 
 // SLOObjective is one parsed latency objective: the p-th percentile must
@@ -60,13 +62,13 @@ func ParseSLO(s string) ([]SLOObjective, error) {
 // most), so a bank's memory follows the traffic it observes. Banks merge
 // source-wise, the same way sketches do.
 type Bank struct {
-	agg *Sketch
-	src []*Sketch
+	agg *obsv.Sketch
+	src []*obsv.Sketch
 }
 
 // NewBank returns a bank for the given source-ID space.
 func NewBank(sources int) *Bank {
-	return &Bank{agg: NewSketch(), src: make([]*Sketch, sources)}
+	return &Bank{agg: obsv.NewSketch(), src: make([]*obsv.Sketch, sources)}
 }
 
 // Observe records one latency sample for source (out-of-range sources
@@ -75,17 +77,17 @@ func (b *Bank) Observe(source, v int) {
 	b.agg.Add(v)
 	if source >= 0 && source < len(b.src) {
 		if b.src[source] == nil {
-			b.src[source] = NewSketch()
+			b.src[source] = obsv.NewSketch()
 		}
 		b.src[source].Add(v)
 	}
 }
 
 // Aggregate returns the all-sources sketch.
-func (b *Bank) Aggregate() *Sketch { return b.agg }
+func (b *Bank) Aggregate() *obsv.Sketch { return b.agg }
 
 // Source returns source i's sketch, nil when it never observed a sample.
-func (b *Bank) Source(i int) *Sketch {
+func (b *Bank) Source(i int) *obsv.Sketch {
 	if i < 0 || i >= len(b.src) {
 		return nil
 	}
@@ -104,7 +106,7 @@ func (b *Bank) Merge(o *Bank) {
 			continue
 		}
 		if b.src[i] == nil {
-			b.src[i] = NewSketch()
+			b.src[i] = obsv.NewSketch()
 		}
 		b.src[i].Merge(s)
 	}

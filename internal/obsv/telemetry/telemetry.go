@@ -11,16 +11,21 @@
 // is an O(channels + messages) scan every Stride cycles and zero
 // allocations, regardless of run length.
 //
-// Samples aggregate into Frames (FrameEvery samples each), which are kept
-// in a fixed-capacity ring: the run's recent history is always available
-// for the flight recorder (see FlightRecorder) without unbounded growth.
+// Samples aggregate into Frames (FrameEvery samples each), which the
+// collector appends to its delta-compressed Window under a fixed byte
+// budget: the run's recent history is always available for the flight
+// recorder (see FlightRecorder) without unbounded growth.
 // Everything is deterministic: frames carry only logical quantities
 // (cycles, counts), sampling cycles are a pure function of the cycle
 // counter, and the JSON encodings are hand-rolled with fixed key order —
 // two identical runs produce byte-identical frame streams.
 package telemetry
 
-import "strconv"
+import (
+	"strconv"
+
+	"repro/internal/obsv"
+)
 
 // Config sizes a Collector. Zero values select the defaults.
 type Config struct {
@@ -31,8 +36,6 @@ type Config struct {
 	// FrameEvery is the number of samples aggregated into one frame.
 	// Default 16 (one frame per 1024 cycles at the default stride).
 	FrameEvery int
-	// Ring is the number of most-recent frames retained. Default 64.
-	Ring int
 	// Adaptive enables stride adaptation: the collector backs the
 	// sampling stride off geometrically (doubling, up to MaxStride) while
 	// the network is quiet — low busy+blocked heat and a stable live
@@ -43,37 +46,37 @@ type Config struct {
 	Adaptive bool
 	// MaxStride caps the adaptive backoff. Default 16×Stride.
 	MaxStride int
-	// WindowBytes, when positive, attaches a delta-compressed long-
-	// horizon Window of the given byte budget: every closed frame is also
-	// appended to the window, which evicts its oldest restart blocks when
-	// over budget — a multi-hour history at fixed memory, instead of (in
-	// addition to) the fixed Ring-frame history.
+	// WindowBytes is the byte budget of the collector's frame history,
+	// a delta-compressed Window that evicts its oldest restart blocks when
+	// over budget — a multi-hour history at fixed memory. Default: the
+	// raw size of 64 frames, 64 × (12 × channels + 40) bytes.
 	WindowBytes int
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults(channels int) Config {
 	if c.Stride < 1 {
 		c.Stride = 64
 	}
 	if c.FrameEvery < 1 {
 		c.FrameEvery = 16
 	}
-	if c.Ring < 1 {
-		c.Ring = 64
-	}
 	if c.MaxStride < c.Stride {
 		c.MaxStride = 16 * c.Stride
+	}
+	if c.WindowBytes < 1 {
+		c.WindowBytes = defaultWindowFrames * rawFrameBytes(channels)
 	}
 	return c
 }
 
 // Frame is one closed aggregation window: FrameEvery samples (fewer for a
 // final partial frame) over the cycle span [Start, End]. The per-channel
-// slices are owned by the collector's ring and are overwritten once the
-// ring wraps — copy what must outlive the run.
+// slices of a frame handed to OnFrame or a Window.Frames visit are reused
+// afterwards — copy what must outlive the call.
 type Frame struct {
 	// Index is the frame's ordinal from the start of the run (frame 0 may
-	// have been evicted from the ring; Index keeps the stream addressable).
+	// have been evicted from the window; Index keeps the stream
+	// addressable).
 	Index int
 	// Start and End are the cycles of the frame's first and last sample.
 	Start, End int
@@ -158,10 +161,12 @@ type Collector struct {
 	cfg      Config
 	channels int
 
-	// Current accumulating frame.
+	// Current accumulating frame. frame's counter slices alias busy, occ
+	// and blocked; closeFrame fills its scalars and hands it out.
 	busy, occ, blocked []uint32
 	samples            int
 	frameStart         int
+	frame              Frame
 
 	// Adaptive-stride state. stride is the current sampling period; next
 	// the next sampling cycle (adaptive mode only — fixed mode stays on
@@ -175,8 +180,6 @@ type Collector struct {
 	prevBlockedSum uint64
 	prevLive       int
 
-	// Frame ring, preallocated: frames[i%Ring] holds frame i.
-	frames []Frame
 	closed int // frames closed so far
 
 	// Run totals, accumulated at frame close (plus the current partials
@@ -192,43 +195,40 @@ type Collector struct {
 	lastLive  int
 	prevFlits int64 // FlitsConsumed at the previous frame boundary
 
-	// window, when configured, receives every closed frame as a
-	// delta-compressed record under a fixed byte budget (long-horizon
-	// history); nil when Config.WindowBytes is zero.
+	// window receives every closed frame as a delta-compressed record
+	// under a fixed byte budget: the collector's only frame history.
 	window *Window
 
 	// OnFrame, when set, is called with each frame as it closes (the
-	// pointer aliases ring memory — consume it synchronously). It feeds
-	// the live /telemetry endpoint and metrics bridge; nil (the default)
-	// keeps the frame-close path allocation-free.
+	// pointer aliases the accumulators — consume it synchronously). It
+	// feeds the live /telemetry endpoint and metrics bridge; nil (the
+	// default) keeps the frame-close path allocation-free.
 	OnFrame func(*Frame)
 }
+
+// defaultWindowFrames sizes the window of a collector built without
+// Config.WindowBytes: the budget is this many frames at their raw,
+// uncompressed size.
+const defaultWindowFrames = 64
 
 // NewCollector returns a collector for a network with the given channel
 // count, with every steady-state buffer preallocated.
 func NewCollector(channels int, cfg Config) *Collector {
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(channels)
 	c := &Collector{
 		cfg:        cfg,
 		channels:   channels,
 		busy:       make([]uint32, channels),
 		occ:        make([]uint32, channels),
 		blocked:    make([]uint32, channels),
-		frames:     make([]Frame, cfg.Ring),
 		totBusy:    make([]uint64, channels),
 		totOcc:     make([]uint64, channels),
 		totBlocked: make([]uint64, channels),
 		lastCycle:  -1,
 		stride:     cfg.Stride,
+		window:     NewWindow(channels, cfg.WindowBytes),
 	}
-	for i := range c.frames {
-		c.frames[i].Busy = make([]uint32, channels)
-		c.frames[i].Occ = make([]uint32, channels)
-		c.frames[i].Blocked = make([]uint32, channels)
-	}
-	if cfg.WindowBytes > 0 {
-		c.window = NewWindow(channels, cfg.WindowBytes)
-	}
+	c.frame.Busy, c.frame.Occ, c.frame.Blocked = c.busy, c.occ, c.blocked
 	return c
 }
 
@@ -246,8 +246,7 @@ func (c *Collector) Channels() int { return c.channels }
 // -1 when nothing was sampled yet.
 func (c *Collector) LastSampleCycle() int { return c.lastCycle }
 
-// Window returns the long-horizon delta window, nil unless
-// Config.WindowBytes was set.
+// Window returns the collector's frame history.
 func (c *Collector) Window() *Window { return c.window }
 
 // Due reports whether cycle now is a sampling cycle. Fixed collectors
@@ -354,7 +353,7 @@ func (c *Collector) Flush() {
 }
 
 func (c *Collector) closeFrame() {
-	f := &c.frames[c.closed%c.cfg.Ring]
+	f := &c.frame
 	f.Index = c.closed
 	f.Start = c.frameStart
 	// End is the cycle of the frame's LAST SAMPLE — the true sampled
@@ -364,9 +363,11 @@ func (c *Collector) closeFrame() {
 	f.Stride = c.stride
 	f.FlitsDelta = c.lastFlits - c.prevFlits
 	f.Live = c.lastLive
-	copy(f.Busy, c.busy)
-	copy(f.Occ, c.occ)
-	copy(f.Blocked, c.blocked)
+	c.closed++
+	c.window.Append(f)
+	if c.OnFrame != nil {
+		c.OnFrame(f)
+	}
 	for i := range c.busy {
 		c.totBusy[i] += uint64(c.busy[i])
 		c.totOcc[i] += uint64(c.occ[i])
@@ -383,28 +384,10 @@ func (c *Collector) closeFrame() {
 	clear(c.blocked)
 	c.prevBusySum, c.prevBlockedSum = 0, 0
 	c.samples = 0
-	c.closed++
-	if c.window != nil {
-		c.window.Append(f)
-	}
-	if c.OnFrame != nil {
-		c.OnFrame(f)
-	}
-}
-
-// Frames returns the retained frames in chronological order. The returned
-// slice is freshly allocated but its Busy/Occ/Blocked share ring memory.
-func (c *Collector) Frames() []*Frame {
-	n := min(c.closed, c.cfg.Ring)
-	out := make([]*Frame, 0, n)
-	for i := c.closed - n; i < c.closed; i++ {
-		out = append(out, &c.frames[i%c.cfg.Ring])
-	}
-	return out
 }
 
 // FramesClosed returns how many frames have closed since the run started
-// (including frames the ring has since evicted).
+// (including frames the window has since evicted).
 func (c *Collector) FramesClosed() int { return c.closed }
 
 // Samples returns the total number of samples taken, including the
@@ -471,7 +454,7 @@ type Summary struct {
 
 // Summary computes the run summary, including the current partial frame.
 // Pass the run's latency sketch to include its quantiles, or nil.
-func (c *Collector) Summary(lat *Sketch) Summary {
+func (c *Collector) Summary(lat *obsv.Sketch) Summary {
 	s := Summary{
 		Stride:         c.cfg.Stride,
 		Frames:         c.closed,

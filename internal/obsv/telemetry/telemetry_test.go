@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
 // fillSample pushes one synthetic sample through the collector's
@@ -34,7 +36,7 @@ func TestCollectorDue(t *testing.T) {
 // TestCollectorFrameMath drives a small collector through exact frame
 // boundaries and checks every aggregated figure.
 func TestCollectorFrameMath(t *testing.T) {
-	c := NewCollector(4, Config{Stride: 10, FrameEvery: 3, Ring: 8})
+	c := NewCollector(4, Config{Stride: 10, FrameEvery: 3})
 	var frames []Frame
 	c.OnFrame = func(f *Frame) {
 		cp := *f
@@ -81,31 +83,23 @@ func TestCollectorFrameMath(t *testing.T) {
 	}
 }
 
-// TestCollectorRingEviction: only the last Ring frames stay retained,
-// chronologically ordered, with global indices preserved.
-func TestCollectorRingEviction(t *testing.T) {
-	c := NewCollector(2, Config{Stride: 1, FrameEvery: 1, Ring: 4})
-	for i := 0; i < 10; i++ {
-		fillSample(c, i, []int{0}, nil, int64(i), 1)
+// TestCollectorDefaultWindow: without Config.WindowBytes the collector's
+// window budget is the raw size of 64 frames, so the frame history holds
+// no more memory than 64 uncompressed frames would.
+func TestCollectorDefaultWindow(t *testing.T) {
+	c := NewCollector(10, Config{})
+	if got, want := c.Window().Stats().Budget, 64*(12*10+rawFrameScalars); got != want {
+		t.Fatalf("default window budget = %d, want %d", got, want)
 	}
-	got := c.Frames()
-	if len(got) != 4 {
-		t.Fatalf("retained %d frames, want 4", len(got))
-	}
-	for i, f := range got {
-		if f.Index != 6+i {
-			t.Fatalf("frame %d has index %d, want %d", i, f.Index, 6+i)
-		}
-	}
-	if c.FramesClosed() != 10 {
-		t.Fatalf("FramesClosed = %d, want 10 (evictions still counted)", c.FramesClosed())
+	if got := NewCollector(10, Config{WindowBytes: 4 << 10}).Window().Stats().Budget; got != 4<<10 {
+		t.Fatalf("configured window budget = %d, want %d", got, 4<<10)
 	}
 }
 
 // TestCollectorHottest: heat is busy+blocked across the whole run
 // including the current partial frame; ties break to the lowest ID.
 func TestCollectorHottest(t *testing.T) {
-	c := NewCollector(4, Config{Stride: 1, FrameEvery: 2, Ring: 2})
+	c := NewCollector(4, Config{Stride: 1, FrameEvery: 2})
 	fillSample(c, 0, []int{1, 3}, []int{3}, 0, 2)
 	fillSample(c, 1, []int{1, 3}, []int{3}, 0, 2) // frame closes
 	fillSample(c, 2, []int{1, 3}, []int{3}, 0, 2) // partial
@@ -136,11 +130,11 @@ func TestCollectorHottest(t *testing.T) {
 
 // TestCollectorSummary checks the manifest block's figures.
 func TestCollectorSummary(t *testing.T) {
-	c := NewCollector(2, Config{Stride: 5, FrameEvery: 2, Ring: 4})
+	c := NewCollector(2, Config{Stride: 5, FrameEvery: 2})
 	fillSample(c, 0, []int{0}, nil, 0, 1)
 	fillSample(c, 5, []int{0}, []int{1}, 8, 1)
 	fillSample(c, 10, []int{0, 1}, nil, 16, 0) // partial
-	lat := NewSketch()
+	lat := obsv.NewSketch()
 	for _, v := range []int{10, 20, 30, 40} {
 		lat.Add(v)
 	}
@@ -171,7 +165,7 @@ func TestCollectorSummary(t *testing.T) {
 // identical frame bytes, and all-zero channels are omitted.
 func TestFrameJSONDeterministic(t *testing.T) {
 	drive := func() []byte {
-		c := NewCollector(3, Config{Stride: 2, FrameEvery: 2, Ring: 4})
+		c := NewCollector(3, Config{Stride: 2, FrameEvery: 2})
 		var out []byte
 		c.OnFrame = func(f *Frame) { out = f.AppendJSON(out); out = append(out, '\n') }
 		for i := 0; i < 8; i++ {

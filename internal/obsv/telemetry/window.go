@@ -2,21 +2,19 @@ package telemetry
 
 import "encoding/binary"
 
-// The long-horizon window: a delta-compressed frame history under a fixed
-// BYTE budget, complementing the collector's fixed-capacity frame ring.
+// The frame history: every closed frame under a fixed BYTE budget.
 //
-// The ring answers "what did the last 64 frames look like" at a cost of
-// Ring×channels×12 bytes, which is the right trade for paper-sized runs —
-// but on a multi-hour load campaign a congestion tree that builds over
-// minutes ages out of the ring long before the deadlock or saturation
-// trigger fires. The window instead stores each closed frame as
-// per-channel COUNTER DELTAS against the previous frame, varint-encoded
-// and gap-compressed (the same delta-encoding idiom as the search
-// engine's compressed frontier batches, internal/mcheck/frontier.go):
-// consecutive frames of a steady network differ in only a handful of
-// channels, so a frame that costs channels×12 bytes raw typically encodes
-// into a few dozen bytes — and a fixed byte budget retains an order of
-// magnitude more cycle history than the ring at equal memory.
+// A frame costs channels×12 bytes raw, so a history of raw frames covers
+// only the last few dozen frames at a sensible memory cost — and on a
+// multi-hour load campaign a congestion tree that builds over minutes
+// would age out long before the deadlock or saturation trigger fires.
+// The window instead stores each closed frame as per-channel COUNTER
+// DELTAS against the previous frame, varint-encoded and gap-compressed
+// (the same delta-encoding idiom as the search engine's frontier batches,
+// internal/mcheck/frontier.go): consecutive frames of a steady network
+// differ in only a handful of channels, so a frame typically encodes into
+// a few dozen bytes — and a fixed byte budget retains an order of
+// magnitude more cycle history than raw frames at equal memory.
 //
 // Every windowRestart-th frame starts a RESTART BLOCK: its first frame is
 // encoded against an all-zero basis, so each block decodes independently
@@ -43,9 +41,12 @@ const windowRestart = 16
 
 // rawFrameScalars is the accounting size of a frame's scalar fields in
 // the uncompressed comparison basis (Index, Start, End, Samples, Stride,
-// Live as ints, FlitsDelta as int64): what a fixed ring pays per frame on
-// top of the three counter arrays.
+// Live as ints, FlitsDelta as int64), on top of the three counter arrays.
 const rawFrameScalars = 40
+
+// rawFrameBytes is the uncompressed size of one frame over the given
+// channel count: the unit of the raw_bytes and history_x100 accounting.
+func rawFrameBytes(channels int) int { return 12*channels + rawFrameScalars }
 
 // wblock is one sealed restart block.
 type wblock struct {
@@ -57,8 +58,8 @@ type wblock struct {
 	raw    int64
 }
 
-// Window accumulates closed frames under a byte budget. Build one via
-// Config.WindowBytes; the collector appends every closing frame.
+// Window accumulates closed frames under a byte budget. Every Collector
+// owns one (sized by Config.WindowBytes) and appends each closing frame.
 type Window struct {
 	budget   int
 	channels int
@@ -146,7 +147,7 @@ func (w *Window) Append(f *Frame) {
 	w.prevEnd = f.End
 	w.curFrames++
 	w.curEnd = f.End
-	fraw := int64(w.channels)*12 + rawFrameScalars
+	fraw := int64(rawFrameBytes(w.channels))
 	w.curRaw += fraw
 	w.bytes += len(w.cur) - before
 	w.frames++
@@ -259,7 +260,7 @@ type WindowStats struct {
 	SpanEnd   int `json:"span_end"`
 	// CompressionX100 is raw-equivalent bytes over encoded bytes, ×100
 	// (1250 = 12.5× smaller). HistoryX100 is the cycle-history multiple
-	// the window retains versus a plain frame ring at EQUAL memory
+	// the window retains versus raw frames at EQUAL memory
 	// (budget / raw-frame-size frames), ×100 — the acceptance figure of
 	// the long-horizon design. Equal to Raw×100/Budget: both histories
 	// grow at the same frames-per-cycle rate, so the byte ratio is the

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -121,8 +122,8 @@ func TestWindowEvictionKeepsDecodableSuffix(t *testing.T) {
 }
 
 // TestWindowHistoryMultiple checks the acceptance figure: at equal
-// memory, the delta window retains ≥8× the cycle history of a plain
-// frame ring.
+// memory, the delta window retains ≥8× the cycle history of raw,
+// uncompressed frames.
 func TestWindowHistoryMultiple(t *testing.T) {
 	const channels = 256
 	budget := 8 << 10
@@ -134,11 +135,10 @@ func TestWindowHistoryMultiple(t *testing.T) {
 	if st.Dropped == 0 {
 		t.Fatal("window never filled — ratio not meaningful")
 	}
-	// A plain ring at the same budget holds budget/rawFrame frames.
-	rawFrame := channels*12 + rawFrameScalars
-	ringFrames := budget / rawFrame
-	if st.Frames < 8*ringFrames {
-		t.Fatalf("window retains %d frames vs ring %d — under the 8× bar", st.Frames, ringFrames)
+	// Raw frames at the same budget number budget/rawFrameBytes.
+	rawFrames := budget / rawFrameBytes(channels)
+	if st.Frames < 8*rawFrames {
+		t.Fatalf("window retains %d frames vs %d raw — under the 8× bar", st.Frames, rawFrames)
 	}
 	if st.HistoryX100 < 800 {
 		t.Fatalf("history_x100 = %d, want >= 800", st.HistoryX100)
@@ -147,8 +147,8 @@ func TestWindowHistoryMultiple(t *testing.T) {
 		t.Fatalf("history_x100 %d inconsistent with raw/budget %d", st.HistoryX100, got)
 	}
 	// The EXPERIMENTS.md long-horizon table is regenerated from this line.
-	t.Logf("budget %d B: %d frames retained (ring: %d), %d dropped, compression %.2fx, history %.2fx",
-		budget, st.Frames, ringFrames, st.Dropped,
+	t.Logf("budget %d B: %d frames retained (raw: %d), %d dropped, compression %.2fx, history %.2fx",
+		budget, st.Frames, rawFrames, st.Dropped,
 		float64(st.CompressionX100)/100, float64(st.HistoryX100)/100)
 }
 
@@ -188,4 +188,84 @@ func TestWindowEmptyStats(t *testing.T) {
 		t.Fatalf("empty window stats %+v", st)
 	}
 	w.Frames(func(*Frame) { t.Fatal("visit on empty window") })
+}
+
+// fuzzFrameBytes is how many fuzz bytes FuzzWindowRoundTrip turns into
+// one frame.
+const fuzzFrameBytes = 8
+
+// FuzzWindowRoundTrip appends frames built from fuzz bytes to a window
+// under the minimum budget and checks that Frames visits exactly the
+// retained suffix, every visited frame equals the frame appended at its
+// index, and the Stats frame and drop counts add up. Frame i starts from
+// mkFrame(i); its eight bytes move the span, scalars and one channel's
+// counters, so frames stay shaped like a collector's (consecutive
+// indices, Start at or after the previous End) while deltas range from
+// zero to the full uint32 width.
+func FuzzWindowRoundTrip(f *testing.F) {
+	const channels = 16
+	f.Add(make([]byte, 80*fuzzFrameBytes))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	ramp := make([]byte, 200*fuzzFrameBytes)
+	for i := range ramp {
+		ramp[i] = byte(i * 37)
+	}
+	f.Add(ramp)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := NewWindow(channels, 1<<10)
+		var appended []*Frame
+		prevEnd := 0
+		for len(data) >= fuzzFrameBytes {
+			b := data[:fuzzFrameBytes]
+			data = data[fuzzFrameBytes:]
+			fr := mkFrame(channels, len(appended))
+			fr.Start = prevEnd + int(b[0])
+			fr.End = fr.Start + int(b[1])
+			fr.Samples = int(b[2])
+			fr.Stride = 1 + int(b[3])
+			fr.FlitsDelta += int64(b[4]) << (b[5] % 40)
+			fr.Live = int(b[5])
+			ch, shift := int(b[6])%channels, b[6]%25
+			fr.Busy[ch] ^= uint32(b[7]) << shift
+			fr.Occ[(ch+1)%channels] += uint32(b[7]) << (24 - shift)
+			fr.Blocked[(ch+2)%channels] = uint32(b[7]&3) * uint32(b[5])
+			prevEnd = fr.End
+			w.Append(fr)
+			appended = append(appended, fr)
+		}
+		st := w.Stats()
+		if st.Frames+st.Dropped != len(appended) {
+			t.Fatalf("frames %d + dropped %d != %d appended", st.Frames, st.Dropped, len(appended))
+		}
+		if st.Bytes > st.Budget && st.Frames >= windowRestart {
+			t.Fatalf("%d bytes retained over budget %d with a sealed block left to evict", st.Bytes, st.Budget)
+		}
+		if st.Raw != int64(st.Frames*rawFrameBytes(channels)) {
+			t.Fatalf("raw %d bytes for %d frames", st.Raw, st.Frames)
+		}
+		next := st.Dropped
+		w.Frames(func(got *Frame) {
+			if next >= len(appended) {
+				t.Fatalf("visited frame %d past the %d appended", got.Index, len(appended))
+			}
+			want := appended[next]
+			if got.Index != want.Index || got.Start != want.Start || got.End != want.End ||
+				got.Samples != want.Samples || got.Stride != want.Stride ||
+				got.FlitsDelta != want.FlitsDelta || got.Live != want.Live ||
+				!slices.Equal(got.Busy, want.Busy) || !slices.Equal(got.Occ, want.Occ) ||
+				!slices.Equal(got.Blocked, want.Blocked) {
+				t.Fatalf("frame %d decoded as %+v, appended %+v", next, got, want)
+			}
+			if next == st.Dropped && got.Start != st.SpanStart {
+				t.Fatalf("span start %d, first retained frame starts at %d", st.SpanStart, got.Start)
+			}
+			if next == len(appended)-1 && got.End != st.SpanEnd {
+				t.Fatalf("span end %d, last frame ends at %d", st.SpanEnd, got.End)
+			}
+			next++
+		})
+		if next != len(appended) {
+			t.Fatalf("visited frames %d..%d, want the suffix ending at %d", st.Dropped, next, len(appended))
+		}
+	})
 }
