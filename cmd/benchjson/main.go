@@ -70,11 +70,7 @@ func probe(row benchrows.Row) entry {
 	e := entry{Name: row.Name}
 	red := mcheck.RedNone
 	for _, s := range row.Searches {
-		opts := s.Options
-		opts.Tracer = obs.Tracer
-		opts.Metrics = obs.Metrics
-		opts.Progress = obs.SearchProgress(row.Name)
-		res, err := s.Run(opts)
+		res, err := s.Run(obs.SearchOptions(row.Name, s.Options))
 		if err != nil {
 			fail("%s: %v", row.Name, err)
 		}

@@ -86,17 +86,13 @@ func main() {
 	}
 	defer obs.Close()
 
-	searchOpts := mcheck.SearchOptions{
+	searchOpts := obs.SearchOptions(obsName, mcheck.SearchOptions{
 		StallBudget:         *stall,
 		FreezeInTransitOnly: true,
 		Parallelism:         *workers,
 		Reduction:           red,
 		Visited:             visited,
-		Tracer:              obs.Tracer,
-		Progress:            obs.SearchProgress(obsName),
-		ProgressEvery:       obs.ProgressInterval(),
-		Metrics:             obs.Metrics,
-	}
+	})
 	copts := core.Options{}
 	if *verify && pn == nil {
 		// Without a paper message set, verify each decomposed
@@ -138,10 +134,7 @@ func main() {
 
 	if *verify && pn != nil {
 		res := mcheck.Search(pn.Scenario, searchOpts)
-		obs.PublishSearchDone(obsName, res)
-		run := cli.SearchRun(obsName, pn.Scenario.Net, res)
-		run.Scenario = pn.Scenario.Name
-		obs.RecordRun(run)
+		obs.SearchDone(obsName, pn.Scenario, res)
 		fmt.Printf("verify:     model checker says %s over %d states (stall budget %d)\n",
 			res.Verdict, res.States, *stall)
 		fmt.Printf("            %.0f states/sec, peak visited %d, %d worker(s), %s\n",
@@ -189,10 +182,7 @@ func main() {
 
 	if *livens && pn != nil {
 		res := mcheck.SearchLiveness(pn.Scenario, searchOpts)
-		obs.PublishSearchDone(obsName+" liveness", res)
-		run := cli.SearchRun(obsName+" liveness", pn.Scenario.Net, res)
-		run.Scenario = pn.Scenario.Name
-		obs.RecordRun(run)
+		obs.SearchDone(obsName+" liveness", pn.Scenario, res)
 		fmt.Printf("liveness:   %s over %d states (stall budget %d, %s)\n",
 			res.Verdict, res.States, *stall, res.Elapsed.Round(time.Millisecond))
 		for _, w := range res.Warnings {

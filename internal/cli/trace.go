@@ -14,6 +14,7 @@ import (
 	"repro/internal/obsv/manifest"
 	"repro/internal/obsv/serve"
 	"repro/internal/obsv/telemetry"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -259,7 +260,7 @@ func (o *Observer) Publish(s serve.Snapshot) {
 	if o == nil || o.Server == nil {
 		return
 	}
-	o.Server.Hub().Publish(s)
+	o.Server.Hub().PublishSnapshot(s)
 }
 
 // RecordRun appends one run to the manifest. No-op when -manifest is off.
@@ -268,36 +269,6 @@ func (o *Observer) RecordRun(r manifest.Run) {
 		return
 	}
 	o.Manifest.AddRun(r)
-}
-
-// SearchRun condenses a search result into a manifest run entry.
-func SearchRun(name string, net *topology.Network, res mcheck.SearchResult) manifest.Run {
-	run := manifest.Run{
-		Name:         name,
-		TopologyHash: manifest.TopologyHash(net),
-		Verdict:      res.Verdict.String(),
-		States:       res.States,
-		StatesPerSec: int64(res.StatesPerSec),
-		PeakVisited:  res.PeakVisited,
-		Workers:      res.Workers,
-		ElapsedMS:    res.Elapsed.Milliseconds(),
-		Warnings:     res.Warnings,
-	}
-	if res.Reduction != mcheck.RedNone {
-		run.Reduction = res.Reduction.String()
-		run.StatesPruned = res.StatesPruned
-		run.ReductionRatio = manifest.ReductionRatio(res.States, res.StatesPruned)
-	}
-	// Visited-set accounting: the backend name is recorded only when a
-	// non-default backend ran, the byte figures always (peak RSS lives at
-	// the manifest top level; this is the structure's own accounting).
-	if res.Visited.Backend != "" && res.Visited.Backend != "mem" {
-		run.VisitedBackend = res.Visited.Backend
-	}
-	run.VisitedBytes = res.Visited.Bytes
-	run.SpillBytes = res.Visited.SpillBytes
-	run.SpillRuns = res.Visited.SpillRuns
-	return run
 }
 
 // RegisterReductionFlag registers the shared -reduction flag on the
@@ -319,20 +290,39 @@ func Reduction(value string) mcheck.Reduction {
 	return r
 }
 
-// SearchProgress returns a periodic-progress callback for the named
+// SearchOptions overlays the observer onto a search's options: the
+// tracer and metrics registry, and progress reporting under name —
+// stderr with -progress, the live /progress stream with -serve. The
+// result reports through the observer with SearchDone.
+func (o *Observer) SearchOptions(name string, opts mcheck.SearchOptions) mcheck.SearchOptions {
+	if o == nil {
+		return opts
+	}
+	opts.Tracer = o.Tracer
+	opts.Metrics = o.Metrics
+	opts.Progress = o.searchProgress(name)
+	if o.Server != nil {
+		// A fast interval, so even sub-second searches surface live
+		// snapshots to pollers; otherwise the engine's stderr-friendly
+		// default stands.
+		opts.ProgressEvery = 100 * time.Millisecond
+	}
+	return opts
+}
+
+// searchProgress returns the periodic-progress callback for the named
 // search: it prints to stderr when -progress is set and feeds the live
 // /progress endpoint when -serve is on. Nil when both are off, so the
 // search engine skips progress bookkeeping entirely. The callback carries
 // wall-clock rates and is deliberately kept out of the deterministic
 // trace.
-func (o *Observer) SearchProgress(name string) func(mcheck.ProgressInfo) {
-	live := o != nil && o.Server != nil
-	stderr := o != nil && o.progress
-	if !live && !stderr {
+func (o *Observer) searchProgress(name string) func(mcheck.ProgressInfo) {
+	live := o.Server != nil
+	if !live && !o.progress {
 		return nil
 	}
 	return func(p mcheck.ProgressInfo) {
-		if stderr {
+		if o.progress {
 			spill := ""
 			if p.SpillBytes > 0 {
 				spill = fmt.Sprintf(" (+%s spilled)", FormatBytes(p.SpillBytes))
@@ -357,20 +347,10 @@ func (o *Observer) SearchProgress(name string) func(mcheck.ProgressInfo) {
 	}
 }
 
-// ProgressInterval returns the progress-callback throttle to use with
-// SearchProgress: a fast interval when -serve is on (so even sub-second
-// searches surface live snapshots to pollers) and 0 otherwise, which
-// lets the search engine's stderr-friendly 2s default stand.
-func (o *Observer) ProgressInterval() time.Duration {
-	if o != nil && o.Server != nil {
-		return 100 * time.Millisecond
-	}
-	return 0
-}
-
-// PublishSearchDone marks the live /progress stream finished with the
-// search's verdict. No-op when -serve is off.
-func (o *Observer) PublishSearchDone(name string, res mcheck.SearchResult) {
+// SearchDone reports a finished search of sc: it marks the live
+// /progress stream done with the verdict and appends the run to the
+// manifest. Each step is a no-op when its flag is off.
+func (o *Observer) SearchDone(name string, sc sim.Scenario, res mcheck.SearchResult) {
 	o.Publish(serve.Snapshot{
 		Source:       "search",
 		Name:         name,
@@ -380,6 +360,38 @@ func (o *Observer) PublishSearchDone(name string, res mcheck.SearchResult) {
 		Done:         true,
 		Verdict:      res.Verdict.String(),
 	})
+	o.RecordRun(searchRun(name, sc, res))
+}
+
+// searchRun condenses a finished search into a manifest run entry.
+func searchRun(name string, sc sim.Scenario, res mcheck.SearchResult) manifest.Run {
+	run := manifest.Run{
+		Name:         name,
+		Scenario:     sc.Name,
+		TopologyHash: manifest.TopologyHash(sc.Net),
+		Verdict:      res.Verdict.String(),
+		States:       res.States,
+		StatesPerSec: int64(res.StatesPerSec),
+		PeakVisited:  res.PeakVisited,
+		Workers:      res.Workers,
+		ElapsedMS:    res.Elapsed.Milliseconds(),
+		Warnings:     res.Warnings,
+	}
+	if res.Reduction != mcheck.RedNone {
+		run.Reduction = res.Reduction.String()
+		run.StatesPruned = res.StatesPruned
+		run.ReductionRatio = manifest.ReductionRatio(res.States, res.StatesPruned)
+	}
+	// Visited-set accounting: the backend name is recorded only when a
+	// non-default backend ran, the byte figures always (peak RSS lives at
+	// the manifest top level; this is the structure's own accounting).
+	if res.Visited.Backend != "" && res.Visited.Backend != "mem" {
+		run.VisitedBackend = res.Visited.Backend
+	}
+	run.VisitedBytes = res.Visited.Bytes
+	run.SpillBytes = res.Visited.SpillBytes
+	run.SpillRuns = res.Visited.SpillRuns
+	return run
 }
 
 // NewTelemetry builds the sampling-telemetry pair a run on net should

@@ -77,45 +77,63 @@ func TestProgressStatesMonotonic(t *testing.T) {
 	}
 }
 
+// engines lists both search engines, for tests that hold them to the same
+// reporting contract.
+var engines = []struct {
+	name string
+	run  func(sim.Scenario, SearchOptions) SearchResult
+}{
+	{"search", Search},
+	{"liveness", SearchLiveness},
+}
+
 // A panicking Progress callback must not change the verdict or the state
 // count: the panic is contained, reporting stops, and the result carries
 // exactly one warning.
 func TestProgressCallbackPanicContained(t *testing.T) {
-	baseline := Search(ringScenario(2), SearchOptions{})
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			baseline := e.run(ringScenario(2), SearchOptions{})
 
-	calls := 0
-	res := Search(ringScenario(2), SearchOptions{
-		ProgressEvery: time.Nanosecond,
-		Progress: func(ProgressInfo) {
-			calls++
-			panic("observer bug")
-		},
-	})
-	if res.Verdict != baseline.Verdict || res.States != baseline.States {
-		t.Fatalf("panicking callback changed the result: %v/%d vs %v/%d",
-			res.Verdict, res.States, baseline.Verdict, baseline.States)
-	}
-	if calls != 1 {
-		t.Errorf("callback ran %d times after panicking, want 1 (disabled after first panic)", calls)
-	}
-	if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "panicked") {
-		t.Errorf("warnings = %v, want one panic warning", res.Warnings)
+			calls := 0
+			res := e.run(ringScenario(2), SearchOptions{
+				ProgressEvery: time.Nanosecond,
+				Progress: func(ProgressInfo) {
+					calls++
+					panic("observer bug")
+				},
+			})
+			if res.Verdict != baseline.Verdict || res.States != baseline.States {
+				t.Fatalf("panicking callback changed the result: %v/%d vs %v/%d",
+					res.Verdict, res.States, baseline.Verdict, baseline.States)
+			}
+			if calls != 1 {
+				t.Errorf("callback ran %d times after panicking, want 1 (disabled after first panic)", calls)
+			}
+			if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "panicked") {
+				t.Errorf("warnings = %v, want one panic warning", res.Warnings)
+			}
+		})
 	}
 }
 
 // A panic on the final report (the only one, with a huge tick) is
 // contained the same way.
 func TestProgressFinalCallPanicContained(t *testing.T) {
-	baseline := Search(ringScenario(2), SearchOptions{})
-	res := Search(ringScenario(2), SearchOptions{
-		ProgressEvery: time.Hour,
-		Progress:      func(ProgressInfo) { panic("final-report bug") },
-	})
-	if res.Verdict != baseline.Verdict || res.States != baseline.States {
-		t.Fatalf("panicking final report changed the result: %v/%d vs %v/%d",
-			res.Verdict, res.States, baseline.Verdict, baseline.States)
-	}
-	if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "panicked") {
-		t.Errorf("warnings = %v, want one panic warning", res.Warnings)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			baseline := e.run(ringScenario(2), SearchOptions{})
+			res := e.run(ringScenario(2), SearchOptions{
+				ProgressEvery: time.Hour,
+				Progress:      func(ProgressInfo) { panic("final-report bug") },
+			})
+			if res.Verdict != baseline.Verdict || res.States != baseline.States {
+				t.Fatalf("panicking final report changed the result: %v/%d vs %v/%d",
+					res.Verdict, res.States, baseline.Verdict, baseline.States)
+			}
+			if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "panicked") {
+				t.Errorf("warnings = %v, want one panic warning", res.Warnings)
+			}
+		})
 	}
 }

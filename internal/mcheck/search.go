@@ -31,6 +31,12 @@
 // processes the level in the same order a sequential FIFO queue would.
 // Verdicts, state counts and witness traces are therefore byte-identical
 // across any worker count, including 1.
+//
+// Search and SearchLiveness report through one path, the reporter in
+// report.go: trace events, mcheck_* gauges, throttled Progress calls (a
+// panicking callback is contained and becomes a result warning) and the
+// result's timing, visited-set and reduction figures. The liveness DFS
+// has no BFS levels, so it emits no per-level events or level gauges.
 package mcheck
 
 import (
@@ -136,11 +142,11 @@ type SearchOptions struct {
 	Reduction Reduction
 
 	// Tracer, when set, receives one obsv.KindSearchLevel event per BFS
-	// level and a final obsv.KindSearchDone. Events are emitted from the
-	// single-threaded merge and carry only logical quantities (level,
-	// frontier size, state count), so the traced sequence is identical
-	// across Parallelism values. Nil disables search tracing at the cost
-	// of one branch per level.
+	// level (Search only) and a final obsv.KindSearchDone. Events are
+	// emitted from the single-threaded merge and carry only logical
+	// quantities (level, frontier size, state count), so the traced
+	// sequence is identical across Parallelism values. Nil disables
+	// search tracing at the cost of one branch per level.
 	Tracer obsv.Tracer
 	// Progress, when set, is called periodically with live search
 	// telemetry — unlike Tracer it carries wall-clock rates and is meant
@@ -150,8 +156,11 @@ type SearchOptions struct {
 	// (plus one per level boundary check). 0 means a 2s default.
 	ProgressEvery time.Duration
 	// Metrics, when set, receives live search gauges (level, frontier
-	// size, peak frontier, states) and, at the end, the visited-set
-	// shard-load histogram.
+	// size, peak frontier, states; Search only) and, at the end, the
+	// state count, peak visited, workers and visited bytes, plus the
+	// spill and reduction gauges when those ran. The search is the only
+	// writer of these mcheck_* gauges: obsv.MetricsSink ignores search
+	// events.
 	Metrics *obsv.Registry
 }
 
@@ -268,8 +277,7 @@ type engine struct {
 	visited visitedStore
 	pool    sync.Pool // recycled *sim.Sim successors (liveness DFS stack)
 	workers []*searchWorker
-
-	vstats VisitedStats // reused stats snapshot for the progress path
+	report  reporter
 }
 
 // searchWorker is the per-goroutine scratch state for frontier expansion.
@@ -281,17 +289,19 @@ type searchWorker struct {
 	keyBuf   []byte
 	canonBuf []byte // canonical-encoding scratch (symmetry reduction)
 
-	stats      enumStats // pre-clone pruning counters, summed at finish
+	stats      enumStats // pre-clone pruning counters, summed by reporter.done
 	postPruned int64     // post-step futile-activation discards
 }
 
-func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root *sim.Sim, workers int) *engine {
+// newEngine builds the engine for a search that began at start.
+func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root *sim.Sim, workers int, start time.Time) *engine {
 	eng := &engine{
 		opts:    opts,
 		cfg:     cfg,
 		perms:   perms,
 		visited: newVisitedStore(opts.Visited),
 	}
+	eng.report = reporter{eng: eng, start: start, last: start}
 	eng.workers = make([]*searchWorker, workers)
 	for i := range eng.workers {
 		eng.workers[i] = &searchWorker{
@@ -302,15 +312,6 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 		}
 	}
 	return eng
-}
-
-// fillVisited copies the backend's live accounting into a progress report.
-// Runs only on the merge goroutine (the stats contract).
-func (eng *engine) fillVisited(p *ProgressInfo) {
-	eng.visited.stats(&eng.vstats)
-	p.VisitedEntries = eng.vstats.Entries
-	p.VisitedBytes = eng.vstats.Bytes
-	p.SpillBytes = eng.vstats.SpillBytes
 }
 
 // getSim returns a pooled simulator holding a deep copy of src.
@@ -469,8 +470,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	start := time.Now()
 	requireSearchableArbiter(sc.Cfg.Arbiter)
 	opts = normalizeSearchOptions(sc, opts)
-	maxStates := opts.MaxStates
-	workers := opts.Parallelism
 
 	// Derive the scenario's symmetries once per search; with none usable
 	// the symmetry bit is cleared so the result reports what ran.
@@ -484,7 +483,7 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR()}
 
 	root := newHeldSim(sc)
-	eng := newEngine(opts, cfg, perms, root, workers)
+	eng := newEngine(opts, cfg, perms, root, opts.Parallelism, start)
 	defer eng.visited.close()
 
 	// The root, like every successor, is keyed by its canonical encoding
@@ -497,116 +496,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	nodes := []provNode{{parent: -1, dec: -1}}
 	states := 1
 	level := 0
-
-	// emitProgress shields the search from the caller's Progress callback:
-	// a panic there is contained, surfaced as a result warning, and
-	// disables further reporting — it never corrupts the verdict.
-	var warnings []string
-	progressBroken := false
-	emitProgress := func(p ProgressInfo) {
-		if opts.Progress == nil || progressBroken {
-			return
-		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				progressBroken = true
-				warnings = append(warnings,
-					fmt.Sprintf("progress callback panicked: %v (progress reporting disabled for the rest of the search)", rec))
-			}
-		}()
-		opts.Progress(p)
-	}
-
-	finish := func(r SearchResult) SearchResult {
-		r.Elapsed = time.Since(start)
-		if secs := r.Elapsed.Seconds(); secs > 0 {
-			r.StatesPerSec = float64(r.States) / secs
-		}
-		eng.visited.stats(&r.Visited)
-		r.PeakVisited = r.Visited.Entries
-		r.Workers = workers
-		r.Reduction = opts.Reduction
-		r.SymmetryGroup = 1 + len(perms)
-		// Worker pruning counters sum deterministically: expandBatch is a
-		// barrier, so every level that influenced the result was expanded
-		// in full before its merge (including the final, early-returning
-		// one), and the per-worker split of a level never changes totals.
-		var st enumStats
-		var post int64
-		for _, w := range eng.workers {
-			st.add(&w.stats)
-			post += w.postPruned
-		}
-		r.StatesPruned = int(st.sleepSkips + st.freezeSkips + st.pickSkips + post)
-		r.SleepSetHits = int(st.sleepSets)
-		if opts.Tracer != nil {
-			ev := obsv.Ev(obsv.KindSearchDone, 0)
-			ev.N = r.States
-			ev.Note = r.Verdict.String()
-			opts.Tracer.Event(ev)
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.Gauge("mcheck_states").Set(int64(r.States))
-			opts.Metrics.Gauge("mcheck_peak_visited").Set(int64(r.PeakVisited))
-			opts.Metrics.Gauge("mcheck_workers").Set(int64(r.Workers))
-			opts.Metrics.Gauge("mcheck_visited_bytes").Set(r.Visited.Bytes)
-			// Spill gauges only exist when that backend ran, keeping
-			// default-backend metric snapshots identical to the historical
-			// ones.
-			if opts.Visited.Backend == VisitedSpill {
-				opts.Metrics.Gauge("mcheck_visited_spill_bytes").Set(r.Visited.SpillBytes)
-				opts.Metrics.Gauge("mcheck_visited_spill_runs").Set(int64(r.Visited.SpillRuns))
-			}
-			// Reduction gauges only exist when a reduction ran, keeping
-			// unreduced metric snapshots identical to the historical ones.
-			if opts.Reduction != RedNone {
-				opts.Metrics.Gauge("mcheck_states_pruned").Set(int64(r.StatesPruned))
-				opts.Metrics.Gauge("mcheck_sleep_set_hits").Set(int64(r.SleepSetHits))
-				opts.Metrics.Gauge("mcheck_symmetry_group").Set(int64(r.SymmetryGroup))
-			}
-		}
-		p := ProgressInfo{Level: level, States: r.States, Elapsed: r.Elapsed, StatesPerSec: r.StatesPerSec}
-		p.VisitedEntries = r.Visited.Entries
-		p.VisitedBytes = r.Visited.Bytes
-		p.SpillBytes = r.Visited.SpillBytes
-		emitProgress(p)
-		r.Warnings = warnings
-		return r
-	}
-
-	progressEvery := opts.ProgressEvery // normalized: always positive
-	lastProgress := start
-
-	// levelTelemetry is the per-level reporting. The trace event is
-	// emitted here — before the level's merge, from this single goroutine
-	// — so the traced sequence is the same for every Parallelism value.
-	levelTelemetry := func(frontierSize int) {
-		if opts.Tracer != nil {
-			ev := obsv.Ev(obsv.KindSearchLevel, level)
-			ev.N = frontierSize
-			ev.M = states
-			opts.Tracer.Event(ev)
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.Gauge("mcheck_search_level").Set(int64(level))
-			opts.Metrics.Gauge("mcheck_frontier_size").Set(int64(frontierSize))
-			opts.Metrics.Gauge("mcheck_frontier_peak").Max(int64(frontierSize))
-			opts.Metrics.Gauge("mcheck_states").Set(int64(states))
-		}
-		if opts.Progress != nil && !progressBroken {
-			if now := time.Now(); now.Sub(lastProgress) >= progressEvery {
-				lastProgress = now
-				elapsed := now.Sub(start)
-				sps := 0.0
-				if secs := elapsed.Seconds(); secs > 0 {
-					sps = float64(states) / secs
-				}
-				p := ProgressInfo{Level: level, Frontier: frontierSize, States: states, Elapsed: elapsed, StatesPerSec: sps}
-				eng.fillVisited(&p)
-				emitProgress(p)
-			}
-		}
-	}
 
 	// The frontier is a delta-encoded batch (frontier.go). Workers decode
 	// and expand it in parallel; the merge then walks it sequentially,
@@ -621,9 +510,9 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	for {
 		batch := &builders[cur].batch
 		if batch.count == 0 {
-			return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
+			return eng.report.done(SearchResult{Verdict: VerdictNoDeadlock, States: states}, level)
 		}
-		levelTelemetry(batch.count)
+		eng.report.level(level, batch.count, states)
 		if cap(results) < batch.count {
 			results = make([]expandResult, batch.count)
 		}
@@ -643,12 +532,12 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 				// witness trace instead so waitfor sees the state exactly
 				// as the search reached it.
 				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
-				return finish(SearchResult{
+				return eng.report.done(SearchResult{
 					Verdict:  VerdictDeadlock,
 					States:   states,
 					Trace:    trace,
 					Deadlock: waitfor.Find(Replay(sc, trace)),
-				})
+				}, level)
 			}
 			for _, su := range res.succs {
 				// Re-check against states merged earlier this level; the
@@ -657,8 +546,8 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 					continue
 				}
 				states++
-				if states > maxStates {
-					return finish(SearchResult{Verdict: VerdictExhausted, States: states})
+				if states > opts.MaxStates {
+					return eng.report.done(SearchResult{Verdict: VerdictExhausted, States: states}, level)
 				}
 				nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
 				builders[nxt].add(su.enc, su.budget, int32(len(nodes)-1))

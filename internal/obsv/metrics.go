@@ -358,7 +358,9 @@ func writeScalarSection(b *strings.Builder, names []string, value func(string) s
 // flits delivered, channel acquisitions, per-channel occupancy histograms,
 // block/unblock counts with blocked-duration histograms, faults,
 // recoveries and warnings. Attach it (alone, or in a Multi alongside a
-// trace sink) and export the registry at the end of the run.
+// trace sink) and export the registry at the end of the run. Search
+// events pass through: the search engines write their mcheck_* gauges
+// into the registry themselves (mcheck.SearchOptions.Metrics).
 type MetricsSink struct {
 	R *Registry
 
@@ -417,12 +419,5 @@ func (m *MetricsSink) Event(e Event) {
 		m.R.Counter("warnings_total").Inc()
 	case KindDeadlock:
 		m.R.Counter("sim_deadlocks_detected_total").Inc()
-	case KindSearchLevel:
-		m.R.Gauge("mcheck_search_level").Set(int64(e.Cycle))
-		m.R.Gauge("mcheck_frontier_size").Set(int64(e.N))
-		m.R.Gauge("mcheck_frontier_peak").Max(int64(e.N))
-		m.R.Gauge("mcheck_states").Set(int64(e.M))
-	case KindSearchDone:
-		m.R.Gauge("mcheck_states").Set(int64(e.N))
 	}
 }

@@ -158,9 +158,12 @@ sim_messages_injected_total 4
 		{Kind: KindConsume, Msg: 0}, {Kind: KindDeliver, Msg: 0, N: 9},
 		{Kind: KindFault, Note: "fail"}, {Kind: KindRecovery, Note: "drop"},
 		{Kind: KindWarning, Note: "w"}, {Kind: KindDeadlock, N: 2},
-		{Kind: KindSearchLevel, Cycle: 1, N: 4, M: 8}, {Kind: KindSearchDone, N: 8},
 	} {
 		sink.Event(e)
+	}
+	// The search engines write their gauges directly, not through the sink.
+	for _, g := range []string{"mcheck_search_level", "mcheck_frontier_size", "mcheck_frontier_peak", "mcheck_states"} {
+		full.Gauge(g).Set(1)
 	}
 	var full1 strings.Builder
 	if err := full.WritePrometheus(&full1); err != nil {

@@ -29,19 +29,18 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/obsv"
 )
 
-// Server bundles the observatory endpoints over one registry and one
-// progress hub.
+// Server bundles the observatory endpoints over one registry and three
+// hubs: progress snapshots, telemetry frames and SLO reports.
 type Server struct {
 	reg     *obsv.Registry
 	hub     *Hub
-	thub    *RawHub
-	shub    *RawHub
+	thub    *Hub
+	shub    *Hub
 	mux     *http.ServeMux
 	started time.Time
 
@@ -50,16 +49,15 @@ type Server struct {
 }
 
 // New returns a server exposing the registry (may be nil: /metrics then
-// serves an empty exposition), a fresh progress hub, and a fresh
-// telemetry hub.
+// serves an empty exposition) and fresh progress, telemetry and SLO hubs.
 func New(reg *obsv.Registry) *Server {
-	s := &Server{reg: reg, hub: NewHub(), thub: NewRawHub(), shub: NewRawHub(), mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{reg: reg, hub: NewHub(), thub: NewHub(), shub: NewHub(), mux: http.NewServeMux(), started: time.Now()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/progress", s.handleProgress)
-	s.mux.HandleFunc("/telemetry", s.handleTelemetry)
-	s.mux.HandleFunc("/telemetry/slo", s.handleSLO)
+	s.mux.Handle("/progress", s.hub)
+	s.mux.Handle("/telemetry", s.thub)
+	s.mux.Handle("/telemetry/slo", s.shub)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -71,11 +69,11 @@ func New(reg *obsv.Registry) *Server {
 // Hub returns the progress hub feeding /progress.
 func (s *Server) Hub() *Hub { return s.hub }
 
-// TelemetryHub returns the raw-payload hub feeding /telemetry.
-func (s *Server) TelemetryHub() *RawHub { return s.thub }
+// TelemetryHub returns the hub feeding /telemetry.
+func (s *Server) TelemetryHub() *Hub { return s.thub }
 
-// SLOHub returns the raw-payload hub feeding /telemetry/slo.
-func (s *Server) SLOHub() *RawHub { return s.shub }
+// SLOHub returns the hub feeding /telemetry/slo.
+func (s *Server) SLOHub() *Hub { return s.shub }
 
 // Handler returns the server's routing handler, for tests that mount it
 // on an httptest.Server instead of a real listener.
@@ -137,46 +135,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if err := s.reg.WritePrometheus(w); err != nil {
 		// Headers are gone; all we can do is drop the connection.
 		return
-	}
-}
-
-// handleProgress serves the latest snapshot as JSON, or an SSE stream when
-// the client asks for one (?stream=sse or Accept: text/event-stream).
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	stream := r.URL.Query().Get("stream") == "sse" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if !stream {
-		w.Header().Set("Content-Type", "application/json")
-		if last := s.hub.Latest(); last != nil {
-			w.Write(last)
-			w.Write([]byte("\n"))
-			return
-		}
-		w.Write([]byte("{}\n"))
-		return
-	}
-
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	fl.Flush()
-
-	events, cancel := s.hub.Subscribe()
-	defer cancel()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case buf := <-events:
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", buf); err != nil {
-				return
-			}
-			fl.Flush()
-		}
 	}
 }

@@ -91,8 +91,8 @@ func TestProgressSnapshotJSON(t *testing.T) {
 		t.Errorf("empty progress = %q", body)
 	}
 
-	s.Hub().Publish(Snapshot{Source: "search", Name: "gen4", Level: 3, States: 120})
-	s.Hub().Publish(Snapshot{Source: "search", Name: "gen4", Level: 4, States: 250})
+	s.Hub().PublishSnapshot(Snapshot{Source: "search", Name: "gen4", Level: 3, States: 120})
+	s.Hub().PublishSnapshot(Snapshot{Source: "search", Name: "gen4", Level: 4, States: 250})
 	_, body = get(t, ts.URL+"/progress")
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
@@ -105,7 +105,7 @@ func TestProgressSnapshotJSON(t *testing.T) {
 
 func TestProgressSSEStream(t *testing.T) {
 	s, ts := newTestServer(t)
-	s.Hub().Publish(Snapshot{Source: "search", States: 1}) // pre-seeded for late subscribers
+	s.Hub().PublishSnapshot(Snapshot{Source: "search", States: 1}) // pre-seeded for late subscribers
 
 	resp, err := http.Get(ts.URL + "/progress?stream=sse")
 	if err != nil {
@@ -119,8 +119,8 @@ func TestProgressSSEStream(t *testing.T) {
 	go func() {
 		// Give the handler a moment to subscribe, then publish two more.
 		time.Sleep(50 * time.Millisecond)
-		s.Hub().Publish(Snapshot{Source: "search", States: 2})
-		s.Hub().Publish(Snapshot{Source: "search", States: 3, Done: true, Verdict: "no-deadlock"})
+		s.Hub().PublishSnapshot(Snapshot{Source: "search", States: 2})
+		s.Hub().PublishSnapshot(Snapshot{Source: "search", States: 3, Done: true, Verdict: "no-deadlock"})
 	}()
 
 	var states []int
@@ -152,7 +152,7 @@ func TestHubDropsSlowSubscribers(t *testing.T) {
 	// Publish far more than the subscriber buffer without draining: must
 	// not block, and the channel must still deliver up to its capacity.
 	for i := 0; i < 100; i++ {
-		h.Publish(Snapshot{States: i})
+		h.PublishSnapshot(Snapshot{States: i})
 	}
 	if got := len(ch); got == 0 || got > 16 {
 		t.Errorf("buffered events = %d, want 1..16", got)

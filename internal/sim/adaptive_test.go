@@ -113,7 +113,7 @@ func TestAdaptiveEncodeIncludesRoute(t *testing.T) {
 	}
 	viaB := mk("ab")
 	viaC := mk("ac")
-	if viaB.Encode() == viaC.Encode() {
+	if encOf(viaB) == encOf(viaC) {
 		t.Fatal("different materialized routes must encode differently")
 	}
 }
@@ -153,7 +153,7 @@ func TestAdaptiveCloneIndependence(t *testing.T) {
 	c := s.Clone()
 	s.Step()
 	s.Step()
-	if c.Encode() == s.Encode() {
+	if encOf(c) == encOf(s) {
 		t.Fatal("clone shares adaptive state with the original")
 	}
 	if out := c.Run(100); out.Result != ResultDelivered {

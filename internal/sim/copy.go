@@ -56,10 +56,7 @@ func (s *Sim) CopyFrom(src *Sim) {
 	if cap(s.msgs) >= len(src.msgs) {
 		s.msgs = s.msgs[:len(src.msgs)] // revives structs parked beyond the old length
 	} else {
-		s.msgs = s.msgs[:cap(s.msgs)]
-		for len(s.msgs) < len(src.msgs) {
-			s.msgs = append(s.msgs, message{})
-		}
+		s.msgs = append(s.msgs[:cap(s.msgs)], make([]message, len(src.msgs)-cap(s.msgs))...)
 	}
 	for i := range src.msgs {
 		sm := &src.msgs[i]

@@ -13,7 +13,7 @@ import (
 // choice-free — whose future under Step is the original's future.
 
 // decodeScenarios returns scenarios with every InjectAt already due (the
-// Encode/Decode contract), covering oblivious delivery, a cyclic
+// EncodeTo/DecodeFrom contract), covering oblivious delivery, a cyclic
 // deadlock, adaptive route materialization, and channel faults.
 func decodeScenarios() []Scenario {
 	line := lineScenario()

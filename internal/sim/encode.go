@@ -9,14 +9,13 @@ import (
 )
 
 // EncodeTo appends a compact, canonical binary encoding of the mutable
-// simulation state to *dst. It captures exactly the same state as Encode —
-// per-message progress, freeze/held/drop flags, buffered flit counts, the
-// materialized route of adaptive messages, and time-relative channel fault
-// state — but costs no formatting and, when *dst already has capacity, no
-// allocation. Two states encode to identical bytes iff they have identical
-// future behaviour under identical choice sequences (the same caveat as
-// Encode: every message's InjectAt must already be due; searches arrange
-// this via Held).
+// simulation state to *dst: per-message progress, freeze/held/drop flags,
+// buffered flit counts, the materialized route of adaptive messages, and
+// time-relative channel fault state, excluding the cycle counter and
+// statistics. When *dst already has capacity it does not allocate. Two
+// states encode to identical bytes iff they have identical future
+// behaviour under identical choice sequences, provided every message's
+// InjectAt is already due (searches arrange this via Held).
 //
 // The format is length-prefixed uvarints, so equal byte strings imply
 // equal states even across different prefix lengths:

@@ -146,7 +146,7 @@ func TestEncodeConsistencyProperty(t *testing.T) {
 		a := randomScenario(seed, false, 1)
 		b := randomScenario(seed, false, 1)
 		for c := 0; c < 40; c++ {
-			if a.Encode() != b.Encode() {
+			if encOf(a) != encOf(b) {
 				return false
 			}
 			a.Step()

@@ -31,8 +31,8 @@
 // freeze counters (a frozen message does not move even when its output
 // channel is free) and via per-channel fault state (a down channel accepts
 // no new worm and transfers no flits until its repair cycle, if any; see
-// SetChannelDown). It exposes Clone, Encode, explicit arbitration picks
-// and adaptive selection masks so the mcheck package can use it as the
+// SetChannelDown). It exposes CopyFrom/Clone, EncodeTo/DecodeFrom,
+// explicit arbitration picks and adaptive selection masks so the mcheck package can use it as the
 // transition function of an exact state-space search, and message-level
 // recovery primitives (DropMessage, ResetMessage, SetMessagePath) used by
 // the internal/fault recovery policies.
@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/obsv"
 	"repro/internal/obsv/telemetry"
@@ -1485,88 +1484,9 @@ func (s *Sim) droppedIDs() []int {
 // marked StatelessArbiter). The search engines in internal/mcheck enforce
 // this: they reject arbiters that implement neither interface.
 func (s *Sim) Clone() *Sim {
-	cfg := s.cfg
-	if a, ok := cfg.Arbiter.(ArbiterCloner); ok {
-		cfg.Arbiter = a.CloneArbiter()
-	}
-	c := &Sim{
-		net:           s.net,
-		cfg:           cfg,
-		now:           s.now,
-		owner:         append([]int(nil), s.owner...),
-		downUntil:     append([]int(nil), s.downUntil...),
-		waitingSince:  append([]int(nil), s.waitingSince...),
-		active:        append([]int32(nil), s.active...),
-		liveCount:     s.liveCount,
-		droppedCount:  s.droppedCount,
-		flitsConsumed: s.flitsConsumed,
-		lastMoved:     s.lastMoved,
-		lastThawed:    s.lastThawed,
-	}
-	// The scratch arenas deliberately stay zero: they are transient
-	// per-step working memory and regrow lazily in the clone.
-	c.msgs = make([]message, len(s.msgs))
-	for i := range s.msgs {
-		m := &s.msgs[i]
-		cp := &c.msgs[i]
-		*cp = *m
-		cp.queued = append([]int(nil), m.queued...)
-		cp.path = append([]topology.ChannelID(nil), m.path...)
-	}
+	c := &Sim{net: s.net}
+	c.CopyFrom(s)
 	return c
-}
-
-// Encode returns a canonical string of the mutable simulation state,
-// excluding the cycle counter and statistics, for use as a visited-set key
-// in state-space search. It is the human-readable sibling of EncodeTo,
-// which produces an equivalent binary encoding without allocating and is
-// what the search engines use on their hot path. Two states with equal encodings have identical
-// future behaviour under identical choice sequences, provided every
-// message's InjectAt is already due (searches arrange this by using Held
-// instead of InjectAt).
-func (s *Sim) Encode() string {
-	var b strings.Builder
-	for i := range s.msgs {
-		m := &s.msgs[i]
-		fmt.Fprintf(&b, "m%d:i%dc%df%d", m.id, m.injected, m.consumed, m.frozen)
-		if m.held {
-			b.WriteByte('h')
-		}
-		if m.headerConsumed {
-			b.WriteByte('H')
-		}
-		if m.dropped {
-			b.WriteByte('D')
-		}
-		b.WriteByte('[')
-		for _, q := range m.queued {
-			fmt.Fprintf(&b, "%d,", q)
-		}
-		b.WriteByte(']')
-		if m.adaptive() {
-			// The materialized route is part of an adaptive message's
-			// state.
-			b.WriteByte('p')
-			for _, c := range m.path {
-				fmt.Fprintf(&b, "%d.", c)
-			}
-		}
-		b.WriteByte(';')
-	}
-	// Channel fault state, time-relative (remaining outage) so two states
-	// that behave identically going forward encode identically regardless
-	// of absolute cycle.
-	for c, until := range s.downUntil {
-		if until <= s.now {
-			continue
-		}
-		if until == DownForever {
-			fmt.Fprintf(&b, "X%d:P;", c)
-		} else {
-			fmt.Fprintf(&b, "X%d:%d;", c, until-s.now)
-		}
-	}
-	return b.String()
 }
 
 // MsgView is a read-only snapshot of one message's state.

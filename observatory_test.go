@@ -41,26 +41,21 @@ func TestObservatoryLiveSearch(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
+	// The search reports through an observer wired the way -serve,
+	// -metrics and -manifest wire it.
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	obs := &cli.Observer{Metrics: reg, Server: srv,
+		Manifest: manifest.NewBuilder(path, "observatory_test", nil)}
 	done := make(chan mcheck.SearchResult, 1)
 	go func() {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{
+		opts := obs.SearchOptions(name, mcheck.SearchOptions{
 			StallBudget:         4,
 			FreezeInTransitOnly: true,
 			Reduction:           mcheck.RedAll,
-			Metrics:             reg,
-			ProgressEvery:       time.Nanosecond,
-			Progress: func(p mcheck.ProgressInfo) {
-				srv.Hub().Publish(serve.Snapshot{
-					Source: "search", Name: name,
-					Level: p.Level, Frontier: p.Frontier, States: p.States,
-					StatesPerSec: int64(p.StatesPerSec), ElapsedMS: p.Elapsed.Milliseconds(),
-				})
-			},
 		})
-		srv.Hub().Publish(serve.Snapshot{
-			Source: "search", Name: name, States: res.States,
-			Done: true, Verdict: res.Verdict.String(),
-		})
+		opts.ProgressEvery = time.Nanosecond
+		res := mcheck.Search(pn.Scenario, opts)
+		obs.SearchDone(name, pn.Scenario, res)
 		done <- res
 	}()
 
@@ -128,12 +123,7 @@ func TestObservatoryLiveSearch(t *testing.T) {
 	}
 
 	// Manifest round-trip: the on-disk document matches the SearchResult.
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	b := manifest.NewBuilder(path, "observatory_test", nil)
-	run := cli.SearchRun(name, pn.Scenario.Net, res)
-	run.Scenario = pn.Scenario.Name
-	b.AddRun(run)
-	if err := b.Write(); err != nil {
+	if err := obs.Manifest.Write(); err != nil {
 		t.Fatal(err)
 	}
 	m, err := manifest.Load(path)
@@ -154,7 +144,7 @@ func TestObservatoryLiveSearch(t *testing.T) {
 	if want := manifest.ReductionRatio(res.States, res.StatesPruned); got.ReductionRatio != want {
 		t.Errorf("manifest reduction ratio = %v, want %v", got.ReductionRatio, want)
 	}
-	if got.TopologyHash == "" || got.Workers != res.Workers {
+	if got.TopologyHash == "" || got.Workers != res.Workers || got.Scenario != pn.Scenario.Name {
 		t.Errorf("manifest run = %+v", got)
 	}
 	if m.WallTimeMS < 0 || m.Command != "observatory_test" {
