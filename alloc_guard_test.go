@@ -360,7 +360,6 @@ var rowAllocs = map[string]int64{
 	"Ablation_Arbitration/fifo":      46,
 	"Ablation_Arbitration/priority":  45,
 	"TracedSimRun/traced":            54,
-	"Ablation_SearchStrategy/sweep":  62376,
 }
 
 // TestRowBudgets runs one op of every registry row at GOMAXPROCS=1. The

@@ -15,14 +15,17 @@
 //	E8  Section 7 extensions   TheoremN generalization; adaptive routing
 //	E9  beyond the paper       liveness taxonomy: local deadlock, livelock
 //
-// Flags select subsets and effort; the default runs everything at moderate
-// effort in a few minutes.
+// With no flags it runs every experiment once, in seconds; -only selects a
+// subset. Each paper claim is printed as MATCHES PAPER or ** DIVERGES **,
+// and the command exits 1 if any check diverged, so the report doubles as
+// a regression gate.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/adaptive"
@@ -41,11 +44,12 @@ import (
 
 var (
 	only  = flag.String("only", "", "comma-separated experiment list, e.g. e1,e5 (default: all)")
-	deep  = flag.Bool("deep", false, "run the expensive variants (multi-copy searches, larger k)")
 	obsvF = cli.RegisterObsvFlags()
 	redF  = cli.RegisterReductionFlag()
 	red   mcheck.Reduction
 	obs   *cli.Observer
+	// diverged counts the checks that disagreed with the paper.
+	diverged int
 )
 
 // search runs one experiment's exhaustive search with engine
@@ -70,7 +74,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer obs.Close()
 	want := map[string]bool{}
 	if *only != "" {
 		for _, e := range strings.Split(*only, ",") {
@@ -94,12 +97,21 @@ func main() {
 	run("e7", e7)
 	run("e8", e8)
 	run("e9", e9)
+	if err := obs.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if diverged > 0 {
+		fmt.Fprintf(os.Stderr, "repro: %d check(s) diverged from the paper\n", diverged)
+		os.Exit(1)
+	}
 }
 
+// check renders one paper claim's outcome and counts a divergence.
 func check(ok bool) string {
 	if ok {
 		return "MATCHES PAPER"
 	}
+	diverged++
 	return "** DIVERGES **"
 }
 
@@ -135,14 +147,12 @@ func e1() {
 	fmt.Printf("     paper Section 6: becomes a deadlock     -> %s\n",
 		check(skew.Verdict == mcheck.VerdictDeadlock))
 
-	if *deep {
-		sc := pn.Scenario
-		sc.Msgs = append(append([]sim.MessageSpec(nil), sc.Msgs...), sc.Msgs[0], sc.Msgs[2])
-		multi := search(mcheck.Search, "e1.6 figure1 multi", sc, mcheck.SearchOptions{MaxStates: 50_000_000})
-		fmt.Printf("E1.6 with extra copies of M1 and M3: %s over %d states\n", multi.Verdict, multi.States)
-		fmt.Printf("     paper Theorem 1 (any rate)              -> %s\n",
-			check(multi.Verdict == mcheck.VerdictNoDeadlock))
-	}
+	sc := pn.Scenario
+	sc.Msgs = append(append([]sim.MessageSpec(nil), sc.Msgs...), sc.Msgs[0], sc.Msgs[2])
+	multi := search(mcheck.Search, "e1.6 figure1 multi", sc, mcheck.SearchOptions{MaxStates: 50_000_000})
+	fmt.Printf("E1.6 with extra copies of M1 and M3: %s over %d states\n", multi.Verdict, multi.States)
+	fmt.Printf("     paper Theorem 1 (any rate)              -> %s\n",
+		check(multi.Verdict == mcheck.VerdictNoDeadlock))
 }
 
 // e2 — Corollaries 1-3: coherent / suffix-closed / input-channel
@@ -248,7 +258,6 @@ func e4() {
 // family.
 func e5() {
 	wantFree := map[byte]bool{'a': true, 'b': true, 'c': false, 'd': false, 'e': false, 'f': false}
-	allOK := true
 	for letter := byte('a'); letter <= 'f'; letter++ {
 		pn := papernets.Figure3(letter)
 		rep := core.Analyze(pn.Alg, core.Options{})
@@ -268,7 +277,6 @@ func e5() {
 			detail = " (violated: " + strings.Join(bad, ", ") + ")"
 		}
 		fmt.Printf("E5.%c Figure 3(%c): %s%s -> %s\n", letter, letter, status, detail, check(free == wantFree[letter]))
-		allOK = allOK && free == wantFree[letter]
 	}
 
 	// Family agreement between the Theorem 5 evaluator and the model
@@ -289,7 +297,6 @@ func e5() {
 	}
 	fmt.Printf("E5.g Theorem 5 iff across %d instances: %d mismatches -> %s\n",
 		total, total-agree, check(total == agree))
-	_ = allOK
 }
 
 func groundTruthWithCopies(sc sim.Scenario) bool {
@@ -309,10 +316,7 @@ func groundTruthWithCopies(sc sim.Scenario) bool {
 // e6 — Section 6 / Gen(k): the minimal adversarial stall needed for a
 // deadlock grows linearly with k (the paper: at least k cycles).
 func e6() {
-	maxK := 3
-	if *deep {
-		maxK = 5
-	}
+	const maxK = 5
 	fmt.Println("E6   k | minimal stall cycles | paper bound (>= k)")
 	allOK := true
 	for k := 1; k <= maxK; k++ {
@@ -372,7 +376,7 @@ func e7() {
 	}
 	stats, out, err := w.Run(sim.Config{}, 1_000_000)
 	if err != nil {
-		fmt.Println("E7.2 error:", err)
+		fmt.Printf("E7.2 error: %v -> %s\n", err, check(false))
 		return
 	}
 	fmt.Printf("E7.2 DOR 8x8 mesh, uniform 0.02: %s, %d/%d delivered, avg latency %.1f, throughput %.3f flits/cycle\n",
@@ -384,7 +388,7 @@ func e7() {
 	}
 	_, rout, err := rw.Run(sim.Config{}, 1_000_000)
 	if err != nil {
-		fmt.Println("E7.3 error:", err)
+		fmt.Printf("E7.3 error: %v -> %s\n", err, check(false))
 		return
 	}
 	fmt.Printf("E7.3 naive ring routing under load: %s -> %s\n", rout.Result,
@@ -421,21 +425,16 @@ func e8() {
 	}
 	faSc, _ := buildAdaptive(1, adaptive.FullyAdaptiveMinimal)
 	wfSc, _ := buildAdaptive(1, adaptive.WestFirst)
+	duSc, _ := buildAdaptive(2, adaptive.DuatoMesh)
 	insts := []inst{
 		{"fully adaptive minimal (1 VC)", faSc, mcheck.VerdictDeadlock},
 		{"west-first turn model (1 VC) ", wfSc, mcheck.VerdictNoDeadlock},
-	}
-	if *deep {
-		duSc, _ := buildAdaptive(2, adaptive.DuatoMesh)
-		insts = append(insts, inst{"duato escape protocol (2 VC) ", duSc, mcheck.VerdictNoDeadlock})
+		{"duato escape protocol (2 VC) ", duSc, mcheck.VerdictNoDeadlock},
 	}
 	for _, in := range insts {
 		res := search(mcheck.Search, "e8.2 "+strings.TrimSpace(in.name), in.sc, mcheck.SearchOptions{MaxStates: 50_000_000})
 		fmt.Printf("E8.2 %s exhaustive: %s over %d states (%.0f states/sec) -> %s\n",
 			in.name, res.Verdict, res.States, res.StatesPerSec, check(res.Verdict == in.want))
-	}
-	if !*deep {
-		fmt.Println("     (run with -deep to also verify Duato's protocol exhaustively, ~430k states)")
 	}
 }
 

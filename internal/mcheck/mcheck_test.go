@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -102,65 +101,6 @@ func TestSearchHonorsPartialInjection(t *testing.T) {
 	}
 }
 
-func TestSweepFindsRingDeadlock(t *testing.T) {
-	res := Sweep(ringScenario(2), SweepOptions{Window: 2})
-	if res.Deadlocks == 0 || res.First == nil {
-		t.Fatalf("sweep found no deadlock: %+v", res)
-	}
-	if res.Runs != 16 { // 2^4 schedules x 1 arbiter
-		t.Fatalf("runs = %d; want 16", res.Runs)
-	}
-	if res.First.Deadlock == nil {
-		t.Fatal("witness missing Definition 6 cycle")
-	}
-	if !strings.Contains(res.First.String(), "inject=") {
-		t.Fatalf("witness String = %q", res.First.String())
-	}
-	// Replay the witness schedule directly.
-	run := ringScenario(2).WithInjectTimes(res.First.InjectTimes).WithLengths(res.First.Lengths)
-	out := run.NewSim().Run(10_000)
-	if out.Result != sim.ResultDeadlock {
-		t.Fatalf("witness schedule does not deadlock: %v", out.Result)
-	}
-}
-
-func TestSweepSafeScenario(t *testing.T) {
-	res := Sweep(safeScenario(), SweepOptions{Window: 3, Arbiters: AllPriorityArbiters(2)})
-	if res.Deadlocks != 0 {
-		t.Fatalf("safe scenario deadlocked: %+v", res.First)
-	}
-	if res.Runs != 9*2 {
-		t.Fatalf("runs = %d; want 18", res.Runs)
-	}
-}
-
-func TestSweepLengthBands(t *testing.T) {
-	sc := ringScenario(1)
-	res := Sweep(sc, SweepOptions{Window: 1, Lengths: [][]int{{1, 2}, {1, 2}}})
-	// 2 lengths for messages 0 and 1, 1 each for 2 and 3 => 4 runs.
-	if res.Runs != 4 {
-		t.Fatalf("runs = %d; want 4", res.Runs)
-	}
-	if res.Deadlocks != 4 {
-		t.Fatalf("deadlocks = %d; all simultaneous ring schedules deadlock", res.Deadlocks)
-	}
-}
-
-func TestAllPriorityArbiters(t *testing.T) {
-	if got := len(AllPriorityArbiters(3)); got != 6 {
-		t.Fatalf("3! = %d; want 6", got)
-	}
-	if got := len(AllPriorityArbiters(1)); got != 1 {
-		t.Fatalf("1! = %d; want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n > 6")
-		}
-	}()
-	AllPriorityArbiters(7)
-}
-
 func TestSubsetEnumeration(t *testing.T) {
 	// Ascending bitmask order: {}, {1}, {2}, {1,2}.
 	var got [][]int
@@ -247,27 +187,5 @@ func TestReplayEmptyTrace(t *testing.T) {
 	// All messages held at the root state.
 	if !s.Held(0) || !s.Held(1) {
 		t.Fatal("root state should hold every message")
-	}
-}
-
-func TestSweepParallelMatchesSequential(t *testing.T) {
-	sc := ringScenario(2)
-	seq := Sweep(sc, SweepOptions{Window: 3})
-	par := Sweep(sc, SweepOptions{Window: 3, Parallelism: 4})
-	if seq.Runs != par.Runs || seq.Deadlocks != par.Deadlocks {
-		t.Fatalf("sequential %+v vs parallel %+v", seq, par)
-	}
-	if (seq.First == nil) != (par.First == nil) {
-		t.Fatal("witness presence differs")
-	}
-	if seq.First != nil {
-		for i := range seq.First.InjectTimes {
-			if seq.First.InjectTimes[i] != par.First.InjectTimes[i] {
-				t.Fatalf("first witness differs: %v vs %v", seq.First.InjectTimes, par.First.InjectTimes)
-			}
-		}
-		if seq.First.ArbiterIdx != par.First.ArbiterIdx {
-			t.Fatal("first witness arbiter differs")
-		}
 	}
 }

@@ -8,16 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// normalizeParallelism resolves a worker-count option: non-positive means
-// one worker per available CPU. Search and Sweep share this so the two
-// engines can never drift on what "default parallelism" means.
-func normalizeParallelism(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // VisitedBackend selects the deduplication structure behind a search.
 // Every backend is exact — verdicts, state counts and witnesses are
 // byte-identical across backends at any worker count; they differ only in
@@ -78,7 +68,9 @@ func normalizeSearchOptions(sc sim.Scenario, opts SearchOptions) SearchOptions {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
-	opts.Parallelism = normalizeParallelism(opts.Parallelism)
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	if opts.ProgressEvery <= 0 {
 		opts.ProgressEvery = 2 * time.Second
 	}

@@ -153,14 +153,15 @@ func TestSearchRejectsOpaqueStatefulArbiter(t *testing.T) {
 	Search(sc, SearchOptions{})
 }
 
-func TestSweepRejectsOpaqueStatefulArbiter(t *testing.T) {
+func TestSearchLivenessRejectsOpaqueStatefulArbiter(t *testing.T) {
 	sc := ringScenario(2)
+	sc.Cfg.Arbiter = &statefulArbiter{grants: map[int]int{}}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Sweep accepted an arbiter with hidden per-instance state")
+			t.Fatal("SearchLiveness accepted an arbiter with hidden per-instance state")
 		}
 	}()
-	Sweep(sc, SweepOptions{Window: 1, Arbiters: []sim.Arbiter{&statefulArbiter{grants: map[int]int{}}}})
+	SearchLiveness(sc, SearchOptions{})
 }
 
 func TestSearchAcceptsCloningArbiter(t *testing.T) {

@@ -1,27 +1,18 @@
 // Package mcheck decides deadlock reachability for finite wormhole-routing
 // scenarios by exhaustive search.
 //
-// Two complementary engines are provided:
+// Search is an exact breadth-first state-space exploration of the
+// simulator's transition system under full adversarial nondeterminism:
+// sources may delay injection arbitrarily (assumption 1), every
+// arbitration choice is enumerated (assumption 5), and an optional stall
+// budget lets the adversary freeze moving messages (Section 6's relaxation
+// of tight synchrony). For a fixed finite message set this is a complete
+// decision procedure: VerdictNoDeadlock means no reachable state of the
+// scenario contains a Definition 6 deadlock configuration.
 //
-//   - Search: an exact breadth-first state-space exploration of the
-//     simulator's transition system under full adversarial nondeterminism —
-//     sources may delay injection arbitrarily (assumption 1), every
-//     arbitration choice is enumerated (assumption 5), and an optional
-//     stall budget lets the adversary freeze moving messages (Section 6's
-//     relaxation of tight synchrony). For a fixed finite message set this
-//     is a complete decision procedure: VerdictNoDeadlock means no
-//     reachable state of the scenario contains a Definition 6 deadlock
-//     configuration.
-//
-//   - Sweep: a bounded sweep over concrete injection-time tuples, message
-//     lengths and arbitration policies. It is cheaper, produces
-//     human-readable witnesses (an actual schedule), and regenerates the
-//     paper's "inject M2 before M1..." style case analyses, but unlike
-//     Search it is only exhaustive over its stated bounds.
-//
-// A deadlock verdict always carries a witness: the decision trace (Search)
-// or schedule (Sweep) plus the Definition 6 cycle, and Replay re-executes
-// traces so tests can validate witnesses independently.
+// A deadlock verdict always carries a witness: the decision trace plus the
+// Definition 6 cycle, and Replay re-executes traces so tests can validate
+// witnesses independently.
 //
 // Search is parallel but exactly deterministic: frontier expansion — the
 // expensive part, cloning and stepping the simulator once per decision —

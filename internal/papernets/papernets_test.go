@@ -171,6 +171,29 @@ func TestGenKMinimalStall(t *testing.T) {
 			t.Fatalf("gen%d witness freeze profile = %v; want one message frozen %d cycles", k, frozen, k)
 		}
 	}
+	if testing.Short() {
+		return
+	}
+	// The tolerance saturates: Gen(6) needs 5 stall cycles, not 6, split
+	// across the two long-approach messages M2 and M4.
+	pn := GenK(6)
+	below := mcheck.Search(pn.Scenario, mcheck.SearchOptions{StallBudget: 4, FreezeInTransitOnly: true})
+	if below.Verdict != mcheck.VerdictNoDeadlock || below.States != 31061 {
+		t.Fatalf("gen6 with budget 4: %v over %d states; want no deadlock over 31061", below.Verdict, below.States)
+	}
+	at := mcheck.Search(pn.Scenario, mcheck.SearchOptions{StallBudget: 5, FreezeInTransitOnly: true})
+	if at.Verdict != mcheck.VerdictDeadlock || at.States != 33277 {
+		t.Fatalf("gen6 with budget 5: %v over %d states; want deadlock over 33277", at.Verdict, at.States)
+	}
+	frozen := map[int]int{}
+	for _, d := range at.Trace {
+		for _, id := range d.Freeze {
+			frozen[id]++
+		}
+	}
+	if len(frozen) != 2 || frozen[1] != 3 || frozen[3] != 2 {
+		t.Fatalf("gen6 witness freeze profile = %v; want M2 (id 1) frozen 3 cycles and M4 (id 3) 2", frozen)
+	}
 }
 
 func TestGenKRejectsBadK(t *testing.T) {

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Reset returns the simulator to the empty state New produces — no
 // messages, cycle zero, all channels free and in service — while keeping
 // the network, configuration and slice capacity. Pools of simulators use
@@ -73,49 +71,4 @@ func (s *Sim) CopyFrom(src *Sim) {
 	// s's scratch arenas and epochs are left alone, and so are its tracer
 	// and telemetry collector: per-instance working memory and observers,
 	// not simulation state.
-}
-
-// SetInjectAt changes the earliest injection cycle of message id. Only
-// messages that have not begun injecting (never, or just reset) can be
-// retimed; schedule sweeps use this to re-run one pooled simulator over a
-// grid of injection schedules without rebuilding it.
-func (s *Sim) SetInjectAt(id, at int) error {
-	m := &s.msgs[id]
-	if m.injected > 0 && !m.terminal() {
-		return fmt.Errorf("sim: SetInjectAt(%d): message is in the network", id)
-	}
-	if at < 0 {
-		return fmt.Errorf("sim: SetInjectAt(%d): negative injection time %d", id, at)
-	}
-	m.spec.InjectAt = at
-	return nil
-}
-
-// SetLength changes the flit count of message id. Like SetInjectAt it is
-// only legal before the message begins injecting.
-func (s *Sim) SetLength(id, length int) error {
-	m := &s.msgs[id]
-	if m.injected > 0 && !m.terminal() {
-		return fmt.Errorf("sim: SetLength(%d): message is in the network", id)
-	}
-	if length < 1 {
-		return fmt.Errorf("sim: SetLength(%d): length %d < 1", id, length)
-	}
-	wasTerminal := m.terminal()
-	m.spec.Length = length
-	// Lengthening a fully delivered message revives it (it resumes
-	// injecting its new tail flits), so it re-enters the live population.
-	if wasTerminal && !m.terminal() {
-		s.liveCount++
-		s.ensureActive(id)
-	}
-	return nil
-}
-
-// SetArbiter replaces the arbitration policy for subsequent cycles.
-func (s *Sim) SetArbiter(a Arbiter) {
-	if a == nil {
-		a = FIFOArbiter{}
-	}
-	s.cfg.Arbiter = a
 }

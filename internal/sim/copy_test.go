@@ -108,34 +108,6 @@ func TestCopyFromRejectsDifferentNetworks(t *testing.T) {
 	a.CopyFrom(b)
 }
 
-func TestSetInjectAtAndLength(t *testing.T) {
-	net := line(4)
-	s := New(net, Config{})
-	id := s.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 2, Path: pathTo(net, 3), InjectAt: 5})
-	if err := s.SetInjectAt(id, 0); err != nil {
-		t.Fatalf("SetInjectAt before injection: %v", err)
-	}
-	if err := s.SetLength(id, 4); err != nil {
-		t.Fatalf("SetLength before injection: %v", err)
-	}
-	if err := s.SetInjectAt(id, -1); err == nil {
-		t.Fatal("negative inject time accepted")
-	}
-	if err := s.SetLength(id, 0); err == nil {
-		t.Fatal("zero length accepted")
-	}
-	s.Step() // message injects at cycle 0 now
-	if !s.InNetwork(id) {
-		t.Fatal("message should be in the network")
-	}
-	if err := s.SetInjectAt(id, 3); err == nil {
-		t.Fatal("retiming an in-network message accepted")
-	}
-	if err := s.SetLength(id, 2); err == nil {
-		t.Fatal("resizing an in-network message accepted")
-	}
-}
-
 // recordingArbiter counts grants and deep-copies itself for clones.
 type recordingArbiter struct{ grants int }
 
