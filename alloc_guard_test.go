@@ -64,6 +64,30 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestContentionsZeroAllocSteadyState pins the search's arbitration query
+// at 0 allocs/op: the contentions and their contender lists are carved
+// from Sim-owned scratch that the next call reuses. Three messages leave
+// one node eastward, so their headers contend for one free channel.
+func TestContentionsZeroAllocSteadyState(t *testing.T) {
+	g := topology.NewMesh([]int{4, 4}, 1)
+	alg := routing.DimensionOrder(g)
+	s := sim.New(g.Network, sim.Config{})
+	src := g.NodeAt([]int{0, 0})
+	for y := 0; y < 3; y++ {
+		dst := g.NodeAt([]int{3, y})
+		s.MustAdd(sim.MessageSpec{Src: src, Dst: dst, Length: 2, Path: alg.Path(src, dst)})
+	}
+	var cons []sim.Contention
+	if n := testing.AllocsPerRun(200, func() {
+		cons = s.Contentions()
+	}); n != 0 {
+		t.Fatalf("steady-state Contentions allocates %v allocs/op; it must return its scratch", n)
+	}
+	if len(cons) != 1 || len(cons[0].Contenders) != 3 {
+		t.Fatalf("test bug: want one channel with three contenders, got %+v", cons)
+	}
+}
+
 // TestStepTelemetryZeroAllocSteadyState pins the sampled hot path at the
 // same 0 allocs/op as the unobserved one. The stride is set low enough
 // that every measured window both takes samples and closes frames, so
@@ -161,7 +185,10 @@ func TestPooledRunZeroAllocSteadyState(t *testing.T) {
 
 // TestAddResetZeroAllocSteadyState pins the traffic-engine ingestion path:
 // recycling a simulator (Reset) and re-adding a message set reuses parked
-// message slots and the path-validation bitset — no per-call maps.
+// message slots and the path-validation bitset — no per-call maps. Each
+// Add carves a fresh spec from chunks of up to 256, so the eight-message
+// reload allocates one chunk about every 32 runs, which AllocsPerRun's
+// whole-allocation average reports as 0.
 func TestAddResetZeroAllocSteadyState(t *testing.T) {
 	g := topology.NewMesh([]int{8, 8}, 1)
 	alg := routing.DimensionOrder(g)
@@ -321,42 +348,46 @@ func TestFindLocalAllocBounded(t *testing.T) {
 // rowAllocs is the measured allocation count of one op of every
 // registry row at GOMAXPROCS=1, the highest of four measurements.
 // TestRowBudgets allows 5% over it, and nothing over 0. Across
-// measurements the search rows vary by at most 70 allocations (E10's
-// spill runs), well inside 5%.
+// measurements most search rows vary by about 1% and E4 by 4%. E10 varies
+// by 6% (3,966 to 4,215 over sixteen runs, the highest is pinned): the
+// per-process maphash seed decides how often its shards spill, and each
+// spill allocates a run writer. A few non-search rows measured one to nine
+// allocations above their pinned figure, one spec chunk per simulator
+// built; their figures were kept, inside the 5%.
 var rowAllocs = map[string]int64{
-	"E1_Figure1_Search":              18236,
-	"E2_PropertyChecks":              15573,
-	"E3_Figure1_Skew1":               47248,
-	"E4_Figure2_Search":              694,
-	"E5_Figure3_SearchAll":           47179,
-	"E6_Gen2_Stall2":                 95409,
+	"E1_Figure1_Search":              1605,
+	"E2_PropertyChecks":              15572,
+	"E3_Figure1_Skew1":               1943,
+	"E4_Figure2_Search":              524,
+	"E5_Figure3_SearchAll":           7227,
+	"E6_Gen2_Stall2":                 2191,
 	"E7_SimThroughput":               0,
 	"E7_SimThroughput_Telemetry":     0,
-	"E8_LivenessSearch":              33585,
-	"E10_SearchOutOfCore":            20761,
+	"E8_LivenessSearch":              26409,
+	"E10_SearchOutOfCore":            4215,
 	"E11_TelemetryLongHorizon":       0,
 	"EncodeTo":                       0,
 	"Loadtest_Saturation":            974,
-	"Gen4_Stall4":                    228868,
-	"E1_Figure1_Search_Reduced":      6755,
-	"E3_Figure1_Skew1_Reduced":       12346,
-	"E5_Figure3_SearchAll_Reduced":   37625,
-	"E6_Gen2_Stall2_Reduced":         21293,
-	"Gen4_Stall4_Reduced":            51015,
-	"Gen5_Stall5_Reduced":            73502,
+	"Gen4_Stall4":                    2610,
+	"E1_Figure1_Search_Reduced":      2753,
+	"E3_Figure1_Skew1_Reduced":       3092,
+	"E5_Figure3_SearchAll_Reduced":   15448,
+	"E6_Gen2_Stall2_Reduced":         4098,
+	"Gen4_Stall4_Reduced":            6373,
+	"Gen5_Stall5_Reduced":            7645,
 	"E1_Figure1_CDG":                 1147,
-	"E1_Figure1_Analyze":             1973,
-	"E1_Figure1_SearchTraced":        18236,
+	"E1_Figure1_Analyze":             1970,
+	"E1_Figure1_SearchTraced":        1604,
 	"E3_RandomMinimalAnalyze":        10884,
 	"E5_Figure3_Classify":            42,
-	"E6_GenK/k=1":                    65480,
-	"E6_GenK/k=2":                    158994,
-	"E6_GenK/k=3":                    280743,
+	"E6_GenK/k=1":                    3545,
+	"E6_GenK/k=2":                    4112,
+	"E6_GenK/k=3":                    4550,
 	"E7_MeshWorkload":                603,
-	"Ablation_BufferDepth/depth=2":   20493,
-	"Ablation_BufferDepth/depth=4":   22817,
-	"Ablation_MessageLength/extra=2": 17720,
-	"Ablation_MessageLength/extra=4": 18981,
+	"Ablation_BufferDepth/depth=2":   1655,
+	"Ablation_BufferDepth/depth=4":   1724,
+	"Ablation_MessageLength/extra=2": 1608,
+	"Ablation_MessageLength/extra=4": 1640,
 	"Ablation_Arbitration/fifo":      46,
 	"Ablation_Arbitration/priority":  45,
 	"TracedSimRun/traced":            54,

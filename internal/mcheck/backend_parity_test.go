@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/papernets"
+	"repro/internal/sim"
 	"repro/internal/waitfor"
 )
 
@@ -95,13 +96,37 @@ func TestVisitedBackendReported(t *testing.T) {
 }
 
 // TestLivenessBackendParity: the DFS liveness engine shares the visited
-// layer; its verdicts must not depend on the backend either.
+// layer; its verdicts must not depend on the backend either. The gen3
+// case inserts thousands of distinct encodings from the engine's one
+// reused encoding buffer, so a store that kept the caller's slice instead
+// of copying it would check collisions against whatever the buffer holds
+// last: the in-memory set would silently fall back to digests and the
+// spill backend would write garbage runs and explore a different space.
+// CI runs the gen3 case under -race beside the Search parity smoke.
 func TestLivenessBackendParity(t *testing.T) {
-	sc := ringScenario(2)
-	ref := SearchLiveness(sc, SearchOptions{})
-	res := SearchLiveness(sc, SearchOptions{Visited: spillParityConfig})
-	if res.Verdict != ref.Verdict || res.States != ref.States || res.PeakVisited != ref.PeakVisited {
-		t.Fatalf("spill: liveness %v/%d/%d != reference %v/%d/%d",
-			res.Verdict, res.States, res.PeakVisited, ref.Verdict, ref.States, ref.PeakVisited)
+	cases := []struct {
+		name  string
+		sc    sim.Scenario
+		opts  SearchOptions
+		heavy bool
+	}{
+		{name: "ring4", sc: ringScenario(2)},
+		{name: "gen3-stall1", sc: papernets.GenK(3).Scenario,
+			opts: SearchOptions{StallBudget: 1, FreezeInTransitOnly: true}, heavy: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.heavy && testing.Short() {
+				t.Skip("heavy parity case; run without -short")
+			}
+			ref := SearchLiveness(tc.sc, tc.opts)
+			opts := tc.opts
+			opts.Visited = spillParityConfig
+			res := SearchLiveness(tc.sc, opts)
+			if res.Verdict != ref.Verdict || res.States != ref.States || res.PeakVisited != ref.PeakVisited {
+				t.Fatalf("spill: liveness %v/%d/%d != reference %v/%d/%d",
+					res.Verdict, res.States, res.PeakVisited, ref.Verdict, ref.States, ref.PeakVisited)
+			}
+		})
 	}
 }

@@ -10,9 +10,11 @@ import (
 // subset of held messages to activate, every subset of movable in-flight
 // messages to freeze (bounded by the stall budget), every adaptive
 // candidate selection, and every arbitration outcome. All intermediate
-// storage — the probe simulator, subset slices, mask/pick maps — is owned
-// by the enumerator and reused across calls, so enumeration allocates only
-// what the simulator's own query methods allocate.
+// storage — the probe simulator, subset slices, mask/pick maps and the
+// Decision handed to the callback — is owned by the enumerator and reused
+// across calls, and the contention query returns the probe's scratch, so
+// enumerating an oblivious scenario allocates nothing in steady state.
+// Adaptive messages still cost the candidate lists their queries return.
 //
 // The enumeration order is canonical and load-bearing: the search engine
 // identifies a decision by its ordinal (the provenance arena stores
@@ -41,6 +43,8 @@ type decisionEnum struct {
 
 	pickDigits []int
 	picks      map[topology.ChannelID]int
+
+	dec Decision // the decision handed to fn, rewritten for each one
 }
 
 // newDecisionEnum returns an enumerator whose probe is a clone of proto;
@@ -135,6 +139,12 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 	if len(e.held) > maxSubsetItems {
 		panic("mcheck: subset enumeration over more than 16 items")
 	}
+	// The probe is copied once per state. Every subset below leaves it as
+	// it found it except for held bits, which each activation subset sets
+	// afresh: freezes are restored to 0 (only CanAdvance messages are
+	// frozen, and those have none) and masks to topology.None (Step
+	// clears them, so s has none).
+	e.probe.CopyFrom(s)
 	// Sleep-set filter: a held message that cannot inject this cycle even
 	// when activated (its entry channel is occupied by a flit that no
 	// predicted release frees) contributes nothing to any decision that
@@ -146,7 +156,6 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 	// channels), so one probe pass decides every subset.
 	sleep := 0
 	if cfg.por && len(e.held) > 0 {
-		e.probe.CopyFrom(s)
 		for _, id := range e.held {
 			e.probe.SetHeld(id, false)
 		}
@@ -171,9 +180,8 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 		// activation only enables injections, which cannot disable any
 		// other message's movement, so compute movability on the probe
 		// with the activation applied.
-		e.probe.CopyFrom(s)
-		for _, id := range e.act {
-			e.probe.SetHeld(id, false)
+		for i, id := range e.held {
+			e.probe.SetHeld(id, actMask&(1<<i) == 0)
 		}
 		e.movable = e.movable[:0]
 		if budget > 0 {
@@ -326,8 +334,8 @@ func (e *decisionEnum) pickLoop(cons []sim.Contention, masks map[int]topology.Ch
 				e.stats.pickSkips++
 			}
 		} else {
-			d := Decision{Activate: e.act, Freeze: e.frz, Masks: masks, Picks: picks}
-			if !fn(&d) {
+			e.dec = Decision{Activate: e.act, Freeze: e.frz, Masks: masks, Picks: picks}
+			if !fn(&e.dec) {
 				return false
 			}
 		}

@@ -238,26 +238,29 @@ type provNode struct {
 }
 
 // succState is a successor produced during parallel expansion, waiting for
-// the deterministic merge to accept or discard it. key is the visited-set
-// key (the canonical encoding under symmetry reduction); enc is the
-// successor's own encoding, which the next level's batch carries so the
-// entry decodes to the real successor rather than its orbit
-// representative. Without symmetry the two alias one slice.
+// the deterministic merge to accept or discard it. Its bytes live in the
+// expanding worker's level arena: arena[keyLo:keyHi] is the visited-set
+// key (the canonical encoding under symmetry reduction) and
+// arena[encLo:encHi] the successor's own encoding, which the next level's
+// batch carries so the entry decodes to the real successor rather than its
+// orbit representative. Without symmetry the two ranges coincide.
 type succState struct {
-	key    []byte
-	enc    []byte
-	hash   uint64
-	budget int
-	dec    int32
+	keyLo, keyHi int
+	encLo, encHi int
+	hash         uint64
+	budget       int
+	dec          int32
 }
 
 // expandResult is everything the merge needs to know about one frontier
 // entry: whether it terminated (delivered / deadlocked), else its novel
-// successors in canonical decision order.
+// successors in canonical decision order, which are
+// workers[worker].succs[lo:hi].
 type expandResult struct {
 	delivered  bool
 	deadlocked bool
-	succs      []succState
+	worker     int32
+	lo, hi     int32
 }
 
 // engine holds the state shared between the search loop and its workers.
@@ -274,11 +277,18 @@ type engine struct {
 // searchWorker is the per-goroutine scratch state for frontier expansion.
 type searchWorker struct {
 	eng      *engine
+	id       int32 // index in engine.workers
 	enum     *decisionEnum
 	cur      *sim.Sim // decoded frontier entry being expanded
 	scratch  *sim.Sim // deadlock probe and successor under construction
-	keyBuf   []byte
-	canonBuf []byte // canonical-encoding scratch (symmetry reduction)
+	canonBuf []byte   // canonical-encoding scratch (symmetry reduction)
+
+	// succs and arena hold the successors of every entry the worker
+	// expands in one level and their key and encoding bytes. They are
+	// reset when the next level's expansion starts, after the merge has
+	// copied what it keeps, so a successor costs no allocation of its own.
+	succs []succState
+	arena []byte
 
 	stats      enumStats // pre-clone pruning counters, summed by reporter.done
 	postPruned int64     // post-step futile-activation discards
@@ -297,6 +307,7 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 	for i := range eng.workers {
 		eng.workers[i] = &searchWorker{
 			eng:     eng,
+			id:      int32(i),
 			enum:    newDecisionEnum(root),
 			cur:     root.Clone(),
 			scratch: root.Clone(),
@@ -323,9 +334,10 @@ func (eng *engine) putSim(s *sim.Sim) { eng.pool.Put(s) }
 // because the visited set is frozen during expansion (insertions happen
 // only in the merge) — its result is independent of scheduling. Each
 // successor is built in the worker's scratch simulator and kept only as
-// its encoding.
+// its encoding, written straight into the worker's level arena.
 func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
-	var r expandResult
+	r := expandResult{worker: w.id, lo: int32(len(w.succs))}
+	r.hi = r.lo
 	if s.AllDelivered() {
 		r.delivered = true
 		return r
@@ -358,25 +370,28 @@ func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 			}
 		}
 		newBudget := budget - len(d.Freeze)
-		w.keyBuf = w.keyBuf[:0]
-		next.CanonicalEncodeTo(perms, &w.keyBuf, &w.canonBuf) // EncodeTo without perms
-		h := w.eng.visited.hash(w.keyBuf)
+		lo := len(w.arena)
+		next.CanonicalEncodeTo(perms, &w.arena, &w.canonBuf) // EncodeTo without perms
+		key := w.arena[lo:]
+		h := w.eng.visited.hash(key)
 		// Pre-filter against states accepted in previous levels. Visited
 		// only grows at merge time, so a rejection here is final: budgets
 		// recorded there can only increase, never making a rejected
 		// (encoding, budget) pair novel again.
-		if !w.eng.visited.novel(h, w.keyBuf, newBudget) {
+		if !w.eng.visited.novel(h, key, newBudget) {
+			w.arena = w.arena[:lo]
 			return true
 		}
-		su := succState{key: append([]byte(nil), w.keyBuf...), hash: h, budget: newBudget, dec: dec}
-		su.enc = su.key
+		su := succState{keyLo: lo, keyHi: len(w.arena), hash: h, budget: newBudget, dec: dec}
+		su.encLo, su.encHi = su.keyLo, su.keyHi
 		if len(perms) > 0 {
-			su.enc = make([]byte, 0, len(su.key))
-			next.EncodeTo(&su.enc)
+			next.EncodeTo(&w.arena)
+			su.encLo, su.encHi = su.keyHi, len(w.arena)
 		}
-		r.succs = append(r.succs, su)
+		w.succs = append(w.succs, su)
 		return true
 	})
+	r.hi = int32(len(w.succs))
 	return r
 }
 
@@ -386,6 +401,9 @@ func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 // merge consumes them in batch order whatever the claim order was. With
 // one worker or a one-block level it stays on the calling goroutine.
 func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
+	for _, w := range eng.workers {
+		w.succs, w.arena = w.succs[:0], w.arena[:0]
+	}
 	var cursor atomic.Int64
 	run := func(w *searchWorker) {
 		var it batchIter
@@ -530,10 +548,11 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 					Deadlock: waitfor.Find(Replay(sc, trace)),
 				}, level)
 			}
-			for _, su := range res.succs {
+			w := eng.workers[res.worker]
+			for _, su := range w.succs[res.lo:res.hi] {
 				// Re-check against states merged earlier this level; the
 				// workers' pre-filter only saw previous levels.
-				if !eng.visited.insert(su.hash, su.key, su.budget) {
+				if !eng.visited.insert(su.hash, w.arena[su.keyLo:su.keyHi], su.budget) {
 					continue
 				}
 				states++
@@ -541,10 +560,9 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 					return eng.report.done(SearchResult{Verdict: VerdictExhausted, States: states}, level)
 				}
 				nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
-				builders[nxt].add(su.enc, su.budget, int32(len(nodes)-1))
+				builders[nxt].add(w.arena[su.encLo:su.encHi], su.budget, int32(len(nodes)-1))
 			}
 		}
-		clear(results) // release the level's successor buffers
 		cur = nxt
 		level++
 	}

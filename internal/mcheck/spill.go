@@ -47,7 +47,8 @@ type spillShard struct {
 	mu      sync.RWMutex
 	index   map[uint64]int32
 	entries []spillEntry
-	bytes   int64 // resident bytes of the in-memory portion
+	keys    keyArena // owns the in-memory entries' encoding bytes
+	bytes   int64    // resident bytes of the in-memory portion
 
 	distinct   int         // distinct encodings ever recorded (mem + runs)
 	runs       []*spillRun // oldest first; lookups scan newest first
@@ -147,7 +148,7 @@ func (sh *spillShard) addEntry(h uint64, enc []byte, budget int) {
 	if !ok {
 		head = -1
 	}
-	sh.entries = append(sh.entries, spillEntry{h: h, enc: enc, budget: int32(budget), next: head})
+	sh.entries = append(sh.entries, spillEntry{h: h, enc: sh.keys.copy(enc), budget: int32(budget), next: head})
 	sh.index[h] = int32(len(sh.entries) - 1)
 	sh.bytes += int64(len(enc)) + visitedEntryOverhead
 }
@@ -243,7 +244,12 @@ func (v *spillVisited) spill(sh *spillShard) {
 	for k := range sh.index {
 		delete(sh.index, k)
 	}
+	// The run now holds every encoding: drop the entries' references and
+	// refill the arena's newest chunk from the start, so the resident
+	// portion settles at one chunk instead of allocating per spill.
+	clear(sh.entries)
 	sh.entries = sh.entries[:0]
+	sh.keys.reset()
 	sh.bytes = 0
 }
 

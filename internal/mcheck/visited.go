@@ -40,7 +40,8 @@ type visitedStore interface {
 	novel(h uint64, enc []byte, budget int) bool
 	// insert records (enc, budget) and reports whether it was new in the
 	// novel sense — exactly the condition under which the search counts a
-	// state and enqueues it.
+	// state and enqueues it. The store copies enc into memory it owns, so
+	// the caller may reuse the slice as soon as insert returns.
 	insert(h uint64, enc []byte, budget int) bool
 	// size returns the number of distinct state encodings recorded.
 	size() int
@@ -92,7 +93,8 @@ type visitedShard struct {
 	// index maps a digest to the head of its entry chain.
 	index   map[uint64]int32
 	entries []visitedEntry
-	bytes   int64 // encodings + visitedEntryOverhead per entry
+	keys    keyArena // owns every entry's encoding bytes
+	bytes   int64    // encodings + visitedEntryOverhead per entry
 }
 
 // visitedEntry records one distinct state encoding.
@@ -162,7 +164,7 @@ func (v *visitedSet) insert(h uint64, enc []byte, budget int) bool {
 	} else {
 		head = -1
 	}
-	sh.entries = append(sh.entries, visitedEntry{enc: enc, budget: int32(budget), next: head})
+	sh.entries = append(sh.entries, visitedEntry{enc: sh.keys.copy(enc), budget: int32(budget), next: head})
 	sh.index[h] = int32(len(sh.entries) - 1)
 	sh.bytes += int64(len(enc)) + visitedEntryOverhead
 	return true
@@ -203,3 +205,32 @@ func newVisitedStore(cfg VisitedConfig) visitedStore {
 	}
 	return newVisitedSet()
 }
+
+// keyArena copies encodings into chunked byte slabs, so a store owns the
+// bytes it keeps at the cost of an allocation per chunk, not per entry.
+// Chunks double from keyChunkMin to keyChunkMax bytes, so a shard that
+// keeps a few keys stays small; a full chunk stays alive as long as an
+// entry references it.
+type keyArena struct {
+	chunk []byte
+}
+
+const (
+	keyChunkMin = 256
+	keyChunkMax = 64 << 10
+)
+
+// copy returns a copy of b in arena memory, capacity-limited so that no
+// append to it can reach a neighbour's bytes.
+func (a *keyArena) copy(b []byte) []byte {
+	if cap(a.chunk)-len(a.chunk) < len(b) {
+		a.chunk = make([]byte, 0, max(len(b), keyChunkMin, min(2*cap(a.chunk), keyChunkMax)))
+	}
+	lo := len(a.chunk)
+	a.chunk = append(a.chunk, b...)
+	return a.chunk[lo:len(a.chunk):len(a.chunk)]
+}
+
+// reset makes the current chunk's whole capacity reusable. Only a caller
+// that no longer references any copy may call it.
+func (a *keyArena) reset() { a.chunk = a.chunk[:0] }

@@ -90,7 +90,7 @@ func (s *Sim) encodePermuted(p *Permutation, dst *[]byte) {
 			}
 		}
 	}
-	for c := range s.downUntil {
+	for c := range s.downUntil[:s.downLen()] {
 		until := s.downUntil[p.ChanAt[c]]
 		if until <= s.now {
 			continue

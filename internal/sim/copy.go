@@ -10,9 +10,8 @@ func (s *Sim) Reset() {
 	for i := range s.owner {
 		s.owner[i] = -1
 	}
-	for i := range s.downUntil {
-		s.downUntil[i] = 0
-	}
+	clear(s.downUntil)
+	s.downMax = 0
 	s.waitingSince = s.waitingSince[:0]
 	s.lastMoved = false
 	s.lastThawed = false
@@ -32,8 +31,15 @@ func (s *Sim) Reset() {
 // allocations: a search engine keeps a pool of simulators and CopyFrom's
 // them back to a frontier state before applying the next branch. Both
 // simulators must have been created for the same network (the immutable
-// topology is shared, exactly as in Clone). Arbiters implementing
-// ArbiterCloner are deep-copied; other arbiters are shared.
+// topology is shared, exactly as in Clone), and afterwards they share
+// src's immutable message specs. Arbiters implementing ArbiterCloner are
+// deep-copied; other arbiters are shared.
+//
+// Between two simulators of the same scenario CopyFrom stores no message
+// pointer: spec pointers are already equal, path and queue contents are
+// copied into s's own backing arrays, and a slice header is rewritten
+// only when a length changes. So the message copy runs no GC write
+// barriers; the configuration's arbiter is the one pointer stored.
 func (s *Sim) CopyFrom(src *Sim) {
 	if s.net != src.net {
 		panic("sim: CopyFrom across different networks")
@@ -43,9 +49,12 @@ func (s *Sim) CopyFrom(src *Sim) {
 		s.cfg.Arbiter = c.CloneArbiter()
 	}
 	s.now = src.now
-	s.owner = append(s.owner[:0], src.owner...)
-	s.downUntil = append(s.downUntil[:0], src.downUntil...)
-	s.waitingSince = append(s.waitingSince[:0], src.waitingSince...)
+	copyInto(&s.owner, src.owner)
+	if s.downMax != 0 || src.downMax != 0 || len(s.downUntil) != len(src.downUntil) {
+		copyInto(&s.downUntil, src.downUntil)
+		s.downMax = src.downMax
+	}
+	copyInto(&s.waitingSince, src.waitingSince)
 	s.lastMoved = src.lastMoved
 	s.lastThawed = src.lastThawed
 
@@ -59,16 +68,32 @@ func (s *Sim) CopyFrom(src *Sim) {
 	for i := range src.msgs {
 		sm := &src.msgs[i]
 		dm := &s.msgs[i]
-		queued, path := dm.queued, dm.path
-		*dm = *sm
-		dm.queued = append(queued[:0], sm.queued...)
-		dm.path = append(path[:0], sm.path...)
+		if dm.spec != sm.spec {
+			dm.spec = sm.spec
+		}
+		dm.msgState = sm.msgState
+		copyInto(&dm.path, sm.path)
+		copyInto(&dm.queued, sm.queued)
 	}
-	s.active = append(s.active[:0], src.active...)
+	copyInto(&s.active, src.active)
 	s.liveCount = src.liveCount
 	s.droppedCount = src.droppedCount
 	s.flitsConsumed = src.flitsConsumed
 	// s's scratch arenas and epochs are left alone, and so are its tracer
 	// and telemetry collector: per-instance working memory and observers,
 	// not simulation state.
+}
+
+// copyInto makes *dst a copy of src in dst's own backing array. It stores
+// a slice header only when the length changes, and a new array only when
+// the capacity falls short.
+func copyInto[T any](dst *[]T, src []T) {
+	if cap(*dst) < len(src) {
+		*dst = append((*dst)[:0], src...)
+		return
+	}
+	if len(*dst) != len(src) {
+		*dst = (*dst)[:len(src)]
+	}
+	copy(*dst, src)
 }

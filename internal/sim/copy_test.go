@@ -219,3 +219,70 @@ func TestCarvedSlotsStayIsolated(t *testing.T) {
 		t.Fatalf("CopyFrom state differs from source:\n  src %x\n  dst %x", want, got)
 	}
 }
+
+// TestRecycledSlotsKeepSharedSpecs: clones share their source's message
+// specs, so recycling either side with Reset and Add must give the new
+// message a spec of its own rather than rewrite the shared one.
+func TestRecycledSlotsKeepSharedSpecs(t *testing.T) {
+	net := line(5)
+	orig := MessageSpec{Src: 0, Dst: 4, Length: 3, Path: pathTo(net, 4), Label: "orig"}
+	repl := MessageSpec{Src: 1, Dst: 3, Length: 2, Path: []topology.ChannelID{1, 2}, Label: "repl"}
+	for _, recycle := range []string{"source", "copy"} {
+		src := New(net, Config{})
+		src.MustAdd(orig)
+		dst := src.Clone()
+		keep, reuse := dst, src
+		if recycle == "copy" {
+			keep, reuse = src, dst
+		}
+		reuse.Reset()
+		reuse.MustAdd(repl)
+		if got := keep.Message(0).Spec; got.Label != "orig" || got.Length != 3 || got.Src != 0 {
+			t.Fatalf("recycling the %s rewrote the other side's spec: %+v", recycle, got)
+		}
+		if got := reuse.Message(0).Spec; got.Label != "repl" || got.Length != 2 {
+			t.Fatalf("recycled %s reports spec %+v", recycle, got)
+		}
+	}
+
+	// A copy that shrinks the message table parks slots that still point
+	// at the old source's specs; Add must not write into them either.
+	src := New(net, Config{})
+	src.MustAdd(repl)
+	src.MustAdd(orig)
+	dst := src.Clone()
+	dst.CopyFrom(New(net, Config{}))
+	dst.MustAdd(repl)
+	dst.MustAdd(repl)
+	if got := src.Message(1).Spec; got.Label != "orig" {
+		t.Fatalf("Add into a parked slot rewrote the source's spec: %+v", got)
+	}
+}
+
+// TestCopyFromCarriesFaultState: CopyFrom skips the per-channel fault
+// table when neither side has a channel down, so a copy must still clear
+// a pooled destination's stale outage and carry the source's.
+func TestCopyFromCarriesFaultState(t *testing.T) {
+	clean := copyFixture(t)
+	faulty := clean.Clone()
+	faulty.SetChannelDown(3, DownForever)
+
+	dst := faulty.Clone()
+	dst.CopyFrom(clean)
+	if dst.ChannelDown(3) {
+		t.Fatal("CopyFrom from a fault-free source kept the destination's outage")
+	}
+	dst.CopyFrom(faulty)
+	if !dst.ChannelDown(3) {
+		t.Fatal("CopyFrom dropped the source's outage")
+	}
+	for _, src := range []*Sim{clean, faulty} {
+		dst.CopyFrom(src)
+		var want, got []byte
+		src.EncodeTo(&want)
+		dst.EncodeTo(&got)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("copy encodes as %x, source as %x", got, want)
+		}
+	}
+}

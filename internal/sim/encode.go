@@ -79,7 +79,7 @@ func (s *Sim) EncodeTo(dst *[]byte) {
 	// that behave identically going forward encode identically regardless
 	// of absolute cycle. Down channels are rare; most states append
 	// nothing here.
-	for c, until := range s.downUntil {
+	for c, until := range s.downUntil[:s.downLen()] {
 		if until <= s.now {
 			continue
 		}
@@ -129,9 +129,8 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 	for i := range s.owner {
 		s.owner[i] = -1
 	}
-	for i := range s.downUntil {
-		s.downUntil[i] = 0
-	}
+	clear(s.downUntil)
+	s.downMax = 0
 	for len(s.waitingSince) < len(s.msgs) {
 		s.waitingSince = append(s.waitingSince, -1)
 	}
@@ -244,7 +243,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		if !m.headerConsumed {
 			hi = m.headIdx()
 		}
-		behind := m.injected < m.spec.Length
+		behind := m.injected < m.length
 		for j := 0; j <= hi; j++ {
 			if m.queued[j] != 0 || behind {
 				s.owner[m.path[j]] = m.id
@@ -269,10 +268,10 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 			return err
 		}
 		if rem == 0 {
-			s.downUntil[c-1] = DownForever
-		} else {
-			s.downUntil[c-1] = rem
+			rem = DownForever
 		}
+		s.downUntil[c-1] = rem
+		s.downMax = max(s.downMax, rem)
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func (s *Sim) Candidates(id int) []topology.ChannelID {
 // real injection queue would.
 func (s *Sim) FullyInjected(id int) bool {
 	m := &s.msgs[id]
-	return m.injected >= m.spec.Length
+	return m.injected >= m.length
 }
 
 // InjectedAt returns the cycle message id's header entered the network,

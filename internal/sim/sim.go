@@ -73,17 +73,31 @@ type MessageSpec struct {
 	Label    string // optional, for diagnostics
 }
 
-// message is the runtime state of one message.
+// message is the runtime state of one message. Its only pointers are the
+// spec and the path and queued slices; CopyFrom stores them only when they
+// change, so copying a simulator into a pooled instance of the same
+// scenario runs no GC write barriers. Everything else is the pointer-free
+// msgState, copied as one block.
 type message struct {
-	spec MessageSpec
-	id   int
+	// spec is the message's immutable description, shared by every clone.
+	// Its InjectAt and Length are read only by Add; the live values are
+	// msgState's injectAt and length, and the live path is path.
+	spec *MessageSpec
 	// path is the materialized channel sequence: a copy of spec.Path for
-	// oblivious messages, grown hop by hop as the header acquires
-	// channels for adaptive ones.
-	path           []topology.ChannelID
-	queued         []int // flits currently buffered in each path channel
-	injected       int   // flits that have left the source
-	consumed       int   // flits consumed at the destination
+	// oblivious messages (or the path SetMessagePath installed), grown
+	// hop by hop as the header acquires channels for adaptive ones.
+	path   []topology.ChannelID
+	queued []int // flits currently buffered in each path channel
+	msgState
+}
+
+// msgState is the pointer-free per-message state.
+type msgState struct {
+	id             int
+	injectAt       int // earliest injection cycle; ResetMessage rewrites it
+	length         int // flits
+	injected       int // flits that have left the source
+	consumed       int // flits consumed at the destination
 	headerConsumed bool
 	frozen         int  // cycles the message will not move (Section 6 faults)
 	held           bool // source withholds injection (assumption 1)
@@ -106,7 +120,7 @@ type message struct {
 
 func (m *message) adaptive() bool { return m.spec.Route != nil }
 
-func (m *message) delivered() bool { return m.consumed == m.spec.Length }
+func (m *message) delivered() bool { return m.consumed == m.length }
 
 // terminal reports whether the message will never move again by design:
 // fully consumed, or removed by a drop recovery.
@@ -157,6 +171,10 @@ type Sim struct {
 	// the channel is down while downUntil[c] > now (DownForever = never
 	// repaired). A down channel transfers no flits and accepts no header.
 	downUntil []int
+	// downMax bounds every downUntil entry from above; 0 means every entry
+	// is 0, so the many simulators that never see a fault skip the
+	// per-channel scans in EncodeTo and CopyFrom.
+	downMax int
 	// waitingSince[msg] is the cycle the message's header began waiting
 	// for its next channel, -1 when not waiting; drives FIFO arbitration.
 	waitingSince []int
@@ -217,6 +235,10 @@ type Sim struct {
 	// iteration.
 	stepReqs  []uint64
 	queryReqs []uint64
+	// contOut and contIDs back the Contentions result and its contender
+	// lists; valid until the next Contentions call.
+	contOut []Contention
+	contIDs []int
 	// wantBuf backs adaptiveCandidates; valid only until the next
 	// wantedChannels/adaptiveCandidates call.
 	wantBuf []topology.ChannelID
@@ -242,6 +264,12 @@ type Sim struct {
 	pathSlab   []topology.ChannelID
 	queuedSlab []int
 	slabChunk  int
+	// specSlab is the unused tail of the chunk Add carves message specs
+	// from, and specChunk the size of that chunk. Every Add carves a
+	// fresh spec, so a carved spec is never written again and clones may
+	// share it.
+	specSlab  []MessageSpec
+	specChunk int
 
 	// tracer receives trace events while attached; nil (the default) is
 	// the disabled state, guarded by one branch per emission site. Clone
@@ -363,12 +391,18 @@ func (s *Sim) Add(spec MessageSpec) (int, error) {
 	if n := len(spec.Path); cap(path) < n || cap(queued) < n {
 		path, queued = s.carve(n)
 	}
+	sp := s.carveSpec()
+	*sp = spec
 	*m = message{
-		spec:        spec,
-		id:          id,
-		mask:        topology.None,
-		injectedAt:  -1,
-		deliveredAt: -1,
+		spec: sp,
+		msgState: msgState{
+			id:          id,
+			injectAt:    spec.InjectAt,
+			length:      spec.Length,
+			mask:        topology.None,
+			injectedAt:  -1,
+			deliveredAt: -1,
+		},
 	}
 	m.path = append(path, spec.Path...)
 	for range spec.Path {
@@ -394,6 +428,19 @@ func (s *Sim) carve(n int) ([]topology.ChannelID, []int) {
 	path, queued := s.pathSlab[:0:n], s.queuedSlab[:0:n]
 	s.pathSlab, s.queuedSlab = s.pathSlab[n:], s.queuedSlab[n:]
 	return path, queued
+}
+
+// carveSpec cuts one spec from the spec slab. Chunks double from 4 to
+// 256 specs, so a simulator of a few messages pays for a few specs and a
+// recycled one settles below one allocation per 256 Adds.
+func (s *Sim) carveSpec() *MessageSpec {
+	if len(s.specSlab) == 0 {
+		s.specChunk = min(max(4, 2*s.specChunk), 256)
+		s.specSlab = make([]MessageSpec, s.specChunk)
+	}
+	sp := &s.specSlab[0]
+	s.specSlab = s.specSlab[1:]
+	return sp
 }
 
 // pathDuplicate reports the first channel a path visits twice, using the
@@ -478,6 +525,7 @@ func (s *Sim) Frozen(id int) int { return s.msgs[id].frozen }
 // DownForever for a permanent link failure, or until <= Now() to repair.
 func (s *Sim) SetChannelDown(c topology.ChannelID, until int) {
 	s.downUntil[c] = until
+	s.downMax = max(s.downMax, until)
 }
 
 // FailChannel permanently fails channel c (SetChannelDown with DownForever).
@@ -507,6 +555,15 @@ func (s *Sim) DownUntil(c topology.ChannelID) int { return s.downUntil[c] }
 
 // down is ChannelDown on the hot path.
 func (s *Sim) down(c topology.ChannelID) bool { return s.downUntil[c] > s.now }
+
+// downLen is the prefix of downUntil that may hold a channel down at the
+// current cycle: all of it, or none when downMax rules every entry out.
+func (s *Sim) downLen() int {
+	if s.downMax <= s.now {
+		return 0
+	}
+	return len(s.downUntil)
+}
 
 // DropMessage removes message id from the network for good: every channel
 // it holds is released, buffered flits are discarded, and the message is
@@ -539,7 +596,7 @@ func (s *Sim) ResetMessage(id, reinjectAt int) {
 	if reinjectAt < 0 {
 		reinjectAt = 0
 	}
-	m.spec.InjectAt = reinjectAt
+	m.injectAt = reinjectAt
 	m.retries++
 	s.waitingSince[id] = -1
 }
@@ -565,10 +622,8 @@ func (s *Sim) SetMessagePath(id int, path []topology.ChannelID) error {
 	if dup, ok := s.pathDuplicate(path); ok {
 		return fmt.Errorf("sim: SetMessagePath(%d): path uses channel %d twice", id, dup)
 	}
-	// spec.Path may be shared with clones of this sim (Clone copies the
-	// spec by value), so it gets a fresh array; the materialized path and
-	// queue are owned per sim and reuse their backing.
-	m.spec.Path = append([]topology.ChannelID(nil), path...)
+	// The spec is shared with clones, so only the per-sim path and queue
+	// change; they reuse their backing.
 	m.path = append(m.path[:0], path...)
 	m.queued = m.queued[:0]
 	for range path {
@@ -661,11 +716,19 @@ func (s *Sim) IsAdaptive(id int) bool { return s.msgs[id].adaptive() }
 // departing tail this cycle) that two or more eligible headers request
 // simultaneously. Channels requested by a single header are not included
 // (no choice).
+//
+// The result and its Contenders slices are Sim-owned scratch, valid until
+// the next Contentions call on this simulator; stepping or copying the
+// simulator does not touch them. In steady state the query allocates
+// nothing.
 func (s *Sim) Contentions() []Contention {
 	s.predictReleases()
 	reqs := s.collectRequests(s.queryReqs)
 	s.queryReqs = reqs[:0]
-	var out []Contention
+	// Every contender is one request, so sizing the id arena to the
+	// requests keeps it from moving under the Contenders already carved.
+	ids := slices.Grow(s.contIDs[:0], len(reqs))
+	out := s.contOut[:0]
 	for i := 0; i < len(reqs); {
 		c := topology.ChannelID(reqs[i] >> 32)
 		j := i
@@ -673,14 +736,15 @@ func (s *Sim) Contentions() []Contention {
 			j++
 		}
 		if j-i > 1 {
-			ids := make([]int, 0, j-i)
+			start := len(ids)
 			for k := i; k < j; k++ {
 				ids = append(ids, int(uint32(reqs[k])))
 			}
-			out = append(out, Contention{Channel: c, Contenders: ids})
+			out = append(out, Contention{Channel: c, Contenders: ids[start:len(ids):len(ids)]})
 		}
 		i = j
 	}
+	s.contIDs, s.contOut = ids, out
 	return out
 }
 
@@ -732,7 +796,7 @@ func (s *Sim) predictReleases() {
 	s.ensureChannelStamps()
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		if m.terminal() || m.frozen > 0 || m.injected < m.spec.Length {
+		if m.terminal() || m.frozen > 0 || m.injected < m.length {
 			continue
 		}
 		low := -1
@@ -818,7 +882,7 @@ func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
 	var at topology.NodeID
 	in := topology.None
 	if m.injected == 0 {
-		if m.held || s.now < m.spec.InjectAt {
+		if m.held || s.now < m.injectAt {
 			return nil
 		}
 		if !m.adaptive() {
@@ -1232,7 +1296,7 @@ func (s *Sim) moveMessage(m *message) bool {
 		}
 	}
 	// Injection: source -> path[0].
-	if m.injected < m.spec.Length && !m.held && s.now >= m.spec.InjectAt {
+	if m.injected < m.length && !m.held && s.now >= m.injectAt {
 		if m.injected == 0 {
 			if c, won := s.granted(m.id); won && s.owner[c] == -1 {
 				if !m.adaptive() && c != m.path[0] {
@@ -1302,7 +1366,7 @@ func (s *Sim) acquire(m *message, i int, c topology.ChannelID) {
 // source still holds flits it is O(1), and the scan exits at the first
 // occupied slot, so the hot loop never pays a full prefix sum.
 func (s *Sim) noTailBehind(m *message, i int) bool {
-	if m.injected < m.spec.Length {
+	if m.injected < m.length {
 		return false
 	}
 	for j := 0; j < i; j++ {
@@ -1347,11 +1411,11 @@ func (s *Sim) quiescent() bool {
 		if m.terminal() {
 			continue
 		}
-		if m.frozen > 0 || m.held || s.now <= m.spec.InjectAt {
+		if m.frozen > 0 || m.held || s.now <= m.injectAt {
 			return false
 		}
 	}
-	for _, until := range s.downUntil {
+	for _, until := range s.downUntil[:s.downLen()] {
 		if until > s.now && until != DownForever {
 			return false
 		}
@@ -1491,7 +1555,10 @@ func (s *Sim) Clone() *Sim {
 
 // MsgView is a read-only snapshot of one message's state.
 type MsgView struct {
-	ID             int
+	ID int
+	// Spec holds the live values: InjectAt as ResetMessage last set it,
+	// and for an oblivious message the path SetMessagePath last installed
+	// (the same copy as Path).
 	Spec           MessageSpec
 	Injected       int
 	Consumed       int
@@ -1513,9 +1580,15 @@ type MsgView struct {
 // Message returns a snapshot of message id.
 func (s *Sim) Message(id int) MsgView {
 	m := &s.msgs[id]
+	spec := *m.spec
+	spec.InjectAt, spec.Length = m.injectAt, m.length
+	path := append([]topology.ChannelID(nil), m.path...)
+	if !m.adaptive() {
+		spec.Path = path
+	}
 	return MsgView{
 		ID:             m.id,
-		Spec:           m.spec,
+		Spec:           spec,
 		Injected:       m.injected,
 		Consumed:       m.consumed,
 		HeaderConsumed: m.headerConsumed,
@@ -1526,7 +1599,7 @@ func (s *Sim) Message(id int) MsgView {
 		Dropped:        m.dropped,
 		Retries:        m.retries,
 		Queued:         append([]int(nil), m.queued...),
-		Path:           append([]topology.ChannelID(nil), m.path...),
+		Path:           path,
 		InjectedAt:     m.injectedAt,
 		DeliveredAt:    m.deliveredAt,
 	}
@@ -1549,7 +1622,7 @@ func (s *Sim) WaitsFor(id int) (ch topology.ChannelID, owner int, ok bool) {
 	}
 	var wants []topology.ChannelID
 	if m.injected == 0 {
-		if s.now < m.spec.InjectAt {
+		if s.now < m.injectAt {
 			return 0, -1, false
 		}
 		if m.adaptive() {
@@ -1628,7 +1701,7 @@ func (s *Sim) CanAdvance(id int) bool {
 			return true
 		}
 	}
-	if m.injected < m.spec.Length && !m.held && s.now >= m.spec.InjectAt {
+	if m.injected < m.length && !m.held && s.now >= m.injectAt {
 		if m.injected == 0 {
 			for _, c := range s.wantedChannels(m) {
 				if acquirable(c) {
@@ -1709,7 +1782,7 @@ func (s *Sim) FaultBlocked(id int) (repairAt int, blocked bool) {
 			consider(m.path[i], next)
 		}
 	}
-	if m.injected < m.spec.Length && !m.held && s.now >= m.spec.InjectAt {
+	if m.injected < m.length && !m.held && s.now >= m.injectAt {
 		if m.injected == 0 {
 			if !m.adaptive() {
 				if s.owner[m.path[0]] == -1 {
