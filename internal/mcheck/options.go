@@ -8,20 +8,22 @@ import (
 	"repro/internal/sim"
 )
 
-// VisitedBackend selects the deduplication structure behind a search.
-// Every backend is exact — verdicts, state counts and witnesses are
-// byte-identical across backends at any worker count; they differ only in
-// memory ceiling and constant factors. See visitedStore.
+// VisitedBackend selects how the visited set of a search holds its
+// entries. Both backends are the one exact store (visitedSet), so
+// verdicts, state counts and witnesses are byte-identical across them at
+// any worker count; they differ only in memory ceiling and constant
+// factors.
 type VisitedBackend int
 
 const (
-	// VisitedMem is the in-memory reference backend (the default): a
-	// sharded exact hash set holding every encoding on the heap.
+	// VisitedMem (the default) holds every encoding on the heap, with no
+	// byte budget.
 	VisitedMem VisitedBackend = iota
-	// VisitedSpill bounds resident memory: shards that outgrow their byte
-	// budget spill sorted, prefix-compressed runs to disk and are probed
-	// there via fence indexes. With the encoded frontier batches the
-	// search's resident set no longer scales with state count.
+	// VisitedSpill gives the store a byte budget and a run directory:
+	// shards that outgrow their budget spill sorted, prefix-compressed
+	// runs to disk and are probed there via fence indexes. With the
+	// encoded frontier batches the search's resident set no longer scales
+	// with state count.
 	VisitedSpill
 )
 

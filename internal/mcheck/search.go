@@ -118,7 +118,7 @@ type SearchOptions struct {
 	// GOMAXPROCS. The result is identical for every value; only wall
 	// time changes.
 	Parallelism int
-	// Visited configures the visited-set backend: the in-memory reference
+	// Visited configures the visited set: every encoding resident
 	// (default) or the disk-spilling out-of-core mode. Both are exact;
 	// verdicts, state counts and witnesses do not depend on the choice.
 	Visited VisitedConfig
@@ -268,7 +268,7 @@ type engine struct {
 	opts    SearchOptions
 	cfg     enumConfig        // enumeration variant; shared with rebuildTrace
 	perms   []sim.Permutation // scenario symmetries; empty = plain encoding
-	visited visitedStore
+	visited *visitedSet
 	pool    sync.Pool // recycled *sim.Sim successors (liveness DFS stack)
 	workers []*searchWorker
 	report  reporter
@@ -300,7 +300,7 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 		opts:    opts,
 		cfg:     cfg,
 		perms:   perms,
-		visited: newVisitedStore(opts.Visited),
+		visited: newVisitedSet(opts.Visited),
 	}
 	eng.report = reporter{eng: eng, start: start, last: start}
 	eng.workers = make([]*searchWorker, workers)

@@ -3,72 +3,43 @@ package mcheck
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"hash/maphash"
 	"os"
+	"slices"
 	"sort"
-	"sync"
 )
 
-// spillVisited is the disk-spillable backend: each of the 64 shards keeps
-// a bounded in-memory portion (same chained-hash structure as the
-// reference set), and when a shard crosses its byte budget the resident
-// entries are sorted by (digest, encoding) and written out as one
-// immutable, prefix-compressed run file with an in-memory fence index.
-// novel/insert probe memory first, then the shard's runs newest-first via
-// positioned reads (pread), so the answer every probe returns is exactly
-// the reference backend's: runs are snapshots and the freshest record of
-// an encoding — a later budget upgrade lands in memory or in a newer run
-// — always shadows older ones. When a shard accumulates too many runs
-// they are k-way merged into one, keeping the newest record of each
-// encoding, which bounds both lookup fan-out and disk growth.
+// Spilling bounds the visited set's resident memory. When a shard of a
+// VisitedSpill store crosses its byte budget, its resident entries are
+// sorted by (digest, encoding) and written out as one immutable run file
+// with an in-memory fence index, and the resident chain starts over
+// empty. Probes that miss the resident chain read the shard's runs
+// newest-first via positioned reads (pread), so every probe answers
+// exactly as an unbounded resident chain would: runs are snapshots, and
+// the freshest record of an encoding — a later budget upgrade lands in
+// memory or in a newer run — always shadows older ones. When a shard
+// accumulates too many runs they are merged into one, keeping the newest
+// record of each encoding, which bounds both probe fan-out and disk
+// growth.
 //
 // The result is a search whose resident set is O(MemBudget + fence
 // indexes) regardless of state count; only the run files grow, at the
-// (compressed) size of the distinct encodings. Disk I/O failures are
+// (compressed) size of the distinct encodings. Run files are private to
+// one search and removed on close; disk I/O failures and corrupt runs are
 // unrecoverable mid-search and panic with context.
 //
-// Concurrency: insert/spill/compaction run only on the merge goroutine
-// under the shard write lock; concurrent novel calls hold the read lock,
-// and run files are immutable once written (os.File.ReadAt is safe for
-// concurrent use), so readers never see a run mid-construction.
-type spillVisited struct {
-	seed     maphash.Seed
-	dir      string // run-file directory, created by and private to this store
-	perShard int64  // in-memory byte budget per shard
-	shards   [visitedShards]spillShard
-
-	readers     sync.Pool // *runReader lookup scratch
-	compactions int       // merge-goroutine only
-}
-
-type spillShard struct {
-	mu      sync.RWMutex
-	index   map[uint64]int32
-	entries []spillEntry
-	keys    keyArena // owns the in-memory entries' encoding bytes
-	bytes   int64    // resident bytes of the in-memory portion
-
-	distinct   int         // distinct encodings ever recorded (mem + runs)
-	runs       []*spillRun // oldest first; lookups scan newest first
-	runBytes   int64
-	runEntries int64 // entries residing in runs (incl. superseded dups)
-	fenceBytes int64
-}
-
-// spillEntry is one in-memory record; unlike visitedEntry it carries its
-// digest so a shard can be sorted and spilled without re-hashing.
-type spillEntry struct {
-	h      uint64
-	enc    []byte
-	budget int32
-	next   int32
-}
+// A run is a sequence of blocks of up to spillBlockEntries entries in the
+// entry codec of frontier.go, each entry holding (budget, digest delta)
+// as its two values. Entries are sorted by (digest, encoding), so digest
+// deltas are non-negative and neighbouring state encodings — which differ
+// in a few trailing counters far more often than anywhere else under a
+// sorted digest tie — compress against each other. The fence index holds
+// one (first digest, offset) pair per block.
 
 // spillRun is one immutable sorted run file plus its fence index: the
-// digest and byte offset of every restart block, enough to land a lookup
-// on the one or two blocks that can contain a digest.
+// digest and byte offset of every block, enough to land a lookup on the
+// one or two blocks that can contain a digest.
 type spillRun struct {
 	f     *os.File
 	size  int64
@@ -84,10 +55,10 @@ type runFence struct {
 const (
 	// spillBlockEntries is the restart interval: each block's first entry
 	// is written in full, subsequent entries delta-encode their digest and
-	// share a varint-length prefix with their predecessor.
+	// share a prefix with their predecessor.
 	spillBlockEntries = 64
 	// spillMaxRuns triggers a shard compaction: probes touch at most this
-	// many runs plus the in-memory portion.
+	// many runs plus the resident chain.
 	spillMaxRuns = 6
 	// spillMinSpillEntries keeps a pathological byte budget from emitting
 	// near-empty runs.
@@ -95,155 +66,34 @@ const (
 	spillFenceOverhead   = 16 // bytes per runFence
 )
 
-func newSpillVisited(cfg VisitedConfig) *spillVisited {
-	dir, err := os.MkdirTemp(cfg.SpillDir, "mcheck-spill-*")
-	if err != nil {
-		panic(fmt.Sprintf("mcheck: spill backend: creating spill directory: %v", err))
-	}
-	per := cfg.MemBudget / visitedShards
-	if per < 1<<10 {
-		per = 1 << 10
-	}
-	v := &spillVisited{seed: maphash.MakeSeed(), dir: dir, perShard: per}
-	for i := range v.shards {
-		v.shards[i].index = make(map[uint64]int32)
-	}
-	return v
+// spillKey is one resident entry's place in the spill order.
+type spillKey struct {
+	h uint64
+	e *visitedEntry
 }
 
-func (v *spillVisited) hash(enc []byte) uint64 {
-	return maphash.Bytes(v.seed, enc)
-}
-
-// memLookup walks the in-memory chain for (h, enc). Caller holds the
-// shard lock (either mode).
-func (sh *spillShard) memLookup(h uint64, enc []byte) (int32, bool) {
-	i, ok := sh.index[h]
-	for ok && i >= 0 {
-		e := &sh.entries[i]
-		if bytes.Equal(e.enc, enc) {
-			return e.budget, true
-		}
-		i = e.next
-	}
-	return 0, false
-}
-
-// lookupRuns probes the shard's runs newest-first. Caller holds the shard
-// lock (either mode), which pins the run list; file reads are positioned
-// and lock-free.
-func (sh *spillShard) lookupRuns(h uint64, enc []byte, rd *runReader) (int32, bool) {
-	for i := len(sh.runs) - 1; i >= 0; i-- {
-		if b, ok := sh.runs[i].lookup(h, enc, rd); ok {
-			return b, true
-		}
-	}
-	return 0, false
-}
-
-// addEntry appends (h, enc, budget) to the in-memory portion. Caller
-// holds the write lock and has established the encoding is not resident.
-func (sh *spillShard) addEntry(h uint64, enc []byte, budget int) {
-	head, ok := sh.index[h]
-	if !ok {
-		head = -1
-	}
-	sh.entries = append(sh.entries, spillEntry{h: h, enc: sh.keys.copy(enc), budget: int32(budget), next: head})
-	sh.index[h] = int32(len(sh.entries) - 1)
-	sh.bytes += int64(len(enc)) + visitedEntryOverhead
-}
-
-func (v *spillVisited) novel(h uint64, enc []byte, budget int) bool {
-	sh := &v.shards[h&(visitedShards-1)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if b, ok := sh.memLookup(h, enc); ok {
-		return int(b) < budget
-	}
-	if len(sh.runs) == 0 {
-		return true
-	}
-	rd := v.getReader()
-	b, ok := sh.lookupRuns(h, enc, rd)
-	v.putReader(rd)
-	if ok {
-		return int(b) < budget
-	}
-	return true
-}
-
-func (v *spillVisited) insert(h uint64, enc []byte, budget int) bool {
-	sh := &v.shards[h&(visitedShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i, ok := sh.index[h]; ok {
-		for i >= 0 {
-			e := &sh.entries[i]
-			if bytes.Equal(e.enc, enc) {
-				if int(e.budget) >= budget {
-					return false
-				}
-				e.budget = int32(budget)
-				return true
-			}
-			i = e.next
-		}
-	}
-	found := false
-	if len(sh.runs) > 0 {
-		rd := v.getReader()
-		b, ok := sh.lookupRuns(h, enc, rd)
-		v.putReader(rd)
-		if ok {
-			if int(b) >= budget {
-				return false
-			}
-			// Budget upgrade of a spilled encoding: the new record lives in
-			// memory and shadows the run copy at every future probe.
-			found = true
-		}
-	}
-	sh.addEntry(h, enc, budget)
-	if !found {
-		sh.distinct++
-	}
-	if sh.bytes > v.perShard && len(sh.entries) >= spillMinSpillEntries {
-		v.spill(sh)
-		if len(sh.runs) > spillMaxRuns {
-			v.compact(sh)
-		}
-	}
-	return true
-}
-
-// spill sorts the shard's resident entries by (digest, encoding) and
-// writes them as one new run, then resets the in-memory portion. Caller
-// holds the write lock.
-func (v *spillVisited) spill(sh *spillShard) {
-	sort.Slice(sh.entries, func(i, j int) bool {
-		a, b := &sh.entries[i], &sh.entries[j]
-		if a.h != b.h {
-			return a.h < b.h
-		}
-		return bytes.Compare(a.enc, b.enc) < 0
-	})
-	f, err := os.CreateTemp(v.dir, "run-*.spill")
-	if err != nil {
-		panic(fmt.Sprintf("mcheck: spill backend: creating run file: %v", err))
-	}
-	w := newRunWriter(f)
+// spill writes the shard's resident entries as one new run, sorted by
+// (digest, encoding) with digests recomputed from the store's seed, then
+// resets the resident chain. Caller holds the write lock.
+func (v *visitedSet) spill(sh *visitedShard) {
+	v.order = v.order[:0]
 	for i := range sh.entries {
 		e := &sh.entries[i]
-		w.add(e.h, e.enc, e.budget)
+		v.order = append(v.order, spillKey{h: v.hash(e.enc), e: e})
 	}
-	run := w.finish()
-	sh.runs = append(sh.runs, run)
-	sh.runBytes += run.size
-	sh.runEntries += int64(run.count)
-	sh.fenceBytes += int64(len(run.fence)) * spillFenceOverhead
-	for k := range sh.index {
-		delete(sh.index, k)
+	slices.SortFunc(v.order, func(a, b spillKey) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.e.enc, b.e.enc)
+	})
+	w := v.newRunWriter()
+	for _, k := range v.order {
+		w.add(k.h, k.e.enc, k.e.budget)
 	}
+	clear(v.order)
+	v.addRun(sh, w.finish())
+	clear(sh.index)
 	// The run now holds every encoding: drop the entries' references and
 	// refill the arena's newest chunk from the start, so the resident
 	// portion settles at one chunk instead of allocating per spill.
@@ -253,190 +103,111 @@ func (v *spillVisited) spill(sh *spillShard) {
 	sh.bytes = 0
 }
 
-// compact k-way-merges every run of the shard into one, keeping the
-// newest record of each (digest, encoding) and dropping superseded
-// duplicates. Caller holds the write lock.
-func (v *spillVisited) compact(sh *spillShard) {
-	cursors := make([]*runCursor, len(sh.runs))
+// compact merges every run of the shard into one, keeping the newest
+// record of each (digest, encoding) and dropping superseded duplicates.
+// Each run is read block by block through its fence offsets, as lookups
+// read it. Caller holds the write lock.
+func (v *visitedSet) compact(sh *visitedShard) {
+	rds := make([]*runReader, len(sh.runs))
 	for i, r := range sh.runs {
-		cursors[i] = newRunCursor(r)
-		cursors[i].next() // prime; every run has >= 1 entry
+		rds[i] = v.getReader()
+		rds[i].load(r, 0)
+		rds[i].entry() // every run has >= 1 entry
 	}
-	f, err := os.CreateTemp(v.dir, "run-*.spill")
-	if err != nil {
-		panic(fmt.Sprintf("mcheck: spill backend: creating compaction file: %v", err))
-	}
-	w := newRunWriter(f)
-	var keyEnc []byte
+	w := v.newRunWriter()
+	var key []byte
 	for {
-		// Pick the smallest live (h, enc); among equal keys the newest run
+		// Pick the smallest live (h, key); among equal keys the newest run
 		// (highest index) wins and the stale copies are skipped.
 		best := -1
-		for i, c := range cursors {
-			if c.done {
+		for i, rd := range rds {
+			if rd.run == nil {
 				continue
 			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := cursors[best]
-			if c.h < b.h || (c.h == b.h && bytes.Compare(c.cur, b.cur) < 0) {
+			if best < 0 || rd.h < rds[best].h || (rd.h == rds[best].h && bytes.Compare(rd.key, rds[best].key) < 0) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		// Newest-wins among duplicates: scan above best for the same key.
-		winner := best
-		for i := best + 1; i < len(cursors); i++ {
-			c := cursors[i]
-			if !c.done && c.h == cursors[best].h && bytes.Equal(c.cur, cursors[best].cur) {
-				winner = i
+		// Snapshot the key before advancing anything: a reader's key is
+		// scratch that the next entry overwrites.
+		h := rds[best].h
+		key = append(key[:0], rds[best].key...)
+		budget := rds[best].budget
+		for i := best + 1; i < len(rds); i++ {
+			if rd := rds[i]; rd.run != nil && rd.h == h && bytes.Equal(rd.key, key) {
+				budget = rd.budget
 			}
 		}
-		// Snapshot the key before advancing anything: every cursor's cur is
-		// scratch that mutates on next(), and comparing later cursors
-		// against an already-advanced winner would skip their next key.
-		keyH := cursors[winner].h
-		keyEnc = append(keyEnc[:0], cursors[winner].cur...)
-		w.add(keyH, keyEnc, cursors[winner].budget)
-		for i := best; i < len(cursors); i++ {
-			c := cursors[i]
-			if !c.done && c.h == keyH && bytes.Equal(c.cur, keyEnc) {
-				c.next()
+		w.add(h, key, budget)
+		for _, rd := range rds[best:] {
+			if rd.run != nil && rd.h == h && bytes.Equal(rd.key, key) {
+				rd.advance()
 			}
 		}
 	}
-	merged := w.finish()
+	for _, rd := range rds {
+		v.readers.Put(rd)
+	}
 	for _, r := range sh.runs {
-		name := r.f.Name()
 		r.f.Close()
-		os.Remove(name)
+		os.Remove(r.f.Name())
 	}
-	sh.runs = append(sh.runs[:0], merged)
-	sh.runBytes = merged.size
-	sh.runEntries = int64(merged.count)
-	sh.fenceBytes = int64(len(merged.fence)) * spillFenceOverhead
+	sh.runs, sh.runBytes, sh.runEntries, sh.fenceBytes = sh.runs[:0], 0, 0, 0
+	v.addRun(sh, w.finish())
 	v.compactions++
 }
 
-func (v *spillVisited) size() int {
-	n := 0
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		n += sh.distinct
-		sh.mu.RUnlock()
-	}
-	return n
+// addRun appends a finished run to the shard and its accounting.
+func (v *visitedSet) addRun(sh *visitedShard, run *spillRun) {
+	sh.runs = append(sh.runs, run)
+	sh.runBytes += run.size
+	sh.runEntries += int64(run.count)
+	sh.fenceBytes += int64(len(run.fence)) * spillFenceOverhead
 }
 
-func (v *spillVisited) stats(st *VisitedStats) {
-	*st = VisitedStats{Backend: "spill", Compactions: v.compactions}
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		st.Entries += sh.distinct
-		st.Bytes += sh.bytes + sh.fenceBytes
-		if sh.distinct > st.PeakShardEntries {
-			st.PeakShardEntries = sh.distinct
-		}
-		st.SpillBytes += sh.runBytes
-		st.SpillRuns += len(sh.runs)
-		st.SpilledEntries += sh.runEntries
-		sh.mu.RUnlock()
-	}
-}
-
-func (v *spillVisited) close() {
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		for _, r := range sh.runs {
-			r.f.Close()
-		}
-		sh.runs = nil
-		sh.mu.Unlock()
-	}
-	os.RemoveAll(v.dir)
-}
-
-func (v *spillVisited) getReader() *runReader {
+func (v *visitedSet) getReader() *runReader {
 	if x := v.readers.Get(); x != nil {
 		return x.(*runReader)
 	}
 	return &runReader{}
 }
 
-func (v *spillVisited) putReader(rd *runReader) { v.readers.Put(rd) }
-
-// --- run file format ---------------------------------------------------
-//
-// A run is a sequence of blocks of up to spillBlockEntries entries, each
-// entry:
-//
-//	uvarint digest delta (block-first entry: the full digest)
-//	uvarint budget
-//	uvarint shared   (prefix length shared with the previous entry; 0 at
-//	                  a block start)
-//	uvarint suffixLen, then suffixLen encoding bytes
-//
-// Entries are sorted by (digest, encoding), so digest deltas are
-// non-negative and neighbouring state encodings — which differ in a few
-// trailing counters far more often than anywhere else under a sorted
-// digest tie — compress against each other. The fence index holds one
-// (digest, offset) pair per block.
-
+// runWriter streams sorted entries into a new run file.
 type runWriter struct {
-	f      *os.File
-	bw     *bufio.Writer
-	fence  []runFence
-	count  int
-	blockN int
-	off    int64
-	prevH  uint64
-	prev   []byte
-	tmp    [binary.MaxVarintLen64]byte
+	f     *os.File
+	bw    *bufio.Writer
+	fence []runFence
+	count int
+	off   int64
+	prevH uint64
+	prev  []byte
+	entry []byte
 }
 
-func newRunWriter(f *os.File) *runWriter {
+func (v *visitedSet) newRunWriter() *runWriter {
+	f, err := os.CreateTemp(v.dir, "run-*.spill")
+	if err != nil {
+		panic(fmt.Sprintf("mcheck: spill backend: creating run file: %v", err))
+	}
 	return &runWriter{f: f, bw: bufio.NewWriter(f)}
 }
 
-func (w *runWriter) uvarint(x uint64) {
-	n := binary.PutUvarint(w.tmp[:], x)
-	if _, err := w.bw.Write(w.tmp[:n]); err != nil {
-		panic(fmt.Sprintf("mcheck: spill backend: writing run: %v", err))
-	}
-	w.off += int64(n)
-}
-
 func (w *runWriter) add(h uint64, enc []byte, budget int32) {
-	if w.blockN == spillBlockEntries {
-		w.blockN = 0
-	}
-	if w.blockN == 0 {
+	if w.count%spillBlockEntries == 0 {
 		w.fence = append(w.fence, runFence{h: h, off: w.off})
 		w.prevH = 0
 		w.prev = w.prev[:0]
 	}
-	w.uvarint(h - w.prevH)
-	w.uvarint(uint64(budget))
-	shared := 0
-	for shared < len(w.prev) && shared < len(enc) && w.prev[shared] == enc[shared] {
-		shared++
-	}
-	w.uvarint(uint64(shared))
-	w.uvarint(uint64(len(enc) - shared))
-	if _, err := w.bw.Write(enc[shared:]); err != nil {
+	w.entry = appendEntry(w.entry[:0], w.prev, enc, uint64(budget), h-w.prevH)
+	if _, err := w.bw.Write(w.entry); err != nil {
 		panic(fmt.Sprintf("mcheck: spill backend: writing run: %v", err))
 	}
-	w.off += int64(len(enc) - shared)
+	w.off += int64(len(w.entry))
 	w.prevH = h
 	w.prev = append(w.prev[:0], enc...)
-	w.blockN++
 	w.count++
 }
 
@@ -447,16 +218,71 @@ func (w *runWriter) finish() *spillRun {
 	return &spillRun{f: w.f, size: w.off, fence: w.fence, count: w.count}
 }
 
-// runReader is the pooled per-lookup scratch: one block buffer and one
-// entry-reconstruction buffer.
+// runReader reads a run's entries one block at a time with positioned
+// reads, so concurrent lookups share the immutable file safely. After
+// entry, h, key and budget hold the decoded entry; key is scratch that
+// the next entry overwrites. Lookups draw readers from a pool; a
+// compaction holds one per run it merges.
 type runReader struct {
-	block []byte
-	cur   []byte
+	run    *spillRun // nil once advance passes the run's last entry
+	bi     int       // block held in block
+	block  []byte
+	pos    int
+	h      uint64
+	budget int32
+	key    []byte
+}
+
+// load reads block bi of r and positions the reader at its first entry.
+func (rd *runReader) load(r *spillRun, bi int) {
+	start, end := r.fence[bi].off, r.size
+	if bi+1 < len(r.fence) {
+		end = r.fence[bi+1].off
+	}
+	if int64(cap(rd.block)) < end-start {
+		rd.block = make([]byte, end-start)
+	}
+	rd.block = rd.block[:end-start]
+	if _, err := r.f.ReadAt(rd.block, start); err != nil {
+		panic(fmt.Sprintf("mcheck: spill backend: reading run block: %v", err))
+	}
+	rd.run, rd.bi, rd.pos, rd.h = r, bi, 0, 0
+	rd.key = rd.key[:0]
+}
+
+// more reports whether the loaded block has entries left.
+func (rd *runReader) more() bool { return rd.pos < len(rd.block) }
+
+// entry decodes the next entry of the loaded block. A corrupt block
+// panics, naming the run file and the entry's offset in it.
+func (rd *runReader) entry() {
+	budget, dh, end, err := decodeEntry(rd.block, rd.pos, &rd.key)
+	if err != nil {
+		rd.corrupt(err)
+	}
+	rd.pos, rd.h, rd.budget = end, rd.h+dh, int32(budget)
+}
+
+func (rd *runReader) corrupt(err error) {
+	panic(fmt.Sprintf("mcheck: spill backend: corrupt run block in %s at offset %d: %v",
+		rd.run.f.Name(), rd.run.fence[rd.bi].off+int64(rd.pos), err))
+}
+
+// advance decodes the run's next entry, loading the next block when the
+// current one is exhausted, and drops the run when none is left.
+func (rd *runReader) advance() {
+	if !rd.more() {
+		if rd.bi+1 == len(rd.run.fence) {
+			rd.run = nil
+			return
+		}
+		rd.load(rd.run, rd.bi+1)
+	}
+	rd.entry()
 }
 
 // lookup finds (h, enc) in the run. The fence index narrows the scan to
-// the block run of candidate digests; blocks are fetched with positioned
-// reads, so concurrent lookups share the immutable file safely.
+// the blocks whose digest range can hold h.
 func (r *spillRun) lookup(h uint64, enc []byte, rd *runReader) (int32, bool) {
 	bi := sort.Search(len(r.fence), func(i int) bool { return r.fence[i].h > h }) - 1
 	if bi < 0 {
@@ -467,109 +293,17 @@ func (r *spillRun) lookup(h uint64, enc []byte, rd *runReader) (int32, bool) {
 	for bi > 0 && r.fence[bi].h == h {
 		bi--
 	}
-	for ; bi < len(r.fence); bi++ {
-		if r.fence[bi].h > h {
-			return 0, false
-		}
-		start := r.fence[bi].off
-		end := r.size
-		if bi+1 < len(r.fence) {
-			end = r.fence[bi+1].off
-		}
-		if int64(cap(rd.block)) < end-start {
-			rd.block = make([]byte, end-start)
-		}
-		rd.block = rd.block[:end-start]
-		if _, err := r.f.ReadAt(rd.block, start); err != nil {
-			panic(fmt.Sprintf("mcheck: spill backend: reading run block: %v", err))
-		}
-		pos := 0
-		var prevH uint64
-		rd.cur = rd.cur[:0]
-		for pos < len(rd.block) {
-			dh, n := binary.Uvarint(rd.block[pos:])
-			pos += n
-			budget, n := binary.Uvarint(rd.block[pos:])
-			pos += n
-			shared, n := binary.Uvarint(rd.block[pos:])
-			pos += n
-			slen, n := binary.Uvarint(rd.block[pos:])
-			pos += n
-			if n <= 0 || pos+int(slen) > len(rd.block) || int(shared) > len(rd.cur) {
-				panic("mcheck: spill backend: corrupt run block")
-			}
-			eh := prevH + dh
-			rd.cur = append(rd.cur[:shared], rd.block[pos:pos+int(slen)]...)
-			pos += int(slen)
-			prevH = eh
-			if eh > h {
+	for ; bi < len(r.fence) && r.fence[bi].h <= h; bi++ {
+		rd.load(r, bi)
+		for rd.more() {
+			rd.entry()
+			if rd.h > h {
 				return 0, false
 			}
-			if eh == h && bytes.Equal(rd.cur, enc) {
-				return int32(budget), true
+			if rd.h == h && bytes.Equal(rd.key, enc) {
+				return rd.budget, true
 			}
 		}
 	}
 	return 0, false
-}
-
-// runCursor streams a run's entries in order for compaction.
-type runCursor struct {
-	br     *bufio.Reader
-	left   int
-	blockN int
-	prevH  uint64
-	h      uint64
-	budget int32
-	cur    []byte
-	done   bool
-}
-
-func newRunCursor(r *spillRun) *runCursor {
-	if _, err := r.f.Seek(0, 0); err != nil {
-		panic(fmt.Sprintf("mcheck: spill backend: seeking run: %v", err))
-	}
-	return &runCursor{br: bufio.NewReader(r.f), left: r.count}
-}
-
-func (c *runCursor) next() bool {
-	if c.left == 0 {
-		c.done = true
-		return false
-	}
-	c.left--
-	if c.blockN == spillBlockEntries {
-		c.blockN = 0
-	}
-	if c.blockN == 0 {
-		c.prevH = 0
-		c.cur = c.cur[:0]
-	}
-	read := func() uint64 {
-		x, err := binary.ReadUvarint(c.br)
-		if err != nil {
-			panic(fmt.Sprintf("mcheck: spill backend: reading run for compaction: %v", err))
-		}
-		return x
-	}
-	dh := read()
-	budget := read()
-	shared := read()
-	slen := read()
-	if int(shared) > len(c.cur) {
-		panic("mcheck: spill backend: corrupt run during compaction")
-	}
-	c.cur = c.cur[:shared]
-	for i := uint64(0); i < slen; i++ {
-		b, err := c.br.ReadByte()
-		if err != nil {
-			panic(fmt.Sprintf("mcheck: spill backend: reading run for compaction: %v", err))
-		}
-		c.cur = append(c.cur, b)
-	}
-	c.h = c.prevH + dh
-	c.prevH = c.h
-	c.budget = int32(budget)
-	c.blockN++
-	return true
 }

@@ -2,7 +2,9 @@ package mcheck
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
+	"os"
 	"sync"
 )
 
@@ -17,44 +19,8 @@ const visitedShards = 64
 // it only feeds the memory budget and the stats surface.
 const visitedEntryOverhead = 48
 
-// visitedStore is the deduplication structure behind the search engines,
-// pluggable via SearchOptions.Visited. Every backend is exact: novel and
-// insert answer precisely the same questions as the in-memory reference
-// (collisions verified against full encodings, budgets compared with the
-// same monotone rule), so verdicts, state counts and witnesses are
-// byte-identical across backends. Backends differ only in where encodings
-// reside (heap or disk runs) and therefore in memory ceiling and constant
-// factors.
-//
-// Concurrency contract (inherited from the engine): novel may be called
-// from many workers concurrently, but insert, stats, size and close only
-// ever run on the single merge goroutine, strictly between expansion
-// phases.
-type visitedStore interface {
-	// hash digests an encoding. Digests are only meaningful within one
-	// search (the seed is per-store), which is all the visited set needs.
-	hash(enc []byte) uint64
-	// novel reports whether visiting the state (enc, budget) could still
-	// reach anything new: the state is unseen, or was only seen with a
-	// strictly smaller stall budget. Safe for concurrent use.
-	novel(h uint64, enc []byte, budget int) bool
-	// insert records (enc, budget) and reports whether it was new in the
-	// novel sense — exactly the condition under which the search counts a
-	// state and enqueues it. The store copies enc into memory it owns, so
-	// the caller may reuse the slice as soon as insert returns.
-	insert(h uint64, enc []byte, budget int) bool
-	// size returns the number of distinct state encodings recorded.
-	size() int
-	// stats fills st with the store's accounting snapshot.
-	stats(st *VisitedStats)
-	// close releases backend resources (spill files). The store is
-	// unusable afterwards.
-	close()
-}
-
-// VisitedStats is the memory-accounting snapshot of a visited-set
-// backend, surfaced in SearchResult, obsv gauges and the live /progress
-// stream.
+// VisitedStats is the memory-accounting snapshot of the visited set,
+// surfaced in SearchResult, obsv gauges and the live /progress stream.
 type VisitedStats struct {
 	// Backend names the store that ran: "mem" or "spill".
 	Backend string
@@ -75,135 +41,221 @@ type VisitedStats struct {
 	Compactions    int   // run-compaction passes performed
 }
 
-// visitedSet is the in-memory reference backend: a sharded hash map from
-// a 64-bit maphash digest of a state's binary encoding to the best stall
-// budget the state has been reached with. Each entry keeps the full
-// encoding bytes as a collision-verification slot — two distinct states
-// that collide on the 64-bit digest are chained, never conflated, so the
-// search stays exact. Shards are guarded by striped RW mutexes: the
-// parallel expansion phase performs lock-shared lookups from every worker,
-// while insertions happen only in the single-threaded per-level merge.
+// visitedSet is the deduplication structure behind the search engines: a
+// sharded hash map from a 64-bit maphash digest of a state's binary
+// encoding to the best stall budget the state has been reached with. Each
+// entry keeps the full encoding bytes as a collision-verification slot —
+// two distinct states that collide on the 64-bit digest are chained,
+// never conflated, so the search stays exact.
+//
+// A store built for VisitedSpill also has a per-shard byte budget and a
+// private run directory: a shard that outgrows its budget writes its
+// resident entries to disk as one sorted run (spill.go) and starts over
+// empty, and probes that miss the resident chain fall through to the
+// shard's runs. Runs are exact too, so verdicts, state counts and
+// witnesses are byte-identical with and without spilling; only the
+// memory ceiling and constant factors differ.
+//
+// Concurrency contract (inherited from the engine): novel may be called
+// from many workers concurrently under the shard read locks, but insert,
+// stats, size and close only ever run on the single merge goroutine,
+// strictly between expansion phases. Run files are immutable once
+// written and read with positioned reads, so concurrent probes share
+// them safely.
 type visitedSet struct {
 	seed   maphash.Seed
 	shards [visitedShards]visitedShard
+
+	// Spilling, set only for VisitedSpill: perShard > 0 is the resident
+	// byte budget of each shard and dir the run-file directory, created
+	// by and private to this store.
+	dir         string
+	perShard    int64
+	readers     sync.Pool  // *runReader probe scratch
+	order       []spillKey // spill sort scratch, merge goroutine only
+	compactions int        // merge goroutine only
 }
 
 type visitedShard struct {
 	mu sync.RWMutex
-	// index maps a digest to the head of its entry chain.
+	// index maps a digest to the head of its resident entry chain.
 	index   map[uint64]int32
 	entries []visitedEntry
-	keys    keyArena // owns every entry's encoding bytes
-	bytes   int64    // encodings + visitedEntryOverhead per entry
+	keys    keyArena // owns every resident entry's encoding bytes
+	bytes   int64    // resident encodings + visitedEntryOverhead per entry
+
+	distinct   int         // distinct encodings ever recorded (resident + runs)
+	runs       []*spillRun // oldest first; probes scan newest first
+	runBytes   int64
+	runEntries int64 // entries residing in runs (incl. superseded dups)
+	fenceBytes int64
 }
 
-// visitedEntry records one distinct state encoding.
+// visitedEntry records one resident state encoding.
 type visitedEntry struct {
 	enc    []byte // canonical bytes; verifies the 64-bit digest match
 	budget int32  // best (largest) remaining stall budget seen
 	next   int32  // next entry with the same digest, -1 at chain end
 }
 
-func newVisitedSet() *visitedSet {
+// newVisitedSet builds the store a normalized VisitedConfig selects.
+func newVisitedSet(cfg VisitedConfig) *visitedSet {
 	v := &visitedSet{seed: maphash.MakeSeed()}
 	for i := range v.shards {
 		v.shards[i].index = make(map[uint64]int32)
 	}
+	if cfg.Backend == VisitedSpill {
+		dir, err := os.MkdirTemp(cfg.SpillDir, "mcheck-spill-*")
+		if err != nil {
+			panic(fmt.Sprintf("mcheck: spill backend: creating spill directory: %v", err))
+		}
+		v.dir = dir
+		v.perShard = max(cfg.MemBudget/visitedShards, 1<<10)
+	}
 	return v
 }
 
+// hash digests an encoding. Digests are only meaningful within one search
+// (the seed is per-store), which is all the visited set needs.
 func (v *visitedSet) hash(enc []byte) uint64 {
 	return maphash.Bytes(v.seed, enc)
 }
 
-// lookup returns the recorded budget for (h, enc), reporting whether the
-// encoding is present at all. Callers hold no lock; lookup takes the
-// shard read lock itself.
-func (v *visitedSet) lookup(h uint64, enc []byte) (int, bool) {
-	sh := &v.shards[h&(visitedShards-1)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	i, ok := sh.index[h]
-	for ok && i >= 0 {
-		e := &sh.entries[i]
-		if bytes.Equal(e.enc, enc) {
-			return int(e.budget), true
+// find returns the index of enc's resident entry under digest h, or -1,
+// and the head of h's chain, or -1. Caller holds the shard lock (either
+// mode).
+func (sh *visitedShard) find(h uint64, enc []byte) (i, head int32) {
+	head, ok := sh.index[h]
+	if !ok {
+		return -1, -1
+	}
+	for i = head; i >= 0; i = sh.entries[i].next {
+		if bytes.Equal(sh.entries[i].enc, enc) {
+			return i, head
 		}
-		i = e.next
+	}
+	return -1, head
+}
+
+// lookupRuns probes the shard's runs newest-first, so the freshest
+// record of an encoding wins. Caller holds the shard lock (either mode),
+// which pins the run list.
+func (v *visitedSet) lookupRuns(sh *visitedShard, h uint64, enc []byte) (int32, bool) {
+	if len(sh.runs) == 0 {
+		return 0, false
+	}
+	rd := v.getReader()
+	defer v.readers.Put(rd)
+	for i := len(sh.runs) - 1; i >= 0; i-- {
+		if b, ok := sh.runs[i].lookup(h, enc, rd); ok {
+			return b, true
+		}
 	}
 	return 0, false
 }
 
+// novel reports whether visiting the state (enc, budget) could still
+// reach anything new: the state is unseen, or was only seen with a
+// strictly smaller stall budget. Safe for concurrent use.
 func (v *visitedSet) novel(h uint64, enc []byte, budget int) bool {
-	b, ok := v.lookup(h, enc)
-	return !ok || b < budget
+	sh := &v.shards[h&(visitedShards-1)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if i, _ := sh.find(h, enc); i >= 0 {
+		return int(sh.entries[i].budget) < budget
+	}
+	b, ok := v.lookupRuns(sh, h, enc)
+	return !ok || int(b) < budget
 }
 
-// insert records (enc, budget): reached-again states with a larger budget
+// insert records (enc, budget) and reports whether it was new in the
+// novel sense — exactly the condition under which the search counts a
+// state and enqueues it. Reached-again states with a larger budget
 // update in place (and still count as new: they can reach successors the
-// smaller budget could not). Only the per-level merge calls insert, so
+// smaller budget could not); a budget upgrade of a spilled encoding
+// re-enters the resident chain as a shadow record that every later probe
+// sees before the run copy. Only the per-level merge calls insert, so
 // insertion order — and with it every verdict, count and witness — is
-// deterministic.
+// deterministic. The store copies enc into memory it owns, so the caller
+// may reuse the slice as soon as insert returns.
 func (v *visitedSet) insert(h uint64, enc []byte, budget int) bool {
 	sh := &v.shards[h&(visitedShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	head, ok := sh.index[h]
-	if ok {
-		for i := head; i >= 0; {
-			e := &sh.entries[i]
-			if bytes.Equal(e.enc, enc) {
-				if int(e.budget) >= budget {
-					return false
-				}
-				e.budget = int32(budget)
-				return true
-			}
-			i = e.next
+	i, head := sh.find(h, enc)
+	if i >= 0 {
+		e := &sh.entries[i]
+		if int(e.budget) >= budget {
+			return false
 		}
-	} else {
-		head = -1
+		e.budget = int32(budget)
+		return true
+	}
+	b, spilled := v.lookupRuns(sh, h, enc)
+	if spilled && int(b) >= budget {
+		return false
 	}
 	sh.entries = append(sh.entries, visitedEntry{enc: sh.keys.copy(enc), budget: int32(budget), next: head})
 	sh.index[h] = int32(len(sh.entries) - 1)
 	sh.bytes += int64(len(enc)) + visitedEntryOverhead
+	if !spilled {
+		sh.distinct++
+	}
+	if v.perShard > 0 && sh.bytes > v.perShard && len(sh.entries) >= spillMinSpillEntries {
+		v.spill(sh)
+		if len(sh.runs) > spillMaxRuns {
+			v.compact(sh)
+		}
+	}
 	return true
 }
 
+// size returns the number of distinct state encodings recorded.
 func (v *visitedSet) size() int {
 	n := 0
 	for i := range v.shards {
 		sh := &v.shards[i]
 		sh.mu.RLock()
-		n += len(sh.entries)
+		n += sh.distinct
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
+// stats fills st with the store's accounting snapshot.
 func (v *visitedSet) stats(st *VisitedStats) {
-	*st = VisitedStats{Backend: "mem"}
+	*st = VisitedStats{Backend: VisitedMem.String(), Compactions: v.compactions}
+	if v.perShard > 0 {
+		st.Backend = VisitedSpill.String()
+	}
 	for i := range v.shards {
 		sh := &v.shards[i]
 		sh.mu.RLock()
-		n := len(sh.entries)
-		st.Entries += n
-		st.Bytes += sh.bytes
-		if n > st.PeakShardEntries {
-			st.PeakShardEntries = n
-		}
+		st.Entries += sh.distinct
+		st.Bytes += sh.bytes + sh.fenceBytes
+		st.PeakShardEntries = max(st.PeakShardEntries, sh.distinct)
+		st.SpillBytes += sh.runBytes
+		st.SpillRuns += len(sh.runs)
+		st.SpilledEntries += sh.runEntries
 		sh.mu.RUnlock()
 	}
 }
 
-func (v *visitedSet) close() {}
-
-// newVisitedStore builds the backend a normalized VisitedConfig selects.
-func newVisitedStore(cfg VisitedConfig) visitedStore {
-	if cfg.Backend == VisitedSpill {
-		return newSpillVisited(cfg)
+// close removes the run files. The store is unusable afterwards.
+func (v *visitedSet) close() {
+	if v.dir == "" {
+		return
 	}
-	return newVisitedSet()
+	for i := range v.shards {
+		sh := &v.shards[i]
+		sh.mu.Lock()
+		for _, r := range sh.runs {
+			r.f.Close()
+		}
+		sh.runs = nil
+		sh.mu.Unlock()
+	}
+	os.RemoveAll(v.dir)
 }
 
 // keyArena copies encodings into chunked byte slabs, so a store owns the

@@ -8,14 +8,24 @@ import (
 	"testing"
 )
 
-// allBackendStores builds one store per backend, the spill one with a
-// hostile one-byte budget. Callers must close them.
-func allBackendStores(t *testing.T) map[string]visitedStore {
-	t.Helper()
-	return map[string]visitedStore{
-		"mem":   newVisitedSet(),
-		"spill": newSpillVisited(normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()})),
+// backendConfigs are the two visited-set configurations: spilling off,
+// and spilling under a hostile one-byte budget.
+func backendConfigs(t *testing.T) map[string]VisitedConfig {
+	return map[string]VisitedConfig{
+		"mem":   normalizeVisitedConfig(VisitedConfig{}),
+		"spill": normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()}),
 	}
+}
+
+// allBackendStores builds one store per configuration of backendConfigs.
+// Callers must close them.
+func allBackendStores(t *testing.T) map[string]*visitedSet {
+	t.Helper()
+	stores := make(map[string]*visitedSet)
+	for name, cfg := range backendConfigs(t) {
+		stores[name] = newVisitedSet(cfg)
+	}
+	return stores
 }
 
 // TestVisitedDigestCollisions: two different encodings inserted under the
@@ -83,15 +93,63 @@ func TestVisitedBudgetReexpansion(t *testing.T) {
 	}
 }
 
-// TestSpillVisitedMatchesReference drives the spill backend with a
-// deterministic random workload against a plain map model: thousands of
-// entries under a one-byte budget, so every shard spills repeatedly and
-// compacts several times, with budget upgrades mixed in throughout.
+// TestSpillVisitedMatchesReference drives the visited set with a
+// deterministic random workload against a plain map model, with spilling
+// off and under a one-byte budget: thousands of entries, so in the
+// spilling store every shard spills repeatedly and compacts several
+// times, with budget upgrades mixed in throughout. The map model is the
+// check on the resident chain that both configurations share.
 func TestSpillVisitedMatchesReference(t *testing.T) {
-	st := newSpillVisited(normalizeVisitedConfig(VisitedConfig{
-		Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()}))
-	defer st.close()
+	for name, cfg := range backendConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			st := newVisitedSet(cfg)
+			defer st.close()
+			model, keys := driveReferenceWorkload(t, st)
 
+			if st.size() != len(model) {
+				t.Fatalf("size = %d, model has %d distinct encodings", st.size(), len(model))
+			}
+			// Every recorded encoding: not novel at its budget, novel just above.
+			for _, key := range keys {
+				enc := []byte(key)
+				h := st.hash(enc)
+				if st.novel(h, enc, model[key]) {
+					t.Fatalf("recorded encoding novel at its own budget %d", model[key])
+				}
+				if !st.novel(h, enc, model[key]+1) {
+					t.Fatalf("recorded encoding not novel above its budget")
+				}
+			}
+
+			var vs VisitedStats
+			st.stats(&vs)
+			if vs.Backend != name || vs.Entries != len(model) {
+				t.Fatalf("stats = %+v, want %s/%d", vs, name, len(model))
+			}
+			if cfg.Backend != VisitedSpill {
+				if vs.SpillRuns != 0 || vs.SpillBytes != 0 || vs.SpilledEntries != 0 || vs.Compactions != 0 {
+					t.Fatalf("store without a byte budget spilled: %+v", vs)
+				}
+				return
+			}
+			if vs.SpillRuns <= 0 || vs.SpillBytes <= 0 || vs.SpilledEntries <= 0 {
+				t.Fatalf("one-byte budget never spilled: %+v", vs)
+			}
+			if vs.Compactions <= 0 {
+				t.Fatalf("20k entries over a one-byte budget never compacted: %+v", vs)
+			}
+			if vs.SpillRuns > visitedShards*(spillMaxRuns+1) {
+				t.Fatalf("compaction is not bounding run count: %d runs", vs.SpillRuns)
+			}
+		})
+	}
+}
+
+// driveReferenceWorkload runs 20,000 deterministic random novel/insert
+// operations on st, a third of them revisits with a random budget, and
+// checks each answer against a map model. It returns the model and its
+// keys in first-insertion order.
+func driveReferenceWorkload(t testing.TB, st *visitedSet) (map[string]int, []string) {
 	rng := rand.New(rand.NewSource(7))
 	model := make(map[string]int)
 	var keys []string
@@ -123,42 +181,13 @@ func TestSpillVisitedMatchesReference(t *testing.T) {
 			model[key] = budget
 		}
 	}
-
-	if st.size() != len(model) {
-		t.Fatalf("size = %d, model has %d distinct encodings", st.size(), len(model))
-	}
-	// Every recorded encoding: not novel at its budget, novel just above.
-	for _, key := range keys {
-		enc := []byte(key)
-		h := st.hash(enc)
-		if st.novel(h, enc, model[key]) {
-			t.Fatalf("recorded encoding novel at its own budget %d", model[key])
-		}
-		if !st.novel(h, enc, model[key]+1) {
-			t.Fatalf("recorded encoding not novel above its budget")
-		}
-	}
-
-	var vs VisitedStats
-	st.stats(&vs)
-	if vs.Backend != "spill" || vs.Entries != len(model) {
-		t.Fatalf("stats = %+v, want spill/%d", vs, len(model))
-	}
-	if vs.SpillRuns <= 0 || vs.SpillBytes <= 0 || vs.SpilledEntries <= 0 {
-		t.Fatalf("one-byte budget never spilled: %+v", vs)
-	}
-	if vs.Compactions <= 0 {
-		t.Fatalf("20k entries over a one-byte budget never compacted: %+v", vs)
-	}
-	if vs.SpillRuns > visitedShards*(spillMaxRuns+1) {
-		t.Fatalf("compaction is not bounding run count: %d runs", vs.SpillRuns)
-	}
+	return model, keys
 }
 
 // TestSpillCloseRemovesFiles: close must leave nothing on disk.
 func TestSpillCloseRemovesFiles(t *testing.T) {
 	parent := t.TempDir()
-	st := newSpillVisited(normalizeVisitedConfig(VisitedConfig{
+	st := newVisitedSet(normalizeVisitedConfig(VisitedConfig{
 		Backend: VisitedSpill, MemBudget: 1, SpillDir: parent}))
 	for i := 0; i < 5000; i++ {
 		enc := []byte(fmt.Sprintf("state-encoding-%06d", i))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/binary"
 
 	"repro/internal/topology"
 )
@@ -46,61 +45,9 @@ func (s *Sim) CanonicalEncodeTo(perms []Permutation, dst, scratch *[]byte) {
 	s.EncodeTo(dst)
 	for i := range perms {
 		*scratch = (*scratch)[:0]
-		s.encodePermuted(&perms[i], scratch)
+		s.encode(&perms[i], scratch)
 		if bytes.Compare(*scratch, (*dst)[base:]) < 0 {
 			*dst = append((*dst)[:base], *scratch...)
 		}
 	}
-}
-
-// encodePermuted appends the EncodeTo-format encoding the state would
-// have after relabeling by p: message slot j carries the state of
-// original message MsgAt[j], adaptive routes are relabeled through
-// ChanTo, and channel fault state is read through ChanAt. Because a
-// valid permutation maps message MsgAt[j]'s path onto message j's path
-// element-for-element, the positional queued counts carry over
-// unchanged; the result is byte-identical to EncodeTo on a Sim built
-// from the relabeled scenario in the relabeled state.
-func (s *Sim) encodePermuted(p *Permutation, dst *[]byte) {
-	b := *dst
-	for j := range s.msgs {
-		m := &s.msgs[p.MsgAt[j]]
-		b = binary.AppendUvarint(b, uint64(m.injected))
-		b = binary.AppendUvarint(b, uint64(m.consumed))
-		b = binary.AppendUvarint(b, uint64(m.frozen))
-		var flags byte
-		if m.held {
-			flags |= 1
-		}
-		if m.headerConsumed {
-			flags |= 2
-		}
-		if m.dropped {
-			flags |= 4
-		}
-		b = append(b, flags)
-		b = binary.AppendUvarint(b, uint64(len(m.queued)))
-		for _, q := range m.queued {
-			b = binary.AppendUvarint(b, uint64(q))
-		}
-		if m.adaptive() {
-			b = binary.AppendUvarint(b, uint64(len(m.path)))
-			for _, c := range m.path {
-				b = binary.AppendUvarint(b, uint64(p.ChanTo[c]))
-			}
-		}
-	}
-	for c := range s.downUntil[:s.downLen()] {
-		until := s.downUntil[p.ChanAt[c]]
-		if until <= s.now {
-			continue
-		}
-		b = binary.AppendUvarint(b, uint64(c)+1)
-		if until == DownForever {
-			b = binary.AppendUvarint(b, 0)
-		} else {
-			b = binary.AppendUvarint(b, uint64(until-s.now))
-		}
-	}
-	*dst = b
 }

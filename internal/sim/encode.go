@@ -32,22 +32,36 @@ import (
 // lifetime of a Sim, so they are deliberately not encoded; encodings are
 // only comparable between Sims instantiated from the same scenario.
 //
-// Stability contract: this format is a storage and wire format, not just
-// a dedup key. The out-of-core search layer persists encodings in spill
-// runs and frontier batches and reconstructs simulators from them with
-// DecodeFrom, and the planned coordinator/worker split exchanges them
-// between processes. Changing the field set, the field order, or the
-// varint framing is therefore a breaking change to every consumer that
-// round-trips states; extend only by appending and keep DecodeFrom, the
-// spill-run reader and the frontier-batch codec in lockstep. Everything
-// deliberately NOT captured here (wall-clock cycle, arbitration waiting
-// times, delivery statistics, retry counters, per-cycle masks) must stay
-// behaviorally irrelevant under StepWithPicks-driven exploration — that
-// invariant is what makes decode-and-continue exact.
-func (s *Sim) EncodeTo(dst *[]byte) {
+// Stability contract: this format is a storage format, not just a dedup
+// key. The search carries its frontier as batches of these encodings,
+// written by mcheck's one entry codec (which also writes the spill runs
+// of the visited set), and rebuilds simulators from them with
+// DecodeFrom. Changing the field set, the field order, or the varint
+// framing therefore breaks every consumer that round-trips states;
+// extend only by appending and keep DecodeFrom and that entry codec in
+// lockstep. Everything deliberately NOT captured here (wall-clock cycle,
+// arbitration waiting times, delivery statistics, retry counters,
+// per-cycle masks) must stay behaviorally irrelevant under
+// StepWithPicks-driven exploration — that invariant is what makes
+// decode-and-continue exact.
+func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst) }
+
+// encode appends the EncodeTo-format encoding the state would have after
+// relabeling by p; a nil p is the identity, which is EncodeTo itself.
+// Under p, message slot j carries the state of original message
+// p.MsgAt[j], adaptive routes are relabeled through p.ChanTo, and channel
+// fault state is read through p.ChanAt. Because a valid permutation maps
+// message MsgAt[j]'s path onto message j's path element-for-element, the
+// positional queued counts carry over unchanged; the result is
+// byte-identical to EncodeTo on a Sim built from the relabeled scenario
+// in the relabeled state.
+func (s *Sim) encode(p *Permutation, dst *[]byte) {
 	b := *dst
-	for i := range s.msgs {
-		m := &s.msgs[i]
+	for j := range s.msgs {
+		m := &s.msgs[j]
+		if p != nil {
+			m = &s.msgs[p.MsgAt[j]]
+		}
 		b = binary.AppendUvarint(b, uint64(m.injected))
 		b = binary.AppendUvarint(b, uint64(m.consumed))
 		b = binary.AppendUvarint(b, uint64(m.frozen))
@@ -71,6 +85,9 @@ func (s *Sim) EncodeTo(dst *[]byte) {
 			// state; an oblivious path is immutable and omitted.
 			b = binary.AppendUvarint(b, uint64(len(m.path)))
 			for _, c := range m.path {
+				if p != nil {
+					c = p.ChanTo[c]
+				}
 				b = binary.AppendUvarint(b, uint64(c))
 			}
 		}
@@ -79,7 +96,11 @@ func (s *Sim) EncodeTo(dst *[]byte) {
 	// that behave identically going forward encode identically regardless
 	// of absolute cycle. Down channels are rare; most states append
 	// nothing here.
-	for c, until := range s.downUntil[:s.downLen()] {
+	for c := range s.downUntil[:s.downLen()] {
+		until := s.downUntil[c]
+		if p != nil {
+			until = s.downUntil[p.ChanAt[c]]
+		}
 		if until <= s.now {
 			continue
 		}
@@ -106,9 +127,8 @@ func (s *Sim) EncodeTo(dst *[]byte) {
 // state an exact substitute for the one that was encoded: stepping both
 // with identical choice sequences yields identical encodings forever.
 //
-// The out-of-core search uses this to carry frontiers as compact byte
-// batches instead of live simulators; it is equally the deserialization
-// half of the future coordinator/worker wire protocol.
+// The search uses this to carry frontiers as compact byte batches
+// instead of live simulators.
 func (s *Sim) DecodeFrom(enc []byte) error {
 	pos := 0
 	next := func() (int, error) {
