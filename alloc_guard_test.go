@@ -355,12 +355,12 @@ func TestFindLocalAllocBounded(t *testing.T) {
 // allocations above their pinned figure, one spec chunk per simulator
 // built; their figures were kept, inside the 5%.
 var rowAllocs = map[string]int64{
-	"E1_Figure1_Search":              1605,
+	"E1_Figure1_Search":              1583,
 	"E2_PropertyChecks":              15572,
-	"E3_Figure1_Skew1":               1943,
-	"E4_Figure2_Search":              524,
-	"E5_Figure3_SearchAll":           7227,
-	"E6_Gen2_Stall2":                 2191,
+	"E3_Figure1_Skew1":               1920,
+	"E4_Figure2_Search":              498,
+	"E5_Figure3_SearchAll":           7043,
+	"E6_Gen2_Stall2":                 2167,
 	"E7_SimThroughput":               0,
 	"E7_SimThroughput_Telemetry":     0,
 	"E8_LivenessSearch":              26409,
@@ -368,26 +368,26 @@ var rowAllocs = map[string]int64{
 	"E11_TelemetryLongHorizon":       0,
 	"EncodeTo":                       0,
 	"Loadtest_Saturation":            974,
-	"Gen4_Stall4":                    2610,
-	"E1_Figure1_Search_Reduced":      2753,
-	"E3_Figure1_Skew1_Reduced":       3092,
-	"E5_Figure3_SearchAll_Reduced":   15448,
-	"E6_Gen2_Stall2_Reduced":         4098,
-	"Gen4_Stall4_Reduced":            6373,
-	"Gen5_Stall5_Reduced":            7645,
+	"Gen4_Stall4":                    2577,
+	"E1_Figure1_Search_Reduced":      2731,
+	"E3_Figure1_Skew1_Reduced":       3068,
+	"E5_Figure3_SearchAll_Reduced":   15286,
+	"E6_Gen2_Stall2_Reduced":         4078,
+	"Gen4_Stall4_Reduced":            6345,
+	"Gen5_Stall5_Reduced":            7613,
 	"E1_Figure1_CDG":                 1147,
 	"E1_Figure1_Analyze":             1970,
-	"E1_Figure1_SearchTraced":        1604,
+	"E1_Figure1_SearchTraced":        1583,
 	"E3_RandomMinimalAnalyze":        10884,
 	"E5_Figure3_Classify":            42,
-	"E6_GenK/k=1":                    3545,
-	"E6_GenK/k=2":                    4112,
-	"E6_GenK/k=3":                    4550,
+	"E6_GenK/k=1":                    3499,
+	"E6_GenK/k=2":                    4056,
+	"E6_GenK/k=3":                    4505,
 	"E7_MeshWorkload":                603,
-	"Ablation_BufferDepth/depth=2":   1655,
-	"Ablation_BufferDepth/depth=4":   1724,
-	"Ablation_MessageLength/extra=2": 1608,
-	"Ablation_MessageLength/extra=4": 1640,
+	"Ablation_BufferDepth/depth=2":   1624,
+	"Ablation_BufferDepth/depth=4":   1702,
+	"Ablation_MessageLength/extra=2": 1584,
+	"Ablation_MessageLength/extra=4": 1619,
 	"Ablation_Arbitration/fifo":      46,
 	"Ablation_Arbitration/priority":  45,
 	"TracedSimRun/traced":            54,

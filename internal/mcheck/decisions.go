@@ -35,6 +35,7 @@ type decisionEnum struct {
 	movable []int
 	act     []int
 	frz     []int
+	adv     []bool // CanAdvanceAll scratch, indexed by message ID
 
 	maskIDs    []int
 	maskCands  [][]topology.ChannelID
@@ -125,8 +126,12 @@ func intersects(a, b []int) bool {
 // forEach streams every decision available in state s with the given stall
 // budget to fn, in canonical order. The *Decision passed to fn — including
 // its slices and maps — is scratch storage valid only during the call; the
-// callee must apply or copy it before returning. Returning false from fn
-// stops the enumeration; forEach reports whether it ran to completion.
+// callee must apply or copy it before returning. During the call the probe
+// holds s with the decision's activations, freezes and masks applied, and
+// the arbitration plan of its latest Contentions call, so fn may step the
+// successor with StepFrom(e.probe, d.Picks); fn must not change the probe.
+// Returning false from fn stops the enumeration; forEach reports whether
+// it ran to completion.
 func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *enumStats, fn func(d *Decision) bool) bool {
 	e.cfg = cfg
 	e.stats = stats
@@ -159,8 +164,9 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 		for _, id := range e.held {
 			e.probe.SetHeld(id, false)
 		}
+		e.adv = e.probe.CanAdvanceAll(e.adv)
 		for i, id := range e.held {
-			if !e.probe.CanAdvance(id) {
+			if !e.adv[id] {
 				sleep |= 1 << i
 			}
 		}
@@ -185,8 +191,9 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 		}
 		e.movable = e.movable[:0]
 		if budget > 0 {
-			for id := 0; id < e.probe.NumMessages(); id++ {
-				if !e.probe.CanAdvance(id) {
+			e.adv = e.probe.CanAdvanceAll(e.adv)
+			for id, ok := range e.adv {
+				if !ok {
 					continue
 				}
 				if cfg.inTransitOnly && e.probe.Delivering(id) {

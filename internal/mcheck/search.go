@@ -280,7 +280,7 @@ type searchWorker struct {
 	id       int32 // index in engine.workers
 	enum     *decisionEnum
 	cur      *sim.Sim // decoded frontier entry being expanded
-	scratch  *sim.Sim // deadlock probe and successor under construction
+	scratch  *sim.Sim // successor under construction
 	canonBuf []byte   // canonical-encoding scratch (symmetry reduction)
 
 	// succs and arena hold the successors of every entry the worker
@@ -333,8 +333,21 @@ func (eng *engine) putSim(s *sim.Sim) { eng.pool.Put(s) }
 // worker-local scratch and lock-shared visited reads, so it is safe and —
 // because the visited set is frozen during expansion (insertions happen
 // only in the merge) — its result is independent of scheduling. Each
-// successor is built in the worker's scratch simulator and kept only as
-// its encoding, written straight into the worker's level arena.
+// successor is stepped in the worker's scratch simulator from the
+// enumerator's probe, which already carries the decision's activations,
+// freezes and masks and the arbitration plan its Contentions call
+// computed, and is kept only as its encoding, written straight into the
+// worker's level arena.
+//
+// The first enumerated decision also decides deadlock. It activates and
+// freezes nothing, so it steps exactly the state s, and whether some flit
+// moves does not depend on arbitration or on which acquirable candidate
+// an adaptive header selects: with a message in the network, a first
+// successor in which nothing moved proves no flit can ever move again
+// among the active messages (held messages are the adversary's to withhold
+// forever). The verdict is taken before that successor is encoded, so a
+// deadlocked state leaves no successor behind, and the pruning counters
+// forEach bumped on its way to the first decision are rolled back.
 func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 	r := expandResult{worker: w.id, lo: int32(len(w.succs))}
 	r.hi = r.lo
@@ -342,18 +355,18 @@ func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 		r.delivered = true
 		return r
 	}
-	if w.deadlocked(s) {
-		r.deadlocked = true
-		return r
-	}
+	inNetwork := anyInNetwork(s)
+	stats := w.stats
 	perms := w.eng.perms
 	next := w.scratch
 	dec := int32(-1)
 	w.enum.forEach(s, budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
 		dec++
-		next.CopyFrom(s)
-		apply(next, *d)
-		next.StepWithPicks(d.Picks)
+		moved := next.StepFrom(w.enum.probe, d.Picks).Moved
+		if dec == 0 && inNetwork && !moved {
+			r.deadlocked = true
+			return false
+		}
 		// Post-step backstop for partial-order reduction: an activation
 		// that failed to inject (message neither in network nor delivered
 		// after the step) produced a state dominated by the same decision
@@ -391,6 +404,10 @@ func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 		w.succs = append(w.succs, su)
 		return true
 	})
+	if r.deadlocked {
+		w.stats = stats
+		return r
+	}
 	r.hi = int32(len(w.succs))
 	return r
 }
@@ -437,20 +454,25 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 	wg.Wait()
 }
 
+// anyInNetwork reports whether some message holds flits in the network;
+// a state without one is no deadlock.
+func anyInNetwork(s *sim.Sim) bool {
+	for id := 0; id < s.NumMessages(); id++ {
+		if s.InNetwork(id) {
+			return true
+		}
+	}
+	return false
+}
+
 // deadlocked reports whether the state is a reachable deadlock: no flit can
 // ever move again among the active messages (held messages are the
 // adversary's to withhold forever) and some message is stuck in-network.
 // Movement possibility is arbitration-independent, so stepping a scratch
-// copy once decides it exactly.
+// copy once decides it exactly. The liveness DFS uses it; Search takes the
+// same verdict from the first decision it enumerates (see expand).
 func (w *searchWorker) deadlocked(s *sim.Sim) bool {
-	inNetwork := false
-	for id := 0; id < s.NumMessages(); id++ {
-		if !s.Delivered(id) && s.InNetwork(id) {
-			inNetwork = true
-			break
-		}
-	}
-	if !inNetwork {
+	if !anyInNetwork(s) {
 		return false
 	}
 	w.scratch.CopyFrom(s)

@@ -20,6 +20,7 @@ func (s *Sim) Reset() {
 	s.liveCount = 0
 	s.droppedCount = 0
 	s.flitsConsumed = 0
+	s.planned = false
 	// Scratch arenas and their epoch counters survive Reset untouched:
 	// the counters only ever grow, so stale stamps can never read as set.
 	// The tracer and telemetry collector also survive: they are observers
@@ -81,7 +82,8 @@ func (s *Sim) CopyFrom(src *Sim) {
 	s.flitsConsumed = src.flitsConsumed
 	// s's scratch arenas and epochs are left alone, and so are its tracer
 	// and telemetry collector: per-instance working memory and observers,
-	// not simulation state.
+	// not simulation state. The arenas hold no plan for the new state.
+	s.planned = false
 }
 
 // copyInto makes *dst a copy of src in dst's own backing array. It stores

@@ -162,6 +162,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 	s.active = s.active[:0]
 	s.liveCount = 0
 	s.droppedCount = 0
+	s.planned = false
 	var consumedTotal int64
 
 	for i := range s.msgs {
@@ -200,6 +201,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 			m.queued = append(m.queued, q)
 			flits += q
 		}
+		m.head = m.scanHead()
 		if m.adaptive() {
 			np, err := next()
 			if err != nil {
@@ -261,7 +263,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		}
 		hi := len(m.path) - 1
 		if !m.headerConsumed {
-			hi = m.headIdx()
+			hi = m.head
 		}
 		behind := m.injected < m.length
 		for j := 0; j <= hi; j++ {

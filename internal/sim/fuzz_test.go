@@ -16,10 +16,11 @@ var fuzzScenarios = []sim.Scenario{
 	papernets.GenK(3).Scenario,
 }
 
-// FuzzDecodeFrom: spill runs and frontier batches are read back from disk
-// through DecodeFrom, so every input either fails to decode or decodes to
-// a state whose encoding decodes again to the same encoding; nothing
-// panics. The seeds are the three scenarios' encodings after four steps.
+// FuzzDecodeFrom: frontier batches are read back through DecodeFrom, so
+// every input either fails to decode or decodes to a state whose encoding
+// decodes again to the same encoding, with every worm's cached head index
+// matching its queue after each decode; nothing panics. The seeds are the
+// three scenarios' encodings after four steps.
 func FuzzDecodeFrom(f *testing.F) {
 	for i, sc := range fuzzScenarios {
 		s := sc.NewSim()
@@ -35,10 +36,16 @@ func FuzzDecodeFrom(f *testing.F) {
 		if s.DecodeFrom(data) != nil {
 			return
 		}
+		if err := sim.HeadMismatch(s); err != nil {
+			t.Fatalf("after decoding: %v", err)
+		}
 		var first, second []byte
 		s.EncodeTo(&first)
 		if err := s.DecodeFrom(first); err != nil {
 			t.Fatalf("re-decoding an encoding fails: %v", err)
+		}
+		if err := sim.HeadMismatch(s); err != nil {
+			t.Fatalf("after re-decoding: %v", err)
 		}
 		s.EncodeTo(&second)
 		if !bytes.Equal(first, second) {

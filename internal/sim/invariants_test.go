@@ -10,9 +10,12 @@ import (
 
 // checkInvariants verifies the structural invariants of a simulator state:
 // flit conservation, contiguous worm occupancy, ownership consistency with
-// queue contents, and buffer capacity.
+// queue contents, buffer capacity, and each worm's cached head index.
 func checkInvariants(t *testing.T, s *Sim) {
 	t.Helper()
+	if err := HeadMismatch(s); err != nil {
+		t.Fatal(err)
+	}
 	perChannel := make(map[topology.ChannelID]int)
 	for id := 0; id < s.NumMessages(); id++ {
 		mv := s.Message(id)
@@ -173,4 +176,92 @@ func TestHandoffNeverSlower(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHeadIndexCache pins the head index cache on the moves that lower or
+// reset the head: a tail flit refilling the sink slot the header was just
+// consumed from, a worm draining while its source still holds flits and
+// then injecting again, and the recovery primitives ResetMessage,
+// DropMessage and SetMessagePath.
+func TestHeadIndexCache(t *testing.T) {
+	net := topology.NewRing(4, false)
+	path := []topology.ChannelID{0, 1, 2}
+	step := func(t *testing.T, s *Sim) {
+		t.Helper()
+		s.Step()
+		if err := HeadMismatch(s); err != nil {
+			t.Fatalf("cycle %d: %v", s.Now(), err)
+		}
+	}
+
+	t.Run("sink-refill", func(t *testing.T) {
+		s := New(net, Config{})
+		id := s.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 4, Path: path})
+		m := &s.msgs[id]
+		refilled := false
+		for !m.delivered() {
+			step(t, s)
+			if m.headerConsumed && m.queued[len(path)-1] > 0 {
+				refilled = true
+			}
+		}
+		if !refilled {
+			t.Fatal("no tail flit reached the sink slot after the header was consumed")
+		}
+	})
+
+	t.Run("drain-then-inject", func(t *testing.T) {
+		s := New(net, Config{})
+		id := s.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 4, Path: path})
+		m := &s.msgs[id]
+		step(t, s)
+		step(t, s)
+		s.SetHeld(id, true) // the source stops injecting mid-message
+		for m.inNetwork() {
+			step(t, s)
+		}
+		if m.injected == m.length || m.head != -1 {
+			t.Fatalf("want a drained worm with flits at the source: injected %d of %d, head %d",
+				m.injected, m.length, m.head)
+		}
+		s.SetHeld(id, false)
+		step(t, s)
+		if m.head != 0 {
+			t.Fatalf("reinjected flit not at the head: head %d, queue %v", m.head, m.queued)
+		}
+		for !m.delivered() {
+			step(t, s)
+		}
+	})
+
+	t.Run("recovery", func(t *testing.T) {
+		s := New(net, Config{})
+		a := s.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 4, Path: path})
+		b := s.MustAdd(MessageSpec{Src: 1, Dst: 3, Length: 2, Path: path[1:]})
+		step(t, s)
+		step(t, s)
+		if !s.InNetwork(a) || !s.InNetwork(b) {
+			t.Fatal("both worms should be in the network")
+		}
+		s.DropMessage(b)
+		if err := HeadMismatch(s); err != nil {
+			t.Fatalf("after DropMessage: %v", err)
+		}
+		s.ResetMessage(a, s.Now())
+		if err := HeadMismatch(s); err != nil {
+			t.Fatalf("after ResetMessage: %v", err)
+		}
+		if err := s.SetMessagePath(a, path); err != nil {
+			t.Fatal(err)
+		}
+		if err := HeadMismatch(s); err != nil {
+			t.Fatalf("after SetMessagePath: %v", err)
+		}
+		if out := s.Run(100); out.Result != ResultDegraded {
+			t.Fatalf("result %v, want degraded", out.Result)
+		}
+		if err := HeadMismatch(s); err != nil {
+			t.Fatalf("after the run: %v", err)
+		}
+	})
 }

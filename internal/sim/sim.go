@@ -91,16 +91,19 @@ type message struct {
 	msgState
 }
 
-// msgState is the pointer-free per-message state.
+// msgState is the pointer-free per-message state. Its three flags sit
+// together at the end, so they share one word of padding.
 type msgState struct {
-	id             int
-	injectAt       int // earliest injection cycle; ResetMessage rewrites it
-	length         int // flits
-	injected       int // flits that have left the source
-	consumed       int // flits consumed at the destination
-	headerConsumed bool
-	frozen         int  // cycles the message will not move (Section 6 faults)
-	held           bool // source withholds injection (assumption 1)
+	id       int
+	injectAt int // earliest injection cycle; ResetMessage rewrites it
+	length   int // flits
+	injected int // flits that have left the source
+	consumed int // flits consumed at the destination
+	// head is the largest path index holding flits, -1 when none does.
+	// A flit entering a higher slot (injection, acquisition, a forward
+	// move) raises it; only consumption emptying the sink slot rescans.
+	head   int
+	frozen int // cycles the message will not move (Section 6 faults)
 	// mask, when not topology.None, restricts an adaptive message's
 	// candidate set to that single channel for the current cycle (cleared
 	// after each Step); used by search to enumerate selection choices.
@@ -109,13 +112,16 @@ type msgState struct {
 	injectedAt  int // cycle the header entered the network, -1 before
 	deliveredAt int // cycle the tail was consumed, -1 before
 
+	// retries counts how many times a recovery policy reset the message
+	// back to its source (ResetMessage).
+	retries int
+
+	headerConsumed bool
+	held           bool // source withholds injection (assumption 1)
 	// dropped marks a message removed from the network by a recovery
 	// policy: it holds no channels, never moves again, and counts as
 	// terminal (but not delivered) for Run.
 	dropped bool
-	// retries counts how many times a recovery policy reset the message
-	// back to its source (ResetMessage).
-	retries int
 }
 
 func (m *message) adaptive() bool { return m.spec.Route != nil }
@@ -128,8 +134,9 @@ func (m *message) terminal() bool { return m.delivered() || m.dropped }
 
 func (m *message) inNetwork() bool { return m.injected > m.consumed }
 
-// headIdx returns the largest path index holding flits, or -1.
-func (m *message) headIdx() int {
+// scanHead returns the largest path index holding flits, or -1: the
+// value the head field caches.
+func (m *message) scanHead() int {
 	for i := len(m.queued) - 1; i >= 0; i-- {
 		if m.queued[i] > 0 {
 			return i
@@ -221,7 +228,7 @@ type Sim struct {
 	// pass.
 	releaseEpoch uint64
 	freeingStamp []uint64
-	// grantEpoch/grantStamp/grantCh record phase-1 arbitration grants,
+	// grantEpoch/grantStamp/grantCh record phase-2 arbitration grants,
 	// message id -> channel won; refreshed once per step.
 	grantEpoch uint64
 	grantStamp []uint64
@@ -235,6 +242,11 @@ type Sim struct {
 	// iteration.
 	stepReqs  []uint64
 	queryReqs []uint64
+	// planned reports that queryReqs and the release marks still describe
+	// the current state: Contentions sets it, and every state change
+	// (stepping, copying, decoding, the setters) clears it. StepFrom
+	// refuses a probe without one.
+	planned bool
 	// contOut and contIDs back the Contentions result and its contender
 	// lists; valid until the next Contentions call.
 	contOut []Contention
@@ -399,6 +411,7 @@ func (s *Sim) Add(spec MessageSpec) (int, error) {
 			id:          id,
 			injectAt:    spec.InjectAt,
 			length:      spec.Length,
+			head:        -1,
 			mask:        topology.None,
 			injectedAt:  -1,
 			deliveredAt: -1,
@@ -412,6 +425,7 @@ func (s *Sim) Add(spec MessageSpec) (int, error) {
 	s.waitingSince = append(s.waitingSince, -1)
 	s.active = append(s.active, int32(id))
 	s.liveCount++
+	s.planned = false
 	return id, nil
 }
 
@@ -506,6 +520,7 @@ func (s *Sim) Owner(c topology.ChannelID) int { return s.owner[c] }
 func (s *Sim) SetFrozen(id, n int) {
 	m := &s.msgs[id]
 	m.frozen = n
+	s.planned = false
 	if n > 0 && m.terminal() {
 		// A terminal message may already be compacted out of the active
 		// list; the freeze countdown is encoded state, so it must rejoin
@@ -526,6 +541,7 @@ func (s *Sim) Frozen(id int) int { return s.msgs[id].frozen }
 func (s *Sim) SetChannelDown(c topology.ChannelID, until int) {
 	s.downUntil[c] = until
 	s.downMax = max(s.downMax, until)
+	s.planned = false
 }
 
 // FailChannel permanently fails channel c (SetChannelDown with DownForever).
@@ -629,6 +645,8 @@ func (s *Sim) SetMessagePath(id int, path []topology.ChannelID) error {
 	for range path {
 		m.queued = append(m.queued, 0)
 	}
+	m.head = -1
+	s.planned = false
 	return nil
 }
 
@@ -662,17 +680,22 @@ func (s *Sim) clearFromNetwork(m *message) {
 	}
 	m.injected = 0
 	m.consumed = 0
+	m.head = -1
 	m.headerConsumed = false
 	m.injectedAt = -1
 	m.deliveredAt = -1
 	m.mask = topology.None
+	s.planned = false
 }
 
 // SetHeld controls source-side injection: a held message's source does not
 // attempt injection regardless of InjectAt. Holding a message that has
 // already begun injecting has no effect. Model checkers use this to
 // realize assumption 1's "any injection time".
-func (s *Sim) SetHeld(id int, held bool) { s.msgs[id].held = held }
+func (s *Sim) SetHeld(id int, held bool) {
+	s.msgs[id].held = held
+	s.planned = false
+}
 
 // SetMask restricts an adaptive message to request only the given channel
 // during the next Step; the mask clears when the step completes. Model
@@ -681,7 +704,10 @@ func (s *Sim) SetHeld(id int, held bool) { s.msgs[id].held = held }
 // the caller's responsibility — a stale mask simply blocks the message for
 // one cycle). Pass topology.None to clear. Masks on oblivious messages are
 // ignored.
-func (s *Sim) SetMask(id int, c topology.ChannelID) { s.msgs[id].mask = c }
+func (s *Sim) SetMask(id int, c topology.ChannelID) {
+	s.msgs[id].mask = c
+	s.planned = false
+}
 
 // Held reports whether message id is held at its source.
 func (s *Sim) Held(id int) bool { return s.msgs[id].held }
@@ -720,11 +746,13 @@ func (s *Sim) IsAdaptive(id int) bool { return s.msgs[id].adaptive() }
 // The result and its Contenders slices are Sim-owned scratch, valid until
 // the next Contentions call on this simulator; stepping or copying the
 // simulator does not touch them. In steady state the query allocates
-// nothing.
+// nothing. The query also leaves the cycle's arbitration plan behind for
+// StepFrom.
 func (s *Sim) Contentions() []Contention {
 	s.predictReleases()
 	reqs := s.collectRequests(s.queryReqs)
-	s.queryReqs = reqs[:0]
+	s.queryReqs = reqs
+	s.planned = true
 	// Every contender is one request, so sizing the id arena to the
 	// requests keeps it from moving under the Contenders already carved.
 	ids := slices.Grow(s.contIDs[:0], len(reqs))
@@ -811,7 +839,7 @@ func (s *Sim) predictReleases() {
 		}
 		// Walk the worm front to back, computing whether one flit departs
 		// each occupied channel this cycle (mirrors the movement pass).
-		h := m.headIdx()
+		h := m.head
 		last := len(m.path) - 1
 		departs := s.departsBuf
 		if cap(departs) < h+1 {
@@ -893,7 +921,7 @@ func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
 		}
 		at = m.spec.Src
 	} else {
-		h := m.headIdx()
+		h := m.head
 		if h < 0 {
 			return nil
 		}
@@ -972,16 +1000,43 @@ func (s *Sim) StepWithPicks(picks map[topology.ChannelID]int) StepResult {
 	return s.step(picks)
 }
 
+// StepFrom makes s probe's successor under picks: it copies probe into s
+// and advances the copy one cycle against the arbitration plan probe's
+// latest Contentions call computed, so a search stepping many successors
+// of one probe pays for release prediction and request collection once.
+// The result is exactly CopyFrom(probe) followed by StepWithPicks(picks).
+// It panics when probe's state changed after that Contentions call, since
+// the plan would then describe another state. Both simulators must be
+// built for the same network.
+func (s *Sim) StepFrom(probe *Sim, picks map[topology.ChannelID]int) StepResult {
+	if !probe.planned {
+		panic("sim: StepFrom: the probe changed since its last Contentions call")
+	}
+	s.CopyFrom(probe)
+	return s.advance(probe, probe.queryReqs, picks)
+}
+
+// step runs phase 1 on s itself and hands the plan to advance. Phase 1 is
+// the cycle's arbitration plan: the channels predicted to release (same-
+// cycle handoff) and the sorted acquisition requests. In strict mode the
+// requests see start-of-cycle ownership; with same-cycle handoff,
+// channels releasing this cycle are acquirable too.
 func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
-	// Phase 1: arbitration. In strict mode the snapshot is start-of-cycle
-	// ownership; with same-cycle handoff, channels releasing this cycle
-	// are acquirable too. All working memory comes from the Sim's scratch
-	// arenas: a steady-state step allocates nothing.
+	s.predictReleases()
+	s.stepReqs = s.collectRequests(s.stepReqs)
+	return s.advance(s, s.stepReqs, picks)
+}
+
+// advance runs phases 2 and 3 of a cycle, the one movement body behind
+// Step, StepWithPicks and StepFrom. plan is the simulator whose latest
+// predictReleases pass marked the releasing channels, and reqs its sorted
+// request list; both must describe s's current state (plan is s itself,
+// or the probe s was just copied from). All working memory comes from the
+// Sim's scratch arenas: a steady-state step allocates nothing.
+func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int) StepResult {
+	// Phase 2: arbitration, then movement.
 	s.ensureGrantArena()
 	s.grantEpoch++
-	s.predictReleases()
-	reqs := s.collectRequests(s.stepReqs)
-	s.stepReqs = reqs[:0]
 	// Resolve grants channel by channel in ascending ID order so that an
 	// adaptive message contending on several channels wins at most one
 	// (deterministically the lowest); contenders that already won an
@@ -1040,7 +1095,7 @@ func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
 		s.waitingSince[m.id] = -1
 	}
 
-	// Phase 2: movement, per message, front slot to back slot. In strict
+	// Movement, per message, front slot to back slot. In strict
 	// mode the order across messages does not matter: cross-message
 	// interaction happens only through acquisition (already arbitrated
 	// against the snapshot) and end-of-cycle release. With same-cycle
@@ -1051,7 +1106,7 @@ func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
 	s.releases = s.releases[:0]
 	deferred := s.deferredBuf[:0]
 	for _, id := range s.active {
-		if c, won := s.granted(int(id)); won && s.freeing(c) {
+		if c, won := s.granted(int(id)); won && plan.freeing(c) {
 			deferred = append(deferred, id)
 			continue
 		}
@@ -1104,6 +1159,7 @@ func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
 	s.now++
 	s.lastMoved = moved
 	s.lastThawed = thawed
+	s.planned = false
 	return StepResult{Moved: moved}
 }
 
@@ -1221,7 +1277,7 @@ func (s *Sim) moveMessage(m *message) bool {
 		return false
 	}
 	moved := false
-	h := m.headIdx()
+	h := m.head
 	last := len(m.path) - 1
 	for i := h; i >= 0; i-- {
 		if m.queued[i] == 0 {
@@ -1232,8 +1288,13 @@ func (s *Sim) moveMessage(m *message) bool {
 		}
 		if i == last {
 			if s.arrived(m) {
-				// One flit per cycle into the destination's sink.
+				// One flit per cycle into the destination's sink, the
+				// head slot: emptying it is the one move that lowers the
+				// head.
 				m.queued[i]--
+				if m.queued[i] == 0 {
+					m.head = m.scanHead()
+				}
 				m.consumed++
 				m.headerConsumed = true
 				s.flitsConsumed++
@@ -1274,6 +1335,9 @@ func (s *Sim) moveMessage(m *message) bool {
 			if m.queued[i+1] < s.cfg.BufferDepth && !s.down(next) {
 				m.queued[i]--
 				m.queued[i+1]++
+				if i+1 > m.head {
+					m.head = i + 1 // refilling the sink slot consumption emptied
+				}
 				moved = true
 				if s.tracer != nil {
 					ev := obsv.Ev(obsv.KindFlit, s.now)
@@ -1308,6 +1372,7 @@ func (s *Sim) moveMessage(m *message) bool {
 					m.queued = append(m.queued, 0)
 				}
 				m.queued[0]++
+				m.head = 0
 				m.injected++
 				m.injectedAt = s.now
 				moved = true
@@ -1322,6 +1387,9 @@ func (s *Sim) moveMessage(m *message) bool {
 			}
 		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth && !s.down(first) {
 			m.queued[0]++
+			if m.head < 0 {
+				m.head = 0 // a drained worm whose source still holds flits
+			}
 			m.injected++
 			moved = true
 			if s.tracer != nil {
@@ -1355,6 +1423,7 @@ func (s *Sim) acquire(m *message, i int, c topology.ChannelID) {
 		m.queued[i]--
 	}
 	m.queued[i+1]++
+	m.head = i + 1
 	if i >= 0 && m.queued[i] == 0 && s.noTailBehind(m, i) {
 		s.release(m.path[i])
 	}
@@ -1631,7 +1700,7 @@ func (s *Sim) WaitsFor(id int) (ch topology.ChannelID, owner int, ok bool) {
 			wants = m.path[:1]
 		}
 	} else {
-		h := m.headIdx()
+		h := m.head
 		if h < 0 {
 			return 0, -1, false
 		}
@@ -1670,10 +1739,33 @@ func (s *Sim) CanAdvance(id int) bool {
 		return false
 	}
 	s.predictReleases()
-	acquirable := func(c topology.ChannelID) bool {
-		return (s.owner[c] == -1 || s.freeing(c)) && !s.down(c)
+	return s.canAdvance(m)
+}
+
+// CanAdvanceAll sets dst[id] to CanAdvance(id) for every message and
+// returns dst, reusing its backing array. One release prediction serves
+// every message, where a CanAdvance loop would repeat it per call.
+func (s *Sim) CanAdvanceAll(dst []bool) []bool {
+	s.predictReleases()
+	dst = dst[:0]
+	for i := range s.msgs {
+		dst = append(dst, s.canAdvance(&s.msgs[i]))
 	}
-	h := m.headIdx()
+	return dst
+}
+
+// acquirable reports whether a header could enter channel c this cycle,
+// given the most recent predictReleases pass.
+func (s *Sim) acquirable(c topology.ChannelID) bool {
+	return (s.owner[c] == -1 || s.freeing(c)) && !s.down(c)
+}
+
+// canAdvance is CanAdvance against the most recent predictReleases pass.
+func (s *Sim) canAdvance(m *message) bool {
+	if m.terminal() || m.frozen > 0 {
+		return false
+	}
+	h := m.head
 	last := len(m.path) - 1
 	for i := h; i >= 0; i-- {
 		if m.queued[i] == 0 {
@@ -1687,7 +1779,7 @@ func (s *Sim) CanAdvance(id int) bool {
 				return true // consumption always proceeds
 			}
 			for _, c := range s.wantedChannels(m) {
-				if acquirable(c) {
+				if s.acquirable(c) {
 					return true
 				}
 			}
@@ -1697,14 +1789,14 @@ func (s *Sim) CanAdvance(id int) bool {
 		if s.owner[next] == m.id && m.queued[i+1] < s.cfg.BufferDepth && !s.down(next) {
 			return true
 		}
-		if i == h && !m.headerConsumed && acquirable(next) {
+		if i == h && !m.headerConsumed && s.acquirable(next) {
 			return true
 		}
 	}
 	if m.injected < m.length && !m.held && s.now >= m.injectAt {
 		if m.injected == 0 {
 			for _, c := range s.wantedChannels(m) {
-				if acquirable(c) {
+				if s.acquirable(c) {
 					return true
 				}
 			}
@@ -1748,7 +1840,7 @@ func (s *Sim) FaultBlocked(id int) (repairAt int, blocked bool) {
 			found = true
 		}
 	}
-	h := m.headIdx()
+	h := m.head
 	last := len(m.path) - 1
 	for i := h; i >= 0; i-- {
 		if m.queued[i] == 0 {
