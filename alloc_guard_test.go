@@ -59,7 +59,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state Step allocates %v allocs/op; the hot path must stay on the scratch arenas", n)
 	}
-	if s.AllTerminal() {
+	if s.AllDelivered() {
 		t.Fatal("test bug: traffic drained before the measurement ended")
 	}
 }
@@ -151,7 +151,7 @@ func TestStepAdaptiveTelemetryZeroAllocSteadyState(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("adaptive sampled Step allocates %v allocs/op; adaptation and the window must stay on fixed arrays", n)
 	}
-	if s.AllTerminal() {
+	if s.AllDelivered() {
 		t.Fatal("test bug: traffic drained before the measurement ended")
 	}
 }

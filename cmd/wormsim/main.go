@@ -1,15 +1,11 @@
 // Command wormsim runs a flit-level wormhole simulation of a synthetic
-// workload on a standard topology and prints delivery statistics,
-// optionally under an injected fault schedule with a recovery policy.
+// workload on a standard topology and prints delivery statistics.
 //
 // Examples:
 //
 //	wormsim -topo mesh -dims 8x8 -alg dor -pattern transpose -rate 0.1 \
 //	        -length 8 -duration 500
-//	wormsim -topo torus -dims 4x4 -alg dor -mtbf 2000 -repair 30 \
-//	        -recovery abort-retry
-//	wormsim -topo ring -dims 8 -alg ecube -faults "50:stall:c3:40;200:fail:c7" \
-//	        -recovery reroute
+//	wormsim -topo uring -dims 6 -alg bfs -rate 0.3 -duration 100 -seed 3
 //	wormsim -paper figure1 -trace figure1.jsonl
 //	wormsim -paper figure1 -trace figure1_waitfor.dot -trace-format dot
 //
@@ -19,9 +15,8 @@
 // figure1 shows every channel acquisition and wait-for edge of the false
 // resource cycle without the full wait-for cycle ever closing.
 //
-// Exit status: 0 when every message reaches a terminal state (delivered,
-// or dropped by the recovery policy), 2 on deadlock, 3 on a cycle-budget
-// timeout.
+// Exit status: 0 when every message is delivered, 2 on deadlock, 3 on a
+// cycle-budget timeout.
 package main
 
 import (
@@ -31,11 +26,9 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/fault"
 	"repro/internal/obsv"
 	"repro/internal/obsv/manifest"
 	"repro/internal/obsv/serve"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -54,26 +47,18 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		depth    = flag.Int("bufdepth", 1, "flit buffer depth per channel")
 		maxCyc   = flag.Int("maxcycles", 1_000_000, "simulation cycle budget")
-
-		faults    = flag.String("faults", "", "planned fault schedule: cycle:kind:target[:duration] events joined by ';' (kinds: fail, stall, router, freeze)")
-		mtbf      = flag.Float64("mtbf", 0, "generate random faults: mean cycles between faults per channel (0 = none)")
-		repair    = flag.Float64("repair", 25, "mean repair time of generated transient faults, in cycles")
-		permfrac  = flag.Float64("permfrac", 0, "fraction of generated channel faults that are permanent")
-		faultseed = flag.Int64("faultseed", 1, "fault generation seed")
-		recovery  = flag.String("recovery", "", "recovery policy: abort-retry, drop, reroute (empty = detect only)")
-		paper     = flag.String("paper", "", "run a paper scenario instead of a synthetic workload: figure1, figure2, figure3a..f, gen<k>")
+		paper    = flag.String("paper", "", "run a paper scenario instead of a synthetic workload: figure1, figure2, figure3a..f, gen<k>")
 	)
 	obsvF := cli.RegisterObsvFlags()
 	flag.Parse()
 
 	var (
-		net    *topology.Network
-		grid   *topology.Grid
-		oblAlg routing.Algorithm
-		name   string
-		msgs   []sim.MessageSpec
-		cfg    sim.Config
-		err    error
+		net  *topology.Network
+		grid *topology.Grid
+		name string
+		msgs []sim.MessageSpec
+		cfg  sim.Config
+		err  error
 	)
 	if *paper != "" {
 		pn, perr := cli.PaperNet(*paper)
@@ -81,7 +66,7 @@ func main() {
 			log.Fatal(perr)
 		}
 		sc := pn.Scenario
-		net, oblAlg, name, msgs, cfg = sc.Net, pn.Alg, sc.Name, sc.Msgs, sc.Cfg
+		net, name, msgs, cfg = sc.Net, sc.Name, sc.Msgs, sc.Cfg
 		if *depth > 1 {
 			cfg.BufferDepth = *depth
 		}
@@ -102,7 +87,7 @@ func main() {
 		if berr != nil {
 			log.Fatal(berr)
 		}
-		oblAlg, net, grid, name = a, a.Network(), g, a.Name()
+		net, grid, name = a.Network(), g, a.Name()
 		pat, perr := cli.BuildPattern(*pattern, net, grid, *seed)
 		if perr != nil {
 			log.Fatal(perr)
@@ -138,68 +123,11 @@ func main() {
 		}
 	}
 
-	sch, err := fault.Parse(*faults)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *mtbf > 0 {
-		gen, err := fault.Generate(net, fault.GenParams{
-			Seed: *faultseed, Horizon: *duration, MTBF: *mtbf,
-			MeanRepair: *repair, PermanentFraction: *permfrac,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sch.Events = append(sch.Events, gen.Events...)
-		sch = sch.Sorted()
-	}
-	if err := sch.Validate(net, len(msgs)); err != nil {
-		log.Fatal(err)
-	}
-
-	// Live campaign heartbeats for -serve: the runner's wall-clock
-	// telemetry feeds the /progress endpoint, never the report.
-	var heartbeat func(fault.Heartbeat)
-	if obs.Server != nil {
-		heartbeat = func(h fault.Heartbeat) {
-			obs.Publish(serve.Snapshot{
-				Source: "campaign", Name: name,
-				Cycle: h.Cycle, Messages: h.Messages, Delivered: h.Delivered, Dropped: h.Dropped,
-				Faults: h.FaultsInjected, Interventions: h.Interventions,
-				ElapsedMS: h.Elapsed.Milliseconds(),
-			})
-		}
-	}
-
-	var (
-		out sim.Outcome
-		rep *fault.Report
-	)
-	if *recovery != "" {
-		pol, err := fault.ParsePolicy(*recovery)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r := fault.Runner{Sim: s, Schedule: sch, Recovery: fault.DefaultRecovery(pol), Alg: oblAlg, Tracer: tracer, Progress: heartbeat}
-		rr := r.Run(*maxCyc)
-		rep, out = &rr, rr.Outcome
-	} else {
-		if len(sch.Events) > 0 {
-			r := fault.Runner{Sim: s, Schedule: sch, Recovery: fault.RecoveryConfig{
-				// Detect-only: a timeout longer than the budget means the
-				// watchdog never intervenes; the run reports what happened.
-				Policy: fault.Drop, Watchdog: fault.Watchdog{CheckEvery: 8, Timeout: *maxCyc + 1},
-			}, Tracer: tracer, Progress: heartbeat}
-			rr := r.Run(*maxCyc)
-			rep, out = &rr, rr.Outcome
-		} else {
-			out = s.Run(*maxCyc)
-		}
-	}
+	out := s.Run(*maxCyc)
 	stats := sim.Collect(s)
 	obs.Publish(serve.Snapshot{
 		Source: "campaign", Name: name, Cycle: stats.Cycles,
-		Messages: stats.Messages, Delivered: stats.Delivered, Dropped: stats.Dropped,
+		Messages: stats.Messages, Delivered: stats.Delivered,
 		Done: true, Verdict: out.Result.String(),
 	})
 	run := manifest.Run{
@@ -211,23 +139,13 @@ func main() {
 	}
 	run.Telemetry = cli.TelemetrySummary(col, nil)
 	// The flight recorder dumps only when something went wrong: a global
-	// deadlock or timeout verdict, or a watchdog liveness classification.
+	// deadlock or timeout verdict.
 	reason := ""
 	switch out.Result {
 	case sim.ResultDeadlock:
 		reason = "deadlock"
 	case sim.ResultTimeout:
 		reason = "timeout"
-	}
-	if reason == "" && rep != nil {
-		switch {
-		case rep.LocalDeadlocks > 0:
-			reason = "local-deadlock"
-		case rep.Livelocks > 0:
-			reason = "livelock"
-		case rep.Starvations > 0:
-			reason = "starvation"
-		}
 	}
 	if reason != "" {
 		obs.DumpFlight(rec, "", reason)
@@ -240,26 +158,13 @@ func main() {
 	fmt.Printf("network:    %s (%d nodes, %d channels)\n", net.Name(), net.NumNodes(), net.NumChannels())
 	fmt.Printf("routing:    %s\n", name)
 	fmt.Printf("outcome:    %s after %d cycles\n", out.Result, stats.Cycles)
-	fmt.Printf("messages:   %d delivered of %d", stats.Delivered, stats.Messages)
-	if stats.Dropped > 0 || stats.Retries > 0 {
-		fmt.Printf(" (%d dropped, %d retries)", stats.Dropped, stats.Retries)
-	}
-	fmt.Println()
+	fmt.Printf("messages:   %d delivered of %d\n", stats.Delivered, stats.Messages)
 	fmt.Printf("latency:    avg %.2f p50 %d p95 %d p99 %d max %d cycles\n",
 		stats.AvgLatency, stats.P50Latency, stats.P95Latency, stats.P99Latency, stats.MaxLatency)
 	fmt.Printf("throughput: %.3f flits/cycle\n", stats.Throughput)
 	if ts := run.Telemetry; ts != nil && ts.Samples > 0 {
 		fmt.Printf("telemetry:  %d frames / %d samples (stride %d), mean util %.3f, hottest c%d (util %.3f, %d blocked samples)\n",
 			ts.Frames, ts.Samples, ts.Stride, ts.MeanUtil, ts.HottestChannel, ts.HottestUtil, ts.HottestBlocked)
-	}
-	if rep != nil {
-		fmt.Printf("faults:     %d injected, %d interventions (%d retries, %d reroutes, %d drops)\n",
-			rep.FaultsInjected, rep.Interventions, rep.AbortRetries, rep.Reroutes, rep.Drops)
-		fmt.Printf("watchdog:   %d exact deadlocks, %d timeout suspicions, mean recovery latency %.1f cycles\n",
-			rep.DeadlocksDetected, rep.TimeoutSuspicions, rep.MeanRecoveryLatency)
-		for _, w := range rep.Warnings {
-			fmt.Printf("warning:    %s\n", w)
-		}
 	}
 	switch out.Result {
 	case sim.ResultDeadlock:

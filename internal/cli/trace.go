@@ -57,7 +57,7 @@ func RegisterObsvFlags() *ObsvFlags {
 		TelemetryWindow: flag.String("telemetry-window", "",
 			"byte budget of the delta-compressed telemetry frame window that flight bundles carry (e.g. 256K, 4M; default: the raw size of 64 frames)"),
 		FlightRecorder: flag.String("flight-recorder", "",
-			"write a flight-recorder dump (telemetry frames, recent events, wait-for DOT, congestion heatmap) into this directory when the run deadlocks, fails liveness, or saturates"),
+			"write a flight-recorder dump (telemetry frames, recent events, wait-for DOT, congestion heatmap) into this directory when the run deadlocks, times out, or saturates"),
 	}
 }
 
@@ -68,11 +68,10 @@ func (f *ObsvFlags) Enabled() bool {
 
 // Observer bundles the sinks opened from a set of ObsvFlags. Tracer is
 // nil when no tracing or metrics were requested, so it can be handed to
-// sim.SetTracer / SearchOptions.Tracer / fault.Runner.Tracer directly —
-// the producers' nil checks keep the disabled path free. The same
-// nil-when-off rule holds for the observatory: Server, Manifest and the
-// profiler exist only when their flags were set, so an unobserved run
-// pays nothing.
+// sim.SetTracer / SearchOptions.Tracer directly — the producers' nil
+// checks keep the disabled path free. The same nil-when-off rule holds
+// for the observatory: Server, Manifest and the profiler exist only when
+// their flags were set, so an unobserved run pays nothing.
 type Observer struct {
 	// Tracer fans out to every requested sink; nil when none.
 	Tracer obsv.Tracer

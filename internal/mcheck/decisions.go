@@ -146,8 +146,8 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 	}
 	// The probe is copied once per state. Every subset below leaves it as
 	// it found it except for held bits, which each activation subset sets
-	// afresh: freezes are restored to 0 (only CanAdvance messages are
-	// frozen, and those have none) and masks to topology.None (Step
+	// afresh: freezes are restored to 0 (only messages CanAdvanceAll
+	// marks are frozen, and those have none) and masks to topology.None (Step
 	// clears them, so s has none).
 	e.probe.CopyFrom(s)
 	// Sleep-set filter: a held message that cannot inject this cycle even
@@ -155,10 +155,11 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 	// predicted release frees) contributes nothing to any decision that
 	// activates it — the successor matches the same decision without the
 	// activation except for the held bit, and the held variant retains
-	// strictly more adversary power. CanAdvance for an uninjected message
-	// is independent of the other activations (predicted releases only
-	// consider fully-injected messages, and activations occupy no
-	// channels), so one probe pass decides every subset.
+	// strictly more adversary power. CanAdvanceAll's answer for an
+	// uninjected message is independent of the other activations
+	// (predicted releases only consider fully-injected messages, and
+	// activations occupy no channels), so one probe pass decides every
+	// subset.
 	sleep := 0
 	if cfg.por && len(e.held) > 0 {
 		for _, id := range e.held {

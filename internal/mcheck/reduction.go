@@ -177,13 +177,9 @@ func scenarioSymmetries(sc sim.Scenario) []sim.Permutation {
 				p := sim.Permutation{
 					MsgAt:  make([]int, n),
 					ChanTo: append([]topology.ChannelID(nil), a.Chans...),
-					ChanAt: make([]topology.ChannelID, len(a.Chans)),
 				}
 				for orig, img := range sigma {
 					p.MsgAt[img] = orig
-				}
-				for c, d := range a.Chans {
-					p.ChanAt[d] = topology.ChannelID(c)
 				}
 				perms = append(perms, p)
 				return

@@ -559,9 +559,9 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			}
 			if res.deadlocked {
 				// The batch entry decodes to the deadlocked state, but its
-				// wall clock and fault anchors are relative; replay the
-				// witness trace instead so waitfor sees the state exactly
-				// as the search reached it.
+				// wall clock is relative; replay the witness trace instead
+				// so waitfor sees the state exactly as the search reached
+				// it.
 				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
 				return eng.report.done(SearchResult{
 					Verdict:  VerdictDeadlock,

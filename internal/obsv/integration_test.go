@@ -1,8 +1,7 @@
 package obsv_test
 
 // End-to-end tests of the observability layer against the real
-// producers: the simulator, the exhaustive search, and the fault
-// campaign runner.
+// producers: the simulator and the exhaustive search.
 
 import (
 	"bytes"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/cdg"
-	"repro/internal/fault"
 	"repro/internal/mcheck"
 	"repro/internal/obsv"
 	"repro/internal/papernets"
@@ -192,40 +190,17 @@ func TestDeadlockEmitsCertificate(t *testing.T) {
 	}
 }
 
-// TestFreezeExpiryWarning: satellite check that a MessageFreeze expiring
-// mid-flight surfaces as a structured warning on the campaign report and
-// as a warning event on the trace.
-func TestFreezeExpiryWarning(t *testing.T) {
+// TestFreezeExpiryTracesThaw: a Section 6 freeze placed mid-flight
+// traces exactly one thaw event when it expires, and the run still
+// delivers.
+func TestFreezeExpiryTracesThaw(t *testing.T) {
 	rec := &obsv.Recorder{}
 	s := papernets.Figure1().Scenario.NewSim()
 	s.SetTracer(rec)
-	r := fault.Runner{
-		Sim: s,
-		Schedule: fault.Schedule{Events: []fault.Event{
-			{At: 1, Kind: fault.MessageFreeze, Message: 0, Repair: 3},
-		}},
-		Recovery: fault.DefaultRecovery(fault.AbortRetry),
-		Tracer:   rec,
-	}
-	rep := r.Run(10_000)
-	if rep.Outcome.Result.String() != "delivered" {
-		t.Fatalf("outcome = %v", rep.Outcome.Result)
-	}
-	found := false
-	for _, w := range rep.Warnings {
-		if w.Msg == 0 && strings.Contains(w.Text, "freeze expired") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no freeze-expiry warning in report: %v", rep.Warnings)
-	}
-	if rec.Count(obsv.KindWarning) != len(rep.Warnings) {
-		t.Errorf("trace has %d warning events, report has %d warnings",
-			rec.Count(obsv.KindWarning), len(rep.Warnings))
-	}
-	if rec.Count(obsv.KindFault) != 1 {
-		t.Errorf("fault events = %d, want 1", rec.Count(obsv.KindFault))
+	s.Step()
+	s.SetFrozen(0, 3)
+	if out := s.Run(10_000); out.Result != sim.ResultDelivered {
+		t.Fatalf("outcome = %v", out.Result)
 	}
 	if rec.Count(obsv.KindThaw) != 1 {
 		t.Errorf("thaw events = %d, want 1", rec.Count(obsv.KindThaw))

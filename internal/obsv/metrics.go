@@ -182,39 +182,34 @@ func baseName(series string) string {
 // emit, keyed by base name. Families not listed here (and not covered by
 // SetHelp) get a generated placeholder, so the exposition always lints.
 var builtinHelp = map[string]string{
-	"sim_messages_injected_total":         "Messages whose header flit entered the network.",
-	"sim_flits_moved_total":               "Individual flit advances, including body-flit injection.",
-	"sim_flits_delivered_total":           "Flits consumed at their destination.",
-	"sim_messages_delivered_total":        "Messages whose tail flit was consumed.",
-	"sim_message_latency_cycles":          "Injection-to-delivery latency per delivered message, in cycles.",
-	"sim_channel_acquires_total":          "Channel acquisitions by message headers.",
-	"sim_channel_occupancy_cycles":        "Cycles a channel was held between acquire and release.",
-	"sim_blocks_total":                    "Transitions of a message into the blocked state.",
-	"sim_cycles_blocked_total":            "Total message-cycles spent blocked on a held channel.",
-	"sim_blocked_duration_cycles":         "Duration of individual blocked episodes, in cycles.",
-	"sim_freeze_expiries_total":           "Section 6 freeze counters that expired.",
-	"sim_deadlocks_detected_total":        "Exact Definition 6 deadlock certificates detected.",
-	"fault_injected_total":                "Fault events applied to the simulator.",
-	"fault_injected_by_kind_total":        "Fault events applied, labeled by fault kind.",
-	"fault_interventions_total":           "Watchdog recovery interventions of any kind.",
-	"fault_interventions_by_action_total": "Watchdog recovery interventions, labeled by action.",
-	"warnings_total":                      "Structured warnings surfaced by a run.",
-	"mcheck_search_level":                 "BFS level (network cycle depth) the search is merging.",
-	"mcheck_frontier_size":                "States in the BFS level currently being expanded.",
-	"mcheck_frontier_peak":                "Largest BFS frontier seen so far.",
-	"mcheck_states":                       "Distinct states accepted by the search so far.",
-	"mcheck_peak_visited":                 "Entries retained by the visited set at search end.",
-	"mcheck_workers":                      "Worker goroutines the search ran with.",
-	"mcheck_visited_bytes":                "Resident bytes of the visited-set backend (excludes spilled runs).",
-	"mcheck_visited_spill_bytes":          "Bytes in the spill backend's on-disk run files at search end.",
-	"mcheck_visited_spill_runs":           "Live run files of the spill backend at search end.",
-	"mcheck_states_pruned":                "Successor candidates discarded by state-space reductions.",
-	"mcheck_sleep_set_hits":               "Expanded states with a non-empty sleep set.",
-	"mcheck_symmetry_group":               "Order of the symmetry group the canonical encoding quotients by.",
-	"cdg_dependencies":                    "Edges of the channel dependency graph.",
-	"cdg_cycles_found":                    "Simple cycles enumerated in the channel dependency graph.",
-	"cdg_sccs":                            "Nontrivial strongly connected components of the CDG.",
-	"cdg_acyclic":                         "1 when the channel dependency graph is acyclic, else 0.",
+	"sim_messages_injected_total":  "Messages whose header flit entered the network.",
+	"sim_flits_moved_total":        "Individual flit advances, including body-flit injection.",
+	"sim_flits_delivered_total":    "Flits consumed at their destination.",
+	"sim_messages_delivered_total": "Messages whose tail flit was consumed.",
+	"sim_message_latency_cycles":   "Injection-to-delivery latency per delivered message, in cycles.",
+	"sim_channel_acquires_total":   "Channel acquisitions by message headers.",
+	"sim_channel_occupancy_cycles": "Cycles a channel was held between acquire and release.",
+	"sim_blocks_total":             "Transitions of a message into the blocked state.",
+	"sim_cycles_blocked_total":     "Total message-cycles spent blocked on a held channel.",
+	"sim_blocked_duration_cycles":  "Duration of individual blocked episodes, in cycles.",
+	"sim_freeze_expiries_total":    "Section 6 freeze counters that expired.",
+	"sim_deadlocks_detected_total": "Exact Definition 6 deadlock certificates detected.",
+	"mcheck_search_level":          "BFS level (network cycle depth) the search is merging.",
+	"mcheck_frontier_size":         "States in the BFS level currently being expanded.",
+	"mcheck_frontier_peak":         "Largest BFS frontier seen so far.",
+	"mcheck_states":                "Distinct states accepted by the search so far.",
+	"mcheck_peak_visited":          "Entries retained by the visited set at search end.",
+	"mcheck_workers":               "Worker goroutines the search ran with.",
+	"mcheck_visited_bytes":         "Resident bytes of the visited-set backend (excludes spilled runs).",
+	"mcheck_visited_spill_bytes":   "Bytes in the spill backend's on-disk run files at search end.",
+	"mcheck_visited_spill_runs":    "Live run files of the spill backend at search end.",
+	"mcheck_states_pruned":         "Successor candidates discarded by state-space reductions.",
+	"mcheck_sleep_set_hits":        "Expanded states with a non-empty sleep set.",
+	"mcheck_symmetry_group":        "Order of the symmetry group the canonical encoding quotients by.",
+	"cdg_dependencies":             "Edges of the channel dependency graph.",
+	"cdg_cycles_found":             "Simple cycles enumerated in the channel dependency graph.",
+	"cdg_sccs":                     "Nontrivial strongly connected components of the CDG.",
+	"cdg_acyclic":                  "1 when the channel dependency graph is acyclic, else 0.",
 }
 
 // helpFor resolves the HELP text for a family. Caller holds r.mu.
@@ -356,8 +351,8 @@ func writeScalarSection(b *strings.Builder, names []string, value func(string) s
 
 // MetricsSink is a Tracer that folds the event stream into a Registry:
 // flits delivered, channel acquisitions, per-channel occupancy histograms,
-// block/unblock counts with blocked-duration histograms, faults,
-// recoveries and warnings. Attach it (alone, or in a Multi alongside a
+// block/unblock counts with blocked-duration histograms, freeze expiries
+// and deadlock certificates. Attach it (alone, or in a Multi alongside a
 // trace sink) and export the registry at the end of the run. Search
 // events pass through: the search engines write their mcheck_* gauges
 // into the registry themselves (mcheck.SearchOptions.Metrics).
@@ -409,14 +404,6 @@ func (m *MetricsSink) Event(e Event) {
 		}
 	case KindThaw:
 		m.R.Counter("sim_freeze_expiries_total").Inc()
-	case KindFault:
-		m.R.Counter("fault_injected_total").Inc()
-		m.R.Counter(Label("fault_injected_by_kind_total", "kind", e.Note)).Inc()
-	case KindRecovery:
-		m.R.Counter("fault_interventions_total").Inc()
-		m.R.Counter(Label("fault_interventions_by_action_total", "action", e.Note)).Inc()
-	case KindWarning:
-		m.R.Counter("warnings_total").Inc()
 	case KindDeadlock:
 		m.R.Counter("sim_deadlocks_detected_total").Inc()
 	}

@@ -156,8 +156,7 @@ sim_messages_injected_total 4
 		{Kind: KindAcquire, Msg: 0, Ch: 1}, {Kind: KindRelease, Msg: 0, Ch: 1, Cycle: 3},
 		{Kind: KindBlock, Msg: 0, Ch: 2, Owner: 1}, {Kind: KindUnblock, Msg: 0, Cycle: 5},
 		{Kind: KindConsume, Msg: 0}, {Kind: KindDeliver, Msg: 0, N: 9},
-		{Kind: KindFault, Note: "fail"}, {Kind: KindRecovery, Note: "drop"},
-		{Kind: KindWarning, Note: "w"}, {Kind: KindDeadlock, N: 2},
+		{Kind: KindThaw, Msg: 0}, {Kind: KindDeadlock, N: 2},
 	} {
 		sink.Event(e)
 	}
@@ -304,9 +303,9 @@ func TestMetricsSinkFoldsEvents(t *testing.T) {
 	del.N = 7
 	s.Event(del)
 
-	flt := Ev(KindFault, 2)
-	flt.Note = "fail"
-	s.Event(flt)
+	thaw := Ev(KindThaw, 2)
+	thaw.Msg = 1
+	s.Event(thaw)
 
 	if got := r.Counter("sim_messages_injected_total").Value(); got != 1 {
 		t.Errorf("injected = %d", got)
@@ -323,7 +322,7 @@ func TestMetricsSinkFoldsEvents(t *testing.T) {
 	if got := r.histograms["sim_message_latency_cycles"].Sum(); got != 7 {
 		t.Errorf("latency sum = %d, want 7", got)
 	}
-	if got := r.Counter(Label("fault_injected_by_kind_total", "kind", "fail")).Value(); got != 1 {
-		t.Errorf("fault by kind = %d", got)
+	if got := r.Counter("sim_freeze_expiries_total").Value(); got != 1 {
+		t.Errorf("freeze expiries = %d", got)
 	}
 }

@@ -1,16 +1,15 @@
 // Package obsv is the observability layer of the repository: typed trace
 // events, pluggable trace sinks, a metrics registry, and the Sketch that
 // holds every latency distribution, shared by the simulator
-// (internal/sim), the search engines (internal/mcheck) and the fault
-// campaign runner (internal/fault).
+// (internal/sim) and the search engines (internal/mcheck).
 //
 // The design goal is zero overhead when disabled: every producer keeps a
 // Tracer field that is nil by default and guards each emission with a
 // single nil check, so an untraced run pays one predictable branch per
 // emission site and allocates nothing. When a Tracer is attached, the
 // producers emit Events — flit movement, channel acquisition and release,
-// message blocking, wait-for edges, deadlock and quiescence certificates,
-// fault injections and recoveries, search levels — that sinks turn into
+// message blocking, wait-for edges, freeze expiries, deadlock and
+// quiescence certificates, search levels — that sinks turn into
 // deterministic JSONL, Graphviz DOT snapshots of the evolving wait-for
 // graph, or Chrome trace_event JSON loadable in Perfetto.
 //
@@ -58,14 +57,6 @@ const (
 	KindWaitEdgeDel
 	// KindThaw: message Msg's Section 6 freeze counter expired.
 	KindThaw
-	// KindFault: a fault was injected. Note names the fault kind; Ch/Msg
-	// identify the victim; N is the scheduled outage length (0 permanent).
-	KindFault
-	// KindRecovery: the watchdog intervened on message Msg; Note names the
-	// action (abort-retry, drop, reroute).
-	KindRecovery
-	// KindWarning: a structured warning; Note holds the text.
-	KindWarning
 	// KindDeadlock: an exact deadlock certificate — the state is quiescent
 	// with N undelivered messages.
 	KindDeadlock
@@ -77,16 +68,6 @@ const (
 	// KindSearchDone: the search finished with N states; Note holds the
 	// verdict string.
 	KindSearchDone
-	// KindLocalDeadlock: an exact local-deadlock certificate — a permanent
-	// Definition 6 cycle of N members while other traffic stays live.
-	KindLocalDeadlock
-	// KindLivelock: the watchdog classified an intervention as livelock —
-	// message Msg keeps being reset and re-blocked without net progress.
-	KindLivelock
-	// KindStarvation: the watchdog classified an intervention as
-	// starvation — message Msg has made no progress at all within the
-	// timeout while the network stayed live.
-	KindStarvation
 )
 
 // String returns the stable wire name of the kind, used by every sink.
@@ -114,12 +95,6 @@ func (k Kind) String() string {
 		return "wait-del"
 	case KindThaw:
 		return "thaw"
-	case KindFault:
-		return "fault"
-	case KindRecovery:
-		return "recovery"
-	case KindWarning:
-		return "warning"
 	case KindDeadlock:
 		return "deadlock"
 	case KindOutcome:
@@ -128,12 +103,6 @@ func (k Kind) String() string {
 		return "search-level"
 	case KindSearchDone:
 		return "search-done"
-	case KindLocalDeadlock:
-		return "local-deadlock"
-	case KindLivelock:
-		return "livelock"
-	case KindStarvation:
-		return "starvation"
 	}
 	return "unknown"
 }
@@ -148,9 +117,9 @@ type Event struct {
 	Msg   int                // message ID, -1 when not message-related
 	Ch    topology.ChannelID // channel, topology.None when not channel-related
 	Owner int                // blocking channel's owner, -1 when not applicable
-	N     int                // kind-specific count (flits, states, outage, latency)
+	N     int                // kind-specific count (flits, states, latency)
 	M     int                // second kind-specific count (accepted states)
-	Note  string             // kind-specific text (verdicts, warnings, fault kinds)
+	Note  string             // kind-specific text (verdicts)
 }
 
 // Ev returns an Event of the given kind at the given cycle with every

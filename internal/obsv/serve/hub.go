@@ -10,8 +10,8 @@ import (
 
 // Snapshot is one live progress report published to the /progress
 // endpoint. It is a union over the repository's long-running producers:
-// exhaustive searches fill the Level/Frontier/States block, fault
-// campaigns the Cycle/Delivered block. Unlike obsv trace events a
+// exhaustive searches fill the Level/Frontier/States block, simulation
+// runs the Cycle/Delivered block. Unlike obsv trace events a
 // snapshot carries wall-clock quantities (rates, elapsed time) — it is
 // interactive telemetry, never a deterministic artifact.
 type Snapshot struct {
@@ -33,13 +33,10 @@ type Snapshot struct {
 	VisitedBytes   int64 `json:"visited_bytes,omitempty"`
 	SpillBytes     int64 `json:"spill_bytes,omitempty"`
 
-	// Campaign telemetry (Source == "campaign").
-	Cycle         int `json:"cycle,omitempty"`
-	Messages      int `json:"messages,omitempty"`
-	Delivered     int `json:"delivered,omitempty"`
-	Dropped       int `json:"dropped,omitempty"`
-	Faults        int `json:"faults,omitempty"`
-	Interventions int `json:"interventions,omitempty"`
+	// Simulation-run telemetry (Source == "campaign").
+	Cycle     int `json:"cycle,omitempty"`
+	Messages  int `json:"messages,omitempty"`
+	Delivered int `json:"delivered,omitempty"`
 
 	ElapsedMS int64 `json:"elapsed_ms"`
 	// Done marks the producer's final snapshot; Verdict carries the

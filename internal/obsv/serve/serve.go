@@ -1,6 +1,6 @@
 // Package serve is the live half of the observability layer: an opt-in
-// HTTP server that exposes a running search, simulation or fault campaign
-// while it executes. Every cmd/ binary wires it behind the shared
+// HTTP server that exposes a running search or simulation while it
+// executes. Every cmd/ binary wires it behind the shared
 // `-serve :addr` flag (internal/cli); with the flag unset nothing in this
 // package runs and the producers keep their nil-guard fast paths.
 //

@@ -137,8 +137,8 @@ func (s *DOTSink) Close() error {
 // ChromeTraceSink emits Chrome trace_event JSON (the JSON-array format),
 // loadable in Perfetto or chrome://tracing: one lane (thread) per channel,
 // with a duration span for every channel occupancy (acquire to release,
-// named after the owning message) and instant markers for faults and
-// deadlock. Timestamps are simulation cycles interpreted as microseconds.
+// named after the owning message) and instant markers for deadlock and
+// the run's outcome. Timestamps are simulation cycles interpreted as microseconds.
 type ChromeTraceSink struct {
 	w     *bufio.Writer
 	first bool
@@ -176,14 +176,6 @@ func (s *ChromeTraceSink) Event(e Event) {
 		// handoff the successor's acquire lands on the same ts, and the
 		// lane must stay properly nested.
 		s.entry(fmt.Sprintf(`{"name":"m%d","ph":"E","ts":%d,"pid":1,"tid":%d}`, e.Msg, e.Cycle, e.Ch))
-	case KindFault:
-		tid := 0
-		if e.Ch != topology.None {
-			tid = int(e.Ch)
-		}
-		s.entry(fmt.Sprintf(`{"name":"fault:%s","ph":"i","s":"p","ts":%d,"pid":1,"tid":%d}`, e.Note, e.Cycle, tid))
-	case KindRecovery:
-		s.entry(fmt.Sprintf(`{"name":"recovery:%s m%d","ph":"i","s":"p","ts":%d,"pid":1,"tid":0}`, e.Note, e.Msg, e.Cycle))
 	case KindDeadlock:
 		s.entry(fmt.Sprintf(`{"name":"deadlock","ph":"i","s":"g","ts":%d,"pid":1,"tid":0}`, e.Cycle))
 	case KindOutcome:

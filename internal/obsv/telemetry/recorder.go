@@ -1,6 +1,6 @@
 // The flight recorder: a fixed-capacity ring of recent obsv events plus
 // the collector's frame window, dumped as a post-mortem bundle only when
-// something goes wrong (deadlock, livelock, starvation, saturation). The
+// something goes wrong (deadlock, timeout, saturation). The
 // analogy is deliberate — it records continuously at bounded cost and is
 // read only after the crash.
 package telemetry
@@ -39,7 +39,7 @@ type FlightRecorder struct {
 
 	graph     obsv.WaitGraph
 	lastCycle int
-	verdict   string // most recent deadlock/livelock/starvation/outcome note
+	verdict   string // deadlock certificate or outcome note
 	slo       []byte // optional SLO report JSON, one bundle line when set
 }
 
@@ -88,12 +88,6 @@ func (r *FlightRecorder) Event(e obsv.Event) {
 	switch e.Kind {
 	case obsv.KindDeadlock:
 		r.verdict = "deadlock"
-	case obsv.KindLocalDeadlock:
-		r.verdict = "local-deadlock"
-	case obsv.KindLivelock:
-		r.verdict = "livelock"
-	case obsv.KindStarvation:
-		r.verdict = "starvation"
 	case obsv.KindOutcome:
 		if r.verdict == "" {
 			r.verdict = e.Note

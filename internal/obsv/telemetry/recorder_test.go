@@ -85,18 +85,18 @@ func TestRecorderCycleDetection(t *testing.T) {
 	}
 }
 
-// TestRecorderVerdict: liveness events set the verdict; an outcome note
-// only fills in when no classification preceded it.
+// TestRecorderVerdict: a deadlock certificate sets the verdict; an
+// outcome note only fills in when no classification preceded it.
 func TestRecorderVerdict(t *testing.T) {
 	g := topology.NewMesh([]int{2, 2}, 1)
 	r := NewFlightRecorder(g.Network, 0, nil)
 	if r.Verdict() != "" {
 		t.Fatal("fresh recorder has a verdict")
 	}
-	r.Event(obsv.Event{Kind: obsv.KindLivelock, Cycle: 5, Msg: 1})
+	r.Event(obsv.Event{Kind: obsv.KindDeadlock, Cycle: 5, N: 2})
 	r.Event(obsv.Event{Kind: obsv.KindOutcome, Cycle: 9, Note: "timeout"})
-	if r.Verdict() != "livelock" {
-		t.Fatalf("Verdict = %q, want livelock (outcome must not overwrite)", r.Verdict())
+	if r.Verdict() != "deadlock" {
+		t.Fatalf("Verdict = %q, want deadlock (outcome must not overwrite)", r.Verdict())
 	}
 }
 

@@ -23,11 +23,9 @@ type Permutation struct {
 	// j of the permuted encoding — the inverse σ⁻¹ of the message
 	// bijection.
 	MsgAt []int
-	// ChanTo[c] is the channel automorphism image π(c); ChanAt[c] its
-	// inverse π⁻¹(c). ChanTo relabels materialized adaptive routes,
-	// ChanAt relocates per-channel state (fault outages).
+	// ChanTo[c] is the channel automorphism image π(c); it relabels
+	// materialized adaptive routes.
 	ChanTo []topology.ChannelID
-	ChanAt []topology.ChannelID
 }
 
 // CanonicalEncodeTo appends the canonical representative of the state's

@@ -21,7 +21,6 @@ func canonicalFixture() (*topology.Network, []MessageSpec, Permutation) {
 	rot := Permutation{
 		MsgAt:  []int{1, 0},
 		ChanTo: []topology.ChannelID{2, 3, 0, 1},
-		ChanAt: []topology.ChannelID{2, 3, 0, 1},
 	}
 	return net, msgs, rot
 }
@@ -91,34 +90,6 @@ func TestCanonicalEncodeQuotientsSymmetricStates(t *testing.T) {
 	}
 }
 
-// TestCanonicalEncodeMapsFaultState: channel outages relocate through
-// the permutation's inverse channel map, so mirrored faults also share a
-// canonical encoding.
-func TestCanonicalEncodeMapsFaultState(t *testing.T) {
-	_, _, rot := canonicalFixture()
-	perms := []Permutation{rot}
-	a := newCanonicalSim(t, 0)
-	b := newCanonicalSim(t, 1)
-	a.FailChannel(1) // second channel of M0's path
-	b.FailChannel(3) // its image: second channel of M1's path
-
-	var canA, canB, scratch []byte
-	a.CanonicalEncodeTo(perms, &canA, &scratch)
-	b.CanonicalEncodeTo(perms, &canB, &scratch)
-	if !bytes.Equal(canA, canB) {
-		t.Fatalf("mirrored fault states canonicalize differently:\n a: %x\n b: %x", canA, canB)
-	}
-
-	// And a non-mirrored fault must NOT collapse with the mirrored one.
-	c := newCanonicalSim(t, 1)
-	c.FailChannel(1) // not the image of a's fault under the swap
-	var canC []byte
-	c.CanonicalEncodeTo(perms, &canC, &scratch)
-	if bytes.Equal(canA, canC) {
-		t.Fatal("distinct fault placements collapsed to one canonical encoding")
-	}
-}
-
 // TestCanonicalEncodeIdentityPermIsNoOp: an explicit identity
 // permutation never changes the representative.
 func TestCanonicalEncodeIdentityPermIsNoOp(t *testing.T) {
@@ -126,7 +97,6 @@ func TestCanonicalEncodeIdentityPermIsNoOp(t *testing.T) {
 	id := Permutation{
 		MsgAt:  []int{0, 1},
 		ChanTo: []topology.ChannelID{0, 1, 2, 3},
-		ChanAt: []topology.ChannelID{0, 1, 2, 3},
 	}
 	var plain, canon, scratch []byte
 	s.EncodeTo(&plain)

@@ -1,7 +1,7 @@
 package sim
 
 // Reset returns the simulator to the empty state New produces — no
-// messages, cycle zero, all channels free and in service — while keeping
+// messages, cycle zero, all channels free — while keeping
 // the network, configuration and slice capacity. Pools of simulators use
 // it to recycle an instance for a fresh message set.
 func (s *Sim) Reset() {
@@ -10,15 +10,12 @@ func (s *Sim) Reset() {
 	for i := range s.owner {
 		s.owner[i] = -1
 	}
-	clear(s.downUntil)
-	s.downMax = 0
 	s.waitingSince = s.waitingSince[:0]
 	s.lastMoved = false
 	s.lastThawed = false
 	s.waits.Reset(0)
 	s.active = s.active[:0]
 	s.liveCount = 0
-	s.droppedCount = 0
 	s.flitsConsumed = 0
 	s.planned = false
 	// Scratch arenas and their epoch counters survive Reset untouched:
@@ -51,10 +48,6 @@ func (s *Sim) CopyFrom(src *Sim) {
 	}
 	s.now = src.now
 	copyInto(&s.owner, src.owner)
-	if s.downMax != 0 || src.downMax != 0 || len(s.downUntil) != len(src.downUntil) {
-		copyInto(&s.downUntil, src.downUntil)
-		s.downMax = src.downMax
-	}
 	copyInto(&s.waitingSince, src.waitingSince)
 	s.lastMoved = src.lastMoved
 	s.lastThawed = src.lastThawed
@@ -78,7 +71,6 @@ func (s *Sim) CopyFrom(src *Sim) {
 	}
 	copyInto(&s.active, src.active)
 	s.liveCount = src.liveCount
-	s.droppedCount = src.droppedCount
 	s.flitsConsumed = src.flitsConsumed
 	// s's scratch arenas and epochs are left alone, and so are its tracer
 	// and telemetry collector: per-instance working memory and observers,

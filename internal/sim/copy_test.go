@@ -258,31 +258,3 @@ func TestRecycledSlotsKeepSharedSpecs(t *testing.T) {
 		t.Fatalf("Add into a parked slot rewrote the source's spec: %+v", got)
 	}
 }
-
-// TestCopyFromCarriesFaultState: CopyFrom skips the per-channel fault
-// table when neither side has a channel down, so a copy must still clear
-// a pooled destination's stale outage and carry the source's.
-func TestCopyFromCarriesFaultState(t *testing.T) {
-	clean := copyFixture(t)
-	faulty := clean.Clone()
-	faulty.SetChannelDown(3, DownForever)
-
-	dst := faulty.Clone()
-	dst.CopyFrom(clean)
-	if dst.ChannelDown(3) {
-		t.Fatal("CopyFrom from a fault-free source kept the destination's outage")
-	}
-	dst.CopyFrom(faulty)
-	if !dst.ChannelDown(3) {
-		t.Fatal("CopyFrom dropped the source's outage")
-	}
-	for _, src := range []*Sim{clean, faulty} {
-		dst.CopyFrom(src)
-		var want, got []byte
-		src.EncodeTo(&want)
-		dst.EncodeTo(&got)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("copy encodes as %x, source as %x", got, want)
-		}
-	}
-}

@@ -14,7 +14,7 @@ import (
 
 // decodeScenarios returns scenarios with every InjectAt already due (the
 // EncodeTo/DecodeFrom contract), covering oblivious delivery, a cyclic
-// deadlock, adaptive route materialization, and channel faults.
+// deadlock, and adaptive route materialization.
 func decodeScenarios() []Scenario {
 	line := lineScenario()
 	for i := range line.Msgs {
@@ -53,13 +53,12 @@ func decodeCheck(t *testing.T, cycle int, orig, dst *Sim) {
 			t.Fatalf("cycle %d: channel %d owner = %d, want %d", cycle, c, got, want)
 		}
 	}
-	if dst.LiveMessages() != orig.LiveMessages() || dst.AllDelivered() != orig.AllDelivered() ||
-		dst.AllTerminal() != orig.AllTerminal() {
+	if dst.LiveMessages() != orig.LiveMessages() || dst.AllDelivered() != orig.AllDelivered() {
 		t.Fatalf("cycle %d: live accounting diverges (live %d vs %d)", cycle, dst.LiveMessages(), orig.LiveMessages())
 	}
 	for id := 0; id < orig.NumMessages(); id++ {
 		if dst.InNetwork(id) != orig.InNetwork(id) || dst.Delivered(id) != orig.Delivered(id) ||
-			dst.Dropped(id) != orig.Dropped(id) || dst.Frozen(id) != orig.Frozen(id) {
+			dst.Frozen(id) != orig.Frozen(id) {
 			t.Fatalf("cycle %d: message %d state diverges after decode", cycle, id)
 		}
 	}
@@ -70,10 +69,10 @@ func TestDecodeRoundTrip(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			orig := sc.NewSim()
 			// Decode into a deliberately dirty instance: stale messages,
-			// stale ownership, stale faults — everything must be rebuilt.
+			// stale ownership, a stale freeze — everything must be rebuilt.
 			dst := sc.NewSim()
 			dst.Run(5)
-			dst.SetChannelDown(0, DownForever)
+			dst.SetFrozen(0, 9)
 			for cycle := 0; cycle < 25; cycle++ {
 				decodeCheck(t, cycle, orig, dst)
 				orig.Step()
@@ -114,50 +113,15 @@ func TestDecodeLockstepFuture(t *testing.T) {
 	}
 }
 
-// TestDecodeFaultState pins the time-relative fault re-anchoring: a
-// timed outage K cycles from repair decodes as downUntil = K at cycle 0,
-// and a permanent failure stays permanent.
-func TestDecodeFaultState(t *testing.T) {
-	sc := ringScenario4()
+// TestDecodeFrozenDelivered: a frozen-but-delivered message stays in the
+// decoded active working set, so its freeze countdown keeps running.
+func TestDecodeFrozenDelivered(t *testing.T) {
+	sc := decodeScenarios()[0]
 	orig := sc.NewSim()
-	orig.Step()
-	orig.Step()
-	orig.SetChannelDown(1, orig.Now()+7)
-	orig.FailChannel(2)
-	var enc []byte
-	orig.EncodeTo(&enc)
-	dec := sc.NewSim()
-	if err := dec.DecodeFrom(enc); err != nil {
-		t.Fatal(err)
-	}
-	if got := dec.DownUntil(1); got != 7 {
-		t.Fatalf("timed outage decoded to %d, want 7", got)
-	}
-	if got := dec.DownUntil(2); got != DownForever {
-		t.Fatalf("permanent failure decoded to %d", got)
-	}
-	if dec.DownUntil(0) != 0 {
-		t.Fatalf("healthy channel decoded as down")
-	}
-	// Re-encode must round-trip the relative times exactly.
-	var re []byte
-	dec.EncodeTo(&re)
-	if !bytes.Equal(enc, re) {
-		t.Fatalf("fault state does not round-trip:\n%x\n%x", enc, re)
-	}
-}
-
-// TestDecodeDroppedAndFrozen covers the recovery-flag corners: a dropped
-// message owns nothing after decode, and a frozen-but-delivered message
-// stays in the active working set so its countdown keeps running.
-func TestDecodeDroppedAndFrozen(t *testing.T) {
-	sc := ringScenario4()
-	orig := sc.NewSim()
-	for i := 0; i < 4; i++ {
+	for !orig.Delivered(0) {
 		orig.Step()
 	}
-	orig.DropMessage(0)
-	orig.SetFrozen(1, 3)
+	orig.SetFrozen(0, 3)
 	var enc []byte
 	orig.EncodeTo(&enc)
 	dec := sc.NewSim()
@@ -165,16 +129,14 @@ func TestDecodeDroppedAndFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodeCheck(t, 0, orig, dec)
-	if !dec.Dropped(0) {
-		t.Fatal("dropped flag lost")
+	if dec.Frozen(0) != 3 {
+		t.Fatalf("freeze countdown = %d, want 3", dec.Frozen(0))
 	}
-	for c := 0; c < sc.Net.NumChannels(); c++ {
-		if dec.Owner(topology.ChannelID(c)) == 0 {
-			t.Fatalf("dropped message still owns channel %d after decode", c)
-		}
+	for i := 0; i < 3; i++ {
+		dec.Step()
 	}
-	if dec.Frozen(1) != 3 {
-		t.Fatalf("freeze countdown = %d, want 3", dec.Frozen(1))
+	if dec.Frozen(0) != 0 {
+		t.Fatalf("freeze countdown stuck at %d after 3 steps", dec.Frozen(0))
 	}
 }
 
@@ -196,6 +158,12 @@ func TestDecodeRejectsCorruptEncodings(t *testing.T) {
 			bad[0] ^= 0x01 // injected count of message 0
 			return bad
 		}()},
+		{"unknown-flag-bit", func() []byte {
+			bad := append([]byte(nil), enc...)
+			bad[3] |= 0x04 // message 0's flag byte follows its three counters
+			return bad
+		}()},
+		{"trailing-bytes", append(append([]byte(nil), enc...), 1, 0)},
 	} {
 		if err := dec.DecodeFrom(tc.enc); err == nil {
 			t.Errorf("%s: corrupt encoding accepted", tc.name)

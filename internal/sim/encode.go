@@ -9,28 +9,27 @@ import (
 )
 
 // EncodeTo appends a compact, canonical binary encoding of the mutable
-// simulation state to *dst: per-message progress, freeze/held/drop flags,
-// buffered flit counts, the materialized route of adaptive messages, and
-// time-relative channel fault state, excluding the cycle counter and
-// statistics. When *dst already has capacity it does not allocate. Two
-// states encode to identical bytes iff they have identical future
-// behaviour under identical choice sequences, provided every message's
-// InjectAt is already due (searches arrange this via Held).
+// simulation state to *dst: per-message progress, freeze counter and
+// held/headerConsumed flags, buffered flit counts and the materialized
+// route of adaptive messages, excluding the cycle counter and statistics.
+// When *dst already has capacity it does not allocate. Two states encode
+// to identical bytes iff they have identical future behaviour under
+// identical choice sequences, provided every message's InjectAt is
+// already due (searches arrange this via Held).
 //
 // The format is length-prefixed uvarints, so equal byte strings imply
 // equal states even across different prefix lengths:
 //
 //	per message (ID order):
 //	  uvarint injected, consumed, frozen
-//	  1 flag byte (bit0 held, bit1 headerConsumed, bit2 dropped)
+//	  1 flag byte (bit0 held, bit1 headerConsumed)
 //	  uvarint len(queued), then uvarint per buffered-flit count
 //	  adaptive only: uvarint len(path), then uvarint per channel ID
-//	then, for each currently-down channel in ascending ID order:
-//	  uvarint channelID+1, uvarint remaining outage (0 = permanent)
 //
-// The message count and each message's oblivious path are fixed for the
-// lifetime of a Sim, so they are deliberately not encoded; encodings are
-// only comparable between Sims instantiated from the same scenario.
+// Nothing follows the last message. The message count and each message's
+// oblivious path are fixed for the lifetime of a Sim, so they are
+// deliberately not encoded; encodings are only comparable between Sims
+// instantiated from the same scenario.
 //
 // Stability contract: this format is a storage format, not just a dedup
 // key. The search carries its frontier as batches of these encodings,
@@ -40,17 +39,16 @@ import (
 // framing therefore breaks every consumer that round-trips states;
 // extend only by appending and keep DecodeFrom and that entry codec in
 // lockstep. Everything deliberately NOT captured here (wall-clock cycle,
-// arbitration waiting times, delivery statistics, retry counters,
-// per-cycle masks) must stay behaviorally irrelevant under
-// StepWithPicks-driven exploration — that invariant is what makes
-// decode-and-continue exact.
+// arbitration waiting times, delivery statistics, per-cycle masks) must
+// stay behaviorally irrelevant under StepWithPicks-driven exploration —
+// that invariant is what makes decode-and-continue exact.
 func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst) }
 
 // encode appends the EncodeTo-format encoding the state would have after
 // relabeling by p; a nil p is the identity, which is EncodeTo itself.
 // Under p, message slot j carries the state of original message
-// p.MsgAt[j], adaptive routes are relabeled through p.ChanTo, and channel
-// fault state is read through p.ChanAt. Because a valid permutation maps
+// p.MsgAt[j] and adaptive routes are relabeled through p.ChanTo. Because
+// a valid permutation maps
 // message MsgAt[j]'s path onto message j's path element-for-element, the
 // positional queued counts carry over unchanged; the result is
 // byte-identical to EncodeTo on a Sim built from the relabeled scenario
@@ -72,9 +70,6 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 		if m.headerConsumed {
 			flags |= 2
 		}
-		if m.dropped {
-			flags |= 4
-		}
 		b = append(b, flags)
 		b = binary.AppendUvarint(b, uint64(len(m.queued)))
 		for _, q := range m.queued {
@@ -92,25 +87,6 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 			}
 		}
 	}
-	// Channel fault state, time-relative (remaining outage) so two states
-	// that behave identically going forward encode identically regardless
-	// of absolute cycle. Down channels are rare; most states append
-	// nothing here.
-	for c := range s.downUntil[:s.downLen()] {
-		until := s.downUntil[c]
-		if p != nil {
-			until = s.downUntil[p.ChanAt[c]]
-		}
-		if until <= s.now {
-			continue
-		}
-		b = binary.AppendUvarint(b, uint64(c)+1)
-		if until == DownForever {
-			b = binary.AppendUvarint(b, 0)
-		} else {
-			b = binary.AppendUvarint(b, uint64(until-s.now))
-		}
-	}
 	*dst = b
 }
 
@@ -119,8 +95,7 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 // produced from (same scenario, same Add order) — the encoding holds no
 // specs, so only per-message progress is restored. All derived state is
 // reconstructed: channel ownership from each worm's flit occupancy and
-// release rule, the active working set, live/dropped counters, and
-// time-relative channel outages re-anchored at cycle zero. Quantities the
+// release rule, the active working set and the live counter. Quantities the
 // encoding deliberately omits are reset to neutral values (waiting times
 // cleared, masks to None, statistics zeroed); they never influence
 // behaviour under explicit-pick stepping, which is what makes a decoded
@@ -128,7 +103,10 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 // with identical choice sequences yields identical encodings forever.
 //
 // The search uses this to carry frontiers as compact byte batches
-// instead of live simulators.
+// instead of live simulators, and to read them back from disk, so it
+// rejects any input EncodeTo cannot produce for this message set rather
+// than ignoring it: unknown flag bits and bytes after the last message
+// are errors.
 func (s *Sim) DecodeFrom(enc []byte) error {
 	pos := 0
 	next := func() (int, error) {
@@ -149,8 +127,6 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 	for i := range s.owner {
 		s.owner[i] = -1
 	}
-	clear(s.downUntil)
-	s.downMax = 0
 	for len(s.waitingSince) < len(s.msgs) {
 		s.waitingSince = append(s.waitingSince, -1)
 	}
@@ -161,7 +137,6 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 	s.lastThawed = false
 	s.active = s.active[:0]
 	s.liveCount = 0
-	s.droppedCount = 0
 	s.planned = false
 	var consumedTotal int64
 
@@ -183,6 +158,9 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 			return fmt.Errorf("sim: DecodeFrom: truncated flags for message %d", i)
 		}
 		flags := enc[pos]
+		if flags&^3 != 0 {
+			return fmt.Errorf("sim: DecodeFrom: message %d has unknown flag bits %#x", i, flags&^3)
+		}
 		pos++
 		nq, err := next()
 		if err != nil {
@@ -227,9 +205,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		m.frozen = frozen
 		m.held = flags&1 != 0
 		m.headerConsumed = flags&2 != 0
-		m.dropped = flags&4 != 0
 		m.mask = topology.None
-		m.retries = 0
 		m.injectedAt = -1
 		if m.injected > 0 {
 			m.injectedAt = 0
@@ -238,17 +214,14 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		if m.delivered() {
 			m.deliveredAt = 0
 		}
-		if !m.dropped && flits != m.injected-m.consumed {
+		if flits != m.injected-m.consumed {
 			return fmt.Errorf("sim: DecodeFrom: message %d buffers %d flits, injected-consumed is %d",
 				i, flits, m.injected-m.consumed)
 		}
-		if m.dropped {
-			s.droppedCount++
-		}
-		if !m.terminal() {
+		if !m.delivered() {
 			s.liveCount++
 		}
-		if !m.terminal() || m.frozen > 0 {
+		if !m.delivered() || m.frozen > 0 {
 			s.active = append(s.active, int32(i)) // message IDs ascend, so active stays sorted
 		}
 		consumedTotal += int64(consumed)
@@ -258,7 +231,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		// those its tail has fully departed — queue empty with no flit, at
 		// the source or in an earlier channel, still behind (the release
 		// rule in moveMessage/noTailBehind).
-		if m.dropped || m.injected == 0 {
+		if m.injected == 0 {
 			continue
 		}
 		hi := len(m.path) - 1
@@ -277,23 +250,8 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 	}
 	s.flitsConsumed = consumedTotal
 
-	for pos < len(enc) {
-		c, err := next()
-		if err != nil {
-			return err
-		}
-		if c == 0 || c > s.net.NumChannels() {
-			return fmt.Errorf("sim: DecodeFrom: down-channel id %d out of range", c-1)
-		}
-		rem, err := next()
-		if err != nil {
-			return err
-		}
-		if rem == 0 {
-			rem = DownForever
-		}
-		s.downUntil[c-1] = rem
-		s.downMax = max(s.downMax, rem)
+	if pos != len(enc) {
+		return fmt.Errorf("sim: DecodeFrom: %d trailing bytes after the last message", len(enc)-pos)
 	}
 	return nil
 }

@@ -73,9 +73,9 @@ func TestFreezeLastWormInDrainedNetwork(t *testing.T) {
 	}
 }
 
-// Fault state survives Clone and enters the encoding: a dropped message,
-// a permanent versus a transient outage, and the remaining outage (not the
-// absolute cycle it ends at) all distinguish states.
+// Section 6 fault state survives Clone and enters the encoding: a held
+// message and the remaining freeze (not the absolute cycle it ends at)
+// distinguish states, and a clone is independent of its original.
 func TestCloneEncodeFaultState(t *testing.T) {
 	mk := func() *Sim {
 		net := topology.NewRing(4, false)
@@ -86,104 +86,48 @@ func TestCloneEncodeFaultState(t *testing.T) {
 	}
 
 	s := mk()
-	s.SetChannelDown(2, 10) // transient: 10 cycles remaining
-	s.FailChannel(3)        // permanent
-	s.DropMessage(1)
+	s.SetFrozen(0, 10)
+	s.SetHeld(1, true)
 
-	// A dropped twin encodes unequally.
-	live := mk()
-	live.SetChannelDown(2, 10)
-	live.FailChannel(3)
-	if encOf(live) == encOf(s) {
-		t.Fatal("dropping a message does not change the encoding")
-	}
-	// A permanent and a transient outage of the same channel encode
-	// unequally.
-	perm, trans := mk(), mk()
-	perm.FailChannel(3)
-	trans.SetChannelDown(3, 10)
-	if encOf(perm) == encOf(trans) {
-		t.Fatal("permanent and transient outages encode equally")
+	// A held twin and a released twin encode unequally.
+	released := mk()
+	released.SetFrozen(0, 10)
+	if encOf(released) == encOf(s) {
+		t.Fatal("holding a message does not change the encoding")
 	}
 
 	c := s.Clone()
 	if encOf(c) != encOf(s) {
 		t.Fatalf("clone encodes differently:\n%x\n%x", encOf(c), encOf(s))
 	}
-	// Clone independence: repairing the clone's channel must not leak back.
-	c.RepairChannel(2)
-	if !s.ChannelDown(2) {
-		t.Fatal("repairing the clone repaired the original")
+	// Clone independence: thawing the clone's message must not leak back.
+	c.SetFrozen(0, 0)
+	if s.Frozen(0) != 10 {
+		t.Fatal("thawing the clone thawed the original")
 	}
 
 	// Clones behave identically: run both (fresh clone) to completion.
+	s.SetHeld(1, false)
 	s2 := s.Clone()
 	out1, out2 := s.Run(1000), s2.Run(1000)
 	if out1.Result != out2.Result || out1.Cycles != out2.Cycles {
 		t.Fatalf("clone diverged: %+v vs %+v", out1, out2)
 	}
 
-	// Time-relativity: a sim that downs the same channel later, for the
-	// same remaining outage, encodes identically (messages held so nothing
+	// Time-relativity: a sim that freezes the same message later, for the
+	// same remaining freeze, encodes identically (messages held so nothing
 	// else changes).
 	a, b := mk(), mk()
 	a.SetHeld(0, true)
 	a.SetHeld(1, true)
 	b.SetHeld(0, true)
 	b.SetHeld(1, true)
-	a.SetChannelDown(2, a.Now()+5)
+	a.SetFrozen(1, 5)
 	for i := 0; i < 3; i++ {
 		b.Step()
 	}
-	b.SetChannelDown(2, b.Now()+5)
+	b.SetFrozen(1, 5)
 	if encOf(a) != encOf(b) {
-		t.Fatalf("equal remaining outage encodes unequally:\n%x\n%x", encOf(a), encOf(b))
-	}
-}
-
-// A down channel blocks injection entirely: the header may not enter a
-// dead channel, and the message resumes when the repair lands.
-func TestInjectionBlockedByDownChannel(t *testing.T) {
-	net := topology.NewRing(4, false)
-	s := New(net, Config{})
-	id := s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: []topology.ChannelID{0, 1}})
-	s.SetChannelDown(0, 5)
-	if at, blocked := s.FaultBlocked(id); !blocked || at != 5 {
-		t.Fatalf("FaultBlocked = (%d, %v); want (5, true)", at, blocked)
-	}
-	for i := 0; i < 5; i++ {
-		s.Step()
-		if s.Message(id).Injected != 0 {
-			t.Fatalf("message injected into a down channel at cycle %d", s.Now())
-		}
-	}
-	out := s.Run(1000)
-	if out.Result != ResultDelivered {
-		t.Fatalf("result = %v; want delivered after repair", out.Result)
-	}
-}
-
-// A pending transient repair must block the quiescence certificate — the
-// repair can restart the network — while a permanent failure must not.
-func TestQuiescenceVsPendingRepair(t *testing.T) {
-	net := topology.NewRing(4, false)
-	s := New(net, Config{})
-	s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: []topology.ChannelID{0, 1}})
-	s.SetChannelDown(1, 50)
-	s.Step()
-	for s.Message(0).Injected == 0 && s.Now() < 10 {
-		s.Step()
-	}
-	s.Step() // settle: header now stalled at the down channel
-	if s.Quiescent() {
-		t.Fatal("pending repair should block quiescence")
-	}
-
-	s2 := New(topology.NewRing(4, false), Config{})
-	s2.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: []topology.ChannelID{0, 1}})
-	s2.FailChannel(1)
-	out := s2.Run(1000)
-	if out.Result != ResultDeadlock {
-		t.Fatalf("result = %v; a permanent failure with a stuck worm is a dead state", out.Result)
+		t.Fatalf("equal remaining freeze encodes unequally:\n%x\n%x", encOf(a), encOf(b))
 	}
 }

@@ -42,17 +42,13 @@ func (s *Sim) Delivering(id int) bool {
 // flit consumed, or (adaptively) the materialized route extended — and is
 // unchanged otherwise. Two states with equal encodings have equal
 // Progress, so the liveness search can assert non-progress across a lasso
-// loop by comparing this one integer, and the fault watchdog can detect
-// stalls by watching it plateau.
+// loop by comparing this one integer.
 //
 // Monotonicity: a flit at queue position i carries weight i+1, injection
 // adds the injected count plus the new flit's weight, a forward hop
 // trades weight i+1 for i+2, and consuming the flit at the last position
 // trades weight len(queued) for the consumed credit len(queued)+1 — every
-// event nets at least +1 and no ordinary transition decreases any term.
-// Recovery resets (ResetMessage) are the deliberate exception: they
-// rewind the worm and the counter, which is exactly the non-monotonicity
-// the watchdog's livelock classification keys on.
+// event nets at least +1 and no transition decreases any term.
 func (s *Sim) Progress(id int) int {
 	m := &s.msgs[id]
 	p := m.injected + (len(m.queued)+1)*m.consumed + len(m.path)
@@ -68,7 +64,7 @@ func (s *Sim) Progress(id int) int {
 // Candidates returns every channel message id's header wants this cycle,
 // regardless of whether the channel is free: the full adaptive candidate
 // set at the current head, or the single next path channel of an
-// oblivious message. Held, frozen, delivering and terminal messages want
+// oblivious message. Held, frozen, delivering and delivered messages want
 // nothing. The liveness engine's extended adversary uses the difference
 // between this set and AcquirableCandidates to model stale selections —
 // an adaptive router persistently offering a busy output.

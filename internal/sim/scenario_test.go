@@ -67,25 +67,26 @@ func TestScenarioWithBufferDepth(t *testing.T) {
 }
 
 func TestCanAdvanceDirect(t *testing.T) {
+	canAdvance := func(s *Sim, id int) bool { return s.CanAdvanceAll(nil)[id] }
 	sc := lineScenario()
 	s := sc.NewSim()
 	// Before stepping: message 0 can inject (channel 0 free); message 1 is
 	// not ready yet.
-	if !s.CanAdvance(0) {
+	if !canAdvance(s, 0) {
 		t.Fatal("message 0 should be able to inject")
 	}
-	if s.CanAdvance(1) {
+	if canAdvance(s, 1) {
 		t.Fatal("message 1 is not ready")
 	}
 	// Freeze message 0: cannot advance.
 	s.SetFrozen(0, 1)
-	if s.CanAdvance(0) {
+	if canAdvance(s, 0) {
 		t.Fatal("frozen message cannot advance")
 	}
 	s.SetFrozen(0, 0)
 	// Hold it: cannot advance either.
 	s.SetHeld(0, true)
-	if s.CanAdvance(0) {
+	if canAdvance(s, 0) {
 		t.Fatal("held message cannot advance")
 	}
 	if !s.Held(0) {
@@ -95,7 +96,7 @@ func TestCanAdvanceDirect(t *testing.T) {
 	// Block channel 0 with the other message: message 0 stuck at injection.
 	s2 := sc.NewSim()
 	s2.Step() // m0 header -> c0
-	if !s2.CanAdvance(0) {
+	if !canAdvance(s2, 0) {
 		t.Fatal("in-flight message with free next channel advances")
 	}
 }

@@ -27,30 +27,22 @@
 // (a per-hop candidate function, MessageSpec.Route); adaptive paths
 // materialize as the header advances.
 //
-// The simulator supports the paper's Section 6 fault model via per-message
-// freeze counters (a frozen message does not move even when its output
-// channel is free) and via per-channel fault state (a down channel accepts
-// no new worm and transfers no flits until its repair cycle, if any; see
-// SetChannelDown). It exposes CopyFrom/Clone, EncodeTo/DecodeFrom,
-// explicit arbitration picks and adaptive selection masks so the mcheck package can use it as the
-// transition function of an exact state-space search, and message-level
-// recovery primitives (DropMessage, ResetMessage, SetMessagePath) used by
-// the internal/fault recovery policies.
+// The simulator supports the paper's Section 6 fault model, its only fault
+// model, via per-message freeze counters: a frozen message does not move
+// even when its output channel is free (SetFrozen). It exposes
+// CopyFrom/Clone, EncodeTo/DecodeFrom, explicit arbitration picks and
+// adaptive selection masks so the mcheck package can use it as the
+// transition function of an exact state-space search.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/obsv"
 	"repro/internal/obsv/telemetry"
 	"repro/internal/topology"
 )
-
-// DownForever is the repair cycle of a permanently failed channel: it never
-// becomes usable again.
-const DownForever = math.MaxInt
 
 // RouteFunc supplies the candidate output channels for an adaptive
 // message at node at (arrived on channel in, topology.None at the source)
@@ -84,18 +76,18 @@ type message struct {
 	// msgState's injectAt and length, and the live path is path.
 	spec *MessageSpec
 	// path is the materialized channel sequence: a copy of spec.Path for
-	// oblivious messages (or the path SetMessagePath installed), grown
-	// hop by hop as the header acquires channels for adaptive ones.
+	// oblivious messages, grown hop by hop as the header acquires channels
+	// for adaptive ones.
 	path   []topology.ChannelID
 	queued []int // flits currently buffered in each path channel
 	msgState
 }
 
-// msgState is the pointer-free per-message state. Its three flags sit
+// msgState is the pointer-free per-message state. Its two flags sit
 // together at the end, so they share one word of padding.
 type msgState struct {
 	id       int
-	injectAt int // earliest injection cycle; ResetMessage rewrites it
+	injectAt int // earliest injection cycle
 	length   int // flits
 	injected int // flits that have left the source
 	consumed int // flits consumed at the destination
@@ -112,25 +104,13 @@ type msgState struct {
 	injectedAt  int // cycle the header entered the network, -1 before
 	deliveredAt int // cycle the tail was consumed, -1 before
 
-	// retries counts how many times a recovery policy reset the message
-	// back to its source (ResetMessage).
-	retries int
-
 	headerConsumed bool
 	held           bool // source withholds injection (assumption 1)
-	// dropped marks a message removed from the network by a recovery
-	// policy: it holds no channels, never moves again, and counts as
-	// terminal (but not delivered) for Run.
-	dropped bool
 }
 
 func (m *message) adaptive() bool { return m.spec.Route != nil }
 
 func (m *message) delivered() bool { return m.consumed == m.length }
-
-// terminal reports whether the message will never move again by design:
-// fully consumed, or removed by a drop recovery.
-func (m *message) terminal() bool { return m.delivered() || m.dropped }
 
 func (m *message) inNetwork() bool { return m.injected > m.consumed }
 
@@ -174,35 +154,24 @@ type Sim struct {
 	now   int
 	msgs  []message // indexed by message ID; stable addresses only between Adds
 	owner []int     // channel -> message id, -1 when free
-	// downUntil[c] is the cycle at which channel c becomes usable again:
-	// the channel is down while downUntil[c] > now (DownForever = never
-	// repaired). A down channel transfers no flits and accepts no header.
-	downUntil []int
-	// downMax bounds every downUntil entry from above; 0 means every entry
-	// is 0, so the many simulators that never see a fault skip the
-	// per-channel scans in EncodeTo and CopyFrom.
-	downMax int
 	// waitingSince[msg] is the cycle the message's header began waiting
 	// for its next channel, -1 when not waiting; drives FIFO arbitration.
 	waitingSince []int
 
 	// active is the working set the per-cycle machinery iterates: every
-	// non-terminal message, plus terminal messages whose freeze counter is
+	// undelivered message, plus delivered messages whose freeze counter is
 	// still counting down (frozen state is encoded, so the countdown must
 	// keep running exactly as it did when every cycle visited every
-	// message). Sorted ascending; step compacts out finished entries. It
-	// may transiently retain terminal entries between steps (e.g. after
-	// DropMessage) — every consumer re-checks message state, so stale
-	// entries are harmless and vanish on the next compaction.
+	// message). Sorted ascending; step compacts out finished entries.
+	// Every consumer re-checks message state, so an entry delivered
+	// within the current step is harmless until the next compaction.
 	active []int32
-	// liveCount counts non-terminal messages and droppedCount dropped
-	// ones, so AllTerminal/AllDelivered are O(1) on the Run hot loop.
-	liveCount    int
-	droppedCount int
+	// liveCount counts undelivered messages, so AllDelivered is O(1) on
+	// the Run hot loop.
+	liveCount int
 	// flitsConsumed counts every flit consumed at a destination since New
-	// or Reset. It is monotone — recovery resets discard a message's
-	// consumed flits but do not rewind this counter — so the traffic
-	// engine can read window deltas for accepted throughput.
+	// or Reset, so the traffic engine can read window deltas for accepted
+	// throughput.
 	flitsConsumed int64
 
 	// perCycleMoved reports whether the last Step moved any flit.
@@ -264,7 +233,7 @@ type Sim struct {
 	// contBuf is the grant loop's per-channel contender list.
 	contBuf []int
 	// pathSeenEpoch/pathSeenStamp back the duplicate-channel check in
-	// Add/SetMessagePath, replacing a per-call map.
+	// Add, replacing a per-call map.
 	pathSeenEpoch uint64
 	pathSeenStamp []uint64
 	// pathSlab/queuedSlab are the unused tails of the chunks Add carves
@@ -336,9 +305,8 @@ func (s *Sim) ensureGrantArena() {
 }
 
 // ensureActive inserts id into the sorted active list if absent. Needed
-// only when a terminal message re-enters the working set (a freeze placed
-// on a delivered message, or a retimed/relengthened pooled message coming
-// back to life).
+// only when a delivered message re-enters the working set: a freeze placed
+// on a delivered message.
 func (s *Sim) ensureActive(id int) {
 	i, found := slices.BinarySearch(s.active, int32(id))
 	if found {
@@ -359,7 +327,7 @@ func New(net *topology.Network, cfg Config) *Sim {
 	for i := range owner {
 		owner[i] = -1
 	}
-	return &Sim{net: net, cfg: cfg, owner: owner, downUntil: make([]int, net.NumChannels())}
+	return &Sim{net: net, cfg: cfg, owner: owner}
 }
 
 // Add validates and registers a message, returning its ID (dense from 0 in
@@ -521,8 +489,8 @@ func (s *Sim) SetFrozen(id, n int) {
 	m := &s.msgs[id]
 	m.frozen = n
 	s.planned = false
-	if n > 0 && m.terminal() {
-		// A terminal message may already be compacted out of the active
+	if n > 0 && m.delivered() {
+		// A delivered message may already be compacted out of the active
 		// list; the freeze countdown is encoded state, so it must rejoin
 		// the working set until the counter drains.
 		s.ensureActive(id)
@@ -531,162 +499,6 @@ func (s *Sim) SetFrozen(id, n int) {
 
 // Frozen returns the remaining frozen cycles of message id.
 func (s *Sim) Frozen(id int) int { return s.msgs[id].frozen }
-
-// SetChannelDown marks channel c faulty until the given cycle: while
-// now < until the channel transfers no flits (in or out, including
-// consumption at a destination) and no header may acquire it. Flits already
-// buffered in the channel stay in place and the owning message keeps its
-// ownership — a fault stalls a worm, it does not corrupt it. Pass
-// DownForever for a permanent link failure, or until <= Now() to repair.
-func (s *Sim) SetChannelDown(c topology.ChannelID, until int) {
-	s.downUntil[c] = until
-	s.downMax = max(s.downMax, until)
-	s.planned = false
-}
-
-// FailChannel permanently fails channel c (SetChannelDown with DownForever).
-func (s *Sim) FailChannel(c topology.ChannelID) { s.SetChannelDown(c, DownForever) }
-
-// RepairChannel returns channel c to service immediately.
-func (s *Sim) RepairChannel(c topology.ChannelID) { s.SetChannelDown(c, 0) }
-
-// FailRouter downs every channel incident to node n (incoming and outgoing)
-// until the given cycle, modeling a router failure that severs the whole
-// switch rather than a single link.
-func (s *Sim) FailRouter(n topology.NodeID, until int) {
-	for _, c := range s.net.Out(n) {
-		s.SetChannelDown(c, until)
-	}
-	for _, c := range s.net.In(n) {
-		s.SetChannelDown(c, until)
-	}
-}
-
-// ChannelDown reports whether channel c is currently faulty.
-func (s *Sim) ChannelDown(c topology.ChannelID) bool { return s.downUntil[c] > s.now }
-
-// DownUntil returns the cycle channel c repairs at (DownForever when the
-// failure is permanent); values <= Now() mean the channel is in service.
-func (s *Sim) DownUntil(c topology.ChannelID) int { return s.downUntil[c] }
-
-// down is ChannelDown on the hot path.
-func (s *Sim) down(c topology.ChannelID) bool { return s.downUntil[c] > s.now }
-
-// downLen is the prefix of downUntil that may hold a channel down at the
-// current cycle: all of it, or none when downMax rules every entry out.
-func (s *Sim) downLen() int {
-	if s.downMax <= s.now {
-		return 0
-	}
-	return len(s.downUntil)
-}
-
-// DropMessage removes message id from the network for good: every channel
-// it holds is released, buffered flits are discarded, and the message is
-// marked dropped — a terminal state Run counts separately from delivery.
-// Dropping a delivered message is a no-op.
-func (s *Sim) DropMessage(id int) {
-	m := &s.msgs[id]
-	if m.delivered() || m.dropped {
-		return
-	}
-	s.clearFromNetwork(m)
-	m.dropped = true
-	s.liveCount--
-	s.droppedCount++
-	s.waitingSince[id] = -1
-}
-
-// ResetMessage aborts message id and re-arms its source: held channels are
-// released, buffered and consumed flits are discarded, and the source will
-// attempt to inject the whole message again from cycle reinjectAt. The
-// message's retry counter increments. Adaptive messages forget their
-// materialized route and re-route from scratch. Resetting a delivered or
-// dropped message is a no-op.
-func (s *Sim) ResetMessage(id, reinjectAt int) {
-	m := &s.msgs[id]
-	if m.terminal() {
-		return
-	}
-	s.clearFromNetwork(m)
-	if reinjectAt < 0 {
-		reinjectAt = 0
-	}
-	m.injectAt = reinjectAt
-	m.retries++
-	s.waitingSince[id] = -1
-}
-
-// SetMessagePath replaces the path of an oblivious message that is not in
-// the network (never injected, or just reset). The recovery layer uses it
-// to re-route a message around failed channels.
-func (s *Sim) SetMessagePath(id int, path []topology.ChannelID) error {
-	m := &s.msgs[id]
-	if m.adaptive() {
-		return fmt.Errorf("sim: SetMessagePath(%d): message routes adaptively", id)
-	}
-	if m.injected > 0 && !m.terminal() {
-		return fmt.Errorf("sim: SetMessagePath(%d): message is in the network", id)
-	}
-	if len(path) == 0 {
-		return fmt.Errorf("sim: SetMessagePath(%d): empty path", id)
-	}
-	if !s.net.IsPath(m.spec.Src, m.spec.Dst, path) {
-		return fmt.Errorf("sim: SetMessagePath(%d): %v is not a contiguous %d -> %d path",
-			id, path, m.spec.Src, m.spec.Dst)
-	}
-	if dup, ok := s.pathDuplicate(path); ok {
-		return fmt.Errorf("sim: SetMessagePath(%d): path uses channel %d twice", id, dup)
-	}
-	// The spec is shared with clones, so only the per-sim path and queue
-	// change; they reuse their backing.
-	m.path = append(m.path[:0], path...)
-	m.queued = m.queued[:0]
-	for range path {
-		m.queued = append(m.queued, 0)
-	}
-	m.head = -1
-	s.planned = false
-	return nil
-}
-
-// Retries returns how many times message id was reset by recovery.
-func (s *Sim) Retries(id int) int { return s.msgs[id].retries }
-
-// Dropped reports whether message id was removed by a drop recovery.
-func (s *Sim) Dropped(id int) bool { return s.msgs[id].dropped }
-
-// clearFromNetwork releases every channel message m owns and zeroes its
-// in-flight state, as if the worm had never entered the network.
-func (s *Sim) clearFromNetwork(m *message) {
-	for _, c := range m.path {
-		if s.owner[c] == m.id {
-			if s.tracer != nil {
-				ev := obsv.Ev(obsv.KindRelease, s.now)
-				ev.Msg = m.id
-				ev.Ch = c
-				s.tracer.Event(ev)
-			}
-			s.owner[c] = -1
-		}
-	}
-	if m.adaptive() {
-		m.path = nil
-		m.queued = nil
-	} else {
-		for i := range m.queued {
-			m.queued[i] = 0
-		}
-	}
-	m.injected = 0
-	m.consumed = 0
-	m.head = -1
-	m.headerConsumed = false
-	m.injectedAt = -1
-	m.deliveredAt = -1
-	m.mask = topology.None
-	s.planned = false
-}
 
 // SetHeld controls source-side injection: a held message's source does not
 // attempt injection regardless of InjectAt. Holding a message that has
@@ -824,7 +636,7 @@ func (s *Sim) predictReleases() {
 	s.ensureChannelStamps()
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		if m.terminal() || m.frozen > 0 || m.injected < m.length {
+		if m.delivered() || m.frozen > 0 || m.injected < m.length {
 			continue
 		}
 		low := -1
@@ -855,9 +667,6 @@ func (s *Sim) predictReleases() {
 			if m.queued[i] == 0 {
 				continue
 			}
-			if s.down(m.path[i]) {
-				continue // no flit leaves a dead channel
-			}
 			if i == last {
 				if s.arrived(m) {
 					departs[i] = true // consumption never blocks
@@ -874,9 +683,6 @@ func (s *Sim) predictReleases() {
 				continue
 			}
 			next := m.path[i+1]
-			if s.down(next) {
-				continue // no flit enters a dead channel
-			}
 			if s.owner[next] != m.id {
 				// Header acquisition: optimistically moves when the
 				// channel is free at the start of the cycle.
@@ -897,14 +703,12 @@ func (s *Sim) predictReleases() {
 
 // wantedChannels returns the channels the message's header may acquire
 // next, if the message is eligible to request one this cycle (not
-// delivered or dropped, not frozen, header not consumed, and — for
-// injection — ready and not held). Oblivious messages want exactly their
-// next path channel; adaptive messages want every usable candidate their
-// route function offers. Down channels are never wanted: a faulty link
-// accepts no header, and a header sitting in a down channel cannot leave
-// it.
+// delivered, not frozen, header not consumed, and — for injection — ready
+// and not held). Oblivious messages want exactly their next path channel;
+// adaptive messages want every usable candidate their route function
+// offers.
 func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
-	if m.terminal() || m.frozen > 0 || m.headerConsumed {
+	if m.delivered() || m.frozen > 0 || m.headerConsumed {
 		return nil
 	}
 	var at topology.NodeID
@@ -914,9 +718,6 @@ func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
 			return nil
 		}
 		if !m.adaptive() {
-			if s.down(m.path[0]) {
-				return nil
-			}
 			return m.path[:1]
 		}
 		at = m.spec.Src
@@ -925,15 +726,9 @@ func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
 		if h < 0 {
 			return nil
 		}
-		if s.down(m.path[h]) {
-			return nil // the header cannot exit a dead channel
-		}
 		if !m.adaptive() {
 			if h == len(m.path)-1 {
 				return nil // header at the destination channel: consumption
-			}
-			if s.down(m.path[h+1]) {
-				return nil
 			}
 			return m.path[h+1 : h+2]
 		}
@@ -960,9 +755,6 @@ func (s *Sim) adaptiveCandidates(m *message, at topology.NodeID, in topology.Cha
 	for _, c := range raw {
 		if c < 0 || int(c) >= s.net.NumChannels() || s.net.Channel(c).Src != at {
 			continue
-		}
-		if s.down(c) {
-			continue // adaptive routing masks faulty candidates
 		}
 		if m.mask != topology.None && c != m.mask {
 			continue
@@ -1079,7 +871,7 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 
 	// Track waiting-since for FIFO arbitration: a message that wants a
 	// channel (free or not) and does not get one this cycle is waiting.
-	// Terminal messages outside the active list keep waitingSince == -1:
+	// Delivered messages outside the active list keep waitingSince == -1:
 	// it was reset on the cycle their header reached the destination
 	// (wantedChannels was already empty) and nothing sets it afterwards.
 	for _, id := range s.active {
@@ -1122,7 +914,7 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 	s.deferredBuf = deferred[:0]
 
 	// Phase 3: end-of-cycle releases (strict mode), freeze countdown, and
-	// active-list compaction: a terminal message leaves the working set
+	// active-list compaction: a delivered message leaves the working set
 	// once its freeze counter (encoded state) has drained.
 	for _, c := range s.releases {
 		// A release entry is only created when the owning message's tail
@@ -1145,7 +937,7 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 			}
 		}
 		m.mask = topology.None
-		if !m.terminal() || m.frozen > 0 {
+		if !m.delivered() || m.frozen > 0 {
 			kept = append(kept, id)
 		}
 	}
@@ -1273,7 +1065,7 @@ func (s *Sim) traceWaits() {
 // applied when handoff chains exceed depth one; the acquisition is then
 // skipped).
 func (s *Sim) moveMessage(m *message) bool {
-	if m.terminal() || m.frozen > 0 {
+	if m.delivered() || m.frozen > 0 {
 		return false
 	}
 	moved := false
@@ -1282,9 +1074,6 @@ func (s *Sim) moveMessage(m *message) bool {
 	for i := h; i >= 0; i-- {
 		if m.queued[i] == 0 {
 			continue
-		}
-		if s.down(m.path[i]) {
-			continue // a dead channel transfers nothing, not even to a sink
 		}
 		if i == last {
 			if s.arrived(m) {
@@ -1332,7 +1121,7 @@ func (s *Sim) moveMessage(m *message) bool {
 		}
 		next := m.path[i+1]
 		if s.owner[next] == m.id {
-			if m.queued[i+1] < s.cfg.BufferDepth && !s.down(next) {
+			if m.queued[i+1] < s.cfg.BufferDepth {
 				m.queued[i]--
 				m.queued[i+1]++
 				if i+1 > m.head {
@@ -1385,7 +1174,7 @@ func (s *Sim) moveMessage(m *message) bool {
 					s.tracer.Event(ev)
 				}
 			}
-		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth && !s.down(first) {
+		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth {
 			m.queued[0]++
 			if m.head < 0 {
 				m.head = 0 // a drained worm whose source still holds flits
@@ -1447,45 +1236,31 @@ func (s *Sim) noTailBehind(m *message, i int) bool {
 }
 
 // AllDelivered reports whether every message has been fully consumed.
-func (s *Sim) AllDelivered() bool {
-	return s.liveCount == 0 && s.droppedCount == 0
-}
+func (s *Sim) AllDelivered() bool { return s.liveCount == 0 }
 
-// AllTerminal reports whether every message reached a terminal state:
-// delivered, or dropped by a recovery policy.
-func (s *Sim) AllTerminal() bool { return s.liveCount == 0 }
-
-// LiveMessages returns the number of messages not yet delivered or
-// dropped. The traffic engine polls it instead of scanning every message.
+// LiveMessages returns the number of messages not yet delivered, without
+// scanning them.
 func (s *Sim) LiveMessages() int { return s.liveCount }
 
 // FlitsConsumed returns the total number of flits consumed at
-// destinations since New or Reset. The counter is monotone: recovery
-// resets discard a message's consumed flits but do not rewind it, so
-// window deltas measure accepted throughput.
+// destinations since New or Reset. The counter is monotone, so window
+// deltas measure accepted throughput.
 func (s *Sim) FlitsConsumed() int64 { return s.flitsConsumed }
 
 // quiescent reports whether the state can never change again without
 // external intervention: nothing moved last cycle, no message is frozen,
-// none is held, no injection lies in the future, and no faulted channel is
-// scheduled to repair (a pending repair can unblock a stalled worm; a
-// permanent failure cannot). In a quiescent state with undelivered
-// messages the network is deadlocked.
+// none is held, and no injection lies in the future. In a quiescent state
+// with undelivered messages the network is deadlocked.
 func (s *Sim) quiescent() bool {
 	if s.lastMoved || s.lastThawed {
 		return false
 	}
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		if m.terminal() {
+		if m.delivered() {
 			continue
 		}
 		if m.frozen > 0 || m.held || s.now <= m.injectAt {
-			return false
-		}
-	}
-	for _, until := range s.downUntil[:s.downLen()] {
-		if until > s.now && until != DownForever {
 			return false
 		}
 	}
@@ -1493,9 +1268,8 @@ func (s *Sim) quiescent() bool {
 }
 
 // Quiescent reports whether the simulation provably cannot move again
-// without external intervention (see quiescent); with undelivered,
-// undropped messages present this is an exact deadlock certificate. The
-// fault-recovery watchdog uses it as its exact detection mode.
+// without external intervention (see quiescent); with undelivered
+// messages present this is an exact deadlock certificate.
 func (s *Sim) Quiescent() bool { return s.quiescent() }
 
 // Result classifies the end state of Run.
@@ -1509,9 +1283,6 @@ const (
 	ResultDeadlock
 	// ResultTimeout: the cycle budget was exhausted first.
 	ResultTimeout
-	// ResultDegraded: every message reached a terminal state, but some
-	// were dropped by a recovery policy rather than delivered.
-	ResultDegraded
 )
 
 // String renders the result.
@@ -1523,8 +1294,6 @@ func (r Result) String() string {
 		return "deadlock"
 	case ResultTimeout:
 		return "timeout"
-	case ResultDegraded:
-		return "degraded"
 	}
 	return fmt.Sprintf("Result(%d)", int(r))
 }
@@ -1534,32 +1303,24 @@ type Outcome struct {
 	Result      Result
 	Cycles      int   // cycles executed
 	Undelivered []int // message IDs not delivered (deadlock/timeout)
-	Dropped     []int // message IDs removed by a drop recovery
 }
 
-// Run steps the simulation until every message is delivered or dropped,
-// the network deadlocks (a provably stable non-empty state), or maxCycles
-// elapse. Deadlock detection is exact, not timeout-based: the transition
-// function is deterministic once injections are due, freezes expired and
-// channel repairs done, so a cycle with no movement proves no movement can
-// ever happen.
+// Run steps the simulation until every message is delivered, the network
+// deadlocks (a provably stable non-empty state), or maxCycles elapse.
+// Deadlock detection is exact, not timeout-based: the transition function
+// is deterministic once injections are due and freezes expired, so a cycle
+// with no movement proves no movement can ever happen.
 func (s *Sim) Run(maxCycles int) Outcome {
-	for c := 0; c < maxCycles; c++ {
-		if s.AllTerminal() {
-			return s.finishRun(s.terminalOutcome())
-		}
+	for c := 0; c < maxCycles && !s.AllDelivered(); c++ {
 		s.Step()
-		if !s.lastMoved && s.quiescent() {
-			if s.AllTerminal() {
-				return s.finishRun(s.terminalOutcome())
-			}
-			return s.finishRun(Outcome{Result: ResultDeadlock, Cycles: s.now, Undelivered: s.undelivered(), Dropped: s.droppedIDs()})
+		if !s.lastMoved && s.quiescent() && !s.AllDelivered() {
+			return s.finishRun(Outcome{Result: ResultDeadlock, Cycles: s.now, Undelivered: s.undelivered()})
 		}
 	}
-	if s.AllTerminal() {
-		return s.finishRun(s.terminalOutcome())
+	if s.AllDelivered() {
+		return s.finishRun(Outcome{Result: ResultDelivered, Cycles: s.now})
 	}
-	return s.finishRun(Outcome{Result: ResultTimeout, Cycles: s.now, Undelivered: s.undelivered(), Dropped: s.droppedIDs()})
+	return s.finishRun(Outcome{Result: ResultTimeout, Cycles: s.now, Undelivered: s.undelivered()})
 }
 
 // finishRun emits the end-of-run trace events (an exact deadlock
@@ -1580,30 +1341,10 @@ func (s *Sim) finishRun(out Outcome) Outcome {
 	return out
 }
 
-// terminalOutcome classifies an all-terminal state: delivered when every
-// message arrived, degraded when drops were needed.
-func (s *Sim) terminalOutcome() Outcome {
-	dropped := s.droppedIDs()
-	if len(dropped) == 0 {
-		return Outcome{Result: ResultDelivered, Cycles: s.now}
-	}
-	return Outcome{Result: ResultDegraded, Cycles: s.now, Dropped: dropped}
-}
-
 func (s *Sim) undelivered() []int {
 	var ids []int
 	for i := range s.msgs {
-		if !s.msgs[i].terminal() {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
-func (s *Sim) droppedIDs() []int {
-	var ids []int
-	for i := range s.msgs {
-		if s.msgs[i].dropped {
+		if !s.msgs[i].delivered() {
 			ids = append(ids, i)
 		}
 	}
@@ -1625,9 +1366,8 @@ func (s *Sim) Clone() *Sim {
 // MsgView is a read-only snapshot of one message's state.
 type MsgView struct {
 	ID int
-	// Spec holds the live values: InjectAt as ResetMessage last set it,
-	// and for an oblivious message the path SetMessagePath last installed
-	// (the same copy as Path).
+	// Spec holds the live values: InjectAt and Length as the simulator
+	// holds them, and for an oblivious message the same path copy as Path.
 	Spec           MessageSpec
 	Injected       int
 	Consumed       int
@@ -1636,8 +1376,6 @@ type MsgView struct {
 	InNetwork      bool
 	Frozen         int
 	Held           bool
-	Dropped        bool  // removed by a drop recovery
-	Retries        int   // times recovery reset the message to its source
 	Queued         []int // copy
 	// Path is the materialized channel sequence (copy): fixed for
 	// oblivious messages, the route chosen so far for adaptive ones.
@@ -1665,8 +1403,6 @@ func (s *Sim) Message(id int) MsgView {
 		InNetwork:      m.inNetwork(),
 		Frozen:         m.frozen,
 		Held:           m.held,
-		Dropped:        m.dropped,
-		Retries:        m.retries,
 		Queued:         append([]int(nil), m.queued...),
 		Path:           path,
 		InjectedAt:     m.injectedAt,
@@ -1686,7 +1422,7 @@ func (s *Sim) WaitsFor(id int) (ch topology.ChannelID, owner int, ok bool) {
 	// A frozen or held message still "waits" in the Definition 6 sense
 	// only if its next channel is occupied; compute eligibility manually
 	// rather than via wantedChannels (which also filters frozen/held).
-	if m.terminal() || m.headerConsumed {
+	if m.delivered() || m.headerConsumed {
 		return 0, -1, false
 	}
 	var wants []topology.ChannelID
@@ -1729,22 +1465,11 @@ func (s *Sim) WaitsFor(id int) (ch topology.ChannelID, owner int, ok bool) {
 	return wants[0], s.owner[wants[0]], true
 }
 
-// CanAdvance reports whether message id could move at least one flit this
-// cycle, assuming it wins every arbitration it enters. Search code uses it
-// to prune pointless adversarial stalls: freezing a message that cannot
-// move is a no-op.
-func (s *Sim) CanAdvance(id int) bool {
-	m := &s.msgs[id]
-	if m.terminal() || m.frozen > 0 {
-		return false
-	}
-	s.predictReleases()
-	return s.canAdvance(m)
-}
-
-// CanAdvanceAll sets dst[id] to CanAdvance(id) for every message and
+// CanAdvanceAll sets dst[id] to whether message id could move at least
+// one flit this cycle, assuming it wins every arbitration it enters, and
 // returns dst, reusing its backing array. One release prediction serves
-// every message, where a CanAdvance loop would repeat it per call.
+// every message. Search code uses it to prune pointless adversarial
+// stalls: freezing a message that cannot move is a no-op.
 func (s *Sim) CanAdvanceAll(dst []bool) []bool {
 	s.predictReleases()
 	dst = dst[:0]
@@ -1757,21 +1482,19 @@ func (s *Sim) CanAdvanceAll(dst []bool) []bool {
 // acquirable reports whether a header could enter channel c this cycle,
 // given the most recent predictReleases pass.
 func (s *Sim) acquirable(c topology.ChannelID) bool {
-	return (s.owner[c] == -1 || s.freeing(c)) && !s.down(c)
+	return s.owner[c] == -1 || s.freeing(c)
 }
 
-// canAdvance is CanAdvance against the most recent predictReleases pass.
+// canAdvance reports whether m could move a flit this cycle, against the
+// most recent predictReleases pass.
 func (s *Sim) canAdvance(m *message) bool {
-	if m.terminal() || m.frozen > 0 {
+	if m.delivered() || m.frozen > 0 {
 		return false
 	}
 	h := m.head
 	last := len(m.path) - 1
 	for i := h; i >= 0; i-- {
 		if m.queued[i] == 0 {
-			continue
-		}
-		if s.down(m.path[i]) {
 			continue
 		}
 		if i == last {
@@ -1786,7 +1509,7 @@ func (s *Sim) canAdvance(m *message) bool {
 			continue
 		}
 		next := m.path[i+1]
-		if s.owner[next] == m.id && m.queued[i+1] < s.cfg.BufferDepth && !s.down(next) {
+		if s.owner[next] == m.id && m.queued[i+1] < s.cfg.BufferDepth {
 			return true
 		}
 		if i == h && !m.headerConsumed && s.acquirable(next) {
@@ -1800,105 +1523,11 @@ func (s *Sim) canAdvance(m *message) bool {
 					return true
 				}
 			}
-		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth && !s.down(first) {
+		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth {
 			return true
 		}
 	}
 	return false
-}
-
-// FaultBlocked reports whether message id is currently prevented from
-// moving specifically by channel fault state, and if so the earliest cycle
-// at which a scheduled repair could let it move again (DownForever when
-// every blocking channel is permanently failed). A message that can still
-// advance, or that is blocked purely by other messages, reports false. The
-// fault-recovery watchdog uses this to excuse stalls that a pending repair
-// will resolve and to intervene immediately on dead-path starvation.
-func (s *Sim) FaultBlocked(id int) (repairAt int, blocked bool) {
-	m := &s.msgs[id]
-	if m.terminal() || m.frozen > 0 || s.CanAdvance(id) {
-		return 0, false
-	}
-	// For each movement the message could make if the involved channels
-	// were live, the move unblocks at the max repair cycle of its down
-	// channels; the message unblocks at the min over moves.
-	earliest := DownForever
-	found := false
-	consider := func(chans ...topology.ChannelID) {
-		at := 0
-		involved := false
-		for _, c := range chans {
-			if s.down(c) {
-				involved = true
-				if s.downUntil[c] > at {
-					at = s.downUntil[c]
-				}
-			}
-		}
-		if involved && at < earliest {
-			earliest = at
-			found = true
-		}
-	}
-	h := m.head
-	last := len(m.path) - 1
-	for i := h; i >= 0; i-- {
-		if m.queued[i] == 0 {
-			continue
-		}
-		if i == last {
-			if s.arrived(m) {
-				consider(m.path[i]) // consumption blocked by the dead last hop
-			} else if i == h && !m.headerConsumed && m.adaptive() {
-				// Frontier: any free-but-down candidate would do.
-				raw := m.spec.Route(s.net.Channel(m.path[h]).Dst, m.path[h], m.spec.Dst)
-				for _, c := range raw {
-					if c < 0 || int(c) >= s.net.NumChannels() || s.net.Channel(c).Src != s.net.Channel(m.path[h]).Dst {
-						continue
-					}
-					if s.owner[c] == -1 {
-						consider(m.path[i], c)
-					}
-				}
-			}
-			continue
-		}
-		next := m.path[i+1]
-		if s.owner[next] == m.id {
-			if m.queued[i+1] < s.cfg.BufferDepth {
-				consider(m.path[i], next)
-			}
-			continue
-		}
-		if i == h && !m.headerConsumed && s.owner[next] == -1 {
-			consider(m.path[i], next)
-		}
-	}
-	if m.injected < m.length && !m.held && s.now >= m.injectAt {
-		if m.injected == 0 {
-			if !m.adaptive() {
-				if s.owner[m.path[0]] == -1 {
-					consider(m.path[0])
-				}
-			} else {
-				raw := m.spec.Route(m.spec.Src, topology.None, m.spec.Dst)
-				for _, c := range raw {
-					if c < 0 || int(c) >= s.net.NumChannels() || s.net.Channel(c).Src != m.spec.Src {
-						continue
-					}
-					if s.owner[c] == -1 {
-						consider(c)
-					}
-				}
-			}
-		} else if s.owner[m.path[0]] == m.id && m.queued[0] < s.cfg.BufferDepth {
-			consider(m.path[0])
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return earliest, true
 }
 
 // Network returns the simulated network.

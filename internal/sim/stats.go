@@ -6,8 +6,6 @@ import "sort"
 type Stats struct {
 	Messages   int
 	Delivered  int
-	Dropped    int     // messages removed by a drop recovery
-	Retries    int     // total recovery resets across all messages
 	Cycles     int     // current simulation cycle
 	AvgLatency float64 // mean (deliveredAt - injectAt + 1) over delivered messages
 	MaxLatency int
@@ -38,10 +36,6 @@ func Collect(s *Sim) Stats {
 	for i := range s.msgs {
 		m := &s.msgs[i]
 		st.FlitsMoved += m.consumed
-		st.Retries += m.retries
-		if m.dropped {
-			st.Dropped++
-		}
 		if !m.delivered() {
 			continue
 		}

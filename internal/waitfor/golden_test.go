@@ -51,8 +51,7 @@ func adaptiveRoute(net *topology.Network) sim.RouteFunc {
 
 // randomTraffic adds n random messages over alg's paths: lengths 1..4,
 // staggered injection (which produces injection-blocked chains), and
-// roughly one in four messages adaptive. One seed in three also takes a
-// channel down, permanently or for a few cycles.
+// roughly one in four messages adaptive.
 func randomTraffic(net *topology.Network, alg routing.Algorithm, n int, rng *rand.Rand) *sim.Sim {
 	s := sim.New(net, sim.Config{})
 	route := adaptiveRoute(net)
@@ -70,12 +69,6 @@ func randomTraffic(net *topology.Network, alg routing.Algorithm, n int, rng *ran
 			spec.Path = alg.Path(src, dst)
 		}
 		s.MustAdd(spec)
-	}
-	switch rng.Intn(3) {
-	case 0:
-		s.FailChannel(topology.ChannelID(rng.Intn(net.NumChannels())))
-	case 1:
-		s.SetChannelDown(topology.ChannelID(rng.Intn(net.NumChannels())), 2+rng.Intn(8))
 	}
 	return s
 }
@@ -134,10 +127,10 @@ func goldenCorpora() []goldenCorpus {
 }
 
 // goldenWalk steps s under a seeded adversary until every message is
-// terminal, the state is quiescent, or the step budget runs out, calling
+// delivered, the state is quiescent, or the step budget runs out, calling
 // visit on every state reached.
 func goldenWalk(s *sim.Sim, rng *rand.Rand, steps int, visit func()) {
-	for i := 0; i < steps && !s.AllTerminal(); i++ {
+	for i := 0; i < steps && !s.AllDelivered(); i++ {
 		if rng.Intn(3) == 0 {
 			s.SetFrozen(rng.Intn(s.NumMessages()), 1+rng.Intn(2))
 		}
@@ -174,7 +167,7 @@ func buildEdges(s *sim.Sim) string {
 
 // goldenCoverage counts the state shapes the corpus must keep reaching.
 type goldenCoverage struct {
-	states, injectionChains, downChannels, multiCycle, findLocalDiffer int
+	states, injectionChains, multiCycle, findLocalDiffer int
 }
 
 // countCycles counts the closed cycles of a wait-for edge list given as
@@ -231,12 +224,6 @@ func foldState(h hash.Hash, s *sim.Sim, cov *goldenCoverage) {
 	if injection {
 		cov.injectionChains++
 	}
-	for c := 0; c < s.Network().NumChannels(); c++ {
-		if s.ChannelDown(topology.ChannelID(c)) {
-			cov.downChannels++
-			break
-		}
-	}
 	if countCycles(next) >= 2 {
 		cov.multiCycle++
 	}
@@ -279,10 +266,12 @@ func foldTrace(t *testing.T, h hash.Hash, dot *bytes.Buffer, rec *telemetry.Flig
 // wait-for artifacts over seeded random walks of the paper networks,
 // Gen(2..4), the local-rings scenario, a two-ring state where Find and
 // FindLocal choose different cycles, and random ring and mesh traffic
-// with adaptive members, staggered injection and down channels. The
-// digests were recorded on the three-graph implementation (a map-based
-// Graph with Tarjan SCCs, the DOT sink's own graph, and the telemetry
-// WaitGraph), so they certify that one shared graph answers identically.
+// with adaptive members and staggered injection. The paper-network,
+// Gen and ring-scenario digests were recorded on the three-graph
+// implementation (a map-based Graph with Tarjan SCCs, the DOT sink's own
+// graph, and the telemetry WaitGraph), so they certify that one shared
+// graph answers identically; uring6 and mesh3x3 were re-pinned when their
+// corpus stopped drawing channel faults.
 // Regenerate only for an intended change of output, with
 // go test ./internal/waitfor -run TestWaitforGolden -v (the log prints
 // every digest).
@@ -317,7 +306,7 @@ func TestWaitforGolden(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.states < 500 || cov.injectionChains == 0 || cov.downChannels == 0 || cov.multiCycle == 0 || cov.findLocalDiffer == 0 {
+	if cov.states < 500 || cov.injectionChains == 0 || cov.multiCycle == 0 || cov.findLocalDiffer == 0 {
 		t.Fatalf("corpus lost a required shape: %+v", cov)
 	}
 }
@@ -330,6 +319,6 @@ var waitforGolden = map[string]string{
 	"gen4":           "74f5b28e3ee795e1",
 	"localrings":     "a220498e434308ff",
 	"tworings-chain": "42dbf57766e72444",
-	"uring6":         "478fba767fb8e812",
-	"mesh3x3":        "52ed40ea9e114edf",
+	"uring6":         "a0f715b39130ab66",
+	"mesh3x3":        "387fdd99daa32cb6",
 }

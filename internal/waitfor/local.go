@@ -45,10 +45,7 @@ func (ld *LocalDeadlock) String() string {
 // subnetwork and the surviving traffic. Unlike Find it returns only
 // *certain* cycles — every member in-network and oblivious. A cycle
 // through an adaptive member may dissolve when that member routes around
-// the contention, and a fault-induced stall never forms an edge at all:
-// WaitsFor reports ownership blocking only, so a down-but-free channel
-// breaks the chain and transient outages cannot masquerade as local
-// deadlocks. Of several certain cycles it returns the one with the
+// the contention. Of several certain cycles it returns the one with the
 // smallest member, starting at that member.
 func FindLocal(s *sim.Sim) *LocalDeadlock {
 	g := Build(s)
@@ -94,7 +91,7 @@ func FindLocal(s *sim.Sim) *LocalDeadlock {
 			continue
 		}
 		mv := s.Message(id)
-		if mv.Delivered || mv.Dropped {
+		if mv.Delivered {
 			continue
 		}
 		if s.IsAdaptive(id) {

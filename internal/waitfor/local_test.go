@@ -79,78 +79,6 @@ func TestFindAndFindLocalOrderCycles(t *testing.T) {
 	}
 }
 
-// TestCyclesWithDownChannels: cycle enumeration on a degraded network. Failing
-// ring B's channel 4 before any traffic moves keeps message 4 out of the
-// network, so ring B degrades to an acyclic chain ending at message 7 —
-// which waits on the down-but-free channel 4 and therefore has no wait
-// edge at all (down-ness is not ownership). Only ring A's cycle remains.
-// Once an ownership cycle HAS formed, failing one of its channels changes
-// nothing: the members block each other, not the link — which is exactly
-// why all-oblivious cycles are permanent under faults.
-func TestCyclesWithDownChannels(t *testing.T) {
-	net := topology.New("tworings")
-	net.AddNodes(8)
-	var chans [8]topology.ChannelID
-	for r := 0; r < 2; r++ {
-		base := topology.NodeID(4 * r)
-		for i := 0; i < 4; i++ {
-			chans[4*r+i] = net.AddChannel(base+topology.NodeID(i), base+topology.NodeID((i+1)%4), 0, "")
-		}
-	}
-	s := sim.New(net, sim.Config{})
-	for r := 0; r < 2; r++ {
-		base := topology.NodeID(4 * r)
-		for i := 0; i < 4; i++ {
-			s.MustAdd(sim.MessageSpec{
-				Src: base + topology.NodeID(i), Dst: base + topology.NodeID((i+2)%4),
-				Length: 2,
-				Path:   []topology.ChannelID{chans[4*r+i], chans[4*r+(i+1)%4]},
-			})
-		}
-	}
-	s.FailChannel(chans[4])
-	for i := 0; i < 20; i++ {
-		s.Step()
-	}
-	if got := fmt.Sprint(cycles(s)); got != "[[0 1 2 3]]" {
-		t.Fatalf("cycles = %v; want only ring A's cycle", got)
-	}
-	g := Build(s)
-	if _, _, ok := g.WaitsFor(7); ok {
-		t.Fatal("message 7 waits on a down-but-free channel; that is not ownership blocking")
-	}
-	if _, _, ok := g.WaitsFor(5); !ok {
-		t.Fatal("message 5 should still chain behind message 6")
-	}
-	if ld := FindLocal(s); ld == nil || fmt.Sprint(ld.Cycle) != "[0 1 2 3]" {
-		t.Fatalf("FindLocal = %v; want ring A's cycle", ld)
-	}
-}
-
-// TestTransientFaultNeverLocalDeadlock is the regression for fault-induced
-// stalls: a message blocked purely by a transient outage forms no wait
-// edge, so it can never be reported as (part of) a local deadlock — and
-// after the repair the network drains.
-func TestTransientFaultNeverLocalDeadlock(t *testing.T) {
-	net := topology.NewRing(4, false)
-	s := sim.New(net, sim.Config{})
-	s.MustAdd(sim.MessageSpec{Src: 0, Dst: 2, Length: 2,
-		Path: []topology.ChannelID{0, 1}})
-	s.SetChannelDown(1, 6) // transient: repaired at cycle 6
-	for i := 0; i < 20; i++ {
-		if edges := buildEdges(s); edges != "" {
-			t.Fatalf("cycle %d: fault-only blocking produced wait edges %v", i, edges)
-		}
-		if ld := FindLocal(s); ld != nil {
-			t.Fatalf("cycle %d: transient outage reported as local deadlock %v", i, ld)
-		}
-		s.Step()
-	}
-	if !s.AllDelivered() {
-		t.Fatal("message did not drain after the repair")
-	}
-}
-
 // TestFindLocalIgnoresAdaptiveCycle: a Definition 6 cycle through an
 // adaptive member is not *certain* — the member may later route around —
 // so FindLocal must not report it even though Find does.
