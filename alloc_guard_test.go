@@ -363,7 +363,7 @@ var rowAllocs = map[string]int64{
 	"E6_Gen2_Stall2":                 2167,
 	"E7_SimThroughput":               0,
 	"E7_SimThroughput_Telemetry":     0,
-	"E8_LivenessSearch":              26409,
+	"E8_LivenessSearch":              10561,
 	"E10_SearchOutOfCore":            4215,
 	"E11_TelemetryLongHorizon":       0,
 	"EncodeTo":                       0,

@@ -153,7 +153,7 @@ func Rows() []Row {
 		// sampling at the default stride. Both stay at 0 allocs/op.
 		{Name: "E7_SimThroughput", Op: pooledRun(false)},
 		{Name: "E7_SimThroughput_Telemetry", Op: pooledRun(true)},
-		// E8: the liveness engine (DFS, local deadlocks, lassos) on E1.
+		// E8: the liveness search (local deadlocks, lassos) on E1.
 		searchRow("E8_LivenessSearch", Search{Scenario: fig1, Liveness: true, Verdict: free, States: 2996}),
 		// E10: E1 through the spill backend under a tiny resident budget,
 		// so the visited set cycles through sorted runs on disk.

@@ -95,14 +95,14 @@ func TestVisitedBackendReported(t *testing.T) {
 	}
 }
 
-// TestLivenessBackendParity: the DFS liveness engine shares the visited
-// layer; its verdicts must not depend on the backend either. The gen3
-// case inserts thousands of distinct encodings from the engine's one
-// reused encoding buffer, so a store that kept the caller's slice instead
-// of copying it would check collisions against whatever the buffer holds
-// last: the in-memory set would silently fall back to digests and the
-// spill backend would write garbage runs and explore a different space.
-// CI runs the gen3 case under -race beside the Search parity smoke.
+// TestLivenessBackendParity: the liveness search's verdicts must not
+// depend on the visited backend either. The gen3 case inserts thousands
+// of distinct encodings from the workers' level arenas, which are reused
+// every level, so a store that kept the caller's slice instead of copying
+// it would check collisions against whatever the arena holds later: the
+// in-memory set would silently fall back to digests and the spill backend
+// would write garbage runs and explore a different space. CI runs the
+// gen3 case under -race beside the Search parity smoke.
 func TestLivenessBackendParity(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -73,13 +73,14 @@ func ringWithWaiter() sim.Scenario {
 }
 
 // walkExpanded replays Search's level-synchronous expansion of tc on one
-// worker and hands every state Search expands to visit, with the budget
-// it is expanded under. visit must expand the state with w.expand and
-// return the result; walkExpanded merges the successors in Search's order
-// and stops after the level holding the first deadlock, as Search does.
+// worker and hands every state Search expands to visit, with its encoding
+// and the budget it is expanded under. visit must expand the state with
+// w.expand and return the result; walkExpanded merges the successors in
+// Search's order and stops after the level holding the first deadlock, as
+// Search does.
 // It checks that the walk reaches Search's verdict, and on a complete
 // space Search's state count, so the states visited are the search's.
-func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.Sim, budget int) expandResult) {
+func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.Sim, enc []byte, budget int) expandResult) {
 	t.Helper()
 	opts := normalizeSearchOptions(tc.sc, tc.opts)
 	opts.Parallelism = 1
@@ -111,7 +112,7 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 			if err := w.cur.DecodeFrom(e.enc); err != nil {
 				t.Fatal(err)
 			}
-			r := visit(w, w.cur, e.budget)
+			r := visit(w, w.cur, e.enc, e.budget)
 			if r.deadlocked {
 				deadlocked = true
 			}
@@ -134,10 +135,23 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 	}
 }
 
+// deadlocked is the reference deadlock probe: no flit can ever move again
+// among the active messages (held messages are the adversary's to withhold
+// forever) and some message is stuck in-network. Movement possibility is
+// arbitration-independent, so stepping a scratch copy once decides it
+// exactly.
+func (w *searchWorker) deadlocked(s *sim.Sim) bool {
+	if !anyInNetwork(s) {
+		return false
+	}
+	w.scratch.CopyFrom(s)
+	return !w.scratch.Step().Moved
+}
+
 // TestFirstDecisionDecidesDeadlock: Search takes its deadlock verdict
 // from the first decision it enumerates instead of stepping a separate
 // probe. On every state the corpus searches expand, that verdict must
-// agree with the probe SearchLiveness still runs (CopyFrom + Step), and a
+// agree with the reference probe (CopyFrom + Step, see deadlocked), and a
 // deadlocked state must leave no successor and no pruning count behind —
 // forEach may bump the sleep-set counter before it yields the first
 // decision, so expand rolls the counters back.
@@ -148,11 +162,11 @@ func TestFirstDecisionDecidesDeadlock(t *testing.T) {
 			if tc.heavy && testing.Short() {
 				t.Skip("heavy corpus case; run without -short")
 			}
-			walkExpanded(t, tc, func(w *searchWorker, s *sim.Sim, budget int) expandResult {
+			walkExpanded(t, tc, func(w *searchWorker, s *sim.Sim, enc []byte, budget int) expandResult {
 				want := !s.AllDelivered() && w.deadlocked(s)
 				stats, post := w.stats, w.postPruned
 				succs, arena := len(w.succs), len(w.arena)
-				r := w.expand(s, budget)
+				r := w.expand(s, enc, budget)
 				if r.deadlocked != want {
 					t.Fatalf("first decision says deadlocked=%v, the step probe %v", r.deadlocked, want)
 				}
@@ -196,7 +210,7 @@ func TestStepFromMatchesStepWithPicks(t *testing.T) {
 			planned, applied := root.Clone(), root.Clone()
 			var encPlanned, encApplied []byte
 			decisions := 0
-			walkExpanded(t, tc, func(w *searchWorker, s *sim.Sim, budget int) expandResult {
+			walkExpanded(t, tc, func(w *searchWorker, s *sim.Sim, enc []byte, budget int) expandResult {
 				enum.forEach(s, budget, w.eng.cfg, nil, func(d *Decision) bool {
 					decisions++
 					rp := planned.StepFrom(enum.probe, d.Picks)
@@ -212,7 +226,7 @@ func TestStepFromMatchesStepWithPicks(t *testing.T) {
 					}
 					return true
 				})
-				return w.expand(s, budget)
+				return w.expand(s, enc, budget)
 			})
 			if decisions == 0 {
 				t.Fatal("no decision enumerated")

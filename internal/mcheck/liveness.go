@@ -3,15 +3,13 @@ package mcheck
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"repro/internal/sim"
-	"repro/internal/waitfor"
 )
 
-// SearchLiveness is the liveness companion to Search: a depth-first
-// exploration of the same adversarial transition system that decides three
-// finer-grained properties than reachable global deadlock.
+// SearchLiveness is the liveness companion to Search: the same
+// breadth-first exploration of the same adversarial transition system,
+// deciding three finer-grained properties than reachable global deadlock.
 //
 //   - Local deadlock: a reachable state contains a permanent Definition 6
 //     cycle (every member an in-network oblivious message) while traffic
@@ -22,15 +20,15 @@ import (
 //
 //   - Livelock/starvation: a reachable cycle in the state graph along
 //     which some in-flight message never advances. Detected by lasso
-//     search — a nested DFS degenerated by a structural fact: every
-//     encoded per-message quantity (injection, flit positions,
-//     consumption, materialized route) is monotone under the step
-//     relation, so a loop can never contain a transition that moves any
-//     flit, and every lasso loop collapses to a single repeated state.
-//     The search therefore detects lassos as back edges to a state still
-//     on the DFS stack at an unchanged stall budget (a budget-spending
-//     freeze could never close a loop either). Reported as
-//     VerdictLivelock with a replayable stem+loop witness.
+//     search, degenerated by a structural fact: every encoded per-message
+//     quantity (injection, flit positions, consumption, materialized
+//     route) is monotone under the step relation, so a loop can never
+//     contain a transition that moves any flit, and every lasso loop
+//     collapses to a single repeated state. Expansion therefore looks for
+//     a budget-free decision whose successor is the expanded state itself
+//     (a budget-spending freeze could never close a loop). Reported as
+//     VerdictLivelock with a replayable stem+loop witness; breadth-first
+//     order makes the stem a shortest one.
 //
 // The plain enumeration cannot express a livelock at all: every decision
 // it produces either moves a flit or spends budget. SearchLiveness
@@ -41,161 +39,13 @@ import (
 // oblivious scenarios maskAll adds nothing and the explored space is
 // identical to Search's, which is what the liveness parity tests pin down.
 //
-// The search is sequential (Workers is reported as 1) and ignores
-// reductions: partial-order and symmetry reduction preserve reachable
-// deadlocks, not the cycle structure a lasso search depends on. A
-// requested reduction is cleared and surfaced as a result warning.
+// Workers, visited backends, tracing, metrics and progress behave exactly
+// as in Search. Reductions are ignored: partial-order and symmetry
+// reduction preserve reachable deadlocks, not the cycle structure a lasso
+// search depends on. A requested reduction is cleared and surfaced as a
+// result warning.
 func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
-	start := time.Now()
-	requireSearchableArbiter(sc.Cfg.Arbiter)
-	opts = normalizeSearchOptions(sc, opts)
-	var warnings []string
-	if opts.Reduction != RedNone {
-		warnings = append(warnings, fmt.Sprintf(
-			"liveness search ignores reductions (%v requested): they preserve reachable deadlocks, not state-graph cycles", opts.Reduction))
-		opts.Reduction = RedNone
-	}
-	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, maskAll: true}
-
-	// The DFS carries its stack as live simulators, not frontier batches;
-	// the visited backend (including spill) and the reporter are shared
-	// with Search.
-	root := newHeldSim(sc)
-	eng := newEngine(opts, cfg, nil, root, 1, start)
-	defer eng.visited.close()
-	eng.report.warnings = warnings
-	w := eng.workers[0]
-
-	var encBuf []byte
-	root.EncodeTo(&encBuf)
-	eng.visited.insert(eng.visited.hash(encBuf), encBuf, opts.StallBudget)
-
-	nodes := []provNode{{parent: -1, dec: -1}}
-	states := 1
-
-	// livFrame is one state on the DFS stack with its materialized
-	// successor decisions. Frame i sits i decisions away from the root, so
-	// provenance-rebuilt traces and stack indices line up directly.
-	type livFrame struct {
-		s      *sim.Sim
-		budget int
-		node   int32
-		key    string
-		decs   []Decision
-		next   int
-	}
-
-	materialize := func(s *sim.Sim, budget int) []Decision {
-		var decs []Decision
-		w.enum.forEach(s, budget, cfg, nil, func(d *Decision) bool {
-			decs = append(decs, copyDecision(d))
-			return true
-		})
-		return decs
-	}
-
-	if root.AllDelivered() {
-		return eng.report.done(SearchResult{Verdict: VerdictNoDeadlock, States: states}, 0)
-	}
-	frames := []livFrame{{s: root, budget: opts.StallBudget, node: 0,
-		key: string(encBuf), decs: materialize(root, opts.StallBudget)}}
-	onStack := map[string]int{frames[0].key: 0}
-
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		if f.next >= len(f.decs) {
-			delete(onStack, f.key)
-			eng.putSim(f.s)
-			frames = frames[:len(frames)-1]
-			continue
-		}
-		d := f.decs[f.next]
-		ord := int32(f.next)
-		f.next++
-
-		succ := eng.getSim(f.s)
-		apply(succ, d)
-		succ.StepWithPicks(d.Picks)
-		newBudget := f.budget - len(d.Freeze)
-		encBuf = encBuf[:0]
-		succ.EncodeTo(&encBuf)
-
-		// Lasso check: a successor already on the DFS stack at the same
-		// budget closes a cycle of states. By monotonicity no flit moved
-		// anywhere along it, so the in-network messages of the loop head
-		// — shared by every loop state — are starved. A closure with no
-		// in-network message is the adversary idling an empty network:
-		// harmless, skip it.
-		if fi, ok := onStack[string(encBuf)]; ok && frames[fi].budget == newBudget {
-			starved := starvedIDs(succ)
-			if len(starved) > 0 {
-				trace := rebuildTrace(sc, nodes, f.node, opts, cfg)
-				lasso := &Lasso{
-					Stem:    append([]Decision(nil), trace[:fi]...),
-					Loop:    append(append([]Decision(nil), trace[fi:]...), d),
-					Starved: starved,
-				}
-				eng.putSim(succ)
-				return eng.report.done(SearchResult{
-					Verdict: VerdictLivelock,
-					States:  states,
-					Trace:   append(trace, d),
-					Lasso:   lasso,
-				}, len(frames))
-			}
-			eng.putSim(succ)
-			continue
-		}
-
-		h := eng.visited.hash(encBuf)
-		if !eng.visited.insert(h, encBuf, newBudget) {
-			// Already explored at this budget or better. A cycle through a
-			// completed state would have been found when that state was on
-			// the stack: loops spend no budget, so every loop decision was
-			// already available at the recorded (≥) budget.
-			eng.putSim(succ)
-			continue
-		}
-		states++
-		if states > opts.MaxStates {
-			eng.putSim(succ)
-			return eng.report.done(SearchResult{Verdict: VerdictExhausted, States: states}, len(frames))
-		}
-		nodes = append(nodes, provNode{parent: f.node, dec: ord})
-		node := int32(len(nodes) - 1)
-
-		if succ.AllDelivered() {
-			eng.putSim(succ)
-			continue
-		}
-		if ld := waitfor.FindLocal(succ); ld != nil {
-			trace := rebuildTrace(sc, nodes, node, opts, cfg)
-			r := SearchResult{States: states, Trace: trace, Deadlock: &ld.Deadlock}
-			if len(ld.Live) > 0 {
-				r.Verdict = VerdictLocalDeadlock
-				r.Local = ld
-			} else {
-				// The cycle is permanent and nothing outside it can ever
-				// be delivered: the deadlock is global.
-				r.Verdict = VerdictDeadlock
-			}
-			eng.putSim(succ)
-			return eng.report.done(r, len(frames))
-		}
-		if w.deadlocked(succ) {
-			trace := rebuildTrace(sc, nodes, node, opts, cfg)
-			r := SearchResult{Verdict: VerdictDeadlock, States: states,
-				Trace: trace, Deadlock: waitfor.Find(succ)}
-			eng.putSim(succ)
-			return eng.report.done(r, len(frames))
-		}
-
-		frames = append(frames, livFrame{s: succ, budget: newBudget, node: node,
-			key: string(encBuf), decs: materialize(succ, newBudget)})
-		onStack[frames[len(frames)-1].key] = len(frames) - 1
-		eng.report.progress(len(frames), len(frames), states)
-	}
-	return eng.report.done(SearchResult{Verdict: VerdictNoDeadlock, States: states}, 0)
+	return search(sc, opts, true)
 }
 
 // starvedIDs lists the in-network, undelivered messages of a state — the

@@ -3,9 +3,11 @@ package mcheck
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/papernets"
+	"repro/internal/sim"
 	"repro/internal/waitfor"
 )
 
@@ -104,13 +106,13 @@ func TestLivenessPureRingIsGlobalDeadlock(t *testing.T) {
 	}
 }
 
-// TestLivenessParity pins the liveness engine to the plain engine across
+// TestLivenessParity pins the liveness search to the plain search across
 // every paper scenario and Gen(2..4). All of these are purely oblivious,
-// where the two transition systems coincide, so the mapping is exact:
-// plain no-deadlock ⇔ liveness no-deadlock (with identical state counts
-// at stall budget 0, where neither engine recounts budget improvements),
-// plain deadlock ⇔ liveness deadlock-or-local-deadlock, and livelock is
-// impossible — oblivious messages have no selection to hold stale.
+// where maskAll adds nothing and the liveness search explores exactly
+// Search's space, so the mapping is exact at every stall budget: equal
+// state counts, plain no-deadlock ⇔ liveness no-deadlock, plain deadlock
+// ⇔ liveness deadlock-or-local-deadlock, and livelock is impossible —
+// oblivious messages have no selection to hold stale.
 func TestLivenessParity(t *testing.T) {
 	cases := parityCases()
 	cases = append(cases, parityCase{
@@ -126,13 +128,13 @@ func TestLivenessParity(t *testing.T) {
 			}
 			plain := Search(tc.sc, tc.opts)
 			liv := SearchLiveness(tc.sc, tc.opts)
+			if liv.States != plain.States {
+				t.Fatalf("liveness explored %d states, plain %d; oblivious spaces must match", liv.States, plain.States)
+			}
 			switch plain.Verdict {
 			case VerdictNoDeadlock:
 				if liv.Verdict != VerdictNoDeadlock {
 					t.Fatalf("liveness verdict %v; plain engine proved no-deadlock", liv.Verdict)
-				}
-				if tc.opts.StallBudget == 0 && liv.States != plain.States {
-					t.Fatalf("liveness explored %d states, plain %d; budget-0 spaces must match", liv.States, plain.States)
 				}
 			case VerdictDeadlock:
 				if liv.Verdict != VerdictDeadlock && liv.Verdict != VerdictLocalDeadlock {
@@ -143,10 +145,8 @@ func TestLivenessParity(t *testing.T) {
 					if err := waitfor.VerifyLocal(s, liv.Local); err != nil {
 						t.Fatalf("local witness: %v", err)
 					}
-				} else if liv.Deadlock != nil {
-					if err := waitfor.Verify(s, liv.Deadlock); err != nil {
-						t.Fatalf("deadlock witness: %v", err)
-					}
+				} else if err := waitfor.Verify(s, liv.Deadlock); err != nil {
+					t.Fatalf("deadlock witness: %v", err)
 				}
 			default:
 				t.Fatalf("plain verdict %v; parity cases must be decidable", plain.Verdict)
@@ -155,8 +155,53 @@ func TestLivenessParity(t *testing.T) {
 	}
 }
 
-// TestLivenessExhausted: the state cap applies to the DFS exactly as it
-// does to the BFS.
+// TestLivenessWorkerParity: the liveness search inherits Search's
+// determinism contract, so one and four workers must agree on the
+// verdict, the state count and every witness — trace, local-deadlock
+// witness and lasso — across local deadlock, livelock, adaptive and
+// oblivious scenarios with and without a stall budget. Every lasso must
+// loop on a single state (monotonicity, DESIGN §8) and replay.
+func TestLivenessWorkerParity(t *testing.T) {
+	diamond, _ := twoBranchScenario()
+	scenarios := []struct {
+		name string
+		sc   sim.Scenario
+	}{
+		{"localrings", papernets.LocalRings()},
+		{"staleselection", papernets.StaleSelection()},
+		{"diamond", diamond},
+		{"figure2", papernets.Figure2().Scenario},
+		{"gen2", papernets.GenK(2).Scenario},
+	}
+	for _, sc := range scenarios {
+		for _, budget := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/stall%d", sc.name, budget), func(t *testing.T) {
+				opts := SearchOptions{StallBudget: budget, FreezeInTransitOnly: true, Parallelism: 1}
+				seq := SearchLiveness(sc.sc, opts)
+				opts.Parallelism = 4
+				par := SearchLiveness(sc.sc, opts)
+				if par.Verdict != seq.Verdict || par.States != seq.States {
+					t.Fatalf("4 workers: %v/%d states; 1 worker: %v/%d", par.Verdict, par.States, seq.Verdict, seq.States)
+				}
+				if !reflect.DeepEqual(par.Trace, seq.Trace) || !reflect.DeepEqual(par.Local, seq.Local) ||
+					!reflect.DeepEqual(par.Lasso, seq.Lasso) {
+					t.Fatal("witnesses differ between 1 and 4 workers")
+				}
+				if seq.Verdict == VerdictLivelock {
+					if len(seq.Lasso.Loop) != 1 {
+						t.Fatalf("lasso loop has %d decisions; every loop is a self-loop", len(seq.Lasso.Loop))
+					}
+					if err := VerifyLasso(sc.sc, seq.Lasso); err != nil {
+						t.Fatalf("lasso witness: %v", err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLivenessExhausted: the state cap applies to the liveness search
+// exactly as it does to Search.
 func TestLivenessExhausted(t *testing.T) {
 	res := SearchLiveness(papernets.Figure1().Scenario, SearchOptions{MaxStates: 3})
 	if res.Verdict != VerdictExhausted {

@@ -77,8 +77,8 @@ func TestProgressStatesMonotonic(t *testing.T) {
 	}
 }
 
-// engines lists both search engines, for tests that hold them to the same
-// reporting contract.
+// engines lists both search entry points, for tests that hold them to the
+// same reporting contract.
 var engines = []struct {
 	name string
 	run  func(sim.Scenario, SearchOptions) SearchResult

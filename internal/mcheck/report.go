@@ -7,12 +7,11 @@ import (
 	"repro/internal/obsv"
 )
 
-// reporter is the one reporting path both engines share. It runs only on
-// the goroutine that owns the search's bookkeeping (Search's merge, the
-// liveness DFS), so it needs no locking, and it reads the visited store
-// only there, as the stats contract requires. Search reports every BFS
-// level through level; the liveness DFS has no levels and reports only
-// the throttled progress call; both end with done.
+// reporter is the search's one reporting path, for Search and
+// SearchLiveness alike. It runs only on the goroutine that owns the
+// search's bookkeeping (the merge), so it needs no locking, and it reads
+// the visited store only there, as the stats contract requires. Every BFS
+// level is reported through level, and the search ends with done.
 type reporter struct {
 	eng      *engine
 	start    time.Time // when the search began; Elapsed counts from here
@@ -23,9 +22,11 @@ type reporter struct {
 }
 
 // level reports the start of a BFS level: the trace event, the level
-// gauges and a throttled Progress call. It runs before the level's merge,
-// from the single merge goroutine, so the traced sequence is the same for
-// every Parallelism value.
+// gauges and a Progress call, made only when at least ProgressEvery has
+// passed since the last one and carrying the visited store's live
+// accounting. It runs before the level's merge, from the single merge
+// goroutine, so the traced sequence is the same for every Parallelism
+// value.
 func (r *reporter) level(level, frontier, states int) {
 	opts := &r.eng.opts
 	if opts.Tracer != nil {
@@ -40,17 +41,11 @@ func (r *reporter) level(level, frontier, states int) {
 		opts.Metrics.Gauge("mcheck_frontier_peak").Max(int64(frontier))
 		opts.Metrics.Gauge("mcheck_states").Set(int64(states))
 	}
-	r.progress(level, frontier, states)
-}
-
-// progress calls Progress when at least ProgressEvery has passed since
-// the last call, with the visited store's live accounting.
-func (r *reporter) progress(level, frontier, states int) {
-	if r.eng.opts.Progress == nil || r.broken {
+	if opts.Progress == nil || r.broken {
 		return
 	}
 	now := time.Now()
-	if now.Sub(r.last) < r.eng.opts.ProgressEvery {
+	if now.Sub(r.last) < opts.ProgressEvery {
 		return
 	}
 	r.last = now

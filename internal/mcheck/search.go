@@ -23,14 +23,15 @@
 // Verdicts, state counts and witness traces are therefore byte-identical
 // across any worker count, including 1.
 //
-// Search and SearchLiveness report through one path, the reporter in
-// report.go: trace events, mcheck_* gauges, throttled Progress calls (a
-// panicking callback is contained and becomes a result warning) and the
-// result's timing, visited-set and reduction figures. The liveness DFS
-// has no BFS levels, so it emits no per-level events or level gauges.
+// SearchLiveness runs on the same engine: one breadth-first search, one
+// expansion path and one reporter (report.go) — trace events, mcheck_*
+// gauges, throttled Progress calls (a panicking callback is contained and
+// becomes a result warning) and the result's timing, visited-set and
+// reduction figures.
 package mcheck
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -57,8 +58,8 @@ const (
 	// VerdictLocalDeadlock: a reachable state contains a permanent
 	// Definition 6 cycle while traffic outside the blocked subnetwork can
 	// still be delivered — a local deadlock in the sense of Stramaglia,
-	// Keiren & Zantema. Reported only by SearchLiveness; the plain engine
-	// folds these into VerdictDeadlock.
+	// Keiren & Zantema. Reported only by SearchLiveness; Search folds
+	// these into VerdictDeadlock.
 	VerdictLocalDeadlock
 	// VerdictLivelock: SearchLiveness found a reachable cycle of states
 	// along which some in-flight message never advances — a lasso; see
@@ -133,11 +134,11 @@ type SearchOptions struct {
 	Reduction Reduction
 
 	// Tracer, when set, receives one obsv.KindSearchLevel event per BFS
-	// level (Search only) and a final obsv.KindSearchDone. Events are
-	// emitted from the single-threaded merge and carry only logical
-	// quantities (level, frontier size, state count), so the traced
-	// sequence is identical across Parallelism values. Nil disables
-	// search tracing at the cost of one branch per level.
+	// level and a final obsv.KindSearchDone. Events are emitted from the
+	// single-threaded merge and carry only logical quantities (level,
+	// frontier size, state count), so the traced sequence is identical
+	// across Parallelism values. Nil disables search tracing at the cost
+	// of one branch per level.
 	Tracer obsv.Tracer
 	// Progress, when set, is called periodically with live search
 	// telemetry — unlike Tracer it carries wall-clock rates and is meant
@@ -147,9 +148,9 @@ type SearchOptions struct {
 	// (plus one per level boundary check). 0 means a 2s default.
 	ProgressEvery time.Duration
 	// Metrics, when set, receives live search gauges (level, frontier
-	// size, peak frontier, states; Search only) and, at the end, the
-	// state count, peak visited, workers and visited bytes, plus the
-	// spill and reduction gauges when those ran. The search is the only
+	// size, peak frontier, states) and, at the end, the state count, peak
+	// visited, workers and visited bytes, plus the spill and reduction
+	// gauges when those ran. The search is the only
 	// writer of these mcheck_* gauges: obsv.MetricsSink ignores search
 	// events.
 	Metrics *obsv.Registry
@@ -253,12 +254,15 @@ type succState struct {
 }
 
 // expandResult is everything the merge needs to know about one frontier
-// entry: whether it terminated (delivered / deadlocked), else its novel
+// entry: whether it terminated (delivered / deadlocked, or under liveness
+// locally deadlocked / closing a starvation loop), else its novel
 // successors in canonical decision order, which are
 // workers[worker].succs[lo:hi].
 type expandResult struct {
 	delivered  bool
 	deadlocked bool
+	local      bool  // liveness: waitfor.FindLocal found a permanent cycle
+	loop       int32 // liveness: ordinal of a decision stepping back to the entry, else -1
 	worker     int32
 	lo, hi     int32
 }
@@ -269,7 +273,6 @@ type engine struct {
 	cfg     enumConfig        // enumeration variant; shared with rebuildTrace
 	perms   []sim.Permutation // scenario symmetries; empty = plain encoding
 	visited *visitedSet
-	pool    sync.Pool // recycled *sim.Sim successors (liveness DFS stack)
 	workers []*searchWorker
 	report  reporter
 }
@@ -316,18 +319,6 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 	return eng
 }
 
-// getSim returns a pooled simulator holding a deep copy of src.
-func (eng *engine) getSim(src *sim.Sim) *sim.Sim {
-	if v := eng.pool.Get(); v != nil {
-		s := v.(*sim.Sim)
-		s.CopyFrom(src)
-		return s
-	}
-	return src.Clone()
-}
-
-func (eng *engine) putSim(s *sim.Sim) { eng.pool.Put(s) }
-
 // expand computes the fate of one frontier state s with the given stall
 // budget. It runs concurrently with other expands but touches only
 // worker-local scratch and lock-shared visited reads, so it is safe and —
@@ -348,11 +339,25 @@ func (eng *engine) putSim(s *sim.Sim) { eng.pool.Put(s) }
 // forever). The verdict is taken before that successor is encoded, so a
 // deadlocked state leaves no successor behind, and the pruning counters
 // forEach bumped on its way to the first decision are rolled back.
-func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
-	r := expandResult{worker: w.id, lo: int32(len(w.succs))}
+//
+// The liveness search (cfg.maskAll) adds two checks, in this order after
+// delivery: a permanent Definition 6 cycle in s (waitfor.FindLocal) ends
+// the expansion before any decision is enumerated, and after the deadlock
+// check the first budget-free decision whose successor encodes exactly as
+// enc, s's own encoding, is recorded as a starvation loop. Every encoded
+// per-message quantity is monotone under the step relation, so every
+// state-graph loop is such a self-loop (DESIGN §8), and the check runs
+// before the visited pre-filter, which would reject s as already seen.
+func (w *searchWorker) expand(s *sim.Sim, enc []byte, budget int) expandResult {
+	r := expandResult{worker: w.id, lo: int32(len(w.succs)), loop: -1}
 	r.hi = r.lo
 	if s.AllDelivered() {
 		r.delivered = true
+		return r
+	}
+	liveness := w.eng.cfg.maskAll
+	if liveness && waitfor.FindLocal(s) != nil {
+		r.local = true
 		return r
 	}
 	inNetwork := anyInNetwork(s)
@@ -386,6 +391,10 @@ func (w *searchWorker) expand(s *sim.Sim, budget int) expandResult {
 		lo := len(w.arena)
 		next.CanonicalEncodeTo(perms, &w.arena, &w.canonBuf) // EncodeTo without perms
 		key := w.arena[lo:]
+		if liveness && inNetwork && newBudget == budget && bytes.Equal(key, enc) {
+			r.loop = dec
+			return false
+		}
 		h := w.eng.visited.hash(key)
 		// Pre-filter against states accepted in previous levels. Visited
 		// only grows at merge time, so a rejection here is final: budgets
@@ -434,7 +443,7 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 				if err := w.cur.DecodeFrom(it.cur); err != nil {
 					panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
 				}
-				results[it.idx-1] = w.expand(w.cur, it.budget)
+				results[it.idx-1] = w.expand(w.cur, it.cur, it.budget)
 			}
 		}
 	}
@@ -465,20 +474,6 @@ func anyInNetwork(s *sim.Sim) bool {
 	return false
 }
 
-// deadlocked reports whether the state is a reachable deadlock: no flit can
-// ever move again among the active messages (held messages are the
-// adversary's to withhold forever) and some message is stuck in-network.
-// Movement possibility is arbitration-independent, so stepping a scratch
-// copy once decides it exactly. The liveness DFS uses it; Search takes the
-// same verdict from the first decision it enumerates (see expand).
-func (w *searchWorker) deadlocked(s *sim.Sim) bool {
-	if !anyInNetwork(s) {
-		return false
-	}
-	w.scratch.CopyFrom(s)
-	return !w.scratch.Step().Moved
-}
-
 // requireSearchableArbiter rejects arbiters that may carry hidden
 // per-instance mutable state: the engines clone simulators constantly, and
 // a stateful arbiter silently shared across clones would let one branch's
@@ -498,9 +493,21 @@ func requireSearchableArbiter(a sim.Arbiter) {
 // scenario's InjectAt fields are ignored: injection timing is part of the
 // adversary's choice, which strictly generalizes any fixed schedule.
 func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
+	return search(sc, opts, false)
+}
+
+// search is the one engine behind Search and SearchLiveness; liveness
+// selects the latter's enumeration (maskAll) and terminal checks.
+func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 	start := time.Now()
 	requireSearchableArbiter(sc.Cfg.Arbiter)
 	opts = normalizeSearchOptions(sc, opts)
+	var warnings []string
+	if liveness && opts.Reduction != RedNone {
+		warnings = append(warnings, fmt.Sprintf(
+			"liveness search ignores reductions (%v requested): they preserve reachable deadlocks, not state-graph cycles", opts.Reduction))
+		opts.Reduction = RedNone
+	}
 
 	// Derive the scenario's symmetries once per search; with none usable
 	// the symmetry bit is cleared so the result reports what ran.
@@ -511,11 +518,12 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			opts.Reduction &^= RedSymmetry
 		}
 	}
-	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR()}
+	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR(), maskAll: liveness}
 
 	root := newHeldSim(sc)
 	eng := newEngine(opts, cfg, perms, root, opts.Parallelism, start)
 	defer eng.visited.close()
+	eng.report.warnings = warnings
 
 	// The root, like every successor, is keyed by its canonical encoding
 	// and carried in the frontier by its own.
@@ -557,17 +565,25 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			if res.delivered {
 				continue
 			}
-			if res.deadlocked {
+			if res.deadlocked || res.local {
 				// The batch entry decodes to the deadlocked state, but its
 				// wall clock is relative; replay the witness trace instead
 				// so waitfor sees the state exactly as the search reached
 				// it.
 				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
+				return eng.report.done(deadlockResult(Replay(sc, trace), trace, states, res.local), level)
+			}
+			if res.loop >= 0 {
+				// The loop decision leads back to this entry: its provenance
+				// path plus that decision is the stem plus the loop.
+				nodes = append(nodes, provNode{parent: it.node, dec: res.loop})
+				trace := rebuildTrace(sc, nodes, int32(len(nodes)-1), opts, cfg)
+				stem := trace[: len(trace)-1 : len(trace)-1]
 				return eng.report.done(SearchResult{
-					Verdict:  VerdictDeadlock,
-					States:   states,
-					Trace:    trace,
-					Deadlock: waitfor.Find(Replay(sc, trace)),
+					Verdict: VerdictLivelock,
+					States:  states,
+					Trace:   trace,
+					Lasso:   &Lasso{Stem: stem, Loop: trace[len(stem):], Starved: starvedIDs(Replay(sc, stem))},
 				}, level)
 			}
 			w := eng.workers[res.worker]
@@ -588,6 +604,24 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		cur = nxt
 		level++
 	}
+}
+
+// deadlockResult is the verdict for a deadlocked state s reached by
+// trace. Under liveness (local) the permanent cycle is a local deadlock
+// when traffic outside it can still be delivered, and global otherwise.
+func deadlockResult(s *sim.Sim, trace []Decision, states int, local bool) SearchResult {
+	r := SearchResult{Verdict: VerdictDeadlock, States: states, Trace: trace}
+	if !local {
+		r.Deadlock = waitfor.Find(s)
+		return r
+	}
+	ld := waitfor.FindLocal(s)
+	r.Deadlock = &ld.Deadlock
+	if len(ld.Live) > 0 {
+		r.Verdict = VerdictLocalDeadlock
+		r.Local = ld
+	}
+	return r
 }
 
 // newHeldSim instantiates the scenario with every message held at its
@@ -622,8 +656,8 @@ func apply(s *sim.Sim, d Decision) {
 // replaying from the root: at each state the canonical enumeration is run
 // just far enough to recover decision #dec, which is applied and the walk
 // continues. This trades O(depth × decisions-per-state) work at witness
-// time — paid once, only on a deadlock verdict — for never materializing
-// Decisions during the search itself.
+// time — paid once, only on a verdict with a witness — for never
+// materializing Decisions during the search itself.
 func rebuildTrace(sc sim.Scenario, nodes []provNode, idx int32, opts SearchOptions, cfg enumConfig) []Decision {
 	var rev []int32
 	for i := idx; nodes[i].parent >= 0; i = nodes[i].parent {

@@ -13,3 +13,7 @@ func HeadMismatch(s *Sim) error {
 	}
 	return nil
 }
+
+// LiveMessages returns the number of messages not yet delivered, without
+// scanning them: the live counter AllDelivered reads.
+func (s *Sim) LiveMessages() int { return s.liveCount }

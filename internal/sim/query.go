@@ -81,16 +81,6 @@ func (s *Sim) FullyInjected(id int) bool {
 	return m.injected >= m.length
 }
 
-// InjectedAt returns the cycle message id's header entered the network,
-// or -1 if it has not injected yet.
-func (s *Sim) InjectedAt(id int) int {
-	m := &s.msgs[id]
-	if m.injected == 0 {
-		return -1
-	}
-	return m.injectedAt
-}
-
 // DeliveredAt returns the cycle message id's tail flit was consumed, or
 // -1 if it has not been fully delivered.
 func (s *Sim) DeliveredAt(id int) int {

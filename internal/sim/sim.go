@@ -458,9 +458,6 @@ func (s *Sim) SetTracer(t obsv.Tracer) {
 	s.waits.Reset(len(s.msgs))
 }
 
-// Tracer returns the attached tracer, nil when tracing is disabled.
-func (s *Sim) Tracer() obsv.Tracer { return s.tracer }
-
 // SetTelemetry attaches (or, with nil, detaches) a telemetry collector.
 // On every cycle divisible by the collector's stride, Step ends with one
 // O(channels + live messages) scan recording per-channel busy/occupancy/
@@ -469,9 +466,6 @@ func (s *Sim) Tracer() obsv.Tracer { return s.tracer }
 // telemetry frames deterministic. Like the tracer, the collector is never
 // copied by Clone or CopyFrom.
 func (s *Sim) SetTelemetry(c *telemetry.Collector) { s.telemetry = c }
-
-// Telemetry returns the attached collector, nil when sampling is off.
-func (s *Sim) Telemetry() *telemetry.Collector { return s.telemetry }
 
 // Now returns the current cycle.
 func (s *Sim) Now() int { return s.now }
@@ -1237,10 +1231,6 @@ func (s *Sim) noTailBehind(m *message, i int) bool {
 
 // AllDelivered reports whether every message has been fully consumed.
 func (s *Sim) AllDelivered() bool { return s.liveCount == 0 }
-
-// LiveMessages returns the number of messages not yet delivered, without
-// scanning them.
-func (s *Sim) LiveMessages() int { return s.liveCount }
 
 // FlitsConsumed returns the total number of flits consumed at
 // destinations since New or Reset. The counter is monotone, so window
