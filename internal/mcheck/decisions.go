@@ -1,6 +1,8 @@
 package mcheck
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -253,10 +255,16 @@ func (e *decisionEnum) maskLoop(fn func(d *Decision) bool) bool {
 		// Under maskAll, a message that could acquire something may
 		// instead be handed a stale selection onto an owned candidate;
 		// with nothing acquirable it is blocked whatever it selects, so
-		// the extra choices would only duplicate successors.
+		// the extra choices would only duplicate successors. The stale
+		// choices follow the acquirable ones, so mask digit 0 — and with
+		// it the first decision, which decides deadlock — never selects
+		// stale.
 		if e.cfg.maskAll && len(cands) > 0 {
-			if all := e.probe.Candidates(id); len(all) > len(cands) {
-				cands = all
+			acq := len(cands)
+			for _, c := range e.probe.Candidates(id) {
+				if !slices.Contains(cands[:acq], c) {
+					cands = append(cands, c)
+				}
 			}
 		}
 		if len(cands) < 2 {

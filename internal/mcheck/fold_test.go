@@ -9,22 +9,28 @@ import (
 	"repro/internal/papernets"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/waitfor"
 )
 
 // foldCase is one search whose expanded states the fold and step-parity
 // tests visit.
 type foldCase struct {
-	name  string
-	sc    sim.Scenario
-	opts  SearchOptions
-	heavy bool // skipped with -short
+	name     string
+	sc       sim.Scenario
+	opts     SearchOptions
+	liveness bool // searched by SearchLiveness (maskAll) instead of Search
+	heavy    bool // skipped with -short
 }
 
 // foldCases is the corpus: Figure 1, Figure 2 and Figure 3 (a)-(f) at
 // stall budgets 0 and 1, Gen(2...5) at budget k and the waiter ring at
 // budget 0, each with and without partial-order plus symmetry reduction
-// and with and without FreezeInTransitOnly. Short mode, which CI runs
-// under the race detector, skips Figure 3 (f) and the Gen(k) searches.
+// and with and without FreezeInTransitOnly. The liveness search's
+// adaptive scenarios — StaleSelection, the same network with n1's route
+// reversed so the owned candidate comes first, and the diamond — join at
+// budgets 0 and 1 under maskAll, where stale selections are enumerated.
+// Short mode, which CI runs under the race detector, skips Figure 3 (f)
+// and the Gen(k) searches.
 func foldCases() []foldCase {
 	type base struct {
 		name    string
@@ -44,6 +50,23 @@ func foldCases() []foldCase {
 		bases = append(bases, base{fmt.Sprintf("gen%d", k), papernets.GenK(k).Scenario, []int{k}, true})
 	}
 	var cases []foldCase
+	diamond, _ := twoBranchScenario()
+	for _, b := range []base{
+		{"staleselection", papernets.StaleSelection(), []int{0, 1}, false},
+		{"staleselection-reversed", reversedStaleSelection(), []int{0, 1}, false},
+		{"diamond", diamond, []int{0, 1}, false},
+	} {
+		for _, budget := range b.budgets {
+			for _, inTransit := range []bool{false, true} {
+				cases = append(cases, foldCase{
+					name:     fmt.Sprintf("liveness/%s/stall%d/inTransit=%v", b.name, budget, inTransit),
+					sc:       b.sc,
+					opts:     SearchOptions{StallBudget: budget, FreezeInTransitOnly: inTransit},
+					liveness: true,
+				})
+			}
+		}
+	}
 	for _, b := range bases {
 		for _, budget := range b.budgets {
 			for _, red := range []Reduction{RedNone, RedPOR | RedSymmetry} {
@@ -72,14 +95,15 @@ func ringWithWaiter() sim.Scenario {
 	return sc
 }
 
-// walkExpanded replays Search's level-synchronous expansion of tc on one
-// worker and hands every state Search expands to visit, with its encoding
-// and the budget it is expanded under. visit must expand the state with
+// walkExpanded replays Search's (or, for a liveness case,
+// SearchLiveness's) level-synchronous expansion of tc on one worker and
+// hands every state the search expands to visit, with its encoding and
+// the budget it is expanded under. visit must expand the state with
 // w.expand and return the result; walkExpanded merges the successors in
-// Search's order and stops after the level holding the first deadlock, as
-// Search does.
-// It checks that the walk reaches Search's verdict, and on a complete
-// space Search's state count, so the states visited are the search's.
+// the search's order and stops after the level holding the first
+// deadlock or loop, where the search stops. It checks that the walk
+// reaches the search's verdict, and on a complete space its state count,
+// so the states visited are the search's.
 func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.Sim, enc []byte, budget int) expandResult) {
 	t.Helper()
 	opts := normalizeSearchOptions(tc.sc, tc.opts)
@@ -88,7 +112,7 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 	if opts.Reduction.Symmetry() {
 		perms = scenarioSymmetries(tc.sc)
 	}
-	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR()}
+	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR(), maskAll: tc.liveness}
 	root := newHeldSim(tc.sc)
 	eng := newEngine(opts, cfg, perms, root, 1, time.Now())
 	defer eng.visited.close()
@@ -104,8 +128,8 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 	eng.visited.insert(eng.visited.hash(key), key, opts.StallBudget)
 	level := []entry{{enc, opts.StallBudget}}
 	states := 1
-	deadlocked := false
-	for len(level) > 0 && !deadlocked {
+	found := VerdictNoDeadlock // the first expanded state's terminal verdict
+	for len(level) > 0 && found == VerdictNoDeadlock {
 		var next []entry
 		for _, e := range level {
 			w.succs, w.arena = w.succs[:0], w.arena[:0]
@@ -113,8 +137,12 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 				t.Fatal(err)
 			}
 			r := visit(w, w.cur, e.enc, e.budget)
-			if r.deadlocked {
-				deadlocked = true
+			switch {
+			case found != VerdictNoDeadlock:
+			case r.deadlocked:
+				found = VerdictDeadlock
+			case r.loop >= 0:
+				found = VerdictLivelock
 			}
 			for _, su := range w.succs[r.lo:r.hi] {
 				if !eng.visited.insert(su.hash, w.arena[su.keyLo:su.keyHi], su.budget) {
@@ -126,12 +154,16 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 		}
 		level = next
 	}
-	want := Search(tc.sc, tc.opts)
-	if deadlocked != (want.Verdict == VerdictDeadlock) {
-		t.Fatalf("walk found deadlock=%v, Search says %v", deadlocked, want.Verdict)
+	want := search(tc.sc, tc.opts, tc.liveness)
+	verdict := want.Verdict
+	if verdict == VerdictLocalDeadlock {
+		verdict = VerdictDeadlock // expand does not tell local from global
 	}
-	if !deadlocked && states != want.States {
-		t.Fatalf("walk visited %d states, Search %d", states, want.States)
+	if found != verdict {
+		t.Fatalf("walk found %v, the search says %v", found, want.Verdict)
+	}
+	if found == VerdictNoDeadlock && states != want.States {
+		t.Fatalf("walk visited %d states, the search %d", states, want.States)
 	}
 }
 
@@ -154,7 +186,10 @@ func (w *searchWorker) deadlocked(s *sim.Sim) bool {
 // agree with the reference probe (CopyFrom + Step, see deadlocked), and a
 // deadlocked state must leave no successor and no pruning count behind —
 // forEach may bump the sleep-set counter before it yields the first
-// decision, so expand rolls the counters back.
+// decision, so expand rolls the counters back. Under liveness a permanent
+// cycle (waitfor.FindLocal) also marks a state deadlocked; every other
+// state must still get the reference verdict, which a stale selection in
+// the first decision would break.
 func TestFirstDecisionDecidesDeadlock(t *testing.T) {
 	bumped := 0 // deadlocked states whose enumeration counted a sleep set
 	for _, tc := range foldCases() {
@@ -163,7 +198,7 @@ func TestFirstDecisionDecidesDeadlock(t *testing.T) {
 				t.Skip("heavy corpus case; run without -short")
 			}
 			walkExpanded(t, tc, func(w *searchWorker, s *sim.Sim, enc []byte, budget int) expandResult {
-				want := !s.AllDelivered() && w.deadlocked(s)
+				want := !s.AllDelivered() && (w.deadlocked(s) || tc.liveness && waitfor.FindLocal(s) != nil)
 				stats, post := w.stats, w.postPruned
 				succs, arena := len(w.succs), len(w.arena)
 				r := w.expand(s, enc, budget)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/papernets"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/waitfor"
 )
 
@@ -85,6 +87,41 @@ func TestLivenessLivelockStaleSelection(t *testing.T) {
 	}
 }
 
+// reversedStaleSelection is StaleSelection with n1's route reversed to
+// [c2, c1], so the candidate m1 owns comes before the free one in route
+// order.
+func reversedStaleSelection() sim.Scenario {
+	sc := papernets.StaleSelection()
+	sc.Name = "staleselection-reversed"
+	route := sc.Msgs[0].Route
+	sc.Msgs[0].Route = func(at topology.NodeID, in topology.ChannelID, dst topology.NodeID) []topology.ChannelID {
+		r := slices.Clone(route(at, in, dst))
+		slices.Reverse(r)
+		return r
+	}
+	return sc
+}
+
+// TestLivenessLivelockReversedRoute: the order of an adaptive route's
+// candidates must not change the verdict. With the owned c2 listed first,
+// the stale selection is still a livelock, never a deadlock — m0 always
+// has the free c1 — and its lasso must loop on one state and replay.
+func TestLivenessLivelockReversedRoute(t *testing.T) {
+	sc := reversedStaleSelection()
+	for _, budget := range []int{0, 2} {
+		res := SearchLiveness(sc, SearchOptions{StallBudget: budget, FreezeInTransitOnly: true})
+		if res.Verdict != VerdictLivelock {
+			t.Fatalf("stall %d: verdict = %v; want livelock", budget, res.Verdict)
+		}
+		if len(res.Lasso.Loop) != 1 {
+			t.Fatalf("stall %d: lasso loop has %d decisions; every loop is a self-loop", budget, len(res.Lasso.Loop))
+		}
+		if err := VerifyLasso(sc, res.Lasso); err != nil {
+			t.Fatalf("stall %d: lasso witness: %v", budget, err)
+		}
+	}
+}
+
 // TestLivenessPureRingIsGlobalDeadlock: when the cycle leaves nothing
 // outside it deliverable, the verdict must stay the plain VerdictDeadlock
 // — the deadlock is global, not local.
@@ -158,9 +195,10 @@ func TestLivenessParity(t *testing.T) {
 // TestLivenessWorkerParity: the liveness search inherits Search's
 // determinism contract, so one and four workers must agree on the
 // verdict, the state count and every witness — trace, local-deadlock
-// witness and lasso — across local deadlock, livelock, adaptive and
-// oblivious scenarios with and without a stall budget. Every lasso must
-// loop on a single state (monotonicity, DESIGN §8) and replay.
+// witness and lasso — across local deadlock, livelock (with either
+// candidate order), adaptive and oblivious scenarios with and without a
+// stall budget. Every lasso must loop on a single state (monotonicity,
+// DESIGN §8) and replay.
 func TestLivenessWorkerParity(t *testing.T) {
 	diamond, _ := twoBranchScenario()
 	scenarios := []struct {
@@ -169,6 +207,7 @@ func TestLivenessWorkerParity(t *testing.T) {
 	}{
 		{"localrings", papernets.LocalRings()},
 		{"staleselection", papernets.StaleSelection()},
+		{"staleselection-reversed", reversedStaleSelection()},
 		{"diamond", diamond},
 		{"figure2", papernets.Figure2().Scenario},
 		{"gen2", papernets.GenK(2).Scenario},

@@ -261,7 +261,6 @@ type succState struct {
 type expandResult struct {
 	delivered  bool
 	deadlocked bool
-	local      bool  // liveness: waitfor.FindLocal found a permanent cycle
 	loop       int32 // liveness: ordinal of a decision stepping back to the entry, else -1
 	worker     int32
 	lo, hi     int32
@@ -333,16 +332,18 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 // The first enumerated decision also decides deadlock. It activates and
 // freezes nothing, so it steps exactly the state s, and whether some flit
 // moves does not depend on arbitration or on which acquirable candidate
-// an adaptive header selects: with a message in the network, a first
-// successor in which nothing moved proves no flit can ever move again
-// among the active messages (held messages are the adversary's to withhold
-// forever). The verdict is taken before that successor is encoded, so a
+// an adaptive header selects (under maskAll the enumerator orders stale
+// selections after the acquirable ones, so the first decision makes
+// none): with a message in the network, a first successor in which
+// nothing moved proves no flit can ever move again among the active
+// messages (held messages are the adversary's to withhold forever). The verdict is taken before that successor is encoded, so a
 // deadlocked state leaves no successor behind, and the pruning counters
 // forEach bumped on its way to the first decision are rolled back.
 //
 // The liveness search (cfg.maskAll) adds two checks, in this order after
-// delivery: a permanent Definition 6 cycle in s (waitfor.FindLocal) ends
-// the expansion before any decision is enumerated, and after the deadlock
+// delivery: a permanent Definition 6 cycle in s (waitfor.FindLocal) marks
+// s deadlocked before any decision is enumerated — the merge tells local
+// from global deadlock on the replayed witness — and after the deadlock
 // check the first budget-free decision whose successor encodes exactly as
 // enc, s's own encoding, is recorded as a starvation loop. Every encoded
 // per-message quantity is monotone under the step relation, so every
@@ -357,7 +358,7 @@ func (w *searchWorker) expand(s *sim.Sim, enc []byte, budget int) expandResult {
 	}
 	liveness := w.eng.cfg.maskAll
 	if liveness && waitfor.FindLocal(s) != nil {
-		r.local = true
+		r.deadlocked = true
 		return r
 	}
 	inNetwork := anyInNetwork(s)
@@ -565,13 +566,28 @@ func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 			if res.delivered {
 				continue
 			}
-			if res.deadlocked || res.local {
+			if res.deadlocked {
 				// The batch entry decodes to the deadlocked state, but its
 				// wall clock is relative; replay the witness trace instead
 				// so waitfor sees the state exactly as the search reached
-				// it.
+				// it. Under liveness a permanent cycle is a local deadlock
+				// when traffic outside it can still be delivered.
 				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
-				return eng.report.done(deadlockResult(Replay(sc, trace), trace, states, res.local), level)
+				s := Replay(sc, trace)
+				r := SearchResult{Verdict: VerdictDeadlock, States: states, Trace: trace}
+				var ld *waitfor.LocalDeadlock
+				if cfg.maskAll {
+					ld = waitfor.FindLocal(s)
+				}
+				switch {
+				case ld == nil:
+					r.Deadlock = waitfor.Find(s)
+				case len(ld.Live) > 0:
+					r.Verdict, r.Deadlock, r.Local = VerdictLocalDeadlock, &ld.Deadlock, ld
+				default:
+					r.Deadlock = &ld.Deadlock
+				}
+				return eng.report.done(r, level)
 			}
 			if res.loop >= 0 {
 				// The loop decision leads back to this entry: its provenance
@@ -604,24 +620,6 @@ func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 		cur = nxt
 		level++
 	}
-}
-
-// deadlockResult is the verdict for a deadlocked state s reached by
-// trace. Under liveness (local) the permanent cycle is a local deadlock
-// when traffic outside it can still be delivered, and global otherwise.
-func deadlockResult(s *sim.Sim, trace []Decision, states int, local bool) SearchResult {
-	r := SearchResult{Verdict: VerdictDeadlock, States: states, Trace: trace}
-	if !local {
-		r.Deadlock = waitfor.Find(s)
-		return r
-	}
-	ld := waitfor.FindLocal(s)
-	r.Deadlock = &ld.Deadlock
-	if len(ld.Live) > 0 {
-		r.Verdict = VerdictLocalDeadlock
-		r.Local = ld
-	}
-	return r
 }
 
 // newHeldSim instantiates the scenario with every message held at its
