@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/adaptive"
 	"repro/internal/benchrows"
 	"repro/internal/core"
 	"repro/internal/mcheck"
@@ -211,6 +212,72 @@ func TestAddResetZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// searchStates returns two mid-flight states, a few cycles apart, of each
+// scenario the state guards cover: Gen(3), whose messages are oblivious,
+// and the Duato escape protocol on a 2x2 mesh with two virtual channels,
+// whose messages materialize adaptive routes.
+func searchStates(t *testing.T) map[string][2]*sim.Sim {
+	t.Helper()
+	g := topology.NewMesh([]int{2, 2}, 2)
+	alg := adaptive.DuatoMesh(g)
+	duato := sim.Scenario{Net: g.Network, Cfg: sim.Config{SameCycleHandoff: true}}
+	for _, c := range [][2][2]int{{{0, 0}, {1, 1}}, {{1, 1}, {0, 0}}, {{0, 1}, {1, 0}}, {{1, 0}, {0, 1}}} {
+		duato.Msgs = append(duato.Msgs, alg.Spec(g.NodeAt(c[0][:]), g.NodeAt(c[1][:]), 3, 0))
+	}
+	out := map[string][2]*sim.Sim{}
+	for name, sc := range map[string]sim.Scenario{"gen3": papernets.GenK(3).Scenario, "duato": duato} {
+		a := sc.NewSim()
+		a.Step()
+		a.Step()
+		b := a.Clone()
+		b.Step()
+		b.Step()
+		routed := false
+		for id := 0; id < b.NumMessages(); id++ {
+			routed = routed || b.IsAdaptive(id) && len(b.Message(id).Path) > 1
+		}
+		if name == "duato" && !routed {
+			t.Fatal("test bug: no adaptive message has materialized a route")
+		}
+		out[name] = [2]*sim.Sim{a, b}
+	}
+	return out
+}
+
+// TestCopyFromZeroAllocSteadyState pins CopyFrom at 0 allocs/op once the
+// destination has the source's array sizes: the state is five flat
+// arrays, copied in place.
+func TestCopyFromZeroAllocSteadyState(t *testing.T) {
+	for name, st := range searchStates(t) {
+		dst := st[0].Clone()
+		if n := testing.AllocsPerRun(200, func() {
+			dst.CopyFrom(st[1])
+			dst.CopyFrom(st[0])
+		}); n != 0 {
+			t.Errorf("%s: CopyFrom allocates %v allocs/op in steady state", name, n)
+		}
+	}
+}
+
+// TestDecodeFromZeroAllocSteadyState pins DecodeFrom at 0 allocs/op: it
+// writes each message's flit counts and route into the message's own
+// ranges, without appending.
+func TestDecodeFromZeroAllocSteadyState(t *testing.T) {
+	for name, st := range searchStates(t) {
+		var a, b []byte
+		st[0].EncodeTo(&a)
+		st[1].EncodeTo(&b)
+		dst := st[0].Clone()
+		if n := testing.AllocsPerRun(200, func() {
+			if dst.DecodeFrom(b) != nil || dst.DecodeFrom(a) != nil {
+				t.Fatal("decoding an encoding failed")
+			}
+		}); n != 0 {
+			t.Errorf("%s: DecodeFrom allocates %v allocs/op in steady state", name, n)
+		}
+	}
+}
+
 // countingTracer is the cheapest possible sink: it proves the traced path
 // itself (event construction and dispatch) stays allocation-bounded, as
 // distinct from what a real sink does with the events.
@@ -363,7 +430,7 @@ var rowAllocs = map[string]int64{
 	"E6_Gen2_Stall2":                 2167,
 	"E7_SimThroughput":               0,
 	"E7_SimThroughput_Telemetry":     0,
-	"E8_LivenessSearch":              10561,
+	"E8_LivenessSearch":              1540,
 	"E10_SearchOutOfCore":            4215,
 	"E11_TelemetryLongHorizon":       0,
 	"EncodeTo":                       0,

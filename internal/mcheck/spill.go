@@ -74,7 +74,7 @@ type spillKey struct {
 
 // spill writes the shard's resident entries as one new run, sorted by
 // (digest, encoding) with digests recomputed from the store's seed, then
-// resets the resident chain. Caller holds the write lock.
+// resets the resident chain. Only the merge goroutine calls it.
 func (v *visitedSet) spill(sh *visitedShard) {
 	v.order = v.order[:0]
 	for i := range sh.entries {
@@ -106,7 +106,7 @@ func (v *visitedSet) spill(sh *visitedShard) {
 // compact merges every run of the shard into one, keeping the newest
 // record of each (digest, encoding) and dropping superseded duplicates.
 // Each run is read block by block through its fence offsets, as lookups
-// read it. Caller holds the write lock.
+// read it. Only the merge goroutine calls it.
 func (v *visitedSet) compact(sh *visitedShard) {
 	rds := make([]*runReader, len(sh.runs))
 	for i, r := range sh.runs {

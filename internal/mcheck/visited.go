@@ -9,8 +9,9 @@ import (
 )
 
 // visitedShards is the stripe count of the visited set. Power of two so the
-// shard index is a mask; 64 stripes keep mutex contention negligible up to
-// far more workers than GOMAXPROCS will reasonably be.
+// shard index is a mask. The shards take no locks: reads and writes never
+// overlap (see visitedSet's concurrency contract), so striping only bounds
+// each shard's map, chains and spill runs.
 const visitedShards = 64
 
 // visitedEntryOverhead approximates the resident cost of one entry beyond
@@ -56,12 +57,15 @@ type VisitedStats struct {
 // witnesses are byte-identical with and without spilling; only the
 // memory ceiling and constant factors differ.
 //
-// Concurrency contract (inherited from the engine): novel may be called
-// from many workers concurrently under the shard read locks, but insert,
-// stats, size and close only ever run on the single merge goroutine,
-// strictly between expansion phases. Run files are immutable once
-// written and read with positioned reads, so concurrent probes share
-// them safely.
+// Concurrency contract (inherited from the engine): the store is read
+// and written in alternating phases and takes no locks. During an
+// expansion phase many workers call novel concurrently, and nothing
+// writes. insert, stats, size and close run only on the single merge
+// goroutine, between expansion phases; expandBatch's WaitGroup orders
+// every probe of a phase before the merge that follows it, and the
+// merge before the next phase starts its workers. Run files are
+// immutable once written and read with positioned reads, so concurrent
+// probes share them safely.
 type visitedSet struct {
 	seed   maphash.Seed
 	shards [visitedShards]visitedShard
@@ -77,7 +81,6 @@ type visitedSet struct {
 }
 
 type visitedShard struct {
-	mu sync.RWMutex
 	// index maps a digest to the head of its resident entry chain.
 	index   map[uint64]int32
 	entries []visitedEntry
@@ -122,8 +125,7 @@ func (v *visitedSet) hash(enc []byte) uint64 {
 }
 
 // find returns the index of enc's resident entry under digest h, or -1,
-// and the head of h's chain, or -1. Caller holds the shard lock (either
-// mode).
+// and the head of h's chain, or -1.
 func (sh *visitedShard) find(h uint64, enc []byte) (i, head int32) {
 	head, ok := sh.index[h]
 	if !ok {
@@ -138,8 +140,8 @@ func (sh *visitedShard) find(h uint64, enc []byte) (i, head int32) {
 }
 
 // lookupRuns probes the shard's runs newest-first, so the freshest
-// record of an encoding wins. Caller holds the shard lock (either mode),
-// which pins the run list.
+// record of an encoding wins. The run list changes only in the merge
+// phase, so it is fixed for the whole expansion phase.
 func (v *visitedSet) lookupRuns(sh *visitedShard, h uint64, enc []byte) (int32, bool) {
 	if len(sh.runs) == 0 {
 		return 0, false
@@ -156,11 +158,10 @@ func (v *visitedSet) lookupRuns(sh *visitedShard, h uint64, enc []byte) (int32, 
 
 // novel reports whether visiting the state (enc, budget) could still
 // reach anything new: the state is unseen, or was only seen with a
-// strictly smaller stall budget. Safe for concurrent use.
+// strictly smaller stall budget. Safe for concurrent use with other
+// novel calls, but not with insert, stats or close.
 func (v *visitedSet) novel(h uint64, enc []byte, budget int) bool {
 	sh := &v.shards[h&(visitedShards-1)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	if i, _ := sh.find(h, enc); i >= 0 {
 		return int(sh.entries[i].budget) < budget
 	}
@@ -180,8 +181,6 @@ func (v *visitedSet) novel(h uint64, enc []byte, budget int) bool {
 // may reuse the slice as soon as insert returns.
 func (v *visitedSet) insert(h uint64, enc []byte, budget int) bool {
 	sh := &v.shards[h&(visitedShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	i, head := sh.find(h, enc)
 	if i >= 0 {
 		e := &sh.entries[i]
@@ -214,10 +213,7 @@ func (v *visitedSet) insert(h uint64, enc []byte, budget int) bool {
 func (v *visitedSet) size() int {
 	n := 0
 	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		n += sh.distinct
-		sh.mu.RUnlock()
+		n += v.shards[i].distinct
 	}
 	return n
 }
@@ -230,14 +226,12 @@ func (v *visitedSet) stats(st *VisitedStats) {
 	}
 	for i := range v.shards {
 		sh := &v.shards[i]
-		sh.mu.RLock()
 		st.Entries += sh.distinct
 		st.Bytes += sh.bytes + sh.fenceBytes
 		st.PeakShardEntries = max(st.PeakShardEntries, sh.distinct)
 		st.SpillBytes += sh.runBytes
 		st.SpillRuns += len(sh.runs)
 		st.SpilledEntries += sh.runEntries
-		sh.mu.RUnlock()
 	}
 }
 
@@ -248,12 +242,10 @@ func (v *visitedSet) close() {
 	}
 	for i := range v.shards {
 		sh := &v.shards[i]
-		sh.mu.Lock()
 		for _, r := range sh.runs {
 			r.f.Close()
 		}
 		sh.runs = nil
-		sh.mu.Unlock()
 	}
 	os.RemoveAll(v.dir)
 }

@@ -43,9 +43,9 @@ type FIFOArbiter struct{}
 // Pick implements Arbiter.
 func (FIFOArbiter) Pick(s *Sim, _ topology.ChannelID, contenders []int) int {
 	best := contenders[0]
-	bestSince := s.waitingSince[best]
+	bestSince := s.msgs[best].waitingSince
 	for _, id := range contenders[1:] {
-		since := s.waitingSince[id]
+		since := s.msgs[id].waitingSince
 		// -1 means "not waiting before this cycle": treat as now.
 		if since < 0 {
 			since = s.now
@@ -55,7 +55,7 @@ func (FIFOArbiter) Pick(s *Sim, _ topology.ChannelID, contenders []int) int {
 			cur = s.now
 		}
 		if since < cur {
-			best, bestSince = id, s.waitingSince[id]
+			best, bestSince = id, s.msgs[id].waitingSince
 		}
 	}
 	return best

@@ -6,11 +6,13 @@ package sim
 // it to recycle an instance for a fresh message set.
 func (s *Sim) Reset() {
 	s.now = 0
+	// Clones may still share the specs array, so the slice moves past its
+	// used slots instead of truncating into them (see addSpec).
+	s.specs = s.specs[len(s.specs):]
 	s.msgs = s.msgs[:0]
-	for i := range s.owner {
-		s.owner[i] = -1
-	}
-	s.waitingSince = s.waitingSince[:0]
+	clear(s.owner)
+	s.flits = s.flits[:0]
+	s.hops = s.hops[:0]
 	s.lastMoved = false
 	s.lastThawed = false
 	s.waits.Reset(0)
@@ -18,6 +20,7 @@ func (s *Sim) Reset() {
 	s.liveCount = 0
 	s.flitsConsumed = 0
 	s.planned = false
+	s.predicted = false
 	// Scratch arenas and their epoch counters survive Reset untouched:
 	// the counters only ever grow, so stale stamps can never read as set.
 	// The tracer and telemetry collector also survive: they are observers
@@ -33,11 +36,13 @@ func (s *Sim) Reset() {
 // src's immutable message specs. Arbiters implementing ArbiterCloner are
 // deep-copied; other arbiters are shared.
 //
-// Between two simulators of the same scenario CopyFrom stores no message
-// pointer: spec pointers are already equal, path and queue contents are
-// copied into s's own backing arrays, and a slice header is rewritten
-// only when a length changes. So the message copy runs no GC write
-// barriers; the configuration's arbiter is the one pointer stored.
+// The state is the five pointer-free arrays (message states, channel
+// owners, buffered flits, adaptive routes and the active list) plus
+// scalars, so the copy is one copy per array with no per-message work.
+// Between two simulators of the same scenario it stores no pointer but
+// the configuration's arbiter: the specs array is already shared, and a
+// slice header is rewritten only when a length changes, so the copy runs
+// no GC write barriers.
 func (s *Sim) CopyFrom(src *Sim) {
 	if s.net != src.net {
 		panic("sim: CopyFrom across different networks")
@@ -47,35 +52,24 @@ func (s *Sim) CopyFrom(src *Sim) {
 		s.cfg.Arbiter = c.CloneArbiter()
 	}
 	s.now = src.now
+	if n := len(src.specs); len(s.specs) != n || n > 0 && &s.specs[0] != &src.specs[0] {
+		// Capacity-limited, so an Add to s moves s to an array of its own.
+		s.specs = src.specs[:n:n]
+	}
+	copyInto(&s.msgs, src.msgs)
 	copyInto(&s.owner, src.owner)
-	copyInto(&s.waitingSince, src.waitingSince)
+	copyInto(&s.flits, src.flits)
+	copyInto(&s.hops, src.hops)
+	copyInto(&s.active, src.active)
 	s.lastMoved = src.lastMoved
 	s.lastThawed = src.lastThawed
-
-	// Reuse message structs (and their queued/path backing arrays) from
-	// previous generations of this sim where possible.
-	if cap(s.msgs) >= len(src.msgs) {
-		s.msgs = s.msgs[:len(src.msgs)] // revives structs parked beyond the old length
-	} else {
-		s.msgs = append(s.msgs[:cap(s.msgs)], make([]message, len(src.msgs)-cap(s.msgs))...)
-	}
-	for i := range src.msgs {
-		sm := &src.msgs[i]
-		dm := &s.msgs[i]
-		if dm.spec != sm.spec {
-			dm.spec = sm.spec
-		}
-		dm.msgState = sm.msgState
-		copyInto(&dm.path, sm.path)
-		copyInto(&dm.queued, sm.queued)
-	}
-	copyInto(&s.active, src.active)
 	s.liveCount = src.liveCount
 	s.flitsConsumed = src.flitsConsumed
 	// s's scratch arenas and epochs are left alone, and so are its tracer
 	// and telemetry collector: per-instance working memory and observers,
 	// not simulation state. The arenas hold no plan for the new state.
 	s.planned = false
+	s.predicted = false
 }
 
 // copyInto makes *dst a copy of src in dst's own backing array. It stores

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -155,13 +156,15 @@ func TestBuiltinArbitersAreStateless(t *testing.T) {
 	}
 }
 
-// TestCarvedSlotsStayIsolated: Add cuts each message's path and queue
-// from shared slab chunks as capacity-limited slices. Growing one
-// message's storage — a Reset slot refilled with a longer path, an
-// adaptive route extended hop by hop, CopyFrom of a longer path — must
-// move that message to new storage, never write into its neighbour's.
+// TestCarvedSlotsStayIsolated: every message owns fixed ranges of the
+// simulator's flat flits and hops arrays. Growing one message — a Reset
+// slot refilled with a longer path, an adaptive route extended past the
+// room Add reserved for it, CopyFrom of a longer path — must size or move
+// that message's ranges, never write into a neighbour's; writing into one
+// message's range changes no other message; and stepping a copy never
+// changes its source.
 func TestCarvedSlotsStayIsolated(t *testing.T) {
-	net := line(8)
+	net := line(20)
 	seg := func(a, b int) []topology.ChannelID {
 		var p []topology.ChannelID
 		for c := a; c < b; c++ {
@@ -173,10 +176,31 @@ func TestCarvedSlotsStayIsolated(t *testing.T) {
 		t.Helper()
 		for id, w := range want {
 			m := &s.msgs[id]
-			if !slices.Equal(m.path, w) || len(m.queued) != len(w) {
-				t.Fatalf("%s: message %d path %v with %d queue slots, want %v", what, id, m.path, len(m.queued), w)
+			if !slices.Equal(s.path(m), w) || len(s.queue(m)) != len(w) {
+				t.Fatalf("%s: message %d path %v with %d queue slots, want %v", what, id, s.path(m), len(s.queue(m)), w)
 			}
 		}
+		// No two messages' ranges overlap, in flits or in hops.
+		for i := range s.msgs {
+			for j := range i {
+				a, b := &s.msgs[i], &s.msgs[j]
+				if a.off < b.off+b.room && b.off < a.off+a.room {
+					t.Fatalf("%s: messages %d and %d share flit slots", what, i, j)
+				}
+				if a.adaptive && b.adaptive && a.hop < b.hop+b.room && b.hop < a.hop+a.room {
+					t.Fatalf("%s: messages %d and %d share route slots", what, i, j)
+				}
+			}
+		}
+	}
+	views := func(s *Sim) []MsgView {
+		var out []MsgView
+		for id := 0; id < s.NumMessages(); id++ {
+			v := s.Message(id)
+			v.Spec.Route = nil // funcs do not compare
+			out = append(out, v)
+		}
+		return out
 	}
 	carved := func() *Sim {
 		s := New(net, Config{})
@@ -186,20 +210,38 @@ func TestCarvedSlotsStayIsolated(t *testing.T) {
 		return s
 	}
 
-	// Reset: slot 0 turns adaptive and grows past its two carved entries,
-	// slot 2 is refilled with a longer path than it was carved for.
+	// Reset: slot 0 turns adaptive and its route outgrows the room Add
+	// reserves, slot 2 is refilled with a longer path than it had.
 	s := carved()
 	s.Reset()
-	s.MustAdd(MessageSpec{Src: 0, Dst: 6, Length: 2,
+	s.MustAdd(MessageSpec{Src: 0, Dst: 19, Length: 2,
 		Route: func(at topology.NodeID, _ topology.ChannelID, _ topology.NodeID) []topology.ChannelID {
 			return []topology.ChannelID{topology.ChannelID(at)}
 		}})
 	s.MustAdd(MessageSpec{Src: 2, Dst: 4, Length: 2, Path: seg(2, 4)})
 	s.MustAdd(MessageSpec{Src: 5, Dst: 7, Length: 3, Path: seg(5, 7)})
+	if room := s.msgs[0].room; room >= 19 {
+		t.Fatalf("test bug: the adaptive route fits the %d slots Add reserved", room)
+	}
 	if out := s.Run(1000); out.Result != ResultDelivered {
 		t.Fatalf("Reset run: %v", out.Result)
 	}
-	check("Reset", s, seg(0, 6), seg(2, 4), seg(5, 7))
+	check("Reset", s, seg(0, 19), seg(2, 4), seg(5, 7))
+
+	// Writing into one message's ranges leaves the others as they were.
+	mid := carved()
+	mid.Step()
+	mid.Step()
+	before := views(mid)
+	for i := range mid.queue(&mid.msgs[1]) {
+		mid.queue(&mid.msgs[1])[i] = 99
+	}
+	after := views(mid)
+	for _, id := range []int{0, 2} {
+		if !reflect.DeepEqual(before[id], after[id]) {
+			t.Fatalf("writing message 1's flit slots changed message %d:\n  %+v\n  %+v", id, before[id], after[id])
+		}
+	}
 
 	// CopyFrom a state whose first message has the longer path.
 	src := New(net, Config{})
@@ -218,11 +260,19 @@ func TestCarvedSlotsStayIsolated(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("CopyFrom state differs from source:\n  src %x\n  dst %x", want, got)
 	}
+	srcViews := views(src)
+	for i := 0; i < 4; i++ {
+		dst.Step()
+	}
+	if !reflect.DeepEqual(views(src), srcViews) {
+		t.Fatal("stepping the copy changed the source")
+	}
 }
 
-// TestRecycledSlotsKeepSharedSpecs: clones share their source's message
-// specs, so recycling either side with Reset and Add must give the new
-// message a spec of its own rather than rewrite the shared one.
+// TestRecycledSlotsKeepSharedSpecs: clones share their source's specs
+// array, so recycling either side with Reset and Add must give the new
+// message a spec slot of its own rather than rewrite a shared one, and
+// must leave the other side's flit and route ranges alone.
 func TestRecycledSlotsKeepSharedSpecs(t *testing.T) {
 	net := line(5)
 	orig := MessageSpec{Src: 0, Dst: 4, Length: 3, Path: pathTo(net, 4), Label: "orig"}
@@ -230,23 +280,32 @@ func TestRecycledSlotsKeepSharedSpecs(t *testing.T) {
 	for _, recycle := range []string{"source", "copy"} {
 		src := New(net, Config{})
 		src.MustAdd(orig)
+		src.Step()
 		dst := src.Clone()
 		keep, reuse := dst, src
 		if recycle == "copy" {
 			keep, reuse = src, dst
 		}
+		var want []byte
+		keep.EncodeTo(&want)
 		reuse.Reset()
 		reuse.MustAdd(repl)
+		reuse.Step()
 		if got := keep.Message(0).Spec; got.Label != "orig" || got.Length != 3 || got.Src != 0 {
 			t.Fatalf("recycling the %s rewrote the other side's spec: %+v", recycle, got)
 		}
 		if got := reuse.Message(0).Spec; got.Label != "repl" || got.Length != 2 {
 			t.Fatalf("recycled %s reports spec %+v", recycle, got)
 		}
+		var got []byte
+		keep.EncodeTo(&got)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("recycling the %s changed the other side's state:\n  %x\n  %x", recycle, want, got)
+		}
 	}
 
-	// A copy that shrinks the message table parks slots that still point
-	// at the old source's specs; Add must not write into them either.
+	// A copy that shrinks the message table keeps a view of the old
+	// source's specs array; Add must not write into it either.
 	src := New(net, Config{})
 	src.MustAdd(repl)
 	src.MustAdd(orig)
@@ -255,6 +314,6 @@ func TestRecycledSlotsKeepSharedSpecs(t *testing.T) {
 	dst.MustAdd(repl)
 	dst.MustAdd(repl)
 	if got := src.Message(1).Spec; got.Label != "orig" {
-		t.Fatalf("Add into a parked slot rewrote the source's spec: %+v", got)
+		t.Fatalf("Add after a shrinking copy rewrote the source's spec: %+v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -42,6 +43,11 @@ import (
 // arbitration waiting times, delivery statistics, per-cycle masks) must
 // stay behaviorally irrelevant under StepWithPicks-driven exploration —
 // that invariant is what makes decode-and-continue exact.
+//
+// The format predates the simulator's flat in-memory layout (message
+// states, channel owners, flit counts and adaptive routes as pointer-free
+// arrays) and did not change with it: only where the encoder reads each
+// field moved, so every stored encoding still decodes to the same state.
 func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst) }
 
 // encode appends the EncodeTo-format encoding the state would have after
@@ -53,6 +59,13 @@ func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst) }
 // positional queued counts carry over unchanged; the result is
 // byte-identical to EncodeTo on a Sim built from the relabeled scenario
 // in the relabeled state.
+//
+// It makes one pass over the message states, reading each message's flit
+// counts and route from its ranges of flits and hops. Small values,
+// nearly all of them, take a one-byte path: a message whose counters all
+// fit one byte appends its five header bytes at once, and a run of
+// one-byte flit counts is a plain narrowing copy. The buffer grows only
+// as append grows it, so a fresh one ends up sized to the encoding.
 func (s *Sim) encode(p *Permutation, dst *[]byte) {
 	b := *dst
 	for j := range s.msgs {
@@ -60,9 +73,6 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 		if p != nil {
 			m = &s.msgs[p.MsgAt[j]]
 		}
-		b = binary.AppendUvarint(b, uint64(m.injected))
-		b = binary.AppendUvarint(b, uint64(m.consumed))
-		b = binary.AppendUvarint(b, uint64(m.frozen))
 		var flags byte
 		if m.held {
 			flags |= 1
@@ -70,16 +80,22 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 		if m.headerConsumed {
 			flags |= 2
 		}
-		b = append(b, flags)
-		b = binary.AppendUvarint(b, uint64(len(m.queued)))
-		for _, q := range m.queued {
-			b = binary.AppendUvarint(b, uint64(q))
+		if m.injected|m.consumed|m.frozen|m.n < 0x80 {
+			// Every field takes one byte: the common case, one append.
+			b = append(b, byte(m.injected), byte(m.consumed), byte(m.frozen), flags, byte(m.n))
+		} else {
+			b = binary.AppendUvarint(b, uint64(m.injected))
+			b = binary.AppendUvarint(b, uint64(m.consumed))
+			b = binary.AppendUvarint(b, uint64(m.frozen))
+			b = append(b, flags)
+			b = binary.AppendUvarint(b, uint64(m.n))
 		}
-		if m.adaptive() {
+		b = appendCounts(b, s.flits[m.off:m.off+m.n])
+		if m.adaptive {
 			// The materialized route is part of an adaptive message's
 			// state; an oblivious path is immutable and omitted.
-			b = binary.AppendUvarint(b, uint64(len(m.path)))
-			for _, c := range m.path {
+			b = binary.AppendUvarint(b, uint64(m.n))
+			for _, c := range s.hops[m.hop : m.hop+m.n] {
 				if p != nil {
 					c = p.ChanTo[c]
 				}
@@ -88,6 +104,87 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 		}
 	}
 	*dst = b
+}
+
+// appendCounts appends each flit count as a uvarint. When every count
+// fits in one byte, as nearly all do, that is a plain narrowing copy.
+func appendCounts(b []byte, qs []int32) []byte {
+	n := len(b)
+	b = slices.Grow(b, len(qs))[:n+len(qs)]
+	out := b[n:]
+	var or int32
+	for i, q := range qs {
+		out[i] = byte(q)
+		or |= q
+	}
+	if or < 0x80 {
+		return b
+	}
+	b = b[:n]
+	for _, q := range qs {
+		b = binary.AppendUvarint(b, uint64(q))
+	}
+	return b
+}
+
+// decoder reads EncodeTo's uvarints. The first failure is kept in err,
+// and every read after it returns 0 without moving, so a caller checks
+// err once per group of reads.
+type decoder struct {
+	enc []byte
+	pos int
+	err error
+}
+
+// uvarint returns the next uvarint, taking a one-byte value without
+// calling the general decoder. Values above math.MaxInt32 are rejected:
+// no count, channel ID or flit index comes near that, and a larger value
+// would turn negative as an int and pass the range checks.
+func (d *decoder) uvarint() int {
+	if d.err != nil {
+		return 0
+	}
+	if p := d.pos; p < len(d.enc) && d.enc[p] < 0x80 {
+		d.pos = p + 1
+		return int(d.enc[p])
+	}
+	v, n := binary.Uvarint(d.enc[d.pos:])
+	if n <= 0 {
+		d.err = fmt.Errorf("sim: DecodeFrom: truncated varint at offset %d", d.pos)
+		return 0
+	}
+	if v > math.MaxInt32 {
+		d.err = fmt.Errorf("sim: DecodeFrom: varint %d at offset %d out of range", v, d.pos)
+		return 0
+	}
+	d.pos += n
+	return int(v)
+}
+
+// counts reads len(q) flit counts into q and returns their sum. When the
+// next len(q) bytes are all one-byte uvarints, as they nearly always
+// are, that is a plain widening copy.
+func (d *decoder) counts(q []int32) (int, error) {
+	sum := 0
+	if end := d.pos + len(q); end <= len(d.enc) {
+		var or byte
+		for j, v := range d.enc[d.pos:end] {
+			q[j] = int32(v)
+			or |= v
+			sum += int(v)
+		}
+		if or < 0x80 {
+			d.pos = end
+			return sum, nil
+		}
+		sum = 0
+	}
+	for j := range q {
+		v := d.uvarint()
+		q[j] = int32(v)
+		sum += v
+	}
+	return sum, d.err
 }
 
 // DecodeFrom overwrites s's mutable state with the state enc describes,
@@ -105,99 +202,78 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 // The search uses this to carry frontiers as compact byte batches
 // instead of live simulators, and to read them back from disk, so it
 // rejects any input EncodeTo cannot produce for this message set rather
-// than ignoring it: unknown flag bits and bytes after the last message
-// are errors.
+// than ignoring it: unknown flag bits, an adaptive route longer than the
+// network has channels and bytes after the last message are errors. It
+// writes each message's flit counts and route straight into the
+// message's ranges, in one pass over the encoding.
 func (s *Sim) DecodeFrom(enc []byte) error {
-	pos := 0
-	next := func() (int, error) {
-		v, n := binary.Uvarint(enc[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("sim: DecodeFrom: truncated varint at offset %d", pos)
-		}
-		if v > math.MaxInt32 {
-			// No count, channel ID or flit index comes near this; a larger
-			// value would turn negative as an int and pass the range checks.
-			return 0, fmt.Errorf("sim: DecodeFrom: varint %d at offset %d out of range", v, pos)
-		}
-		pos += n
-		return int(v), nil
-	}
-
+	d := decoder{enc: enc}
 	s.now = 0
-	for i := range s.owner {
-		s.owner[i] = -1
-	}
-	for len(s.waitingSince) < len(s.msgs) {
-		s.waitingSince = append(s.waitingSince, -1)
-	}
-	for i := range s.waitingSince {
-		s.waitingSince[i] = -1
-	}
+	clear(s.owner)
 	s.lastMoved = false
 	s.lastThawed = false
 	s.active = s.active[:0]
 	s.liveCount = 0
 	s.planned = false
+	s.predicted = false
 	var consumedTotal int64
+	channels := s.net.NumChannels()
 
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		injected, err := next()
-		if err != nil {
-			return err
+		injected := d.uvarint()
+		consumed := d.uvarint()
+		frozen := d.uvarint()
+		if d.err != nil {
+			return d.err
 		}
-		consumed, err := next()
-		if err != nil {
-			return err
-		}
-		frozen, err := next()
-		if err != nil {
-			return err
-		}
-		if pos >= len(enc) {
+		if d.pos >= len(enc) {
 			return fmt.Errorf("sim: DecodeFrom: truncated flags for message %d", i)
 		}
-		flags := enc[pos]
+		flags := enc[d.pos]
 		if flags&^3 != 0 {
 			return fmt.Errorf("sim: DecodeFrom: message %d has unknown flag bits %#x", i, flags&^3)
 		}
-		pos++
-		nq, err := next()
+		d.pos++
+		nq := d.uvarint()
+		if d.err != nil {
+			return d.err
+		}
+		if m.adaptive {
+			if nq > channels {
+				return fmt.Errorf("sim: DecodeFrom: adaptive message %d has %d queue slots, the network %d channels", i, nq, channels)
+			}
+			if nq > m.room {
+				s.widen(m, nq)
+			}
+			m.n = nq
+		} else if nq != m.n {
+			return fmt.Errorf("sim: DecodeFrom: message %d has %d queue slots, encoding has %d", i, m.n, nq)
+		}
+		q := s.flits[m.off : m.off+nq]
+		flits, err := d.counts(q)
 		if err != nil {
 			return err
 		}
-		if !m.adaptive() && nq != len(m.path) {
-			return fmt.Errorf("sim: DecodeFrom: message %d has %d queue slots, encoding has %d", i, len(m.path), nq)
-		}
-		m.queued = m.queued[:0]
-		flits := 0
-		for j := 0; j < nq; j++ {
-			q, err := next()
-			if err != nil {
-				return err
-			}
-			m.queued = append(m.queued, q)
-			flits += q
-		}
-		m.head = m.scanHead()
-		if m.adaptive() {
-			np, err := next()
-			if err != nil {
-				return err
+		m.head = s.scanHead(m)
+		if m.adaptive {
+			np := d.uvarint()
+			if d.err != nil {
+				return d.err
 			}
 			if np != nq {
 				return fmt.Errorf("sim: DecodeFrom: adaptive message %d path length %d != queue length %d", i, np, nq)
 			}
-			m.path = m.path[:0]
-			for j := 0; j < np; j++ {
-				c, err := next()
-				if err != nil {
-					return err
+			hops := s.hops[m.hop : m.hop+np]
+			for j := range hops {
+				c := d.uvarint()
+				if d.err != nil {
+					return d.err
 				}
-				if c >= s.net.NumChannels() {
+				if c >= channels {
 					return fmt.Errorf("sim: DecodeFrom: adaptive message %d path channel %d out of range", i, c)
 				}
-				m.path = append(m.path, topology.ChannelID(c))
+				hops[j] = topology.ChannelID(c)
 			}
 		}
 		m.injected = injected
@@ -206,6 +282,7 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		m.held = flags&1 != 0
 		m.headerConsumed = flags&2 != 0
 		m.mask = topology.None
+		m.waitingSince = -1
 		m.injectedAt = -1
 		if m.injected > 0 {
 			m.injectedAt = 0
@@ -234,24 +311,25 @@ func (s *Sim) DecodeFrom(enc []byte) error {
 		if m.injected == 0 {
 			continue
 		}
-		hi := len(m.path) - 1
+		path := s.path(m)
+		hi := len(path) - 1
 		if !m.headerConsumed {
 			hi = m.head
 		}
 		behind := m.injected < m.length
 		for j := 0; j <= hi; j++ {
-			if m.queued[j] != 0 || behind {
-				s.owner[m.path[j]] = m.id
+			if q[j] != 0 || behind {
+				s.take(m, path[j])
 			}
-			if m.queued[j] != 0 {
+			if q[j] != 0 {
 				behind = true
 			}
 		}
 	}
 	s.flitsConsumed = consumedTotal
 
-	if pos != len(enc) {
-		return fmt.Errorf("sim: DecodeFrom: %d trailing bytes after the last message", len(enc)-pos)
+	if d.pos != len(enc) {
+		return fmt.Errorf("sim: DecodeFrom: %d trailing bytes after the last message", len(enc)-d.pos)
 	}
 	return nil
 }

@@ -7,8 +7,8 @@ import "fmt"
 func HeadMismatch(s *Sim) error {
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		if h := m.scanHead(); m.head != h {
-			return fmt.Errorf("m%d caches head %d, but its queue %v puts the head at %d", i, m.head, m.queued, h)
+		if h := s.scanHead(m); m.head != h {
+			return fmt.Errorf("m%d caches head %d, but its queue %v puts the head at %d", i, m.head, s.queue(m), h)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/topology"
@@ -129,5 +130,53 @@ func TestCloneEncodeFaultState(t *testing.T) {
 	b.SetFrozen(1, 5)
 	if encOf(a) != encOf(b) {
 		t.Fatalf("equal remaining freeze encodes unequally:\n%x\n%x", encOf(a), encOf(b))
+	}
+}
+
+// TestOnePredictionPerState: a search state's release prediction is made
+// once and serves every activation and freeze subset, because neither
+// held bits nor freezes change its marks. A fresh clone carrying the same
+// freezes predicts from scratch; it must agree with the reused marks on
+// every query the search makes, and a frozen worm releases nothing.
+func TestOnePredictionPerState(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		s := randomScenario(seed, true, 1+int(seed%2))
+		for cycle := 0; cycle < 30 && !s.AllDelivered(); cycle++ {
+			epoch := s.releaseEpoch
+			s.CanAdvanceAll(nil)
+			n := min(s.NumMessages(), 4)
+			for frz := 0; frz < 1<<n; frz++ {
+				for id := 0; id < n; id++ {
+					s.SetFrozen(id, frz>>id&1)
+				}
+				for id := 0; id < n; id++ {
+					s.SetHeld(id, (frz+cycle)>>id&1 == 1)
+				}
+				fresh := s.Clone()
+				s.predictReleases()
+				for c := range s.owner {
+					if h := s.holder(topology.ChannelID(c)); h >= 0 && s.msgs[h].frozen > 0 && s.acquirable(topology.ChannelID(c)) {
+						t.Fatalf("seed %d cycle %d: channel %d of frozen message %d reads as releasing", seed, cycle, c, h)
+					}
+				}
+				if got, want := fmt.Sprint(s.CanAdvanceAll(nil)), fmt.Sprint(fresh.CanAdvanceAll(nil)); got != want {
+					t.Fatalf("seed %d cycle %d freezes %b: CanAdvanceAll %s, fresh prediction %s", seed, cycle, frz, got, want)
+				}
+				if got, want := fmt.Sprint(s.Contentions()), fmt.Sprint(fresh.Contentions()); got != want {
+					t.Fatalf("seed %d cycle %d freezes %b: Contentions %s, fresh prediction %s", seed, cycle, frz, got, want)
+				}
+			}
+			for id := 0; id < n; id++ {
+				s.SetFrozen(id, 0)
+				s.SetHeld(id, false)
+			}
+			if got := s.releaseEpoch - epoch; got != 1 {
+				t.Fatalf("seed %d cycle %d: %d predictions for one state, want 1", seed, cycle, got)
+			}
+			s.Step()
+			if s.predicted {
+				t.Fatalf("seed %d cycle %d: the prediction survived a step", seed, cycle)
+			}
+		}
 	}
 }

@@ -198,7 +198,7 @@ func TestHeadIndexCache(t *testing.T) {
 		refilled := false
 		for !m.delivered() {
 			step(t, s)
-			if m.headerConsumed && m.queued[len(path)-1] > 0 {
+			if m.headerConsumed && s.queue(m)[len(path)-1] > 0 {
 				refilled = true
 			}
 		}
@@ -224,7 +224,7 @@ func TestHeadIndexCache(t *testing.T) {
 		s.SetHeld(id, false)
 		step(t, s)
 		if m.head != 0 {
-			t.Fatalf("reinjected flit not at the head: head %d, queue %v", m.head, m.queued)
+			t.Fatalf("reinjected flit not at the head: head %d, queue %v", m.head, s.queue(m))
 		}
 		for !m.delivered() {
 			step(t, s)

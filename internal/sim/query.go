@@ -20,7 +20,7 @@ func (s *Sim) InNetwork(id int) bool { return s.msgs[id].inNetwork() }
 // an adaptive one it is the prefix acquired so far. The search engine's
 // partial-order filter uses PathChannel(id, 0) to identify the channel
 // an uninjected oblivious message must win to enter the network.
-func (s *Sim) PathChannel(id, i int) topology.ChannelID { return s.msgs[id].path[i] }
+func (s *Sim) PathChannel(id, i int) topology.ChannelID { return s.path(&s.msgs[id])[i] }
 
 // Delivering reports whether message id's header has reached the
 // destination and consumption has begun or could begin immediately: the
@@ -32,8 +32,7 @@ func (s *Sim) Delivering(id int) bool {
 	if m.headerConsumed {
 		return true
 	}
-	n := len(m.queued)
-	return n > 0 && m.queued[n-1] > 0
+	return m.n > 0 && s.flits[m.off+m.n-1] > 0
 }
 
 // Progress returns a monotone per-message progress counter derived purely
@@ -51,9 +50,9 @@ func (s *Sim) Delivering(id int) bool {
 // event nets at least +1 and no transition decreases any term.
 func (s *Sim) Progress(id int) int {
 	m := &s.msgs[id]
-	p := m.injected + (len(m.queued)+1)*m.consumed + len(m.path)
-	for i, q := range m.queued {
-		p += (i + 1) * q
+	p := m.injected + (m.n+1)*m.consumed + m.n
+	for i, q := range s.queue(m) {
+		p += (i + 1) * int(q)
 	}
 	if m.headerConsumed {
 		p++

@@ -37,6 +37,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/obsv"
@@ -65,26 +66,13 @@ type MessageSpec struct {
 	Label    string // optional, for diagnostics
 }
 
-// message is the runtime state of one message. Its only pointers are the
-// spec and the path and queued slices; CopyFrom stores them only when they
-// change, so copying a simulator into a pooled instance of the same
-// scenario runs no GC write barriers. Everything else is the pointer-free
-// msgState, copied as one block.
-type message struct {
-	// spec is the message's immutable description, shared by every clone.
-	// Its InjectAt and Length are read only by Add; the live values are
-	// msgState's injectAt and length, and the live path is path.
-	spec *MessageSpec
-	// path is the materialized channel sequence: a copy of spec.Path for
-	// oblivious messages, grown hop by hop as the header acquires channels
-	// for adaptive ones.
-	path   []topology.ChannelID
-	queued []int // flits currently buffered in each path channel
-	msgState
-}
-
-// msgState is the pointer-free per-message state. Its two flags sit
-// together at the end, so they share one word of padding.
+// msgState is the runtime state of one message. It holds no pointers:
+// the message's immutable description is Sim.specs[id], its buffered
+// flits are its slots of Sim.flits, and an adaptive message's
+// materialized route is its slots of Sim.hops. So every message's state
+// sits in one pointer-free array, and copying a simulator copies it in
+// one block. The two flags sit together at the end with the adaptive
+// bit, so they share one word of padding.
 type msgState struct {
 	id       int
 	injectAt int // earliest injection cycle
@@ -103,22 +91,48 @@ type msgState struct {
 
 	injectedAt  int // cycle the header entered the network, -1 before
 	deliveredAt int // cycle the tail was consumed, -1 before
+	// waitingSince is the cycle the message's header began waiting for
+	// its next channel, -1 when not waiting; drives FIFO arbitration.
+	waitingSince int
 
+	// off is the first of the message's slots in Sim.flits and hop (for
+	// adaptive messages) the first of its slots in Sim.hops; room is how
+	// many slots each range holds and n how many are in use, the length
+	// of the materialized path. An oblivious message's n and room are its
+	// path length from Add on; an adaptive one starts at n = 0 and moves
+	// to wider ranges as its path outgrows them (widen).
+	off, hop, n, room int
+
+	adaptive       bool
 	headerConsumed bool
 	held           bool // source withholds injection (assumption 1)
 }
 
-func (m *message) adaptive() bool { return m.spec.Route != nil }
+func (m *msgState) delivered() bool { return m.consumed == m.length }
 
-func (m *message) delivered() bool { return m.consumed == m.length }
+func (m *msgState) inNetwork() bool { return m.injected > m.consumed }
 
-func (m *message) inNetwork() bool { return m.injected > m.consumed }
+// queue returns message m's buffered-flit counts, one per slot of its
+// materialized path: a window of s.flits, valid until the message's path
+// grows.
+func (s *Sim) queue(m *msgState) []int32 { return s.flits[m.off : m.off+m.n] }
 
-// scanHead returns the largest path index holding flits, or -1: the
+// path returns message m's materialized channel sequence: the shared
+// spec's fixed path for an oblivious message, its slots of s.hops for an
+// adaptive one.
+func (s *Sim) path(m *msgState) []topology.ChannelID {
+	if m.adaptive {
+		return s.hops[m.hop : m.hop+m.n]
+	}
+	return s.specs[m.id].Path
+}
+
+// scanHead returns the largest path index of m holding flits, or -1: the
 // value the head field caches.
-func (m *message) scanHead() int {
-	for i := len(m.queued) - 1; i >= 0; i-- {
-		if m.queued[i] > 0 {
+func (s *Sim) scanHead(m *msgState) int {
+	q := s.queue(m)
+	for i := len(q) - 1; i >= 0; i-- {
+		if q[i] > 0 {
 			return i
 		}
 	}
@@ -149,14 +163,27 @@ type Config struct {
 // Sim is a simulator instance. Create one with New, add messages, then
 // Step or Run.
 type Sim struct {
-	net   *topology.Network
-	cfg   Config
-	now   int
-	msgs  []message // indexed by message ID; stable addresses only between Adds
-	owner []int     // channel -> message id, -1 when free
-	// waitingSince[msg] is the cycle the message's header began waiting
-	// for its next channel, -1 when not waiting; drives FIFO arbitration.
-	waitingSince []int
+	net *topology.Network
+	cfg Config
+	now int
+
+	// The mutable search state is five pointer-free arrays, so CopyFrom
+	// is one copy per array and EncodeTo/DecodeFrom one pass over them.
+	//
+	// specs[id] is message id's immutable description. Clones share the
+	// array, so no slot is ever written twice (see addSpec), and CopyFrom
+	// between simulators of one scenario stores nothing for it.
+	specs []MessageSpec
+	msgs  []msgState // indexed by message ID; stable addresses only between Adds
+	// owner[c] is the ID of the message holding channel c plus one, 0
+	// when c is free, so clearing the array frees every channel; read it
+	// through holder and holds.
+	owner []int32
+	// flits holds every message's buffered-flit counts, hops every
+	// adaptive message's materialized route, each message in the range
+	// its msgState names.
+	flits []int32
+	hops  []topology.ChannelID
 
 	// active is the working set the per-cycle machinery iterates: every
 	// undelivered message, plus delivered messages whose freeze counter is
@@ -216,6 +243,14 @@ type Sim struct {
 	// (stepping, copying, decoding, the setters) clears it. StepFrom
 	// refuses a probe without one.
 	planned bool
+	// predicted reports that the release marks describe the current
+	// state, so predictReleases has nothing to do: it sets the flag, and
+	// every change the marks depend on (stepping, copying, decoding, Add,
+	// SetMask) clears it. Held bits do not matter to them (only fully
+	// injected messages release), and neither do freezes (freeing rules
+	// out a frozen holder), so one prediction serves every activation and
+	// freeze subset of a search state.
+	predicted bool
 	// contOut and contIDs back the Contentions result and its contender
 	// lists; valid until the next Contentions call.
 	contOut []Contention
@@ -236,21 +271,14 @@ type Sim struct {
 	// Add, replacing a per-call map.
 	pathSeenEpoch uint64
 	pathSeenStamp []uint64
-	// pathSlab/queuedSlab are the unused tails of the chunks Add carves
-	// new messages' path and queued slices from, so a message costs no
-	// allocation of its own; slabChunk is the size of the latest chunk.
-	// Carved slices are capacity-limited, so an append past a message's
-	// length (an adaptive hop) reallocates instead of writing into a
-	// neighbour's slots. Like the arenas, the slabs are never copied.
-	pathSlab   []topology.ChannelID
-	queuedSlab []int
-	slabChunk  int
-	// specSlab is the unused tail of the chunk Add carves message specs
-	// from, and specChunk the size of that chunk. Every Add carves a
-	// fresh spec, so a carved spec is never written again and clones may
-	// share it.
-	specSlab  []MessageSpec
-	specChunk int
+	// specChunk is the capacity of the latest specs array, and routeSlab
+	// the unused tail of the chunk Add copies oblivious paths into (its
+	// size routeChunk). Both double, so a simulator of a few messages
+	// stays small and a recycled one allocates rarely; neither is
+	// copied, and a copied path is never written again.
+	specChunk  int
+	routeSlab  []topology.ChannelID
+	routeChunk int
 
 	// tracer receives trace events while attached; nil (the default) is
 	// the disabled state, guarded by one branch per emission site. Clone
@@ -269,8 +297,16 @@ type Sim struct {
 
 // freeing reports whether channel c was predicted to release this cycle
 // by the most recent predictReleases pass. Always false in strict mode.
+// The pass marks the tail channel of every worm that would release it if
+// free to move, so a frozen holder is ruled out here: that keeps the
+// marks independent of freezes. A channel without a holder was released
+// earlier in the same step, by a holder that moved.
 func (s *Sim) freeing(c topology.ChannelID) bool {
-	return s.cfg.SameCycleHandoff && s.freeingStamp[c] == s.releaseEpoch
+	if !s.cfg.SameCycleHandoff || s.freeingStamp[c] != s.releaseEpoch {
+		return false
+	}
+	h := s.holder(c)
+	return h < 0 || s.msgs[h].frozen == 0
 }
 
 // granted returns the channel message id won in this step's arbitration
@@ -323,12 +359,12 @@ func New(net *topology.Network, cfg Config) *Sim {
 	if cfg.Arbiter == nil {
 		cfg.Arbiter = FIFOArbiter{}
 	}
-	owner := make([]int, net.NumChannels())
-	for i := range owner {
-		owner[i] = -1
-	}
-	return &Sim{net: net, cfg: cfg, owner: owner}
+	return &Sim{net: net, cfg: cfg, owner: make([]int32, net.NumChannels())}
 }
+
+// adaptiveRoom is the number of route slots Add reserves for an adaptive
+// message (at most one per channel); a longer route widens them.
+const adaptiveRoom = 16
 
 // Add validates and registers a message, returning its ID (dense from 0 in
 // insertion order).
@@ -358,71 +394,99 @@ func (s *Sim) Add(spec MessageSpec) (int, error) {
 		return -1, fmt.Errorf("sim: negative injection time %d", spec.InjectAt)
 	}
 	id := len(s.msgs)
-	// Reuse the queued/path backing arrays of a slot parked beyond the
-	// length by an earlier Reset, so Add-heavy workloads on a recycled
-	// simulator stop allocating per message.
-	if cap(s.msgs) > id {
-		s.msgs = s.msgs[:id+1]
+	if id >= math.MaxInt32 {
+		return -1, fmt.Errorf("sim: message ID %d does not fit a channel owner", id)
+	}
+	m := msgState{
+		id:           id,
+		injectAt:     spec.InjectAt,
+		length:       spec.Length,
+		head:         -1,
+		mask:         topology.None,
+		injectedAt:   -1,
+		deliveredAt:  -1,
+		waitingSince: -1,
+		adaptive:     spec.Route != nil,
+	}
+	if m.adaptive {
+		m.room = min(adaptiveRoom, s.net.NumChannels())
+		m.hop = reserve(&s.hops, m.room)
 	} else {
-		s.msgs = append(s.msgs, message{})
+		spec.Path = s.copyRoute(spec.Path)
+		m.n, m.room = len(spec.Path), len(spec.Path)
 	}
-	m := &s.msgs[id]
-	queued, path := m.queued[:0], m.path[:0]
-	if n := len(spec.Path); cap(path) < n || cap(queued) < n {
-		path, queued = s.carve(n)
-	}
-	sp := s.carveSpec()
-	*sp = spec
-	*m = message{
-		spec: sp,
-		msgState: msgState{
-			id:          id,
-			injectAt:    spec.InjectAt,
-			length:      spec.Length,
-			head:        -1,
-			mask:        topology.None,
-			injectedAt:  -1,
-			deliveredAt: -1,
-		},
-	}
-	m.path = append(path, spec.Path...)
-	for range spec.Path {
-		queued = append(queued, 0)
-	}
-	m.queued = queued
-	s.waitingSince = append(s.waitingSince, -1)
+	m.off = reserve(&s.flits, m.room)
+	s.addSpec(spec)
+	s.msgs = append(s.msgs, m)
 	s.active = append(s.active, int32(id))
 	s.liveCount++
 	s.planned = false
+	s.predicted = false
 	return id, nil
 }
 
-// carve cuts empty path and queued slices of capacity n from the slabs,
-// starting new chunks of max(64, n, twice the last chunk) when the current
-// ones run short, so a simulator fed a few messages stays small and one
-// fed a long open-loop run allocates O(log messages) times.
-func (s *Sim) carve(n int) ([]topology.ChannelID, []int) {
-	if len(s.pathSlab) < n {
-		s.slabChunk = max(64, n, 2*s.slabChunk)
-		s.pathSlab = make([]topology.ChannelID, s.slabChunk)
-		s.queuedSlab = make([]int, s.slabChunk)
-	}
-	path, queued := s.pathSlab[:0:n], s.queuedSlab[:0:n]
-	s.pathSlab, s.queuedSlab = s.pathSlab[n:], s.queuedSlab[n:]
-	return path, queued
+// reserve appends n zeroed slots to *a and returns the index of the
+// first.
+func reserve[T int32 | topology.ChannelID](a *[]T, n int) int {
+	off := len(*a)
+	*a = slices.Grow(*a, n)[:off+n]
+	clear((*a)[off:])
+	return off
 }
 
-// carveSpec cuts one spec from the spec slab. Chunks double from 4 to
-// 256 specs, so a simulator of a few messages pays for a few specs and a
-// recycled one settles below one allocation per 256 Adds.
-func (s *Sim) carveSpec() *MessageSpec {
-	if len(s.specSlab) == 0 {
-		s.specChunk = min(max(4, 2*s.specChunk), 256)
-		s.specSlab = make([]MessageSpec, s.specChunk)
+// widen moves adaptive message m to ranges of flits and hops with room
+// for at least need slots, keeping its path and queue. Room doubles, up
+// to one slot per channel: a route never repeats a channel. The old
+// ranges stay behind unused.
+func (s *Sim) widen(m *msgState, need int) {
+	room := max(min(2*m.room, s.net.NumChannels()), need)
+	off, hop := reserve(&s.flits, room), reserve(&s.hops, room)
+	copy(s.flits[off:], s.queue(m))
+	copy(s.hops[hop:], s.path(m))
+	m.off, m.hop, m.room = off, hop, room
+}
+
+// extend appends channel c, with an empty queue slot, to adaptive message
+// m's path, widening its ranges when they are full.
+func (s *Sim) extend(m *msgState, c topology.ChannelID) {
+	if m.n == m.room {
+		s.widen(m, m.n+1)
 	}
-	sp := &s.specSlab[0]
-	s.specSlab = s.specSlab[1:]
-	return sp
+	s.hops[m.hop+m.n] = c
+	s.flits[m.off+m.n] = 0
+	m.n++
+}
+
+// addSpec appends spec to s.specs. Clones share the specs array (CopyFrom
+// hands out capacity-limited views of it), so a slot must never be
+// written twice: Reset moves the slice past its used slots instead of
+// truncating it, and a full array moves the current specs to a fresh one
+// of twice the size, from 8 up to 256 slots after a Reset, so a recycled
+// simulator settles below one allocation per 256 Adds.
+func (s *Sim) addSpec(spec MessageSpec) {
+	if len(s.specs) == cap(s.specs) {
+		s.specChunk = max(2*len(s.specs), min(max(8, 2*s.specChunk), 256))
+		grown := make([]MessageSpec, len(s.specs), s.specChunk)
+		copy(grown, s.specs)
+		s.specs = grown
+	}
+	s.specs = append(s.specs, spec)
+}
+
+// copyRoute copies an oblivious path into the route slab, so a caller
+// that reuses its slice cannot change a registered message. Chunks
+// double from 64 to 4096 channels; a copied path is never written again,
+// so clones share it.
+func (s *Sim) copyRoute(path []topology.ChannelID) []topology.ChannelID {
+	n := len(path)
+	if len(s.routeSlab) < n {
+		s.routeChunk = max(n, min(max(64, 2*s.routeChunk), 4096))
+		s.routeSlab = make([]topology.ChannelID, s.routeChunk)
+	}
+	out := s.routeSlab[:n:n]
+	copy(out, path)
+	s.routeSlab = s.routeSlab[n:]
+	return out
 }
 
 // pathDuplicate reports the first channel a path visits twice, using the
@@ -474,7 +538,16 @@ func (s *Sim) Now() int { return s.now }
 func (s *Sim) NumMessages() int { return len(s.msgs) }
 
 // Owner returns the ID of the message holding channel c, or -1.
-func (s *Sim) Owner(c topology.ChannelID) int { return s.owner[c] }
+func (s *Sim) Owner(c topology.ChannelID) int { return s.holder(c) }
+
+// holder returns the ID of the message holding channel c, or -1.
+func (s *Sim) holder(c topology.ChannelID) int { return int(s.owner[c]) - 1 }
+
+// holds reports whether message m holds channel c.
+func (s *Sim) holds(m *msgState, c topology.ChannelID) bool { return int(s.owner[c]) == m.id+1 }
+
+// take hands channel c to message m.
+func (s *Sim) take(m *msgState, c topology.ChannelID) { s.owner[c] = int32(m.id + 1) }
 
 // SetFrozen freezes message id for the next n cycles: it will not move or
 // contend for channels even when able (the Section 6 fault model). Calling
@@ -513,6 +586,7 @@ func (s *Sim) SetHeld(id int, held bool) {
 func (s *Sim) SetMask(id int, c topology.ChannelID) {
 	s.msgs[id].mask = c
 	s.planned = false
+	s.predicted = false
 }
 
 // Held reports whether message id is held at its source.
@@ -533,7 +607,7 @@ func (s *Sim) AcquirableCandidates(id int) []topology.ChannelID {
 	s.predictReleases()
 	var out []topology.ChannelID
 	for _, c := range s.wantedChannels(&s.msgs[id]) {
-		if s.owner[c] == -1 || s.freeing(c) {
+		if s.acquirable(c) {
 			out = append(out, c)
 		}
 	}
@@ -541,7 +615,7 @@ func (s *Sim) AcquirableCandidates(id int) []topology.ChannelID {
 }
 
 // IsAdaptive reports whether message id routes adaptively.
-func (s *Sim) IsAdaptive(id int) bool { return s.msgs[id].adaptive() }
+func (s *Sim) IsAdaptive(id int) bool { return s.msgs[id].adaptive }
 
 // Contentions returns this cycle's channel-acquisition choice points: every
 // acquirable channel (free now, or — with same-cycle handoff — freed by a
@@ -595,7 +669,7 @@ func (s *Sim) collectRequests(buf []uint64) []uint64 {
 	for _, id := range s.active {
 		m := &s.msgs[id]
 		for _, c := range s.wantedChannels(m) {
-			if s.owner[c] == -1 || s.freeing(c) {
+			if s.acquirable(c) {
 				reqs = append(reqs, uint64(c)<<32|uint64(uint32(m.id)))
 			}
 		}
@@ -606,12 +680,11 @@ func (s *Sim) collectRequests(buf []uint64) []uint64 {
 
 // arrived reports whether the message's materialized path already ends at
 // its destination (always true for oblivious messages at the last index).
-func (s *Sim) arrived(m *message) bool {
-	if !m.adaptive() {
+func (s *Sim) arrived(m *msgState) bool {
+	if !m.adaptive {
 		return true
 	}
-	n := len(m.path)
-	return n > 0 && s.net.Channel(m.path[n-1]).Dst == m.spec.Dst
+	return m.n > 0 && s.net.Channel(s.hops[m.hop+m.n-1]).Dst == s.specs[m.id].Dst
 }
 
 // predictReleases stamps the channels whose owner's tail will depart this
@@ -621,8 +694,15 @@ func (s *Sim) arrived(m *message) bool {
 // of the cycle); if the owner then loses that arbitration the release does
 // not happen, and the acquisition guard in moveMessage makes the granted
 // waiter simply stall one more cycle. In strict-handoff mode it only
-// advances the epoch, leaving every channel unmarked.
+// advances the epoch, leaving every channel unmarked. Frozen messages
+// are predicted as if free to move, and freeing rules their marks out,
+// so the marks do not depend on freezes. While the predicted flag
+// stands, the marks already describe the state and it returns at once.
 func (s *Sim) predictReleases() {
+	if s.predicted {
+		return
+	}
+	s.predicted = true
 	s.releaseEpoch++
 	if !s.cfg.SameCycleHandoff {
 		return
@@ -630,23 +710,25 @@ func (s *Sim) predictReleases() {
 	s.ensureChannelStamps()
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		if m.delivered() || m.frozen > 0 || m.injected < m.length {
+		if m.delivered() || m.injected < m.length {
 			continue
 		}
+		q := s.queue(m)
 		low := -1
-		for i, q := range m.queued {
-			if q > 0 {
+		for i, n := range q {
+			if n > 0 {
 				low = i
 				break
 			}
 		}
-		if low < 0 || m.queued[low] != 1 {
+		if low < 0 || q[low] != 1 {
 			continue
 		}
 		// Walk the worm front to back, computing whether one flit departs
 		// each occupied channel this cycle (mirrors the movement pass).
+		path := s.path(m)
 		h := m.head
-		last := len(m.path) - 1
+		last := len(path) - 1
 		departs := s.departsBuf
 		if cap(departs) < h+1 {
 			departs = make([]bool, h+1)
@@ -654,11 +736,9 @@ func (s *Sim) predictReleases() {
 		} else {
 			departs = departs[:h+1]
 		}
-		for i := range departs {
-			departs[i] = false
-		}
+		clear(departs)
 		for i := h; i >= low; i-- {
-			if m.queued[i] == 0 {
+			if q[i] == 0 {
 				continue
 			}
 			if i == last {
@@ -668,29 +748,32 @@ func (s *Sim) predictReleases() {
 				}
 				// Adaptive frontier: optimistically departs when any
 				// candidate channel is free at the start of the cycle.
-				for _, c := range s.wantedChannels(m) {
-					if s.owner[c] == -1 {
+				// These are the channels wantedChannels returns when m is
+				// not frozen.
+				in := path[i]
+				for _, c := range s.adaptiveCandidates(m, s.net.Channel(in).Dst, in) {
+					if s.owner[c] == 0 {
 						departs[i] = true
 						break
 					}
 				}
 				continue
 			}
-			next := m.path[i+1]
-			if s.owner[next] != m.id {
+			next := path[i+1]
+			if !s.holds(m, next) {
 				// Header acquisition: optimistically moves when the
 				// channel is free at the start of the cycle.
-				departs[i] = i == h && !m.headerConsumed && s.owner[next] == -1
+				departs[i] = i == h && !m.headerConsumed && s.owner[next] == 0
 				continue
 			}
-			free := s.cfg.BufferDepth - m.queued[i+1]
+			free := s.cfg.BufferDepth - int(q[i+1])
 			if i+1 <= h && departs[i+1] {
 				free++
 			}
 			departs[i] = free > 0
 		}
 		if departs[low] {
-			s.freeingStamp[m.path[low]] = s.releaseEpoch
+			s.freeingStamp[path[low]] = s.releaseEpoch
 		}
 	}
 }
@@ -701,7 +784,7 @@ func (s *Sim) predictReleases() {
 // and not held). Oblivious messages want exactly their next path channel;
 // adaptive messages want every usable candidate their route function
 // offers.
-func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
+func (s *Sim) wantedChannels(m *msgState) []topology.ChannelID {
 	if m.delivered() || m.frozen > 0 || m.headerConsumed {
 		return nil
 	}
@@ -711,27 +794,28 @@ func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
 		if m.held || s.now < m.injectAt {
 			return nil
 		}
-		if !m.adaptive() {
-			return m.path[:1]
+		if !m.adaptive {
+			return s.specs[m.id].Path[:1]
 		}
-		at = m.spec.Src
+		at = s.specs[m.id].Src
 	} else {
 		h := m.head
 		if h < 0 {
 			return nil
 		}
-		if !m.adaptive() {
-			if h == len(m.path)-1 {
+		if !m.adaptive {
+			path := s.specs[m.id].Path
+			if h == len(path)-1 {
 				return nil // header at the destination channel: consumption
 			}
-			return m.path[h+1 : h+2]
+			return path[h+1 : h+2]
 		}
 		// An adaptive header is always at the end of the materialized
 		// path.
-		if h != len(m.path)-1 || s.arrived(m) {
+		if h != m.n-1 || s.arrived(m) {
 			return nil
 		}
-		in = m.path[h]
+		in = s.hops[m.hop+h]
 		at = s.net.Channel(in).Dst
 	}
 	return s.adaptiveCandidates(m, at, in)
@@ -743,8 +827,9 @@ func (s *Sim) wantedChannels(m *message) []topology.ChannelID {
 // message's selection mask when one is set. The result is backed by the
 // sim-owned wantBuf scratch slice: it is valid only until the next
 // wantedChannels/adaptiveCandidates call and must not be retained.
-func (s *Sim) adaptiveCandidates(m *message, at topology.NodeID, in topology.ChannelID) []topology.ChannelID {
-	raw := m.spec.Route(at, in, m.spec.Dst)
+func (s *Sim) adaptiveCandidates(m *msgState, at topology.NodeID, in topology.ChannelID) []topology.ChannelID {
+	spec := &s.specs[m.id]
+	raw := spec.Route(at, in, spec.Dst)
 	out := s.wantBuf[:0]
 	for _, c := range raw {
 		if c < 0 || int(c) >= s.net.NumChannels() || s.net.Channel(c).Src != at {
@@ -753,14 +838,7 @@ func (s *Sim) adaptiveCandidates(m *message, at topology.NodeID, in topology.Cha
 		if m.mask != topology.None && c != m.mask {
 			continue
 		}
-		used := false
-		for _, p := range m.path {
-			if p == c {
-				used = true
-				break
-			}
-		}
-		if !used {
+		if !slices.Contains(s.path(m), c) {
 			out = append(out, c)
 		}
 	}
@@ -872,13 +950,13 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 		m := &s.msgs[id]
 		if wants := s.wantedChannels(m); len(wants) > 0 {
 			if _, won := s.granted(m.id); !won {
-				if s.waitingSince[m.id] < 0 {
-					s.waitingSince[m.id] = s.now
+				if m.waitingSince < 0 {
+					m.waitingSince = s.now
 				}
 				continue
 			}
 		}
-		s.waitingSince[m.id] = -1
+		m.waitingSince = -1
 	}
 
 	// Movement, per message, front slot to back slot. In strict
@@ -915,7 +993,7 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 		// left the channel; the owner cannot have changed within the cycle
 		// because acquisitions were arbitrated against the snapshot, which
 		// showed the channel owned.
-		s.owner[c] = -1
+		s.owner[c] = 0
 	}
 	thawed := false
 	kept := s.active[:0]
@@ -946,6 +1024,7 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 	s.lastMoved = moved
 	s.lastThawed = thawed
 	s.planned = false
+	s.predicted = false
 	return StepResult{Moved: moved}
 }
 
@@ -961,21 +1040,22 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 func (s *Sim) sampleTelemetry() {
 	busy, occ, blocked := s.telemetry.Accum()
 	for c, own := range s.owner {
-		if own >= 0 {
+		if own > 0 {
 			busy[c]++
-			if s.waitingSince[own] >= 0 {
+			if s.msgs[own-1].waitingSince >= 0 {
 				blocked[c]++
 			}
 		}
 	}
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		for i, q := range m.queued {
+		path := s.path(m)
+		for i, q := range s.queue(m) {
 			if q > 0 {
-				occ[m.path[i]] += uint32(q)
+				occ[path[i]] += uint32(q)
 			}
 		}
-		if s.waitingSince[id] >= 0 {
+		if m.waitingSince >= 0 {
 			if ch, _, ok := s.WaitsFor(int(id)); ok {
 				blocked[ch]++
 			}
@@ -992,12 +1072,12 @@ func (s *Sim) release(c topology.ChannelID) {
 		// modes: strict mode clears it in phase 3, same-cycle mode on
 		// the next line.
 		ev := obsv.Ev(obsv.KindRelease, s.now)
-		ev.Msg = s.owner[c]
+		ev.Msg = s.holder(c)
 		ev.Ch = c
 		s.tracer.Event(ev)
 	}
 	if s.cfg.SameCycleHandoff {
-		s.owner[c] = -1
+		s.owner[c] = 0
 	} else {
 		s.releases = append(s.releases, c)
 	}
@@ -1058,15 +1138,16 @@ func (s *Sim) traceWaits() {
 // the move (with same-cycle handoff a predicted release may not have
 // applied when handoff chains exceed depth one; the acquisition is then
 // skipped).
-func (s *Sim) moveMessage(m *message) bool {
+func (s *Sim) moveMessage(m *msgState) bool {
 	if m.delivered() || m.frozen > 0 {
 		return false
 	}
 	moved := false
 	h := m.head
-	last := len(m.path) - 1
+	q, path := s.queue(m), s.path(m)
+	last := len(path) - 1
 	for i := h; i >= 0; i-- {
-		if m.queued[i] == 0 {
+		if q[i] == 0 {
 			continue
 		}
 		if i == last {
@@ -1074,9 +1155,9 @@ func (s *Sim) moveMessage(m *message) bool {
 				// One flit per cycle into the destination's sink, the
 				// head slot: emptying it is the one move that lowers the
 				// head.
-				m.queued[i]--
-				if m.queued[i] == 0 {
-					m.head = m.scanHead()
+				q[i]--
+				if q[i] == 0 {
+					m.head = s.scanHead(m)
 				}
 				m.consumed++
 				m.headerConsumed = true
@@ -1085,11 +1166,11 @@ func (s *Sim) moveMessage(m *message) bool {
 				if s.tracer != nil {
 					ev := obsv.Ev(obsv.KindConsume, s.now)
 					ev.Msg = m.id
-					ev.Ch = m.path[i]
+					ev.Ch = path[i]
 					s.tracer.Event(ev)
 				}
-				if m.queued[i] == 0 && s.noTailBehind(m, i) {
-					s.release(m.path[i])
+				if q[i] == 0 && s.noTailBehind(m, i) {
+					s.release(path[i])
 				}
 				if m.delivered() {
 					m.deliveredAt = s.now
@@ -1104,20 +1185,23 @@ func (s *Sim) moveMessage(m *message) bool {
 				continue
 			}
 			// Adaptive header at the frontier of its materialized path:
-			// extend it with the granted candidate, if any is free.
+			// extend it with the granted candidate, if any is free. The
+			// path may move to wider ranges, so both views are taken
+			// again.
 			if i == h && !m.headerConsumed {
-				if c, won := s.granted(m.id); won && s.owner[c] == -1 {
+				if c, won := s.granted(m.id); won && s.owner[c] == 0 {
 					s.acquire(m, i, c)
+					q, path = s.queue(m), s.path(m)
 					moved = true
 				}
 			}
 			continue
 		}
-		next := m.path[i+1]
-		if s.owner[next] == m.id {
-			if m.queued[i+1] < s.cfg.BufferDepth {
-				m.queued[i]--
-				m.queued[i+1]++
+		next := path[i+1]
+		if s.holds(m, next) {
+			if int(q[i+1]) < s.cfg.BufferDepth {
+				q[i]--
+				q[i+1]++
 				if i+1 > m.head {
 					m.head = i + 1 // refilling the sink slot consumption emptied
 				}
@@ -1128,14 +1212,14 @@ func (s *Sim) moveMessage(m *message) bool {
 					ev.Ch = next
 					s.tracer.Event(ev)
 				}
-				if m.queued[i] == 0 && s.noTailBehind(m, i) {
-					s.release(m.path[i])
+				if q[i] == 0 && s.noTailBehind(m, i) {
+					s.release(path[i])
 				}
 			}
 			continue
 		}
 		// Oblivious header acquisition of its fixed next channel.
-		if i == h && !m.headerConsumed && s.owner[next] == -1 {
+		if i == h && !m.headerConsumed && s.owner[next] == 0 {
 			if c, won := s.granted(m.id); won && c == next {
 				s.acquire(m, i, c)
 				moved = true
@@ -1145,16 +1229,15 @@ func (s *Sim) moveMessage(m *message) bool {
 	// Injection: source -> path[0].
 	if m.injected < m.length && !m.held && s.now >= m.injectAt {
 		if m.injected == 0 {
-			if c, won := s.granted(m.id); won && s.owner[c] == -1 {
-				if !m.adaptive() && c != m.path[0] {
+			if c, won := s.granted(m.id); won && s.owner[c] == 0 {
+				if !m.adaptive && c != path[0] {
 					panic("sim: oblivious message granted a foreign channel")
 				}
-				s.owner[c] = m.id
-				if m.adaptive() {
-					m.path = append(m.path, c)
-					m.queued = append(m.queued, 0)
+				s.take(m, c)
+				if m.adaptive {
+					s.extend(m, c)
 				}
-				m.queued[0]++
+				s.flits[m.off]++
 				m.head = 0
 				m.injected++
 				m.injectedAt = s.now
@@ -1168,8 +1251,8 @@ func (s *Sim) moveMessage(m *message) bool {
 					s.tracer.Event(ev)
 				}
 			}
-		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth {
-			m.queued[0]++
+		} else if first := path[0]; s.holds(m, first) && int(q[0]) < s.cfg.BufferDepth {
+			q[0]++
 			if m.head < 0 {
 				m.head = 0 // a drained worm whose source still holds flits
 			}
@@ -1189,26 +1272,24 @@ func (s *Sim) moveMessage(m *message) bool {
 // acquire hands channel c to message m and moves its head flit forward
 // from path index i; for adaptive messages it first extends the
 // materialized path by the granted channel (for oblivious ones the slot
-// already exists).
-func (s *Sim) acquire(m *message, i int, c topology.ChannelID) {
-	s.owner[c] = m.id
+// already exists), which may move the message's ranges.
+func (s *Sim) acquire(m *msgState, i int, c topology.ChannelID) {
+	s.take(m, c)
 	if s.tracer != nil {
 		ev := obsv.Ev(obsv.KindAcquire, s.now)
 		ev.Msg = m.id
 		ev.Ch = c
 		s.tracer.Event(ev)
 	}
-	if m.adaptive() {
-		m.path = append(m.path, c)
-		m.queued = append(m.queued, 0)
+	if m.adaptive {
+		s.extend(m, c)
 	}
-	if i >= 0 {
-		m.queued[i]--
-	}
-	m.queued[i+1]++
+	q := s.queue(m)
+	q[i]--
+	q[i+1]++
 	m.head = i + 1
-	if i >= 0 && m.queued[i] == 0 && s.noTailBehind(m, i) {
-		s.release(m.path[i])
+	if q[i] == 0 && s.noTailBehind(m, i) {
+		s.release(s.path(m)[i])
 	}
 }
 
@@ -1217,12 +1298,12 @@ func (s *Sim) acquire(m *message, i int, c topology.ChannelID) {
 // the release condition for channel i once its buffer empties. While the
 // source still holds flits it is O(1), and the scan exits at the first
 // occupied slot, so the hot loop never pays a full prefix sum.
-func (s *Sim) noTailBehind(m *message, i int) bool {
+func (s *Sim) noTailBehind(m *msgState, i int) bool {
 	if m.injected < m.length {
 		return false
 	}
-	for j := 0; j < i; j++ {
-		if m.queued[j] != 0 {
+	for _, n := range s.flits[m.off : m.off+i] {
+		if n != 0 {
 			return false
 		}
 	}
@@ -1377,11 +1458,15 @@ type MsgView struct {
 // Message returns a snapshot of message id.
 func (s *Sim) Message(id int) MsgView {
 	m := &s.msgs[id]
-	spec := *m.spec
+	spec := s.specs[id]
 	spec.InjectAt, spec.Length = m.injectAt, m.length
-	path := append([]topology.ChannelID(nil), m.path...)
-	if !m.adaptive() {
+	path := slices.Clone(s.path(m))
+	if !m.adaptive {
 		spec.Path = path
+	}
+	queued := make([]int, m.n)
+	for i, q := range s.queue(m) {
+		queued[i] = int(q)
 	}
 	return MsgView{
 		ID:             m.id,
@@ -1393,7 +1478,7 @@ func (s *Sim) Message(id int) MsgView {
 		InNetwork:      m.inNetwork(),
 		Frozen:         m.frozen,
 		Held:           m.held,
-		Queued:         append([]int(nil), m.queued...),
+		Queued:         queued,
 		Path:           path,
 		InjectedAt:     m.injectedAt,
 		DeliveredAt:    m.deliveredAt,
@@ -1416,49 +1501,51 @@ func (s *Sim) WaitsFor(id int) (ch topology.ChannelID, owner int, ok bool) {
 		return 0, -1, false
 	}
 	var wants []topology.ChannelID
+	path := s.path(m)
 	if m.injected == 0 {
 		if s.now < m.injectAt {
 			return 0, -1, false
 		}
-		if m.adaptive() {
-			wants = s.adaptiveCandidates(m, m.spec.Src, topology.None)
+		if m.adaptive {
+			wants = s.adaptiveCandidates(m, s.specs[id].Src, topology.None)
 		} else {
-			wants = m.path[:1]
+			wants = path[:1]
 		}
 	} else {
 		h := m.head
 		if h < 0 {
 			return 0, -1, false
 		}
-		if m.adaptive() {
-			if h != len(m.path)-1 || s.arrived(m) {
+		if m.adaptive {
+			if h != len(path)-1 || s.arrived(m) {
 				return 0, -1, false
 			}
-			in := m.path[h]
+			in := path[h]
 			wants = s.adaptiveCandidates(m, s.net.Channel(in).Dst, in)
 		} else {
-			if h == len(m.path)-1 {
+			if h == len(path)-1 {
 				return 0, -1, false
 			}
-			wants = m.path[h+1 : h+2]
+			wants = path[h+1 : h+2]
 		}
 	}
 	if len(wants) == 0 {
 		return 0, -1, false
 	}
 	for _, c := range wants {
-		own := s.owner[c]
+		own := s.holder(c)
 		if own == -1 || own == id {
 			return 0, -1, false
 		}
 	}
-	return wants[0], s.owner[wants[0]], true
+	return wants[0], s.holder(wants[0]), true
 }
 
 // CanAdvanceAll sets dst[id] to whether message id could move at least
 // one flit this cycle, assuming it wins every arbitration it enters, and
 // returns dst, reusing its backing array. One release prediction serves
-// every message. Search code uses it to prune pointless adversarial
+// every message, and the Contentions call that follows on the same
+// configuration. Search code uses it to prune pointless adversarial
 // stalls: freezing a message that cannot move is a no-op.
 func (s *Sim) CanAdvanceAll(dst []bool) []bool {
 	s.predictReleases()
@@ -1472,19 +1559,20 @@ func (s *Sim) CanAdvanceAll(dst []bool) []bool {
 // acquirable reports whether a header could enter channel c this cycle,
 // given the most recent predictReleases pass.
 func (s *Sim) acquirable(c topology.ChannelID) bool {
-	return s.owner[c] == -1 || s.freeing(c)
+	return s.owner[c] == 0 || s.freeing(c)
 }
 
 // canAdvance reports whether m could move a flit this cycle, against the
 // most recent predictReleases pass.
-func (s *Sim) canAdvance(m *message) bool {
+func (s *Sim) canAdvance(m *msgState) bool {
 	if m.delivered() || m.frozen > 0 {
 		return false
 	}
 	h := m.head
-	last := len(m.path) - 1
+	q, path := s.queue(m), s.path(m)
+	last := len(path) - 1
 	for i := h; i >= 0; i-- {
-		if m.queued[i] == 0 {
+		if q[i] == 0 {
 			continue
 		}
 		if i == last {
@@ -1498,8 +1586,8 @@ func (s *Sim) canAdvance(m *message) bool {
 			}
 			continue
 		}
-		next := m.path[i+1]
-		if s.owner[next] == m.id && m.queued[i+1] < s.cfg.BufferDepth {
+		next := path[i+1]
+		if s.holds(m, next) && int(q[i+1]) < s.cfg.BufferDepth {
 			return true
 		}
 		if i == h && !m.headerConsumed && s.acquirable(next) {
@@ -1513,7 +1601,7 @@ func (s *Sim) canAdvance(m *message) bool {
 					return true
 				}
 			}
-		} else if first := m.path[0]; s.owner[first] == m.id && m.queued[0] < s.cfg.BufferDepth {
+		} else if first := path[0]; s.holds(m, first) && int(q[0]) < s.cfg.BufferDepth {
 			return true
 		}
 	}

@@ -32,6 +32,28 @@ type LocalDeadlock struct {
 	Live []int
 }
 
+// mayCycleLocally is FindLocal's screen, run before it builds the
+// wait-for graph: a certain cycle has at least two members (a message
+// never waits on itself), and each member is an in-network oblivious
+// message waiting on a channel that another such message owns. Fewer than
+// two such waiters rules every certain cycle out. The liveness search
+// asks FindLocal about every state it expands, and most have no waiter at
+// all.
+func mayCycleLocally(s *sim.Sim) bool {
+	n := 0
+	for id := 0; id < s.NumMessages(); id++ {
+		if !s.InNetwork(id) || s.IsAdaptive(id) {
+			continue
+		}
+		if _, owner, ok := s.WaitsFor(id); ok && !s.IsAdaptive(owner) {
+			if n++; n == 2 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // String renders the cycle plus the channels it permanently blocks.
 func (ld *LocalDeadlock) String() string {
 	if ld == nil {
@@ -48,6 +70,9 @@ func (ld *LocalDeadlock) String() string {
 // the contention. Of several certain cycles it returns the one with the
 // smallest member, starting at that member.
 func FindLocal(s *sim.Sim) *LocalDeadlock {
+	if !mayCycleLocally(s) {
+		return nil
+	}
 	g := Build(s)
 	first := -1
 	g.Cycles(func(cycle []int) bool {
