@@ -185,11 +185,13 @@ func TestPooledRunZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestAddResetZeroAllocSteadyState pins the traffic-engine ingestion path:
-// recycling a simulator (Reset) and re-adding a message set reuses parked
-// message slots and the path-validation bitset — no per-call maps. Each
-// Add carves a fresh spec from chunks of up to 256, so the eight-message
-// reload allocates one chunk about every 32 runs, which AllocsPerRun's
-// whole-allocation average reports as 0.
+// recycling a simulator (Reset) and re-adding a message set refills the
+// flat per-message arrays in place and reuses the path-validation stamps
+// — no per-call maps. Reset moves past used spec and route slots instead
+// of overwriting them, since clones may share them, so Add takes specs
+// from chunks of up to 256 and copied paths from chunks of up to 4096
+// channels. The eight-message reload allocates one chunk every few dozen
+// runs, which AllocsPerRun's whole-allocation average reports as 0.
 func TestAddResetZeroAllocSteadyState(t *testing.T) {
 	g := topology.NewMesh([]int{8, 8}, 1)
 	alg := routing.DimensionOrder(g)
@@ -336,10 +338,11 @@ func TestAnalyzeAllocBounded(t *testing.T) {
 // benchmark's: an 8x8 DOR mesh at 0.02 messages per node per cycle, with
 // an adaptive-stride telemetry collector and a per-source SLO bank. Its
 // memory must follow the traffic: latency sketches sized to the latencies
-// seen (all below 256 cycles here), message storage carved from the
-// simulator's slabs, and routes built without per-hop slices. The cell
-// measures about 2,890 allocations and 4.28 MB, and the budgets are those
-// plus about 10%. Sketches allocated at their full 2¹⁶-entry layout cost
+// seen (all below 256 cycles here), message state kept in the
+// simulator's flat per-message arrays with specs and paths taken from
+// chunks, and routes built without per-hop slices. The cell measures
+// about 2,890 allocations and 4.28 MB, and the budgets are those plus
+// about 10%. Sketches allocated at their full 2¹⁶-entry layout cost
 // 17 MiB here, and per-message or per-hop allocations blow the count
 // budget: that code measured 45,385 allocations and 22.8 MB.
 func TestLoadCellAllocBounded(t *testing.T) {

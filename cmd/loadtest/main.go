@@ -72,7 +72,7 @@ type point struct {
 	// window, delivered messages), emitted with -persource.
 	SourceAccepted []int64 `json:"source_accepted,omitempty"`
 	// Telemetry summarizes the point's channel telemetry when -telemetry
-	// or -flight-recorder is on.
+	// is on.
 	Telemetry *telemetry.Summary `json:"telemetry,omitempty"`
 	// SLO is the per-source latency-SLO evaluation for this rate cell,
 	// present with -slo.
@@ -170,10 +170,10 @@ func main() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// Each point gets its own collector/recorder: points run in
-			// parallel, and telemetry frames must depend only on the
-			// point's own deterministic simulation.
-			col, rec := obs.NewTelemetry(net)
+			// Each point gets its own collector: points run in parallel,
+			// and telemetry frames must depend only on the point's own
+			// deterministic simulation.
+			col := obs.NewTelemetry(net)
 			l := traffic.Load{
 				Alg: a, Pattern: pat, Arrivals: factoryFor(rate),
 				Length: *length, Warmup: *warmup, Measure: *measure, Drain: *drain,
@@ -182,9 +182,6 @@ func main() {
 				Seed:      *seed + int64(i)*1_000_003,
 				Config:    sim.Config{BufferDepth: *depth},
 				Telemetry: col,
-			}
-			if rec != nil {
-				l.Tracer = rec
 			}
 			if sloObjs != nil {
 				l.Bank = telemetry.NewBank(net.NumNodes())
@@ -216,9 +213,6 @@ func main() {
 			p.Telemetry = cli.TelemetrySummary(col, r.Latency)
 			if sloObjs != nil {
 				p.SLO = l.Bank.Evaluate(sloObjs)
-				if rec != nil {
-					rec.SetSLO(p.SLO.AppendJSON(nil))
-				}
 				obs.PublishSLO(p.SLO)
 			}
 			// Saturated: the network deadlocked, or it accepted measurably
@@ -226,13 +220,6 @@ func main() {
 			// queues grow without bound past saturation).
 			p.Saturated = r.Deadlocked ||
 				(r.OfferedFlits > 0 && float64(r.AcceptedFlits) < 0.90*float64(r.OfferedFlits))
-			if p.Saturated {
-				reason := "saturated"
-				if r.Deadlocked {
-					reason = "deadlock"
-				}
-				obs.DumpFlight(rec, fmt.Sprintf("rate-%g", rate), reason)
-			}
 			points[i] = p
 			obs.Publish(serve.Snapshot{
 				Source: "loadtest", Name: name, Cycle: r.Cycles,

@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/obsv"
 	"repro/internal/obsv/manifest"
 	"repro/internal/obsv/serve"
 	"repro/internal/sim"
@@ -108,15 +107,11 @@ func main() {
 	}
 
 	s := sim.New(net, cfg)
-	col, rec := obs.NewTelemetry(net)
+	col := obs.NewTelemetry(net)
 	if col != nil {
 		s.SetTelemetry(col)
 	}
-	tracer := obs.Tracer
-	if rec != nil {
-		tracer = obsv.Multi{obs.Tracer, rec}
-	}
-	s.SetTracer(tracer)
+	s.SetTracer(obs.Tracer)
 	for _, m := range msgs {
 		if _, err := s.Add(m); err != nil {
 			log.Fatal(err)
@@ -138,18 +133,6 @@ func main() {
 		run.Scenario = name
 	}
 	run.Telemetry = cli.TelemetrySummary(col, nil)
-	// The flight recorder dumps only when something went wrong: a global
-	// deadlock or timeout verdict.
-	reason := ""
-	switch out.Result {
-	case sim.ResultDeadlock:
-		reason = "deadlock"
-	case sim.ResultTimeout:
-		reason = "timeout"
-	}
-	if reason != "" {
-		obs.DumpFlight(rec, "", reason)
-	}
 	obs.RecordRun(run)
 	if err := obs.Close(); err != nil {
 		log.Fatal(err)

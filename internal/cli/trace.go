@@ -33,8 +33,6 @@ type ObsvFlags struct {
 	Telemetry         *int
 	TelemetryAdaptive *bool
 	TelemetryMax      *int
-	TelemetryWindow   *string
-	FlightRecorder    *string
 }
 
 // RegisterObsvFlags registers the shared observability flags on the
@@ -49,15 +47,11 @@ func RegisterObsvFlags() *ObsvFlags {
 		Profile:     flag.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory"),
 		Manifest:    flag.String("manifest", "", "write a run-manifest JSON (command, flags, verdicts, timings, peak RSS) to this file"),
 		Telemetry: flag.Int("telemetry", 0,
-			"sample per-channel telemetry every N cycles (0 = off; implied at stride 64 by -flight-recorder)"),
+			"sample per-channel telemetry every N cycles (0 = off)"),
 		TelemetryAdaptive: flag.Bool("telemetry-adaptive", false,
 			"adapt the telemetry stride to load: back off geometrically while the network is quiet, tighten to the base stride near saturation (deterministic)"),
 		TelemetryMax: flag.Int("telemetry-max-stride", 0,
 			"cap for the adaptive telemetry stride (0 = 16x the base stride)"),
-		TelemetryWindow: flag.String("telemetry-window", "",
-			"byte budget of the delta-compressed telemetry frame window that flight bundles carry (e.g. 256K, 4M; default: the raw size of 64 frames)"),
-		FlightRecorder: flag.String("flight-recorder", "",
-			"write a flight-recorder dump (telemetry frames, recent events, wait-for DOT, congestion heatmap) into this directory when the run deadlocks, times out, or saturates"),
 	}
 }
 
@@ -83,16 +77,13 @@ type Observer struct {
 	// Manifest accumulates the invocation's run manifest behind -manifest;
 	// nil when unset. Close writes it.
 	Manifest *manifest.Builder
-	// TelemetryStride is the -telemetry sampling stride (0 when off);
-	// FlightDir the -flight-recorder dump directory ("" when off). Build
-	// per-run collectors/recorders from them with NewTelemetry.
-	// TelemetryAdaptive / TelemetryMaxStride / TelemetryWindowBytes carry
-	// the long-horizon knobs into those collectors.
-	TelemetryStride      int
-	TelemetryAdaptive    bool
-	TelemetryMaxStride   int
-	TelemetryWindowBytes int
-	FlightDir            string
+	// TelemetryStride is the -telemetry sampling stride (0 when off).
+	// Build per-run collectors from it with NewTelemetry;
+	// TelemetryAdaptive and TelemetryMaxStride carry the adaptive-stride
+	// knobs into those collectors.
+	TelemetryStride    int
+	TelemetryAdaptive  bool
+	TelemetryMaxStride int
 
 	progress    bool
 	profiler    *manifest.Profiler
@@ -131,14 +122,6 @@ func (f *ObsvFlags) Open(name string, lanes []string) (*Observer, error) {
 		TelemetryStride:    *f.Telemetry,
 		TelemetryAdaptive:  *f.TelemetryAdaptive,
 		TelemetryMaxStride: *f.TelemetryMax,
-		FlightDir:          *f.FlightRecorder,
-	}
-	if *f.TelemetryWindow != "" {
-		wb, err := ParseByteSize(*f.TelemetryWindow)
-		if err != nil {
-			return nil, fmt.Errorf("cli: -telemetry-window: %w", err)
-		}
-		o.TelemetryWindowBytes = int(wb)
 	}
 	var tracers obsv.Multi
 	if *f.Metrics != "" || *f.Serve != "" {
@@ -393,22 +376,20 @@ func searchRun(name string, sc sim.Scenario, res mcheck.SearchResult) manifest.R
 	return run
 }
 
-// NewTelemetry builds the sampling-telemetry pair a run on net should
-// attach, from the -telemetry / -flight-recorder flags: a collector for
-// sim.SetTelemetry (nil when both flags are off) and a flight recorder
-// for sim.SetTracer (nil unless -flight-recorder is set). When the live
-// observatory or a metrics snapshot is on, each closing frame is bridged
-// to the /telemetry endpoint and to telemetry_* gauges. Collectors are
-// per-run: sweeps call this once per point/cell.
-func (o *Observer) NewTelemetry(net *topology.Network) (*telemetry.Collector, *telemetry.FlightRecorder) {
-	if o == nil || (o.TelemetryStride <= 0 && o.FlightDir == "") {
-		return nil, nil
+// NewTelemetry builds the sampling-telemetry collector a run on net
+// should attach with sim.SetTelemetry, from the -telemetry flags; nil
+// when -telemetry is 0. When the live observatory or a metrics snapshot
+// is on, each closing frame is bridged to the /telemetry endpoint and to
+// telemetry_* gauges. Collectors are per-run: sweeps call this once per
+// point/cell.
+func (o *Observer) NewTelemetry(net *topology.Network) *telemetry.Collector {
+	if o == nil || o.TelemetryStride <= 0 {
+		return nil
 	}
 	col := telemetry.NewCollector(net.NumChannels(), telemetry.Config{
-		Stride:      o.TelemetryStride,
-		Adaptive:    o.TelemetryAdaptive,
-		MaxStride:   o.TelemetryMaxStride,
-		WindowBytes: o.TelemetryWindowBytes,
+		Stride:    o.TelemetryStride,
+		Adaptive:  o.TelemetryAdaptive,
+		MaxStride: o.TelemetryMaxStride,
 	})
 	if o.Server != nil || o.Metrics != nil {
 		srv, reg := o.Server, o.Metrics
@@ -425,11 +406,7 @@ func (o *Observer) NewTelemetry(net *topology.Network) (*telemetry.Collector, *t
 			}
 		}
 	}
-	var rec *telemetry.FlightRecorder
-	if o.FlightDir != "" {
-		rec = telemetry.NewFlightRecorder(net, 0, col)
-	}
-	return col, rec
+	return col
 }
 
 // PublishSLO renders the report and sends it to the live /telemetry/slo
@@ -440,25 +417,6 @@ func (o *Observer) PublishSLO(rep *telemetry.SLOReport) {
 		return
 	}
 	o.Server.SLOHub().Publish(rep.AppendJSON(nil))
-}
-
-// DumpFlight writes the recorder's bundle into the observer's flight
-// directory (joined with sub when non-empty) and logs where it went.
-// No-op when the recorder is nil or -flight-recorder is off, so callers
-// invoke it unconditionally on bad verdicts.
-func (o *Observer) DumpFlight(rec *telemetry.FlightRecorder, sub, reason string) {
-	if o == nil || rec == nil || o.FlightDir == "" {
-		return
-	}
-	dir := o.FlightDir
-	if sub != "" {
-		dir = filepath.Join(dir, sub)
-	}
-	if err := rec.Dump(dir, reason); err != nil {
-		fmt.Fprintf(os.Stderr, "flight-recorder: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "flight-recorder: wrote %s (%s)\n", dir, reason)
 }
 
 // TelemetrySummary flushes the collector's partial frame and returns its

@@ -71,7 +71,7 @@ type Run struct {
 	// Warnings surfaced by the run (e.g. a panicking progress callback).
 	Warnings []string `json:"warnings,omitempty"`
 	// Telemetry summarizes the run's sampling telemetry when a collector
-	// was attached (-telemetry / -flight-recorder): stride, frame and
+	// was attached (-telemetry): stride, frame and
 	// sample counts, mean/peak channel utilization, the hottest channel,
 	// and latency sketch quantiles.
 	Telemetry *telemetry.Summary `json:"telemetry,omitempty"`

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,11 +89,25 @@ func waitEdge(t Tracer, cycle, msg, owner, ch int) {
 func TestDOTSinkMarksClosedCycle(t *testing.T) {
 	var sb strings.Builder
 	s := NewDOT(&sb, "test")
-	// Cycle 1: a chain m0 -> m1 -> m2 (no cycle).
+	// Cycle 1: a chain m0 -> m1 -> m2 (no cycle), and m4 -> m0.
 	waitEdge(s, 1, 0, 1, 10)
 	waitEdge(s, 1, 1, 2, 11)
-	// Cycle 2: m2 -> m0 closes the loop.
+	waitEdge(s, 1, 4, 0, 13)
+	// Cycle 2: m2 -> m0 closes the loop, m3 waits into it as a bystander,
+	// and m4's edge resolves.
 	waitEdge(s, 2, 2, 0, 12)
+	waitEdge(s, 2, 3, 1, 10)
+	del := Ev(KindWaitEdgeDel, 2)
+	del.Msg = 4
+	s.Event(del)
+	var cycles [][]int
+	s.graph.Cycles(func(c []int) bool {
+		cycles = append(cycles, append([]int(nil), c...))
+		return true
+	})
+	if fmt.Sprint(cycles) != "[[0 1 2]]" {
+		t.Fatalf("cycles = %v, want the one cycle [0 1 2]", cycles)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +124,15 @@ func TestDOTSinkMarksClosedCycle(t *testing.T) {
 	if got := strings.Count(second, "color=red style=bold"); got != 6 {
 		// 3 member nodes + 3 cycle edges.
 		t.Errorf("closed-cycle snapshot has %d red marks, want 6:\n%s", got, second)
+	}
+	if !strings.Contains(second, `m0 -> m1 [label="c10" color=red style=bold]`) {
+		t.Errorf("cycle edge not red:\n%s", second)
+	}
+	if !strings.Contains(second, `m3 -> m1 [label="c10"];`) {
+		t.Errorf("bystander edge must stay plain:\n%s", second)
+	}
+	if strings.Contains(second, "m4 ->") {
+		t.Errorf("resolved edge still rendered:\n%s", second)
 	}
 }
 

@@ -46,11 +46,6 @@ func (e Event) appendJSON(b []byte) []byte {
 	return b
 }
 
-// AppendJSON appends the event's deterministic JSONL encoding — the
-// format JSONLSink writes — for sinks outside this package (the flight
-// recorder) that serialize retained events themselves.
-func (e Event) AppendJSON(b []byte) []byte { return e.appendJSON(b) }
-
 // JSONLSink writes one JSON object per event, newline-separated. The
 // output is byte-deterministic for a deterministic event sequence, so a
 // JSONL trace of a fixed scenario is a diffable regression artifact.

@@ -195,3 +195,18 @@ func (r *SLOReport) AppendJSON(b []byte) []byte {
 	b = append(b, `]}`...)
 	return b
 }
+
+// appendQuoted appends s as a JSON string (telemetry strings are plain
+// ASCII identifiers; quotes and backslashes escaped for safety).
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			b = append(b, '\\', c)
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
+}

@@ -12,9 +12,9 @@
 // allocations, regardless of run length.
 //
 // Samples aggregate into Frames (FrameEvery samples each), which the
-// collector appends to its delta-compressed Window under a fixed byte
-// budget: the run's recent history is always available for the flight
-// recorder (see FlightRecorder) without unbounded growth.
+// collector publishes through OnFrame and appends to its
+// delta-compressed Window under a fixed byte budget, so the run's recent
+// history stays bounded however long the run.
 // Everything is deterministic: frames carry only logical quantities
 // (cycles, counts), sampling cycles are a pure function of the cycle
 // counter, and the JSON encodings are hand-rolled with fixed key order —
@@ -85,8 +85,7 @@ type Frame struct {
 	// Stride is the sampling stride in effect when the frame closed. For
 	// a fixed-stride collector this is the configured stride; with
 	// adaptive sampling it records the stride trajectory frame by frame,
-	// which is what makes adapted streams self-describing (and lets a
-	// replay reconstruct sample density without the simulation).
+	// which is what makes adapted streams self-describing.
 	Stride int
 	// Busy[c] counts the samples at which channel c was held by a message;
 	// Busy[c]/Samples is the channel's utilization over the frame.
@@ -241,10 +240,6 @@ func (c *Collector) CurrentStride() int { return c.stride }
 
 // Channels returns the channel count the collector was sized for.
 func (c *Collector) Channels() int { return c.channels }
-
-// LastSampleCycle returns the cycle of the most recent finished sample,
-// -1 when nothing was sampled yet.
-func (c *Collector) LastSampleCycle() int { return c.lastCycle }
 
 // Window returns the collector's frame history.
 func (c *Collector) Window() *Window { return c.window }
@@ -407,12 +402,6 @@ func (c *Collector) Hottest() (ch int, heat uint64, ok bool) {
 		}
 	}
 	return ch, heat, ch >= 0
-}
-
-// Heat returns channel ch's run-total busy+blocked sample count, the
-// quantity Hottest maximizes and the heatmap renders.
-func (c *Collector) Heat(ch int) uint64 {
-	return c.totBusy[ch] + c.totBlocked[ch] + uint64(c.busy[ch]) + uint64(c.blocked[ch])
 }
 
 // Util returns channel ch's run-mean utilization: the fraction of samples

@@ -107,9 +107,6 @@ func TestCollectorHottest(t *testing.T) {
 	if !ok || ch != 3 || heat != 6 {
 		t.Fatalf("Hottest = (%d, %d, %v), want (3, 6, true)", ch, heat, ok)
 	}
-	if c.Heat(1) != 3 || c.Heat(0) != 0 {
-		t.Fatalf("Heat: c1=%d c0=%d", c.Heat(1), c.Heat(0))
-	}
 	if got := c.Util(1); got != 1.0 {
 		t.Fatalf("Util(1) = %v, want 1.0", got)
 	}

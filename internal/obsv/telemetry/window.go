@@ -247,7 +247,7 @@ func (w *Window) decodeBlock(data []byte, frames int, f *Frame, visit func(*Fram
 	}
 }
 
-// WindowStats is the window's accounting block for bundle headers and
+// WindowStats is the window's accounting block for benchmarks and
 // reports. All figures are logical and deterministic.
 type WindowStats struct {
 	Budget  int   `json:"budget_bytes"`

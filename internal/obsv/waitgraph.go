@@ -12,20 +12,17 @@ import (
 // holds. In a wormhole network a blocked message waits for exactly one
 // channel — the next one on its path — so the graph is functional (one
 // outgoing edge per blocked message) and cycle detection is a pointer
-// chase. The graph is slice-indexed by message ID and also records which
-// message holds each channel, so a message cycle maps to its channels.
+// chase. The graph is slice-indexed by message ID.
 //
 // One graph serves every consumer: waitfor.Build fills it from a
 // simulator state for Find and FindLocal; the simulator keeps its
-// last-reported edges in one to diff wait transitions; DOTSink and the
-// flight recorder maintain one from the event stream; telemetry replay
-// rebuilds one from a bundle. The zero value is an empty graph. Cycle
+// last-reported edges in one to diff wait transitions; DOTSink maintains
+// one from the event stream. The zero value is an empty graph. Cycle
 // queries reuse scratch space in the graph, so a WaitGraph is not safe
 // for concurrent use, even by readers.
 type WaitGraph struct {
-	nodes  []waitNode
-	heldBy []int // channel -> holding message, -1 when free
-	stack  []int // Cycles scratch: the current chase
+	nodes []waitNode
+	stack []int // Cycles scratch: the current chase
 }
 
 // waitNode is one message's slot in the graph. Its fields are 32-bit,
@@ -46,7 +43,6 @@ const none = int32(topology.None)
 func (g *WaitGraph) Reset(messages int) {
 	g.nodes = g.nodes[:0]
 	g.grow(messages - 1)
-	g.heldBy = g.heldBy[:0]
 }
 
 func (g *WaitGraph) grow(id int) {
@@ -87,49 +83,10 @@ func (g *WaitGraph) WaitsFor(msg int) (ch topology.ChannelID, owner int, ok bool
 	return topology.ChannelID(g.nodes[msg].ch), int(g.nodes[msg].owner), true
 }
 
-// MarkSeen records msg as having appeared in the graph without an edge.
-func (g *WaitGraph) MarkSeen(msg int) {
-	g.grow(msg)
-	g.nodes[msg].seen = true
-}
-
-// Seen reports whether msg ever appeared as a waiter or an owner.
-func (g *WaitGraph) Seen(msg int) bool { return msg < len(g.nodes) && g.nodes[msg].seen }
-
-// Acquire records msg holding ch.
-func (g *WaitGraph) Acquire(ch topology.ChannelID, msg int) {
-	for len(g.heldBy) <= int(ch) {
-		g.heldBy = append(g.heldBy, -1)
-	}
-	g.heldBy[ch] = msg
-}
-
-// Release records ch becoming free.
-func (g *WaitGraph) Release(ch topology.ChannelID) {
-	if int(ch) < len(g.heldBy) {
-		g.heldBy[ch] = -1
-	}
-}
-
-// NumChannels returns the bound on the channel IDs with a recorded holder.
-func (g *WaitGraph) NumChannels() int { return len(g.heldBy) }
-
-// Holder returns the message holding ch, -1 when it is free.
-func (g *WaitGraph) Holder(ch topology.ChannelID) int {
-	if int(ch) >= len(g.heldBy) {
-		return -1
-	}
-	return g.heldBy[ch]
-}
-
-// Apply updates the graph from one trace event: channel acquire and
-// release, and wait-for edge add and delete. Other kinds are ignored.
+// Apply updates the graph from one trace event: wait-for edge add and
+// delete. Other kinds are ignored.
 func (g *WaitGraph) Apply(e Event) {
 	switch e.Kind {
-	case KindAcquire:
-		g.Acquire(e.Ch, e.Msg)
-	case KindRelease:
-		g.Release(e.Ch)
 	case KindWaitEdgeAdd:
 		g.Wait(e.Msg, e.Ch, e.Owner)
 	case KindWaitEdgeDel:
@@ -192,27 +149,6 @@ func (g *WaitGraph) inCycles() {
 		}
 		return true
 	})
-}
-
-// CycleChannels returns, ascending, the channels of the closed wait-for
-// cycles: every channel a cycle member waits for plus every channel a
-// member holds. Definition 6's cycle is over messages; this is the
-// deadlocked resource cycle in channel terms.
-func (g *WaitGraph) CycleChannels() []topology.ChannelID {
-	g.inCycles()
-	chs := []topology.ChannelID{}
-	for _, n := range g.nodes {
-		if n.cycle {
-			chs = append(chs, topology.ChannelID(n.ch))
-		}
-	}
-	for ch, m := range g.heldBy {
-		if m >= 0 && m < len(g.nodes) && g.nodes[m].cycle {
-			chs = append(chs, topology.ChannelID(ch))
-		}
-	}
-	slices.Sort(chs)
-	return slices.Compact(chs)
 }
 
 // AppendDOT appends the graph as one Graphviz digraph with the given

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obsv"
-	"repro/internal/obsv/telemetry"
 	"repro/internal/papernets"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -24,7 +21,7 @@ import (
 // Each seed builds a fresh simulator with mk and walks it under a random
 // adversary (freezes and arbitration picks); every state the walk reaches
 // is folded into the family's digest. traced families also attach a DOT
-// sink and a flight recorder and fold their artifacts in.
+// sink and fold its snapshot stream in.
 type goldenCorpus struct {
 	name   string
 	mk     func(rng *rand.Rand) *sim.Sim
@@ -232,36 +229,6 @@ func foldState(h hash.Hash, s *sim.Sim, cov *goldenCoverage) {
 	}
 }
 
-// foldTrace hashes what the traced sinks recorded for one walk: the full
-// DOT snapshot stream, the recorder's dumped bundle and waitfor.dot, its
-// cycle channels, and the replayed DOT of the bundle.
-func foldTrace(t *testing.T, h hash.Hash, dot *bytes.Buffer, rec *telemetry.FlightRecorder) {
-	t.Helper()
-	h.Write(dot.Bytes())
-	dir := t.TempDir()
-	if err := rec.Dump(dir, ""); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"flight.jsonl", "waitfor.dot"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write(b)
-	}
-	fmt.Fprintf(h, "%v|", rec.CycleChannels())
-	f, err := os.Open(filepath.Join(dir, "flight.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	b, err := telemetry.ParseBundle(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Write(b.RenderDOT())
-}
-
 // TestWaitforGolden pins Find, FindLocal, Build's edges and the traced
 // wait-for artifacts over seeded random walks of the paper networks,
 // Gen(2..4), the local-rings scenario, a two-ring state where Find and
@@ -271,7 +238,8 @@ func foldTrace(t *testing.T, h hash.Hash, dot *bytes.Buffer, rec *telemetry.Flig
 // implementation (a map-based Graph with Tarjan SCCs, the DOT sink's own
 // graph, and the telemetry WaitGraph), so they certify that one shared
 // graph answers identically; uring6 and mesh3x3 were re-pinned when their
-// corpus stopped drawing channel faults.
+// corpus stopped drawing channel faults, and figure1 and figure2 when their
+// traced fold was cut to the DOT snapshot stream alone.
 // Regenerate only for an intended change of output, with
 // go test ./internal/waitfor -run TestWaitforGolden -v (the log prints
 // every digest).
@@ -284,11 +252,9 @@ func TestWaitforGolden(t *testing.T) {
 			s := c.mk(rng)
 			var dot bytes.Buffer
 			var sink *obsv.DOTSink
-			var rec *telemetry.FlightRecorder
 			if c.traced {
 				sink = obsv.NewDOT(&dot, c.name)
-				rec = telemetry.NewFlightRecorder(s.Network(), 0, nil)
-				s.SetTracer(obsv.Multi{sink, rec})
+				s.SetTracer(sink)
 			}
 			foldState(h, s, &cov)
 			goldenWalk(s, rng, c.steps, func() { foldState(h, s, &cov) })
@@ -296,7 +262,7 @@ func TestWaitforGolden(t *testing.T) {
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)
 				}
-				foldTrace(t, h, &dot, rec)
+				h.Write(dot.Bytes())
 			}
 		}
 		got := hex.EncodeToString(h.Sum(nil))[:16]
@@ -312,8 +278,8 @@ func TestWaitforGolden(t *testing.T) {
 }
 
 var waitforGolden = map[string]string{
-	"figure1":        "ba4db61e5ec64da2",
-	"figure2":        "fa7478c713c5f7d8",
+	"figure1":        "b1ec281b4a921297",
+	"figure2":        "c02592f7309ec9af",
 	"gen2":           "7dc4e8a50f22f743",
 	"gen3":           "521bf58889b1cbbb",
 	"gen4":           "74f5b28e3ee795e1",
