@@ -25,10 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cli"
@@ -103,7 +100,7 @@ func main() {
 		vcs       = flag.Int("vcs", 1, "virtual channels per link (grids)")
 		alg       = flag.String("alg", "dor", "routing: dor, negfirst, dallyseitz, ecube, bfs, valiant, valiantsplit, hub")
 		pattern   = flag.String("pattern", "uniform", "traffic: "+cli.PatternNames)
-		rates     = flag.String("rates", "0.02:0.20:0.02", "offered-rate grid: lo:hi:step, or a comma list like 0.05,0.1,0.2")
+		rates     = flag.String("rates", "0.02:0.20:0.02", "offered-rate grid: lo:hi:step, or a comma list like 0.05,0.1,0.2; every rate in (0, 1]")
 		arrivals  = flag.String("arrivals", "bernoulli", "arrival process: bernoulli, bursty")
 		burstlen  = flag.Float64("burstlen", 16, "bursty: mean burst length in cycles")
 		peak      = flag.Float64("peak", 4, "bursty: ON-phase rate multiplier (> 1)")
@@ -130,7 +127,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	grid_, err := parseRates(*rates)
+	grid_, err := cli.ParseRates(*rates)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -297,45 +294,4 @@ func main() {
 	if err := obs.Close(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// parseRates parses "lo:hi:step" grids and "a,b,c" lists. Grid points are
-// computed by integer multiples of the step so the list is identical
-// however it's later split across workers.
-func parseRates(s string) ([]float64, error) {
-	if strings.Contains(s, ":") {
-		parts := strings.Split(s, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("loadtest: -rates grid must be lo:hi:step, got %q", s)
-		}
-		lo, err1 := strconv.ParseFloat(parts[0], 64)
-		hi, err2 := strconv.ParseFloat(parts[1], 64)
-		step, err3 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil || step <= 0 || hi < lo {
-			return nil, fmt.Errorf("loadtest: bad -rates grid %q", s)
-		}
-		var out []float64
-		for i := 0; ; i++ {
-			// Round each grid point so accumulated float error never leaks
-			// into the artifact (0.06, not 0.060000000000000005).
-			r := math.Round((lo+float64(i)*step)*1e9) / 1e9
-			if r > hi+step/1e9 {
-				break
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
-	var out []float64
-	for _, p := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || r <= 0 || r > 1 {
-			return nil, fmt.Errorf("loadtest: bad rate %q in %q", p, s)
-		}
-		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("loadtest: empty rate list %q", s)
-	}
-	return out, nil
 }

@@ -1,9 +1,9 @@
 // Package benchrows is the one registry of the repository's timed rows:
 // the experiments of DESIGN.md's index (E1-E11), the ablations and the
-// microbenchmarks. Each row is defined once, here. BenchmarkRows in
-// bench_test.go times every row under `go test -bench`, cmd/benchjson
-// times them into BENCH_mcheck.json, and TestRowBudgets pins each row's
-// state count and allocations.
+// microbenchmarks. Each row is defined once, here. TestRowBudgets pins
+// each row's state count and allocations, and BenchmarkRows in
+// bench_test.go times the rows under `go test -bench`; the timed,
+// compared workloads live in bench/.
 //
 // A search row lists the exhaustive searches one op runs, each with the
 // verdict and the exact state count it must reproduce. Any other row's op

@@ -4,6 +4,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,6 +30,65 @@ func ParseDims(s string) ([]int, error) {
 		return nil, fmt.Errorf("cli: empty dimension list %q", s)
 	}
 	return dims, nil
+}
+
+// maxRates caps the points a rate list may hold. Each point is a full
+// load simulation, so a longer list is a mistyped step, not a sweep.
+const maxRates = 1000
+
+// ParseRates parses an offered-rate list: a "lo:hi:step" grid or a comma
+// list like "0.05,0.1,0.2". Every rate must be finite and in (0, 1], the
+// grid bounds finite with lo <= hi and step > 0, and the list at most
+// maxRates long. Grid points are integer multiples of the step from lo,
+// rounded to 1e-9, so the list is identical however it is later split
+// across workers.
+func ParseRates(s string) ([]float64, error) {
+	var out []float64
+	if strings.Contains(s, ":") {
+		parts := strings.Split(s, ":")
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("cli: rate grid must be lo:hi:step, got %q", s)
+		}
+		var v [3]float64
+		for i, p := range parts {
+			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("cli: bad bound %q in rate grid %q", p, s)
+			}
+			v[i] = f
+		}
+		lo, hi, step := v[0], v[1], v[2]
+		if step <= 0 || hi < lo {
+			return nil, fmt.Errorf("cli: rate grid %q needs lo <= hi and step > 0", s)
+		}
+		// Stop one point past the cap; the length check below rejects it.
+		for i := 0; len(out) <= maxRates; i++ {
+			// Round each grid point so accumulated float error never leaks
+			// into the artifact (0.06, not 0.060000000000000005).
+			r := math.Round((lo+float64(i)*step)*1e9) / 1e9
+			if r > hi+step/1e9 {
+				break
+			}
+			out = append(out, r)
+		}
+	} else {
+		for _, p := range strings.Split(s, ",") {
+			r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+			if err != nil {
+				return nil, fmt.Errorf("cli: bad rate %q in %q", p, s)
+			}
+			out = append(out, r)
+		}
+	}
+	if len(out) == 0 || len(out) > maxRates {
+		return nil, fmt.Errorf("cli: %q holds %d rates; want 1 to %d", s, len(out), maxRates)
+	}
+	for _, r := range out {
+		if !(r > 0 && r <= 1) { // also false for NaN
+			return nil, fmt.Errorf("cli: rate %v in %q is outside (0, 1]", r, s)
+		}
+	}
+	return out, nil
 }
 
 // Build constructs a routing algorithm from names:

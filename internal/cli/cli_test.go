@@ -1,6 +1,10 @@
 package cli
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestParseDims(t *testing.T) {
 	d, err := ParseDims("4x4")
@@ -34,6 +38,70 @@ func FuzzParseDims(f *testing.F) {
 		for _, d := range dims {
 			if d < 2 {
 				t.Fatalf("ParseDims(%q) accepted dimension %d", s, d)
+			}
+		}
+	})
+}
+
+func TestParseRates(t *testing.T) {
+	good := []struct {
+		in   string
+		want []float64
+	}{
+		// The loadtest default.
+		{"0.02:0.20:0.02", []float64{0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18, 0.2}},
+		{"0.05:0.25:0.10", []float64{0.05, 0.15, 0.25}},
+		{"0.5:0.5:0.1", []float64{0.5}},
+		{"0.05,0.2,1", []float64{0.05, 0.2, 1}},
+		{" 0.3 ", []float64{0.3}},
+	}
+	for _, tc := range good {
+		got, err := ParseRates(tc.in)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseRates(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{
+		// Grids that never finished expanding.
+		"NaN:0.2:0.02", "0:Inf:0.1", "0.1:0.2:NaN", "0.1:0.2:1e-12",
+		// A grid that reaches rates no arrival process can run.
+		"0:2:0.5",
+		// Lists with a rate outside (0, 1].
+		"NaN", "0.1,NaN", "Inf", "0", "-0.1", "1.5",
+		// Malformed grids and lists.
+		"", ",", "0.1:0.2", "0.1:0.2:0.1:0.1", "0.2:0.1:0.1", "0.1:0.2:0", "0.1:0.2:-0.1",
+		"a:b:c", "0.1,,0.2",
+		// A grid whose first rounded point lies past hi.
+		"0.1000000006:0.1000000006:1e-12",
+		// A grid and a list past maxRates.
+		"0.0001:1:0.0001", strings.Repeat("0.5,", maxRates) + "0.5",
+	} {
+		if got, err := ParseRates(bad); err == nil {
+			t.Errorf("ParseRates(%q) = %v; want an error", bad, got)
+		}
+	}
+}
+
+// FuzzParseRates: every input either fails to parse or yields between 1
+// and maxRates finite rates in (0, 1]; nothing panics or hangs.
+func FuzzParseRates(f *testing.F) {
+	for _, seed := range []string{
+		"0.02:0.20:0.02", "0.05,0.1,0.2", "NaN:0.2:0.02", "0:Inf:0.1",
+		"0.1:0.2:NaN", "0.1:0.2:1e-12", "0:2:0.5", "NaN", "", "1e308:1e308:1e308",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		rates, err := ParseRates(s)
+		if err != nil {
+			return
+		}
+		if len(rates) == 0 || len(rates) > maxRates {
+			t.Fatalf("ParseRates(%q) accepted %d rates", s, len(rates))
+		}
+		for _, r := range rates {
+			if !(r > 0 && r <= 1) {
+				t.Fatalf("ParseRates(%q) accepted rate %v", s, r)
 			}
 		}
 	})

@@ -55,11 +55,6 @@ func RegisterObsvFlags() *ObsvFlags {
 	}
 }
 
-// Enabled reports whether any observability output was requested.
-func (f *ObsvFlags) Enabled() bool {
-	return *f.Trace != "" || *f.Metrics != ""
-}
-
 // Observer bundles the sinks opened from a set of ObsvFlags. Tracer is
 // nil when no tracing or metrics were requested, so it can be handed to
 // sim.SetTracer / SearchOptions.Tracer directly — the producers' nil

@@ -10,7 +10,7 @@ import (
 
 // Seed-engine golden anchors: verdicts and exhaustive state counts the
 // pre-arena (map-per-cycle) simulator produced for the paper scenarios, as
-// committed in BENCH_mcheck.json at the time of the hot-path refactor. The
+// recorded by the benchmark rows at the time of the hot-path refactor. The
 // arena-based simulator must reproduce every one exactly — state counts
 // are a strong fingerprint of the whole transition relation, so a single
 // drifted count means the refactor changed simulation semantics, not just

@@ -31,11 +31,11 @@ import (
 )
 
 // Run is one unit of observed work inside an invocation: a search, a
-// simulation, a sweep cell, or a benchmark row. Fields that do not apply
+// simulation or a sweep cell. Fields that do not apply
 // stay at their zero value and are omitted from the JSON.
 type Run struct {
 	// Name identifies the run within the invocation (scenario name,
-	// experiment ID, benchmark name, sweep cell).
+	// experiment ID, sweep cell).
 	Name string `json:"name"`
 	// Scenario is the scenario name when the run executed one.
 	Scenario string `json:"scenario,omitempty"`
@@ -62,10 +62,6 @@ type Run struct {
 	VisitedBytes   int64  `json:"visited_bytes,omitempty"`
 	SpillBytes     int64  `json:"spill_bytes,omitempty"`
 	SpillRuns      int    `json:"spill_runs,omitempty"`
-	// Benchmark columns (cmd/benchjson rows).
-	NsPerOp     int64 `json:"ns_per_op,omitempty"`
-	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
 	// ElapsedMS is the run's own wall time, when measured.
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 	// Warnings surfaced by the run (e.g. a panicking progress callback).

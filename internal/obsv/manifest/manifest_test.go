@@ -64,8 +64,8 @@ func TestBuilderWriteRoundTrip(t *testing.T) {
 
 func TestWriteOmitsEmptyRunFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	b := NewBuilder(path, "benchjson", nil)
-	b.AddRun(Run{Name: "EncodeTo", NsPerOp: 120, AllocsPerOp: 0})
+	b := NewBuilder(path, "deadlock", nil)
+	b.AddRun(Run{Name: "figure1", States: 120, SpillRuns: 0})
 	if err := b.Write(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestWriteOmitsEmptyRunFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, absent := range []string{"verdict", "topology_hash", "reduction", "warnings"} {
+	for _, absent := range []string{"verdict", "topology_hash", "reduction", "spill_runs", "warnings"} {
 		if strings.Contains(string(raw), `"`+absent+`"`) {
 			t.Errorf("empty field %q serialized:\n%s", absent, raw)
 		}
 	}
-	if !strings.Contains(string(raw), `"ns_per_op": 120`) {
-		t.Errorf("ns_per_op missing:\n%s", raw)
+	if !strings.Contains(string(raw), `"states": 120`) {
+		t.Errorf("states missing:\n%s", raw)
 	}
 }
 

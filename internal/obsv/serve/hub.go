@@ -18,7 +18,7 @@ type Snapshot struct {
 	// Seq is a per-hub monotonically increasing sequence number, assigned
 	// by PublishSnapshot.
 	Seq int64 `json:"seq"`
-	// Source labels the producer: "search", "campaign", "run".
+	// Source labels the producer: "search", "campaign", "loadtest".
 	Source string `json:"source"`
 	// Name identifies the workload: scenario, experiment or sweep cell.
 	Name string `json:"name,omitempty"`
@@ -33,7 +33,7 @@ type Snapshot struct {
 	VisitedBytes   int64 `json:"visited_bytes,omitempty"`
 	SpillBytes     int64 `json:"spill_bytes,omitempty"`
 
-	// Simulation-run telemetry (Source == "campaign").
+	// Simulation-run telemetry (Source == "campaign" or "loadtest").
 	Cycle     int `json:"cycle,omitempty"`
 	Messages  int `json:"messages,omitempty"`
 	Delivered int `json:"delivered,omitempty"`

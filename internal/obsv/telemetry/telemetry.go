@@ -238,9 +238,6 @@ func (c *Collector) Stride() int { return c.cfg.Stride }
 // for a fixed collector, the adapted one for an adaptive collector.
 func (c *Collector) CurrentStride() int { return c.stride }
 
-// Channels returns the channel count the collector was sized for.
-func (c *Collector) Channels() int { return c.channels }
-
 // Window returns the collector's frame history.
 func (c *Collector) Window() *Window { return c.window }
 
