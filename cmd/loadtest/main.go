@@ -132,18 +132,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	factoryFor := func(rate float64) traffic.Factory {
+	// Resolve every rate's arrival process before the sweep, so a bad
+	// process name or parameter fails at once.
+	factories := make([]traffic.Factory, len(grid_))
+	for i, rate := range grid_ {
 		switch *arrivals {
 		case "bernoulli":
-			return traffic.Bernoulli(rate)
+			factories[i] = traffic.Bernoulli(rate)
 		case "bursty":
-			return traffic.Bursty(rate, *burstlen, *peak)
+			factories[i], err = traffic.Bursty(rate, *burstlen, *peak)
+		default:
+			err = fmt.Errorf("loadtest: unknown arrival process %q (want bernoulli, bursty)", *arrivals)
 		}
-		log.Fatalf("loadtest: unknown arrival process %q (want bernoulli, bursty)", *arrivals)
-		return traffic.Factory{}
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
-	// Resolve once so a bad process name fails before the sweep.
-	factoryFor(grid_[0])
 	var sloObjs []telemetry.SLOObjective
 	if *sloSpec != "" {
 		if sloObjs, err = telemetry.ParseSLO(*sloSpec); err != nil {
@@ -172,7 +176,7 @@ func main() {
 			// deterministic simulation.
 			col := obs.NewTelemetry(net)
 			l := traffic.Load{
-				Alg: a, Pattern: pat, Arrivals: factoryFor(rate),
+				Alg: a, Pattern: pat, Arrivals: factories[i],
 				Length: *length, Warmup: *warmup, Measure: *measure, Drain: *drain,
 				// Decorrelate points without coupling them to worker
 				// scheduling: the seed depends only on the grid index.

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -36,8 +37,9 @@ func registerVisitedFlags(fs *flag.FlagSet) *VisitedFlags {
 	}
 }
 
-// Config resolves the parsed flags into a search VisitedConfig. The error
-// names the offending flag; commands report it as a usage error (exit 2).
+// Config resolves the parsed flags into a search VisitedConfig. A
+// -spill-dir must name an existing directory. The error names the
+// offending flag; commands report it as a usage error (exit 2).
 func (f *VisitedFlags) Config() (mcheck.VisitedConfig, error) {
 	var cfg mcheck.VisitedConfig
 	switch *f.Backend {
@@ -55,7 +57,18 @@ func (f *VisitedFlags) Config() (mcheck.VisitedConfig, error) {
 		}
 		cfg.MemBudget = n
 	}
-	cfg.SpillDir = *f.SpillDir
+	if dir := *f.SpillDir; dir != "" {
+		// The spill backend makes its private run directory under this
+		// one; a missing parent would otherwise surface mid-search.
+		fi, err := os.Stat(dir)
+		if err != nil {
+			return cfg, fmt.Errorf("cli: -spill-dir: %w", err)
+		}
+		if !fi.IsDir() {
+			return cfg, fmt.Errorf("cli: -spill-dir: %s is not a directory", dir)
+		}
+		cfg.SpillDir = dir
+	}
 	return cfg, nil
 }
 

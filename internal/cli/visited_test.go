@@ -2,6 +2,8 @@ package cli
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,12 +21,13 @@ func parseVisitedFlags(t *testing.T, args ...string) (*flag.FlagSet, *VisitedFla
 }
 
 func TestVisitedFlagsConfig(t *testing.T) {
-	_, f := parseVisitedFlags(t, "-visited", "spill", "-visited-mem", "64M", "-spill-dir", "spill-runs")
+	dir := t.TempDir()
+	_, f := parseVisitedFlags(t, "-visited", "spill", "-visited-mem", "64M", "-spill-dir", dir)
 	cfg, err := f.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mcheck.VisitedConfig{Backend: mcheck.VisitedSpill, MemBudget: 64 << 20, SpillDir: "spill-runs"}
+	want := mcheck.VisitedConfig{Backend: mcheck.VisitedSpill, MemBudget: 64 << 20, SpillDir: dir}
 	if cfg != want {
 		t.Fatalf("Config() = %+v, want %+v", cfg, want)
 	}
@@ -48,6 +51,28 @@ func TestVisitedFlagsRejectUnknownBackend(t *testing.T) {
 	_, f = parseVisitedFlags(t, "-visited-mem", "lots")
 	if _, err := f.Config(); err == nil || !strings.Contains(err.Error(), "-visited-mem") {
 		t.Fatalf("malformed -visited-mem: err = %v", err)
+	}
+}
+
+// TestVisitedFlagsRejectBadSpillDir: a -spill-dir that is missing or not
+// a directory is a usage error naming the flag, never a search that
+// panics creating its run directory.
+func TestVisitedFlagsRejectBadSpillDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "plain-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, dir, want string }{
+		{"missing", filepath.Join(t.TempDir(), "no", "such", "dir"), "no such file"},
+		{"file", file, "not a directory"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, f := parseVisitedFlags(t, "-visited", "spill", "-visited-mem", "64K", "-spill-dir", tc.dir)
+			_, err := f.Config()
+			if err == nil || !strings.HasPrefix(err.Error(), "cli: -spill-dir:") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("-spill-dir %s: err = %v, want a cli: -spill-dir: error containing %q", tc.dir, err, tc.want)
+			}
+		})
 	}
 }
 

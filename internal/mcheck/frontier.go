@@ -22,7 +22,7 @@ import (
 // Entries are stored in INSERTION order, never sorted: the merge iterates
 // a batch in the order a sequential FIFO queue would dequeue the level,
 // so acceptance order, provenance and witnesses do not depend on the
-// worker count. (Only spill run files sort; a frontier must not.)
+// worker count. (Only spill runs sort; a frontier must not.)
 //
 // Each entry is written by appendEntry (below) with the values (budget,
 // provenance node). Restart points double as the parallel work-division

@@ -19,11 +19,15 @@ const (
 	// VisitedMem (the default) holds every encoding on the heap, with no
 	// byte budget.
 	VisitedMem VisitedBackend = iota
-	// VisitedSpill gives the store a byte budget and a run directory:
-	// shards that outgrow their budget spill sorted, prefix-compressed
-	// runs to disk and are probed there via fence indexes. With the
-	// encoded frontier batches the search's resident set no longer scales
-	// with state count.
+	// VisitedSpill gives the store a byte budget and a private directory
+	// holding one segment file: shards that outgrow their budget append
+	// sorted, prefix-compressed runs to the segment and are probed there
+	// through fence indexes, behind 16-bit per-entry fingerprints that
+	// answer most misses without a read. Compactions' dead bytes are
+	// reclaimed by copying the live runs into a fresh segment. The
+	// resident tables are pointer-free open-addressing arrays, as in
+	// VisitedMem. With the encoded frontier batches the search's resident
+	// set no longer scales with state count.
 	VisitedSpill
 )
 
@@ -47,11 +51,11 @@ type VisitedConfig struct {
 	// Backend selects the implementation; the zero value is VisitedMem.
 	Backend VisitedBackend
 	// MemBudget caps the spill backend's resident bytes across all shards
-	// (run files and fence indexes excluded). 0 means
+	// (runs, fence indexes and fingerprints excluded). 0 means
 	// DefaultVisitedMemBudget. Ignored by the in-memory backend.
 	MemBudget int64
 	// SpillDir is the parent directory for the spill backend's private
-	// run-file directory. "" means the system temp directory.
+	// segment directory. "" means the system temp directory.
 	SpillDir string
 }
 

@@ -167,7 +167,7 @@ type ProgressInfo struct {
 	// Visited-set memory accounting, from the live backend.
 	VisitedEntries int   // distinct encodings recorded
 	VisitedBytes   int64 // resident bytes (heap; excludes spilled runs)
-	SpillBytes     int64 // bytes in on-disk run files (spill backend)
+	SpillBytes     int64 // bytes of live runs on disk (spill backend)
 }
 
 // DefaultMaxStates bounds state exploration when SearchOptions.MaxStates

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -20,9 +19,9 @@ type runEntry struct {
 }
 
 // writeRun writes entries, sorted by (digest, encoding) and distinct, as
-// one run of v.
+// one run at the end of v's segment.
 func writeRun(v *visitedSet, entries []runEntry) *spillRun {
-	w := v.newRunWriter()
+	w := v.newRunWriter(len(entries))
 	for _, e := range entries {
 		w.add(e.h, e.enc, e.budget)
 	}
@@ -53,7 +52,7 @@ func readRun(r *spillRun) []runEntry {
 // workload writes at a one-byte budget, raw and as parsed entries.
 func FuzzSpillRun(f *testing.F) {
 	seedStore := newVisitedSet(normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: f.TempDir()}))
-	driveReferenceWorkload(f, seedStore)
+	driveReferenceWorkload(f, seedStore, nil)
 	for i := 0; i < 4; i++ {
 		r := seedStore.shards[i].runs[0]
 		var rd runReader
@@ -122,13 +121,12 @@ func FuzzSpillRun(f *testing.F) {
 			entries[i] = e
 		}
 		sh := &v.shards[0]
-		sh.runs = []*spillRun{run, writeRun(v, upgrades)}
+		v.addRun(sh, run)
+		v.addRun(sh, writeRun(v, upgrades))
 		v.compact(sh)
-		merged := sh.runs[0]
-		sh.runs = nil
-		defer os.Remove(merged.f.Name())
-		defer merged.f.Close()
-		if got := readRun(merged); !slices.EqualFunc(got, entries, runEntryEqual) {
+		got := readRun(sh.runs[0])
+		v.dropRuns(sh)
+		if !slices.EqualFunc(got, entries, runEntryEqual) {
 			t.Fatalf("compaction returned %d entries, want %d: %v", len(got), len(entries), got)
 		}
 	})
@@ -188,22 +186,30 @@ func TestCorruptRunBlock(t *testing.T) {
 				t.Fatalf("decodeEntry error %q, want it to mention %q", err, tc.want)
 			}
 
-			f, err := os.CreateTemp(v.dir, "corrupt-*.spill")
-			if err != nil {
+			// The corrupt block follows a valid run in the segment, so the
+			// offset a panic names is past the run's base.
+			writeRun(v, []runEntry{{h: 1, enc: []byte("valid"), budget: 1}})
+			base := v.seg.size
+			if _, err := v.seg.Write(tc.block); err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			if _, err := f.Write(tc.block); err != nil {
-				t.Fatal(err)
-			}
-			run := &spillRun{f: f, size: int64(len(tc.block)), fence: []runFence{{h: 0, off: 0}}, count: 2}
-			wantPanic := fmt.Sprintf("corrupt run block in %s at offset", f.Name())
+			// Both entries are fingerprinted like the lookup's digest, so
+			// the lookup reads the block.
+			probe := runFingerprint(math.MaxUint64)
+			run := &spillRun{seg: v.seg, base: base, size: int64(len(tc.block)),
+				fence: []runFence{{h: 0, off: 0}}, fp: []uint16{probe, probe}, count: 2}
+			wantPanic := fmt.Sprintf("corrupt run block in %s at offset ", v.seg.f.Name())
 			expectPanic := func(what string, fn func()) {
 				t.Helper()
 				defer func() {
 					msg, _ := recover().(string)
 					if !strings.Contains(msg, wantPanic) || !strings.Contains(msg, tc.want) {
 						t.Fatalf("%s of a corrupt run panicked with %q, want %q and %q", what, msg, wantPanic, tc.want)
+					}
+					var off int64
+					fmt.Sscan(msg[strings.Index(msg, wantPanic)+len(wantPanic):], &off)
+					if off < base || off >= base+int64(len(tc.block)) {
+						t.Fatalf("%s panic names offset %d, outside the block at [%d, %d)", what, off, base, base+int64(len(tc.block)))
 					}
 				}()
 				fn()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -104,7 +105,7 @@ func TestSpillVisitedMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			st := newVisitedSet(cfg)
 			defer st.close()
-			model, keys := driveReferenceWorkload(t, st)
+			model, keys := driveReferenceWorkload(t, st, nil)
 
 			if st.size() != len(model) {
 				t.Fatalf("size = %d, model has %d distinct encodings", st.size(), len(model))
@@ -147,9 +148,10 @@ func TestSpillVisitedMatchesReference(t *testing.T) {
 
 // driveReferenceWorkload runs 20,000 deterministic random novel/insert
 // operations on st, a third of them revisits with a random budget, and
-// checks each answer against a map model. It returns the model and its
-// keys in first-insertion order.
-func driveReferenceWorkload(t testing.TB, st *visitedSet) (map[string]int, []string) {
+// checks each answer against a map model, calling after (unless nil)
+// after each insert. It returns the model and its keys in
+// first-insertion order.
+func driveReferenceWorkload(t testing.TB, st *visitedSet, after func()) (map[string]int, []string) {
 	rng := rand.New(rand.NewSource(7))
 	model := make(map[string]int)
 	var keys []string
@@ -173,6 +175,9 @@ func driveReferenceWorkload(t testing.TB, st *visitedSet) (map[string]int, []str
 		}
 		if got := st.insert(h, enc, budget); got != wantNew {
 			t.Fatalf("op %d: insert = %v, model says %v", i, got, wantNew)
+		}
+		if after != nil {
+			after()
 		}
 		if wantNew {
 			if !seen {
@@ -210,6 +215,107 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("%d entries left under the spill parent", len(ents))
 	}
+}
+
+// TestSpillSegmentBounded: under the reference workload at a one-byte
+// budget, after every compaction the store's directory holds at most two
+// files, and their bytes stay within twice the live run bytes plus one
+// run: dead bytes left by compactions are reclaimed by replacing the
+// segment, not kept for the rest of the search.
+func TestSpillSegmentBounded(t *testing.T) {
+	st := newVisitedSet(normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()}))
+	defer st.close()
+	compactions := 0
+	segments := map[string]bool{}
+	driveReferenceWorkload(t, st, func() {
+		if st.compactions == compactions {
+			return
+		}
+		compactions = st.compactions
+		ents, err := os.ReadDir(st.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) > 2 {
+			t.Fatalf("after compaction %d the store holds %d files", compactions, len(ents))
+		}
+		var onDisk, largest int64
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDisk += fi.Size()
+			segments[e.Name()] = true
+		}
+		for i := range st.shards {
+			for _, r := range st.shards[i].runs {
+				largest = max(largest, r.size)
+			}
+		}
+		if live := st.liveBytes(); onDisk > 2*live+largest {
+			t.Fatalf("after compaction %d the store holds %d bytes for %d live run bytes (largest run %d)",
+				compactions, onDisk, live, largest)
+		}
+	})
+	if compactions == 0 || len(segments) < 2 {
+		t.Fatalf("%d compactions over %d segment files: the bound was never exercised", compactions, len(segments))
+	}
+}
+
+// TestSpillFingerprintDefiniteMiss: a probe whose digest matches no
+// fingerprint of any run's candidate block answers "absent" without
+// reading the segment. The segment file is closed first, so any read
+// would panic; a probe of a spilled encoding shows that it does.
+func TestSpillFingerprintDefiniteMiss(t *testing.T) {
+	st := newVisitedSet(normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()}))
+	defer st.close()
+	for i := 0; i < 5000; i++ {
+		enc := []byte(fmt.Sprintf("state-encoding-%06d", i))
+		st.insert(st.hash(enc), enc, 0)
+	}
+	spilled := []byte("state-encoding-000000")
+	if i, _ := st.shards[st.hash(spilled)&(visitedShards-1)].find(st.hash(spilled), spilled); i >= 0 {
+		t.Fatalf("the first encoding inserted is still resident")
+	}
+	type probe struct {
+		h   uint64
+		enc []byte
+	}
+	var misses []probe
+	for i := 0; len(misses) < 1000; i++ {
+		enc := []byte(fmt.Sprintf("absent-encoding-%06d", i))
+		h := st.hash(enc)
+		sh := &st.shards[h&(visitedShards-1)]
+		if len(sh.runs) == 0 {
+			t.Fatalf("shard %d never spilled", h&(visitedShards-1))
+		}
+		definite := true
+		for _, r := range sh.runs {
+			if lo, hi := r.blocks(h); r.mayHold(lo, hi, h) {
+				definite = false
+			}
+		}
+		if definite {
+			misses = append(misses, probe{h, enc})
+		}
+	}
+	if err := st.seg.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range misses {
+		if !st.novel(p.h, p.enc, 0) {
+			t.Fatalf("absent encoding %q not novel", p.enc)
+		}
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "reading run block") {
+				t.Fatalf("probing a spilled encoding over a closed segment: panic %q, want a read failure", msg)
+			}
+		}()
+		st.novel(st.hash(spilled), spilled, 0)
+	}()
 }
 
 // TestFrontierBatchRoundTrip: the delta-encoded batch must return every

@@ -238,6 +238,11 @@ type Sim struct {
 	// iteration.
 	stepReqs  []uint64
 	queryReqs []uint64
+	// wanting[id] records whether active message id wanted a channel,
+	// acquirable or not, when collectRequests last ran, so the waiting
+	// bookkeeping of advance reads the plan instead of asking
+	// wantedChannels a second time. Only active messages' bits are kept.
+	wanting []bool
 	// planned reports that queryReqs and the release marks still describe
 	// the current state: Contentions sets it, and every state change
 	// (stepping, copying, decoding, the setters) clears it. StepFrom
@@ -657,8 +662,9 @@ func (s *Sim) Contentions() []Contention {
 }
 
 // collectRequests appends this cycle's acquisition requests to buf as
-// packed (channel<<32 | message) pairs and sorts them: channels come out
-// in ascending ID order, each with its contenders ascending — the exact
+// packed (channel<<32 | message) pairs, records in wanting which active
+// messages want a channel at all, and sorts the requests: channels come
+// out in ascending ID order, each with its contenders ascending — the exact
 // order the old per-cycle request map produced after its two sorts. A
 // channel is requestable when it is free, or when the most recent
 // predictReleases pass marked it releasing (same-cycle handoff). Adaptive
@@ -666,9 +672,16 @@ func (s *Sim) Contentions() []Contention {
 // each message wins at most one.
 func (s *Sim) collectRequests(buf []uint64) []uint64 {
 	reqs := buf[:0]
+	if len(s.wanting) < len(s.msgs) {
+		// Doubling: a load run adds messages one at a time. Stale bits
+		// need no clearing, since every active message's is written.
+		s.wanting = make([]bool, max(2*len(s.wanting), len(s.msgs), 64))
+	}
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		for _, c := range s.wantedChannels(m) {
+		wants := s.wantedChannels(m)
+		s.wanting[id] = len(wants) > 0
+		for _, c := range wants {
 			if s.acquirable(c) {
 				reqs = append(reqs, uint64(c)<<32|uint64(uint32(m.id)))
 			}
@@ -894,9 +907,10 @@ func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
 // advance runs phases 2 and 3 of a cycle, the one movement body behind
 // Step, StepWithPicks and StepFrom. plan is the simulator whose latest
 // predictReleases pass marked the releasing channels, and reqs its sorted
-// request list; both must describe s's current state (plan is s itself,
-// or the probe s was just copied from). All working memory comes from the
-// Sim's scratch arenas: a steady-state step allocates nothing.
+// request list, collected with its wanting bits; all must describe s's
+// current state (plan is s itself, or the probe s was just copied from).
+// All working memory comes from the Sim's scratch arenas: a steady-state
+// step allocates nothing.
 func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int) StepResult {
 	// Phase 2: arbitration, then movement.
 	s.ensureGrantArena()
@@ -946,9 +960,10 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 	// Delivered messages outside the active list keep waitingSince == -1:
 	// it was reset on the cycle their header reached the destination
 	// (wantedChannels was already empty) and nothing sets it afterwards.
+	// The plan recorded who wants a channel when it collected reqs.
 	for _, id := range s.active {
 		m := &s.msgs[id]
-		if wants := s.wantedChannels(m); len(wants) > 0 {
+		if plan.wanting[id] {
 			if _, won := s.granted(m.id); !won {
 				if m.waitingSince < 0 {
 					m.waitingSince = s.now

@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/routing"
@@ -28,7 +30,7 @@ func TestBernoulliRate(t *testing.T) {
 
 func TestBurstyLongRunRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := Bursty(0.1, 20, 4).New()
+	p := mustBursty(t, 0.1, 20, 4).New()
 	hits := 0
 	const draws = 400000
 	for i := 0; i < draws; i++ {
@@ -60,7 +62,7 @@ func TestBurstyBurstsAreClumped(t *testing.T) {
 		}
 		return pairs, hits
 	}
-	bPairs, bHits := count(Bursty(0.1, 20, 5).New(), rand.New(rand.NewSource(3)))
+	bPairs, bHits := count(mustBursty(t, 0.1, 20, 5).New(), rand.New(rand.NewSource(3)))
 	uPairs, uHits := count(Bernoulli(0.1).New(), rand.New(rand.NewSource(3)))
 	bClump := float64(bPairs) / float64(bHits)
 	uClump := float64(uPairs) / float64(uHits)
@@ -130,7 +132,7 @@ func TestOpenLoopLowLoadDelivers(t *testing.T) {
 func TestOpenLoopDeterministic(t *testing.T) {
 	_, alg := mesh44()
 	l := Load{
-		Alg: alg, Pattern: Uniform(16), Arrivals: Bursty(0.05, 10, 3),
+		Alg: alg, Pattern: Uniform(16), Arrivals: mustBursty(t, 0.05, 10, 3),
 		Length: 4, Warmup: 50, Measure: 200, Drain: 1000, Seed: 5,
 	}
 	a, err := l.Run()
@@ -211,5 +213,52 @@ func TestOpenLoopDetectsDeadlock(t *testing.T) {
 	}
 	if r.Cycles >= l.Warmup+l.Measure {
 		t.Fatalf("deadlock should cut the run short: %+v", r)
+	}
+}
+
+func mustBursty(t *testing.T, rate, burstLen, peak float64) Factory {
+	t.Helper()
+	f, err := Bursty(rate, burstLen, peak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestBurstyRejectsBadParameters: every parameter outside its domain,
+// NaN and the infinities included, is an error naming it, never a panic
+// or a process that runs with meaningless switch probabilities.
+func TestBurstyRejectsBadParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name                 string
+		rate, burstLen, peak float64
+		want                 string
+	}{
+		{"negative rate", -0.1, 16, 4, "rate"},
+		{"rate above 1", 1.5, 16, 4, "rate"},
+		{"NaN rate", nan, 16, 4, "rate"},
+		{"burst length below 1", 0.1, 0.5, 4, "burst length"},
+		{"zero burst length", 0.1, 0, 4, "burst length"},
+		{"NaN burst length", 0.1, nan, 4, "burst length"},
+		{"infinite burst length", 0.1, inf, 4, "burst length"},
+		{"peak 1", 0.1, 16, 1, "peak"},
+		{"peak below 1", 0.1, 16, 0.5, "peak"},
+		{"NaN peak", 0.1, 16, nan, "peak"},
+		{"infinite peak", 0.1, 16, inf, "peak"},
+		{"negative infinite peak", 0.1, 16, -inf, "peak"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Bursty(tc.rate, tc.burstLen, tc.peak)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Bursty(%v, %v, %v) error %v, want one naming the %s", tc.rate, tc.burstLen, tc.peak, err, tc.want)
+			}
+		})
+	}
+	for _, ok := range [][3]float64{{0, 1, 1.0001}, {1, 1, 2}, {0.05, 16, 4}} {
+		if _, err := Bursty(ok[0], ok[1], ok[2]); err != nil {
+			t.Fatalf("Bursty%v: %v", ok, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -63,16 +64,19 @@ func (p *burstyProcess) Arrive(rng *rand.Rand) bool {
 // injecting at peak*rate and a silent OFF phase. burstLen is the mean ON
 // phase length in cycles; peak > 1 is the ON-phase rate multiplier. The
 // OFF phase mean length is burstLen*(peak-1), so the ON-phase duty cycle
-// is 1/peak and the average arrival rate works out to exactly rate.
-func Bursty(rate, burstLen, peak float64) Factory {
-	if rate < 0 || rate > 1 {
-		panic(fmt.Sprintf("traffic: Bursty rate %v out of [0,1]", rate))
+// is 1/peak and the average arrival rate works out to exactly rate. A
+// rate outside [0, 1], a burst length below 1 or a peak of at most 1, or
+// any of them NaN or infinite, is an error.
+func Bursty(rate, burstLen, peak float64) (Factory, error) {
+	// The comparisons are written so that NaN fails each of them.
+	if !(rate >= 0 && rate <= 1) {
+		return Factory{}, fmt.Errorf("traffic: Bursty rate %v out of [0,1]", rate)
 	}
-	if burstLen < 1 {
-		panic(fmt.Sprintf("traffic: Bursty burst length %v < 1", burstLen))
+	if !(burstLen >= 1) || math.IsInf(burstLen, 1) {
+		return Factory{}, fmt.Errorf("traffic: Bursty burst length %v must be finite and at least 1", burstLen)
 	}
-	if peak <= 1 {
-		panic(fmt.Sprintf("traffic: Bursty peak factor %v must exceed 1", peak))
+	if !(peak > 1) || math.IsInf(peak, 1) {
+		return Factory{}, fmt.Errorf("traffic: Bursty peak factor %v must be finite and exceed 1", peak)
 	}
 	onRate := rate * peak
 	if onRate > 1 {
@@ -88,5 +92,5 @@ func Bursty(rate, burstLen, peak float64) Factory {
 				// Start OFF: warmup absorbs the transient before measurement.
 			}
 		},
-	}
+	}, nil
 }
