@@ -307,16 +307,20 @@ func TestStepTracedAllocBounded(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAllocBounded bounds the static decider's allocations on one
-// fixed cyclic algorithm (nine CDG cycles, 302 configurations, none
-// screened by a corollary). Paths are fetched once per Analyze, kept
-// configurations are carved from slabs, the timing systems are solved in
-// stack scratch and a witness is one allocation, so the count sits near
-// 1,070. Per-configuration Member slices and per-order permutation,
-// constraint and time slices put it at 3,950, the earlier per-tiling
-// dedupe keys and per-configuration maps at 26,000. The budget
-// is the measured count plus about 10%. AllocsPerRun runs at
-// GOMAXPROCS=1, so this is the serial path.
+// TestAnalyzeAllocBounded bounds the static decider's allocations and
+// bytes on one fixed cyclic algorithm (nine CDG cycles, 302
+// configurations, none screened by a corollary). Paths are fetched once
+// per Analyze, each cycle's ring and approaches go to one store, a kept
+// configuration is a run of 16-byte pointer-free member records carved
+// from a slab, the timing systems are solved in stack scratch and a
+// witness is one allocation: about 1,090 allocations and 173.5 KB per
+// op. The byte budget is that plus about 10%; the count budget was set
+// at 1,071 plus 10%, before each cycle had a store of its own. Members of
+// 64 bytes holding their own Arc and Approach slice headers cost 267 KB,
+// per-configuration Member slices 3,950 allocations, the earlier
+// per-tiling dedupe keys and per-configuration maps 26,000. Both
+// measurements run at GOMAXPROCS=1, the serial path; the byte budget is
+// skipped under -race, whose instrumentation allocates.
 func TestAnalyzeAllocBounded(t *testing.T) {
 	alg := routing.RandomMinimal(topology.NewMesh([]int{3, 3}, 1).Network, 3)
 	rep := core.Analyze(alg, core.Options{})
@@ -332,6 +336,22 @@ func TestAnalyzeAllocBounded(t *testing.T) {
 		t.Fatalf("Analyze allocates %v allocs/op; budget %d", n, budget)
 	}
 	t.Logf("Analyze: %v allocs/op (budget %d)", n, budget)
+	if raceEnabled {
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs, byteBudget = 5, 191_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		core.Analyze(alg, core.Options{})
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bytes > byteBudget {
+		t.Fatalf("Analyze allocates %d bytes/op; budget %d", bytes, byteBudget)
+	}
+	t.Logf("Analyze: %d bytes/op (budget %d)", bytes, byteBudget)
 }
 
 // TestLoadCellAllocBounded bounds one open-loop load cell shaped like the

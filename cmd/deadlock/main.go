@@ -115,7 +115,8 @@ func main() {
 		fmt.Printf("cycle %d:    len %d, verdict %s, %d configuration(s)\n", i+1, len(cyc.Cycle), cyc.Verdict, len(cyc.Configs))
 		for j, cfg := range cyc.Configs {
 			fmt.Printf("  config %d: %s — %s\n", j+1, cfg.Verdict, cfg.Reason)
-			for _, m := range cfg.Config.Members {
+			for k := range cfg.Config.Len() {
+				m := cfg.Config.Member(k)
 				fmt.Printf("    member %d -> %d: approach %d channels, arc %d channels\n",
 					m.Src, m.Dst, len(m.Approach), len(m.Arc))
 			}

@@ -141,8 +141,8 @@ func Build(topo, alg, dims string, vcs int) (routing.Algorithm, *topology.Grid, 
 		}
 		return routing.NegativeFirst(grid), grid, nil
 	case "dallyseitz":
-		if grid == nil || !grid.Wrap {
-			return nil, nil, fmt.Errorf("cli: dallyseitz requires a torus")
+		if grid == nil || !grid.Wrap || vcs < 2 {
+			return nil, nil, fmt.Errorf("cli: dallyseitz requires a torus with at least 2 virtual channels")
 		}
 		return routing.DallySeitzTorus(grid), grid, nil
 	case "ecube":

@@ -136,6 +136,7 @@ func TestBuildCombos(t *testing.T) {
 	}
 	bad := []struct{ topo, alg, dims string }{
 		{"mesh", "dallyseitz", "3x3"},
+		{"torus", "dallyseitz", "4x4"}, // one virtual channel
 		{"torus", "dor", "3x3"},
 		{"torus", "valiant", "3x3"},
 		{"mesh", "valiantsplit", "3x3"},

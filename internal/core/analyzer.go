@@ -320,9 +320,9 @@ func (w *cycleWorker) classify(cfg Configuration, rep *ConfigReport) {
 	base := w.stamp
 	var shared topology.ChannelID = topology.None
 	multiple := false
-	for _, m := range cfg.Members {
+	for _, r := range cfg.recs {
 		w.stamp++
-		for _, c := range m.Approach {
+		for _, c := range cfg.store.approach(r.approach) {
 			if w.pos[c] >= 0 {
 				if w.onCycle[c] == "" {
 					w.onCycle[c] = fmt.Sprintf("member approach uses cycle channel %d; outside supported geometry", c)
@@ -349,10 +349,11 @@ func (w *cycleWorker) classify(cfg Configuration, rep *ConfigReport) {
 		return
 	}
 	w.entrants = w.entrants[:0]
-	for _, m := range cfg.Members {
-		e := unreachable.Entrant{D: len(m.Approach), C: len(m.Arc)}
+	for _, r := range cfg.recs {
+		approach := cfg.store.approach(r.approach)
+		e := unreachable.Entrant{D: len(approach), C: int(r.length)}
 		if shared != topology.None {
-			for i, c := range m.Approach {
+			for i, c := range approach {
 				if c == shared {
 					if i != 0 {
 						rep.Verdict = ConfigUnknown

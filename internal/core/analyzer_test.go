@@ -82,12 +82,12 @@ func TestAnalyzeFigure1DeadlockFreeDespiteCycle(t *testing.T) {
 		t.Fatalf("configurations = %d; want the unique four-message tiling", len(cyc.Configs))
 	}
 	cfg := cyc.Configs[0].Config
-	if len(cfg.Members) != 4 {
-		t.Fatalf("members = %d; want 4", len(cfg.Members))
+	if cfg.Len() != 4 {
+		t.Fatalf("members = %d; want 4", cfg.Len())
 	}
 	// Members are exactly the four Src -> D_i messages.
-	for _, m := range cfg.Members {
-		if m.Src != pn.Src {
+	for j := range cfg.Len() {
+		if m := cfg.Member(j); m.Src != pn.Src {
 			t.Fatalf("member source = %d; want Src", m.Src)
 		}
 	}
@@ -245,8 +245,8 @@ func TestDecomposeRingCycle(t *testing.T) {
 	for ci, cfg := range configs {
 		// The arcs tile the cycle in ring order.
 		var tiled []topology.ChannelID
-		for _, m := range cfg.Members {
-			tiled = append(tiled, m.Arc...)
+		for j := range cfg.Len() {
+			tiled = append(tiled, cfg.Member(j).Arc...)
 		}
 		start := -1
 		for i, c := range cyc {
@@ -266,13 +266,14 @@ func TestDecomposeRingCycle(t *testing.T) {
 		// Approach ++ Arc followed by the next member's first arc channel.
 		pairs := map[[2]topology.NodeID]bool{}
 		var key []arc
-		for i, m := range cfg.Members {
+		for i := range cfg.Len() {
+			m := cfg.Member(i)
 			p := [2]topology.NodeID{m.Src, m.Dst}
 			if pairs[p] {
 				t.Fatalf("config %d: pair %v repeats", ci, p)
 			}
 			pairs[p] = true
-			next := cfg.Members[(i+1)%len(cfg.Members)].Arc[0]
+			next := cfg.Member((i + 1) % cfg.Len()).Arc[0]
 			want := append(append(append([]topology.ChannelID(nil), m.Approach...), m.Arc...), next)
 			path := alg.Path(m.Src, m.Dst)
 			if len(path) < len(want) || !slices.Equal(path[:len(want)], want) {
@@ -307,8 +308,8 @@ func TestDecomposeFindsUniqueFigure1Tiling(t *testing.T) {
 	}
 	// Arc lengths must be the paper's 3, 4, 3, 4 in ring order.
 	lens := map[int]int{}
-	for _, m := range configs[0].Members {
-		lens[len(m.Arc)]++
+	for j := range configs[0].Len() {
+		lens[len(configs[0].Member(j).Arc)]++
 	}
 	if lens[3] != 2 || lens[4] != 2 {
 		t.Fatalf("arc lengths = %v; want two of 3 and two of 4", lens)

@@ -20,7 +20,8 @@ import (
 // the static classifier.
 func ConfigScenario(alg routing.Algorithm, cfg Configuration) sim.Scenario {
 	sc := sim.Scenario{Name: "config-crosscheck", Net: alg.Network()}
-	for _, m := range cfg.Members {
+	for j := range cfg.Len() {
+		m := cfg.Member(j)
 		sc.Msgs = append(sc.Msgs, sim.MessageSpec{
 			Src:    m.Src,
 			Dst:    m.Dst,

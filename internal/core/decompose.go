@@ -34,8 +34,8 @@ import (
 
 // Member is one message of a candidate deadlock configuration: the message
 // from Src to Dst holds the cycle channels Arc and is blocked at the next
-// member's first arc channel. Arc and Approach share storage with other
-// members and must not be modified.
+// member's first arc channel. Arc and Approach are capped views of the
+// cycle's store, which no later cycle reuses, and must not be modified.
 type Member struct {
 	Src, Dst topology.NodeID
 	// Arc is the run of consecutive cycle channels this member holds, in
@@ -46,9 +46,47 @@ type Member struct {
 }
 
 // Configuration is a candidate Definition 6 deadlock configuration: a
-// tiling of a CDG cycle by member arcs, in ring order.
+// tiling of a CDG cycle by member arcs, in ring order. Its members are
+// pointer-free records into its cycle's store; Member builds each view.
 type Configuration struct {
-	Members []Member
+	store *cycleStore
+	recs  []memberRec
+}
+
+// Len returns the number of members.
+func (c Configuration) Len() int { return len(c.recs) }
+
+// Member returns member j, in ring order. It does not allocate.
+func (c Configuration) Member(j int) Member {
+	r, s := c.recs[j], c.store
+	end := r.start + r.length
+	return Member{Src: topology.NodeID(r.pair / s.nodes), Dst: topology.NodeID(r.pair % s.nodes),
+		Arc: s.ring[r.start:end:end], Approach: s.approach(r.approach)}
+}
+
+// cycleStore holds what the members of one cycle's configurations view:
+// the cycle twice over, which arcs are subslices of, and the approach of
+// every run of the cycle on a path, approaches[approachAt[i]:approachAt[i+1]]
+// for run i. Each cycle gets a fresh store.
+type cycleStore struct {
+	ring, approaches []topology.ChannelID
+	approachAt       []int32
+	nodes            int32
+}
+
+// approach returns run i's approach, nil when the run starts its path.
+func (s *cycleStore) approach(i int32) []topology.ChannelID {
+	from, to := s.approachAt[i], s.approachAt[i+1]
+	if from == to {
+		return nil
+	}
+	return s.approaches[from:to:to]
+}
+
+// memberRec is one member: pair s*nodes+d holds ring[start:start+length]
+// after approach number approach.
+type memberRec struct {
+	pair, start, length, approach int32
 }
 
 // pathIndex holds every (src, dst) path of an algorithm, fetched once per
@@ -101,10 +139,9 @@ func newPathIndex(alg routing.Algorithm) *pathIndex {
 }
 
 // realizer is a (src, dst) pair whose path realizes one arc of the
-// current cycle.
+// current cycle after the approach of run number approach.
 type realizer struct {
-	pair     int32
-	approach []topology.ChannelID
+	pair, approach int32
 	// dup marks a later run of the pair's path realizing the same arc;
 	// tilings through it repeat those through the earlier run.
 	dup bool
@@ -116,14 +153,10 @@ type run struct {
 	pair, at, p, l int32
 }
 
-// pick is one arc of the tiling under construction and its realizer.
-type pick struct {
-	start, length, r int32
-}
-
 // cycleWorker decomposes and classifies cycles one after another, on
-// scratch reused from cycle to cycle. The configurations it keeps are
-// carved from slabs that are never reused, so reports may hold them.
+// scratch reused from cycle to cycle. Each cycle's store and the member
+// records of the configurations it keeps are never reused: their
+// contents are carved from slabs, so reports may hold them.
 type cycleWorker struct {
 	idx *pathIndex
 	// cyc is the current cycle, and pos[c] is channel c's position on it,
@@ -137,18 +170,25 @@ type cycleWorker struct {
 	// then by position on the pair's path.
 	bucket    []int32
 	realizers []realizer
+	// lens[lensAt[p]:lensAt[p+1]] are the ascending arc lengths at cycle
+	// position p with a realizer, and can[p*(L+1)+n] reports that such
+	// arcs tile the n channels from position p, ignoring the
+	// distinct-pair rule.
+	lens, lensAt []int32
+	can          []bool
 
-	// Tiling search state: ring is the cycle twice over, which arcs are
-	// capped subslices of; pairUsed marks the pairs on picks.
-	ring                []topology.ChannelID
-	picks               []pick
+	// Tiling search state: picks are the members of the tiling under
+	// construction, pairUsed marks their pairs.
+	store               *cycleStore
+	picks               []memberRec
 	pairUsed            []bool
 	configs             []Configuration
 	first, count, limit int
 	truncated           bool
 
-	chans   slab[topology.ChannelID]
-	members slab[Member]
+	chans slab[topology.ChannelID]
+	offs  slab[int32]
+	recs  slab[memberRec]
 
 	// Classifier scratch: seen[c] is the stamp of the last member whose
 	// approach used c; every member of every configuration gets a fresh,
@@ -183,10 +223,10 @@ type slab[T any] struct {
 	chunk int
 }
 
-// maxSlabChunk caps slab chunks at 32 KiB of Members. Uncapped doubling
-// left half-used chunks of megabytes, whose zeroing and scanning cost
-// more than the extra allocations save.
-const maxSlabChunk = 512
+// maxSlabChunk caps slab chunks at 32 KiB of member records. Uncapped
+// doubling left half-used chunks of megabytes, whose zeroing cost more
+// than the extra allocations save.
+const maxSlabChunk = 2048
 
 // carve returns a slice of length n.
 func (s *slab[T]) carve(n int) []T {
@@ -212,7 +252,7 @@ func (s *slab[T]) carve(n int) []T {
 // earlier start positions plus every tiling enumerated from the current
 // one, repeats included, number maxConfigs (0 = unlimited); the bool
 // reports that truncation. The returned slice is valid until the next
-// call; the Members it holds stay valid.
+// call; the Configurations it holds stay valid.
 func (w *cycleWorker) decompose(cyc cdg.Cycle, maxConfigs int) ([]Configuration, bool) {
 	for _, c := range w.cyc {
 		w.pos[c] = -1
@@ -221,12 +261,13 @@ func (w *cycleWorker) decompose(cyc cdg.Cycle, maxConfigs int) ([]Configuration,
 	for i, c := range cyc {
 		w.pos[c] = int32(i)
 	}
+	L := len(cyc)
+	w.store = &cycleStore{nodes: int32(w.idx.nodes),
+		ring: append(append(w.chans.carve(2 * L)[:0], cyc...), cyc...)}
 	w.indexRealizers()
 
 	// Tile the cycle by depth-first search over (arc, realizer) picks,
-	// building Members only for kept tilings.
-	L := len(cyc)
-	w.ring = append(append(w.chans.carve(2 * L)[:0], cyc...), cyc...)
+	// recording members only for kept tilings.
 	w.configs, w.count, w.limit, w.truncated = w.configs[:0], 0, maxConfigs, false
 	for w.first = 0; w.first < L && !w.truncated; w.first++ {
 		w.count = len(w.configs)
@@ -240,7 +281,8 @@ func (w *cycleWorker) decompose(cyc cdg.Cycle, maxConfigs int) ([]Configuration,
 // whose path contains cyc[p..p+l-1] followed by cyc[(p+l)%L], entered
 // from outside the cycle (the channel before cyc[p] in the path, if any,
 // is not the cycle predecessor — otherwise the "member" would be a longer
-// arc).
+// arc). It copies the runs' approaches into the store and builds the
+// search's length lists and can table.
 func (w *cycleWorker) indexRealizers() {
 	idx, pos, L := w.idx, w.pos, int32(len(w.cyc))
 	// Find every maximal run of cycle channels consistent with cyclic
@@ -273,6 +315,16 @@ func (w *cycleWorker) indexRealizers() {
 		}
 		return int(a.at - b.at)
 	})
+	// Run i's approach is the path before it.
+	st := w.store
+	st.approachAt = w.offs.carve(len(w.runs) + 1)
+	for i, r := range w.runs {
+		st.approachAt[i+1] = st.approachAt[i] + r.at
+	}
+	st.approaches = w.chans.carve(int(st.approachAt[len(w.runs)]))
+	for i, r := range w.runs {
+		copy(st.approaches[st.approachAt[i]:], idx.paths[r.pair][:r.at])
+	}
 	// Every prefix length a < l of a run is a realizable arc, all sharing
 	// one approach. Count each bucket's realizers, sum the counts into
 	// bucket ends, and fill the buckets back to front.
@@ -290,15 +342,10 @@ func (w *cycleWorker) indexRealizers() {
 	w.realizers = append(w.realizers[:0], make([]realizer, w.bucket[buckets])...)
 	for i := len(w.runs) - 1; i >= 0; i-- {
 		r := w.runs[i]
-		var approach []topology.ChannelID
-		if r.at > 0 {
-			approach = w.chans.carve(int(r.at))
-			copy(approach, idx.paths[r.pair][:r.at])
-		}
 		for a := int32(1); a < r.l && a < L; a++ {
 			b := r.p*L + a - 1
 			w.bucket[b]--
-			w.realizers[w.bucket[b]] = realizer{pair: r.pair, approach: approach}
+			w.realizers[w.bucket[b]] = realizer{pair: r.pair, approach: int32(i)}
 		}
 	}
 	for b := 0; b < buckets; b++ {
@@ -307,10 +354,42 @@ func (w *cycleWorker) indexRealizers() {
 			rs[k].dup = rs[k].pair == rs[k-1].pair
 		}
 	}
+
+	// The lengths with realizers at each position, then can by the number
+	// of channels left: n channels from p tile when some arc a <= n from p
+	// leaves n-a channels from p+a that tile.
+	w.lens, w.lensAt = w.lens[:0], append(w.lensAt[:0], 0)
+	for p := int32(0); p < L; p++ {
+		for a := int32(1); a < L; a++ {
+			if b := p*L + a - 1; w.bucket[b] < w.bucket[b+1] {
+				w.lens = append(w.lens, a)
+			}
+		}
+		w.lensAt = append(w.lensAt, int32(len(w.lens)))
+	}
+	w.can = append(w.can[:0], make([]bool, L*(L+1))...)
+	for p := int32(0); p < L; p++ {
+		w.can[p*(L+1)] = true
+	}
+	for n := int32(1); n <= L; n++ {
+		for p := int32(0); p < L; p++ {
+			for _, a := range w.lens[w.lensAt[p]:w.lensAt[p+1]] {
+				if a > n {
+					break
+				}
+				if w.can[(p+a)%L*(L+1)+n-a] {
+					w.can[p*(L+1)+n] = true
+					break
+				}
+			}
+		}
+	}
 }
 
 // tile extends the tiling on picks, which covers covered channels; its
-// next arc starts at cycle position start.
+// next arc starts at cycle position start. It tries only arcs that leave
+// a remainder the can table says tiles, so every branch it enters ends
+// in at least one tiling unless the distinct-pair rule cuts it.
 func (w *cycleWorker) tile(start, covered int, repeat bool) {
 	L := len(w.cyc)
 	if covered == L {
@@ -321,10 +400,17 @@ func (w *cycleWorker) tile(start, covered int, repeat bool) {
 		w.truncated = w.limit > 0 && w.count >= w.limit
 		return
 	}
-	// a < L: a single member cannot block itself.
-	for a := 1; a <= L-covered && a < L; a++ {
-		next := (start + a) % L
-		b := start*L + a - 1
+	// Bucket lengths are below L: a single member cannot block itself.
+	left := L - covered
+	for _, a := range w.lens[w.lensAt[start]:w.lensAt[start+1]] {
+		if int(a) > left {
+			break
+		}
+		next := (start + int(a)) % L
+		if !w.can[next*(L+1)+left-int(a)] {
+			continue
+		}
+		b := start*L + int(a) - 1
 		for k := w.bucket[b]; k < w.bucket[b+1]; k++ {
 			r := &w.realizers[k]
 			// Distinct (src,dst) pairs per member.
@@ -332,10 +418,10 @@ func (w *cycleWorker) tile(start, covered int, repeat bool) {
 				continue
 			}
 			w.pairUsed[r.pair] = true
-			w.picks = append(w.picks, pick{start: int32(start), length: int32(a), r: k})
+			w.picks = append(w.picks, memberRec{pair: r.pair, start: int32(start), length: a, approach: r.approach})
 			// The next arc starts below first only after wrapping: the
 			// tiling has a smaller boundary and was kept from there.
-			w.tile(next, covered+a, repeat || r.dup || next < w.first)
+			w.tile(next, covered+int(a), repeat || r.dup || next < w.first)
 			w.picks = w.picks[:len(w.picks)-1]
 			w.pairUsed[r.pair] = false
 			if w.truncated {
@@ -347,13 +433,7 @@ func (w *cycleWorker) tile(start, covered int, repeat bool) {
 
 // keep records the tiling on picks as a configuration.
 func (w *cycleWorker) keep() {
-	n := int32(w.idx.nodes)
-	members := w.members.carve(len(w.picks))
-	for j, pk := range w.picks {
-		r := &w.realizers[pk.r]
-		end := pk.start + pk.length
-		members[j] = Member{Src: topology.NodeID(r.pair / n), Dst: topology.NodeID(r.pair % n),
-			Arc: w.ring[pk.start:end:end], Approach: r.approach}
-	}
-	w.configs = append(w.configs, Configuration{Members: members})
+	recs := w.recs.carve(len(w.picks))
+	copy(recs, w.picks)
+	w.configs = append(w.configs, Configuration{store: w.store, recs: recs})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -44,8 +45,9 @@ func hashDecomposition(h hash.Hash, configs []Configuration, truncated bool) {
 	put := func(v int) { buf = binary.LittleEndian.AppendUint32(buf, uint32(v)) }
 	put(len(configs))
 	for _, cfg := range configs {
-		put(len(cfg.Members))
-		for _, m := range cfg.Members {
+		put(cfg.Len())
+		for j := range cfg.Len() {
+			m := cfg.Member(j)
 			put(int(m.Src))
 			put(int(m.Dst))
 			put(len(m.Arc))
@@ -92,8 +94,36 @@ func TestDecomposeRepeatedRunKeptOnce(t *testing.T) {
 	if len(configs) != 2 {
 		t.Fatalf("tilings = %d; want 2: %+v", len(configs), configs)
 	}
-	if m := configs[0].Members[0]; len(configs[0].Members) != 3 || m.Src != 0 || len(m.Approach) != 0 {
+	if m := configs[0].Member(0); configs[0].Len() != 3 || m.Src != 0 || len(m.Approach) != 0 {
 		t.Fatalf("first tiling %+v; want the three-arc tiling through the first run of 0->2", configs[0])
+	}
+}
+
+// TestConfigurationsOutliveNextCycle decomposes two cycles on one worker
+// and hashes the first cycle's configurations before and after the second
+// decomposition: a cycle's store and member records are never reused, so
+// reports stay valid while the worker moves on.
+func TestConfigurationsOutliveNextCycle(t *testing.T) {
+	alg := routing.RandomMinimal(topology.NewMesh([]int{3, 3}, 1).Network, 3)
+	cycles, _ := cdg.New(alg).Cycles(DefaultMaxCycles)
+	if len(cycles) < 2 {
+		t.Fatalf("test bug: need two cycles, have %d", len(cycles))
+	}
+	w := newCycleWorker(newPathIndex(alg))
+	configs, truncated := w.decompose(cycles[0], 0)
+	if len(configs) == 0 {
+		t.Fatal("test bug: the first cycle has no configurations")
+	}
+	configs = append([]Configuration(nil), configs...)
+	before := sha256.New()
+	hashDecomposition(before, configs, truncated)
+	if next, _ := w.decompose(cycles[1], 0); len(next) == 0 {
+		t.Fatal("test bug: the second cycle has no configurations")
+	}
+	after := sha256.New()
+	hashDecomposition(after, configs, truncated)
+	if !bytes.Equal(before.Sum(nil), after.Sum(nil)) {
+		t.Fatal("the first cycle's configurations changed when the worker decomposed the next cycle")
 	}
 }
 
@@ -177,8 +207,9 @@ func hashReport(h hash.Hash, rep *Report) {
 		flag(cr.Truncated)
 		put(len(cr.Configs))
 		for _, c := range cr.Configs {
-			put(len(c.Config.Members))
-			for _, m := range c.Config.Members {
+			put(c.Config.Len())
+			for j := range c.Config.Len() {
+				m := c.Config.Member(j)
 				put(int(m.Src))
 				put(int(m.Dst))
 				chans(m.Arc)
