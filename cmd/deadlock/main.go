@@ -45,7 +45,7 @@ func main() {
 		stall   = flag.Int("stall", 0, "adversarial stall budget for -verify (Section 6 clock-skew model)")
 		workers = flag.Int("workers", 0, "search worker goroutines (0 = GOMAXPROCS; the verdict is identical for every value)")
 	)
-	obsvF := cli.RegisterObsvFlags()
+	obsvF := cli.RegisterObsvFlags().WithTrace().WithProgress()
 	redF := cli.RegisterReductionFlag()
 	visF := cli.RegisterVisitedFlags()
 	flag.Parse()
@@ -53,6 +53,10 @@ func main() {
 	visited, err := visF.Config()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *stall < 0 {
+		fmt.Fprintf(os.Stderr, "deadlock: -stall %d: the stall budget must be at least 0\n", *stall)
 		os.Exit(2)
 	}
 	if *livens && *paper == "" {

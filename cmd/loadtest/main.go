@@ -115,7 +115,7 @@ func main() {
 		sloSpec   = flag.String("slo", "", "latency SLOs evaluated per rate cell against per-source sketches, e.g. \"p99<=500\" or \"p50<=120,p99<=800\"")
 		outPath   = flag.String("o", "", "write the JSON curve here (default stdout)")
 	)
-	obsvF := cli.RegisterObsvFlags()
+	obsvF := cli.RegisterObsvFlags().WithTelemetry()
 	flag.Parse()
 
 	a, grid, err := cli.Build(*topo, *alg, *dims, *vcs)
@@ -156,7 +156,7 @@ func main() {
 	}
 
 	name := fmt.Sprintf("loadtest %s %s %s", net.Name(), a.Name(), *pattern)
-	obs, err := obsvF.Open(name, cli.ChannelLanes(net))
+	obs, err := obsvF.Open(name, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/adaptive"
@@ -44,7 +45,7 @@ import (
 
 var (
 	only  = flag.String("only", "", "comma-separated experiment list, e.g. e1,e5 (default: all)")
-	obsvF = cli.RegisterObsvFlags()
+	obsvF = cli.RegisterObsvFlags().WithTrace().WithProgress()
 	redF  = cli.RegisterReductionFlag()
 	red   mcheck.Reduction
 	obs   *cli.Observer
@@ -69,34 +70,38 @@ func search(engine func(sim.Scenario, mcheck.SearchOptions) mcheck.SearchResult,
 func main() {
 	flag.Parse()
 	red = cli.Reduction(*redF)
+	experiments := []struct {
+		name string
+		fn   func()
+	}{{"e1", e1}, {"e2", e2}, {"e3", e3}, {"e4", e4}, {"e5", e5}, {"e6", e6}, {"e7", e7}, {"e8", e8}, {"e9", e9}}
+	want := map[string]bool{}
+	if *only != "" {
+		var valid []string
+		for _, x := range experiments {
+			valid = append(valid, x.name)
+		}
+		for _, e := range strings.Split(*only, ",") {
+			name := strings.TrimSpace(strings.ToLower(e))
+			if !slices.Contains(valid, name) {
+				fmt.Fprintf(os.Stderr, "repro: -only: unknown experiment %q (valid: %s)\n", name, strings.Join(valid, ", "))
+				os.Exit(2)
+			}
+			want[name] = true
+		}
+	}
 	var err error
 	obs, err = obsvF.Open("repro", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, e := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(e))] = true
+	for _, x := range experiments {
+		if len(want) > 0 && !want[x.name] {
+			continue
 		}
-	}
-	run := func(name string, fn func()) {
-		if len(want) > 0 && !want[name] {
-			return
-		}
-		fmt.Printf("==== %s ====\n", strings.ToUpper(name))
-		fn()
+		fmt.Printf("==== %s ====\n", strings.ToUpper(x.name))
+		x.fn()
 		fmt.Println()
 	}
-	run("e1", e1)
-	run("e2", e2)
-	run("e3", e3)
-	run("e4", e4)
-	run("e5", e5)
-	run("e6", e6)
-	run("e7", e7)
-	run("e8", e8)
-	run("e9", e9)
 	if err := obs.Close(); err != nil {
 		log.Fatal(err)
 	}

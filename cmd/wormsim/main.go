@@ -7,7 +7,8 @@
 //	        -length 8 -duration 500
 //	wormsim -topo uring -dims 6 -alg bfs -rate 0.3 -duration 100 -seed 3
 //	wormsim -paper figure1 -trace figure1.jsonl
-//	wormsim -paper figure1 -trace figure1_waitfor.dot -trace-format dot
+//	wormsim -paper figure1 -trace figure1_waitfor.dot
+//	wormsim -paper figure1 -trace figure1_perfetto.json
 //
 // With -paper the synthetic workload is replaced by one of the paper's
 // fixed scenarios (figure1, figure2, figure3a..f, gen<k>), which makes
@@ -48,7 +49,7 @@ func main() {
 		maxCyc   = flag.Int("maxcycles", 1_000_000, "simulation cycle budget")
 		paper    = flag.String("paper", "", "run a paper scenario instead of a synthetic workload: figure1, figure2, figure3a..f, gen<k>")
 	)
-	obsvF := cli.RegisterObsvFlags()
+	obsvF := cli.RegisterObsvFlags().WithTrace().WithTelemetry()
 	flag.Parse()
 
 	var (

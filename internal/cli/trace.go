@@ -18,41 +18,61 @@ import (
 	"repro/internal/topology"
 )
 
-// ObsvFlags holds the observability flags shared by every command:
-// -trace, -trace-format, -metrics, -progress, and the run-observatory
-// trio -serve, -profile, -manifest. Register them with RegisterObsvFlags
-// before flag.Parse, then Open an Observer.
+// ObsvFlags holds a command's observability flags. RegisterObsvFlags
+// registers the four every command honours: -metrics, -serve, -profile
+// and -manifest. The rest are opt-ins for the commands that honour them:
+// WithTrace (-trace) where events are emitted, WithProgress (-progress)
+// where searches run, WithTelemetry (-telemetry, -telemetry-adaptive)
+// where a collector is attached. Register before flag.Parse, then Open
+// an Observer; Open skips the flags that were not registered.
 type ObsvFlags struct {
-	Trace             *string
-	TraceFormat       *string
-	Metrics           *string
-	Progress          *bool
-	Serve             *string
-	Profile           *string
-	Manifest          *string
-	Telemetry         *int
-	TelemetryAdaptive *bool
-	TelemetryMax      *int
+	fs                *flag.FlagSet
+	metrics           *string
+	serve             *string
+	profile           *string
+	manifest          *string
+	trace             *string
+	progress          *bool
+	telemetry         *int
+	telemetryAdaptive *bool
 }
 
-// RegisterObsvFlags registers the shared observability flags on the
+// RegisterObsvFlags registers the common observability flags on the
 // default flag set.
 func RegisterObsvFlags() *ObsvFlags {
+	return registerObsvFlags(flag.CommandLine)
+}
+
+func registerObsvFlags(fs *flag.FlagSet) *ObsvFlags {
 	return &ObsvFlags{
-		Trace:       flag.String("trace", "", "write a deterministic trace of the run to this file"),
-		TraceFormat: flag.String("trace-format", "", "trace format: jsonl, dot, chrome (default: inferred from the -trace extension, else jsonl)"),
-		Metrics:     flag.String("metrics", "", "write a metrics snapshot to this file (.prom/.txt = Prometheus text format, else JSON)"),
-		Progress:    flag.Bool("progress", false, "print periodic search progress to stderr"),
-		Serve:       flag.String("serve", "", "serve /metrics, /progress, /healthz and /debug/pprof on this address while the run executes (e.g. :8080)"),
-		Profile:     flag.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory"),
-		Manifest:    flag.String("manifest", "", "write a run-manifest JSON (command, flags, verdicts, timings, peak RSS) to this file"),
-		Telemetry: flag.Int("telemetry", 0,
-			"sample per-channel telemetry every N cycles (0 = off)"),
-		TelemetryAdaptive: flag.Bool("telemetry-adaptive", false,
-			"adapt the telemetry stride to load: back off geometrically while the network is quiet, tighten to the base stride near saturation (deterministic)"),
-		TelemetryMax: flag.Int("telemetry-max-stride", 0,
-			"cap for the adaptive telemetry stride (0 = 16x the base stride)"),
+		fs:       fs,
+		metrics:  fs.String("metrics", "", "write a metrics snapshot to this file (.prom/.txt = Prometheus text format, else JSON)"),
+		serve:    fs.String("serve", "", "serve /metrics, /progress, /healthz and /debug/pprof on this address while the run executes (e.g. :8080)"),
+		profile:  fs.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory"),
+		manifest: fs.String("manifest", "", "write a run-manifest JSON (command, flags, verdicts, timings, peak RSS) to this file"),
 	}
+}
+
+// WithTrace registers -trace and returns f.
+func (f *ObsvFlags) WithTrace() *ObsvFlags {
+	f.trace = f.fs.String("trace", "",
+		"write a deterministic trace of the run to this file (.dot/.gv = wait-for DOT, .json = Chrome trace_event, else JSONL)")
+	return f
+}
+
+// WithProgress registers -progress and returns f.
+func (f *ObsvFlags) WithProgress() *ObsvFlags {
+	f.progress = f.fs.Bool("progress", false, "print periodic search progress to stderr")
+	return f
+}
+
+// WithTelemetry registers -telemetry and -telemetry-adaptive and returns f.
+func (f *ObsvFlags) WithTelemetry() *ObsvFlags {
+	f.telemetry = f.fs.Int("telemetry", 0,
+		"sample per-channel telemetry every N cycles (0 = off)")
+	f.telemetryAdaptive = f.fs.Bool("telemetry-adaptive", false,
+		"adapt the telemetry stride to load: back off geometrically while the network is quiet, up to 16x the base stride, and tighten to the base stride near saturation (deterministic)")
+	return f
 }
 
 // Observer bundles the sinks opened from a set of ObsvFlags. Tracer is
@@ -72,38 +92,35 @@ type Observer struct {
 	// Manifest accumulates the invocation's run manifest behind -manifest;
 	// nil when unset. Close writes it.
 	Manifest *manifest.Builder
-	// TelemetryStride is the -telemetry sampling stride (0 when off).
-	// Build per-run collectors from it with NewTelemetry;
-	// TelemetryAdaptive and TelemetryMaxStride carry the adaptive-stride
-	// knobs into those collectors.
-	TelemetryStride    int
-	TelemetryAdaptive  bool
-	TelemetryMaxStride int
 
-	progress    bool
-	profiler    *manifest.Profiler
-	metricsPath string
-	closers     []io.Closer
-	file        *os.File
+	// telemetryStride and telemetryAdaptive carry -telemetry and
+	// -telemetry-adaptive into NewTelemetry's collectors.
+	telemetryStride   int
+	telemetryAdaptive bool
+	progress          bool
+	profiler          *manifest.Profiler
+	metricsPath       string
+	closers           []io.Closer
+	file              *os.File
 }
 
-// traceFormat resolves the output format from the explicit flag or the
-// trace path's extension.
-func traceFormat(format, path string) (string, error) {
-	if format != "" {
-		switch format {
-		case "jsonl", "dot", "chrome":
-			return format, nil
-		}
-		return "", fmt.Errorf("cli: unknown trace format %q (want jsonl, dot, chrome)", format)
-	}
+// traceSink is an event sink that flushes on Close.
+type traceSink interface {
+	obsv.Tracer
+	io.Closer
+}
+
+// newTraceSink picks the sink for a -trace path by its extension:
+// .dot/.gv a wait-for DOT snapshot titled name, .json a Chrome
+// trace_event file with the given lanes, anything else JSONL.
+func newTraceSink(path string, w io.Writer, name string, lanes []string) traceSink {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".dot", ".gv":
-		return "dot", nil
+		return obsv.NewDOT(w, name)
 	case ".json":
-		return "chrome", nil
+		return obsv.NewChromeTrace(w, lanes)
 	default:
-		return "jsonl", nil
+		return obsv.NewJSONL(w)
 	}
 }
 
@@ -112,44 +129,30 @@ func traceFormat(format, path string) (string, error) {
 // The caller must Close the observer to flush the trace and write the
 // metrics snapshot.
 func (f *ObsvFlags) Open(name string, lanes []string) (*Observer, error) {
-	o := &Observer{
-		progress:           *f.Progress,
-		TelemetryStride:    *f.Telemetry,
-		TelemetryAdaptive:  *f.TelemetryAdaptive,
-		TelemetryMaxStride: *f.TelemetryMax,
+	o := &Observer{}
+	if f.progress != nil {
+		o.progress = *f.progress
+	}
+	if f.telemetry != nil {
+		o.telemetryStride, o.telemetryAdaptive = *f.telemetry, *f.telemetryAdaptive
 	}
 	var tracers obsv.Multi
-	if *f.Metrics != "" || *f.Serve != "" {
+	if *f.metrics != "" || *f.serve != "" {
 		// -serve needs a live registry for /metrics even when no snapshot
 		// file was requested.
 		o.Metrics = obsv.NewRegistry()
-		o.metricsPath = *f.Metrics
+		o.metricsPath = *f.metrics
 		tracers = append(tracers, obsv.NewMetricsSink(o.Metrics))
 	}
-	if *f.Trace != "" {
-		format, err := traceFormat(*f.TraceFormat, *f.Trace)
-		if err != nil {
-			return nil, err
-		}
-		file, err := os.Create(*f.Trace)
+	if f.trace != nil && *f.trace != "" {
+		file, err := os.Create(*f.trace)
 		if err != nil {
 			return nil, fmt.Errorf("cli: -trace: %w", err)
 		}
 		o.file = file
-		switch format {
-		case "jsonl":
-			s := obsv.NewJSONL(file)
-			tracers = append(tracers, s)
-			o.closers = append(o.closers, s)
-		case "dot":
-			s := obsv.NewDOT(file, name)
-			tracers = append(tracers, s)
-			o.closers = append(o.closers, s)
-		case "chrome":
-			s := obsv.NewChromeTrace(file, lanes)
-			tracers = append(tracers, s)
-			o.closers = append(o.closers, s)
-		}
+		s := newTraceSink(*f.trace, file, name, lanes)
+		tracers = append(tracers, s)
+		o.closers = append(o.closers, s)
 	}
 	switch len(tracers) {
 	case 0:
@@ -158,26 +161,26 @@ func (f *ObsvFlags) Open(name string, lanes []string) (*Observer, error) {
 	default:
 		o.Tracer = tracers
 	}
-	if *f.Serve != "" {
+	if *f.serve != "" {
 		o.Server = serve.New(o.Metrics)
-		addr, err := o.Server.Start(*f.Serve)
+		addr, err := o.Server.Start(*f.serve)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "observatory: listening on http://%s\n", addr)
 	}
-	if *f.Profile != "" {
-		p, err := manifest.StartProfiles(*f.Profile)
+	if *f.profile != "" {
+		p, err := manifest.StartProfiles(*f.profile)
 		if err != nil {
 			return nil, err
 		}
 		o.profiler = p
 	}
-	if *f.Manifest != "" {
-		o.Manifest = manifest.NewBuilder(*f.Manifest, filepath.Base(os.Args[0]), os.Args[1:])
+	if *f.manifest != "" {
+		o.Manifest = manifest.NewBuilder(*f.manifest, filepath.Base(os.Args[0]), os.Args[1:])
 		// Open runs after flag.Parse in every command, so the explicitly
 		// set flags are known here.
-		o.Manifest.CaptureFlags(flag.CommandLine)
+		o.Manifest.CaptureFlags(f.fs)
 	}
 	return o, nil
 }
@@ -378,13 +381,12 @@ func searchRun(name string, sc sim.Scenario, res mcheck.SearchResult) manifest.R
 // telemetry_* gauges. Collectors are per-run: sweeps call this once per
 // point/cell.
 func (o *Observer) NewTelemetry(net *topology.Network) *telemetry.Collector {
-	if o == nil || o.TelemetryStride <= 0 {
+	if o == nil || o.telemetryStride <= 0 {
 		return nil
 	}
 	col := telemetry.NewCollector(net.NumChannels(), telemetry.Config{
-		Stride:    o.TelemetryStride,
-		Adaptive:  o.TelemetryAdaptive,
-		MaxStride: o.TelemetryMaxStride,
+		Stride:   o.telemetryStride,
+		Adaptive: o.telemetryAdaptive,
 	})
 	if o.Server != nil || o.Metrics != nil {
 		srv, reg := o.Server, o.Metrics

@@ -73,6 +73,23 @@ func TestSearchSafeScenarioWithStallBudget(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsNegativeStallBudget: a negative budget is a caller
+// error named up front, not a corrupt frontier entry mid-search.
+func TestSearchRejectsNegativeStallBudget(t *testing.T) {
+	for name, engine := range map[string]func(sim.Scenario, SearchOptions) SearchResult{
+		"search": Search, "liveness": SearchLiveness,
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if got, want := recover(), "mcheck: negative StallBudget -1"; got != want {
+					t.Fatalf("panic %v, want %q", got, want)
+				}
+			}()
+			engine(ringScenario(2), SearchOptions{StallBudget: -1})
+		})
+	}
+}
+
 func TestSearchExhaustion(t *testing.T) {
 	res := Search(ringScenario(2), SearchOptions{MaxStates: 2})
 	if res.Verdict != VerdictExhausted {

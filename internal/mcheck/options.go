@@ -71,6 +71,9 @@ func normalizeVisitedConfig(cfg VisitedConfig) VisitedConfig {
 // applies the scenario's reduction gating, so the engine proper can read
 // the options verbatim and SearchResult can echo exactly what ran.
 func normalizeSearchOptions(sc sim.Scenario, opts SearchOptions) SearchOptions {
+	if opts.StallBudget < 0 {
+		panic(fmt.Sprintf("mcheck: negative StallBudget %d", opts.StallBudget))
+	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}

@@ -115,66 +115,84 @@ func TestSearchReportsThroughput(t *testing.T) {
 	}
 }
 
-// statefulArbiter carries per-instance mutable state and implements
-// neither StatelessArbiter nor ArbiterCloner: the engines must refuse it.
-type statefulArbiter struct{ grants map[int]int }
+// panicArbiter fails any search that consults the scenario's arbiter.
+type panicArbiter struct{}
 
-func (a *statefulArbiter) Pick(_ *sim.Sim, _ topology.ChannelID, contenders []int) int {
-	id := contenders[0]
-	a.grants[id]++
-	return id
+func (panicArbiter) Pick(*sim.Sim, topology.ChannelID, []int) int {
+	panic("mcheck: the search consulted the scenario's arbiter")
 }
 
-// cloningArbiter is stateful but clone-safe.
-type cloningArbiter struct{ grants map[int]int }
-
-func (a *cloningArbiter) Pick(_ *sim.Sim, _ topology.ChannelID, contenders []int) int {
-	id := contenders[0]
-	a.grants[id]++
-	return id
-}
-
-func (a *cloningArbiter) CloneArbiter() sim.Arbiter {
-	g := make(map[int]int, len(a.grants))
-	for k, v := range a.grants {
-		g[k] = v
+// TestSearchNeverConsultsArbiter: under the Section 3 adversary any
+// contender may win a channel, so both engines enumerate every arbitration
+// outcome as picks and never ask the scenario's arbiter. A Pick that
+// panics must leave every verdict, state count and witness equal to the
+// default arbiter's, across stall budgets, buffer depths, adaptive and
+// liveness scenarios, and reduced and unreduced searches.
+func TestSearchNeverConsultsArbiter(t *testing.T) {
+	type arbCase struct {
+		name  string
+		sc    sim.Scenario
+		stall int
+		heavy bool // skipped with -short
 	}
-	return &cloningArbiter{grants: g}
-}
-
-func TestSearchRejectsOpaqueStatefulArbiter(t *testing.T) {
-	sc := ringScenario(2)
-	sc.Cfg.Arbiter = &statefulArbiter{grants: map[int]int{}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Search accepted an arbiter with hidden per-instance state")
-		}
-	}()
-	Search(sc, SearchOptions{})
-}
-
-func TestSearchLivenessRejectsOpaqueStatefulArbiter(t *testing.T) {
-	sc := ringScenario(2)
-	sc.Cfg.Arbiter = &statefulArbiter{grants: map[int]int{}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SearchLiveness accepted an arbiter with hidden per-instance state")
-		}
-	}()
-	SearchLiveness(sc, SearchOptions{})
-}
-
-func TestSearchAcceptsCloningArbiter(t *testing.T) {
-	sc := ringScenario(2)
-	root := &cloningArbiter{grants: map[int]int{}}
-	sc.Cfg.Arbiter = root
-	res := Search(sc, SearchOptions{})
-	if res.Verdict != VerdictDeadlock {
-		t.Fatalf("verdict = %v; want deadlock", res.Verdict)
+	var cases []arbCase
+	for stall := 0; stall <= 2; stall++ {
+		cases = append(cases, arbCase{name: fmt.Sprintf("figure1-stall%d", stall), sc: papernets.Figure1().Scenario, stall: stall})
 	}
-	// The search's own picks bypass the arbiter (StepWithPicks), so the
-	// root instance must be untouched — branches get private clones.
-	if len(root.grants) != 0 {
-		t.Fatalf("root arbiter mutated by the search: %v", root.grants)
+	cases = append(cases, arbCase{name: "figure2", sc: papernets.Figure2().Scenario})
+	for letter := byte('a'); letter <= 'f'; letter++ {
+		for _, stall := range []int{0, 2} {
+			cases = append(cases, arbCase{name: fmt.Sprintf("figure3%c-stall%d", letter, stall),
+				sc: papernets.Figure3(letter).Scenario, stall: stall, heavy: letter != 'a' || stall > 0})
+		}
+	}
+	for k := 2; k <= 4; k++ {
+		cases = append(cases, arbCase{name: fmt.Sprintf("gen%d-stall%d", k, k), sc: papernets.GenK(k).Scenario, stall: k, heavy: k > 2})
+	}
+	for depth := 2; depth <= 3; depth++ {
+		for _, pn := range []*papernets.Net{papernets.Figure1(), papernets.Figure2()} {
+			sc := pn.Scenario
+			sc.Cfg.BufferDepth = depth
+			cases = append(cases, arbCase{name: fmt.Sprintf("%s-depth%d", sc.Name, depth), sc: sc})
+		}
+	}
+	diamond, _ := twoBranchScenario()
+	cases = append(cases,
+		arbCase{name: "diamond", sc: diamond},
+		arbCase{name: "staleselection", sc: papernets.StaleSelection()},
+		arbCase{name: "localrings", sc: papernets.LocalRings()})
+
+	engines := []struct {
+		name string
+		run  func(sim.Scenario, SearchOptions) SearchResult
+	}{{"search", Search}, {"liveness", SearchLiveness}}
+	for _, tc := range cases {
+		for _, eng := range engines {
+			for _, red := range []Reduction{RedNone, RedAll} {
+				if eng.name == "liveness" && red != RedNone {
+					continue // the liveness search ignores reductions
+				}
+				t.Run(fmt.Sprintf("%s/%s/%v", tc.name, eng.name, red), func(t *testing.T) {
+					if tc.heavy && testing.Short() {
+						t.Skip("heavy case; run without -short")
+					}
+					opts := SearchOptions{StallBudget: tc.stall, FreezeInTransitOnly: true, Reduction: red}
+					want := eng.run(tc.sc, opts)
+					sc := tc.sc
+					sc.Cfg.Arbiter = panicArbiter{}
+					got := eng.run(sc, opts)
+					if got.Verdict != want.Verdict || got.States != want.States ||
+						got.PeakVisited != want.PeakVisited || got.StatesPruned != want.StatesPruned {
+						t.Fatalf("panicking arbiter: %v, %d states (peak %d, %d pruned); default: %v, %d states (peak %d, %d pruned)",
+							got.Verdict, got.States, got.PeakVisited, got.StatesPruned,
+							want.Verdict, want.States, want.PeakVisited, want.StatesPruned)
+					}
+					if !reflect.DeepEqual(got.Trace, want.Trace) || !reflect.DeepEqual(got.Deadlock, want.Deadlock) ||
+						!reflect.DeepEqual(got.Local, want.Local) || !reflect.DeepEqual(got.Lasso, want.Lasso) {
+						t.Fatal("witnesses differ from the default arbiter's")
+					}
+				})
+			}
+		}
 	}
 }

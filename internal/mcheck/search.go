@@ -102,7 +102,8 @@ type Decision struct {
 type SearchOptions struct {
 	// StallBudget is the total number of message-cycles the adversary may
 	// freeze otherwise-movable messages (0 = routers never stall, the
-	// paper's Section 3 model; > 0 = Section 6's clock-skew model).
+	// paper's Section 3 model; > 0 = Section 6's clock-skew model). A
+	// negative budget panics.
 	StallBudget int
 	// MaxStates caps the number of distinct states explored. 0 means
 	// DefaultMaxStates.
@@ -475,24 +476,12 @@ func anyInNetwork(s *sim.Sim) bool {
 	return false
 }
 
-// requireSearchableArbiter rejects arbiters that may carry hidden
-// per-instance mutable state: the engines clone simulators constantly, and
-// a stateful arbiter silently shared across clones would let one branch's
-// arbitration history leak into another. Arbiters must either declare
-// statelessness (StatelessArbiter) or provide deep copies (ArbiterCloner).
-func requireSearchableArbiter(a sim.Arbiter) {
-	switch a.(type) {
-	case nil, sim.ArbiterCloner, sim.StatelessArbiter:
-	default:
-		panic(fmt.Sprintf("mcheck: arbiter %T implements neither sim.StatelessArbiter nor sim.ArbiterCloner; "+
-			"a stateful arbiter shared across clones corrupts the search", a))
-	}
-}
-
 // Search exhaustively explores every reachable state of the scenario under
 // adversarial injection timing, arbitration, and (optionally) stalling. The
 // scenario's InjectAt fields are ignored: injection timing is part of the
-// adversary's choice, which strictly generalizes any fixed schedule.
+// adversary's choice, which strictly generalizes any fixed schedule. So is
+// arbitration: every outcome is enumerated as picks, and the scenario's
+// Arbiter is never consulted.
 func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	return search(sc, opts, false)
 }
@@ -501,7 +490,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 // selects the latter's enumeration (maskAll) and terminal checks.
 func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 	start := time.Now()
-	requireSearchableArbiter(sc.Cfg.Arbiter)
 	opts = normalizeSearchOptions(sc, opts)
 	var warnings []string
 	if liveness && opts.Reduction != RedNone {

@@ -4,33 +4,12 @@ import "repro/internal/topology"
 
 // Arbiter resolves simultaneous requests by several message headers for the
 // same free channel (assumption 5). Pick receives the contending message
-// IDs sorted ascending and must return one of them.
+// IDs sorted ascending and must return one of them. Pick must not modify
+// the arbiter: Clone and CopyFrom share the arbiter value between
+// simulator copies, and the search engines' parallel workers share it
+// too. It may read the simulator, as FIFOArbiter does.
 type Arbiter interface {
 	Pick(s *Sim, c topology.ChannelID, contenders []int) int
-}
-
-// ArbiterCloner is the optional interface stateful arbiters implement so
-// that Clone and CopyFrom can give each simulator copy its own arbiter
-// state. Without it, Clone shares the arbiter value between copies — safe
-// only for stateless arbiters. The search engines in internal/mcheck
-// refuse arbiters that implement neither ArbiterCloner nor
-// StatelessArbiter, because silently shared arbiter state would corrupt a
-// branching state-space exploration.
-type ArbiterCloner interface {
-	Arbiter
-	// CloneArbiter returns an independent copy carrying the same state.
-	CloneArbiter() Arbiter
-}
-
-// StatelessArbiter marks arbiters whose Pick never mutates the arbiter
-// value itself (it may still read simulator state, like FIFOArbiter).
-// Stateless arbiters are safe to share across clones and across the
-// parallel workers of the search engines. All built-in arbiters implement
-// it.
-type StatelessArbiter interface {
-	Arbiter
-	// StatelessArbiter is a marker method; implementations do nothing.
-	StatelessArbiter()
 }
 
 // FIFOArbiter grants the channel to the message that has been waiting for
@@ -66,7 +45,7 @@ func (FIFOArbiter) Pick(s *Sim, _ topology.ChannelID, contenders []int) int {
 // Order lose to every listed one and tie-break by lowest ID. This realizes
 // the paper's Section 3 adversarial assumption — "the message that can lead
 // to a deadlock acquires the channel" — when Order lists the deadlock-prone
-// messages first.
+// messages first. The zero value grants the lowest message ID.
 type PriorityArbiter struct {
 	Order []int
 }
@@ -89,23 +68,3 @@ func (a PriorityArbiter) Pick(_ *Sim, _ topology.ChannelID, contenders []int) in
 	}
 	return best
 }
-
-// LowestIDArbiter always grants the contender with the smallest message ID.
-// Deterministic and stateless; convenient for reproducible experiments.
-type LowestIDArbiter struct{}
-
-// Pick implements Arbiter.
-func (LowestIDArbiter) Pick(_ *Sim, _ topology.ChannelID, contenders []int) int {
-	return contenders[0]
-}
-
-// StatelessArbiter marks FIFOArbiter safe to share across simulator clones.
-func (FIFOArbiter) StatelessArbiter() {}
-
-// StatelessArbiter marks PriorityArbiter safe to share across simulator
-// clones (Order is read-only).
-func (PriorityArbiter) StatelessArbiter() {}
-
-// StatelessArbiter marks LowestIDArbiter safe to share across simulator
-// clones.
-func (LowestIDArbiter) StatelessArbiter() {}

@@ -33,8 +33,8 @@ func (s *Sim) Reset() {
 // them back to a frontier state before applying the next branch. Both
 // simulators must have been created for the same network (the immutable
 // topology is shared, exactly as in Clone), and afterwards they share
-// src's immutable message specs. Arbiters implementing ArbiterCloner are
-// deep-copied; other arbiters are shared.
+// src's immutable message specs, and its arbiter, which the Arbiter
+// contract keeps unmodified by Pick.
 //
 // The state is the five pointer-free arrays (message states, channel
 // owners, buffered flits, adaptive routes and the active list) plus
@@ -48,9 +48,6 @@ func (s *Sim) CopyFrom(src *Sim) {
 		panic("sim: CopyFrom across different networks")
 	}
 	s.cfg = src.cfg
-	if c, ok := src.cfg.Arbiter.(ArbiterCloner); ok {
-		s.cfg.Arbiter = c.CloneArbiter()
-	}
 	s.now = src.now
 	if n := len(src.specs); len(s.specs) != n || n > 0 && &s.specs[0] != &src.specs[0] {
 		// Capacity-limited, so an Add to s moves s to an array of its own.

@@ -109,53 +109,6 @@ func TestCopyFromRejectsDifferentNetworks(t *testing.T) {
 	a.CopyFrom(b)
 }
 
-// recordingArbiter counts grants and deep-copies itself for clones.
-type recordingArbiter struct{ grants int }
-
-func (a *recordingArbiter) Pick(_ *Sim, _ topology.ChannelID, contenders []int) int {
-	a.grants++
-	return contenders[0]
-}
-
-func (a *recordingArbiter) CloneArbiter() Arbiter {
-	cp := *a
-	return &cp
-}
-
-func TestCloneDeepCopiesArbiterState(t *testing.T) {
-	net := line(4)
-	root := &recordingArbiter{}
-	s := New(net, Config{Arbiter: root})
-	// Two messages contending for channel 0 force an arbitration.
-	s.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 2, Path: pathTo(net, 3)})
-	s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: pathTo(net, 2)})
-
-	c := s.Clone()
-	for i := 0; i < 6; i++ {
-		c.Step()
-	}
-	if root.grants != 0 {
-		t.Fatalf("stepping a clone mutated the original's arbiter (%d grants)", root.grants)
-	}
-
-	pooled := s.Clone()
-	pooled.Step()
-	before := root.grants
-	pooled.CopyFrom(s)
-	pooled.Step()
-	if root.grants != before {
-		t.Fatal("stepping a CopyFrom'd sim mutated the original's arbiter")
-	}
-}
-
-func TestBuiltinArbitersAreStateless(t *testing.T) {
-	for _, a := range []Arbiter{FIFOArbiter{}, PriorityArbiter{}, LowestIDArbiter{}} {
-		if _, ok := a.(StatelessArbiter); !ok {
-			t.Fatalf("%T does not declare StatelessArbiter", a)
-		}
-	}
-}
-
 // TestCarvedSlotsStayIsolated: every message owns fixed ranges of the
 // simulator's flat flits and hops arrays. Growing one message — a Reset
 // slot refilled with a longer path, an adaptive route extended past the

@@ -146,7 +146,9 @@ type Config struct {
 	BufferDepth int
 	// Arbiter resolves simultaneous requests for a free channel. Defaults
 	// to FIFO (longest-waiting wins, ties to lowest message ID), which is
-	// starvation-free per assumption 5.
+	// starvation-free per assumption 5. Its Pick must not modify it (see
+	// Arbiter). The search engines in internal/mcheck never consult it:
+	// they enumerate every arbitration outcome as picks.
 	Arbiter Arbiter
 	// SameCycleHandoff selects the aggressive reading of assumption 4:
 	// when a message's tail leaves a channel this cycle, a waiting header
@@ -1437,12 +1439,9 @@ func (s *Sim) undelivered() []int {
 	return ids
 }
 
-// Clone returns a deep copy sharing only the immutable network and message
-// specs. Arbiters that implement ArbiterCloner are deep-copied so each
-// clone carries its own arbiter state; any other arbiter value is shared,
-// which is only safe for stateless arbiters (all built-ins qualify and are
-// marked StatelessArbiter). The search engines in internal/mcheck enforce
-// this: they reject arbiters that implement neither interface.
+// Clone returns a deep copy sharing only the immutable network, message
+// specs and arbiter; Pick must not modify an arbiter (see Arbiter), so
+// sharing it is safe.
 func (s *Sim) Clone() *Sim {
 	c := &Sim{net: s.net}
 	c.CopyFrom(s)

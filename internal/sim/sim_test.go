@@ -136,7 +136,7 @@ func TestArbitrationSingleWinner(t *testing.T) {
 	// Two messages inject into the same channel at cycle 0; exactly one
 	// wins; the other follows after the first's tail clears.
 	net := line(3)
-	s := New(net, Config{Arbiter: LowestIDArbiter{}})
+	s := New(net, Config{Arbiter: PriorityArbiter{}})
 	a := s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: pathTo(net, 2), Label: "A"})
 	b := s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: pathTo(net, 2), Label: "B"})
 	cons := s.Contentions()
