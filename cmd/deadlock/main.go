@@ -60,7 +60,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *livens && *paper == "" {
-		log.Fatal("deadlock: -liveness needs -paper (a concrete scenario for the liveness engine to search)")
+		fmt.Fprintln(os.Stderr, "deadlock: -liveness needs -paper (a concrete scenario for the liveness engine to search)")
+		os.Exit(2)
 	}
 
 	var alg routing.Algorithm
@@ -69,7 +70,8 @@ func main() {
 		var err error
 		pn, err = cli.PaperNet(*paper)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		alg = pn.Alg
 	} else {
@@ -90,13 +92,16 @@ func main() {
 	}
 	defer obs.Close()
 
-	searchOpts := obs.SearchOptions(obsName, mcheck.SearchOptions{
+	// Each search takes its options from the observer as it starts, so
+	// -progress counts its elapsed time and rate from there; the
+	// configuration searches of one Analyze call share one start.
+	searchOpts := mcheck.SearchOptions{
 		StallBudget:         *stall,
 		FreezeInTransitOnly: true,
 		Parallelism:         *workers,
 		Reduction:           red,
 		Visited:             visited,
-	})
+	}
 	copts := core.Options{}
 	if *verify && pn == nil {
 		// Without a paper message set, verify each decomposed
@@ -104,7 +109,7 @@ func main() {
 		// nonminimal algorithms can decompose into many configurations,
 		// so cap each search to keep the command interactive; a capped
 		// run reports verdict "exhausted" rather than a certificate.
-		cfgOpts := searchOpts
+		cfgOpts := obs.SearchOptions(searchOpts)
 		cfgOpts.MaxStates = 250_000
 		copts.Search = &cfgOpts
 	}
@@ -138,7 +143,7 @@ func main() {
 	fmt.Printf("reason:     %s\n", rep.Reason)
 
 	if *verify && pn != nil {
-		res := mcheck.Search(pn.Scenario, searchOpts)
+		res := mcheck.Search(pn.Scenario, obs.SearchOptions(searchOpts))
 		obs.SearchDone(obsName, pn.Scenario, res)
 		fmt.Printf("verify:     model checker says %s over %d states (stall budget %d)\n",
 			res.Verdict, res.States, *stall)
@@ -186,7 +191,7 @@ func main() {
 	}
 
 	if *livens && pn != nil {
-		res := mcheck.SearchLiveness(pn.Scenario, searchOpts)
+		res := mcheck.SearchLiveness(pn.Scenario, obs.SearchOptions(searchOpts))
 		obs.SearchDone(obsName+" liveness", pn.Scenario, res)
 		fmt.Printf("liveness:   %s over %d states (stall budget %d, %s)\n",
 			res.Verdict, res.States, *stall, res.Elapsed.Round(time.Millisecond))

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/obsv/manifest"
-	"repro/internal/obsv/serve"
 	"repro/internal/obsv/telemetry"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -214,7 +213,6 @@ func main() {
 			p.Telemetry = cli.TelemetrySummary(col, r.Latency)
 			if sloObjs != nil {
 				p.SLO = l.Bank.Evaluate(sloObjs)
-				obs.PublishSLO(p.SLO)
 			}
 			// Saturated: the network deadlocked, or it accepted measurably
 			// less than was actually offered during the window (the source
@@ -222,11 +220,14 @@ func main() {
 			p.Saturated = r.Deadlocked ||
 				(r.OfferedFlits > 0 && float64(r.AcceptedFlits) < 0.90*float64(r.OfferedFlits))
 			points[i] = p
-			obs.Publish(serve.Snapshot{
-				Source: "loadtest", Name: name, Cycle: r.Cycles,
-				Messages: r.Generated, Delivered: r.Delivered,
-				Verdict: fmt.Sprintf("rate %.3g done", rate),
-			})
+			// Counters sum the same whichever order parallel points
+			// finish in, so the snapshot does not depend on -workers.
+			if obs.Metrics != nil {
+				obs.Metrics.Counter("loadtest_points_done_total").Inc()
+				if p.SLO != nil {
+					obs.Metrics.Counter("loadtest_slo_violations_total").Add(int64(p.SLO.Violations))
+				}
+			}
 		}(i, rate)
 	}
 	wg.Wait()
@@ -276,9 +277,6 @@ func main() {
 	if sloObjs != nil && sloViolations > 0 {
 		verdict += fmt.Sprintf(", %d SLO violation(s)", sloViolations)
 	}
-	obs.Publish(serve.Snapshot{
-		Source: "loadtest", Name: name, Done: true, Verdict: verdict,
-	})
 	run := manifest.Run{
 		Name: name, TopologyHash: manifest.TopologyHash(net), Verdict: verdict,
 	}

@@ -55,14 +55,15 @@ var (
 
 // search runs one experiment's exhaustive search with engine
 // (mcheck.Search or mcheck.SearchLiveness) through the shared
-// observability plumbing: -trace/-metrics, live -serve progress under
-// the experiment's name, a -manifest run entry, and -reduction
+// observability plumbing: -trace/-metrics, the live search gauges that
+// -serve and -progress read, a -manifest run entry under the
+// experiment's name, and -reduction
 // (verdict-preserving, so the regenerated report is unchanged; only
 // state counts shrink).
 func search(engine func(sim.Scenario, mcheck.SearchOptions) mcheck.SearchResult,
 	name string, sc sim.Scenario, o mcheck.SearchOptions) mcheck.SearchResult {
 	o.Reduction = red
-	res := engine(sc, obs.SearchOptions(name, o))
+	res := engine(sc, obs.SearchOptions(o))
 	obs.SearchDone(name, sc, res)
 	return res
 }

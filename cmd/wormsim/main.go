@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/obsv/manifest"
-	"repro/internal/obsv/serve"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -121,11 +120,6 @@ func main() {
 
 	out := s.Run(*maxCyc)
 	stats := sim.Collect(s)
-	obs.Publish(serve.Snapshot{
-		Source: "campaign", Name: name, Cycle: stats.Cycles,
-		Messages: stats.Messages, Delivered: stats.Delivered,
-		Done: true, Verdict: out.Result.String(),
-	})
 	run := manifest.Run{
 		Name: name, TopologyHash: manifest.TopologyHash(net),
 		Verdict: out.Result.String(),

@@ -47,7 +47,7 @@ func registerObsvFlags(fs *flag.FlagSet) *ObsvFlags {
 	return &ObsvFlags{
 		fs:       fs,
 		metrics:  fs.String("metrics", "", "write a metrics snapshot to this file (.prom/.txt = Prometheus text format, else JSON)"),
-		serve:    fs.String("serve", "", "serve /metrics, /progress, /healthz and /debug/pprof on this address while the run executes (e.g. :8080)"),
+		serve:    fs.String("serve", "", "serve /metrics, /healthz and /debug/pprof on this address while the run executes (e.g. :8080)"),
 		profile:  fs.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory"),
 		manifest: fs.String("manifest", "", "write a run-manifest JSON (command, flags, verdicts, timings, peak RSS) to this file"),
 	}
@@ -62,7 +62,7 @@ func (f *ObsvFlags) WithTrace() *ObsvFlags {
 
 // WithProgress registers -progress and returns f.
 func (f *ObsvFlags) WithProgress() *ObsvFlags {
-	f.progress = f.fs.Bool("progress", false, "print periodic search progress to stderr")
+	f.progress = f.fs.Bool("progress", false, "print search progress to stderr every 2s, read from the metrics registry")
 	return f
 }
 
@@ -84,8 +84,8 @@ func (f *ObsvFlags) WithTelemetry() *ObsvFlags {
 type Observer struct {
 	// Tracer fans out to every requested sink; nil when none.
 	Tracer obsv.Tracer
-	// Metrics is the live registry behind -metrics and -serve; nil when
-	// both are unset.
+	// Metrics is the live registry behind -metrics, -serve and -progress;
+	// nil when all three are unset.
 	Metrics *obsv.Registry
 	// Server is the live HTTP observatory behind -serve; nil when unset.
 	Server *serve.Server
@@ -97,7 +97,7 @@ type Observer struct {
 	// -telemetry-adaptive into NewTelemetry's collectors.
 	telemetryStride   int
 	telemetryAdaptive bool
-	progress          bool
+	progress          *progressPrinter // -progress; nil when unset
 	profiler          *manifest.Profiler
 	metricsPath       string
 	closers           []io.Closer
@@ -130,18 +130,20 @@ func newTraceSink(path string, w io.Writer, name string, lanes []string) traceSi
 // metrics snapshot.
 func (f *ObsvFlags) Open(name string, lanes []string) (*Observer, error) {
 	o := &Observer{}
-	if f.progress != nil {
-		o.progress = *f.progress
-	}
 	if f.telemetry != nil {
 		o.telemetryStride, o.telemetryAdaptive = *f.telemetry, *f.telemetryAdaptive
 	}
+	progress := f.progress != nil && *f.progress
 	var tracers obsv.Multi
-	if *f.metrics != "" || *f.serve != "" {
-		// -serve needs a live registry for /metrics even when no snapshot
+	if *f.metrics != "" || *f.serve != "" || progress {
+		// -serve and -progress read a live registry even when no snapshot
 		// file was requested.
 		o.Metrics = obsv.NewRegistry()
 		o.metricsPath = *f.metrics
+	}
+	if *f.metrics != "" || *f.serve != "" {
+		// -progress reads only the search gauges, so alone it leaves the
+		// simulations untraced.
 		tracers = append(tracers, obsv.NewMetricsSink(o.Metrics))
 	}
 	if f.trace != nil && *f.trace != "" {
@@ -182,14 +184,21 @@ func (f *ObsvFlags) Open(name string, lanes []string) (*Observer, error) {
 		// set flags are known here.
 		o.Manifest.CaptureFlags(f.fs)
 	}
+	if progress {
+		o.progress = startProgress(o.Metrics, os.Stderr)
+	}
 	return o, nil
 }
 
-// Close flushes and closes the trace sink, writes the metrics snapshot,
-// stops the profiler, writes the run manifest, and stops the HTTP server
-// — in that order, so the manifest can record the profile paths and a
-// last scrape can still see final metrics.
+// Close stops the progress printer, flushes and closes the trace sink,
+// writes the metrics snapshot, stops the profiler, writes the run
+// manifest, and stops the HTTP server — in that order, so the manifest
+// can record the profile paths and a last scrape can still see final
+// metrics.
 func (o *Observer) Close() error {
+	if o.progress != nil {
+		o.progress.stop()
+	}
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {
@@ -233,16 +242,6 @@ func (o *Observer) Close() error {
 	return first
 }
 
-// Publish sends a snapshot to the live /progress hub. No-op when -serve
-// is off (or the observer is nil), so producers can call it
-// unconditionally.
-func (o *Observer) Publish(s serve.Snapshot) {
-	if o == nil || o.Server == nil {
-		return
-	}
-	o.Server.Hub().PublishSnapshot(s)
-}
-
 // RecordRun appends one run to the manifest. No-op when -manifest is off.
 func (o *Observer) RecordRun(r manifest.Run) {
 	if o == nil || o.Manifest == nil {
@@ -271,75 +270,29 @@ func Reduction(value string) mcheck.Reduction {
 }
 
 // SearchOptions overlays the observer onto a search's options: the
-// tracer and metrics registry, and progress reporting under name —
-// stderr with -progress, the live /progress stream with -serve. The
-// result reports through the observer with SearchDone.
-func (o *Observer) SearchOptions(name string, opts mcheck.SearchOptions) mcheck.SearchOptions {
+// tracer and the metrics registry, whose mcheck_* gauges /metrics and
+// -progress read. With -progress it also marks the start of the search,
+// which the printed elapsed time and rate count from; the caller reports
+// the result with SearchDone.
+func (o *Observer) SearchOptions(opts mcheck.SearchOptions) mcheck.SearchOptions {
 	if o == nil {
 		return opts
 	}
 	opts.Tracer = o.Tracer
 	opts.Metrics = o.Metrics
-	opts.Progress = o.searchProgress(name)
-	if o.Server != nil {
-		// A fast interval, so even sub-second searches surface live
-		// snapshots to pollers; otherwise the engine's stderr-friendly
-		// default stands.
-		opts.ProgressEvery = 100 * time.Millisecond
+	if o.progress != nil {
+		o.progress.begin(time.Now())
 	}
 	return opts
 }
 
-// searchProgress returns the periodic-progress callback for the named
-// search: it prints to stderr when -progress is set and feeds the live
-// /progress endpoint when -serve is on. Nil when both are off, so the
-// search engine skips progress bookkeeping entirely. The callback carries
-// wall-clock rates and is deliberately kept out of the deterministic
-// trace.
-func (o *Observer) searchProgress(name string) func(mcheck.ProgressInfo) {
-	live := o.Server != nil
-	if !live && !o.progress {
-		return nil
-	}
-	return func(p mcheck.ProgressInfo) {
-		if o.progress {
-			spill := ""
-			if p.SpillBytes > 0 {
-				spill = fmt.Sprintf(" (+%s spilled)", FormatBytes(p.SpillBytes))
-			}
-			fmt.Fprintf(os.Stderr, "search: level %d, frontier %d, %d states, %.0f states/sec, visited %s%s, %s\n",
-				p.Level, p.Frontier, p.States, p.StatesPerSec, FormatBytes(p.VisitedBytes), spill, p.Elapsed.Round(1e7))
-		}
-		if live {
-			o.Publish(serve.Snapshot{
-				Source:         "search",
-				Name:           name,
-				Level:          p.Level,
-				Frontier:       p.Frontier,
-				States:         p.States,
-				StatesPerSec:   int64(p.StatesPerSec),
-				ElapsedMS:      p.Elapsed.Milliseconds(),
-				VisitedEntries: p.VisitedEntries,
-				VisitedBytes:   p.VisitedBytes,
-				SpillBytes:     p.SpillBytes,
-			})
-		}
-	}
-}
-
-// SearchDone reports a finished search of sc: it marks the live
-// /progress stream done with the verdict and appends the run to the
+// SearchDone reports a finished search of sc: with -progress it prints
+// the final progress line from the result, and it appends the run to the
 // manifest. Each step is a no-op when its flag is off.
 func (o *Observer) SearchDone(name string, sc sim.Scenario, res mcheck.SearchResult) {
-	o.Publish(serve.Snapshot{
-		Source:       "search",
-		Name:         name,
-		States:       res.States,
-		StatesPerSec: int64(res.StatesPerSec),
-		ElapsedMS:    res.Elapsed.Milliseconds(),
-		Done:         true,
-		Verdict:      res.Verdict.String(),
-	})
+	if o != nil && o.progress != nil {
+		o.progress.searchDone(res)
+	}
 	o.RecordRun(searchRun(name, sc, res))
 }
 
@@ -376,10 +329,10 @@ func searchRun(name string, sc sim.Scenario, res mcheck.SearchResult) manifest.R
 
 // NewTelemetry builds the sampling-telemetry collector a run on net
 // should attach with sim.SetTelemetry, from the -telemetry flags; nil
-// when -telemetry is 0. When the live observatory or a metrics snapshot
-// is on, each closing frame is bridged to the /telemetry endpoint and to
-// telemetry_* gauges. Collectors are per-run: sweeps call this once per
-// point/cell.
+// when -telemetry is 0. When the registry is on, each closing frame sets
+// the telemetry_* gauges. Collectors are per-run: sweeps call this once
+// per point/cell, and parallel points share the gauges, so they show the
+// most recently closed frame of any point.
 func (o *Observer) NewTelemetry(net *topology.Network) *telemetry.Collector {
 	if o == nil || o.telemetryStride <= 0 {
 		return nil
@@ -388,32 +341,14 @@ func (o *Observer) NewTelemetry(net *topology.Network) *telemetry.Collector {
 		Stride:   o.telemetryStride,
 		Adaptive: o.telemetryAdaptive,
 	})
-	if o.Server != nil || o.Metrics != nil {
-		srv, reg := o.Server, o.Metrics
-		var buf []byte
+	if reg := o.Metrics; reg != nil {
 		col.OnFrame = func(f *telemetry.Frame) {
-			if srv != nil {
-				buf = f.AppendJSON(buf[:0])
-				srv.TelemetryHub().Publish(buf)
-			}
-			if reg != nil {
-				reg.Gauge("telemetry_frames").Set(int64(f.Index + 1))
-				reg.Gauge("telemetry_live_messages").Set(int64(f.Live))
-				reg.Gauge("telemetry_frame_flits").Set(f.FlitsDelta)
-			}
+			reg.Gauge("telemetry_frames").Set(int64(f.Index + 1))
+			reg.Gauge("telemetry_live_messages").Set(int64(f.Live))
+			reg.Gauge("telemetry_frame_flits").Set(f.FlitsDelta)
 		}
 	}
 	return col
-}
-
-// PublishSLO renders the report and sends it to the live /telemetry/slo
-// hub. No-op when -serve is off or the report is nil, so producers call
-// it unconditionally after each evaluation.
-func (o *Observer) PublishSLO(rep *telemetry.SLOReport) {
-	if o == nil || o.Server == nil || rep == nil {
-		return
-	}
-	o.Server.SLOHub().Publish(rep.AppendJSON(nil))
 }
 
 // TelemetrySummary flushes the collector's partial frame and returns its

@@ -3,7 +3,6 @@ package mcheck
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -79,9 +78,6 @@ func normalizeSearchOptions(sc sim.Scenario, opts SearchOptions) SearchOptions {
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.ProgressEvery <= 0 {
-		opts.ProgressEvery = 2 * time.Second
 	}
 	opts.Reduction = effectiveReduction(sc, opts.Reduction)
 	opts.Visited = normalizeVisitedConfig(opts.Visited)

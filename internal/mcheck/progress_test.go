@@ -1,10 +1,9 @@
 package mcheck
 
 import (
-	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -15,124 +14,94 @@ func emptyScenario() sim.Scenario {
 	return sim.Scenario{Name: "empty", Net: topology.NewRing(4, false)}
 }
 
-// A search over zero messages explores exactly the root state and still
-// reports progress exactly once — the final report, with the real totals.
-func TestProgressEmptyScenario(t *testing.T) {
-	var calls []ProgressInfo
-	res := Search(emptyScenario(), SearchOptions{
-		Progress: func(p ProgressInfo) { calls = append(calls, p) },
-	})
-	if res.Verdict != VerdictNoDeadlock {
-		t.Fatalf("verdict = %v", res.Verdict)
-	}
-	if res.States != 1 {
-		t.Fatalf("states = %d, want 1", res.States)
-	}
-	if len(calls) != 1 {
-		t.Fatalf("progress calls = %d, want exactly the final report", len(calls))
-	}
-	if calls[0].States != res.States {
-		t.Errorf("final report states = %d, result states = %d", calls[0].States, res.States)
-	}
+// gaugeReader is a tracer that snapshots the search gauges whenever the
+// search emits an event. The reporter emits a level's event before it sets
+// that level's gauges, so each snapshot holds the previous level's values,
+// and the KindSearchDone snapshot holds the last level's.
+type gaugeReader struct {
+	reg   *obsv.Registry
+	names []string
+	snaps []map[string]int64
 }
 
-// A search that finishes before the first throttle tick still delivers
-// exactly one Progress call: the final report with the result's totals.
-func TestProgressFinishBeforeFirstTick(t *testing.T) {
-	var calls []ProgressInfo
-	res := Search(ringScenario(2), SearchOptions{
-		ProgressEvery: time.Hour,
-		Progress:      func(p ProgressInfo) { calls = append(calls, p) },
-	})
-	if len(calls) != 1 {
-		t.Fatalf("progress calls = %d, want 1 (finish-before-first-tick)", len(calls))
-	}
-	if calls[0].States != res.States {
-		t.Errorf("final report states = %d, result states = %d", calls[0].States, res.States)
-	}
-	if res.Warnings != nil {
-		t.Errorf("unexpected warnings: %v", res.Warnings)
-	}
-}
-
-// With an aggressive tick the per-level reports must show monotonically
-// non-decreasing state counts, ending on the exact final total.
-func TestProgressStatesMonotonic(t *testing.T) {
-	var calls []ProgressInfo
-	res := Search(ringScenario(2), SearchOptions{
-		ProgressEvery: time.Nanosecond,
-		Progress:      func(p ProgressInfo) { calls = append(calls, p) },
-	})
-	if len(calls) < 2 {
-		t.Fatalf("progress calls = %d, want per-level reports", len(calls))
-	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i].States < calls[i-1].States {
-			t.Fatalf("states regressed: call %d = %d, call %d = %d",
-				i-1, calls[i-1].States, i, calls[i].States)
+func (g *gaugeReader) Event(obsv.Event) {
+	snap := map[string]int64{}
+	for _, n := range g.names {
+		if v, ok := g.reg.GaugeValue(n); ok {
+			snap[n] = v
 		}
 	}
-	if last := calls[len(calls)-1]; last.States != res.States {
-		t.Errorf("last report states = %d, result states = %d", last.States, res.States)
+	if len(snap) > 0 {
+		g.snaps = append(g.snaps, snap)
 	}
 }
 
-// engines lists both search entry points, for tests that hold them to the
-// same reporting contract.
-var engines = []struct {
-	name string
-	run  func(sim.Scenario, SearchOptions) SearchResult
-}{
-	{"search", Search},
-	{"liveness", SearchLiveness},
-}
+// The registry is the search's live channel: every BFS level sets the
+// level, frontier, state and visited-set gauges (and the spill gauges on
+// the spill backend), the counts a live reader sees never decrease, and
+// the final gauges equal the result — for both engines, for a search that
+// never expands past the root, and on both visited backends.
+func TestSearchGaugesLive(t *testing.T) {
+	spill := VisitedConfig{Backend: VisitedSpill, MemBudget: 1}
+	for _, tc := range []struct {
+		name     string
+		sc       sim.Scenario
+		run      func(sim.Scenario, SearchOptions) SearchResult
+		visited  VisitedConfig
+		minSnaps int
+	}{
+		{"search", ringScenario(2), Search, VisitedConfig{}, 2},
+		{"liveness", ringScenario(2), SearchLiveness, VisitedConfig{}, 2},
+		{"spill", ringScenario(2), Search, spill, 2},
+		{"empty", emptyScenario(), Search, VisitedConfig{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			names := []string{"mcheck_search_level", "mcheck_frontier_peak", "mcheck_states", "mcheck_visited_bytes"}
+			if tc.visited.Backend == VisitedSpill {
+				names = append(names, "mcheck_visited_spill_bytes", "mcheck_visited_spill_runs")
+			}
+			live := &gaugeReader{reg: reg, names: names}
+			res := tc.run(tc.sc, SearchOptions{Metrics: reg, Tracer: live, Visited: tc.visited, Parallelism: 1})
 
-// A panicking Progress callback must not change the verdict or the state
-// count: the panic is contained, reporting stops, and the result carries
-// exactly one warning.
-func TestProgressCallbackPanicContained(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			baseline := e.run(ringScenario(2), SearchOptions{})
+			if len(live.snaps) < tc.minSnaps {
+				t.Fatalf("%d live snapshots, want at least %d", len(live.snaps), tc.minSnaps)
+			}
+			for i, snap := range live.snaps {
+				if len(snap) != len(names) {
+					t.Fatalf("snapshot %d = %v, want every gauge of %v", i, snap, names)
+				}
+				if i == 0 {
+					continue
+				}
+				prev := live.snaps[i-1]
+				for _, n := range []string{"mcheck_states", "mcheck_frontier_peak"} {
+					if snap[n] < prev[n] {
+						t.Fatalf("%s decreased: snapshot %d = %d, snapshot %d = %d", n, i-1, prev[n], i, snap[n])
+					}
+				}
+				if snap["mcheck_search_level"] != prev["mcheck_search_level"]+1 {
+					t.Fatalf("levels %d then %d, want consecutive", prev["mcheck_search_level"], snap["mcheck_search_level"])
+				}
+			}
 
-			calls := 0
-			res := e.run(ringScenario(2), SearchOptions{
-				ProgressEvery: time.Nanosecond,
-				Progress: func(ProgressInfo) {
-					calls++
-					panic("observer bug")
-				},
-			})
-			if res.Verdict != baseline.Verdict || res.States != baseline.States {
-				t.Fatalf("panicking callback changed the result: %v/%d vs %v/%d",
-					res.Verdict, res.States, baseline.Verdict, baseline.States)
+			final := map[string]int64{
+				"mcheck_states":        int64(res.States),
+				"mcheck_peak_visited":  int64(res.PeakVisited),
+				"mcheck_workers":       int64(res.Workers),
+				"mcheck_visited_bytes": res.Visited.Bytes,
 			}
-			if calls != 1 {
-				t.Errorf("callback ran %d times after panicking, want 1 (disabled after first panic)", calls)
+			if tc.visited.Backend == VisitedSpill {
+				final["mcheck_visited_spill_bytes"] = res.Visited.SpillBytes
+				final["mcheck_visited_spill_runs"] = int64(res.Visited.SpillRuns)
 			}
-			if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "panicked") {
-				t.Errorf("warnings = %v, want one panic warning", res.Warnings)
+			for n, want := range final {
+				if got, ok := reg.GaugeValue(n); !ok || got != want {
+					t.Errorf("final %s = %d (present %v), want %d", n, got, ok, want)
+				}
 			}
-		})
-	}
-}
-
-// A panic on the final report (the only one, with a huge tick) is
-// contained the same way.
-func TestProgressFinalCallPanicContained(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			baseline := e.run(ringScenario(2), SearchOptions{})
-			res := e.run(ringScenario(2), SearchOptions{
-				ProgressEvery: time.Hour,
-				Progress:      func(ProgressInfo) { panic("final-report bug") },
-			})
-			if res.Verdict != baseline.Verdict || res.States != baseline.States {
-				t.Fatalf("panicking final report changed the result: %v/%d vs %v/%d",
-					res.Verdict, res.States, baseline.Verdict, baseline.States)
-			}
-			if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "panicked") {
-				t.Errorf("warnings = %v, want one panic warning", res.Warnings)
+			if last := live.snaps[len(live.snaps)-1]["mcheck_states"]; last > int64(res.States) {
+				t.Errorf("live states %d exceed the result's %d", last, res.States)
 			}
 		})
 	}

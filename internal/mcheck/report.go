@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obsv"
@@ -15,16 +14,13 @@ import (
 type reporter struct {
 	eng      *engine
 	start    time.Time // when the search began; Elapsed counts from here
-	last     time.Time // last throttled Progress call
-	broken   bool      // Progress panicked; reporting is off
 	warnings []string
-	vstats   VisitedStats // reused snapshot for the progress path
 }
 
-// level reports the start of a BFS level: the trace event, the level
-// gauges and a Progress call, made only when at least ProgressEvery has
-// passed since the last one and carrying the visited store's live
-// accounting. It runs before the level's merge, from the single merge
+// level reports the start of a BFS level: the trace event and the level
+// gauges, including the visited store's live accounting, which is what a
+// live reader of the registry (/metrics, -progress) sees of a running
+// search. It runs before the level's merge, from the single merge
 // goroutine, so the traced sequence is the same for every Parallelism
 // value.
 func (r *reporter) level(level, frontier, states int) {
@@ -35,49 +31,31 @@ func (r *reporter) level(level, frontier, states int) {
 		ev.M = states
 		opts.Tracer.Event(ev)
 	}
-	if opts.Metrics != nil {
-		opts.Metrics.Gauge("mcheck_search_level").Set(int64(level))
-		opts.Metrics.Gauge("mcheck_frontier_size").Set(int64(frontier))
-		opts.Metrics.Gauge("mcheck_frontier_peak").Max(int64(frontier))
-		opts.Metrics.Gauge("mcheck_states").Set(int64(states))
-	}
-	if opts.Progress == nil || r.broken {
-		return
-	}
-	now := time.Now()
-	if now.Sub(r.last) < opts.ProgressEvery {
-		return
-	}
-	r.last = now
-	r.eng.visited.stats(&r.vstats)
-	r.call(progressInfo(level, frontier, states, now.Sub(r.start), &r.vstats))
-}
-
-// call shields the search from the caller's Progress callback: a panic
-// there is contained, surfaced as a result warning, and disables further
-// reporting. It never corrupts the verdict.
-func (r *reporter) call(p ProgressInfo) {
-	if r.eng.opts.Progress == nil || r.broken {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.broken = true
-			r.warnings = append(r.warnings,
-				fmt.Sprintf("progress callback panicked: %v (progress reporting disabled for the rest of the search)", rec))
+	if m := opts.Metrics; m != nil {
+		m.Gauge("mcheck_search_level").Set(int64(level))
+		m.Gauge("mcheck_frontier_size").Set(int64(frontier))
+		m.Gauge("mcheck_frontier_peak").Max(int64(frontier))
+		m.Gauge("mcheck_states").Set(int64(states))
+		var vs VisitedStats
+		r.eng.visited.stats(&vs)
+		m.Gauge("mcheck_visited_bytes").Set(vs.Bytes)
+		if opts.Visited.Backend == VisitedSpill {
+			m.Gauge("mcheck_visited_spill_bytes").Set(vs.SpillBytes)
+			m.Gauge("mcheck_visited_spill_runs").Set(int64(vs.SpillRuns))
 		}
-	}()
-	r.eng.opts.Progress(p)
+	}
 }
 
 // done completes a result with everything the engine accounts for —
 // timing, visited-set figures, workers, reductions and pruning counters
-// — then emits KindSearchDone, the final gauges and the final Progress
-// call, and attaches the warnings.
-func (r *reporter) done(res SearchResult, level int) SearchResult {
+// — then emits KindSearchDone and the final gauges, and attaches the
+// warnings.
+func (r *reporter) done(res SearchResult) SearchResult {
 	eng, opts := r.eng, &r.eng.opts
 	res.Elapsed = time.Since(r.start)
-	res.StatesPerSec = perSec(res.States, res.Elapsed)
+	if secs := res.Elapsed.Seconds(); secs > 0 {
+		res.StatesPerSec = float64(res.States) / secs
+	}
 	eng.visited.stats(&res.Visited)
 	res.PeakVisited = res.Visited.Entries
 	res.Workers = len(eng.workers)
@@ -119,24 +97,6 @@ func (r *reporter) done(res SearchResult, level int) SearchResult {
 			m.Gauge("mcheck_symmetry_group").Set(int64(res.SymmetryGroup))
 		}
 	}
-	r.call(progressInfo(level, 0, res.States, res.Elapsed, &res.Visited))
 	res.Warnings = r.warnings
 	return res
-}
-
-// progressInfo assembles one progress report.
-func progressInfo(level, frontier, states int, elapsed time.Duration, v *VisitedStats) ProgressInfo {
-	return ProgressInfo{
-		Level: level, Frontier: frontier, States: states,
-		Elapsed: elapsed, StatesPerSec: perSec(states, elapsed),
-		VisitedEntries: v.Entries, VisitedBytes: v.Bytes, SpillBytes: v.SpillBytes,
-	}
-}
-
-// perSec is n per second of d, 0 for a zero duration.
-func perSec(n int, d time.Duration) float64 {
-	if secs := d.Seconds(); secs > 0 {
-		return float64(n) / secs
-	}
-	return 0
 }

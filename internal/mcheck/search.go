@@ -24,10 +24,9 @@
 // across any worker count, including 1.
 //
 // SearchLiveness runs on the same engine: one breadth-first search, one
-// expansion path and one reporter (report.go) — trace events, mcheck_*
-// gauges, throttled Progress calls (a panicking callback is contained and
-// becomes a result warning) and the result's timing, visited-set and
-// reduction figures.
+// expansion path and one reporter (report.go) — trace events, the
+// mcheck_* gauges a live reader scrapes, and the result's timing,
+// visited-set and reduction figures.
 package mcheck
 
 import (
@@ -141,34 +140,15 @@ type SearchOptions struct {
 	// across Parallelism values. Nil disables search tracing at the cost
 	// of one branch per level.
 	Tracer obsv.Tracer
-	// Progress, when set, is called periodically with live search
-	// telemetry — unlike Tracer it carries wall-clock rates and is meant
-	// for interactive feedback (stderr), not for deterministic artifacts.
-	Progress func(ProgressInfo)
-	// ProgressEvery throttles Progress calls to at most one per interval
-	// (plus one per level boundary check). 0 means a 2s default.
-	ProgressEvery time.Duration
-	// Metrics, when set, receives live search gauges (level, frontier
-	// size, peak frontier, states) and, at the end, the state count, peak
-	// visited, workers and visited bytes, plus the spill and reduction
-	// gauges when those ran. The search is the only
-	// writer of these mcheck_* gauges: obsv.MetricsSink ignores search
-	// events.
+	// Metrics, when set, receives live search gauges on every BFS level
+	// (level, frontier size, peak frontier, states and visited bytes, plus
+	// the spill gauges with the spill backend) and, at the end, the final
+	// state count, peak visited, workers and visited figures, plus the
+	// reduction gauges when a reduction ran. The registry is the search's
+	// only live channel: /metrics and -progress read these gauges. The
+	// search is the only writer of these mcheck_* gauges:
+	// obsv.MetricsSink ignores search events.
 	Metrics *obsv.Registry
-}
-
-// ProgressInfo is one periodic search progress report.
-type ProgressInfo struct {
-	Level        int // BFS level (network cycle depth) being merged
-	Frontier     int // states in the current level
-	States       int // distinct states accepted so far
-	Elapsed      time.Duration
-	StatesPerSec float64
-
-	// Visited-set memory accounting, from the live backend.
-	VisitedEntries int   // distinct encodings recorded
-	VisitedBytes   int64 // resident bytes (heap; excludes spilled runs)
-	SpillBytes     int64 // bytes of live runs on disk (spill backend)
 }
 
 // DefaultMaxStates bounds state exploration when SearchOptions.MaxStates
@@ -223,9 +203,8 @@ type SearchResult struct {
 	// or the scenario has no usable symmetry).
 	SymmetryGroup int
 
-	// Warnings lists non-fatal problems the search survived — today, a
-	// Progress callback that panicked (the panic is contained and
-	// reporting disabled; the verdict is unaffected).
+	// Warnings lists non-fatal problems the search survived — today,
+	// reductions a liveness search ignored.
 	Warnings []string
 }
 
@@ -305,7 +284,7 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 		perms:   perms,
 		visited: newVisitedSet(opts.Visited),
 	}
-	eng.report = reporter{eng: eng, start: start, last: start}
+	eng.report = reporter{eng: eng, start: start}
 	eng.workers = make([]*searchWorker, workers)
 	for i := range eng.workers {
 		eng.workers[i] = &searchWorker{
@@ -538,7 +517,7 @@ func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 	for {
 		batch := &builders[cur].batch
 		if batch.count == 0 {
-			return eng.report.done(SearchResult{Verdict: VerdictNoDeadlock, States: states}, level)
+			return eng.report.done(SearchResult{Verdict: VerdictNoDeadlock, States: states})
 		}
 		eng.report.level(level, batch.count, states)
 		if cap(results) < batch.count {
@@ -575,7 +554,7 @@ func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 				default:
 					r.Deadlock = &ld.Deadlock
 				}
-				return eng.report.done(r, level)
+				return eng.report.done(r)
 			}
 			if res.loop >= 0 {
 				// The loop decision leads back to this entry: its provenance
@@ -588,7 +567,7 @@ func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 					States:  states,
 					Trace:   trace,
 					Lasso:   &Lasso{Stem: stem, Loop: trace[len(stem):], Starved: starvedIDs(Replay(sc, stem))},
-				}, level)
+				})
 			}
 			w := eng.workers[res.worker]
 			for _, su := range w.succs[res.lo:res.hi] {
@@ -599,7 +578,7 @@ func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 				}
 				states++
 				if states > opts.MaxStates {
-					return eng.report.done(SearchResult{Verdict: VerdictExhausted, States: states}, level)
+					return eng.report.done(SearchResult{Verdict: VerdictExhausted, States: states})
 				}
 				nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
 				builders[nxt].add(w.arena[su.encLo:su.encHi], su.budget, int32(len(nodes)-1))

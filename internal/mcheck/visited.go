@@ -23,7 +23,7 @@ const visitedShards = 64
 const visitedEntryOverhead = 48
 
 // VisitedStats is the memory-accounting snapshot of the visited set,
-// surfaced in SearchResult, obsv gauges and the live /progress stream.
+// surfaced in SearchResult and the mcheck_visited_* gauges.
 type VisitedStats struct {
 	// Backend names the store that ran: "mem" or "spill".
 	Backend string

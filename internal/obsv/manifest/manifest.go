@@ -64,7 +64,7 @@ type Run struct {
 	SpillRuns      int    `json:"spill_runs,omitempty"`
 	// ElapsedMS is the run's own wall time, when measured.
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
-	// Warnings surfaced by the run (e.g. a panicking progress callback).
+	// Warnings surfaced by the run (e.g. reductions a liveness search ignored).
 	Warnings []string `json:"warnings,omitempty"`
 	// Telemetry summarizes the run's sampling telemetry when a collector
 	// was attached (-telemetry): stride, frame and

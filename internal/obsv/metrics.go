@@ -122,6 +122,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// GaugeValue returns the named gauge's value and whether it exists. It
+// never creates the gauge, so a live reader leaves every snapshot's
+// families exactly as the producers made them.
+func (r *Registry) GaugeValue(name string) (int64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g, ok := r.gauges[name]
+	if !ok {
+		return 0, false
+	}
+	return g.Value(), true
+}
+
 // Observe records one integer sample (a cycle count or a size) into the
 // named histogram, creating it if needed.
 func (r *Registry) Observe(name string, v int) {
@@ -182,34 +195,36 @@ func baseName(series string) string {
 // emit, keyed by base name. Families not listed here (and not covered by
 // SetHelp) get a generated placeholder, so the exposition always lints.
 var builtinHelp = map[string]string{
-	"sim_messages_injected_total":  "Messages whose header flit entered the network.",
-	"sim_flits_moved_total":        "Individual flit advances, including body-flit injection.",
-	"sim_flits_delivered_total":    "Flits consumed at their destination.",
-	"sim_messages_delivered_total": "Messages whose tail flit was consumed.",
-	"sim_message_latency_cycles":   "Injection-to-delivery latency per delivered message, in cycles.",
-	"sim_channel_acquires_total":   "Channel acquisitions by message headers.",
-	"sim_channel_occupancy_cycles": "Cycles a channel was held between acquire and release.",
-	"sim_blocks_total":             "Transitions of a message into the blocked state.",
-	"sim_cycles_blocked_total":     "Total message-cycles spent blocked on a held channel.",
-	"sim_blocked_duration_cycles":  "Duration of individual blocked episodes, in cycles.",
-	"sim_freeze_expiries_total":    "Section 6 freeze counters that expired.",
-	"sim_deadlocks_detected_total": "Exact Definition 6 deadlock certificates detected.",
-	"mcheck_search_level":          "BFS level (network cycle depth) the search is merging.",
-	"mcheck_frontier_size":         "States in the BFS level currently being expanded.",
-	"mcheck_frontier_peak":         "Largest BFS frontier seen so far.",
-	"mcheck_states":                "Distinct states accepted by the search so far.",
-	"mcheck_peak_visited":          "Entries retained by the visited set at search end.",
-	"mcheck_workers":               "Worker goroutines the search ran with.",
-	"mcheck_visited_bytes":         "Resident bytes of the visited-set backend (excludes spilled runs).",
-	"mcheck_visited_spill_bytes":   "Bytes in the spill backend's on-disk run files at search end.",
-	"mcheck_visited_spill_runs":    "Live run files of the spill backend at search end.",
-	"mcheck_states_pruned":         "Successor candidates discarded by state-space reductions.",
-	"mcheck_sleep_set_hits":        "Expanded states with a non-empty sleep set.",
-	"mcheck_symmetry_group":        "Order of the symmetry group the canonical encoding quotients by.",
-	"cdg_dependencies":             "Edges of the channel dependency graph.",
-	"cdg_cycles_found":             "Simple cycles enumerated in the channel dependency graph.",
-	"cdg_sccs":                     "Nontrivial strongly connected components of the CDG.",
-	"cdg_acyclic":                  "1 when the channel dependency graph is acyclic, else 0.",
+	"sim_messages_injected_total":   "Messages whose header flit entered the network.",
+	"sim_flits_moved_total":         "Individual flit advances, including body-flit injection.",
+	"sim_flits_delivered_total":     "Flits consumed at their destination.",
+	"sim_messages_delivered_total":  "Messages whose tail flit was consumed.",
+	"sim_message_latency_cycles":    "Injection-to-delivery latency per delivered message, in cycles.",
+	"sim_channel_acquires_total":    "Channel acquisitions by message headers.",
+	"sim_channel_occupancy_cycles":  "Cycles a channel was held between acquire and release.",
+	"sim_blocks_total":              "Transitions of a message into the blocked state.",
+	"sim_cycles_blocked_total":      "Total message-cycles spent blocked on a held channel.",
+	"sim_blocked_duration_cycles":   "Duration of individual blocked episodes, in cycles.",
+	"sim_freeze_expiries_total":     "Section 6 freeze counters that expired.",
+	"sim_deadlocks_detected_total":  "Exact Definition 6 deadlock certificates detected.",
+	"mcheck_search_level":           "BFS level (network cycle depth) the search is merging.",
+	"mcheck_frontier_size":          "States in the BFS level currently being expanded.",
+	"mcheck_frontier_peak":          "Largest BFS frontier seen so far.",
+	"mcheck_states":                 "Distinct states accepted by the search so far.",
+	"mcheck_peak_visited":           "Entries retained by the visited set at search end.",
+	"mcheck_workers":                "Worker goroutines the search ran with.",
+	"mcheck_visited_bytes":          "Resident bytes of the visited-set backend (excludes spilled runs).",
+	"mcheck_visited_spill_bytes":    "Bytes in the spill backend's on-disk run files at search end.",
+	"mcheck_visited_spill_runs":     "Live run files of the spill backend at search end.",
+	"mcheck_states_pruned":          "Successor candidates discarded by state-space reductions.",
+	"mcheck_sleep_set_hits":         "Expanded states with a non-empty sleep set.",
+	"mcheck_symmetry_group":         "Order of the symmetry group the canonical encoding quotients by.",
+	"loadtest_points_done_total":    "Rate points of the load sweep that finished.",
+	"loadtest_slo_violations_total": "SLO rows violated across the finished rate points.",
+	"cdg_dependencies":              "Edges of the channel dependency graph.",
+	"cdg_cycles_found":              "Simple cycles enumerated in the channel dependency graph.",
+	"cdg_sccs":                      "Nontrivial strongly connected components of the CDG.",
+	"cdg_acyclic":                   "1 when the channel dependency graph is acyclic, else 0.",
 }
 
 // helpFor resolves the HELP text for a family. Caller holds r.mu.

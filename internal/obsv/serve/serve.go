@@ -4,17 +4,16 @@
 // `-serve :addr` flag (internal/cli); with the flag unset nothing in this
 // package runs and the producers keep their nil-guard fast paths.
 //
+// The run's obsv.Registry is its one live view: a search sets its
+// mcheck_* gauges on every BFS level, the telemetry collector its
+// telemetry_* gauges on every frame, and the load sweep its loadtest_*
+// counters on every rate point, so polling /metrics follows the run.
+//
 // Endpoints:
 //
-//	/metrics       Prometheus text exposition of the run's obsv.Registry
-//	/healthz       liveness JSON (pid, uptime, Go version)
-//	/progress      latest progress snapshot as JSON; with ?stream=sse (or
-//	               Accept: text/event-stream) an SSE stream of snapshots
-//	/telemetry     latest telemetry frame as JSON; with ?stream=sse an SSE
-//	               stream of frames as the sampling collector closes them
-//	/telemetry/slo latest per-source SLO evaluation as JSON; with
-//	               ?stream=sse an SSE stream of reports as rate cells close
-//	/debug/pprof/  the standard runtime profiling endpoints
+//	/metrics      Prometheus text exposition of the run's obsv.Registry
+//	/healthz      liveness JSON (pid, uptime, Go version)
+//	/debug/pprof/ the standard runtime profiling endpoints
 //
 // The server reports; it never steers. Nothing reachable over HTTP can
 // change a verdict, which keeps the determinism contract of internal/obsv
@@ -34,13 +33,9 @@ import (
 	"repro/internal/obsv"
 )
 
-// Server bundles the observatory endpoints over one registry and three
-// hubs: progress snapshots, telemetry frames and SLO reports.
+// Server bundles the observatory endpoints over one registry.
 type Server struct {
 	reg     *obsv.Registry
-	hub     *Hub
-	thub    *Hub
-	shub    *Hub
 	mux     *http.ServeMux
 	started time.Time
 
@@ -49,15 +44,12 @@ type Server struct {
 }
 
 // New returns a server exposing the registry (may be nil: /metrics then
-// serves an empty exposition) and fresh progress, telemetry and SLO hubs.
+// serves an empty exposition).
 func New(reg *obsv.Registry) *Server {
-	s := &Server{reg: reg, hub: NewHub(), thub: NewHub(), shub: NewHub(), mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{reg: reg, mux: http.NewServeMux(), started: time.Now()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.Handle("/progress", s.hub)
-	s.mux.Handle("/telemetry", s.thub)
-	s.mux.Handle("/telemetry/slo", s.shub)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -65,15 +57,6 @@ func New(reg *obsv.Registry) *Server {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
-
-// Hub returns the progress hub feeding /progress.
-func (s *Server) Hub() *Hub { return s.hub }
-
-// TelemetryHub returns the hub feeding /telemetry.
-func (s *Server) TelemetryHub() *Hub { return s.thub }
-
-// SLOHub returns the hub feeding /telemetry/slo.
-func (s *Server) SLOHub() *Hub { return s.shub }
 
 // Handler returns the server's routing handler, for tests that mount it
 // on an httptest.Server instead of a real listener.
@@ -109,12 +92,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, "run observatory\n\n"+
-		"/metrics       Prometheus exposition of the live registry\n"+
-		"/healthz       liveness\n"+
-		"/progress      latest progress snapshot (?stream=sse to follow)\n"+
-		"/telemetry     latest telemetry frame (?stream=sse to follow)\n"+
-		"/telemetry/slo latest SLO evaluation (?stream=sse to follow)\n"+
-		"/debug/pprof/  runtime profiles\n")
+		"/metrics      Prometheus exposition of the live registry (poll it to follow the run)\n"+
+		"/healthz      liveness\n"+
+		"/debug/pprof/ runtime profiles\n")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

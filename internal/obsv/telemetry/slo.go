@@ -1,8 +1,8 @@
-// Per-source latency SLOs: a bank of mergeable latency sketches keyed by
-// source node, plus a tiny declarative objective language ("p99<=500")
-// evaluated against the bank. The loadtest engine feeds one bank per
-// rate cell and reports violations in its JSON; the serve plane exposes
-// the latest report at /telemetry/slo.
+// Per-source latency SLOs: a bank of latency sketches keyed by source
+// node, plus a tiny declarative objective language ("p99<=500") evaluated
+// against the bank. The loadtest engine feeds one bank per rate cell and
+// reports violations in its JSON, its manifest and its
+// loadtest_slo_violations_total counter.
 package telemetry
 
 import (
@@ -59,8 +59,7 @@ func ParseSLO(s string) ([]SLOObjective, error) {
 // sketches are allocated lazily on first observation, so idle sources
 // stay free; the aggregate always exists. A sketch's buckets follow the
 // largest latency it has seen (1 KiB below 256 cycles, about 268 KiB at
-// most), so a bank's memory follows the traffic it observes. Banks merge
-// source-wise, the same way sketches do.
+// most), so a bank's memory follows the traffic it observes.
 type Bank struct {
 	agg *obsv.Sketch
 	src []*obsv.Sketch
@@ -86,32 +85,6 @@ func (b *Bank) Observe(source, v int) {
 // Aggregate returns the all-sources sketch.
 func (b *Bank) Aggregate() *obsv.Sketch { return b.agg }
 
-// Source returns source i's sketch, nil when it never observed a sample.
-func (b *Bank) Source(i int) *obsv.Sketch {
-	if i < 0 || i >= len(b.src) {
-		return nil
-	}
-	return b.src[i]
-}
-
-// Sources returns the size of the bank's source-ID space.
-func (b *Bank) Sources() int { return len(b.src) }
-
-// Merge adds another bank's sketches into this one, source-wise. The
-// banks must cover the same source-ID space.
-func (b *Bank) Merge(o *Bank) {
-	b.agg.Merge(o.agg)
-	for i, s := range o.src {
-		if s == nil {
-			continue
-		}
-		if b.src[i] == nil {
-			b.src[i] = obsv.NewSketch()
-		}
-		b.src[i].Merge(s)
-	}
-}
-
 // SLOResult is one evaluated objective row. Source -1 is the aggregate.
 type SLOResult struct {
 	Spec     string `json:"spec"`
@@ -130,9 +103,6 @@ type SLOReport struct {
 	Violations int         `json:"violations"`
 	Results    []SLOResult `json:"results"`
 }
-
-// OK reports whether no objective was violated.
-func (r *SLOReport) OK() bool { return r.Violations == 0 }
 
 // Evaluate checks every objective against the aggregate and each active
 // source, in objective order then source order — deterministic for a
@@ -165,48 +135,4 @@ func (b *Bank) Evaluate(objs []SLOObjective) *SLOReport {
 		}
 	}
 	return rep
-}
-
-// AppendJSON appends the report as one deterministic JSON object with
-// fixed key order (the same bytes encoding/json would need a custom
-// marshaler for).
-func (r *SLOReport) AppendJSON(b []byte) []byte {
-	b = append(b, `{"violations":`...)
-	b = strconv.AppendInt(b, int64(r.Violations), 10)
-	b = append(b, `,"results":[`...)
-	for i, res := range r.Results {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"spec":`...)
-		b = appendQuoted(b, res.Spec)
-		b = append(b, `,"source":`...)
-		b = strconv.AppendInt(b, int64(res.Source), 10)
-		b = append(b, `,"observed":`...)
-		b = strconv.AppendInt(b, res.Observed, 10)
-		b = append(b, `,"bound":`...)
-		b = strconv.AppendInt(b, res.Bound, 10)
-		b = append(b, `,"count":`...)
-		b = strconv.AppendInt(b, res.Count, 10)
-		b = append(b, `,"ok":`...)
-		b = strconv.AppendBool(b, res.OK)
-		b = append(b, '}')
-	}
-	b = append(b, `]}`...)
-	return b
-}
-
-// appendQuoted appends s as a JSON string (telemetry strings are plain
-// ASCII identifiers; quotes and backslashes escaped for safety).
-func appendQuoted(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"', '\\':
-			b = append(b, '\\', c)
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
 }

@@ -200,8 +200,8 @@ type Collector struct {
 
 	// OnFrame, when set, is called with each frame as it closes (the
 	// pointer aliases the accumulators — consume it synchronously). It
-	// feeds the live /telemetry endpoint and metrics bridge; nil (the
-	// default) keeps the frame-close path allocation-free.
+	// feeds the telemetry_* gauges; nil (the default) keeps the
+	// frame-close path allocation-free.
 	OnFrame func(*Frame)
 }
 

@@ -169,30 +169,6 @@ func TestOpenLoopSaturationBacklog(t *testing.T) {
 	}
 }
 
-func TestClosedLoopSelfThrottles(t *testing.T) {
-	_, alg := mesh44()
-	l := Load{
-		Alg: alg, Pattern: Transpose(topology.NewMesh([]int{4, 4}, 1)),
-		Length: 4, Mode: ClosedLoop, Window: 2,
-		Warmup: 100, Measure: 400, Drain: 2000, Seed: 17,
-	}
-	r, err := l.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Deadlocked {
-		t.Fatalf("closed-loop transpose deadlocked: %+v", r)
-	}
-	if r.Delivered == 0 || r.Throughput <= 0 {
-		t.Fatalf("closed loop made no progress: %+v", r)
-	}
-	// Closed loop cannot build an unbounded backlog: at most Window per
-	// source is ever outstanding.
-	if r.Backlog > 2*16 {
-		t.Fatalf("closed-loop backlog exceeds the window bound: %+v", r)
-	}
-}
-
 func TestOpenLoopDetectsDeadlock(t *testing.T) {
 	// Unrestricted shortest-path routing on a bidirectional ring has a
 	// cyclic channel dependency; sustained load must wedge it, and the

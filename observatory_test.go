@@ -1,20 +1,19 @@
 package repro
 
 // End-to-end exercise of the run observatory: a live Gen(4) search
-// observed over HTTP while it runs — /progress events with monotonically
-// non-decreasing state counts, a /metrics scrape mid-run, a healthy
+// observed over HTTP while it runs — /metrics scrapes whose mcheck_states
+// never decreases and ends on the result's state count, a healthy
 // /healthz — and a run manifest on disk that matches the search's final
 // result field for field.
 
 import (
 	"bufio"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/mcheck"
@@ -33,14 +32,6 @@ func TestObservatoryLiveSearch(t *testing.T) {
 	pn := papernets.GenK(4)
 	const name = "gen4 stall4"
 
-	// Subscribe to the SSE stream before the search starts so no event is
-	// missed.
-	resp, err := http.Get(ts.URL + "/progress?stream=sse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
 	// The search reports through an observer wired the way -serve,
 	// -metrics and -manifest wire it.
 	path := filepath.Join(t.TempDir(), "manifest.json")
@@ -48,56 +39,45 @@ func TestObservatoryLiveSearch(t *testing.T) {
 		Manifest: manifest.NewBuilder(path, "observatory_test", nil)}
 	done := make(chan mcheck.SearchResult, 1)
 	go func() {
-		opts := obs.SearchOptions(name, mcheck.SearchOptions{
+		opts := obs.SearchOptions(mcheck.SearchOptions{
 			StallBudget:         4,
 			FreezeInTransitOnly: true,
 			Reduction:           mcheck.RedAll,
 		})
-		opts.ProgressEvery = time.Nanosecond
 		res := mcheck.Search(pn.Scenario, opts)
 		obs.SearchDone(name, pn.Scenario, res)
 		done <- res
 	}()
 
-	// Drain the stream until the Done event, asserting monotonicity.
-	var events []serve.Snapshot
-	sc := bufio.NewScanner(resp.Body)
-	deadline := time.Now().Add(60 * time.Second)
-	for sc.Scan() && time.Now().Before(deadline) {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
+	// Poll /metrics until the search returns, then once more: the state
+	// count a scraper sees must never go down.
+	var scraped []int
+	var res mcheck.SearchResult
+	for running := true; running; {
+		select {
+		case res = <-done:
+			running = false
+		default:
 		}
-		var snap serve.Snapshot
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &snap); err != nil {
-			t.Fatalf("bad SSE event %q: %v", line, err)
-		}
-		events = append(events, snap)
-		if snap.Done {
-			break
+		if n, ok := scrapeGauge(t, ts.URL, "mcheck_states"); ok {
+			scraped = append(scraped, n)
 		}
 	}
-	res := <-done
-
 	if res.Verdict != mcheck.VerdictDeadlock {
 		t.Fatalf("gen4 stall4 verdict = %v, want deadlock", res.Verdict)
 	}
-	if len(events) < 2 {
-		t.Fatalf("observed %d progress events, want at least a live one plus Done", len(events))
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].States < events[i-1].States {
-			t.Fatalf("visited count regressed on the stream: event %d = %d, event %d = %d",
-				i-1, events[i-1].States, i, events[i].States)
+	for i := 1; i < len(scraped); i++ {
+		if scraped[i] < scraped[i-1] {
+			t.Fatalf("mcheck_states regressed between scrapes: scrape %d = %d, scrape %d = %d",
+				i-1, scraped[i-1], i, scraped[i])
 		}
 	}
-	final := events[len(events)-1]
-	if !final.Done || final.Verdict != res.Verdict.String() || final.States != res.States {
-		t.Errorf("final stream event %+v does not match result %v/%d", final, res.Verdict, res.States)
+	if len(scraped) == 0 || scraped[len(scraped)-1] != res.States {
+		t.Fatalf("scraped mcheck_states %v, want it to end on the result's %d", scraped, res.States)
 	}
+	t.Logf("%d scrapes saw mcheck_states", len(scraped))
 
-	// /metrics after the search: the search gauges must be present and
-	// promtool-shaped (HELP and TYPE per family).
+	// The final exposition is promtool-shaped (HELP and TYPE per family).
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +86,6 @@ func TestObservatoryLiveSearch(t *testing.T) {
 	for _, want := range []string{
 		"# HELP mcheck_states ",
 		"# TYPE mcheck_states gauge",
-		"mcheck_states " + itoa(res.States),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -164,14 +143,22 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return sb.String()
 }
 
-func itoa(v int) string {
-	var b []byte
-	if v == 0 {
-		return "0"
+// scrapeGauge reads one unlabelled gauge from a /metrics scrape; ok is
+// false while the family does not exist yet.
+func scrapeGauge(t *testing.T, url, name string) (int, bool) {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
+	for _, line := range strings.Split(readAll(t, resp), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad %s sample %q: %v", name, line, err)
+			}
+			return n, true
+		}
 	}
-	return string(b)
+	return 0, false
 }
