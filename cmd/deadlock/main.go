@@ -51,10 +51,7 @@ func main() {
 	flag.Parse()
 	red := cli.Reduction(*redF)
 	visited, err := visF.Config()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	cli.ExitUsage(err)
 	if *stall < 0 {
 		fmt.Fprintf(os.Stderr, "deadlock: -stall %d: the stall budget must be at least 0\n", *stall)
 		os.Exit(2)
@@ -69,10 +66,7 @@ func main() {
 	if *paper != "" {
 		var err error
 		pn, err = cli.PaperNet(*paper)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		cli.ExitUsage(err)
 		alg = pn.Alg
 	} else {
 		var err error

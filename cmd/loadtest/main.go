@@ -17,7 +17,9 @@
 // regardless of -workers: points are computed in parallel but emitted in
 // rate order, and every point's RNG is seeded from (seed, point index).
 //
-// Exit status: 0 on success, 1 on configuration errors.
+// Exit status: 0 on success, 1 on configuration errors, 2 on a flag
+// value out of range (-bufdepth below 1, -telemetry below 0) or an
+// unknown flag.
 package main
 
 import (
@@ -116,6 +118,8 @@ func main() {
 	)
 	obsvF := cli.RegisterObsvFlags().WithTelemetry()
 	flag.Parse()
+	cli.ExitUsage(cli.CheckBufDepth(*depth))
+	cli.ExitUsage(obsvF.Check())
 
 	a, grid, err := cli.Build(*topo, *alg, *dims, *vcs)
 	if err != nil {
@@ -161,6 +165,7 @@ func main() {
 	}
 
 	points := make([]point, len(grid_))
+	cols := make([]*telemetry.Collector, len(grid_))
 	errs := make([]error, len(grid_))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, max(1, *workers))
@@ -174,6 +179,7 @@ func main() {
 			// and telemetry frames must depend only on the point's own
 			// deterministic simulation.
 			col := obs.NewTelemetry(net)
+			cols[i] = col
 			l := traffic.Load{
 				Alg: a, Pattern: pat, Arrivals: factories[i],
 				Length: *length, Warmup: *warmup, Measure: *measure, Drain: *drain,
@@ -234,6 +240,13 @@ func main() {
 	for _, err := range errs {
 		if err != nil {
 			log.Fatal(err)
+		}
+	}
+	// Parallel points closed their frames in any order, so the gauges
+	// end on the last grid point's final frame, whatever -workers is.
+	if col := cols[len(cols)-1]; col != nil {
+		if f, ok := col.LastFrame(); ok {
+			obs.PublishFrame(&f)
 		}
 	}
 

@@ -16,8 +16,9 @@
 // figure1 shows every channel acquisition and wait-for edge of the false
 // resource cycle without the full wait-for cycle ever closing.
 //
-// Exit status: 0 when every message is delivered, 2 on deadlock, 3 on a
-// cycle-budget timeout.
+// Exit status: 0 when every message is delivered, 2 on deadlock or a
+// usage error (an unknown flag, -bufdepth below 1, -telemetry below 0),
+// 3 on a cycle-budget timeout.
 package main
 
 import (
@@ -50,6 +51,8 @@ func main() {
 	)
 	obsvF := cli.RegisterObsvFlags().WithTrace().WithTelemetry()
 	flag.Parse()
+	cli.ExitUsage(cli.CheckBufDepth(*depth))
+	cli.ExitUsage(obsvF.Check())
 
 	var (
 		net  *topology.Network

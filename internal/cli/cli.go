@@ -32,6 +32,15 @@ func ParseDims(s string) ([]int, error) {
 	return dims, nil
 }
 
+// CheckBufDepth rejects a -bufdepth below 1: a channel queue holds at
+// least one flit.
+func CheckBufDepth(depth int) error {
+	if depth < 1 {
+		return fmt.Errorf("cli: -bufdepth %d: the buffer depth must be at least 1", depth)
+	}
+	return nil
+}
+
 // maxRates caps the points a rate list may hold. Each point is a full
 // load simulation, so a longer list is a mistyped step, not a sweep.
 const maxRates = 1000

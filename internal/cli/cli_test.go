@@ -203,3 +203,18 @@ func TestBuildAdaptive(t *testing.T) {
 		t.Fatal("AdaptiveNames wrong")
 	}
 }
+
+// TestCheckBufDepth: a buffer depth below 1 is a usage error naming the
+// flag, never a run that simulates depth 1 and reports another.
+func TestCheckBufDepth(t *testing.T) {
+	for _, d := range []int{1, 2, 8} {
+		if err := CheckBufDepth(d); err != nil {
+			t.Errorf("CheckBufDepth(%d) = %v", d, err)
+		}
+	}
+	for _, d := range []int{0, -1, -8} {
+		if err := CheckBufDepth(d); err == nil || !strings.HasPrefix(err.Error(), "cli: -bufdepth ") {
+			t.Errorf("CheckBufDepth(%d) = %v, want a cli: -bufdepth error", d, err)
+		}
+	}
+}

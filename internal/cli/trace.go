@@ -75,6 +75,16 @@ func (f *ObsvFlags) WithTelemetry() *ObsvFlags {
 	return f
 }
 
+// Check rejects flag values no run can honour: a -telemetry stride below
+// 0. Commands call it after flag.Parse and report its error as a usage
+// error (ExitUsage).
+func (f *ObsvFlags) Check() error {
+	if f.telemetry != nil && *f.telemetry < 0 {
+		return fmt.Errorf("cli: -telemetry %d: the sampling stride must be at least 0 (0 = off)", *f.telemetry)
+	}
+	return nil
+}
+
 // Observer bundles the sinks opened from a set of ObsvFlags. Tracer is
 // nil when no tracing or metrics were requested, so it can be handed to
 // sim.SetTracer / SearchOptions.Tracer directly — the producers' nil
@@ -262,11 +272,17 @@ func RegisterReductionFlag() *string {
 // on an unknown mode.
 func Reduction(value string) mcheck.Reduction {
 	r, err := mcheck.ParseReduction(value)
+	ExitUsage(err)
+	return r
+}
+
+// ExitUsage reports a bad invocation: with a non-nil err it prints err
+// and exits with status 2, the commands' usage-error status.
+func ExitUsage(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	return r
 }
 
 // SearchOptions overlays the observer onto a search's options: the
@@ -330,9 +346,11 @@ func searchRun(name string, sc sim.Scenario, res mcheck.SearchResult) manifest.R
 // NewTelemetry builds the sampling-telemetry collector a run on net
 // should attach with sim.SetTelemetry, from the -telemetry flags; nil
 // when -telemetry is 0. When the registry is on, each closing frame sets
-// the telemetry_* gauges. Collectors are per-run: sweeps call this once
-// per point/cell, and parallel points share the gauges, so they show the
-// most recently closed frame of any point.
+// the telemetry_* gauges (PublishFrame). Collectors are per-run: sweeps
+// call this once per point/cell. Parallel points share the gauges, so
+// while a sweep runs they show whichever point closed a frame last; a
+// sweep that writes a snapshot publishes one chosen frame again at its
+// end.
 func (o *Observer) NewTelemetry(net *topology.Network) *telemetry.Collector {
 	if o == nil || o.telemetryStride <= 0 {
 		return nil
@@ -341,14 +359,21 @@ func (o *Observer) NewTelemetry(net *topology.Network) *telemetry.Collector {
 		Stride:   o.telemetryStride,
 		Adaptive: o.telemetryAdaptive,
 	})
-	if reg := o.Metrics; reg != nil {
-		col.OnFrame = func(f *telemetry.Frame) {
-			reg.Gauge("telemetry_frames").Set(int64(f.Index + 1))
-			reg.Gauge("telemetry_live_messages").Set(int64(f.Live))
-			reg.Gauge("telemetry_frame_flits").Set(f.FlitsDelta)
-		}
+	if o.Metrics != nil {
+		col.OnFrame = o.PublishFrame
 	}
 	return col
+}
+
+// PublishFrame sets the telemetry_* gauges from frame f. No-op without a
+// registry.
+func (o *Observer) PublishFrame(f *telemetry.Frame) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Gauge("telemetry_frames").Set(int64(f.Index + 1))
+	o.Metrics.Gauge("telemetry_live_messages").Set(int64(f.Live))
+	o.Metrics.Gauge("telemetry_frame_flits").Set(f.FlitsDelta)
 }
 
 // TelemetrySummary flushes the collector's partial frame and returns its

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -60,5 +61,36 @@ func TestObsvFlagGroups(t *testing.T) {
 		if err := o.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestObsvFlagsCheckTelemetry: a -telemetry stride below 0 is a usage
+// error naming the flag, never a run that quietly samples nothing; 0
+// (off) and positive strides pass, and so does a flag set without
+// -telemetry registered.
+func TestObsvFlagsCheckTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  bool
+	}{
+		{nil, false},
+		{[]string{"-telemetry", "0"}, false},
+		{[]string{"-telemetry", "32"}, false},
+		{[]string{"-telemetry", "-1"}, true},
+		{[]string{"-telemetry", "-4"}, true},
+	} {
+		fs := flag.NewFlagSet("check", flag.ContinueOnError)
+		f := registerObsvFlags(fs).WithTelemetry()
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := f.Check()
+		if bad := err != nil; bad != tc.bad || bad && !strings.HasPrefix(err.Error(), "cli: -telemetry ") {
+			t.Errorf("%v: Check() = %v, want an error: %v", tc.args, err, tc.bad)
+		}
+	}
+	fs := flag.NewFlagSet("none", flag.ContinueOnError)
+	if err := registerObsvFlags(fs).Check(); err != nil {
+		t.Errorf("without -telemetry: Check() = %v", err)
 	}
 }

@@ -30,10 +30,10 @@ const (
 // value below 2¹⁶ seen, and the log-linear tail is allocated on the first
 // value at or above 2¹⁶, so a sketch is capped at about 268 KiB however
 // many billions of samples it absorbs, and one whose latencies stay under
-// 256 cycles holds 1 KiB. It is mergeable (Merge adds another sketch's
-// buckets) and byte-deterministic: the bucket layout is pure integer
-// arithmetic, AppendJSON emits fixed-key-order output, and two sketches
-// fed the same samples render identically however their buckets grew.
+// 256 cycles holds 1 KiB. It is byte-deterministic: the bucket layout is
+// pure integer arithmetic, AppendJSON emits fixed-key-order output, and
+// two sketches fed the same samples render identically however their
+// buckets grew.
 //
 // The zero value is NOT ready to use; call NewSketch.
 type Sketch struct {
@@ -112,38 +112,6 @@ func (s *Sketch) AddN(v int, n int64) {
 	}
 	if s.min < 0 || v < s.min {
 		s.min = v
-	}
-}
-
-// Merge adds every bucket of o into s, first growing s to o's range. Both
-// sketches share one bucket layout, so merging is exact.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if len(o.linear) > len(s.linear) {
-		s.growLinear(len(o.linear) - 1)
-	}
-	for i, c := range o.linear {
-		if c != 0 {
-			s.linear[i] += c
-		}
-	}
-	if o.logs != nil && s.logs == nil {
-		s.logs = make([]uint32, sketchLogBuckets)
-	}
-	for i, c := range o.logs {
-		if c != 0 {
-			s.logs[i] += c
-		}
-	}
-	s.count += o.count
-	s.sum += o.sum
-	if o.max > s.max {
-		s.max = o.max
-	}
-	if s.min < 0 || (o.min >= 0 && o.min < s.min) {
-		s.min = o.min
 	}
 }
 

@@ -107,30 +107,6 @@ func TestSketchLogIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSketchMerge: merging two sketches must equal one sketch fed both
-// streams, including the JSON rendering.
-func TestSketchMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a, b, all := NewSketch(), NewSketch(), NewSketch()
-	for i := 0; i < 3000; i++ {
-		v := rng.Intn(1 << 20)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		all.Add(v)
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() || a.Sum() != all.Sum() || a.Max() != all.Max() || a.Min() != all.Min() {
-		t.Fatalf("merge scalars diverge: %d/%d/%d/%d vs %d/%d/%d/%d",
-			a.Count(), a.Sum(), a.Max(), a.Min(), all.Count(), all.Sum(), all.Max(), all.Min())
-	}
-	if !bytes.Equal(a.AppendJSON(nil), all.AppendJSON(nil)) {
-		t.Fatal("merged sketch JSON differs from single-stream sketch")
-	}
-}
-
 // TestSketchJSONDeterministic: identical sample sequences render to
 // identical bytes, and Reset returns the sketch to the empty rendering.
 func TestSketchJSONDeterministic(t *testing.T) {
@@ -176,124 +152,55 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSketchMergeEmpty: empty⊕empty stays empty, and empty merges are
-// identity in both directions.
-func TestSketchMergeEmpty(t *testing.T) {
-	a, b := NewSketch(), NewSketch()
-	a.Merge(b)
-	if a.Count() != 0 || a.Sum() != 0 || a.Max() != 0 || a.Min() != 0 {
-		t.Fatalf("empty+empty not empty: %+v", a)
-	}
-	if !bytes.Equal(a.AppendJSON(nil), NewSketch().AppendJSON(nil)) {
-		t.Fatal("empty+empty renders differently from empty")
-	}
-	// empty ⊕ loaded == loaded; loaded ⊕ empty == loaded.
-	load := func() *Sketch {
-		s := NewSketch()
-		for i := 1; i <= 100; i++ {
-			s.Add(i * 977)
+// TestSketchLinearBoundary: samples straddling the exact/log-linear
+// boundary at 2^16 keep exact counts on the linear side.
+func TestSketchLinearBoundary(t *testing.T) {
+	s := NewSketch()
+	for range 2 {
+		for _, v := range []int{sketchLinearMax - 2, sketchLinearMax - 1, sketchLinearMax, sketchLinearMax + 1} {
+			s.Add(v)
 		}
-		return s
 	}
-	want := load().AppendJSON(nil)
-	le := load()
-	le.Merge(NewSketch())
-	if !bytes.Equal(le.AppendJSON(nil), want) {
-		t.Fatal("loaded+empty changed the sketch")
-	}
-	el := NewSketch()
-	el.Merge(load())
-	if !bytes.Equal(el.AppendJSON(nil), want) {
-		t.Fatal("empty+loaded != loaded")
-	}
-}
-
-// TestSketchMergeDisjointOctaves: merging sketches whose samples occupy
-// disjoint log octaves must preserve per-octave counts and min/max.
-func TestSketchMergeDisjointOctaves(t *testing.T) {
-	lo, hi := NewSketch(), NewSketch()
-	// lo: tail octaves 2^17..2^18; hi: octaves 2^40..2^41 — no overlap.
-	for i := 0; i < 500; i++ {
-		lo.Add(1<<17 + i*131)
-		hi.Add(1<<40 + i*1_000_003)
-	}
-	m := NewSketch()
-	m.Merge(lo)
-	m.Merge(hi)
-	if m.Count() != 1000 {
-		t.Fatalf("count %d, want 1000", m.Count())
-	}
-	if m.Sum() != lo.Sum()+hi.Sum() {
-		t.Fatalf("sum %d, want %d", m.Sum(), lo.Sum()+hi.Sum())
-	}
-	if m.Min() != lo.Min() || m.Max() != hi.Max() {
-		t.Fatalf("min/max %d/%d, want %d/%d", m.Min(), m.Max(), lo.Min(), hi.Max())
-	}
-	// The halves are cleanly separated, so p50 must fall in lo's range
-	// and p51 onward in hi's.
-	if q := m.Quantile(50); q < 1<<17 || q >= 1<<19 {
-		t.Fatalf("p50 = %d escaped the low octaves", q)
-	}
-	if q := m.Quantile(90); q < 1<<40 {
-		t.Fatalf("p90 = %d below the high octaves", q)
-	}
-}
-
-// TestSketchMergeLinearBoundary: samples straddling the exact/log-linear
-// boundary at 2^16 survive a merge with exact counts on the linear side.
-func TestSketchMergeLinearBoundary(t *testing.T) {
-	a, b := NewSketch(), NewSketch()
-	vals := []int{sketchLinearMax - 2, sketchLinearMax - 1, sketchLinearMax, sketchLinearMax + 1}
-	for _, v := range vals {
-		a.Add(v)
-		b.Add(v)
-	}
-	a.Merge(b)
-	if a.Count() != 8 {
-		t.Fatalf("count %d, want 8", a.Count())
+	if s.Count() != 8 {
+		t.Fatalf("count %d, want 8", s.Count())
 	}
 	// Below the boundary the sketch is lossless: quantiles landing there
 	// must return the exact values, doubled counts notwithstanding.
-	if q := a.Quantile(25); q != sketchLinearMax-2 {
+	if q := s.Quantile(25); q != sketchLinearMax-2 {
 		t.Fatalf("p25 = %d, want exact %d", q, sketchLinearMax-2)
 	}
-	if q := a.Quantile(50); q != sketchLinearMax-1 {
+	if q := s.Quantile(50); q != sketchLinearMax-1 {
 		t.Fatalf("p50 = %d, want exact %d", q, sketchLinearMax-1)
 	}
 	// At and above the boundary values live in log buckets; the answer
 	// may round up within the bucket but never below the true value.
-	if q := a.Quantile(75); q < sketchLinearMax {
+	if q := s.Quantile(75); q < sketchLinearMax {
 		t.Fatalf("p75 = %d, below the boundary value %d", q, sketchLinearMax)
 	}
-	if a.Max() != sketchLinearMax+1 {
-		t.Fatalf("max %d, want %d", a.Max(), sketchLinearMax+1)
+	if s.Max() != sketchLinearMax+1 {
+		t.Fatalf("max %d, want %d", s.Max(), sketchLinearMax+1)
 	}
 }
 
-// TestSketchMergeQuantileMonotonic: quantiles of a merged sketch are
-// monotone in p, and each merged quantile is bracketed by the two input
-// sketches' quantiles at that p (merging cannot extrapolate).
-func TestSketchMergeQuantileMonotonic(t *testing.T) {
-	a, b := NewSketch(), NewSketch()
+// TestSketchQuantileMonotonic: quantiles of a sketch holding linear-range
+// mass, tail mass and a low spike are monotone in p and stay within the
+// samples' range.
+func TestSketchQuantileMonotonic(t *testing.T) {
+	s := NewSketch()
 	for i := 0; i < 3000; i++ {
-		a.Add(i * 37 % 50_000)     // linear-range mass
-		b.Add(1 << 20 * (i%5 + 1)) // tail mass
-		b.Add(i % 100)             // plus a low spike
+		s.Add(i * 37 % 50_000)     // linear-range mass
+		s.Add(1 << 20 * (i%5 + 1)) // tail mass
+		s.Add(i % 100)             // plus a low spike
 	}
-	m := NewSketch()
-	m.Merge(a)
-	m.Merge(b)
 	prev := -1
 	for p := 1; p <= 100; p++ {
-		q := m.Quantile(p)
+		q := s.Quantile(p)
 		if q < prev {
 			t.Fatalf("quantile not monotone: p%d=%d < p%d=%d", p, q, p-1, prev)
 		}
 		prev = q
-		// The merged quantile must lie within the envelope of the inputs'
-		// full ranges, a safe bracketing for any mixture.
-		if q < min(a.Quantile(1), b.Quantile(1)) || q > max(a.Max(), b.Max()) {
-			t.Fatalf("p%d = %d outside the merged inputs' range", p, q)
+		if q < s.Min() || q > s.Max() {
+			t.Fatalf("p%d = %d outside the samples' range [%d, %d]", p, q, s.Min(), s.Max())
 		}
 	}
 }
@@ -330,26 +237,6 @@ func (d *denseSketch) AddN(v int, n int64) {
 	}
 	if d.min < 0 || v < d.min {
 		d.min = v
-	}
-}
-
-func (d *denseSketch) Merge(o *denseSketch) {
-	if o.count == 0 {
-		return
-	}
-	for i, c := range o.linear {
-		d.linear[i] += c
-	}
-	for i, c := range o.logs {
-		d.logs[i] += c
-	}
-	d.count += o.count
-	d.sum += o.sum
-	if o.max > d.max {
-		d.max = o.max
-	}
-	if d.min < 0 || (o.min >= 0 && o.min < d.min) {
-		d.min = o.min
 	}
 }
 
@@ -422,11 +309,6 @@ func (p sketchPair) addN(v int, n int64) {
 	p.d.AddN(v, n)
 }
 
-func (p sketchPair) merge(o sketchPair) {
-	p.s.Merge(o.s)
-	p.d.Merge(o.d)
-}
-
 func (p sketchPair) check(t *testing.T, what string) {
 	t.Helper()
 	s, d := p.s, p.d
@@ -482,8 +364,8 @@ func feedPair(p sketchPair, rng *rand.Rand, draw func(*rand.Rand) int, n int) {
 // TestSketchMatchesDenseReference: the range-sized sketch must agree with
 // the dense fixed layout on every observable — Count, Sum, Min, Max, every
 // integer quantile and the JSON bytes — over seeded streams in every
-// regime and over merges in both directions between sketches whose ranges
-// differ, including empty and tail-only sketches and a Reset in between.
+// regime, over a stream that moves from one regime to another (so the
+// buckets grow mid-stream), and after a Reset and a refill.
 func TestSketchMatchesDenseReference(t *testing.T) {
 	trials := 3
 	if testing.Short() {
@@ -493,32 +375,19 @@ func TestSketchMatchesDenseReference(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		for _, ra := range sketchRegimes {
 			for _, rb := range sketchRegimes {
-				a, b := newSketchPair(), newSketchPair()
-				feedPair(a, rng, ra.draw, rng.Intn(300))
-				feedPair(b, rng, rb.draw, rng.Intn(300))
-				what := fmt.Sprintf("trial %d %s+%s", trial, ra.name, rb.name)
-				a.check(t, what+" a")
-				b.check(t, what+" b")
-
-				// Merge in both directions, each into a fresh copy so the
-				// other direction still sees the unmerged operand.
-				ab, ba := newSketchPair(), newSketchPair()
-				ab.merge(a)
-				ab.merge(b)
-				ba.merge(b)
-				ba.merge(a)
-				ab.check(t, what+" a<-b")
-				ba.check(t, what+" b<-a")
-				a.merge(newSketchPair())
-				a.check(t, what+" a<-empty")
+				p := newSketchPair()
+				what := fmt.Sprintf("trial %d %s then %s", trial, ra.name, rb.name)
+				feedPair(p, rng, ra.draw, rng.Intn(300))
+				p.check(t, what+": first regime")
+				feedPair(p, rng, rb.draw, rng.Intn(300))
+				p.check(t, what+": both regimes")
 
 				// A Reset sketch keeps its range and must behave as new.
-				b.s.Reset()
-				b.d = newDense()
-				b.check(t, what+" reset")
-				feedPair(b, rng, ra.draw, rng.Intn(50))
-				b.merge(a)
-				b.check(t, what+" reset then refill")
+				p.s.Reset()
+				p.d = newDense()
+				p.check(t, what+": reset")
+				feedPair(p, rng, ra.draw, rng.Intn(50))
+				p.check(t, what+": reset then refill")
 			}
 		}
 	}
@@ -532,8 +401,8 @@ func TestSketchMatchesDenseReference(t *testing.T) {
 
 // TestSketchSizedToRange: a sketch's buckets follow the largest sample it
 // has seen, not the fixed 2¹⁶-entry layout: ten thousand latencies below
-// 1,000 cycles fit in 4 KiB, the tail is allocated only once a sample
-// reaches it, and Merge grows the receiver to the other sketch's range.
+// 1,000 cycles fit in 4 KiB, a larger sample grows the exact buckets to
+// cover it, and the tail is allocated only once a sample reaches it.
 func TestSketchSizedToRange(t *testing.T) {
 	bucketBytes := func(s *Sketch) int { return 4 * (cap(s.linear) + cap(s.logs)) }
 	if n := bucketBytes(NewSketch()); n != 0 {
@@ -550,11 +419,9 @@ func TestSketchSizedToRange(t *testing.T) {
 	if s.logs != nil {
 		t.Fatal("tail buckets allocated with no sample at or above 2¹⁶")
 	}
-	o := NewSketch()
-	o.Add(40_000)
-	s.Merge(o)
+	s.Add(40_000)
 	if len(s.linear) != 1<<16 || s.logs != nil {
-		t.Fatalf("after merging a sample at 40,000: %d exact buckets (want 65,536), tail allocated %v",
+		t.Fatalf("after a sample at 40,000: %d exact buckets (want 65,536), tail allocated %v",
 			len(s.linear), s.logs != nil)
 	}
 	s.Add(sketchLinearMax)

@@ -378,6 +378,15 @@ func (c *Collector) closeFrame() {
 	c.samples = 0
 }
 
+// LastFrame returns the most recently closed frame without its
+// per-channel counters, which alias the accumulators that closing
+// clears; ok is false before the first frame closes.
+func (c *Collector) LastFrame() (f Frame, ok bool) {
+	f = c.frame
+	f.Busy, f.Occ, f.Blocked = nil, nil, nil
+	return f, c.closed > 0
+}
+
 // FramesClosed returns how many frames have closed since the run started
 // (including frames the window has since evicted).
 func (c *Collector) FramesClosed() int { return c.closed }

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Reset returns the simulator to the empty state New produces — no
 // messages, cycle zero, all channels free — while keeping
 // the network, configuration and slice capacity. Pools of simulators use
@@ -25,6 +27,74 @@ func (s *Sim) Reset() {
 	// the counters only ever grow, so stale stamps can never read as set.
 	// The tracer and telemetry collector also survive: they are observers
 	// of this instance, not simulation state.
+}
+
+// Compact drops every delivered message whose freeze has run out, so a
+// simulator that keeps taking messages holds only the traffic in flight.
+// The survivors are renumbered densely in their existing ID order, so
+// every rule that depends on ID order sees the same sequence as before:
+// the active list, the sorted request pairs, contender lists, and the
+// tie-breaks of FIFOArbiter and the zero PriorityArbiter. An arbiter that
+// names messages by ID (a PriorityArbiter with an Order) sees the new
+// numbers. Nothing else observable changes: stepping the compacted
+// simulator moves, consumes and delivers exactly as the uncompacted one
+// would, message for message.
+//
+// It returns the map from old to new IDs, -1 for a dropped message,
+// written into buf's backing array when it is large enough. Channel
+// owners, the active list and every survivor's ranges are rewritten; the
+// message states move down in place, and flit counts and adaptive routes
+// move into spare arrays kept for the next call. The specs slice moves
+// past its used slots the way Reset's does, so a clone sharing the old
+// array never sees a slot written twice. Compact panics while a tracer
+// is attached: trace events name messages by ID.
+func (s *Sim) Compact(buf []int) []int {
+	if s.tracer != nil {
+		panic("sim: Compact with a tracer attached: trace events name messages by ID")
+	}
+	idMap := slices.Grow(buf[:0], len(s.msgs))[:len(s.msgs)]
+	specs := s.specs
+	s.specs = s.specs[len(s.specs):]
+	flits, hops := s.spareFlits[:0], s.spareHops[:0]
+	kept := 0
+	for id := range s.msgs {
+		m := s.msgs[id]
+		if m.delivered() && m.frozen == 0 {
+			idMap[id] = -1
+			continue
+		}
+		idMap[id] = kept
+		m.id = kept
+		off := len(flits)
+		flits = append(flits, s.flits[m.off:m.off+m.room]...)
+		m.off = off
+		if m.adaptive {
+			hop := len(hops)
+			hops = append(hops, s.hops[m.hop:m.hop+m.room]...)
+			m.hop = hop
+		}
+		s.msgs[kept] = m
+		s.addSpec(specs[id])
+		kept++
+	}
+	s.msgs = s.msgs[:kept]
+	s.spareFlits, s.flits = s.flits[:0], flits
+	s.spareHops, s.hops = s.hops[:0], hops
+	for c, own := range s.owner {
+		if own > 0 {
+			s.owner[c] = int32(idMap[own-1] + 1)
+		}
+	}
+	active := s.active[:0]
+	for _, id := range s.active {
+		if n := idMap[id]; n >= 0 {
+			active = append(active, int32(n))
+		}
+	}
+	s.active = active
+	s.planned = false
+	s.predicted = false
+	return idMap
 }
 
 // CopyFrom overwrites s with a deep copy of src, reusing s's existing

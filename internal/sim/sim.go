@@ -186,6 +186,12 @@ type Sim struct {
 	// its msgState names.
 	flits []int32
 	hops  []topology.ChannelID
+	// spareFlits and spareHops are the arrays Compact moves flits and
+	// hops into next: each call swaps them with the live ones, so a
+	// simulator that compacts regularly reuses two pairs of arrays.
+	// Neither is copied or encoded.
+	spareFlits []int32
+	spareHops  []topology.ChannelID
 
 	// active is the working set the per-cycle machinery iterates: every
 	// undelivered message, plus delivered messages whose freeze counter is

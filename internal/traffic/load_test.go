@@ -238,3 +238,28 @@ func TestBurstyRejectsBadParameters(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsBadWindows: every window a run cannot honour is an
+// error naming it, never a run with meaningless timestamps. Generation
+// cycles are kept in 32 bits, so a window past 2³¹−1 cycles is one.
+func TestLoadRejectsBadWindows(t *testing.T) {
+	_, alg := mesh44()
+	for _, tc := range []struct {
+		name                   string
+		warmup, measure, drain int
+		want                   string
+	}{
+		{"zero measure", 0, 0, 0, "measure window"},
+		{"negative warmup", -1, 10, 0, "negative warmup"},
+		{"negative drain", 0, 10, -1, "negative warmup or drain"},
+		{"beyond 32 bits", math.MaxInt32, 1, 0, "exceeds"},
+	} {
+		l := Load{
+			Alg: alg, Pattern: Uniform(16), Arrivals: Bernoulli(0.1), Length: 4,
+			Warmup: tc.warmup, Measure: tc.measure, Drain: tc.drain,
+		}
+		if _, err := l.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
