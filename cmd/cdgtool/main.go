@@ -28,12 +28,16 @@ func main() {
 		dims   = flag.String("dims", "4x4", "dimensions")
 		vcs    = flag.Int("vcs", 1, "virtual channels per link")
 		algf   = flag.String("alg", "dor", "routing algorithm")
-		maxCyc = flag.Int("cycles", 16, "max cycles to enumerate")
+		maxCyc = flag.Int("cycles", 16, "max cycles to enumerate (0 = no cap)")
 		dot    = flag.Bool("dot", false, "emit the CDG as Graphviz DOT to stdout instead of the summary")
 		netdot = flag.Bool("netdot", false, "emit the network topology as Graphviz DOT to stdout")
 	)
 	obsvF := cli.RegisterObsvFlags()
 	flag.Parse()
+	cli.ExitUsage(cli.CheckVCs(*vcs))
+	if *maxCyc < 0 {
+		cli.ExitUsage(fmt.Errorf("cdgtool: -cycles %d: the cap must be at least 0 (0 = no cap)", *maxCyc))
+	}
 
 	var alg routing.Algorithm
 	if *paper != "" {

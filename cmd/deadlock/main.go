@@ -52,6 +52,7 @@ func main() {
 	red := cli.Reduction(*redF)
 	visited, err := visF.Config()
 	cli.ExitUsage(err)
+	cli.ExitUsage(cli.CheckVCs(*vcs))
 	if *stall < 0 {
 		fmt.Fprintf(os.Stderr, "deadlock: -stall %d: the stall budget must be at least 0\n", *stall)
 		os.Exit(2)
@@ -116,7 +117,8 @@ func main() {
 	}
 	for i, cyc := range rep.Cycles {
 		fmt.Printf("cycle %d:    len %d, verdict %s, %d configuration(s)\n", i+1, len(cyc.Cycle), cyc.Verdict, len(cyc.Configs))
-		for j, cfg := range cyc.Configs {
+		for j := range cyc.Configs {
+			cfg := cyc.Config(j)
 			fmt.Printf("  config %d: %s — %s\n", j+1, cfg.Verdict, cfg.Reason)
 			for k := range cfg.Config.Len() {
 				m := cfg.Config.Member(k)

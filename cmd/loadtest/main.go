@@ -119,6 +119,7 @@ func main() {
 	obsvF := cli.RegisterObsvFlags().WithTelemetry()
 	flag.Parse()
 	cli.ExitUsage(cli.CheckBufDepth(*depth))
+	cli.ExitUsage(cli.CheckVCs(*vcs))
 	cli.ExitUsage(obsvF.Check())
 
 	a, grid, err := cli.Build(*topo, *alg, *dims, *vcs)

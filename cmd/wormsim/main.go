@@ -52,6 +52,7 @@ func main() {
 	obsvF := cli.RegisterObsvFlags().WithTrace().WithTelemetry()
 	flag.Parse()
 	cli.ExitUsage(cli.CheckBufDepth(*depth))
+	cli.ExitUsage(cli.CheckVCs(*vcs))
 	cli.ExitUsage(obsvF.Check())
 
 	var (

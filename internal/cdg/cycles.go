@@ -93,12 +93,6 @@ func (g *Graph) Cycles(limit int) ([]Cycle, bool) {
 	return cycles, truncated
 }
 
-// HasCycle reports whether the dependency graph contains any cycle.
-func (g *Graph) HasCycle() bool {
-	ok, _ := g.Acyclic()
-	return !ok
-}
-
 type enumerator struct {
 	g        *Graph
 	start    topology.ChannelID

@@ -41,6 +41,15 @@ func CheckBufDepth(depth int) error {
 	return nil
 }
 
+// CheckVCs rejects a -vcs below 1: every link has at least one virtual
+// channel.
+func CheckVCs(vcs int) error {
+	if vcs < 1 {
+		return fmt.Errorf("cli: -vcs %d: a link needs at least 1 virtual channel", vcs)
+	}
+	return nil
+}
+
 // maxRates caps the points a rate list may hold. Each point is a full
 // load simulation, so a longer list is a mistyped step, not a sweep.
 const maxRates = 1000
@@ -106,15 +115,16 @@ func ParseRates(s string) ([]float64, error) {
 //	alg:  dor, negfirst, dallyseitz, ecube, bfs, valiant, valiantsplit, hub
 //
 // dims applies to mesh/torus ("4x4"), and the single radix of
-// ring/hypercube/star/complete ("8"). vcs applies to mesh/torus. The
-// returned grid is non-nil for mesh/torus topologies.
+// ring/hypercube/star/complete ("8"). vcs applies to mesh/torus and must
+// be at least 1 (CheckVCs). The returned grid is non-nil for mesh/torus
+// topologies.
 func Build(topo, alg, dims string, vcs int) (routing.Algorithm, *topology.Grid, error) {
 	d, err := ParseDims(dims)
 	if err != nil {
 		return nil, nil, err
 	}
-	if vcs < 1 {
-		vcs = 1
+	if err := CheckVCs(vcs); err != nil {
+		return nil, nil, err
 	}
 	var net *topology.Network
 	var grid *topology.Grid
@@ -189,8 +199,8 @@ func BuildAdaptive(topo, alg, dims string, vcs int) (adaptive.Algorithm, *topolo
 	if err != nil {
 		return adaptive.Algorithm{}, nil, err
 	}
-	if vcs < 1 {
-		vcs = 1
+	if err := CheckVCs(vcs); err != nil {
+		return adaptive.Algorithm{}, nil, err
 	}
 	var grid *topology.Grid
 	switch topo {

@@ -218,3 +218,25 @@ func TestCheckBufDepth(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckVCs: fewer than one virtual channel is a usage error naming
+// the flag, and Build and BuildAdaptive refuse it rather than building
+// one virtual channel under another label.
+func TestCheckVCs(t *testing.T) {
+	for _, v := range []int{1, 2, 4} {
+		if err := CheckVCs(v); err != nil {
+			t.Errorf("CheckVCs(%d) = %v", v, err)
+		}
+	}
+	for _, v := range []int{0, -1} {
+		if err := CheckVCs(v); err == nil || !strings.HasPrefix(err.Error(), "cli: -vcs ") {
+			t.Errorf("CheckVCs(%d) = %v, want a cli: -vcs error", v, err)
+		}
+		if _, _, err := Build("mesh", "dor", "3x3", v); err == nil {
+			t.Errorf("Build with %d virtual channels should fail", v)
+		}
+		if _, _, err := BuildAdaptive("mesh", "fulladaptive", "3x3", v); err == nil {
+			t.Errorf("BuildAdaptive with %d virtual channels should fail", v)
+		}
+	}
+}

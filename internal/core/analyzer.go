@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,13 +66,16 @@ func (v ConfigVerdict) String() string {
 	return "unknown"
 }
 
-// ConfigReport is the analysis of one candidate configuration.
+// ConfigReport is the analysis of one candidate configuration, as
+// CycleReport.Config builds it.
 type ConfigReport struct {
 	Config  Configuration
 	Verdict ConfigVerdict
 	// Reason names the rule that decided the verdict.
 	Reason string
 	// Witness is the reachable configuration's schedule, when available.
+	// Configurations with the same TheoremN input share one witness,
+	// which must not be modified.
 	Witness *unreachable.Witness
 	// SearchResult is the exhaustive model checker's verdict on the
 	// configuration's single-instance scenario (see ConfigScenario),
@@ -78,16 +83,52 @@ type ConfigReport struct {
 	SearchResult *mcheck.SearchResult
 }
 
+// ConfigRecord is one configuration of a CycleReport in 16 pointer-free
+// bytes: the offset of its members in the cycle's store (they run to the
+// next record's offset), its verdict, and its reason and witness as
+// indices into the tables of the worker that classified it.
+// CycleReport.Config builds the full view.
+type ConfigRecord struct {
+	off             int32
+	verdict         uint8
+	reason, witness int32 // witness 0 is none
+}
+
 // CycleReport is the analysis of one CDG cycle.
 type CycleReport struct {
-	Cycle   cdg.Cycle
-	Configs []ConfigReport
+	Cycle cdg.Cycle
+	// Configs are the cycle's configurations in enumeration order; Config
+	// builds configuration j's report.
+	Configs []ConfigRecord
 	// Truncated reports that configuration enumeration hit the cap.
 	Truncated bool
 	// Verdict aggregates the configurations: reachable if any is,
 	// unknown if any is unknown (or enumeration truncated) and none
 	// reachable, unreachable otherwise.
 	Verdict ConfigVerdict
+
+	store    *cycleStore
+	tables   *verdictTables
+	searches []mcheck.SearchResult // parallel to Configs when Options.Search ran
+}
+
+// Config returns the report of configuration j. It does not allocate.
+func (cr *CycleReport) Config(j int) ConfigReport {
+	rec, end := cr.Configs[j], int32(len(cr.store.members))
+	if j+1 < len(cr.Configs) {
+		end = cr.Configs[j+1].off
+	}
+	members := cr.store.members[rec.off:end:end]
+	rep := ConfigReport{
+		Config:  Configuration{store: cr.store, members: members},
+		Verdict: ConfigVerdict(rec.verdict),
+		Reason:  cr.tables.reasons[rec.reason],
+		Witness: cr.tables.witnesses[rec.witness],
+	}
+	if cr.searches != nil {
+		rep.SearchResult = &cr.searches[j]
+	}
+	return rep
 }
 
 // Report is the full analysis of a routing algorithm.
@@ -201,9 +242,9 @@ func Analyze(alg routing.Algorithm, opts Options) *Report {
 	for i := range rep.Cycles {
 		cr := &rep.Cycles[i]
 		if opts.Search != nil {
+			cr.searches = make([]mcheck.SearchResult, len(cr.Configs))
 			for j := range cr.Configs {
-				res := mcheck.Search(ConfigScenario(alg, cr.Configs[j].Config), *opts.Search)
-				cr.Configs[j].SearchResult = &res
+				cr.searches[j] = mcheck.Search(ConfigScenario(alg, cr.Config(j).Config), *opts.Search)
 			}
 		}
 		switch cr.Verdict {
@@ -275,6 +316,8 @@ func analyzeCycles(idx *pathIndex, cycles []cdg.Cycle, maxConfigs int) []CycleRe
 }
 
 // analyzeCycle decomposes one cycle and classifies its configurations.
+// Their members are copied once into the cycle's store, sized exactly,
+// so the report outlives the worker's scratch.
 func (w *cycleWorker) analyzeCycle(cyc cdg.Cycle, maxConfigs int) CycleReport {
 	cr := CycleReport{Cycle: cyc}
 	configs, truncated := w.decompose(cyc, maxConfigs)
@@ -285,12 +328,17 @@ func (w *cycleWorker) analyzeCycle(cyc cdg.Cycle, maxConfigs int) CycleReport {
 		cr.Verdict = ConfigUnreachable
 		return cr
 	}
-	cr.Configs = make([]ConfigReport, len(configs))
+	cr.store, cr.tables = w.store, w.tables
+	w.store.members = slices.Clone(w.members)
+	cr.Configs = make([]ConfigRecord, len(configs))
 	anyReachable, anyUnknown := false, truncated
+	off := int32(0)
 	for i, cfg := range configs {
-		rep := &cr.Configs[i]
-		w.classify(cfg, rep)
-		switch rep.Verdict {
+		rec := w.classify(cfg)
+		rec.off = off
+		off += int32(cfg.Len())
+		cr.Configs[i] = rec
+		switch ConfigVerdict(rec.verdict) {
 		case ConfigReachable:
 			anyReachable = true
 		case ConfigUnknown:
@@ -308,10 +356,48 @@ func (w *cycleWorker) analyzeCycle(cyc cdg.Cycle, maxConfigs int) CycleReport {
 	return cr
 }
 
+// Reasons every worker's table starts with, at these indices.
+const (
+	reasonRepeatsChannel int32 = iota
+	reasonMultipleShared
+	reasonSharedNotFirst
+	reasonFeasible
+	reasonFalseCycle
+)
+
+var fixedReasons = [...]string{
+	reasonRepeatsChannel: "member approach repeats a channel",
+	reasonMultipleShared: "multiple shared approach channels; outside supported geometry",
+	reasonSharedNotFirst: "shared channel is not the first approach channel; outside supported geometry",
+	reasonFeasible:       "timing system feasible (Section 5 model); witness schedule attached",
+	reasonFalseCycle:     "timing system infeasible for every shared-channel ordering, and no member is blockable outside the cycle (false resource cycle)",
+}
+
+// verdictTables are the reasons and witnesses one worker's records index.
+// They only grow, and records from every cycle the worker analyzed share
+// them; witnesses[0] is nil.
+type verdictTables struct {
+	reasons   []string
+	witnesses []*unreachable.Witness
+}
+
+func newVerdictTables() *verdictTables {
+	return &verdictTables{reasons: slices.Clone(fixedReasons[:]), witnesses: []*unreachable.Witness{nil}}
+}
+
+// reason adds a reason to the table and returns its index.
+func (t *verdictTables) reason(s string) int32 {
+	t.reasons = append(t.reasons, s)
+	return int32(len(t.reasons) - 1)
+}
+
 // classify maps a configuration onto the Section 5 timing model when its
-// geometry allows, and classifies it into rep.
-func (w *cycleWorker) classify(cfg Configuration, rep *ConfigReport) {
-	rep.Config = cfg
+// geometry allows, and returns its record with the offset unset.
+func (w *cycleWorker) classify(cfg Configuration) ConfigRecord {
+	unknown := func(reason int32) ConfigRecord {
+		return ConfigRecord{verdict: uint8(ConfigUnknown), reason: reason}
+	}
+	st := cfg.store
 
 	// Geometry checks: approaches must avoid the cycle's channels, and
 	// pairwise share at most one common channel, which must be the first
@@ -320,21 +406,17 @@ func (w *cycleWorker) classify(cfg Configuration, rep *ConfigReport) {
 	base := w.stamp
 	var shared topology.ChannelID = topology.None
 	multiple := false
-	for _, r := range cfg.recs {
+	for _, k := range cfg.members {
 		w.stamp++
-		for _, c := range cfg.store.approach(r.approach) {
+		for _, c := range st.approach(st.realizers[k].approach) {
 			if w.pos[c] >= 0 {
-				if w.onCycle[c] == "" {
-					w.onCycle[c] = fmt.Sprintf("member approach uses cycle channel %d; outside supported geometry", c)
+				if w.onCycle[c] == 0 {
+					w.onCycle[c] = w.tables.reason(fmt.Sprintf("member approach uses cycle channel %d; outside supported geometry", c))
 				}
-				rep.Verdict = ConfigUnknown
-				rep.Reason = w.onCycle[c]
-				return
+				return unknown(w.onCycle[c])
 			}
 			if w.seen[c] == w.stamp {
-				rep.Verdict = ConfigUnknown
-				rep.Reason = "member approach repeats a channel"
-				return
+				return unknown(reasonRepeatsChannel)
 			}
 			if w.seen[c] > base {
 				multiple = multiple || (shared != topology.None && shared != c)
@@ -344,43 +426,56 @@ func (w *cycleWorker) classify(cfg Configuration, rep *ConfigReport) {
 		}
 	}
 	if multiple {
-		rep.Verdict = ConfigUnknown
-		rep.Reason = "multiple shared approach channels; outside supported geometry"
-		return
+		return unknown(reasonMultipleShared)
 	}
-	w.entrants = w.entrants[:0]
-	for _, r := range cfg.recs {
-		approach := cfg.store.approach(r.approach)
+	w.entrants, w.key = w.entrants[:0], w.key[:0]
+	for _, k := range cfg.members {
+		r := &st.realizers[k]
+		approach := st.approach(r.approach)
 		e := unreachable.Entrant{D: len(approach), C: int(r.length)}
 		if shared != topology.None {
 			for i, c := range approach {
 				if c == shared {
 					if i != 0 {
-						rep.Verdict = ConfigUnknown
-						rep.Reason = "shared channel is not the first approach channel; outside supported geometry"
-						return
+						return unknown(reasonSharedNotFirst)
 					}
 					e.Shared = true
 				}
 			}
 		}
 		w.entrants = append(w.entrants, e)
+		d := uint64(e.D) << 1
+		if e.Shared {
+			d |= 1
+		}
+		w.key = binary.AppendUvarint(binary.AppendUvarint(w.key, d), uint64(e.C))
 	}
 
 	// TheoremN generalizes the paper's Theorem 5 to any member count: the
 	// single-instance timing system plus the interposed-copy blockability
-	// screen.
+	// screen. It is a function of the entrant list alone, decided once per
+	// distinct list.
+	if rec, ok := w.memo[string(w.key)]; ok {
+		return rec
+	}
+	var rec ConfigRecord
 	tn := unreachable.TheoremN(unreachable.Config{Entrants: w.entrants})
 	switch {
 	case tn.SingleInstance == unreachable.DeadlockReachable:
-		rep.Verdict = ConfigReachable
-		rep.Reason = "timing system feasible (Section 5 model); witness schedule attached"
-		rep.Witness = tn.Witness
+		rec = ConfigRecord{verdict: uint8(ConfigReachable), reason: reasonFeasible,
+			witness: int32(len(w.tables.witnesses))}
+		w.tables.witnesses = append(w.tables.witnesses, tn.Witness)
 	case !tn.Unreachable:
-		rep.Verdict = ConfigReachable
-		rep.Reason = fmt.Sprintf("members %v are blockable outside the cycle by interposed copies (Theorem 4 reduction)", tn.Blockable)
+		reason := fmt.Sprintf("members %v are blockable outside the cycle by interposed copies (Theorem 4 reduction)", tn.Blockable)
+		i, ok := w.blockable[reason]
+		if !ok {
+			i = w.tables.reason(reason)
+			w.blockable[reason] = i
+		}
+		rec = ConfigRecord{verdict: uint8(ConfigReachable), reason: i}
 	default:
-		rep.Verdict = ConfigUnreachable
-		rep.Reason = "timing system infeasible for every shared-channel ordering, and no member is blockable outside the cycle (false resource cycle)"
+		rec = ConfigRecord{verdict: uint8(ConfigUnreachable), reason: reasonFalseCycle}
 	}
+	w.memo[string(w.key)] = rec
+	return rec
 }

@@ -81,7 +81,7 @@ func TestAnalyzeFigure1DeadlockFreeDespiteCycle(t *testing.T) {
 	if len(cyc.Configs) != 1 {
 		t.Fatalf("configurations = %d; want the unique four-message tiling", len(cyc.Configs))
 	}
-	cfg := cyc.Configs[0].Config
+	cfg := cyc.Config(0).Config
 	if cfg.Len() != 4 {
 		t.Fatalf("members = %d; want 4", cfg.Len())
 	}
@@ -110,8 +110,8 @@ func TestAnalyzeFigure2DeadlockCapable(t *testing.T) {
 	// A witness schedule is attached to some reachable configuration.
 	found := false
 	for _, cyc := range rep.Cycles {
-		for _, cfg := range cyc.Configs {
-			if cfg.Verdict == ConfigReachable && cfg.Witness != nil {
+		for j := range cyc.Configs {
+			if cfg := cyc.Config(j); cfg.Verdict == ConfigReachable && cfg.Witness != nil {
 				found = true
 			}
 		}
@@ -168,7 +168,8 @@ func TestAnalyzeSearchCrossCheck(t *testing.T) {
 		rep := Analyze(tc.pn.Alg, Options{Search: &mcheck.SearchOptions{}})
 		var got []outcome
 		for _, cyc := range rep.Cycles {
-			for _, cr := range cyc.Configs {
+			for j := range cyc.Configs {
+				cr := cyc.Config(j)
 				if cr.SearchResult == nil {
 					t.Fatalf("%s: configuration without a search result", tc.pn.Scenario.Name)
 				}

@@ -46,31 +46,36 @@ type Member struct {
 }
 
 // Configuration is a candidate Definition 6 deadlock configuration: a
-// tiling of a CDG cycle by member arcs, in ring order. Its members are
-// pointer-free records into its cycle's store; Member builds each view.
+// tiling of a CDG cycle by member arcs, in ring order. Each member is a
+// 4-byte index into its cycle's realizer table; Member builds its view.
 type Configuration struct {
-	store *cycleStore
-	recs  []memberRec
+	store   *cycleStore
+	members []int32
 }
 
 // Len returns the number of members.
-func (c Configuration) Len() int { return len(c.recs) }
+func (c Configuration) Len() int { return len(c.members) }
 
 // Member returns member j, in ring order. It does not allocate.
 func (c Configuration) Member(j int) Member {
-	r, s := c.recs[j], c.store
+	s := c.store
+	r := s.realizers[c.members[j]]
 	end := r.start + r.length
 	return Member{Src: topology.NodeID(r.pair / s.nodes), Dst: topology.NodeID(r.pair % s.nodes),
 		Arc: s.ring[r.start:end:end], Approach: s.approach(r.approach)}
 }
 
 // cycleStore holds what the members of one cycle's configurations view:
-// the cycle twice over, which arcs are subslices of, and the approach of
-// every run of the cycle on a path, approaches[approachAt[i]:approachAt[i+1]]
-// for run i. Each cycle gets a fresh store.
+// the cycle twice over, which arcs are subslices of; the approach of every
+// run of the cycle on a path, approaches[approachAt[i]:approachAt[i+1]]
+// for run i; every realizer of an arc of the cycle; and the members of
+// the configurations its report keeps, as indices into realizers. Each
+// cycle gets a fresh store, every array sized exactly.
 type cycleStore struct {
 	ring, approaches []topology.ChannelID
 	approachAt       []int32
+	realizers        []realizer
+	members          []int32
 	nodes            int32
 }
 
@@ -83,9 +88,10 @@ func (s *cycleStore) approach(i int32) []topology.ChannelID {
 	return s.approaches[from:to:to]
 }
 
-// memberRec is one member: pair s*nodes+d holds ring[start:start+length]
-// after approach number approach.
-type memberRec struct {
+// realizer is a (src, dst) pair s*nodes+d whose path realizes the arc
+// ring[start:start+length] of its cycle after the approach of run number
+// approach.
+type realizer struct {
 	pair, start, length, approach int32
 }
 
@@ -138,15 +144,6 @@ func newPathIndex(alg routing.Algorithm) *pathIndex {
 	return idx
 }
 
-// realizer is a (src, dst) pair whose path realizes one arc of the
-// current cycle after the approach of run number approach.
-type realizer struct {
-	pair, approach int32
-	// dup marks a later run of the pair's path realizing the same arc;
-	// tilings through it repeat those through the earlier run.
-	dup bool
-}
-
 // run is a maximal run of l consecutive cycle channels on pair's path,
 // starting at path position at and cycle position p.
 type run struct {
@@ -154,9 +151,9 @@ type run struct {
 }
 
 // cycleWorker decomposes and classifies cycles one after another, on
-// scratch reused from cycle to cycle. Each cycle's store and the member
-// records of the configurations it keeps are never reused: their
-// contents are carved from slabs, so reports may hold them.
+// scratch reused from cycle to cycle. Reports view only each cycle's
+// store, which is fresh, and the worker's verdict tables, which only
+// grow, so they outlive the worker.
 type cycleWorker struct {
 	idx *pathIndex
 	// cyc is the current cycle, and pos[c] is channel c's position on it,
@@ -166,10 +163,12 @@ type cycleWorker struct {
 
 	runs []run
 	// The realizers of the arc of length l at cycle position p are
-	// realizers[bucket[b]:bucket[b+1]], b = p*L+l-1, ordered by pair and
-	// then by position on the pair's path.
-	bucket    []int32
-	realizers []realizer
+	// store.realizers[bucket[b]:bucket[b+1]], b = p*L+l-1, ordered by
+	// pair and then by position on the pair's path. dup[k] marks a later
+	// run of realizer k's path realizing the same arc; tilings through it
+	// repeat those through the earlier run.
+	bucket []int32
+	dup    []bool
 	// lens[lensAt[p]:lensAt[p+1]] are the ascending arc lengths at cycle
 	// position p with a realizer, and can[p*(L+1)+n] reports that such
 	// arcs tile the n channels from position p, ignoring the
@@ -177,66 +176,51 @@ type cycleWorker struct {
 	lens, lensAt []int32
 	can          []bool
 
-	// Tiling search state: picks are the members of the tiling under
-	// construction, pairUsed marks their pairs.
+	// Tiling search state: picks are the realizers of the tiling under
+	// construction, pairUsed marks their pairs. Kept tilings append their
+	// picks to members and their end offset to ends; configs views them.
 	store               *cycleStore
-	picks               []memberRec
+	picks               []int32
 	pairUsed            []bool
+	members, ends       []int32
 	configs             []Configuration
 	first, count, limit int
 	truncated           bool
 
-	chans slab[topology.ChannelID]
-	offs  slab[int32]
-	recs  slab[memberRec]
-
 	// Classifier scratch: seen[c] is the stamp of the last member whose
 	// approach used c; every member of every configuration gets a fresh,
-	// larger stamp. onCycle[c] caches the Unknown reason for an approach
-	// through cycle channel c.
+	// larger stamp. entrants and key hold the configuration's TheoremN
+	// input and its encoding.
 	seen     []uint32
 	stamp    uint32
 	entrants []unreachable.Entrant
-	onCycle  []string
+	key      []byte
+	// Classifier state kept across cycles: onCycle[c] is the reason for
+	// an approach through cycle channel c once interned (0 before),
+	// blockable interns the blockability reasons, memo holds TheoremN's
+	// record per encoded entrant list, and tables holds the reasons and
+	// witnesses that records index.
+	onCycle   []int32
+	blockable map[string]int32
+	memo      map[string]ConfigRecord
+	tables    *verdictTables
 }
 
 func newCycleWorker(idx *pathIndex) *cycleWorker {
 	w := &cycleWorker{
-		idx:      idx,
-		pos:      make([]int32, idx.net.NumChannels()),
-		pairUsed: make([]bool, len(idx.paths)),
-		seen:     make([]uint32, idx.net.NumChannels()),
-		onCycle:  make([]string, idx.net.NumChannels()),
+		idx:       idx,
+		pos:       make([]int32, idx.net.NumChannels()),
+		pairUsed:  make([]bool, len(idx.paths)),
+		seen:      make([]uint32, idx.net.NumChannels()),
+		onCycle:   make([]int32, idx.net.NumChannels()),
+		blockable: map[string]int32{},
+		memo:      map[string]ConfigRecord{},
+		tables:    newVerdictTables(),
 	}
 	for c := range w.pos {
 		w.pos[c] = -1
 	}
 	return w
-}
-
-// slab hands out capacity-limited subslices of shared chunks. A new chunk
-// holds max(64, n, twice the last chunk) elements, the doubling capped at
-// maxSlabChunk, so a small analysis stays small and a large one
-// allocates once per maxSlabChunk elements carved.
-type slab[T any] struct {
-	free  []T
-	chunk int
-}
-
-// maxSlabChunk caps slab chunks at 32 KiB of member records. Uncapped
-// doubling left half-used chunks of megabytes, whose zeroing cost more
-// than the extra allocations save.
-const maxSlabChunk = 2048
-
-// carve returns a slice of length n.
-func (s *slab[T]) carve(n int) []T {
-	if len(s.free) < n {
-		s.chunk = max(64, n, min(2*s.chunk, maxSlabChunk))
-		s.free = make([]T, s.chunk)
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
 }
 
 // decompose enumerates the ways the cycle can be produced by actual
@@ -251,8 +235,9 @@ func (s *slab[T]) carve(n int) []T {
 // start below first. Enumeration stops once the configurations kept from
 // earlier start positions plus every tiling enumerated from the current
 // one, repeats included, number maxConfigs (0 = unlimited); the bool
-// reports that truncation. The returned slice is valid until the next
-// call; the Configurations it holds stay valid.
+// reports that truncation. The Configurations returned view the worker's
+// scratch and are valid only until the next call; analyzeCycle copies
+// their members into the cycle's store for the report.
 func (w *cycleWorker) decompose(cyc cdg.Cycle, maxConfigs int) ([]Configuration, bool) {
 	for _, c := range w.cyc {
 		w.pos[c] = -1
@@ -261,17 +246,21 @@ func (w *cycleWorker) decompose(cyc cdg.Cycle, maxConfigs int) ([]Configuration,
 	for i, c := range cyc {
 		w.pos[c] = int32(i)
 	}
-	L := len(cyc)
-	w.store = &cycleStore{nodes: int32(w.idx.nodes),
-		ring: append(append(w.chans.carve(2 * L)[:0], cyc...), cyc...)}
+	w.store = &cycleStore{nodes: int32(w.idx.nodes)}
 	w.indexRealizers()
 
 	// Tile the cycle by depth-first search over (arc, realizer) picks,
 	// recording members only for kept tilings.
-	w.configs, w.count, w.limit, w.truncated = w.configs[:0], 0, maxConfigs, false
-	for w.first = 0; w.first < L && !w.truncated; w.first++ {
-		w.count = len(w.configs)
+	w.members, w.ends, w.count, w.limit, w.truncated = w.members[:0], w.ends[:0], 0, maxConfigs, false
+	for w.first = 0; w.first < len(cyc) && !w.truncated; w.first++ {
+		w.count = len(w.ends)
 		w.tile(w.first, 0, false)
+	}
+	w.configs = w.configs[:0]
+	from := int32(0)
+	for _, to := range w.ends {
+		w.configs = append(w.configs, Configuration{store: w.store, members: w.members[from:to:to]})
+		from = to
 	}
 	return w.configs, w.truncated
 }
@@ -281,8 +270,8 @@ func (w *cycleWorker) decompose(cyc cdg.Cycle, maxConfigs int) ([]Configuration,
 // whose path contains cyc[p..p+l-1] followed by cyc[(p+l)%L], entered
 // from outside the cycle (the channel before cyc[p] in the path, if any,
 // is not the cycle predecessor — otherwise the "member" would be a longer
-// arc). It copies the runs' approaches into the store and builds the
-// search's length lists and can table.
+// arc). It fills the store's ring, approaches and realizer table, and
+// builds the search's length lists and can table.
 func (w *cycleWorker) indexRealizers() {
 	idx, pos, L := w.idx, w.pos, int32(len(w.cyc))
 	// Find every maximal run of cycle channels consistent with cyclic
@@ -315,13 +304,16 @@ func (w *cycleWorker) indexRealizers() {
 		}
 		return int(a.at - b.at)
 	})
-	// Run i's approach is the path before it.
+	// The ring is the cycle twice over, and run i's approach is the path
+	// before it; both go to one array.
 	st := w.store
-	st.approachAt = w.offs.carve(len(w.runs) + 1)
+	st.approachAt = make([]int32, len(w.runs)+1)
 	for i, r := range w.runs {
 		st.approachAt[i+1] = st.approachAt[i] + r.at
 	}
-	st.approaches = w.chans.carve(int(st.approachAt[len(w.runs)]))
+	chans := make([]topology.ChannelID, 2*L+st.approachAt[len(w.runs)])
+	copy(chans[copy(chans, w.cyc):], w.cyc)
+	st.ring, st.approaches = chans[:2*L:2*L], chans[2*L:]
 	for i, r := range w.runs {
 		copy(st.approaches[st.approachAt[i]:], idx.paths[r.pair][:r.at])
 	}
@@ -339,19 +331,19 @@ func (w *cycleWorker) indexRealizers() {
 		w.bucket[b] += w.bucket[b-1]
 	}
 	w.bucket[buckets] = w.bucket[buckets-1]
-	w.realizers = append(w.realizers[:0], make([]realizer, w.bucket[buckets])...)
+	st.realizers = make([]realizer, w.bucket[buckets])
 	for i := len(w.runs) - 1; i >= 0; i-- {
 		r := w.runs[i]
 		for a := int32(1); a < r.l && a < L; a++ {
 			b := r.p*L + a - 1
 			w.bucket[b]--
-			w.realizers[w.bucket[b]] = realizer{pair: r.pair, approach: int32(i)}
+			st.realizers[w.bucket[b]] = realizer{pair: r.pair, start: r.p, length: a, approach: int32(i)}
 		}
 	}
+	w.dup = append(w.dup[:0], make([]bool, len(st.realizers))...)
 	for b := 0; b < buckets; b++ {
-		rs := w.realizers[w.bucket[b]:w.bucket[b+1]]
-		for k := 1; k < len(rs); k++ {
-			rs[k].dup = rs[k].pair == rs[k-1].pair
+		for k := w.bucket[b] + 1; k < w.bucket[b+1]; k++ {
+			w.dup[k] = st.realizers[k].pair == st.realizers[k-1].pair
 		}
 	}
 
@@ -412,18 +404,18 @@ func (w *cycleWorker) tile(start, covered int, repeat bool) {
 		}
 		b := start*L + int(a) - 1
 		for k := w.bucket[b]; k < w.bucket[b+1]; k++ {
-			r := &w.realizers[k]
+			pair := w.store.realizers[k].pair
 			// Distinct (src,dst) pairs per member.
-			if w.pairUsed[r.pair] {
+			if w.pairUsed[pair] {
 				continue
 			}
-			w.pairUsed[r.pair] = true
-			w.picks = append(w.picks, memberRec{pair: r.pair, start: int32(start), length: a, approach: r.approach})
+			w.pairUsed[pair] = true
+			w.picks = append(w.picks, k)
 			// The next arc starts below first only after wrapping: the
 			// tiling has a smaller boundary and was kept from there.
-			w.tile(next, covered+int(a), repeat || r.dup || next < w.first)
+			w.tile(next, covered+int(a), repeat || w.dup[k] || next < w.first)
 			w.picks = w.picks[:len(w.picks)-1]
-			w.pairUsed[r.pair] = false
+			w.pairUsed[pair] = false
 			if w.truncated {
 				return
 			}
@@ -433,7 +425,6 @@ func (w *cycleWorker) tile(start, covered int, repeat bool) {
 
 // keep records the tiling on picks as a configuration.
 func (w *cycleWorker) keep() {
-	recs := w.recs.carve(len(w.picks))
-	copy(recs, w.picks)
-	w.configs = append(w.configs, Configuration{store: w.store, recs: recs})
+	w.members = append(w.members, w.picks...)
+	w.ends = append(w.ends, int32(len(w.members)))
 }

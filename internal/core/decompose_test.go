@@ -37,17 +37,18 @@ func decomposeCycle(alg routing.Algorithm, cyc cdg.Cycle, maxConfigs int) ([]Con
 	return newCycleWorker(newPathIndex(alg)).decompose(cyc, maxConfigs)
 }
 
-// hashDecomposition feeds one cycle's decomposition into h: every
-// configuration in order, every member's Src, Dst, Arc and Approach, then
-// the truncation flag.
-func hashDecomposition(h hash.Hash, configs []Configuration, truncated bool) {
+// hashDecomposition feeds one cycle's decomposition, as its report holds
+// it, into h: every configuration in order, every member's Src, Dst, Arc
+// and Approach, then the truncation flag.
+func hashDecomposition(h hash.Hash, cr CycleReport) {
 	var buf []byte
 	put := func(v int) { buf = binary.LittleEndian.AppendUint32(buf, uint32(v)) }
-	put(len(configs))
-	for _, cfg := range configs {
+	put(len(cr.Configs))
+	for j := range cr.Configs {
+		cfg := cr.Config(j).Config
 		put(cfg.Len())
-		for j := range cfg.Len() {
-			m := cfg.Member(j)
+		for k := range cfg.Len() {
+			m := cfg.Member(k)
 			put(int(m.Src))
 			put(int(m.Dst))
 			put(len(m.Arc))
@@ -60,7 +61,7 @@ func hashDecomposition(h hash.Hash, configs []Configuration, truncated bool) {
 			}
 		}
 	}
-	if truncated {
+	if cr.Truncated {
 		put(1)
 	} else {
 		put(0)
@@ -99,10 +100,11 @@ func TestDecomposeRepeatedRunKeptOnce(t *testing.T) {
 	}
 }
 
-// TestConfigurationsOutliveNextCycle decomposes two cycles on one worker
-// and hashes the first cycle's configurations before and after the second
-// decomposition: a cycle's store and member records are never reused, so
-// reports stay valid while the worker moves on.
+// TestConfigurationsOutliveNextCycle analyzes two cycles on one worker
+// and hashes the first cycle's report before and after the second: the
+// worker reuses its tiling scratch, but a report's members are copied
+// into its cycle's store, which no later cycle reuses, so reports stay
+// valid while the worker moves on.
 func TestConfigurationsOutliveNextCycle(t *testing.T) {
 	alg := routing.RandomMinimal(topology.NewMesh([]int{3, 3}, 1).Network, 3)
 	cycles, _ := cdg.New(alg).Cycles(DefaultMaxCycles)
@@ -110,25 +112,25 @@ func TestConfigurationsOutliveNextCycle(t *testing.T) {
 		t.Fatalf("test bug: need two cycles, have %d", len(cycles))
 	}
 	w := newCycleWorker(newPathIndex(alg))
-	configs, truncated := w.decompose(cycles[0], 0)
-	if len(configs) == 0 {
+	cr := w.analyzeCycle(cycles[0], 0)
+	if len(cr.Configs) == 0 {
 		t.Fatal("test bug: the first cycle has no configurations")
 	}
-	configs = append([]Configuration(nil), configs...)
 	before := sha256.New()
-	hashDecomposition(before, configs, truncated)
-	if next, _ := w.decompose(cycles[1], 0); len(next) == 0 {
+	hashDecomposition(before, cr)
+	if next := w.analyzeCycle(cycles[1], 0); len(next.Configs) == 0 {
 		t.Fatal("test bug: the second cycle has no configurations")
 	}
 	after := sha256.New()
-	hashDecomposition(after, configs, truncated)
+	hashDecomposition(after, cr)
 	if !bytes.Equal(before.Sum(nil), after.Sum(nil)) {
-		t.Fatal("the first cycle's configurations changed when the worker decomposed the next cycle")
+		t.Fatal("the first cycle's configurations changed when the worker analyzed the next cycle")
 	}
 }
 
-// TestDecompositionGolden pins decomposeCycle's output — every
-// configuration of every cycle, in order, and the truncation flags — on
+// TestDecompositionGolden pins the decomposition that reports carry —
+// every configuration of every cycle, in order, and the truncation flags,
+// each cycle analyzed on a fresh worker — on
 // the paper networks and random minimal 3×3 algorithms at several caps.
 // The cap of 1 and 7 exercise truncation mid-rotation; 256 is the default.
 // A change to the enumeration order, the rotation dedupe or the cap's
@@ -149,10 +151,10 @@ func TestDecompositionGolden(t *testing.T) {
 		n, trunc := 0, 0
 		for i, alg := range algs {
 			for _, cyc := range cycles[i] {
-				configs, truncated := decomposeCycle(alg, cyc, maxConfigs)
-				hashDecomposition(h, configs, truncated)
-				n += len(configs)
-				if truncated {
+				cr := newCycleWorker(newPathIndex(alg)).analyzeCycle(cyc, maxConfigs)
+				hashDecomposition(h, cr)
+				n += len(cr.Configs)
+				if cr.Truncated {
 					trunc++
 				}
 			}
@@ -206,7 +208,8 @@ func hashReport(h hash.Hash, rep *Report) {
 		put(int(cr.Verdict))
 		flag(cr.Truncated)
 		put(len(cr.Configs))
-		for _, c := range cr.Configs {
+		for j := range cr.Configs {
+			c := cr.Config(j)
 			put(c.Config.Len())
 			for j := range c.Config.Len() {
 				m := c.Config.Member(j)

@@ -56,8 +56,8 @@ func TestAnalyzeUnknownGeometry(t *testing.T) {
 	}
 	found := false
 	for _, cyc := range rep.Cycles {
-		for _, cfg := range cyc.Configs {
-			if cfg.Verdict == ConfigUnknown {
+		for j := range cyc.Configs {
+			if cyc.Config(j).Verdict == ConfigUnknown {
 				found = true
 			}
 		}

@@ -27,7 +27,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Sketch
-	help       map[string]string // per-registry HELP overrides, by base name
 }
 
 // NewRegistry returns an empty registry.
@@ -36,18 +35,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Sketch),
-		help:       make(map[string]string),
 	}
-}
-
-// SetHelp sets the HELP text for a metric family (by base name, without
-// labels). Families without explicit help fall back to the package-level
-// table of known names, then to a generated placeholder, so the exposition
-// always carries a HELP line per family.
-func (r *Registry) SetHelp(base, text string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.help[base] = text
 }
 
 // Label renders one key="value" label pair onto a metric name.
@@ -192,8 +180,8 @@ func baseName(series string) string {
 }
 
 // builtinHelp documents every metric family the repository's producers
-// emit, keyed by base name. Families not listed here (and not covered by
-// SetHelp) get a generated placeholder, so the exposition always lints.
+// emit, keyed by base name. Families not listed here get a generated
+// placeholder, so the exposition always carries a HELP line per family.
 var builtinHelp = map[string]string{
 	"sim_messages_injected_total":   "Messages whose header flit entered the network.",
 	"sim_flits_moved_total":         "Individual flit advances, including body-flit injection.",
@@ -227,22 +215,12 @@ var builtinHelp = map[string]string{
 	"cdg_acyclic":                   "1 when the channel dependency graph is acyclic, else 0.",
 }
 
-// helpFor resolves the HELP text for a family. Caller holds r.mu.
-func (r *Registry) helpFor(base, kind string) string {
-	if h, ok := r.help[base]; ok {
-		return h
-	}
+// helpFor resolves the HELP text for a family.
+func helpFor(base, kind string) string {
 	if h, ok := builtinHelp[base]; ok {
 		return h
 	}
 	return strings.ReplaceAll(base, "_", " ") + " (" + kind + ")."
-}
-
-// escapeHelp escapes a HELP text per the exposition format (backslash and
-// newline).
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
 // promFamily is one metric family of an exposition: every series sharing a
@@ -285,7 +263,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f := fams[base]
 		sort.Strings(f.series)
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			base, escapeHelp(r.helpFor(base, f.kind)), base, f.kind); err != nil {
+			base, helpFor(base, f.kind), base, f.kind); err != nil {
 			return err
 		}
 		for _, n := range f.series {

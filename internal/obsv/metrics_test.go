@@ -124,8 +124,6 @@ func TestWritePrometheusLint(t *testing.T) {
 	r.Counter(Label("foo_total", "kind", "x")).Add(2)
 	r.Counter("foo_sub_total").Add(7)
 	r.Counter("sim_messages_injected_total").Add(4)
-	r.SetHelp("foo_total", `line with \ and
-newline`)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -134,7 +132,7 @@ newline`)
 	want := `# HELP foo_sub_total foo sub total (counter).
 # TYPE foo_sub_total counter
 foo_sub_total 7
-# HELP foo_total line with \\ and\nnewline
+# HELP foo_total foo total (counter).
 # TYPE foo_total counter
 foo_total 1
 foo_total{kind="x"} 2

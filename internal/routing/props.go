@@ -158,24 +158,6 @@ func CheckNoRevisit(alg Algorithm) *Violation {
 	})
 }
 
-// CheckCoherent verifies Definition 9: the algorithm is prefix-closed,
-// suffix-closed, and never routes a message through the same node twice.
-func CheckCoherent(alg Algorithm) *Violation {
-	if v := CheckPrefixClosed(alg); v != nil {
-		v.Property = "coherent (" + v.Property + ")"
-		return v
-	}
-	if v := CheckSuffixClosed(alg); v != nil {
-		v.Property = "coherent (" + v.Property + ")"
-		return v
-	}
-	if v := CheckNoRevisit(alg); v != nil {
-		v.Property = "coherent (" + v.Property + ")"
-		return v
-	}
-	return nil
-}
-
 // RoutingFunc is the materialized Definition 2 form R: C×N -> C, plus the
 // injection rule at each source node. Inject[src][dst] is the first channel
 // a message from src to dst acquires; Next[in][dst] is the channel taken

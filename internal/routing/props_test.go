@@ -90,10 +90,8 @@ func TestCheckNoRevisitDetectsLoop(t *testing.T) {
 	if v := CheckNoRevisit(tab); v == nil {
 		t.Fatal("expected no-revisit violation")
 	}
-	if v := CheckCoherent(tab); v == nil {
+	if CheckAll(tab).Coherent {
 		t.Fatal("revisiting algorithm cannot be coherent")
-	} else if !strings.Contains(v.Property, "coherent") {
-		t.Fatalf("property = %q", v.Property)
 	}
 }
 
@@ -144,7 +142,7 @@ func TestAsRoutingFuncDetectsSourceDependence(t *testing.T) {
 	// Return channels to keep the network strongly connected.
 	net.AddChannel(d, a, 0, "da")
 	net.AddChannel(a, b, 0, "ab")
-	net.AddChannel(x, m, 0, "xm2")
+	xm2 := net.AddChannel(x, m, 0, "xm2")
 	net.AddChannel(y, m, 0, "ym2")
 	net.AddChannel(m, a, 0, "ma")
 	if err := net.Validate(); err != nil {
@@ -170,7 +168,6 @@ func TestAsRoutingFuncDetectsSourceDependence(t *testing.T) {
 	// (b,d) = b->m->x->m->y->d? x->m exists (xm2), m->y exists. Then
 	// R(mx, d) = xd vs xm2: conflict.
 	tab.MustSetPath(a, d, []topology.ChannelID{am, mx, xd})
-	xm2, _ := net.FindChannel("xm2")
 	tab.MustSetPath(b, d, []topology.ChannelID{bm, mx, xm2, my, yd})
 	if _, v := AsRoutingFunc(tab); v == nil {
 		t.Fatal("expected C×N->C violation")
@@ -253,8 +250,8 @@ func TestDORCoherentAcrossShapes(t *testing.T) {
 	shapes := [][]int{{2, 2}, {2, 3}, {4, 2}, {3, 3}, {2, 2, 2}, {5}}
 	for _, dims := range shapes {
 		g := topology.NewMesh(dims, 1)
-		if v := CheckCoherent(DimensionOrder(g)); v != nil {
-			t.Fatalf("DOR on %v not coherent: %v", dims, v)
+		if p := CheckAll(DimensionOrder(g)); !p.Coherent {
+			t.Fatalf("DOR on %v not coherent: %v", dims, p)
 		}
 	}
 }

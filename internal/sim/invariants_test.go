@@ -208,26 +208,26 @@ func TestHeadIndexCache(t *testing.T) {
 	})
 
 	t.Run("drain-then-inject", func(t *testing.T) {
+		// On a one-channel path the sink slot is the only slot: each
+		// cycle consumes the flit in it and injects the next, so the worm
+		// drains to nothing while its source still holds flits, and the
+		// injection must set the head again.
 		s := New(net, Config{})
-		id := s.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 4, Path: path})
+		id := s.MustAdd(MessageSpec{Src: 0, Dst: 1, Length: 4, Path: path[:1]})
 		m := &s.msgs[id]
-		step(t, s)
-		step(t, s)
-		s.SetHeld(id, true) // the source stops injecting mid-message
-		for m.inNetwork() {
-			step(t, s)
-		}
-		if m.injected == m.length || m.head != -1 {
-			t.Fatalf("want a drained worm with flits at the source: injected %d of %d, head %d",
-				m.injected, m.length, m.head)
-		}
-		s.SetHeld(id, false)
-		step(t, s)
-		if m.head != 0 {
-			t.Fatalf("reinjected flit not at the head: head %d, queue %v", m.head, s.queue(m))
-		}
+		drained := 0
 		for !m.delivered() {
+			consumed := m.consumed
 			step(t, s)
+			if m.consumed > consumed && m.injected < m.length {
+				drained++
+				if m.head != 0 {
+					t.Fatalf("cycle %d: reinjected flit not at the head: head %d, queue %v", s.Now(), m.head, s.queue(m))
+				}
+			}
+		}
+		if drained == 0 {
+			t.Fatal("the worm never drained while its source still held flits")
 		}
 	})
 }

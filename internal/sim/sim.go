@@ -582,8 +582,9 @@ func (s *Sim) Frozen(id int) int { return s.msgs[id].frozen }
 
 // SetHeld controls source-side injection: a held message's source does not
 // attempt injection regardless of InjectAt. Holding a message that has
-// already begun injecting has no effect. Model checkers use this to
-// realize assumption 1's "any injection time".
+// already begun injecting has no effect: its remaining flits follow the
+// header, so a worm never has a gap. Model checkers use this to realize
+// assumption 1's "any injection time".
 func (s *Sim) SetHeld(id int, held bool) {
 	s.msgs[id].held = held
 	s.planned = false
@@ -1249,8 +1250,8 @@ func (s *Sim) moveMessage(m *msgState) bool {
 			}
 		}
 	}
-	// Injection: source -> path[0].
-	if m.injected < m.length && !m.held && s.now >= m.injectAt {
+	// Injection: source -> path[0]. Holding stops only the first flit.
+	if m.injected < m.length && (m.injected > 0 || !m.held) && s.now >= m.injectAt {
 		if m.injected == 0 {
 			if c, won := s.granted(m.id); won && s.owner[c] == 0 {
 				if !m.adaptive && c != path[0] {
@@ -1343,7 +1344,7 @@ func (s *Sim) FlitsConsumed() int64 { return s.flitsConsumed }
 
 // quiescent reports whether the state can never change again without
 // external intervention: nothing moved last cycle, no message is frozen,
-// none is held, and no injection lies in the future. In a quiescent state
+// none is held before injecting, and no injection lies in the future. In a quiescent state
 // with undelivered messages the network is deadlocked.
 func (s *Sim) quiescent() bool {
 	if s.lastMoved || s.lastThawed {
@@ -1354,7 +1355,7 @@ func (s *Sim) quiescent() bool {
 		if m.delivered() {
 			continue
 		}
-		if m.frozen > 0 || m.held || s.now <= m.injectAt {
+		if m.frozen > 0 || (m.held && m.injected == 0) || s.now <= m.injectAt {
 			return false
 		}
 	}
@@ -1614,7 +1615,7 @@ func (s *Sim) canAdvance(m *msgState) bool {
 			return true
 		}
 	}
-	if m.injected < m.length && !m.held && s.now >= m.injectAt {
+	if m.injected < m.length && (m.injected > 0 || !m.held) && s.now >= m.injectAt {
 		if m.injected == 0 {
 			for _, c := range s.wantedChannels(m) {
 				if s.acquirable(c) {

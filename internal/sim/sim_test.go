@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -315,6 +317,56 @@ func TestRunTreatsHeldAsNonQuiescent(t *testing.T) {
 	out := s.Run(10)
 	if out.Result != ResultTimeout {
 		t.Fatalf("result = %v; a held message is not a deadlock", out.Result)
+	}
+}
+
+// TestHoldAfterInjectionHasNoEffect: holding a message whose header has
+// entered the network leaves its injection alone. Its flits follow the
+// header without a gap, step for step with an unheld twin, and a blocked
+// held worm still reads as quiescent. Stopping the remaining flits at the
+// source left a gapped worm, [1 0 0 1 0 0 0 0] on this ring with one-flit
+// buffers.
+func TestHoldAfterInjectionHasNoEffect(t *testing.T) {
+	net := topology.NewRing(18, false)
+	path := make([]topology.ChannelID, 8)
+	for i := range path {
+		path[i] = topology.ChannelID(i)
+	}
+	spec := MessageSpec{Src: 0, Dst: 8, Length: 4, Path: path}
+	held, twin := New(net, Config{}), New(net, Config{})
+	id := held.MustAdd(spec)
+	twin.MustAdd(spec)
+	for cycle := 0; !twin.AllDelivered(); cycle++ {
+		if cycle == 1 {
+			held.SetHeld(id, true)
+		}
+		held.Step()
+		twin.Step()
+		got, want := held.Message(id), twin.Message(id)
+		got.Held = false
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: held message diverged from its twin:\n%+v\n%+v", cycle, got, want)
+		}
+		q, tail := got.Queued, len(got.Queued)
+		for tail > 0 && q[tail-1] == 0 {
+			tail--
+		}
+		if h := slices.Index(q, 0); got.Injected < got.Spec.Length && h >= 0 && h < tail {
+			t.Fatalf("cycle %d: gapped worm %v", cycle, q)
+		}
+	}
+	if !held.AllDelivered() {
+		t.Fatal("the held message was not delivered with its twin")
+	}
+
+	// A held worm blocked behind another is a deadlock, not a hold.
+	block := New(net, Config{})
+	block.MustAdd(MessageSpec{Src: 2, Dst: 1, Length: 17, Path: []topology.ChannelID{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 0}})
+	id = block.MustAdd(MessageSpec{Src: 0, Dst: 3, Length: 4, Path: path[:3]})
+	block.Step()
+	block.SetHeld(id, true)
+	if out := block.Run(200); out.Result != ResultDeadlock {
+		t.Fatalf("result = %v; a held worm that has begun injecting does not hold off deadlock detection", out.Result)
 	}
 }
 

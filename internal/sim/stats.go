@@ -18,14 +18,6 @@ type Stats struct {
 	Throughput float64 // consumed flits per cycle
 }
 
-// DeliveredFraction returns the fraction of messages fully delivered.
-func (st Stats) DeliveredFraction() float64 {
-	if st.Messages == 0 {
-		return 0
-	}
-	return float64(st.Delivered) / float64(st.Messages)
-}
-
 // Collect computes statistics from the simulator's current state. Latency
 // counts from the cycle the header entered the network to the cycle the
 // tail was consumed, inclusive.

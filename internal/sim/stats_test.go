@@ -45,15 +45,21 @@ func seq(n int) []int {
 	return s
 }
 
-// TestStatsNoDeliveries checks the zero-delivery path: percentiles,
-// averages and fractions all stay zero rather than dividing by zero.
+// TestStatsNoDeliveries checks Collect's zero-delivery path: latencies,
+// percentiles and throughput all stay zero rather than dividing by zero,
+// with messages held at their sources and with no messages at all.
 func TestStatsNoDeliveries(t *testing.T) {
-	st := Stats{Messages: 3}
-	if f := st.DeliveredFraction(); f != 0 {
-		t.Errorf("DeliveredFraction with nothing delivered = %v, want 0", f)
+	net := line(3)
+	held := New(net, Config{})
+	for i := 0; i < 3; i++ {
+		held.SetHeld(held.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 2, Path: pathTo(net, 2)}), true)
 	}
-	var empty Stats
-	if f := empty.DeliveredFraction(); f != 0 {
-		t.Errorf("DeliveredFraction with no messages = %v, want 0", f)
+	held.Step()
+	for _, s := range []*Sim{held, New(net, Config{})} {
+		st := Collect(s)
+		if st.Delivered != 0 || st.AvgLatency != 0 || st.MaxLatency != 0 || st.P50Latency != 0 ||
+			st.P99Latency != 0 || st.FlitsMoved != 0 || st.Throughput != 0 {
+			t.Errorf("%d messages, none delivered: stats %+v, want zero latencies and throughput", st.Messages, st)
+		}
 	}
 }

@@ -23,22 +23,6 @@ type Automorphism struct {
 	Chans []ChannelID
 }
 
-// IsIdentity reports whether the automorphism fixes every node and
-// channel.
-func (a *Automorphism) IsIdentity() bool {
-	for v, w := range a.Nodes {
-		if NodeID(v) != w {
-			return false
-		}
-	}
-	for c, d := range a.Chans {
-		if ChannelID(c) != d {
-			return false
-		}
-	}
-	return true
-}
-
 // automorphismStepCap bounds the total number of backtracking extensions
 // a single Automorphisms call may attempt, so a pathological highly
 // symmetric multigraph cannot hang the caller. The regular topologies in

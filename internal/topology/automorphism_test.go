@@ -14,12 +14,45 @@ import (
 	"repro/internal/topology"
 )
 
+// isIdentity reports whether a fixes every node and channel.
+func isIdentity(a topology.Automorphism) bool {
+	for v, w := range a.Nodes {
+		if topology.NodeID(v) != w {
+			return false
+		}
+	}
+	for c, d := range a.Chans {
+		if topology.ChannelID(c) != d {
+			return false
+		}
+	}
+	return true
+}
+
+// nodeLabeled returns the node of net labeled label.
+func nodeLabeled(t *testing.T, net *topology.Network, label string) topology.NodeID {
+	t.Helper()
+	for _, nd := range net.Nodes() {
+		if nd.Label == label {
+			return nd.ID
+		}
+	}
+	t.Fatalf("%s: no node %s", net.Name(), label)
+	return -1
+}
+
+// addLink adds the channels a->b and b->a on virtual channel 0.
+func addLink(net *topology.Network, a, b topology.NodeID) {
+	net.AddChannel(a, b, 0, "")
+	net.AddChannel(b, a, 0, "")
+}
+
 // checkGroup asserts basic well-formedness of an automorphism list:
 // identity first, and every element a genuine channel-consistent
 // permutation.
 func checkGroup(t *testing.T, net *topology.Network, autos []topology.Automorphism) {
 	t.Helper()
-	if len(autos) == 0 || !autos[0].IsIdentity() {
+	if len(autos) == 0 || !isIdentity(autos[0]) {
 		t.Fatalf("%s: expected the identity first, got %v", net.Name(), autos)
 	}
 	for i, a := range autos {
@@ -81,11 +114,7 @@ func TestAutomorphismsGenK(t *testing.T) {
 		// channel maps to E3's forward arc channel).
 		e := make(map[string]topology.NodeID)
 		for _, l := range []string{"E1", "E2", "E3", "E4", "Src", "N*"} {
-			v, ok := net.FindNode(l)
-			if !ok {
-				t.Fatalf("%s: no node %s", pn.Name, l)
-			}
-			e[l] = v
+			e[l] = nodeLabeled(t, net, l)
 		}
 		rotations := 0
 		for _, a := range autos[1:] {
@@ -113,7 +142,7 @@ func TestAutomorphismsFigure2(t *testing.T) {
 	if len(autos) != 2 {
 		t.Fatalf("figure2: |Aut| = %d, want 2 (identity + reflection)", len(autos))
 	}
-	e1, _ := net.FindNode("E1")
+	e1 := nodeLabeled(t, net, "E1")
 	if autos[1].Nodes[e1] != e1 {
 		t.Errorf("figure2: reflection moves E1")
 	}
@@ -140,8 +169,8 @@ func TestAutomorphismsAsymmetric(t *testing.T) {
 	a := net.AddNode("a")
 	b := net.AddNode("b")
 	c := net.AddNode("c")
-	net.AddBidirectional(a, b, 0, "", "")
-	net.AddBidirectional(b, c, 0, "", "")
+	addLink(net, a, b)
+	addLink(net, b, c)
 	net.AddChannel(a, b, 1, "extra") // breaks the a<->c reflection
 	autos := groupOf(t, net, true)
 	if len(autos) != 1 {
@@ -152,8 +181,8 @@ func TestAutomorphismsAsymmetric(t *testing.T) {
 	// reflection exists.
 	sym := topology.New("sym")
 	a, b, c = sym.AddNode("a"), sym.AddNode("b"), sym.AddNode("c")
-	sym.AddBidirectional(a, b, 0, "", "")
-	sym.AddBidirectional(b, c, 0, "", "")
+	addLink(sym, a, b)
+	addLink(sym, b, c)
 	if autos := groupOf(t, sym, true); len(autos) != 2 {
 		t.Fatalf("sym: |Aut| = %d, want 2 (identity + reflection)", len(autos))
 	}

@@ -128,14 +128,6 @@ func (n *Network) AddChannel(src, dst NodeID, vc int, label string) ChannelID {
 	return id
 }
 
-// AddBidirectional adds a pair of opposite channels between a and b on
-// virtual channel vc and returns their IDs (a->b first).
-func (n *Network) AddBidirectional(a, b NodeID, vc int, labelAB, labelBA string) (ChannelID, ChannelID) {
-	ab := n.AddChannel(a, b, vc, labelAB)
-	ba := n.AddChannel(b, a, vc, labelBA)
-	return ab, ba
-}
-
 func (n *Network) validNode(id NodeID) bool {
 	return id >= 0 && int(id) < len(n.nodes)
 }
@@ -204,26 +196,6 @@ func (n *Network) ChannelsBetween(src, dst NodeID) []ChannelID {
 		return a.ID < b.ID
 	})
 	return ids
-}
-
-// FindNode returns the first node whose label matches, or (-1, false).
-func (n *Network) FindNode(label string) (NodeID, bool) {
-	for _, nd := range n.nodes {
-		if nd.Label == label {
-			return nd.ID, true
-		}
-	}
-	return -1, false
-}
-
-// FindChannel returns the first channel whose label matches, or (None, false).
-func (n *Network) FindChannel(label string) (ChannelID, bool) {
-	for _, c := range n.channels {
-		if c.Label == label {
-			return c.ID, true
-		}
-	}
-	return None, false
 }
 
 // Validate checks structural well-formedness: at least two nodes, every

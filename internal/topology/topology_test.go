@@ -55,19 +55,6 @@ func TestAddChannelPanics(t *testing.T) {
 	}
 }
 
-func TestAddBidirectional(t *testing.T) {
-	net := New("t")
-	a := net.AddNode("a")
-	b := net.AddNode("b")
-	ab, ba := net.AddBidirectional(a, b, 0, "ab", "ba")
-	if net.Channel(ab).Src != a || net.Channel(ba).Src != b {
-		t.Fatal("bidirectional channels have wrong orientation")
-	}
-	if !net.StronglyConnected() {
-		t.Fatal("two nodes with both channels should be strongly connected")
-	}
-}
-
 func TestStronglyConnected(t *testing.T) {
 	net := New("t")
 	a := net.AddNode("a")
@@ -106,25 +93,6 @@ func TestChannelsBetweenSortsByVC(t *testing.T) {
 	want := []ChannelID{c0, c1, c2}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("ChannelsBetween = %v; want %v", got, want)
-	}
-}
-
-func TestFindNodeAndChannel(t *testing.T) {
-	net := New("t")
-	net.AddNode("a")
-	b := net.AddNode("b")
-	cid := net.AddChannel(0, b, 0, "edge")
-	if got, ok := net.FindNode("b"); !ok || got != b {
-		t.Fatalf("FindNode(b) = %v,%v", got, ok)
-	}
-	if _, ok := net.FindNode("zz"); ok {
-		t.Fatal("FindNode(zz) should fail")
-	}
-	if got, ok := net.FindChannel("edge"); !ok || got != cid {
-		t.Fatalf("FindChannel(edge) = %v,%v", got, ok)
-	}
-	if _, ok := net.FindChannel("zz"); ok {
-		t.Fatal("FindChannel(zz) should fail")
 	}
 }
 
