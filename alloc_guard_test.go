@@ -8,10 +8,11 @@ package repro
 // scratch arenas reset by epoch counters, never reallocated. A load-cell
 // guard bounds what one open-loop traffic run costs end to end, another
 // bounds the static decider (core.Analyze), whose cycle classification
-// uses the same epoch-stamped scratch idiom, and another bounds the
-// wait-for queries of the searches. TestRowBudgets pins the state count
-// and the allocations of every row of the benchmark registry, and
-// TestReductionGuard_Gen4 pins the reduction's headline ratio.
+// uses the same epoch-stamped scratch idiom, another bounds the wait-for
+// queries of the searches, and another bounds network and routing-table
+// construction. TestRowBudgets pins the state count and the allocations
+// of every row of the benchmark registry, and TestReductionGuard_Gen4
+// pins the reduction's headline ratio.
 
 import (
 	"runtime"
@@ -396,6 +397,36 @@ func TestAnalyzeReportRetainedBounded(t *testing.T) {
 	}
 }
 
+// TestBuildAllocBounded bounds network construction: papernets.GenK(20)
+// (132 nodes), and ShortestBFS and Hub on an 8×8 mesh. Each source takes
+// one reused BFS tree, and every path is carved from the table's slabs
+// into one dense index, so a table costs a few dozen allocations whatever
+// its size; GenK's remaining allocations are the network's labels and
+// channel lists. They measure 2,018, 21 and 37 allocations, and the
+// budgets are those plus about 10%. Two fresh searches per pair and a
+// map-backed table cost 379,844, 59,356 and 146,609. Under -race the
+// counts differ, so only the tables are built; CI runs the budget in its
+// no-race step.
+func TestBuildAllocBounded(t *testing.T) {
+	mesh := topology.NewMesh([]int{8, 8}, 1).Network
+	cases := []struct {
+		name   string
+		budget float64
+		build  func()
+	}{
+		{"GenK(20)", 2220, func() { papernets.GenK(20) }},
+		{"ShortestBFS(8x8)", 24, func() { routing.ShortestBFS(mesh) }},
+		{"Hub(8x8)", 41, func() { routing.Hub(mesh, 0) }},
+	}
+	for _, c := range cases {
+		n := testing.AllocsPerRun(5, c.build)
+		t.Logf("%s: %v allocs/op (budget %v)", c.name, n, c.budget)
+		if !raceEnabled && n > c.budget {
+			t.Errorf("%s allocates %v allocs/op; budget %v", c.name, n, c.budget)
+		}
+	}
+}
+
 // TestLoadCellAllocBounded bounds one open-loop load cell shaped like the
 // benchmark's: an 8x8 DOR mesh at 0.02 messages per node per cycle, with
 // an adaptive-stride telemetry collector and a per-source SLO bank. Its
@@ -538,9 +569,12 @@ func TestFindLocalAllocBounded(t *testing.T) {
 // spill allocates its run's fence index and fingerprints. A few non-search
 // rows measured one to nine allocations above their pinned figure, one
 // spec chunk per simulator built; their figures were kept, inside the 5%.
+// E1_Figure1_Analyze, E2_PropertyChecks and E3_RandomMinimalAnalyze were
+// re-measured when routing tables and distance matrices stopped
+// allocating per path and per row.
 var rowAllocs = map[string]int64{
 	"E1_Figure1_Search":              1247,
-	"E2_PropertyChecks":              15572,
+	"E2_PropertyChecks":              15350,
 	"E3_Figure1_Skew1":               1520,
 	"E4_Figure2_Search":              449,
 	"E5_Figure3_SearchAll":           5777,
@@ -560,9 +594,9 @@ var rowAllocs = map[string]int64{
 	"Gen4_Stall4_Reduced":            5929,
 	"Gen5_Stall5_Reduced":            7167,
 	"E1_Figure1_CDG":                 1147,
-	"E1_Figure1_Analyze":             1970,
+	"E1_Figure1_Analyze":             1872,
 	"E1_Figure1_SearchTraced":        1246,
-	"E3_RandomMinimalAnalyze":        10884,
+	"E3_RandomMinimalAnalyze":        5883,
 	"E5_Figure3_Classify":            42,
 	"E6_GenK/k=1":                    2766,
 	"E6_GenK/k=2":                    3225,

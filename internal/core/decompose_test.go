@@ -69,6 +69,20 @@ func hashDecomposition(h hash.Hash, cr CycleReport) {
 	h.Write(buf)
 }
 
+// pathMap is an Algorithm over explicit paths. Unlike routing.Table, it
+// takes a path that holds a channel twice, which no message can follow
+// but which the decomposer must still handle for any Algorithm.
+type pathMap struct {
+	net   *topology.Network
+	paths map[[2]topology.NodeID][]topology.ChannelID
+}
+
+func (m *pathMap) Name() string               { return "detour" }
+func (m *pathMap) Network() *topology.Network { return m.net }
+func (m *pathMap) Path(src, dst topology.NodeID) []topology.ChannelID {
+	return m.paths[[2]topology.NodeID{src, dst}]
+}
+
 // TestDecomposeRepeatedRunKeptOnce routes one pair's path through the
 // cycle's first channel twice, leaving the cycle by a detour in between,
 // so that pair realizes the arc [a] with two different approaches. A
@@ -82,10 +96,11 @@ func TestDecomposeRepeatedRunKeptOnce(t *testing.T) {
 	c := net.AddChannel(2, 0, 0, "c")
 	d := net.AddChannel(0, 3, 0, "d")
 	e := net.AddChannel(3, 0, 0, "e")
-	alg := routing.NewTable(net, "detour")
-	alg.MustSetPath(0, 2, []topology.ChannelID{a, b, c, d, e, a, b})
-	alg.MustSetPath(1, 0, []topology.ChannelID{b, c})
-	alg.MustSetPath(2, 1, []topology.ChannelID{c, a})
+	alg := &pathMap{net: net, paths: map[[2]topology.NodeID][]topology.ChannelID{
+		{0, 2}: {a, b, c, d, e, a, b},
+		{1, 0}: {b, c},
+		{2, 1}: {c, a},
+	}}
 
 	configs, truncated := decomposeCycle(alg, cdg.Cycle{a, b, c}, 0)
 	if truncated {

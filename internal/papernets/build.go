@@ -251,19 +251,9 @@ func Build(name string, entrants []Entrant) *Net {
 
 	// Routing algorithm: hub routing for every pair, then the exceptional
 	// cyclic paths overriding their (source, dest) pairs.
-	hubAlg := routing.Hub(net, hub)
 	tab := routing.NewTable(net, "cyclicdep."+name)
-	for s := 0; s < net.NumNodes(); s++ {
-		for d := 0; d < net.NumNodes(); d++ {
-			if s == d {
-				continue
-			}
-			p := hubAlg.Path(topology.NodeID(s), topology.NodeID(d))
-			if p == nil {
-				panic(fmt.Sprintf("papernets: hub routing incomplete for (%d,%d)", s, d))
-			}
-			tab.MustSetPath(topology.NodeID(s), topology.NodeID(d), p)
-		}
+	if err := tab.FillHub(hub); err != nil {
+		panic(fmt.Sprintf("papernets: hub routing incomplete: %v", err))
 	}
 	pn := &Net{
 		Name:     name,

@@ -22,33 +22,13 @@ func ShortestBFS(net *topology.Network) Algorithm {
 // Hub returns hub (star) routing: every message travels from its source to
 // the hub node and then from the hub to its destination, each leg along a
 // deterministic BFS shortest path. Messages from or to the hub use the
-// direct leg. This mirrors the "route via N*" rule the paper's Figure 1
+// direct leg, and so do pairs whose two legs would hold one channel twice
+// (see FillHub). This mirrors the "route via N*" rule the paper's Figure 1
 // network uses for all non-exceptional traffic.
 func Hub(net *topology.Network, hub topology.NodeID) Algorithm {
 	t := NewTable(net, fmt.Sprintf("hub%d.%s", hub, net.Name()))
-	n := net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			src, dst := topology.NodeID(s), topology.NodeID(d)
-			if src == dst {
-				continue
-			}
-			var path []topology.ChannelID
-			if src == hub || dst == hub {
-				path = net.ShortestPath(src, dst)
-			} else {
-				first := net.ShortestPath(src, hub)
-				second := net.ShortestPath(hub, dst)
-				if first == nil || second == nil {
-					panic(fmt.Sprintf("routing: Hub: hub %d cannot reach pair (%d,%d)", hub, src, dst))
-				}
-				path = append(append([]topology.ChannelID(nil), first...), second...)
-			}
-			if path == nil {
-				panic(fmt.Sprintf("routing: Hub: no path (%d,%d)", src, dst))
-			}
-			t.MustSetPath(src, dst, path)
-		}
+	if err := t.FillHub(hub); err != nil {
+		panic(err)
 	}
 	return t
 }
@@ -63,13 +43,14 @@ func RandomMinimal(net *topology.Network, seed int64) Algorithm {
 	t := NewTable(net, fmt.Sprintf("randmin%d.%s", seed, net.Name()))
 	dist := net.Distances()
 	n := net.NumNodes()
+	var path, options []topology.ChannelID
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			src, dst := topology.NodeID(s), topology.NodeID(d)
 			if src == dst {
 				continue
 			}
-			path := randomMinimalPath(net, dist, src, dst, rng)
+			path, options = randomMinimalPath(net, dist, src, dst, rng, path[:0], options)
 			if path == nil {
 				panic(fmt.Sprintf("routing: RandomMinimal: no path (%d,%d)", src, dst))
 			}
@@ -79,16 +60,18 @@ func RandomMinimal(net *topology.Network, seed int64) Algorithm {
 	return t
 }
 
-// randomMinimalPath walks from src to dst choosing uniformly among
-// neighbors that stay on a shortest path.
-func randomMinimalPath(net *topology.Network, dist [][]int, src, dst topology.NodeID, rng *rand.Rand) []topology.ChannelID {
+// randomMinimalPath appends to path a walk from src to dst that chooses
+// uniformly among neighbors that stay on a shortest path, using options
+// as scratch. It returns the extended path, or nil when no walk exists,
+// and the scratch for reuse.
+func randomMinimalPath(net *topology.Network, dist [][]int, src, dst topology.NodeID, rng *rand.Rand,
+	path, options []topology.ChannelID) ([]topology.ChannelID, []topology.ChannelID) {
 	if dist[src][dst] < 0 {
-		return nil
+		return nil, options
 	}
-	var path []topology.ChannelID
 	at := src
 	for at != dst {
-		var options []topology.ChannelID
+		options = options[:0]
 		for _, cid := range net.Out(at) {
 			next := net.Channel(cid).Dst
 			if dist[next][dst] == dist[at][dst]-1 {
@@ -96,11 +79,11 @@ func randomMinimalPath(net *topology.Network, dist [][]int, src, dst topology.No
 			}
 		}
 		if len(options) == 0 {
-			return nil
+			return nil, options
 		}
 		pick := options[rng.Intn(len(options))]
 		path = append(path, pick)
 		at = net.Channel(pick).Dst
 	}
-	return path
+	return path, options
 }

@@ -217,6 +217,7 @@ func AsRoutingFunc(alg Algorithm) (*RoutingFunc, *Violation) {
 // channel. Algorithms of this form cannot have unreachable cyclic
 // configurations (Corollary 1).
 func CheckInputChannelIndependent(alg Algorithm) *Violation {
+	type pairKey struct{ at, dst topology.NodeID }
 	net := alg.Network()
 	next := make(map[pairKey]topology.ChannelID) // (current node, dst) -> out
 	return forEachPair(net, func(s, d topology.NodeID) *Violation {

@@ -53,7 +53,7 @@ func Valiant(g *topology.Grid, seed int64, vcSplit bool) Algorithm {
 			// A path through mid may revisit channels (out to mid and
 			// straight back); collapse such immediate backtracks by
 			// rerouting directly when the combined path is not simple.
-			if !simpleChannelPath(path) {
+			if t.repeats(path) {
 				path = dorPath(g, src, dst, 0)
 			}
 			t.MustSetPath(src, dst, path)
@@ -92,16 +92,4 @@ func dorPath(g *topology.Grid, src, dst topology.NodeID, vc int) []topology.Chan
 		}
 	}
 	return path
-}
-
-// simpleChannelPath reports whether no channel repeats.
-func simpleChannelPath(path []topology.ChannelID) bool {
-	seen := make(map[topology.ChannelID]bool, len(path))
-	for _, c := range path {
-		if seen[c] {
-			return false
-		}
-		seen[c] = true
-	}
-	return true
 }
