@@ -22,6 +22,13 @@ func TestTableSetPathValidation(t *testing.T) {
 	if err := tab.SetPath(1, 2, good); err == nil {
 		t.Fatal("SetPath discontiguous should fail")
 	}
+	// cw0 cw1 cw2 cw3 cw0: 0 -> 1 -> 2 -> 3 -> 0 -> 1 holds cw0 twice.
+	if err := tab.SetPath(0, 1, []topology.ChannelID{0, 1, 2, 3, 0}); err == nil {
+		t.Fatal("SetPath holding a channel twice should fail")
+	}
+	if tab.Path(0, 1) != nil {
+		t.Fatal("a rejected path must not be stored")
+	}
 	got := tab.Path(0, 2)
 	if len(got) != 2 {
 		t.Fatalf("Path = %v", got)
@@ -31,6 +38,11 @@ func TestTableSetPathValidation(t *testing.T) {
 	}
 	if tab.Path(2, 0) != nil {
 		t.Fatal("unset pair should be nil")
+	}
+	for _, pair := range [][2]topology.NodeID{{-1, 2}, {0, -1}, {4, 2}, {0, 4}, {9, 9}} {
+		if p := tab.Path(pair[0], pair[1]); p != nil {
+			t.Fatalf("Path(%d, %d) = %v; want nil for a node outside the network", pair[0], pair[1], p)
+		}
 	}
 }
 
