@@ -316,8 +316,12 @@ func TestStepTracedAllocBounded(t *testing.T) {
 // indices copied once per cycle, with a 16-byte pointer-free record; the
 // tiling search's scratch is reused from cycle to cycle; TheoremN runs
 // once per distinct entrant list, whose witness and reason its
-// configurations share. That measures 978 allocations and 109.5 KB per
-// op, and the budgets are those plus about 10%. Configurations of 16-byte
+// configurations share; the dependency graph, its cycle enumeration and
+// the routing-form checks run on dense arrays. That measures 437
+// allocations and 75.5 KB per op, and the budgets are those plus about
+// 10%. The same decider over a map-backed dependency graph with a witness
+// per (pair, hop), map-based Johnson state and map-backed routing-form
+// checks measured 978 allocations and 109.5 KB. Configurations of 16-byte
 // member records carved from never-reused slabs, a pointerful 72-byte report and
 // a TheoremN call per configuration measured 1,093 allocations and 173.5
 // KB; members of 64 bytes holding their own Arc and Approach slice
@@ -336,7 +340,7 @@ func TestAnalyzeAllocBounded(t *testing.T) {
 	n := testing.AllocsPerRun(5, func() {
 		core.Analyze(alg, core.Options{})
 	})
-	const budget = 1075
+	const budget = 480
 	if n > budget {
 		t.Fatalf("Analyze allocates %v allocs/op; budget %d", n, budget)
 	}
@@ -345,7 +349,7 @@ func TestAnalyzeAllocBounded(t *testing.T) {
 		return
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs, byteBudget = 5, 121_000
+	const runs, byteBudget = 5, 83_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -571,10 +575,12 @@ func TestFindLocalAllocBounded(t *testing.T) {
 // spec chunk per simulator built; their figures were kept, inside the 5%.
 // E1_Figure1_Analyze, E2_PropertyChecks and E3_RandomMinimalAnalyze were
 // re-measured when routing tables and distance matrices stopped
-// allocating per path and per row.
+// allocating per path and per row, and again, with E1_Figure1_CDG, when
+// the dependency graph, cycle enumeration and routing-form checks moved
+// from maps to dense arrays.
 var rowAllocs = map[string]int64{
 	"E1_Figure1_Search":              1247,
-	"E2_PropertyChecks":              15350,
+	"E2_PropertyChecks":              13434,
 	"E3_Figure1_Skew1":               1520,
 	"E4_Figure2_Search":              449,
 	"E5_Figure3_SearchAll":           5777,
@@ -593,10 +599,10 @@ var rowAllocs = map[string]int64{
 	"E6_Gen2_Stall2_Reduced":         3747,
 	"Gen4_Stall4_Reduced":            5929,
 	"Gen5_Stall5_Reduced":            7167,
-	"E1_Figure1_CDG":                 1147,
-	"E1_Figure1_Analyze":             1872,
+	"E1_Figure1_CDG":                 204,
+	"E1_Figure1_Analyze":             306,
 	"E1_Figure1_SearchTraced":        1246,
-	"E3_RandomMinimalAnalyze":        5883,
+	"E3_RandomMinimalAnalyze":        3333,
 	"E5_Figure3_Classify":            42,
 	"E6_GenK/k=1":                    2766,
 	"E6_GenK/k=2":                    3225,

@@ -13,6 +13,7 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,27 +21,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Witness records one routing-path position that induces a dependency: the
-// message from Src to Dst uses the dependency's To channel immediately
-// after its From channel, with From at hop index Hop of the path.
-type Witness struct {
-	Src, Dst topology.NodeID
-	Hop      int
-}
-
-// Dependency is one edge of the channel dependency graph together with
-// every (source, destination) pair whose path induces it.
-type Dependency struct {
-	From, To  topology.ChannelID
-	Witnesses []Witness
-}
-
 // Graph is a channel dependency graph. Build it with New.
 type Graph struct {
-	net  *topology.Network
-	name string
-	adj  [][]topology.ChannelID // deduplicated successor lists, sorted
-	deps map[[2]topology.ChannelID]*Dependency
+	net   *topology.Network
+	name  string
+	adj   [][]topology.ChannelID // deduplicated successor lists, sorted
+	edges int
 }
 
 // New builds the channel dependency graph of alg by walking the path of
@@ -52,7 +38,6 @@ func New(alg routing.Algorithm) *Graph {
 		net:  net,
 		name: alg.Name(),
 		adj:  make([][]topology.ChannelID, net.NumChannels()),
-		deps: make(map[[2]topology.ChannelID]*Dependency),
 	}
 	n := net.NumNodes()
 	for s := 0; s < n; s++ {
@@ -60,28 +45,18 @@ func New(alg routing.Algorithm) *Graph {
 			if s == d {
 				continue
 			}
-			src, dst := topology.NodeID(s), topology.NodeID(d)
-			p := alg.Path(src, dst)
+			p := alg.Path(topology.NodeID(s), topology.NodeID(d))
 			for i := 0; i+1 < len(p); i++ {
-				g.addDep(p[i], p[i+1], Witness{Src: src, Dst: dst, Hop: i})
+				g.adj[p[i]] = append(g.adj[p[i]], p[i+1])
 			}
 		}
 	}
-	for from := range g.adj {
-		sort.Slice(g.adj[from], func(i, j int) bool { return g.adj[from][i] < g.adj[from][j] })
+	for from, succ := range g.adj {
+		slices.Sort(succ)
+		g.adj[from] = slices.Compact(succ)
+		g.edges += len(g.adj[from])
 	}
 	return g
-}
-
-func (g *Graph) addDep(from, to topology.ChannelID, w Witness) {
-	key := [2]topology.ChannelID{from, to}
-	dep, ok := g.deps[key]
-	if !ok {
-		dep = &Dependency{From: from, To: to}
-		g.deps[key] = dep
-		g.adj[from] = append(g.adj[from], to)
-	}
-	dep.Witnesses = append(dep.Witnesses, w)
 }
 
 // Name returns the name of the routing algorithm the graph was built from.
@@ -91,7 +66,7 @@ func (g *Graph) Name() string { return g.name }
 func (g *Graph) Network() *topology.Network { return g.net }
 
 // NumEdges returns the number of distinct dependencies.
-func (g *Graph) NumEdges() int { return len(g.deps) }
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Successors returns the channels that may directly follow from. The slice
 // is shared; callers must not modify it.
@@ -99,24 +74,10 @@ func (g *Graph) Successors(from topology.ChannelID) []topology.ChannelID {
 	return g.adj[from]
 }
 
-// Dependency returns the edge from -> to, or nil when absent.
-func (g *Graph) Dependency(from, to topology.ChannelID) *Dependency {
-	return g.deps[[2]topology.ChannelID{from, to}]
-}
-
-// Dependencies returns every edge sorted by (From, To).
-func (g *Graph) Dependencies() []*Dependency {
-	out := make([]*Dependency, 0, len(g.deps))
-	for _, d := range g.deps {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
+// HasEdge reports whether the graph holds the dependency from -> to.
+func (g *Graph) HasEdge(from, to topology.ChannelID) bool {
+	_, ok := slices.BinarySearch(g.adj[from], to)
+	return ok
 }
 
 // Acyclic reports whether the graph has no cycles and, when it does not,
@@ -127,8 +88,10 @@ func (g *Graph) Dependencies() []*Dependency {
 func (g *Graph) Acyclic() (bool, []int) {
 	n := g.net.NumChannels()
 	indeg := make([]int, n)
-	for _, d := range g.deps {
-		indeg[d.To]++
+	for _, succ := range g.adj {
+		for _, to := range succ {
+			indeg[to]++
+		}
 	}
 	order := make([]int, n)
 	for i := range order {
@@ -242,7 +205,7 @@ func (g *Graph) SCCs() [][]topology.ChannelID {
 }
 
 func (g *Graph) hasSelfLoop(c topology.ChannelID) bool {
-	return g.Dependency(c, c) != nil
+	return g.HasEdge(c, c)
 }
 
 // DOT renders the dependency graph in Graphviz format, highlighting the
@@ -250,7 +213,7 @@ func (g *Graph) hasSelfLoop(c topology.ChannelID) bool {
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", g.name)
-	inCycle := make(map[topology.ChannelID]bool)
+	inCycle := make([]bool, g.net.NumChannels())
 	for _, comp := range g.SCCs() {
 		for _, c := range comp {
 			inCycle[c] = true
@@ -263,12 +226,14 @@ func (g *Graph) DOT() string {
 		}
 		fmt.Fprintf(&b, "  c%d [label=%q%s];\n", c.ID, c.String(), attrs)
 	}
-	for _, d := range g.Dependencies() {
-		attrs := ""
-		if inCycle[d.From] && inCycle[d.To] {
-			attrs = " [color=red]"
+	for from, succ := range g.adj {
+		for _, to := range succ {
+			attrs := ""
+			if inCycle[from] && inCycle[to] {
+				attrs = " [color=red]"
+			}
+			fmt.Fprintf(&b, "  c%d -> c%d%s;\n", from, to, attrs)
 		}
-		fmt.Fprintf(&b, "  c%d -> c%d%s;\n", d.From, d.To, attrs)
 	}
 	b.WriteString("}\n")
 	return b.String()

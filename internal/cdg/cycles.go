@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/topology"
@@ -44,37 +45,40 @@ func (c Cycle) Contains(ch topology.ChannelID) bool {
 // reports whether enumeration stopped early because the limit was reached.
 // Cycles are returned in canonical form, sorted by (length, lexicographic).
 func (g *Graph) Cycles(limit int) ([]Cycle, bool) {
-	var cycles []Cycle
+	n := g.net.NumChannels()
+	e := &enumerator{
+		g:       g,
+		comp:    make([]int, n),
+		blocked: make([]bool, n),
+		b:       make([][]topology.ChannelID, n),
+		limit:   limit,
+	}
 	truncated := false
-	for _, comp := range g.SCCs() {
+	for i, comp := range g.SCCs() {
 		if truncated {
 			break
 		}
-		inComp := make(map[topology.ChannelID]bool, len(comp))
+		e.stamp = i + 1
 		for _, c := range comp {
-			inComp[c] = true
+			e.comp[c] = e.stamp
 		}
 		// Johnson: for each start vertex s (ascending), enumerate cycles
 		// whose smallest vertex is s, restricted to vertices >= s in the
 		// component.
 		for _, s := range comp {
-			e := &enumerator{
-				g:        g,
-				start:    s,
-				allowed:  func(c topology.ChannelID) bool { return inComp[c] && c >= s },
-				blocked:  make(map[topology.ChannelID]bool),
-				blockMap: make(map[topology.ChannelID]map[topology.ChannelID]bool),
-				limit:    limit,
+			for _, c := range comp {
+				e.blocked[c] = false
+				e.b[c] = e.b[c][:0]
 			}
-			e.cycles = cycles
+			e.start = s
 			e.circuit(s)
-			cycles = e.cycles
-			if limit > 0 && len(cycles) >= limit {
+			if limit > 0 && len(e.cycles) >= limit {
 				truncated = true
 				break
 			}
 		}
 	}
+	cycles := e.cycles
 	if limit > 0 && len(cycles) > limit {
 		cycles = cycles[:limit]
 	}
@@ -93,15 +97,25 @@ func (g *Graph) Cycles(limit int) ([]Cycle, bool) {
 	return cycles, truncated
 }
 
+// enumerator holds Johnson's state over one Cycles call. comp[c] equals
+// stamp for the channels of the component being enumerated; b[w] is
+// Johnson's B-list, the blocked channels to unblock when w is unblocked.
 type enumerator struct {
-	g        *Graph
-	start    topology.ChannelID
-	allowed  func(topology.ChannelID) bool
-	blocked  map[topology.ChannelID]bool
-	blockMap map[topology.ChannelID]map[topology.ChannelID]bool
-	path     []topology.ChannelID
-	cycles   []Cycle
-	limit    int
+	g       *Graph
+	start   topology.ChannelID
+	comp    []int
+	stamp   int
+	blocked []bool
+	b       [][]topology.ChannelID
+	path    []topology.ChannelID
+	cycles  []Cycle
+	limit   int
+}
+
+// allowed reports whether w lies in the current component at or above the
+// start vertex.
+func (e *enumerator) allowed(w topology.ChannelID) bool {
+	return e.comp[w] == e.stamp && w >= e.start
 }
 
 func (e *enumerator) circuit(v topology.ChannelID) bool {
@@ -111,14 +125,12 @@ func (e *enumerator) circuit(v topology.ChannelID) bool {
 	found := false
 	e.path = append(e.path, v)
 	e.blocked[v] = true
-	for _, w := range e.g.Successors(v) {
+	for _, w := range e.g.adj[v] {
 		if !e.allowed(w) {
 			continue
 		}
 		if w == e.start {
-			cyc := make(Cycle, len(e.path))
-			copy(cyc, e.path)
-			e.cycles = append(e.cycles, cyc.canonical())
+			e.cycles = append(e.cycles, Cycle(e.path).canonical())
 			found = true
 			if e.limit > 0 && len(e.cycles) >= e.limit {
 				break
@@ -137,14 +149,10 @@ func (e *enumerator) circuit(v topology.ChannelID) bool {
 	if found {
 		e.unblock(v)
 	} else {
-		for _, w := range e.g.Successors(v) {
-			if !e.allowed(w) {
-				continue
+		for _, w := range e.g.adj[v] {
+			if e.allowed(w) && !slices.Contains(e.b[w], v) {
+				e.b[w] = append(e.b[w], v)
 			}
-			if e.blockMap[w] == nil {
-				e.blockMap[w] = make(map[topology.ChannelID]bool)
-			}
-			e.blockMap[w][v] = true
 		}
 	}
 	e.path = e.path[:len(e.path)-1]
@@ -153,8 +161,9 @@ func (e *enumerator) circuit(v topology.ChannelID) bool {
 
 func (e *enumerator) unblock(v topology.ChannelID) {
 	e.blocked[v] = false
-	for w := range e.blockMap[v] {
-		delete(e.blockMap[v], w)
+	for len(e.b[v]) > 0 {
+		w := e.b[v][len(e.b[v])-1]
+		e.b[v] = e.b[v][:len(e.b[v])-1]
 		if e.blocked[w] {
 			e.unblock(w)
 		}

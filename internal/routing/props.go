@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -77,22 +78,21 @@ func CheckMinimal(alg Algorithm) *Violation {
 // equals the prefix of the s->d path up to the *first* occurrence of m.
 func CheckPrefixClosed(alg Algorithm) *Violation {
 	net := alg.Network()
+	seen := newNodeSet(net.NumNodes())
 	return forEachPair(net, func(s, d topology.NodeID) *Violation {
 		p := alg.Path(s, d)
 		if p == nil {
 			return nil // incompleteness is CheckComplete's concern
 		}
-		nodes := net.PathNodes(p)
-		seen := make(map[topology.NodeID]bool)
-		for i := 1; i < len(nodes)-1; i++ {
-			m := nodes[i]
-			if m == s || seen[m] {
+		seen.clear()
+		for i := 1; i < len(p); i++ {
+			m := net.Channel(p[i-1]).Dst
+			if m == s || !seen.add(m) {
 				continue // only the first occurrence defines the prefix
 			}
-			seen[m] = true
 			want := p[:i]
 			got := alg.Path(s, m)
-			if !equalPaths(got, want) {
+			if !slices.Equal(got, want) {
 				return &Violation{Property: "prefix-closed", Src: s, Dst: d,
 					Detail: fmt.Sprintf("path(%d,%d) = %v but prefix to node %d is %v", s, m, got, m, want)}
 			}
@@ -117,18 +117,14 @@ func CheckSuffixClosed(alg Algorithm) *Violation {
 	net := alg.Network()
 	return forEachPair(net, func(s, d topology.NodeID) *Violation {
 		p := alg.Path(s, d)
-		if p == nil {
-			return nil
-		}
-		nodes := net.PathNodes(p)
-		for i := 1; i < len(nodes)-1; i++ {
-			m := nodes[i]
+		for i := 1; i < len(p); i++ {
+			m := net.Channel(p[i-1]).Dst
 			if m == d {
 				continue
 			}
 			want := p[i:]
 			got := alg.Path(m, d)
-			if !equalPaths(got, want) {
+			if !slices.Equal(got, want) {
 				return &Violation{Property: "suffix-closed", Src: s, Dst: d,
 					Detail: fmt.Sprintf("path(%d,%d) = %v but suffix from node %d (hop %d) is %v", m, d, got, m, i, want)}
 			}
@@ -141,74 +137,47 @@ func CheckSuffixClosed(alg Algorithm) *Violation {
 // more than once (the third clause of coherence, Definition 9).
 func CheckNoRevisit(alg Algorithm) *Violation {
 	net := alg.Network()
+	seen := newNodeSet(net.NumNodes())
 	return forEachPair(net, func(s, d topology.NodeID) *Violation {
-		p := alg.Path(s, d)
-		if p == nil {
-			return nil
-		}
-		seen := make(map[topology.NodeID]bool)
-		for _, nd := range net.PathNodes(p) {
-			if seen[nd] {
+		seen.clear()
+		seen.add(s)
+		for _, c := range alg.Path(s, d) {
+			if nd := net.Channel(c).Dst; !seen.add(nd) {
 				return &Violation{Property: "no-revisit", Src: s, Dst: d,
 					Detail: fmt.Sprintf("path visits node %d more than once", nd)}
 			}
-			seen[nd] = true
 		}
 		return nil
 	})
 }
 
-// RoutingFunc is the materialized Definition 2 form R: C×N -> C, plus the
-// injection rule at each source node. Inject[src][dst] is the first channel
-// a message from src to dst acquires; Next[in][dst] is the channel taken
-// after arriving on channel in, or topology.None when dst = the channel's
-// destination node.
-type RoutingFunc struct {
-	Inject map[topology.NodeID]map[topology.NodeID]topology.ChannelID
-	Next   map[topology.ChannelID]map[topology.NodeID]topology.ChannelID
-}
-
-// AsRoutingFunc attempts to express the algorithm as a routing function of
-// the form R: C×N -> C (Definition 2): the output channel must be a
-// function of the input channel and the destination alone. It returns the
-// materialized function, or a violation naming the first conflicting pair.
-// Every oblivious algorithm the paper considers is of this form; a conflict
-// means the algorithm needs source- or path-dependent state.
-func AsRoutingFunc(alg Algorithm) (*RoutingFunc, *Violation) {
-	rf := &RoutingFunc{
-		Inject: make(map[topology.NodeID]map[topology.NodeID]topology.ChannelID),
-		Next:   make(map[topology.ChannelID]map[topology.NodeID]topology.ChannelID),
+// CheckRoutingFunc reports whether the algorithm is expressible as a
+// routing function of the form R: C×N -> C (Definition 2): the output
+// channel must be a function of the input channel and the destination
+// alone. A violation names the first conflicting pair. Every oblivious
+// algorithm the paper considers is of this form; a conflict means the
+// algorithm needs source- or path-dependent state. Injection cannot
+// conflict, since each (source, destination) pair has one path.
+func CheckRoutingFunc(alg Algorithm) *Violation {
+	net := alg.Network()
+	n := net.NumNodes()
+	next := make([]topology.ChannelID, net.NumChannels()*n) // (in, dst) -> out
+	for i := range next {
+		next[i] = topology.None
 	}
-	v := forEachPair(alg.Network(), func(s, d topology.NodeID) *Violation {
+	return forEachPair(net, func(s, d topology.NodeID) *Violation {
 		p := alg.Path(s, d)
-		if p == nil {
-			return nil
-		}
-		if m, ok := rf.Inject[s]; !ok {
-			rf.Inject[s] = map[topology.NodeID]topology.ChannelID{d: p[0]}
-		} else if prev, ok := m[d]; ok && prev != p[0] {
-			return &Violation{Property: "form C×N->C", Src: s, Dst: d,
-				Detail: fmt.Sprintf("injection at node %d for destination %d maps to both channel %d and %d", s, d, prev, p[0])}
-		} else {
-			m[d] = p[0]
-		}
 		for i := 0; i+1 < len(p); i++ {
 			in, out := p[i], p[i+1]
-			if m, ok := rf.Next[in]; !ok {
-				rf.Next[in] = map[topology.NodeID]topology.ChannelID{d: out}
-			} else if prev, ok := m[d]; ok && prev != out {
+			slot := &next[int(in)*n+int(d)]
+			if *slot != topology.None && *slot != out {
 				return &Violation{Property: "form C×N->C", Src: s, Dst: d,
-					Detail: fmt.Sprintf("R(channel %d, dest %d) maps to both channel %d and %d", in, d, prev, out)}
-			} else {
-				m[d] = out
+					Detail: fmt.Sprintf("R(channel %d, dest %d) maps to both channel %d and %d", in, d, *slot, out)}
 			}
+			*slot = out
 		}
 		return nil
 	})
-	if v != nil {
-		return nil, v
-	}
-	return rf, nil
 }
 
 // CheckInputChannelIndependent reports whether the algorithm is realizable
@@ -217,22 +186,21 @@ func AsRoutingFunc(alg Algorithm) (*RoutingFunc, *Violation) {
 // channel. Algorithms of this form cannot have unreachable cyclic
 // configurations (Corollary 1).
 func CheckInputChannelIndependent(alg Algorithm) *Violation {
-	type pairKey struct{ at, dst topology.NodeID }
 	net := alg.Network()
-	next := make(map[pairKey]topology.ChannelID) // (current node, dst) -> out
+	n := net.NumNodes()
+	next := make([]topology.ChannelID, n*n) // (current node, dst) -> out
+	for i := range next {
+		next[i] = topology.None
+	}
 	return forEachPair(net, func(s, d topology.NodeID) *Violation {
-		p := alg.Path(s, d)
-		if p == nil {
-			return nil
-		}
 		at := s
-		for _, out := range p {
-			key := pairKey{at, d}
-			if prev, ok := next[key]; ok && prev != out {
+		for _, out := range alg.Path(s, d) {
+			slot := &next[int(at)*n+int(d)]
+			if *slot != topology.None && *slot != out {
 				return &Violation{Property: "form N×N->C", Src: s, Dst: d,
-					Detail: fmt.Sprintf("at node %d for destination %d the algorithm uses both channel %d and %d", at, d, prev, out)}
+					Detail: fmt.Sprintf("at node %d for destination %d the algorithm uses both channel %d and %d", at, d, *slot, out)}
 			}
-			next[key] = out
+			*slot = out
 			at = net.Channel(out).Dst
 		}
 		return nil
@@ -267,8 +235,7 @@ func CheckAll(alg Algorithm) Properties {
 	record(&props.SuffixClosed, CheckSuffixClosed(alg))
 	record(&props.NoRevisit, CheckNoRevisit(alg))
 	props.Coherent = props.PrefixClosed && props.SuffixClosed && props.NoRevisit
-	_, v := AsRoutingFunc(alg)
-	record(&props.RoutingFuncForm, v)
+	record(&props.RoutingFuncForm, CheckRoutingFunc(alg))
 	record(&props.InputChannelIndependent, CheckInputChannelIndependent(alg))
 	return props
 }
@@ -286,14 +253,22 @@ func (p Properties) String() string {
 		mark(p.NoRevisit), mark(p.Coherent), mark(p.RoutingFuncForm), mark(p.InputChannelIndependent))
 }
 
-func equalPaths(a, b []topology.ChannelID) bool {
-	if len(a) != len(b) {
+// nodeSet is a set of nodes that clear empties in O(1): a node is in the
+// set when its stamp equals the current one.
+type nodeSet struct {
+	stamp []int
+	cur   int
+}
+
+func newNodeSet(n int) *nodeSet { return &nodeSet{stamp: make([]int, n), cur: 1} }
+
+func (s *nodeSet) clear() { s.cur++ }
+
+// add inserts v and reports whether it was absent.
+func (s *nodeSet) add(v topology.NodeID) bool {
+	if s.stamp[v] == s.cur {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
+	s.stamp[v] = s.cur
 	return true
 }

@@ -324,27 +324,3 @@ func (f *funcAlgorithm) Path(src, dst topology.NodeID) []topology.ChannelID {
 	}
 	return append([]topology.ChannelID(nil), path...)
 }
-
-// Materialize copies every pair's path of alg into a Table, which makes
-// repeated Path calls cheap and the algorithm mutable. It returns an error
-// if alg is incomplete.
-func Materialize(alg Algorithm) (*Table, error) {
-	net := alg.Network()
-	t := NewTable(net, alg.Name())
-	n := net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			p := alg.Path(topology.NodeID(s), topology.NodeID(d))
-			if p == nil {
-				return nil, fmt.Errorf("routing: Materialize(%s): no path %d -> %d", alg.Name(), s, d)
-			}
-			if err := t.SetPath(topology.NodeID(s), topology.NodeID(d), p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
-}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -90,7 +91,7 @@ func TestDimensionOrderPathShape(t *testing.T) {
 		t.Fatalf("path length = %d; want 4", len(p))
 	}
 	// Dimension 0 must be fully corrected before dimension 1 moves.
-	nodes := g.Network.PathNodes(p)
+	nodes := pathNodes(t, g.Network, p)
 	sawDim1 := false
 	for i := 1; i < len(nodes); i++ {
 		prev, cur := g.Coords(nodes[i-1]), g.Coords(nodes[i])
@@ -117,7 +118,7 @@ func TestNegativeFirstProperties(t *testing.T) {
 	// Path from (0,0) to (2,2) has no negative hops; from (2,2) to (0,0)
 	// all hops are negative.
 	p := alg.Path(g.NodeAt([]int{0, 2}), g.NodeAt([]int{2, 0}))
-	nodes := g.Network.PathNodes(p)
+	nodes := pathNodes(t, g.Network, p)
 	// First hops must be the dimension-1 negative moves.
 	c0 := g.Coords(nodes[0])
 	c1 := g.Coords(nodes[1])
@@ -138,7 +139,7 @@ func TestECubeProperties(t *testing.T) {
 		t.Fatalf("e-cube path 0->7 length = %d; want 3", len(p))
 	}
 	// Lowest bit first: 0 -> 1 -> 3 -> 7.
-	nodes := h.PathNodes(p)
+	nodes := pathNodes(t, h, p)
 	want := []topology.NodeID{0, 1, 3, 7}
 	for i := range want {
 		if nodes[i] != want[i] {
@@ -199,7 +200,7 @@ func TestHubRouting(t *testing.T) {
 		t.Fatalf("hub routing incomplete: %v", props.Violations)
 	}
 	p := alg.Path(1, 2)
-	nodes := net.PathNodes(p)
+	nodes := pathNodes(t, net, p)
 	if len(nodes) != 3 || nodes[1] != 0 {
 		t.Fatalf("leaf-to-leaf path should pass the hub: %v", nodes)
 	}
@@ -216,7 +217,7 @@ func TestHubRoutingOnRing(t *testing.T) {
 		t.Fatal(v)
 	}
 	// Path 0 -> 4 must route via node 2 even though 0-4 are adjacent.
-	nodes := net.PathNodes(alg.Path(0, 4))
+	nodes := pathNodes(t, net, alg.Path(0, 4))
 	via := false
 	for _, n := range nodes[1 : len(nodes)-1] {
 		if n == 2 {
@@ -259,10 +260,10 @@ func TestRandomMinimalDeterministicAndMinimal(t *testing.T) {
 			pa := a.Path(topology.NodeID(s), topology.NodeID(d))
 			pb := b.Path(topology.NodeID(s), topology.NodeID(d))
 			pc := c.Path(topology.NodeID(s), topology.NodeID(d))
-			if !equalPaths(pa, pb) {
+			if !slices.Equal(pa, pb) {
 				same = false
 			}
-			if !equalPaths(pa, pc) {
+			if !slices.Equal(pa, pc) {
 				differs = true
 			}
 		}
@@ -314,33 +315,20 @@ func TestFromFuncLivelockGuard(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	g := topology.NewMesh([]int{3, 3}, 1)
-	alg := DimensionOrder(g)
-	tab, err := Materialize(alg)
-	if err != nil {
-		t.Fatal(err)
+// pathNodes returns the nodes a contiguous channel path visits, from its
+// first channel's source on, and fails the test on a discontiguous path.
+func pathNodes(t *testing.T, net *topology.Network, p []topology.ChannelID) []topology.NodeID {
+	t.Helper()
+	if len(p) == 0 {
+		return nil
 	}
-	for s := 0; s < g.NumNodes(); s++ {
-		for d := 0; d < g.NumNodes(); d++ {
-			if s == d {
-				continue
-			}
-			if !equalPaths(tab.Path(topology.NodeID(s), topology.NodeID(d)), alg.Path(topology.NodeID(s), topology.NodeID(d))) {
-				t.Fatalf("materialized path differs for (%d,%d)", s, d)
-			}
+	nodes := []topology.NodeID{net.Channel(p[0]).Src}
+	for i, cid := range p {
+		c := net.Channel(cid)
+		if c.Src != nodes[i] {
+			t.Fatalf("path %v is discontiguous at index %d", p, i)
 		}
+		nodes = append(nodes, c.Dst)
 	}
-	if tab.Name() != alg.Name() {
-		t.Fatal("name not preserved")
-	}
-}
-
-func TestMaterializeIncomplete(t *testing.T) {
-	net := topology.NewRing(3, false)
-	partial := NewTable(net, "partial")
-	partial.MustSetPath(0, 1, net.ShortestPath(0, 1))
-	if _, err := Materialize(partial); err == nil {
-		t.Fatal("materializing an incomplete algorithm should fail")
-	}
+	return nodes
 }

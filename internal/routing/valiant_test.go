@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -32,10 +33,10 @@ func TestValiantDeterministicPerSeed(t *testing.T) {
 			pa := a.Path(topology.NodeID(s), topology.NodeID(d))
 			pb := b.Path(topology.NodeID(s), topology.NodeID(d))
 			pc := c.Path(topology.NodeID(s), topology.NodeID(d))
-			if !equalPaths(pa, pb) {
+			if !slices.Equal(pa, pb) {
 				same = false
 			}
-			if !equalPaths(pa, pc) {
+			if !slices.Equal(pa, pc) {
 				diff = true
 			}
 		}

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"slices"
-	"strconv"
-)
+import "slices"
 
 // Distances returns the all-pairs hop-count distance matrix computed by BFS
 // over the channel graph. Distances()[u][v] is the minimum number of
@@ -125,26 +122,6 @@ func (n *Network) ShortestPath(src, dst NodeID) []ChannelID {
 		return nil
 	}
 	return t.AppendPath(make([]ChannelID, 0, t.depth[dst]), dst)
-}
-
-// PathNodes returns the node sequence visited by a channel path starting at
-// the path's first channel source. It returns nil for an empty path. It
-// panics if the path is not contiguous (channel i's destination must be
-// channel i+1's source).
-func (n *Network) PathNodes(path []ChannelID) []NodeID {
-	if len(path) == 0 {
-		return nil
-	}
-	nodes := make([]NodeID, 0, len(path)+1)
-	nodes = append(nodes, n.Channel(path[0]).Src)
-	for i, cid := range path {
-		c := n.Channel(cid)
-		if c.Src != nodes[len(nodes)-1] {
-			panic("topology: PathNodes: discontiguous path at index " + strconv.Itoa(i))
-		}
-		nodes = append(nodes, c.Dst)
-	}
-	return nodes
 }
 
 // IsPath reports whether path is a contiguous channel path from src to dst.

@@ -118,10 +118,6 @@ func TestShortestPath(t *testing.T) {
 	if !net.IsPath(0, 3, p) {
 		t.Fatal("ShortestPath result fails IsPath")
 	}
-	nodes := net.PathNodes(p)
-	if nodes[0] != 0 || nodes[len(nodes)-1] != 3 {
-		t.Fatalf("PathNodes endpoints = %v", nodes)
-	}
 	if p := net.ShortestPath(2, 2); p != nil {
 		t.Fatalf("ShortestPath(v,v) = %v; want nil", p)
 	}
@@ -362,17 +358,6 @@ func TestChannelString(t *testing.T) {
 	if s := net.Node(b).String(); s != "n1" {
 		t.Fatalf("unlabeled Node String = %q", s)
 	}
-}
-
-func TestPathNodesPanicsOnDiscontiguous(t *testing.T) {
-	net := NewRing(4, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	// cw0 goes 0->1, cw2 goes 2->3: discontiguous.
-	net.PathNodes([]ChannelID{0, 2})
 }
 
 func TestNetworkDOT(t *testing.T) {
