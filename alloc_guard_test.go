@@ -580,7 +580,7 @@ func TestFindLocalAllocBounded(t *testing.T) {
 // from maps to dense arrays.
 var rowAllocs = map[string]int64{
 	"E1_Figure1_Search":              1247,
-	"E2_PropertyChecks":              13434,
+	"E2_PropertyChecks":              4730,
 	"E3_Figure1_Skew1":               1520,
 	"E4_Figure2_Search":              449,
 	"E5_Figure3_SearchAll":           5777,

@@ -85,12 +85,17 @@ func ECube(net *topology.Network) Algorithm {
 				diff >>= 1
 				bit++
 			}
+			// The lowest (VC, ID) channel to the neighbour across bit, the
+			// first of ChannelsBetween, found without building the list:
+			// Out lists channels in ascending ID order.
 			want := topology.NodeID(uint(at) ^ (1 << bit))
-			chans := net.ChannelsBetween(at, want)
-			if len(chans) == 0 {
-				return topology.None
+			best, bestVC := topology.None, 0
+			for _, cid := range net.Out(at) {
+				if c := net.Channel(cid); c.Dst == want && (best == topology.None || c.VC < bestVC) {
+					best, bestVC = cid, c.VC
+				}
 			}
-			return chans[0]
+			return best
 		})
 }
 

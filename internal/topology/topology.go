@@ -13,8 +13,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -188,12 +189,11 @@ func (n *Network) ChannelsBetween(src, dst NodeID) []ChannelID {
 			ids = append(ids, cid)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := n.channels[ids[i]], n.channels[ids[j]]
-		if a.VC != b.VC {
-			return a.VC < b.VC
+	slices.SortFunc(ids, func(a, b ChannelID) int {
+		if va, vb := n.channels[a].VC, n.channels[b].VC; va != vb {
+			return cmp.Compare(va, vb)
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a, b)
 	})
 	return ids
 }
