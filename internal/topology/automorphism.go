@@ -1,7 +1,8 @@
 package topology
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Automorphism is a structure-preserving relabeling of a network onto
@@ -50,38 +51,7 @@ func (n *Network) Automorphisms(limit int) ([]Automorphism, bool) {
 		return nil, true
 	}
 	color := n.refineColors()
-
-	// pairKey[(u,v)] is the sorted VC multiset of channels u -> v,
-	// interned to a comparable id so the backtracking check is an int
-	// compare.
-	type pair struct{ u, v NodeID }
-	keyID := make(map[string]int)
-	pairKey := make(map[pair]int)
-	intern := func(vcs []int) int {
-		sort.Ints(vcs)
-		var b []byte
-		for _, vc := range vcs {
-			b = appendInt(b, vc)
-		}
-		k := string(b)
-		id, ok := keyID[k]
-		if !ok {
-			id = len(keyID) + 1
-			keyID[k] = id
-		}
-		return id
-	}
-	{
-		byPair := make(map[pair][]int)
-		for _, c := range n.channels {
-			p := pair{c.Src, c.Dst}
-			byPair[p] = append(byPair[p], c.VC)
-		}
-		for p, vcs := range byPair {
-			pairKey[p] = intern(vcs)
-		}
-	}
-	key := func(u, v NodeID) int { return pairKey[pair{u, v}] }
+	pg := n.groupPairs()
 
 	img := make([]NodeID, nn)
 	used := make([]bool, nn)
@@ -96,7 +66,7 @@ func (n *Network) Automorphisms(limit int) ([]Automorphism, bool) {
 	var extend func(v int) bool // false = abort enumeration entirely
 	extend = func(v int) bool {
 		if v == nn {
-			if a, ok := n.deriveChannelMap(img); ok {
+			if a, ok := pg.channelMap(n, img); ok {
 				autos = append(autos, a)
 				if len(autos) >= limit {
 					complete = false
@@ -105,6 +75,7 @@ func (n *Network) Automorphisms(limit int) ([]Automorphism, bool) {
 			}
 			return true
 		}
+		rowV, colV := pg.key[v*nn:(v+1)*nn], pg.key[v:]
 		for w := 0; w < nn; w++ {
 			if used[w] || color[v] != color[w] {
 				continue
@@ -114,10 +85,11 @@ func (n *Network) Automorphisms(limit int) ([]Automorphism, bool) {
 				complete = false
 				return false
 			}
+			rowW, colW := pg.key[w*nn:(w+1)*nn], pg.key[w:]
 			ok := true
 			for u := 0; u < v; u++ {
-				if key(NodeID(v), NodeID(u)) != key(NodeID(w), img[u]) ||
-					key(NodeID(u), NodeID(v)) != key(img[u], NodeID(w)) {
+				iu := int(img[u])
+				if rowV[u] != rowW[iu] || colV[u*nn] != colW[iu*nn] {
 					ok = false
 					break
 				}
@@ -140,39 +112,101 @@ func (n *Network) Automorphisms(limit int) ([]Automorphism, bool) {
 	return autos, complete
 }
 
-// deriveChannelMap turns a node permutation into the canonical channel
+// pairGroups groups a network's channels by ordered node pair, once per
+// Automorphisms call. Group g is chans[start[g]:start[g+1]], the channels
+// of one pair in ascending (VC, ID) order. The two n×n tables are indexed
+// u*n+v: group holds the group of the channels u -> v plus one, 0 when
+// there are none, and key identifies their VC multiset, 0 when there are
+// none and equal for equal multisets, so the backtracking check is an
+// int compare.
+type pairGroups struct {
+	chans []ChannelID
+	start []int
+	group []int32
+	key   []int32
+}
+
+// groupPairs builds the pair groups and both tables from one sort of the
+// channels by (Src, Dst, VC, ID).
+func (n *Network) groupPairs() pairGroups {
+	nn := len(n.nodes)
+	pg := pairGroups{
+		chans: make([]ChannelID, len(n.channels)),
+		group: make([]int32, nn*nn),
+		key:   make([]int32, nn*nn),
+	}
+	for i := range pg.chans {
+		pg.chans[i] = ChannelID(i)
+	}
+	slices.SortFunc(pg.chans, func(a, b ChannelID) int {
+		ca, cb := &n.channels[a], &n.channels[b]
+		return cmp.Or(cmp.Compare(ca.Src, cb.Src), cmp.Compare(ca.Dst, cb.Dst), cmp.Compare(ca.VC, cb.VC), cmp.Compare(a, b))
+	})
+	// reps[k-1] is the first group whose VC multiset has key k; the paper
+	// networks and the regular topologies have one or two multisets.
+	var reps []int
+	sameVCs := func(a, b []ChannelID) bool {
+		return slices.EqualFunc(a, b, func(x, y ChannelID) bool { return n.channels[x].VC == n.channels[y].VC })
+	}
+	for i := 0; i < len(pg.chans); {
+		c := &n.channels[pg.chans[i]]
+		j := i + 1
+		for j < len(pg.chans) && n.channels[pg.chans[j]].Src == c.Src && n.channels[pg.chans[j]].Dst == c.Dst {
+			j++
+		}
+		g := len(pg.start)
+		pg.start = append(pg.start, i)
+		k := 0
+		for r, rep := range reps {
+			if sameVCs(pg.chans[i:j], pg.members(rep)) {
+				k = r + 1
+				break
+			}
+		}
+		if k == 0 {
+			reps = append(reps, g)
+			k = len(reps)
+		}
+		at := int(c.Src)*nn + int(c.Dst)
+		pg.group[at] = int32(g + 1)
+		pg.key[at] = int32(k)
+		i = j
+	}
+	pg.start = append(pg.start, len(pg.chans))
+	return pg
+}
+
+// members returns group g's channels. While groupPairs is still adding
+// groups, only the earlier groups, whose end is already recorded, may be
+// asked for.
+func (pg *pairGroups) members(g int) []ChannelID {
+	end := len(pg.chans)
+	if g+1 < len(pg.start) {
+		end = pg.start[g+1]
+	}
+	return pg.chans[pg.start[g]:end]
+}
+
+// channelMap turns a node permutation into the canonical channel
 // permutation: for every ordered node pair, channels are matched to the
 // image pair's channels in ascending (VC, ID) order. It reports false if
 // the VC multisets do not line up (the node map was not an automorphism
 // after all — cannot happen after the backtracking checks, kept as a
 // guard).
-func (n *Network) deriveChannelMap(img []NodeID) (Automorphism, bool) {
+func (pg *pairGroups) channelMap(n *Network, img []NodeID) (Automorphism, bool) {
+	nn := len(n.nodes)
 	chans := make([]ChannelID, len(n.channels))
-	for i := range chans {
-		chans[i] = None
-	}
-	// Group channels by ordered pair once, in ID order.
-	byPair := make(map[[2]NodeID][]ChannelID, len(n.channels))
-	for _, c := range n.channels {
-		p := [2]NodeID{c.Src, c.Dst}
-		byPair[p] = append(byPair[p], c.ID)
-	}
-	sortByVC := func(ids []ChannelID) {
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := n.channels[ids[i]], n.channels[ids[j]]
-			if a.VC != b.VC {
-				return a.VC < b.VC
-			}
-			return a.ID < b.ID
-		})
-	}
-	for p, src := range byPair {
-		dst := byPair[[2]NodeID{img[p[0]], img[p[1]]}]
+	for g := 0; g+1 < len(pg.start); g++ {
+		src := pg.members(g)
+		c := &n.channels[src[0]]
+		h := pg.group[int(img[c.Src])*nn+int(img[c.Dst])] - 1
+		if h < 0 {
+			return Automorphism{}, false
+		}
+		dst := pg.members(int(h))
 		if len(dst) != len(src) {
 			return Automorphism{}, false
 		}
-		sortByVC(src)
-		sortByVC(dst)
 		for i := range src {
 			if n.channels[src[i]].VC != n.channels[dst[i]].VC {
 				return Automorphism{}, false
@@ -180,72 +214,59 @@ func (n *Network) deriveChannelMap(img []NodeID) (Automorphism, bool) {
 			chans[src[i]] = dst[i]
 		}
 	}
-	return Automorphism{Nodes: append([]NodeID(nil), img...), Chans: chans}, true
+	return Automorphism{Nodes: slices.Clone(img), Chans: chans}, true
 }
 
 // refineColors computes a stable node coloring invariant under
 // automorphism: the initial color is the (in-degree, out-degree, VC
 // multiset) signature, refined by the sorted colors of channel-connected
-// neighbors until no class splits further.
+// neighbors until no class splits further. Each round writes every node's
+// signature into one flat array — its color, its out-degree, its sorted
+// out-neighbor keys (VC<<20 | color), -1 and its sorted in-neighbor keys
+// — and numbers the classes by sorting the nodes on it. A round that
+// splits no class ends the refinement: every signature starts with the
+// node's color, so a round can only split classes.
 func (n *Network) refineColors() []int {
 	nn := len(n.nodes)
 	color := make([]int, nn)
-	next := make([]int, nn)
-	sig := make([]string, nn)
+	off := make([]int, nn+1)
+	for v := range nn {
+		off[v+1] = off[v] + 3 + len(n.out[v]) + len(n.in[v])
+	}
+	sig := make([]int, off[nn])
+	sigOf := func(v int) []int { return sig[off[v]:off[v+1]] }
+	order := make([]int, nn)
+	classes := 1
 	for round := 0; round <= nn; round++ {
-		classes := make(map[string]int)
-		for v := 0; v < nn; v++ {
-			var b []byte
-			b = appendInt(b, color[v])
-			var outs, ins []int
-			for _, cid := range n.out[v] {
-				c := n.channels[cid]
-				outs = append(outs, c.VC<<20|color[c.Dst])
+		for v := range nn {
+			s, outs := sigOf(v), len(n.out[v])
+			s[0], s[1], s[2+outs] = color[v], outs, -1
+			for i, cid := range n.out[v] {
+				c := &n.channels[cid]
+				s[2+i] = c.VC<<20 | color[c.Dst]
 			}
-			for _, cid := range n.in[v] {
-				c := n.channels[cid]
-				ins = append(ins, c.VC<<20|color[c.Src])
+			for i, cid := range n.in[v] {
+				c := &n.channels[cid]
+				s[3+outs+i] = c.VC<<20 | color[c.Src]
 			}
-			sort.Ints(outs)
-			sort.Ints(ins)
-			b = appendInt(b, len(outs))
-			for _, x := range outs {
-				b = appendInt(b, x)
-			}
-			b = appendInt(b, -1)
-			for _, x := range ins {
-				b = appendInt(b, x)
-			}
-			sig[v] = string(b)
-			if _, ok := classes[sig[v]]; !ok {
-				classes[sig[v]] = len(classes)
-			}
+			slices.Sort(s[2 : 2+outs])
+			slices.Sort(s[3+outs:])
 		}
-		changed := false
-		for v := 0; v < nn; v++ {
-			next[v] = classes[sig[v]]
-			if next[v] != color[v] {
-				changed = true
-			}
+		for v := range order {
+			order[v] = v
 		}
-		copy(color, next)
-		if !changed {
+		slices.SortFunc(order, func(a, b int) int { return slices.Compare(sigOf(a), sigOf(b)) })
+		next := 0
+		for i, v := range order {
+			if i > 0 && !slices.Equal(sigOf(order[i-1]), sigOf(v)) {
+				next++
+			}
+			color[v] = next
+		}
+		if next+1 == classes {
 			break
 		}
+		classes = next + 1
 	}
 	return color
-}
-
-// appendInt appends a self-delimiting little-endian varint-ish rendering
-// of x, adequate for building hash-key byte strings.
-func appendInt(b []byte, x int) []byte {
-	u := uint64(int64(x))
-	for {
-		d := byte(u & 0x7f)
-		u >>= 7
-		if u == 0 {
-			return append(b, d|0x80)
-		}
-		b = append(b, d)
-	}
 }
