@@ -75,7 +75,7 @@ func TestMaskEnumeration(t *testing.T) {
 	e.maskLoop(func(d *Decision) bool {
 		seen[d.Masks[0]] = true
 		return true
-	})
+	}, false)
 	if len(seen) != 2 {
 		t.Fatalf("mask assignments = %d; want 2", len(seen))
 	}

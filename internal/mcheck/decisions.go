@@ -27,6 +27,10 @@ import (
 // selections (first adaptive message varying fastest), then arbitration
 // picks (lowest contested channel varying fastest) — so state counts and
 // witnesses are identical to the historical engine's.
+//
+// Beside each decision the enumerator tells its callback, in kind and
+// pick, how the successor can be built: stepped from the probe, or
+// assembled from the bytes of an earlier sibling (see succKind).
 type decisionEnum struct {
 	probe *sim.Sim // scratch: activation + freeze + mask state applied here
 
@@ -48,7 +52,44 @@ type decisionEnum struct {
 	picks      map[topology.ChannelID]int
 
 	dec Decision // the decision handed to fn, rewritten for each one
+
+	// kind and pick describe the decision handed to fn: how its successor
+	// is built, and the ordinal of its picks in its pick loop. actGen
+	// counts activation subsets over the enumerator's life, so a callback
+	// can tell when the probe's held bits last changed.
+	kind   succKind
+	pick   int
+	actGen uint64
+	// assemble reports that the current activation subset's base decision
+	// kept isolated, the Isolated marks of its plan, and keptCons, a copy
+	// of its contentions backed by keptIDs, for the freeze subsets that
+	// are assembled instead of stepped.
+	assemble bool
+	isolated []bool
+	keptCons []sim.Contention
+	keptIDs  []int
 }
+
+// succKind says how the search builds a decision's successor.
+type succKind uint8
+
+const (
+	// succStep: step the probe, which carries the decision's
+	// activations, freezes and masks and the plan of its Contentions call.
+	succStep succKind = iota
+	// succBase: as succStep, for the activation subset's decision without
+	// freezes or mask choice, whose successors assembled siblings copy:
+	// the callback keeps the successor of each pick ordinal.
+	succBase
+	// succAssembled: a decision whose every frozen message is isolated
+	// (sim.Isolated) in the base's plan. Its successor is the base's
+	// successor with the same pick ordinal, except that each frozen
+	// message has its bytes in the probe before the step: it did not
+	// move, and its one-cycle freeze counted back to 0. The probe carries
+	// the decision's activations but neither its freezes nor a plan for
+	// them, so the decision must not be stepped from it.
+	succAssembled
+)
 
 // newDecisionEnum returns an enumerator whose probe is a clone of proto;
 // proto must be structurally identical (same scenario) to every state the
@@ -129,11 +170,18 @@ func intersects(a, b []int) bool {
 // budget to fn, in canonical order. The *Decision passed to fn — including
 // its slices and maps — is scratch storage valid only during the call; the
 // callee must apply or copy it before returning. During the call the probe
-// holds s with the decision's activations, freezes and masks applied, and
-// the arbitration plan of its latest Contentions call, so fn may step the
-// successor with StepFrom(e.probe, d.Picks); fn must not change the probe.
-// Returning false from fn stops the enumeration; forEach reports whether
-// it ran to completion.
+// holds s with the decision's activations applied. For a stepped decision
+// (e.kind succStep or succBase) it also holds the decision's freezes and
+// masks and the arbitration plan of its latest Contentions call, so fn may
+// step the successor with StepFrom(e.probe, d.Picks). For an assembled
+// decision (succAssembled) it holds neither the freezes nor a plan for
+// them: fn builds the successor from the base sibling with ordinal e.pick
+// (see succKind), or from s with apply and StepWithPicks. fn must not
+// change the probe. Returning false from fn stops the enumeration;
+// forEach reports whether it ran to completion.
+//
+// s may be the probe itself, which saves a copy; forEach leaves the probe
+// in state s on return either way.
 func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *enumStats, fn func(d *Decision) bool) bool {
 	e.cfg = cfg
 	e.stats = stats
@@ -146,28 +194,46 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 	if len(e.held) > maxSubsetItems {
 		panic("mcheck: subset enumeration over more than 16 items")
 	}
-	// The probe is copied once per state. Every subset below leaves it as
-	// it found it except for held bits, which each activation subset sets
-	// afresh: freezes are restored to 0 (only messages CanAdvanceAll
-	// marks are frozen, and those have none) and masks to topology.None (Step
-	// clears them, so s has none).
-	e.probe.CopyFrom(s)
+	// The probe holds s once per state. Every subset below leaves it as it
+	// found it except for held bits, which each activation subset sets
+	// afresh and the end restores: freezes are restored to 0 (only
+	// messages CanAdvanceAll marks are frozen, and those have none) and
+	// masks to topology.None (Step clears them, so s has none).
+	if s != e.probe {
+		e.probe.CopyFrom(s)
+	}
+	ok := e.activations(budget, fn)
+	for _, id := range e.held {
+		e.probe.SetHeld(id, true)
+	}
+	return ok
+}
+
+// activations runs forEach's activation and freeze subsets on the probe.
+func (e *decisionEnum) activations(budget int, fn func(d *Decision) bool) bool {
+	cfg, stats := e.cfg, e.stats
+	// One movability pass, with every held message activated, serves the
+	// sleep-set filter and every activation subset's freeze candidates.
+	// CanAdvanceAll's answer for a message does not depend on the other
+	// messages' held bits (predicted releases only consider fully-injected
+	// messages, and activations occupy no channels), and a held message is
+	// uninjected, so it can move only when activated. Subset A's movable
+	// messages are therefore those that can advance and are unheld once A
+	// is applied.
+	if cfg.por && len(e.held) > 0 || budget > 0 {
+		for _, id := range e.held {
+			e.probe.SetHeld(id, false)
+		}
+		e.adv = e.probe.CanAdvanceAll(e.adv)
+	}
 	// Sleep-set filter: a held message that cannot inject this cycle even
 	// when activated (its entry channel is occupied by a flit that no
 	// predicted release frees) contributes nothing to any decision that
 	// activates it — the successor matches the same decision without the
 	// activation except for the held bit, and the held variant retains
-	// strictly more adversary power. CanAdvanceAll's answer for an
-	// uninjected message is independent of the other activations
-	// (predicted releases only consider fully-injected messages, and
-	// activations occupy no channels), so one probe pass decides every
-	// subset.
+	// strictly more adversary power.
 	sleep := 0
 	if cfg.por && len(e.held) > 0 {
-		for _, id := range e.held {
-			e.probe.SetHeld(id, false)
-		}
-		e.adv = e.probe.CanAdvanceAll(e.adv)
 		for i, id := range e.held {
 			if !e.adv[id] {
 				sleep |= 1 << i
@@ -185,18 +251,15 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 			continue
 		}
 		e.act = subsetInto(e.act[:0], e.held, actMask)
-		// Freezing depends on which messages can move after activation;
-		// activation only enables injections, which cannot disable any
-		// other message's movement, so compute movability on the probe
-		// with the activation applied.
 		for i, id := range e.held {
 			e.probe.SetHeld(id, actMask&(1<<i) == 0)
 		}
+		e.actGen++
+		e.assemble = false
 		e.movable = e.movable[:0]
 		if budget > 0 {
-			e.adv = e.probe.CanAdvanceAll(e.adv)
 			for id, ok := range e.adv {
-				if !ok {
+				if !ok || e.probe.Held(id) {
 					continue
 				}
 				if cfg.inTransitOnly && e.probe.Delivering(id) {
@@ -225,10 +288,23 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 				}
 				continue
 			}
+			if frzMask != 0 && e.assemble && e.allIsolated() {
+				// The base's contentions are this decision's too (see
+				// succKind), so its picks enumerate over the kept copy.
+				e.kind = succAssembled
+				if !e.pickLoop(e.keptCons, nil, fn) {
+					return false
+				}
+				continue
+			}
+			e.kind = succStep
 			for _, id := range e.frz {
 				e.probe.SetFrozen(id, 1)
 			}
-			ok := e.maskLoop(fn)
+			// The base decision, which freezes nothing, keeps what its
+			// frozen siblings need to be assembled; liveness searches step
+			// every decision.
+			ok := e.maskLoop(fn, frzMask == 0 && len(e.movable) > 0 && !cfg.maskAll)
 			for _, id := range e.frz {
 				e.probe.SetFrozen(id, 0)
 			}
@@ -240,11 +316,50 @@ func (e *decisionEnum) forEach(s *sim.Sim, budget int, cfg enumConfig, stats *en
 	return true
 }
 
+// allIsolated reports whether every message of the current freeze subset
+// is isolated in the base decision's plan.
+func (e *decisionEnum) allIsolated() bool {
+	for _, id := range e.frz {
+		if !e.isolated[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// keepBase records the base decision's isolation marks and, when some
+// freeze candidate is isolated, a copy of its contentions; it reports
+// whether any frozen sibling can be assembled.
+func (e *decisionEnum) keepBase(cons []sim.Contention) bool {
+	e.isolated = e.probe.Isolated(e.isolated)
+	found := false
+	for _, id := range e.movable {
+		found = found || e.isolated[id]
+	}
+	if !found {
+		return false
+	}
+	e.keptIDs = e.keptIDs[:0]
+	for _, c := range cons {
+		e.keptIDs = append(e.keptIDs, c.Contenders...)
+	}
+	e.keptCons = e.keptCons[:0]
+	at := 0
+	for _, c := range cons {
+		n := len(c.Contenders)
+		e.keptCons = append(e.keptCons, sim.Contention{Channel: c.Channel, Contenders: e.keptIDs[at : at+n : at+n]})
+		at += n
+	}
+	return true
+}
+
 // maskLoop enumerates adaptive selection nondeterminism on the prepared
 // probe: for every adaptive message with several acquirable candidates,
 // which one it requests this cycle. With nothing to choose it yields a
-// single nil mask assignment, mirroring the historical maskCombos.
-func (e *decisionEnum) maskLoop(fn func(d *Decision) bool) bool {
+// single nil mask assignment, mirroring the historical maskCombos; then,
+// when base is set, the decisions are the activation subset's base
+// (succBase), provided keepBase finds a sibling to assemble.
+func (e *decisionEnum) maskLoop(fn func(d *Decision) bool, base bool) bool {
 	e.maskIDs = e.maskIDs[:0]
 	e.maskCands = e.maskCands[:0]
 	for id := 0; id < e.probe.NumMessages(); id++ {
@@ -287,6 +402,10 @@ func (e *decisionEnum) maskLoop(fn func(d *Decision) bool) bool {
 			masks = e.masks
 		}
 		cons := e.probe.Contentions()
+		if n == 0 && base && e.keepBase(cons) {
+			e.assemble = true
+			e.kind = succBase
+		}
 		ok := e.pickLoop(cons, masks, fn)
 		for _, id := range e.maskIDs {
 			e.probe.SetMask(id, topology.None)
@@ -310,12 +429,13 @@ func (e *decisionEnum) maskLoop(fn func(d *Decision) bool) bool {
 }
 
 // pickLoop enumerates arbitration outcomes for the probed contentions and
-// yields one complete Decision per combination. With no contentions it
-// yields a single nil pick assignment.
+// yields one complete Decision per combination, numbering the
+// combinations in e.pick. With no contentions it yields a single nil pick
+// assignment.
 func (e *decisionEnum) pickLoop(cons []sim.Contention, masks map[int]topology.ChannelID, fn func(d *Decision) bool) bool {
 	n := len(cons)
 	e.pickDigits = resetDigits(e.pickDigits, n)
-	for {
+	for e.pick = 0; ; e.pick++ {
 		var picks map[topology.ChannelID]int
 		if n > 0 {
 			clear(e.picks)

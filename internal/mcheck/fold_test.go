@@ -133,10 +133,10 @@ func walkExpanded(t *testing.T, tc foldCase, visit func(w *searchWorker, s *sim.
 		var next []entry
 		for _, e := range level {
 			w.succs, w.arena = w.succs[:0], w.arena[:0]
-			if err := w.cur.DecodeFrom(e.enc); err != nil {
+			if err := w.enum.probe.DecodeFrom(e.enc); err != nil {
 				t.Fatal(err)
 			}
-			r := visit(w, w.cur, e.enc, e.budget)
+			r := visit(w, w.enum.probe, e.enc, e.budget)
 			switch {
 			case found != VerdictNoDeadlock:
 			case r.deadlocked:
@@ -229,12 +229,19 @@ func TestFirstDecisionDecidesDeadlock(t *testing.T) {
 	}
 }
 
-// TestStepFromMatchesStepWithPicks: Search steps every successor from the
+// TestStepFromMatchesStepWithPicks: Search steps a successor from the
 // enumerator's probe and the arbitration plan its Contentions call left
-// behind. On every state the corpus searches expand, each decision's
-// successor must encode byte-identically to the one CopyFrom + apply +
-// StepWithPicks builds, and report the same movement.
+// behind, or assembles it from a stepped sibling's bytes. On every state
+// the corpus searches expand, each stepped decision's successor must
+// encode byte-identically to the one CopyFrom + apply + StepWithPicks
+// builds, and report the same movement. Each assembled decision's
+// successor, built that same way, must be the one expand kept: the same
+// key (CanonicalEncodeTo), frontier bytes (EncodeTo) and budget. An
+// assembled successor that expand did not keep must be one it had to
+// drop: pruned by the partial-order post-step check, or rejected by the
+// visited pre-filter. The corpus must assemble something.
 func TestStepFromMatchesStepWithPicks(t *testing.T) {
+	assembled := 0
 	for _, tc := range foldCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.heavy && testing.Short() {
@@ -243,30 +250,76 @@ func TestStepFromMatchesStepWithPicks(t *testing.T) {
 			root := newHeldSim(tc.sc)
 			enum := newDecisionEnum(root)
 			planned, applied := root.Clone(), root.Clone()
-			var encPlanned, encApplied []byte
+			var encPlanned, encApplied, key, scratch []byte
+			type want struct {
+				dec      int32
+				key, enc []byte
+				budget   int
+				pruned   bool
+			}
 			decisions := 0
 			walkExpanded(t, tc, func(w *searchWorker, s *sim.Sim, enc []byte, budget int) expandResult {
+				var wants []want
+				dec := int32(-1)
 				enum.forEach(s, budget, w.eng.cfg, nil, func(d *Decision) bool {
+					dec++
 					decisions++
-					rp := planned.StepFrom(enum.probe, d.Picks)
 					applied.CopyFrom(s)
 					apply(applied, *d)
 					ra := applied.StepWithPicks(d.Picks)
-					encPlanned, encApplied = encPlanned[:0], encApplied[:0]
-					planned.EncodeTo(&encPlanned)
+					encApplied = encApplied[:0]
 					applied.EncodeTo(&encApplied)
-					if rp != ra || !bytes.Equal(encPlanned, encApplied) {
-						t.Fatalf("decision %+v: StepFrom moved=%v %x, StepWithPicks moved=%v %x",
-							*d, rp.Moved, encPlanned, ra.Moved, encApplied)
+					if enum.kind != succAssembled {
+						rp := planned.StepFrom(enum.probe, d.Picks)
+						encPlanned = encPlanned[:0]
+						planned.EncodeTo(&encPlanned)
+						if rp != ra || !bytes.Equal(encPlanned, encApplied) {
+							t.Fatalf("decision %+v: StepFrom moved=%v %x, StepWithPicks moved=%v %x",
+								*d, rp.Moved, encPlanned, ra.Moved, encApplied)
+						}
+						return true
 					}
+					pruned := false
+					for _, id := range d.Activate {
+						pruned = pruned || w.eng.cfg.por && !applied.InNetwork(id) && !applied.Delivered(id)
+					}
+					key = key[:0]
+					applied.CanonicalEncodeTo(w.eng.perms, &key, &scratch)
+					wants = append(wants, want{dec, bytes.Clone(key), bytes.Clone(encApplied), budget - len(d.Freeze), pruned})
 					return true
 				})
-				return w.expand(s, enc, budget)
+				r := w.expand(s, enc, budget)
+				if r.deadlocked || r.loop >= 0 {
+					return r // expand stopped before the rest of the decisions
+				}
+				kept := map[int32]succState{}
+				for _, su := range w.succs[r.lo:r.hi] {
+					kept[su.dec] = su
+				}
+				for _, wt := range wants {
+					assembled++
+					su, ok := kept[wt.dec]
+					if !ok {
+						if !wt.pruned && w.eng.visited.novel(w.eng.visited.hash(wt.key), wt.key, wt.budget) {
+							t.Fatalf("assembled decision %d was dropped, but its successor %x is novel", wt.dec, wt.enc)
+						}
+						continue
+					}
+					gotKey, gotEnc := w.arena[su.keyLo:su.keyHi], w.arena[su.encLo:su.encHi]
+					if wt.pruned || !bytes.Equal(gotKey, wt.key) || !bytes.Equal(gotEnc, wt.enc) || su.budget != wt.budget {
+						t.Fatalf("assembled decision %d: kept key %x enc %x budget %d; stepped key %x enc %x budget %d pruned %v",
+							wt.dec, gotKey, gotEnc, su.budget, wt.key, wt.enc, wt.budget, wt.pruned)
+					}
+				}
+				return r
 			})
 			if decisions == 0 {
 				t.Fatal("no decision enumerated")
 			}
 		})
+	}
+	if assembled == 0 {
+		t.Error("the corpus assembled no successor; the assembled path went unchecked")
 	}
 }
 

@@ -32,6 +32,7 @@ package mcheck
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,16 +255,37 @@ type engine struct {
 	visited *visitedSet
 	workers []*searchWorker
 	report  reporter
+	// cursor hands out the restart blocks of the level being expanded.
+	cursor atomic.Int64
 }
 
 // searchWorker is the per-goroutine scratch state for frontier expansion.
 type searchWorker struct {
-	eng      *engine
-	id       int32 // index in engine.workers
-	enum     *decisionEnum
-	cur      *sim.Sim // decoded frontier entry being expanded
-	scratch  *sim.Sim // successor under construction
-	canonBuf []byte   // canonical-encoding scratch (symmetry reduction)
+	eng     *engine
+	id      int32 // index in engine.workers
+	enum    *decisionEnum
+	scratch *sim.Sim // successor under construction
+	msgs    int      // messages per state
+
+	// starts holds the message offsets (sim.EncodeRangesTo) of the
+	// successor being keyed.
+	starts []int32
+	// base holds the successors of the current activation subset's base
+	// decision (succBase), kept for its assembled siblings: the successor
+	// with pick ordinal j has message k's bytes at
+	// base[baseStarts[j*(msgs+1)+k]:baseStarts[j*(msgs+1)+k+1]], and
+	// basePruned[j] is its partial-order post-step verdict. When an
+	// assembled sibling first needs it, after every base successor is
+	// kept, the probe's encoding before the step follows them, with its
+	// message offsets at baseStarts[preAt:]. baseGen and preGen name the
+	// activation subset (decisionEnum.actGen) each describes. The arrays
+	// only grow, so an assembled successor allocates nothing.
+	base       []byte
+	baseStarts []int32
+	basePruned []bool
+	baseGen    uint64
+	preAt      int
+	preGen     uint64
 
 	// succs and arena hold the successors of every entry the worker
 	// expands in one level and their key and encoding bytes. They are
@@ -291,8 +313,8 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 			eng:     eng,
 			id:      int32(i),
 			enum:    newDecisionEnum(root),
-			cur:     root.Clone(),
 			scratch: root.Clone(),
+			msgs:    root.NumMessages(),
 		}
 	}
 	return eng
@@ -302,12 +324,26 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 // budget. It runs concurrently with other expands but touches only
 // worker-local scratch and lock-shared visited reads, so it is safe and —
 // because the visited set is frozen during expansion (insertions happen
-// only in the merge) — its result is independent of scheduling. Each
-// successor is stepped in the worker's scratch simulator from the
-// enumerator's probe, which already carries the decision's activations,
-// freezes and masks and the arbitration plan its Contentions call
-// computed, and is kept only as its encoding, written straight into the
-// worker's level arena.
+// only in the merge) — its result is independent of scheduling. s may be
+// the enumerator's probe, as it is during a search; forEach leaves it as
+// it found it.
+//
+// A stepped successor (succStep, succBase) is stepped in the worker's
+// scratch simulator from the enumerator's probe, which already carries
+// the decision's activations, freezes and masks and the arbitration plan
+// its Contentions call computed, and is encoded once, with its message
+// offsets. A base successor is also kept in worker scratch, per pick
+// ordinal. An assembled successor (succAssembled) is neither copied nor
+// stepped: the probe does not carry its freezes. Its bytes are copied,
+// message by message, from the base successor with the same pick
+// ordinal, and for each frozen message from the probe's encoding before
+// the step, made once per activation subset. It takes its partial-order
+// post-step verdict from that base successor too: the two differ only
+// in frozen messages, and an activated message is never frozen under
+// partial-order reduction. Every successor is kept only as its encoding,
+// written straight into the worker's level arena; under symmetry
+// reduction its key is the least relabeling of that encoding, built from
+// the message ranges (sim.LeastPermutation).
 //
 // The first enumerated decision also decides deadlock. It activates and
 // freezes nothing, so it steps exactly the state s, and whether some flit
@@ -316,9 +352,10 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 // selections after the acquirable ones, so the first decision makes
 // none): with a message in the network, a first successor in which
 // nothing moved proves no flit can ever move again among the active
-// messages (held messages are the adversary's to withhold forever). The verdict is taken before that successor is encoded, so a
-// deadlocked state leaves no successor behind, and the pruning counters
-// forEach bumped on its way to the first decision are rolled back.
+// messages (held messages are the adversary's to withhold forever). The
+// verdict is taken before that successor is encoded, so a deadlocked
+// state leaves no successor behind, and the pruning counters forEach
+// bumped on its way to the first decision are rolled back.
 //
 // The liveness search (cfg.maskAll) adds two checks, in this order after
 // delivery: a permanent Definition 6 cycle in s (waitfor.FindLocal) marks
@@ -329,6 +366,7 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 // per-message quantity is monotone under the step relation, so every
 // state-graph loop is such a self-loop (DESIGN §8), and the check runs
 // before the visited pre-filter, which would reject s as already seen.
+// The liveness search steps every decision.
 func (w *searchWorker) expand(s *sim.Sim, enc []byte, budget int) expandResult {
 	r := expandResult{worker: w.id, lo: int32(len(w.succs)), loop: -1}
 	r.hi = r.lo
@@ -345,51 +383,75 @@ func (w *searchWorker) expand(s *sim.Sim, enc []byte, budget int) expandResult {
 	stats := w.stats
 	perms := w.eng.perms
 	next := w.scratch
+	e := w.enum
 	dec := int32(-1)
-	w.enum.forEach(s, budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
+	e.forEach(s, budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
 		dec++
-		moved := next.StepFrom(w.enum.probe, d.Picks).Moved
-		if dec == 0 && inNetwork && !moved {
-			r.deadlocked = true
-			return false
-		}
-		// Post-step backstop for partial-order reduction: an activation
-		// that failed to inject (message neither in network nor delivered
-		// after the step) produced a state dominated by the same decision
-		// without it — identical except the held bit, with the held
-		// variant keeping strictly more adversary power. The pre-clone
-		// filters catch almost all of these; this catches the rest. It
-		// fires after dec++, so provenance ordinals are unaffected.
-		if w.eng.cfg.por {
-			for _, id := range d.Activate {
-				if !next.InNetwork(id) && !next.Delivered(id) {
-					w.postPruned++
-					return true
+		// The successor's encoding goes straight into the arena at lo,
+		// with its message offsets in starts; a pruned or rejected one is
+		// cut off again.
+		lo := len(w.arena)
+		pruned := false
+		if e.kind == succAssembled {
+			pruned = w.basePruned[e.pick]
+			if !pruned {
+				w.assemble(d.Freeze)
+			}
+		} else {
+			moved := next.StepFrom(e.probe, d.Picks).Moved
+			if dec == 0 && inNetwork && !moved {
+				r.deadlocked = true
+				return false
+			}
+			// Post-step backstop for partial-order reduction: an activation
+			// that failed to inject (message neither in network nor
+			// delivered after the step) produced a state dominated by the
+			// same decision without it — identical except the held bit,
+			// with the held variant keeping strictly more adversary power.
+			// The pre-clone filters catch almost all of these; this catches
+			// the rest. It fires after dec++, so provenance ordinals are
+			// unaffected.
+			if w.eng.cfg.por {
+				for _, id := range d.Activate {
+					if !next.InNetwork(id) && !next.Delivered(id) {
+						pruned = true
+						break
+					}
 				}
 			}
+			if !pruned {
+				w.starts = next.EncodeRangesTo(&w.arena, w.starts[:0])
+			}
+			if e.kind == succBase {
+				w.keepBase(w.arena[lo:], pruned)
+			}
+		}
+		if pruned {
+			w.postPruned++
+			return true
 		}
 		newBudget := budget - len(d.Freeze)
-		lo := len(w.arena)
-		next.CanonicalEncodeTo(perms, &w.arena, &w.canonBuf) // EncodeTo without perms
-		key := w.arena[lo:]
+		su := succState{encLo: lo, encHi: len(w.arena), budget: newBudget, dec: dec}
+		su.keyLo, su.keyHi = su.encLo, su.encHi
+		if len(perms) > 0 {
+			if least := sim.LeastPermutation(perms, w.arena[lo:], w.starts); least >= 0 {
+				w.arena = sim.AppendPermuted(w.arena, w.arena[lo:], w.starts, &perms[least])
+				su.keyLo, su.keyHi = su.encHi, len(w.arena)
+			}
+		}
+		key := w.arena[su.keyLo:su.keyHi]
 		if liveness && inNetwork && newBudget == budget && bytes.Equal(key, enc) {
 			r.loop = dec
 			return false
 		}
-		h := w.eng.visited.hash(key)
+		su.hash = w.eng.visited.hash(key)
 		// Pre-filter against states accepted in previous levels. Visited
 		// only grows at merge time, so a rejection here is final: budgets
 		// recorded there can only increase, never making a rejected
 		// (encoding, budget) pair novel again.
-		if !w.eng.visited.novel(h, key, newBudget) {
+		if !w.eng.visited.novel(su.hash, key, newBudget) {
 			w.arena = w.arena[:lo]
 			return true
-		}
-		su := succState{keyLo: lo, keyHi: len(w.arena), hash: h, budget: newBudget, dec: dec}
-		su.encLo, su.encHi = su.keyLo, su.keyHi
-		if len(perms) > 0 {
-			next.EncodeTo(&w.arena)
-			su.encLo, su.encHi = su.keyHi, len(w.arena)
 		}
 		w.succs = append(w.succs, su)
 		return true
@@ -402,8 +464,68 @@ func (w *searchWorker) expand(s *sim.Sim, enc []byte, budget int) expandResult {
 	return r
 }
 
+// keepBase keeps the stepped successor enc, with its message offsets in
+// starts, or only its pruned verdict, as the base successor with the
+// enumerator's current pick ordinal.
+func (w *searchWorker) keepBase(enc []byte, pruned bool) {
+	e := w.enum
+	if w.baseGen != e.actGen {
+		w.base, w.baseStarts, w.basePruned = w.base[:0], w.baseStarts[:0], w.basePruned[:0]
+		w.baseGen = e.actGen
+	}
+	w.basePruned = growTo(w.basePruned, e.pick+1)
+	w.basePruned[e.pick] = pruned
+	if pruned {
+		return
+	}
+	n := w.msgs + 1
+	w.baseStarts = growTo(w.baseStarts, (e.pick+1)*n)
+	at := int32(len(w.base))
+	for k, st := range w.starts {
+		w.baseStarts[e.pick*n+k] = at + st
+	}
+	w.base = append(w.base, enc...)
+}
+
+// assemble appends the successor of the assembled decision freezing frz
+// (ascending) to the arena, with its message offsets in starts: each
+// frozen message's bytes from the probe's pre-step encoding, every other
+// message's from the base successor with the same pick ordinal.
+func (w *searchWorker) assemble(frz []int) {
+	e := w.enum
+	if w.preGen != e.actGen {
+		at := len(w.base)
+		w.preAt = len(w.baseStarts)
+		w.baseStarts = e.probe.EncodeRangesTo(&w.base, w.baseStarts)
+		for k := w.preAt; k < len(w.baseStarts); k++ {
+			w.baseStarts[k] += int32(at)
+		}
+		w.preGen = e.actGen
+	}
+	bs, pre := w.baseStarts[e.pick*(w.msgs+1):], w.baseStarts[w.preAt:]
+	lo := len(w.arena)
+	w.starts = w.starts[:0]
+	for id := 0; id < w.msgs; id++ {
+		from := bs
+		if len(frz) > 0 && frz[0] == id {
+			frz, from = frz[1:], pre
+		}
+		w.starts = append(w.starts, int32(len(w.arena)-lo))
+		w.arena = append(w.arena, w.base[from[id]:from[id+1]]...)
+	}
+	w.starts = append(w.starts, int32(len(w.arena)-lo))
+}
+
+// growTo returns s with length at least n, keeping its elements.
+func growTo[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = slices.Grow(s, n-len(s))[:n]
+	}
+	return s
+}
+
 // expandBatch fans an encoded frontier out across the workers: each claims
-// restart blocks, decodes every entry into its scratch simulator and
+// restart blocks, decodes every entry into its enumerator's probe and
 // expands it in place. Results land at the entry's batch index, so the
 // merge consumes them in batch order whatever the claim order was. With
 // one worker or a one-block level it stays on the calling goroutine.
@@ -411,26 +533,10 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 	for _, w := range eng.workers {
 		w.succs, w.arena = w.succs[:0], w.arena[:0]
 	}
-	var cursor atomic.Int64
-	run := func(w *searchWorker) {
-		var it batchIter
-		for {
-			bi := int(cursor.Add(1)) - 1
-			if bi >= batch.blocks() {
-				return
-			}
-			it.seekBlock(batch, bi)
-			for it.next() {
-				if err := w.cur.DecodeFrom(it.cur); err != nil {
-					panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
-				}
-				results[it.idx-1] = w.expand(w.cur, it.cur, it.budget)
-			}
-		}
-	}
+	eng.cursor.Store(0)
 	nw := min(len(eng.workers), batch.blocks())
 	if nw <= 1 {
-		run(eng.workers[0])
+		eng.workers[0].expandBlocks(batch, results)
 		return
 	}
 	var wg sync.WaitGroup
@@ -438,10 +544,30 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 		wg.Add(1)
 		go func(w *searchWorker) {
 			defer wg.Done()
-			run(w)
+			w.expandBlocks(batch, results)
 		}(w)
 	}
 	wg.Wait()
+}
+
+// expandBlocks claims restart blocks of batch until none is left and
+// expands their entries, writing each result at its batch index.
+func (w *searchWorker) expandBlocks(batch *frontierBatch, results []expandResult) {
+	var it batchIter
+	for {
+		bi := int(w.eng.cursor.Add(1)) - 1
+		if bi >= batch.blocks() {
+			return
+		}
+		it.seekBlock(batch, bi)
+		for it.next() {
+			probe := w.enum.probe
+			if err := probe.DecodeFrom(it.cur); err != nil {
+				panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
+			}
+			results[it.idx-1] = w.expand(probe, it.cur, it.budget)
+		}
+	}
 }
 
 // anyInNetwork reports whether some message holds flits in the network;

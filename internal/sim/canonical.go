@@ -43,9 +43,80 @@ func (s *Sim) CanonicalEncodeTo(perms []Permutation, dst, scratch *[]byte) {
 	s.EncodeTo(dst)
 	for i := range perms {
 		*scratch = (*scratch)[:0]
-		s.encode(&perms[i], scratch)
+		s.encode(&perms[i], scratch, nil)
 		if bytes.Compare(*scratch, (*dst)[base:]) < 0 {
 			*dst = append((*dst)[:base], *scratch...)
 		}
 	}
+}
+
+// LeastPermutation returns the index in perms of the permutation whose
+// relabeling of an encoded state is the least byte string, or -1 when
+// no relabeling is less than the identity encoding: the candidate
+// CanonicalEncodeTo keeps. enc is the state's EncodeTo encoding and
+// starts its message offsets from EncodeRangesTo. It holds only when
+// every message is oblivious, as every message of a scenario with usable
+// symmetries is: a relabeling then moves whole message encodings between
+// slots, since channel IDs are encoded only in adaptive routes. Each
+// candidate is compared against the least so far range by range and
+// abandoned at its first differing byte.
+func LeastPermutation(perms []Permutation, enc []byte, starts []int32) int {
+	best := -1
+	for i := range perms {
+		if permutedLess(enc, starts, &perms[i], bestOrder(perms, best)) {
+			best = i
+		}
+	}
+	return best
+}
+
+// bestOrder returns the message order of candidate i, nil for the
+// identity.
+func bestOrder(perms []Permutation, i int) []int {
+	if i < 0 {
+		return nil
+	}
+	return perms[i].MsgAt
+}
+
+// permutedLess reports whether the encoding relabeled by p is less than
+// the one whose slot j holds message at[j] (the identity when at is nil).
+// Both are concatenations of the same message ranges, so they have one
+// length; they are walked together, a common run of bytes at a time.
+func permutedLess(enc []byte, starts []int32, p *Permutation, at []int) bool {
+	n := len(starts) - 1
+	var a, b []byte // the unread rest of the current slot of each side
+	for ja, jb := 0, 0; ; {
+		if len(a) == 0 {
+			if ja == n {
+				return false // equal
+			}
+			m := p.MsgAt[ja]
+			a, ja = enc[starts[m]:starts[m+1]], ja+1
+			continue
+		}
+		if len(b) == 0 {
+			m := jb
+			if at != nil {
+				m = at[jb]
+			}
+			b, jb = enc[starts[m]:starts[m+1]], jb+1
+			continue
+		}
+		k := min(len(a), len(b))
+		if c := bytes.Compare(a[:k], b[:k]); c != 0 {
+			return c < 0
+		}
+		a, b = a[k:], b[k:]
+	}
+}
+
+// AppendPermuted appends the encoding of the state enc encodes relabeled
+// by p, under LeastPermutation's conditions: slot j carries message
+// p.MsgAt[j]'s range.
+func AppendPermuted(dst, enc []byte, starts []int32, p *Permutation) []byte {
+	for _, m := range p.MsgAt {
+		dst = append(dst, enc[starts[m]:starts[m+1]]...)
+	}
+	return dst
 }

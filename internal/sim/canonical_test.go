@@ -105,3 +105,38 @@ func TestCanonicalEncodeIdentityPermIsNoOp(t *testing.T) {
 		t.Fatalf("identity permutation changed the encoding: %x != %x", canon, plain)
 	}
 }
+
+// TestLeastPermutationMatchesCanonicalEncode: the key built from message
+// ranges — EncodeRangesTo, LeastPermutation and AppendPermuted — is
+// CanonicalEncodeTo's, on both mirror states and with the identity among
+// the candidates, and EncodeRangesTo appends EncodeTo's bytes with
+// offsets counted from where the encoding begins.
+func TestLeastPermutationMatchesCanonicalEncode(t *testing.T) {
+	_, _, rot := canonicalFixture()
+	id := Permutation{MsgAt: []int{0, 1}, ChanTo: []topology.ChannelID{0, 1, 2, 3}}
+	for _, advance := range []int{0, 1} {
+		s := newCanonicalSim(t, advance)
+		var plain []byte
+		s.EncodeTo(&plain)
+		enc := []byte("prefix")
+		starts := s.EncodeRangesTo(&enc, nil)
+		enc = enc[len("prefix"):]
+		if !bytes.Equal(enc, plain) {
+			t.Fatalf("EncodeRangesTo %x, EncodeTo %x", enc, plain)
+		}
+		if len(starts) != s.NumMessages()+1 || starts[0] != 0 || int(starts[len(starts)-1]) != len(enc) {
+			t.Fatalf("starts %v for a %d-byte encoding of %d messages", starts, len(enc), s.NumMessages())
+		}
+		for _, perms := range [][]Permutation{{rot}, {id, rot}, {rot, id}} {
+			var want, scratch []byte
+			s.CanonicalEncodeTo(perms, &want, &scratch)
+			got := enc
+			if i := LeastPermutation(perms, enc, starts); i >= 0 {
+				got = AppendPermuted(nil, enc, starts, &perms[i])
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("advance %d, %d perms: key %x, CanonicalEncodeTo %x", advance, len(perms), got, want)
+			}
+		}
+	}
+}

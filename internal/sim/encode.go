@@ -48,7 +48,19 @@ import (
 // states, channel owners, flit counts and adaptive routes as pointer-free
 // arrays) and did not change with it: only where the encoder reads each
 // field moved, so every stored encoding still decodes to the same state.
-func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst) }
+func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst, nil) }
+
+// EncodeRangesTo is EncodeTo that also records where each message's bytes
+// lie: it appends NumMessages()+1 offsets to starts, counted from where
+// the encoding begins, and returns the extended slice, so message id's
+// bytes are enc[starts[id]:starts[id+1]] of the appended encoding enc
+// when starts came in empty. Each message's bytes frame themselves, so
+// any sequence of message ranges, one per message slot, is a well-formed
+// encoding; the search assembles successors and canonical keys that way.
+func (s *Sim) EncodeRangesTo(dst *[]byte, starts []int32) []int32 {
+	s.encode(nil, dst, &starts)
+	return starts
+}
 
 // encode appends the EncodeTo-format encoding the state would have after
 // relabeling by p; a nil p is the identity, which is EncodeTo itself.
@@ -65,10 +77,16 @@ func (s *Sim) EncodeTo(dst *[]byte) { s.encode(nil, dst) }
 // nearly all of them, take a one-byte path: a message whose counters all
 // fit one byte appends its five header bytes at once, and a run of
 // one-byte flit counts is a plain narrowing copy. The buffer grows only
-// as append grows it, so a fresh one ends up sized to the encoding.
-func (s *Sim) encode(p *Permutation, dst *[]byte) {
+// as append grows it, so a fresh one ends up sized to the encoding. When
+// starts is not nil, each message slot's offset from the encoding's start
+// is appended to it, and the encoding's length after the last.
+func (s *Sim) encode(p *Permutation, dst *[]byte, starts *[]int32) {
 	b := *dst
+	base := len(b)
 	for j := range s.msgs {
+		if starts != nil {
+			*starts = append(*starts, int32(len(b)-base))
+		}
 		m := &s.msgs[j]
 		if p != nil {
 			m = &s.msgs[p.MsgAt[j]]
@@ -102,6 +120,9 @@ func (s *Sim) encode(p *Permutation, dst *[]byte) {
 				b = binary.AppendUvarint(b, uint64(c))
 			}
 		}
+	}
+	if starts != nil {
+		*starts = append(*starts, int32(len(b)-base))
 	}
 	*dst = b
 }

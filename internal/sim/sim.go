@@ -337,20 +337,23 @@ func (s *Sim) granted(id int) (topology.ChannelID, bool) {
 // passed (counters are bumped before first use), so they read as unset.
 func (s *Sim) ensureChannelStamps() {
 	n := s.net.NumChannels()
-	for len(s.freeingStamp) < n {
-		s.freeingStamp = append(s.freeingStamp, 0)
-	}
-	for len(s.pathSeenStamp) < n {
-		s.pathSeenStamp = append(s.pathSeenStamp, 0)
-	}
+	s.freeingStamp = growZero(s.freeingStamp, n)
+	s.pathSeenStamp = growZero(s.pathSeenStamp, n)
 }
 
-// ensureGrantArena grows the message-indexed grant arena.
+// ensureGrantArena grows the message-indexed grant arena. Fresh grantCh
+// slots are never read: a slot is written whenever its stamp is.
 func (s *Sim) ensureGrantArena() {
-	for len(s.grantStamp) < len(s.msgs) {
-		s.grantStamp = append(s.grantStamp, 0)
-		s.grantCh = append(s.grantCh, topology.None)
+	s.grantStamp = growZero(s.grantStamp, len(s.msgs))
+	s.grantCh = growZero(s.grantCh, len(s.msgs))
+}
+
+// growZero extends a to length n with zero slots, in one append.
+func growZero[T any](a []T, n int) []T {
+	if k := n - len(a); k > 0 {
+		a = append(a, make([]T, k)...)
 	}
+	return a
 }
 
 // ensureActive inserts id into the sorted active list if absent. Needed
@@ -668,6 +671,47 @@ func (s *Sim) Contentions() []Contention {
 	}
 	s.contIDs, s.contOut = ids, out
 	return out
+}
+
+// Isolated sets dst[id] to whether message id is isolated in the
+// arbitration plan of the latest Contentions call, and returns dst,
+// reusing its backing array. An oblivious message is isolated when no
+// other message requests a channel it requests and no message requests a
+// channel it holds; an adaptive message never is. One pass over the
+// plan's sorted request pairs marks every message that fails either test.
+//
+// Freezing an isolated message for the cycle changes no other message's
+// step: a channel it holds is requestable only as a predicted release,
+// and nobody requests it; its own requests have no rival, so every
+// contention, and every pick, stays the same; and every other message
+// takes only the channels it was granted. It panics when the state
+// changed since that Contentions call.
+func (s *Sim) Isolated(dst []bool) []bool {
+	if !s.planned {
+		panic("sim: Isolated: the state changed since its last Contentions call")
+	}
+	dst = dst[:0]
+	for i := range s.msgs {
+		dst = append(dst, !s.msgs[i].adaptive)
+	}
+	reqs := s.queryReqs
+	for i := 0; i < len(reqs); {
+		c := topology.ChannelID(reqs[i] >> 32)
+		j := i + 1
+		for j < len(reqs) && topology.ChannelID(reqs[j]>>32) == c {
+			j++
+		}
+		if h := s.holder(c); h >= 0 {
+			dst[h] = false
+		}
+		if j-i > 1 {
+			for _, r := range reqs[i:j] {
+				dst[uint32(r)] = false
+			}
+		}
+		i = j
+	}
+	return dst
 }
 
 // collectRequests appends this cycle's acquisition requests to buf as
