@@ -327,10 +327,10 @@ func (e *decisionEnum) allIsolated() bool {
 	return true
 }
 
-// keepBase records the base decision's isolation marks and, when some
+// keepPlan records the base decision's isolation marks and, when some
 // freeze candidate is isolated, a copy of its contentions; it reports
 // whether any frozen sibling can be assembled.
-func (e *decisionEnum) keepBase(cons []sim.Contention) bool {
+func (e *decisionEnum) keepPlan(cons []sim.Contention) bool {
 	e.isolated = e.probe.Isolated(e.isolated)
 	found := false
 	for _, id := range e.movable {
@@ -358,7 +358,7 @@ func (e *decisionEnum) keepBase(cons []sim.Contention) bool {
 // which one it requests this cycle. With nothing to choose it yields a
 // single nil mask assignment, mirroring the historical maskCombos; then,
 // when base is set, the decisions are the activation subset's base
-// (succBase), provided keepBase finds a sibling to assemble.
+// (succBase), provided keepPlan finds a sibling to assemble.
 func (e *decisionEnum) maskLoop(fn func(d *Decision) bool, base bool) bool {
 	e.maskIDs = e.maskIDs[:0]
 	e.maskCands = e.maskCands[:0]
@@ -402,7 +402,7 @@ func (e *decisionEnum) maskLoop(fn func(d *Decision) bool, base bool) bool {
 			masks = e.masks
 		}
 		cons := e.probe.Contentions()
-		if n == 0 && base && e.keepBase(cons) {
+		if n == 0 && base && e.keepPlan(cons) {
 			e.assemble = true
 			e.kind = succBase
 		}

@@ -62,28 +62,21 @@ func (s *Sim) CanonicalEncodeTo(perms []Permutation, dst, scratch *[]byte) {
 // abandoned at its first differing byte.
 func LeastPermutation(perms []Permutation, enc []byte, starts []int32) int {
 	best := -1
+	var at []int // the least candidate's message order, nil for the identity
 	for i := range perms {
-		if permutedLess(enc, starts, &perms[i], bestOrder(perms, best)) {
-			best = i
+		if permutedLess(enc, starts, perms[i].MsgAt, at) {
+			best, at = i, perms[i].MsgAt
 		}
 	}
 	return best
 }
 
-// bestOrder returns the message order of candidate i, nil for the
-// identity.
-func bestOrder(perms []Permutation, i int) []int {
-	if i < 0 {
-		return nil
-	}
-	return perms[i].MsgAt
-}
-
-// permutedLess reports whether the encoding relabeled by p is less than
-// the one whose slot j holds message at[j] (the identity when at is nil).
-// Both are concatenations of the same message ranges, so they have one
-// length; they are walked together, a common run of bytes at a time.
-func permutedLess(enc []byte, starts []int32, p *Permutation, at []int) bool {
+// permutedLess reports whether the encoding whose slot j holds message
+// p[j] is less than the one whose slot j holds message at[j] (the
+// identity when at is nil). Both are concatenations of the same message
+// ranges, so they have one length; they are walked together, a common
+// run of bytes at a time.
+func permutedLess(enc []byte, starts []int32, p, at []int) bool {
 	n := len(starts) - 1
 	var a, b []byte // the unread rest of the current slot of each side
 	for ja, jb := 0, 0; ; {
@@ -91,7 +84,7 @@ func permutedLess(enc []byte, starts []int32, p *Permutation, at []int) bool {
 			if ja == n {
 				return false // equal
 			}
-			m := p.MsgAt[ja]
+			m := p[ja]
 			a, ja = enc[starts[m]:starts[m+1]], ja+1
 			continue
 		}
