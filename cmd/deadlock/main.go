@@ -175,11 +175,11 @@ func main() {
 				if len(d.Freeze) > 0 {
 					fmt.Printf(" stall %v", d.Freeze)
 				}
-				for ch, id := range d.Picks {
-					fmt.Printf(" grant c%d to m%d", ch, id)
+				for _, p := range d.Picks {
+					fmt.Printf(" grant c%d to m%d", p.Channel, p.Msg)
 				}
-				for id, ch := range d.Masks {
-					fmt.Printf(" m%d selects c%d", id, ch)
+				for _, m := range d.Masks {
+					fmt.Printf(" m%d selects c%d", m.Msg, m.Channel)
 				}
 				fmt.Println()
 			}

@@ -73,7 +73,10 @@ func TestMaskEnumeration(t *testing.T) {
 	// arbitration picks downstream).
 	seen := map[topology.ChannelID]bool{}
 	e.maskLoop(func(d *Decision) bool {
-		seen[d.Masks[0]] = true
+		if len(d.Masks) != 1 || d.Masks[0].Msg != 0 {
+			t.Fatalf("masks = %v; want one selection for m0", d.Masks)
+		}
+		seen[d.Masks[0].Channel] = true
 		return true
 	}, false)
 	if len(seen) != 2 {
@@ -87,7 +90,7 @@ func TestMaskEnumeration(t *testing.T) {
 func TestReplayWithMasks(t *testing.T) {
 	sc, ch := twoBranchScenario()
 	trace := []Decision{
-		{Activate: []int{0}, Masks: map[int]topology.ChannelID{0: ch["ac"]}},
+		{Activate: []int{0}, Masks: []Mask{{Msg: 0, Channel: ch["ac"]}}},
 		{},
 	}
 	s := Replay(sc, trace)

@@ -12,8 +12,8 @@ import (
 // subset of held messages to activate, every subset of movable in-flight
 // messages to freeze (bounded by the stall budget), every adaptive
 // candidate selection, and every arbitration outcome. All intermediate
-// storage — the probe simulator, subset slices, mask/pick maps and the
-// Decision handed to the callback — is owned by the enumerator and reused
+// storage — the probe simulator, subset slices, mask and pick lists and
+// the Decision handed to the callback — is owned by the enumerator and reused
 // across calls, and the contention query returns the probe's scratch, so
 // enumerating an oblivious scenario allocates nothing in steady state.
 // Adaptive messages still cost the candidate lists their queries return.
@@ -43,13 +43,21 @@ type decisionEnum struct {
 	frz     []int
 	adv     []bool // CanAdvanceAll scratch, indexed by message ID
 
-	maskIDs    []int
+	// masks lists the adaptive messages with a selection to make,
+	// ascending, each with its selection in the current combination;
+	// maskCands holds their candidates and maskDigits the selected ones.
+	masks      []Mask
 	maskCands  [][]topology.ChannelID
 	maskDigits []int
-	masks      map[int]topology.ChannelID
 
+	// picks holds the winner of each contention in the current
+	// combination, in contention order; pickDigits the winners' indices.
+	// entries pins, for each activated oblivious message whose entry
+	// channel is contested, that contention's index and the message's
+	// digit in it (-1 when it is no contender), for the pick-loss filter.
+	picks      []sim.Pick
 	pickDigits []int
-	picks      map[topology.ChannelID]int
+	entries    [][2]int
 
 	dec Decision // the decision handed to fn, rewritten for each one
 
@@ -95,11 +103,7 @@ const (
 // proto must be structurally identical (same scenario) to every state the
 // enumerator will be asked to expand.
 func newDecisionEnum(proto *sim.Sim) *decisionEnum {
-	return &decisionEnum{
-		probe: proto.Clone(),
-		masks: make(map[int]topology.ChannelID),
-		picks: make(map[topology.ChannelID]int),
-	}
+	return &decisionEnum{probe: proto.Clone()}
 }
 
 // maxSubsetItems guards the 2^n subset enumerations; the paper's scenarios
@@ -168,7 +172,7 @@ func intersects(a, b []int) bool {
 
 // forEach streams every decision available in state s with the given stall
 // budget to fn, in canonical order. The *Decision passed to fn — including
-// its slices and maps — is scratch storage valid only during the call; the
+// its lists — is scratch storage valid only during the call; the
 // callee must apply or copy it before returning. During the call the probe
 // holds s with the decision's activations applied. For a stepped decision
 // (e.kind succStep or succBase) it also holds the decision's freezes and
@@ -176,7 +180,7 @@ func intersects(a, b []int) bool {
 // step the successor with StepFrom(e.probe, d.Picks). For an assembled
 // decision (succAssembled) it holds neither the freezes nor a plan for
 // them: fn builds the successor from the base sibling with ordinal e.pick
-// (see succKind), or from s with apply and StepWithPicks. fn must not
+// (see succKind), or from s with apply. fn must not
 // change the probe. Returning false from fn stops the enumeration;
 // forEach reports whether it ran to completion.
 //
@@ -302,9 +306,8 @@ func (e *decisionEnum) activations(budget int, fn func(d *Decision) bool) bool {
 				e.probe.SetFrozen(id, 1)
 			}
 			// The base decision, which freezes nothing, keeps what its
-			// frozen siblings need to be assembled; liveness searches step
-			// every decision.
-			ok := e.maskLoop(fn, frzMask == 0 && len(e.movable) > 0 && !cfg.maskAll)
+			// frozen siblings need to be assembled.
+			ok := e.maskLoop(fn, frzMask == 0 && len(e.movable) > 0)
 			for _, id := range e.frz {
 				e.probe.SetFrozen(id, 0)
 			}
@@ -360,7 +363,7 @@ func (e *decisionEnum) keepPlan(cons []sim.Contention) bool {
 // when base is set, the decisions are the activation subset's base
 // (succBase), provided keepPlan finds a sibling to assemble.
 func (e *decisionEnum) maskLoop(fn func(d *Decision) bool, base bool) bool {
-	e.maskIDs = e.maskIDs[:0]
+	e.masks = e.masks[:0]
 	e.maskCands = e.maskCands[:0]
 	for id := 0; id < e.probe.NumMessages(); id++ {
 		if !e.probe.IsAdaptive(id) {
@@ -385,30 +388,25 @@ func (e *decisionEnum) maskLoop(fn func(d *Decision) bool, base bool) bool {
 		if len(cands) < 2 {
 			continue
 		}
-		e.maskIDs = append(e.maskIDs, id)
+		e.masks = append(e.masks, Mask{Msg: id})
 		e.maskCands = append(e.maskCands, cands)
 	}
-	n := len(e.maskIDs)
+	n := len(e.masks)
 	e.maskDigits = resetDigits(e.maskDigits, n)
 	for {
-		var masks map[int]topology.ChannelID
-		if n > 0 {
-			clear(e.masks)
-			for j, id := range e.maskIDs {
-				c := e.maskCands[j][e.maskDigits[j]]
-				e.masks[id] = c
-				e.probe.SetMask(id, c)
-			}
-			masks = e.masks
+		for j := range e.masks {
+			m := &e.masks[j]
+			m.Channel = e.maskCands[j][e.maskDigits[j]]
+			e.probe.SetMask(m.Msg, m.Channel)
 		}
 		cons := e.probe.Contentions()
 		if n == 0 && base && e.keepPlan(cons) {
 			e.assemble = true
 			e.kind = succBase
 		}
-		ok := e.pickLoop(cons, masks, fn)
-		for _, id := range e.maskIDs {
-			e.probe.SetMask(id, topology.None)
+		ok := e.pickLoop(cons, e.masks, fn)
+		for _, m := range e.masks {
+			e.probe.SetMask(m.Msg, topology.None)
 		}
 		if !ok {
 			return false
@@ -430,39 +428,50 @@ func (e *decisionEnum) maskLoop(fn func(d *Decision) bool, base bool) bool {
 
 // pickLoop enumerates arbitration outcomes for the probed contentions and
 // yields one complete Decision per combination, numbering the
-// combinations in e.pick. With no contentions it yields a single nil pick
-// assignment.
-func (e *decisionEnum) pickLoop(cons []sim.Contention, masks map[int]topology.ChannelID, fn func(d *Decision) bool) bool {
+// combinations in e.pick. With no contentions it yields a single decision
+// without picks.
+func (e *decisionEnum) pickLoop(cons []sim.Contention, masks []Mask, fn func(d *Decision) bool) bool {
 	n := len(cons)
 	e.pickDigits = resetDigits(e.pickDigits, n)
-	for e.pick = 0; ; e.pick++ {
-		var picks map[topology.ChannelID]int
-		if n > 0 {
-			clear(e.picks)
-			for j := range cons {
-				e.picks[cons[j].Channel] = cons[j].Contenders[e.pickDigits[j]]
+	picks := e.picks[:0]
+	for _, c := range cons {
+		picks = append(picks, sim.Pick{Channel: c.Channel})
+	}
+	e.picks = picks
+	// Pick-loss futility: an activated oblivious message whose entry
+	// channel is contested and granted to a rival cannot inject this
+	// cycle, so the combination is dominated by the same one without the
+	// activation — removing the loser either leaves the grant unchanged or
+	// hands the channel to the very rival these picks already chose,
+	// producing the identical successor modulo the loser's held bit. (A
+	// non-slept activated message always requests its entry channel, so a
+	// contested entry channel always lists it as a contender.) Each
+	// activated message's entry contention is found once here, so a
+	// combination is skipped when a pinned digit differs.
+	e.entries = e.entries[:0]
+	if e.cfg.por && n > 0 {
+		for _, id := range e.act {
+			if e.probe.IsAdaptive(id) {
+				continue
 			}
-			picks = e.picks
-		}
-		// Pick-loss futility: an activated oblivious message whose entry
-		// channel is contested and granted to a rival cannot inject this
-		// cycle, so the combination is dominated by the same one without
-		// the activation — removing the loser either leaves the grant
-		// unchanged or hands the channel to the very rival these picks
-		// already chose, producing the identical successor modulo the
-		// loser's held bit. (A non-slept activated message always requests
-		// its entry channel, so a contested channel always carries a pick
-		// for it.)
-		skip := false
-		if e.cfg.por && n > 0 {
-			for _, id := range e.act {
-				if e.probe.IsAdaptive(id) {
-					continue
-				}
-				if w, ok := picks[e.probe.PathChannel(id, 0)]; ok && w != id {
-					skip = true
+			entry := e.probe.PathChannel(id, 0)
+			for j, c := range cons {
+				if c.Channel == entry {
+					e.entries = append(e.entries, [2]int{j, slices.Index(c.Contenders, id)})
 					break
 				}
+			}
+		}
+	}
+	for e.pick = 0; ; e.pick++ {
+		for j := range picks {
+			picks[j].Msg = cons[j].Contenders[e.pickDigits[j]]
+		}
+		skip := false
+		for _, pin := range e.entries {
+			if e.pickDigits[pin[0]] != pin[1] {
+				skip = true
+				break
 			}
 		}
 		if skip {
@@ -515,27 +524,16 @@ func resetDigits(d []int, n int) []int {
 }
 
 // copyDecision deep-copies a scratch Decision from the enumerator into an
-// independently-owned value for a witness trace. Empty collections stay
-// nil, matching the historical materialized decisions.
+// independently-owned value for a witness trace. Empty lists stay nil,
+// matching the historical materialized decisions.
 func copyDecision(d *Decision) Decision {
-	var out Decision
-	if len(d.Activate) > 0 {
-		out.Activate = append([]int(nil), d.Activate...)
+	return Decision{Activate: clone(d.Activate), Freeze: clone(d.Freeze), Masks: clone(d.Masks), Picks: clone(d.Picks)}
+}
+
+// clone copies a scratch list; an empty one comes back nil.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
-	if len(d.Freeze) > 0 {
-		out.Freeze = append([]int(nil), d.Freeze...)
-	}
-	if len(d.Masks) > 0 {
-		out.Masks = make(map[int]topology.ChannelID, len(d.Masks))
-		for k, v := range d.Masks {
-			out.Masks[k] = v
-		}
-	}
-	if len(d.Picks) > 0 {
-		out.Picks = make(map[topology.ChannelID]int, len(d.Picks))
-		for k, v := range d.Picks {
-			out.Picks[k] = v
-		}
-	}
-	return out
+	return slices.Clone(s)
 }

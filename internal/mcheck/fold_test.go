@@ -233,7 +233,7 @@ func TestFirstDecisionDecidesDeadlock(t *testing.T) {
 // enumerator's probe and the arbitration plan its Contentions call left
 // behind, or assembles it from a stepped sibling's bytes. On every state
 // the corpus searches expand, each stepped decision's successor must
-// encode byte-identically to the one CopyFrom + apply + StepWithPicks
+// encode byte-identically to the one CopyFrom + apply (StepWithPicks)
 // builds, and report the same movement. Each assembled decision's
 // successor, built that same way, must be the one expand kept: the same
 // key (CanonicalEncodeTo), frontier bytes (EncodeTo) and budget. An
@@ -265,8 +265,7 @@ func TestStepFromMatchesStepWithPicks(t *testing.T) {
 					dec++
 					decisions++
 					applied.CopyFrom(s)
-					apply(applied, *d)
-					ra := applied.StepWithPicks(d.Picks)
+					ra := apply(applied, *d)
 					encApplied = encApplied[:0]
 					applied.EncodeTo(&encApplied)
 					if enum.kind != succAssembled {
@@ -354,7 +353,7 @@ func TestStepFromRejectsStalePlans(t *testing.T) {
 		f()
 	}
 	mustPanic("a non-contender pick", func() {
-		succ.StepFrom(probe, map[topology.ChannelID]int{c: rival})
+		succ.StepFrom(probe, []sim.Pick{{Channel: c, Msg: rival}})
 	})
 	probe.SetHeld(0, true)
 	mustPanic("a stale plan", func() { succ.StepFrom(probe, nil) })

@@ -69,7 +69,6 @@ func gen3Encodings(n int) [][]byte {
 		enum.forEach(s, 1, cfg, nil, func(d *Decision) bool {
 			next := s.Clone()
 			apply(next, *d)
-			next.StepWithPicks(d.Picks)
 			queue = append(queue, next)
 			return len(queue) < n
 		})

@@ -47,7 +47,8 @@ func searchGoldenCases() []searchGoldenCase {
 
 // searchDigest hashes every deterministic output of a search: the
 // verdict, the counters the reductions and the visited set report, and
-// the full witness. fmt prints maps in key order, so the digest is stable.
+// the full witness. Masks and Picks print as maps in key order, so the
+// digest is stable.
 func searchDigest(r SearchResult) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%v|%d|%d|%d|%d|%+v|", r.Verdict, r.States, r.PeakVisited, r.StatesPruned, r.SleepSetHits, r.Trace)

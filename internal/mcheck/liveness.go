@@ -83,12 +83,10 @@ func ReplayLasso(sc sim.Scenario, l *Lasso, n int) *sim.Sim {
 	s := newHeldSim(sc)
 	for _, d := range l.Stem {
 		apply(s, d)
-		s.StepWithPicks(d.Picks)
 	}
 	for i := 0; i < n; i++ {
 		for _, d := range l.Loop {
 			apply(s, d)
-			s.StepWithPicks(d.Picks)
 		}
 	}
 	return s
@@ -119,7 +117,6 @@ func VerifyLasso(sc sim.Scenario, l *Lasso) error {
 	for i := 1; i <= 2; i++ {
 		for _, d := range l.Loop {
 			apply(s, d)
-			s.StepWithPicks(d.Picks)
 		}
 		cur = cur[:0]
 		s.EncodeTo(&cur)

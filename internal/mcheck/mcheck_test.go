@@ -1,6 +1,8 @@
 package mcheck
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -144,16 +146,15 @@ func TestPickEnumeration(t *testing.T) {
 		{Channel: 1, Contenders: []int{0, 1}},
 		{Channel: 2, Contenders: []int{2, 3, 4}},
 	}
-	e := &decisionEnum{picks: make(map[topology.ChannelID]int)}
+	e := &decisionEnum{}
 	seen := make(map[string]bool)
 	n := 0
 	e.pickLoop(cons, nil, func(d *Decision) bool {
 		n++
-		key := ""
-		for ch := topology.ChannelID(1); ch <= 2; ch++ {
-			key += string(rune('0' + d.Picks[ch]))
+		if len(d.Picks) != 2 || d.Picks[0].Channel != 1 || d.Picks[1].Channel != 2 {
+			t.Fatalf("picks %v; want one per contention, in contention order", d.Picks)
 		}
-		seen[key] = true
+		seen[fmt.Sprint(d.Picks[0].Msg, d.Picks[1].Msg)] = true
 		return true
 	})
 	if n != 6 {
@@ -163,25 +164,76 @@ func TestPickEnumeration(t *testing.T) {
 		t.Fatalf("combos not distinct: %v", seen)
 	}
 	// The first contested channel varies fastest (canonical order).
-	first := ""
+	var second []sim.Pick
 	e.pickLoop(cons, nil, func(d *Decision) bool {
-		first = string(rune('0'+d.Picks[1])) + string(rune('0'+d.Picks[2]))
-		return false
+		if e.pick == 1 {
+			second = slices.Clone(d.Picks)
+			return false
+		}
+		return true
 	})
-	if first != "02" {
-		t.Fatalf("first combo = %q; want picks {1:0, 2:2}", first)
+	if want := []sim.Pick{{Channel: 1, Msg: 1}, {Channel: 2, Msg: 2}}; !slices.Equal(second, want) {
+		t.Fatalf("second combo = %v; want %v", second, want)
 	}
-	// With no contentions, a single decision with nil picks.
+	// With no contentions, a single decision without picks.
 	n = 0
 	e.pickLoop(nil, nil, func(d *Decision) bool {
 		n++
-		if d.Picks != nil {
+		if len(d.Picks) != 0 {
 			t.Fatalf("empty contentions yielded picks %v", d.Picks)
 		}
 		return true
 	})
 	if n != 1 {
 		t.Fatalf("empty contentions yielded %d decisions; want 1", n)
+	}
+}
+
+// TestDecisionPicksAscending: in a state where two channels are contested
+// in one cycle, every decision's picks list the contested channels in
+// strictly ascending order, one contender each, and the enumerator and
+// sim.Contentions agree on that order. Messages are added so that the
+// higher channel's contenders have the lower IDs.
+func TestDecisionPicksAscending(t *testing.T) {
+	net := topology.NewRing(4, false)
+	sc := sim.Scenario{Name: "two-contests", Net: net}
+	for _, entry := range []topology.ChannelID{2, 2, 0, 0} {
+		sc.Msgs = append(sc.Msgs, sim.MessageSpec{
+			Src: topology.NodeID(entry), Dst: topology.NodeID(entry + 1), Length: 1,
+			Path: []topology.ChannelID{entry},
+		})
+	}
+	root := newHeldSim(sc)
+	e := newDecisionEnum(root)
+	var two [][]sim.Pick
+	e.forEach(root, 0, enumConfig{}, nil, func(d *Decision) bool {
+		for i := 1; i < len(d.Picks); i++ {
+			if d.Picks[i].Channel <= d.Picks[i-1].Channel {
+				t.Fatalf("decision %+v: picks not ascending by channel", *d)
+			}
+		}
+		if len(d.Picks) == 2 {
+			two = append(two, slices.Clone(d.Picks))
+		}
+		return true
+	})
+	want := [][]sim.Pick{
+		{{Channel: 0, Msg: 2}, {Channel: 2, Msg: 0}},
+		{{Channel: 0, Msg: 3}, {Channel: 2, Msg: 0}},
+		{{Channel: 0, Msg: 2}, {Channel: 2, Msg: 1}},
+		{{Channel: 0, Msg: 3}, {Channel: 2, Msg: 1}},
+	}
+	if !slices.EqualFunc(two, want, slices.Equal) {
+		t.Fatalf("two-contest decisions %v; want %v", two, want)
+	}
+	copied := copyDecision(&Decision{Picks: two[0], Freeze: []int{}})
+	if !slices.Equal(copied.Picks, two[0]) || copied.Masks != nil || copied.Freeze != nil {
+		t.Fatalf("copyDecision = %+v", copied)
+	}
+	// Witnesses print each list as a map in key order, as they always have.
+	copied.Masks = Masks{{Msg: 1, Channel: 3}}
+	if got, want := fmt.Sprintf("%+v", copied), "{Activate:[] Freeze:[] Masks:map[1:3] Picks:map[0:2 2:0]}"; got != want {
+		t.Fatalf("decision prints as %s; want %s", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Reduction selects the state-space reductions a Search applies. It is a
@@ -117,9 +116,9 @@ func effectiveReduction(sc sim.Scenario, r Reduction) Reduction {
 
 // Caps for the once-per-search symmetry derivation. Papernets groups
 // have 2-4 automorphisms and a single surviving scenario symmetry;
-// regular topologies (rings, hypercubes) can have many more, and the
-// canonical encoding costs one permuted-encode pass per kept symmetry
-// per state, so the set is bounded.
+// regular topologies (rings, hypercubes) can have many more, and every
+// stored state's key costs one range compare (sim.LeastPermutation) per
+// kept symmetry, so the set is bounded.
 const (
 	symmetryAutoLimit = 64
 	symmetryPermLimit = 32
@@ -174,10 +173,7 @@ func scenarioSymmetries(sc sim.Scenario) []sim.Permutation {
 				if msgIdentity && chanIdentity {
 					return
 				}
-				p := sim.Permutation{
-					MsgAt:  make([]int, n),
-					ChanTo: append([]topology.ChannelID(nil), a.Chans...),
-				}
+				p := sim.Permutation{MsgAt: make([]int, n)}
 				for orig, img := range sigma {
 					p.MsgAt[img] = orig
 				}

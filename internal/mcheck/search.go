@@ -92,10 +92,51 @@ type Decision struct {
 	// consuming one unit of the stall budget.
 	Freeze []int
 	// Masks restricts adaptive messages to a single candidate channel for
-	// this cycle (adaptive selection nondeterminism).
-	Masks map[int]topology.ChannelID
-	// Picks resolves each contested channel acquisition.
-	Picks map[topology.ChannelID]int
+	// this cycle (adaptive selection nondeterminism), ascending by
+	// message.
+	Masks Masks
+	// Picks resolves each contested channel acquisition, ascending by
+	// channel: the order of the state's sim.Contentions, one contender
+	// chosen per contention.
+	Picks Picks
+}
+
+// Mask restricts adaptive message Msg to request only Channel this cycle
+// (sim.SetMask).
+type Mask struct {
+	Msg     int
+	Channel topology.ChannelID
+}
+
+// Masks is a decision's adaptive selections, ascending by message.
+type Masks []Mask
+
+// Picks is a decision's arbitration picks, ascending by channel.
+type Picks []sim.Pick
+
+// String prints the selections as map[msg:channel ...]: the form in
+// which printed witnesses, and the digests taken of them, have always
+// shown a decision's masks.
+func (ms Masks) String() string {
+	return pairString(len(ms), func(i int) (int, int) { return ms[i].Msg, int(ms[i].Channel) })
+}
+
+// String prints the picks as map[channel:msg ...], the same way.
+func (ps Picks) String() string {
+	return pairString(len(ps), func(i int) (int, int) { return int(ps[i].Channel), ps[i].Msg })
+}
+
+// pairString renders n key:value pairs the way fmt prints a map.
+func pairString(n int, pair func(i int) (int, int)) string {
+	b := []byte("map[")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		k, v := pair(i)
+		b = fmt.Appendf(b, "%d:%d", k, v)
+	}
+	return string(append(b, ']'))
 }
 
 // SearchOptions bounds a Search.
@@ -366,7 +407,7 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 // per-message quantity is monotone under the step relation, so every
 // state-graph loop is such a self-loop (DESIGN §8), and the check runs
 // before the visited pre-filter, which would reject s as already seen.
-// The liveness search steps every decision.
+// An assembled successor spends stall budget, so it is never that loop.
 func (w *searchWorker) expand(s *sim.Sim, enc []byte, budget int) expandResult {
 	r := expandResult{worker: w.id, lo: int32(len(w.succs)), loop: -1}
 	r.hi = r.lo
@@ -728,18 +769,19 @@ func newHeldSim(sc sim.Scenario) *sim.Sim {
 	return s
 }
 
-// apply performs a decision's activations, freezes and masks on the
-// simulator.
-func apply(s *sim.Sim, d Decision) {
+// apply performs a decision on the simulator: its activations, freezes
+// and masks, then one step under its picks.
+func apply(s *sim.Sim, d Decision) sim.StepResult {
 	for _, id := range d.Activate {
 		s.SetHeld(id, false)
 	}
 	for _, id := range d.Freeze {
 		s.SetFrozen(id, 1)
 	}
-	for id, c := range d.Masks {
-		s.SetMask(id, c)
+	for _, m := range d.Masks {
+		s.SetMask(m.Msg, m.Channel)
 	}
+	return s.StepWithPicks(d.Picks)
 }
 
 // rebuildTrace turns a provenance arena path into a witness trace. The
@@ -776,7 +818,6 @@ func rebuildTrace(sc sim.Scenario, nodes []provNode, idx int32, opts SearchOptio
 			panic("mcheck: internal error: provenance decision ordinal out of range")
 		}
 		apply(s, chosen)
-		s.StepWithPicks(chosen.Picks)
 		budget -= len(chosen.Freeze)
 		trace = append(trace, chosen)
 	}
@@ -790,7 +831,6 @@ func Replay(sc sim.Scenario, trace []Decision) *sim.Sim {
 	s := newHeldSim(sc)
 	for _, dec := range trace {
 		apply(s, dec)
-		s.StepWithPicks(dec.Picks)
 	}
 	return s
 }

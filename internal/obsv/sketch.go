@@ -1,9 +1,6 @@
 package obsv
 
-import (
-	"math/bits"
-	"strconv"
-)
+import "math/bits"
 
 // Sketch bucket layout. Values in [0, sketchLinearMax) get exact
 // width-1 buckets, so every latency a sub-saturation (and most
@@ -30,10 +27,9 @@ const (
 // value below 2¹⁶ seen, and the log-linear tail is allocated on the first
 // value at or above 2¹⁶, so a sketch is capped at about 268 KiB however
 // many billions of samples it absorbs, and one whose latencies stay under
-// 256 cycles holds 1 KiB. It is byte-deterministic: the bucket layout is
-// pure integer arithmetic, AppendJSON emits fixed-key-order output, and
-// two sketches fed the same samples render identically however their
-// buckets grew.
+// 256 cycles holds 1 KiB. It is deterministic: the bucket layout is pure
+// integer arithmetic, so two sketches fed the same samples hold the same
+// distribution and answer every query alike however their buckets grew.
 //
 // The zero value is NOT ready to use; call NewSketch.
 type Sketch struct {
@@ -190,50 +186,4 @@ func (s *Sketch) Quantile(p int) int {
 		}
 	}
 	return s.max
-}
-
-// AppendJSON appends the sketch as one deterministic JSON object:
-// summary scalars followed by the occupied buckets as [value, count]
-// pairs (linear buckets report their exact value, log buckets their
-// upper bound). Hand-rolled fixed key order — no maps, no reflection.
-func (s *Sketch) AppendJSON(b []byte) []byte {
-	b = append(b, `{"count":`...)
-	b = strconv.AppendInt(b, s.count, 10)
-	b = append(b, `,"sum":`...)
-	b = strconv.AppendInt(b, s.sum, 10)
-	b = append(b, `,"min":`...)
-	b = strconv.AppendInt(b, int64(s.Min()), 10)
-	b = append(b, `,"max":`...)
-	b = strconv.AppendInt(b, int64(s.max), 10)
-	b = append(b, `,"p50":`...)
-	b = strconv.AppendInt(b, int64(s.Quantile(50)), 10)
-	b = append(b, `,"p95":`...)
-	b = strconv.AppendInt(b, int64(s.Quantile(95)), 10)
-	b = append(b, `,"p99":`...)
-	b = strconv.AppendInt(b, int64(s.Quantile(99)), 10)
-	b = append(b, `,"buckets":[`...)
-	first := true
-	emit := func(v int, c uint32) {
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, '[')
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(c), 10)
-		b = append(b, ']')
-	}
-	for v, c := range s.linear {
-		if c != 0 {
-			emit(v, c)
-		}
-	}
-	for i, c := range s.logs {
-		if c != 0 {
-			emit(logUpper(i), c)
-		}
-	}
-	b = append(b, `]}`...)
-	return b
 }

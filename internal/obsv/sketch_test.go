@@ -1,9 +1,9 @@
 package obsv
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -107,9 +107,9 @@ func TestSketchLogIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSketchJSONDeterministic: identical sample sequences render to
-// identical bytes, and Reset returns the sketch to the empty rendering.
-func TestSketchJSONDeterministic(t *testing.T) {
+// TestSketchDeterministic: identical sample sequences give identical
+// summaries and buckets, and Reset returns the sketch to the empty one.
+func TestSketchDeterministic(t *testing.T) {
 	feed := func(s *Sketch) {
 		for i := 0; i < 1000; i++ {
 			s.Add(i * 73 % 70000)
@@ -118,15 +118,38 @@ func TestSketchJSONDeterministic(t *testing.T) {
 	a, b := NewSketch(), NewSketch()
 	feed(a)
 	feed(b)
-	ja, jb := a.AppendJSON(nil), b.AppendJSON(nil)
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("identical streams render differently:\n%s\n%s", ja, jb)
+	if sa, sb := sketchState(a), sketchState(b); sa != sb {
+		t.Fatalf("identical streams differ:\n%s\n%s", sa, sb)
 	}
-	empty := NewSketch().AppendJSON(nil)
+	empty := sketchState(NewSketch())
 	a.Reset()
-	if !bytes.Equal(a.AppendJSON(nil), empty) {
-		t.Fatalf("Reset sketch renders %s, want %s", a.AppendJSON(nil), empty)
+	if got := sketchState(a); got != empty {
+		t.Fatalf("Reset sketch is %s, want %s", got, empty)
 	}
+}
+
+// sketchState renders a sketch's summary scalars, a few quantiles and
+// its occupied buckets.
+func sketchState(s *Sketch) string {
+	return fmt.Sprint(s.Count(), s.Sum(), s.Min(), s.Max(), s.Quantile(50), s.Quantile(99), occupied(s.linear, s.logs))
+}
+
+// occupied lists the occupied buckets as [value, count] pairs, linear
+// buckets by their exact value and log buckets by their upper bound: the
+// distribution a sketch holds, whatever size its arrays grew to.
+func occupied(linear, logs []uint32) [][2]int {
+	var out [][2]int
+	for v, c := range linear {
+		if c != 0 {
+			out = append(out, [2]int{v, int(c)})
+		}
+	}
+	for i, c := range logs {
+		if c != 0 {
+			out = append(out, [2]int{logUpper(i), int(c)})
+		}
+	}
+	return out
 }
 
 // TestSketchEdgeCases: negative clamping, AddN weights, empty queries.
@@ -275,26 +298,6 @@ func (d *denseSketch) quantiles() (q [101]int) {
 	return q
 }
 
-func (d *denseSketch) AppendJSON(b []byte) []byte {
-	q := d.quantiles()
-	b = fmt.Appendf(b, `{"count":%d,"sum":%d,"min":%d,"max":%d,"p50":%d,"p95":%d,"p99":%d,"buckets":[`,
-		d.count, d.sum, d.Min(), d.max, q[50], q[95], q[99])
-	sep := ""
-	for v, c := range d.linear {
-		if c != 0 {
-			b = fmt.Appendf(b, "%s[%d,%d]", sep, v, c)
-			sep = ","
-		}
-	}
-	for i, c := range d.logs {
-		if c != 0 {
-			b = fmt.Appendf(b, "%s[%d,%d]", sep, logUpper(i), c)
-			sep = ","
-		}
-	}
-	return append(b, `]}`...)
-}
-
 // sketchPair feeds one sample stream to a range-sized sketch and to the
 // dense reference.
 type sketchPair struct {
@@ -321,8 +324,8 @@ func (p sketchPair) check(t *testing.T, what string) {
 			t.Fatalf("%s: p%d = %d, reference %d", what, q, got, want)
 		}
 	}
-	if got, want := s.AppendJSON(nil), d.AppendJSON(nil); !bytes.Equal(got, want) {
-		t.Fatalf("%s: JSON differs from the reference:\n%s\n%s", what, got, want)
+	if got, want := occupied(s.linear, s.logs), occupied(d.linear[:], d.logs[:]); !slices.Equal(got, want) {
+		t.Fatalf("%s: buckets differ from the reference:\n%v\n%v", what, got, want)
 	}
 }
 

@@ -107,7 +107,9 @@ type Frame struct {
 
 // AppendJSON appends the frame as one deterministic JSON object. Channels
 // with no activity are omitted; active ones are emitted in channel-ID
-// order as [id, busy, occ, blocked] quadruples.
+// order as [id, busy, occ, blocked] quadruples. No production path emits
+// frames as JSON; it stays because the frame-determinism tests render
+// every closed frame through it and compare the bytes.
 func (f *Frame) AppendJSON(b []byte) []byte {
 	b = append(b, `{"frame":`...)
 	b = strconv.AppendInt(b, int64(f.Index), 10)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"bytes"
-
-	"repro/internal/topology"
-)
+import "bytes"
 
 // Permutation describes one symmetry of a scenario: a relabeling of its
 // messages and channels under which the scenario maps onto itself.
@@ -12,20 +8,21 @@ import (
 // by symmetry: CanonicalEncodeTo picks one representative encoding per
 // orbit, so two states that are relabelings of each other deduplicate.
 //
-// A Permutation is only meaningful for a specific scenario. It must
-// satisfy, for every message i with image j = σ(i): the specs agree
-// under the channel map (same length, ChanTo-image of i's path equals
-// j's path, endpoints mapped accordingly). Callers derive valid
-// permutations from topology automorphisms (topology.Automorphisms);
-// this package only applies them.
+// A Permutation is only meaningful for a specific scenario whose
+// messages are all oblivious. It must satisfy, for every message i with
+// image j = σ(i): the specs agree under a channel automorphism π (same
+// length, the π-image of i's path equals j's path, endpoints mapped
+// accordingly). Channel IDs then appear in no encoded state, so
+// relabeling a state only moves message states between slots. Callers
+// derive valid permutations from topology automorphisms
+// (topology.Automorphisms) and use none for a scenario with an adaptive
+// message, whose materialized route the relabeling would miss; this
+// package only applies them.
 type Permutation struct {
 	// MsgAt[j] is the original message whose state occupies message slot
 	// j of the permuted encoding — the inverse σ⁻¹ of the message
 	// bijection.
 	MsgAt []int
-	// ChanTo[c] is the channel automorphism image π(c); it relabels
-	// materialized adaptive routes.
-	ChanTo []topology.ChannelID
 }
 
 // CanonicalEncodeTo appends the canonical representative of the state's
@@ -54,10 +51,8 @@ func (s *Sim) CanonicalEncodeTo(perms []Permutation, dst, scratch *[]byte) {
 // relabeling of an encoded state is the least byte string, or -1 when
 // no relabeling is less than the identity encoding: the candidate
 // CanonicalEncodeTo keeps. enc is the state's EncodeTo encoding and
-// starts its message offsets from EncodeRangesTo. It holds only when
-// every message is oblivious, as every message of a scenario with usable
-// symmetries is: a relabeling then moves whole message encodings between
-// slots, since channel IDs are encoded only in adaptive routes. Each
+// starts its message offsets from EncodeRangesTo. A relabeling moves
+// whole message encodings between slots (see Permutation). Each
 // candidate is compared against the least so far range by range and
 // abandoned at its first differing byte.
 func LeastPermutation(perms []Permutation, enc []byte, starts []int32) int {
@@ -105,8 +100,7 @@ func permutedLess(enc []byte, starts []int32, p, at []int) bool {
 }
 
 // AppendPermuted appends the encoding of the state enc encodes relabeled
-// by p, under LeastPermutation's conditions: slot j carries message
-// p.MsgAt[j]'s range.
+// by p: slot j carries message p.MsgAt[j]'s range.
 func AppendPermuted(dst, enc []byte, starts []int32, p *Permutation) []byte {
 	for _, m := range p.MsgAt {
 		dst = append(dst, enc[starts[m]:starts[m+1]]...)

@@ -18,11 +18,7 @@ func canonicalFixture() (*topology.Network, []MessageSpec, Permutation) {
 		{Src: 0, Dst: 2, Length: 2, Path: []topology.ChannelID{0, 1}},
 		{Src: 2, Dst: 0, Length: 2, Path: []topology.ChannelID{2, 3}},
 	}
-	rot := Permutation{
-		MsgAt:  []int{1, 0},
-		ChanTo: []topology.ChannelID{2, 3, 0, 1},
-	}
-	return net, msgs, rot
+	return net, msgs, Permutation{MsgAt: []int{1, 0}}
 }
 
 func newCanonicalSim(t *testing.T, advance int) *Sim {
@@ -94,10 +90,7 @@ func TestCanonicalEncodeQuotientsSymmetricStates(t *testing.T) {
 // permutation never changes the representative.
 func TestCanonicalEncodeIdentityPermIsNoOp(t *testing.T) {
 	s := newCanonicalSim(t, 1)
-	id := Permutation{
-		MsgAt:  []int{0, 1},
-		ChanTo: []topology.ChannelID{0, 1, 2, 3},
-	}
+	id := Permutation{MsgAt: []int{0, 1}}
 	var plain, canon, scratch []byte
 	s.EncodeTo(&plain)
 	s.CanonicalEncodeTo([]Permutation{id}, &canon, &scratch)
@@ -113,7 +106,7 @@ func TestCanonicalEncodeIdentityPermIsNoOp(t *testing.T) {
 // offsets counted from where the encoding begins.
 func TestLeastPermutationMatchesCanonicalEncode(t *testing.T) {
 	_, _, rot := canonicalFixture()
-	id := Permutation{MsgAt: []int{0, 1}, ChanTo: []topology.ChannelID{0, 1, 2, 3}}
+	id := Permutation{MsgAt: []int{0, 1}}
 	for _, advance := range []int{0, 1} {
 		s := newCanonicalSim(t, advance)
 		var plain []byte

@@ -65,12 +65,11 @@ func (s *Sim) EncodeRangesTo(dst *[]byte, starts []int32) []int32 {
 // encode appends the EncodeTo-format encoding the state would have after
 // relabeling by p; a nil p is the identity, which is EncodeTo itself.
 // Under p, message slot j carries the state of original message
-// p.MsgAt[j] and adaptive routes are relabeled through p.ChanTo. Because
-// a valid permutation maps
-// message MsgAt[j]'s path onto message j's path element-for-element, the
-// positional queued counts carry over unchanged; the result is
-// byte-identical to EncodeTo on a Sim built from the relabeled scenario
-// in the relabeled state.
+// p.MsgAt[j]. Because a valid permutation maps message MsgAt[j]'s path
+// onto message j's path element-for-element, and applies only to
+// oblivious messages (see Permutation), the positional queued counts
+// carry over unchanged; the result is byte-identical to EncodeTo on a
+// Sim built from the relabeled scenario in the relabeled state.
 //
 // It makes one pass over the message states, reading each message's flit
 // counts and route from its ranges of flits and hops. Small values,
@@ -114,9 +113,6 @@ func (s *Sim) encode(p *Permutation, dst *[]byte, starts *[]int32) {
 			// state; an oblivious path is immutable and omitted.
 			b = binary.AppendUvarint(b, uint64(m.n))
 			for _, c := range s.hops[m.hop : m.hop+m.n] {
-				if p != nil {
-					c = p.ChanTo[c]
-				}
 				b = binary.AppendUvarint(b, uint64(c))
 			}
 		}

@@ -616,6 +616,14 @@ type Contention struct {
 	Contenders []int // message IDs, sorted
 }
 
+// Pick resolves one contested channel in favour of message Msg. A pick
+// list names each channel at most once, in strictly ascending channel
+// order: the order Contentions reports them in.
+type Pick struct {
+	Channel topology.ChannelID
+	Msg     int
+}
+
 // AcquirableCandidates returns the channels message id wants and could
 // acquire this cycle (free now, or releasing under same-cycle handoff).
 // Search code enumerates adaptive selection nondeterminism over this set
@@ -845,19 +853,31 @@ func (s *Sim) predictReleases() {
 }
 
 // wantedChannels returns the channels the message's header may acquire
-// next, if the message is eligible to request one this cycle (not
-// delivered, not frozen, header not consumed, and — for injection — ready
-// and not held). Oblivious messages want exactly their next path channel;
-// adaptive messages want every usable candidate their route function
-// offers.
+// next, if the message is eligible to request one this cycle: its
+// nextChannels, unless it is frozen or held before injecting.
 func (s *Sim) wantedChannels(m *msgState) []topology.ChannelID {
-	if m.delivered() || m.frozen > 0 || m.headerConsumed {
+	if m.frozen > 0 || m.injected == 0 && m.held {
+		return nil
+	}
+	return s.nextChannels(m)
+}
+
+// nextChannels returns the channels the message's header would acquire
+// next, whether or not it is frozen or held: none when it is delivered,
+// its header consumed, it is not yet ready to inject, or its header sits
+// at its destination. Oblivious messages want exactly their next path
+// channel; adaptive messages want every usable candidate their route
+// function offers. It is the one next-channel rule behind both the
+// step's requests (wantedChannels) and the Definition 6 wait-for
+// relation (WaitsFor).
+func (s *Sim) nextChannels(m *msgState) []topology.ChannelID {
+	if m.delivered() || m.headerConsumed {
 		return nil
 	}
 	var at topology.NodeID
 	in := topology.None
 	if m.injected == 0 {
-		if m.held || s.now < m.injectAt {
+		if s.now < m.injectAt {
 			return nil
 		}
 		if !m.adaptive {
@@ -922,11 +942,14 @@ func (s *Sim) Step() StepResult {
 	return s.step(nil)
 }
 
-// StepWithPicks advances one cycle, resolving the given contested channels
-// in favor of the specified message IDs; remaining contests fall back to
-// the configured arbiter. A pick naming a message that is not actually a
-// contender for the channel panics: the caller enumerated stale choices.
-func (s *Sim) StepWithPicks(picks map[topology.ChannelID]int) StepResult {
+// StepWithPicks advances one cycle, resolving each picked channel in
+// favour of its pick's message; contests without a pick fall back to the
+// configured arbiter, and a pick for a channel nobody requests is
+// ignored. picks must be sorted by strictly ascending channel (see Pick).
+// A pick naming a message that is not actually a contender for the
+// channel panics: the caller enumerated stale choices. An unsorted list,
+// or one that names a channel twice, panics too.
+func (s *Sim) StepWithPicks(picks []Pick) StepResult {
 	return s.step(picks)
 }
 
@@ -934,11 +957,13 @@ func (s *Sim) StepWithPicks(picks map[topology.ChannelID]int) StepResult {
 // and advances the copy one cycle against the arbitration plan probe's
 // latest Contentions call computed, so a search stepping many successors
 // of one probe pays for release prediction and request collection once.
-// The result is exactly CopyFrom(probe) followed by StepWithPicks(picks).
+// The result is exactly CopyFrom(probe) followed by StepWithPicks(picks),
+// and picks follow the same rules: sorted by strictly ascending channel,
+// usually the Contentions order with one contender chosen per channel.
 // It panics when probe's state changed after that Contentions call, since
 // the plan would then describe another state. Both simulators must be
 // built for the same network.
-func (s *Sim) StepFrom(probe *Sim, picks map[topology.ChannelID]int) StepResult {
+func (s *Sim) StepFrom(probe *Sim, picks []Pick) StepResult {
 	if !probe.planned {
 		panic("sim: StepFrom: the probe changed since its last Contentions call")
 	}
@@ -951,7 +976,7 @@ func (s *Sim) StepFrom(probe *Sim, picks map[topology.ChannelID]int) StepResult 
 // cycle handoff) and the sorted acquisition requests. In strict mode the
 // requests see start-of-cycle ownership; with same-cycle handoff,
 // channels releasing this cycle are acquirable too.
-func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
+func (s *Sim) step(picks []Pick) StepResult {
 	s.predictReleases()
 	s.stepReqs = s.collectRequests(s.stepReqs)
 	return s.advance(s, s.stepReqs, picks)
@@ -962,9 +987,15 @@ func (s *Sim) step(picks map[topology.ChannelID]int) StepResult {
 // predictReleases pass marked the releasing channels, and reqs its sorted
 // request list, collected with its wanting bits; all must describe s's
 // current state (plan is s itself, or the probe s was just copied from).
-// All working memory comes from the Sim's scratch arenas: a steady-state
-// step allocates nothing.
-func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int) StepResult {
+// picks is sorted by strictly ascending channel, so one cursor walks it
+// beside the sorted requests. All working memory comes from the Sim's
+// scratch arenas: a steady-state step allocates nothing.
+func (s *Sim) advance(plan *Sim, reqs []uint64, picks []Pick) StepResult {
+	for i := 1; i < len(picks); i++ {
+		if picks[i].Channel <= picks[i-1].Channel {
+			panic(fmt.Sprintf("sim: picks not in strictly ascending channel order (channel %d after %d)", picks[i].Channel, picks[i-1].Channel))
+		}
+	}
 	// Phase 2: arbitration, then movement.
 	s.ensureGrantArena()
 	s.grantEpoch++
@@ -974,6 +1005,7 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 	// earlier channel drop out of later contests. The sorted request
 	// pairs deliver each channel's contenders already ascending, which is
 	// the order the Arbiter contract requires.
+	p := 0 // the first pick whose channel the walk has not passed
 	for i := 0; i < len(reqs); {
 		c := topology.ChannelID(reqs[i] >> 32)
 		ids := s.contBuf[:0]
@@ -987,18 +1019,15 @@ func (s *Sim) advance(plan *Sim, reqs []uint64, picks map[topology.ChannelID]int
 		if len(ids) == 0 {
 			continue
 		}
+		for p < len(picks) && picks[p].Channel < c {
+			p++ // a pick for a channel nobody requests
+		}
 		var winner int
-		if pick, ok := picks[c]; ok {
-			found := false
-			for _, id := range ids {
-				if id == pick {
-					found = true
-				}
+		if p < len(picks) && picks[p].Channel == c {
+			winner = picks[p].Msg
+			if !slices.Contains(ids, winner) {
+				panic(fmt.Sprintf("sim: pick %d is not a contender for channel %d (contenders %v)", winner, c, ids))
 			}
-			if !found {
-				panic(fmt.Sprintf("sim: pick %d is not a contender for channel %d (contenders %v)", pick, c, ids))
-			}
-			winner = pick
 		} else if len(ids) == 1 {
 			winner = ids[0]
 		} else {
@@ -1558,42 +1587,10 @@ func (s *Sim) Message(id int) MsgView {
 // (Definition 6 is specific to oblivious routing, where the wanted channel
 // is unique).
 func (s *Sim) WaitsFor(id int) (ch topology.ChannelID, owner int, ok bool) {
-	m := &s.msgs[id]
 	// A frozen or held message still "waits" in the Definition 6 sense
-	// only if its next channel is occupied; compute eligibility manually
-	// rather than via wantedChannels (which also filters frozen/held).
-	if m.delivered() || m.headerConsumed {
-		return 0, -1, false
-	}
-	var wants []topology.ChannelID
-	path := s.path(m)
-	if m.injected == 0 {
-		if s.now < m.injectAt {
-			return 0, -1, false
-		}
-		if m.adaptive {
-			wants = s.adaptiveCandidates(m, s.specs[id].Src, topology.None)
-		} else {
-			wants = path[:1]
-		}
-	} else {
-		h := m.head
-		if h < 0 {
-			return 0, -1, false
-		}
-		if m.adaptive {
-			if h != len(path)-1 || s.arrived(m) {
-				return 0, -1, false
-			}
-			in := path[h]
-			wants = s.adaptiveCandidates(m, s.net.Channel(in).Dst, in)
-		} else {
-			if h == len(path)-1 {
-				return 0, -1, false
-			}
-			wants = path[h+1 : h+2]
-		}
-	}
+	// when its next channel is occupied, so the rule is nextChannels,
+	// not wantedChannels.
+	wants := s.nextChannels(&s.msgs[id])
 	if len(wants) == 0 {
 		return 0, -1, false
 	}

@@ -468,7 +468,7 @@ func TestStepWithPicks(t *testing.T) {
 	s := New(net, Config{})
 	a := s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 1, Path: pathTo(net, 2)})
 	b := s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 1, Path: pathTo(net, 2)})
-	s.StepWithPicks(map[topology.ChannelID]int{0: b})
+	s.StepWithPicks([]Pick{{Channel: 0, Msg: b}})
 	if s.Message(b).Injected != 1 || s.Message(a).Injected != 0 {
 		t.Fatal("explicit pick not honored")
 	}
@@ -483,7 +483,40 @@ func TestStepWithStalePickPanics(t *testing.T) {
 			t.Fatal("expected panic for non-contender pick")
 		}
 	}()
-	s.StepWithPicks(map[topology.ChannelID]int{0: 99})
+	s.StepWithPicks([]Pick{{Channel: 0, Msg: 99}})
+}
+
+// TestStepWithPicksRejectsUnsortedPicks: the grant loop walks the picks
+// with one cursor beside the sorted requests, so a list out of channel
+// order, or naming a channel twice, would be resolved wrongly without a
+// sign; both panic instead. A pick for a channel nobody requests is still
+// ignored.
+func TestStepWithPicksRejectsUnsortedPicks(t *testing.T) {
+	net := line(3)
+	build := func() *Sim {
+		s := New(net, Config{})
+		s.MustAdd(MessageSpec{Src: 0, Dst: 2, Length: 1, Path: pathTo(net, 2)}) // m0 enters c0
+		s.MustAdd(MessageSpec{Src: 1, Dst: 2, Length: 1, Path: []topology.ChannelID{1}})
+		return s
+	}
+	for _, picks := range [][]Pick{
+		{{Channel: 1, Msg: 1}, {Channel: 0, Msg: 0}}, // out of order
+		{{Channel: 0, Msg: 0}, {Channel: 0, Msg: 0}}, // a channel twice
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("picks %v did not panic", picks)
+				}
+			}()
+			build().StepWithPicks(picks)
+		}()
+	}
+	s := build()
+	s.StepWithPicks([]Pick{{Channel: 0, Msg: 0}, {Channel: 1, Msg: 1}, {Channel: 7, Msg: 0}})
+	if s.Message(0).Injected != 1 || s.Message(1).Injected != 1 {
+		t.Fatal("sorted picks not honored")
+	}
 }
 
 func TestWaitsForReportsBlocking(t *testing.T) {

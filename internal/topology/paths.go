@@ -20,14 +20,6 @@ func (n *Network) Distances() [][]int {
 	return d
 }
 
-// DistancesFrom returns single-source BFS distances from src, with -1 for
-// unreachable nodes.
-func (n *Network) DistancesFrom(src NodeID) []int {
-	var t Tree
-	n.BFS(src, &t)
-	return t.depth
-}
-
 // Tree is a breadth-first search tree of a network from one source: the
 // channel by which the search first reached each node, and each node's
 // depth. It is the one place where shortest paths break ties, so every

@@ -131,8 +131,8 @@ func TestShortestPathUnreachable(t *testing.T) {
 	if p := net.ShortestPath(b, a); p != nil {
 		t.Fatalf("expected nil path, got %v", p)
 	}
-	if d := net.DistancesFrom(b); d[a] != -1 {
-		t.Fatalf("DistancesFrom(b)[a] = %d; want -1", d[a])
+	if d := net.Distances()[b][a]; d != -1 {
+		t.Fatalf("Distances()[b][a] = %d; want -1", d)
 	}
 }
 

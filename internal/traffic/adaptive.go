@@ -1,9 +1,6 @@
 package traffic
 
 import (
-	"fmt"
-	"math/rand"
-
 	"repro/internal/adaptive"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -23,47 +20,14 @@ type AdaptiveWorkload struct {
 
 // Messages samples the workload into a concrete message list.
 func (w AdaptiveWorkload) Messages() ([]sim.MessageSpec, error) {
-	if w.Rate <= 0 || w.Rate > 1 {
-		return nil, fmt.Errorf("traffic: rate %v out of (0,1]", w.Rate)
-	}
-	if w.Length < 1 {
-		return nil, fmt.Errorf("traffic: length %d < 1", w.Length)
-	}
-	if w.Duration < 1 {
-		return nil, fmt.Errorf("traffic: duration %d < 1", w.Duration)
-	}
-	rng := rand.New(rand.NewSource(w.Seed))
-	var msgs []sim.MessageSpec
-	n := w.Alg.Net.NumNodes()
-	for t := 0; t < w.Duration; t++ {
-		for s := 0; s < n; s++ {
-			if rng.Float64() >= w.Rate {
-				continue
-			}
-			src := topology.NodeID(s)
-			dst := w.Pattern(src, rng)
-			if dst == src {
-				continue
-			}
-			msgs = append(msgs, w.Alg.Spec(src, dst, w.Length, t))
-		}
-	}
-	return msgs, nil
+	return sample(w.Alg.Net, w.Pattern, w.Rate, w.Length, w.Duration, w.Seed,
+		func(src, dst topology.NodeID, t int) (sim.MessageSpec, error) {
+			return w.Alg.Spec(src, dst, w.Length, t), nil
+		})
 }
 
 // Run samples the workload, simulates it, and returns statistics and the
 // outcome.
 func (w AdaptiveWorkload) Run(cfg sim.Config, maxCycles int) (sim.Stats, sim.Outcome, error) {
-	msgs, err := w.Messages()
-	if err != nil {
-		return sim.Stats{}, sim.Outcome{}, err
-	}
-	s := sim.New(w.Alg.Net, cfg)
-	for _, m := range msgs {
-		if _, err := s.Add(m); err != nil {
-			return sim.Stats{}, sim.Outcome{}, err
-		}
-	}
-	out := s.Run(maxCycles)
-	return sim.Collect(s), out, nil
+	return run(w.Alg.Net, w.Messages, cfg, maxCycles)
 }

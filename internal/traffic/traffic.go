@@ -97,55 +97,78 @@ type Workload struct {
 }
 
 // Messages samples the workload into a concrete message list. Messages
-// whose pattern destination equals their source, or for which the routing
-// algorithm defines no path, are skipped.
+// whose pattern destination equals their source are skipped; a pair for
+// which the routing algorithm defines no path is an error.
 func (w Workload) Messages() ([]sim.MessageSpec, error) {
-	if w.Rate <= 0 || w.Rate > 1 {
-		return nil, fmt.Errorf("traffic: rate %v out of (0,1]", w.Rate)
-	}
-	if w.Length < 1 {
-		return nil, fmt.Errorf("traffic: length %d < 1", w.Length)
-	}
-	if w.Duration < 1 {
-		return nil, fmt.Errorf("traffic: duration %d < 1", w.Duration)
-	}
-	net := w.Alg.Network()
-	rng := rand.New(rand.NewSource(w.Seed))
-	var msgs []sim.MessageSpec
-	n := net.NumNodes()
-	for t := 0; t < w.Duration; t++ {
-		for s := 0; s < n; s++ {
-			if rng.Float64() >= w.Rate {
-				continue
-			}
-			src := topology.NodeID(s)
-			dst := w.Pattern(src, rng)
-			if dst == src {
-				continue
-			}
+	return sample(w.Alg.Network(), w.Pattern, w.Rate, w.Length, w.Duration, w.Seed,
+		func(src, dst topology.NodeID, t int) (sim.MessageSpec, error) {
 			path := w.Alg.Path(src, dst)
 			if path == nil {
-				return nil, fmt.Errorf("traffic: no path %d -> %d under %s", src, dst, w.Alg.Name())
+				return sim.MessageSpec{}, fmt.Errorf("traffic: no path %d -> %d under %s", src, dst, w.Alg.Name())
 			}
-			msgs = append(msgs, sim.MessageSpec{
+			return sim.MessageSpec{
 				Src: src, Dst: dst, Length: w.Length,
 				Path:     path,
 				InjectAt: t,
-				Label:    fmt.Sprintf("t%d.s%d", t, s),
-			})
-		}
-	}
-	return msgs, nil
+				Label:    fmt.Sprintf("t%d.s%d", t, src),
+			}, nil
+		})
 }
 
 // Run samples the workload, simulates it to completion (or maxCycles) and
 // returns the simulator statistics together with the outcome.
 func (w Workload) Run(cfg sim.Config, maxCycles int) (sim.Stats, sim.Outcome, error) {
-	msgs, err := w.Messages()
+	return run(w.Alg.Network(), w.Messages, cfg, maxCycles)
+}
+
+// sample is the Bernoulli batch sampler behind Workload and
+// AdaptiveWorkload: in each of the first duration cycles, each node
+// injects with probability rate, to a destination drawn from pattern;
+// a draw of the node itself injects nothing. spec builds the message of
+// each accepted (source, destination, cycle).
+func sample(net *topology.Network, pattern Pattern, rate float64, length, duration int, seed int64,
+	spec func(src, dst topology.NodeID, t int) (sim.MessageSpec, error)) ([]sim.MessageSpec, error) {
+	if rate <= 0 || rate > 1 {
+		return nil, fmt.Errorf("traffic: rate %v out of (0,1]", rate)
+	}
+	if length < 1 {
+		return nil, fmt.Errorf("traffic: length %d < 1", length)
+	}
+	if duration < 1 {
+		return nil, fmt.Errorf("traffic: duration %d < 1", duration)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var msgs []sim.MessageSpec
+	n := net.NumNodes()
+	for t := 0; t < duration; t++ {
+		for s := 0; s < n; s++ {
+			if rng.Float64() >= rate {
+				continue
+			}
+			src := topology.NodeID(s)
+			dst := pattern(src, rng)
+			if dst == src {
+				continue
+			}
+			m, err := spec(src, dst, t)
+			if err != nil {
+				return nil, err
+			}
+			msgs = append(msgs, m)
+		}
+	}
+	return msgs, nil
+}
+
+// run samples a batch workload with messages, simulates it on net to
+// completion (or maxCycles) and returns the statistics together with the
+// outcome.
+func run(net *topology.Network, messages func() ([]sim.MessageSpec, error), cfg sim.Config, maxCycles int) (sim.Stats, sim.Outcome, error) {
+	msgs, err := messages()
 	if err != nil {
 		return sim.Stats{}, sim.Outcome{}, err
 	}
-	s := sim.New(w.Alg.Network(), cfg)
+	s := sim.New(net, cfg)
 	for _, m := range msgs {
 		if _, err := s.Add(m); err != nil {
 			return sim.Stats{}, sim.Outcome{}, err

@@ -138,9 +138,9 @@ func goldenWalk(s *sim.Sim, rng *rand.Rand, steps int, visit func()) {
 				s.SetMask(id, cands[rng.Intn(len(cands))])
 			}
 		}
-		picks := map[topology.ChannelID]int{}
+		var picks []sim.Pick
 		for _, c := range s.Contentions() {
-			picks[c.Channel] = c.Contenders[rng.Intn(len(c.Contenders))]
+			picks = append(picks, sim.Pick{Channel: c.Channel, Msg: c.Contenders[rng.Intn(len(c.Contenders))]})
 		}
 		s.StepWithPicks(picks)
 		visit()
